@@ -88,6 +88,10 @@ fn main() {
     });
 
     let t0 = Instant::now();
+    // The worker pool is a persistent singleton by design: one chunk per
+    // pool thread spawns all of it before the baseline, so the gate only
+    // catches leaked world-rank threads.
+    bgw_par::parallel_for_chunked(bgw_par::num_threads(), 1, |_, _| {});
     let threads_baseline = thread_count();
 
     // Fault-free oracle through the same resilient code path.

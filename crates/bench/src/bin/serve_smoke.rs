@@ -28,7 +28,8 @@
 
 use bgw_core::workflow::run_gpp_gw;
 use bgw_core::{
-    ff_sigma_diag, ChiConfig, ChiEngine, Coulomb, EpsilonInverse, GppModel, Mtxel, SigmaContext,
+    ff_sigma_diag, three_point_grids, ChiConfig, ChiEngine, Coulomb, EpsilonInverse, GppModel,
+    Mtxel, SigmaContext,
 };
 use bgw_num::grid::semi_infinite_quadrature;
 use bgw_num::Complex64;
@@ -83,12 +84,7 @@ fn ff_oracle(req: &GwRequest) -> Vec<Vec<Complex64>> {
     let gpp = GppModel::new(&eps_inv, &eps_sph, &wfn_sph, &rho, volume);
     let bands = req.bands(wf.n_valence, wf.n_bands());
     let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &bands, coulomb.q0);
-    let d = req.delta_ry();
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - d, e, e + d])
-        .collect();
+    let grids = three_point_grids(&ctx.sigma_energies, req.delta_ry());
     ff_sigma_diag(&ctx, &eps_ff, &weights, &grids, req.eta_ry()).sigma
 }
 

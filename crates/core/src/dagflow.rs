@@ -24,25 +24,23 @@
 //! parity tests gate at 1e-12; the only difference is the association
 //! order of the NV-block sum and the band reduction).
 
-use crate::chi::{ChiConfig, ChiEngine};
-use crate::coulomb::Coulomb;
-use crate::dyson::{qp_gap, solve_qp_diag};
 use crate::epsilon::EpsilonInverse;
 use crate::gpp::GppModel;
-use crate::mtxel::Mtxel;
+use crate::service::{
+    assemble, context_stage, prefix, sigma_band_window, three_point_grids, Stage,
+};
 use crate::sigma::diag::{gpp_sigma_diag, SigmaDiagResult};
 use crate::sigma::SigmaContext;
-use crate::workflow::{GwConfig, GwResults, GwTimings, SigmaDims};
+use crate::workflow::{GwConfig, GwResults, GwTimings};
 use bgw_linalg::CMatrix;
 use bgw_num::Complex64;
 use bgw_par::dag::{DagStats, TaskGraph};
-use bgw_pwdft::{charge_density_g, solve_bands, ModelSystem};
+use bgw_pwdft::{charge_density_g, ModelSystem};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
-/// What a per-band Sigma task deposits: the band's Sigma(E) grid row,
-/// the kernel's counted FLOPs, and its wall seconds.
-type SigmaPart = (Vec<f64>, u64, f64);
+/// What a per-band Sigma task deposits: the band's Sigma(E) grid row and
+/// the kernel's counted FLOPs.
+type SigmaPart = (Vec<f64>, u64);
 
 /// Typed failure of a DAG-scheduled run. A malformed task-graph state —
 /// an empty input slot where a dependency should have deposited data, or
@@ -116,20 +114,14 @@ pub struct DagGwResults {
     pub stats: DagStats,
 }
 
-/// Stage-time accumulator shared by the tasks (indices: chi, epsilon,
-/// sigma-context, sigma-kernel).
-#[derive(Default)]
-struct StageSeconds([f64; 4]);
-
-impl StageSeconds {
-    const CHI: usize = 0;
-    const EPSILON: usize = 1;
-    const MTXEL_SIGMA: usize = 2;
-    const SIGMA: usize = 3;
-}
-
-fn charge(acc: &Mutex<StageSeconds>, stage: usize, t0: Instant) {
-    acc.lock().unwrap_or_else(|e| e.into_inner()).0[stage] += t0.elapsed().as_secs_f64();
+/// Runs one task body under its stage's span and charges its seconds to
+/// the accumulator the tasks share.
+fn task<T>(stage: Stage, acc: &Mutex<GwTimings>, f: impl FnOnce() -> T) -> T {
+    let (v, secs) = stage.run(f);
+    acc.lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .charge(stage, secs);
+    v
 }
 
 /// Runs the full G0W0(GPP) pipeline as a task DAG.
@@ -157,68 +149,27 @@ pub(crate) fn run_gpp_gw_dag_injected(
     let _run_span = bgw_trace::span!("workflow.gpp_gw_dag");
     let counters0 = bgw_perf::counters::snapshot();
     let mut timings = GwTimings::default();
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
 
     // The graph's shape (NV-block count, Sigma band set, energy grids)
-    // is a function of the solved bands, so the mean field runs up
-    // front — it is internally pool-parallel already. Everything
-    // downstream is task-scheduled.
-    let t = Instant::now();
-    let wf = {
-        let _s = bgw_trace::span!("workflow.meanfield");
-        solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()))
-    };
-    timings.t_meanfield = t.elapsed().as_secs_f64();
-
-    let coulomb = if cfg.slab {
-        Coulomb::slab(
-            system.crystal.lattice.a[2][2],
-            system.crystal.lattice.volume(),
-        )
-    } else {
-        Coulomb::bulk_for_cell(system.crystal.lattice.volume())
-    };
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let volume = system.crystal.lattice.volume();
-
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let sigma_bands: Vec<usize> = (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect();
-    let d = cfg.sampling_delta_ry;
+    // is a function of the solved bands, so the shared prefix (mean
+    // field included — it is internally pool-parallel already) runs up
+    // front. Everything downstream is task-scheduled.
+    let p = prefix(system, cfg, &mut timings);
+    let sigma_bands = sigma_band_window(&p.wf, cfg);
     // ctx.sigma_energies is wf.energies[l] by construction, so the grids
     // can be fixed before the context exists.
-    let grids: Vec<Vec<f64>> = sigma_bands
-        .iter()
-        .map(|&l| {
-            let e = wf.energies[l];
-            vec![e - d, e, e + d]
-        })
-        .collect();
+    let sigma_energies: Vec<f64> = sigma_bands.iter().map(|&l| p.wf.energies[l]).collect();
+    let grids = three_point_grids(&sigma_energies, cfg.sampling_delta_ry);
 
     // Static GPP screening: one frequency node. The per-frequency task
     // layout below generalizes unchanged to a full-frequency grid.
     let omegas = [0.0f64];
-    let nvb = chi_cfg.nv_block.max(1);
-    let blocks: Vec<(usize, usize)> = (0..nv)
-        .step_by(nvb)
-        .map(|v0| (v0, (v0 + nvb).min(nv)))
-        .collect();
 
     // The conduction-band FFT cache is internally pool-parallel; running
     // it as a DAG task would serialize it (nested parallel regions inside
     // a worker run inline), so it stays on the spine like the mean field.
-    let t = Instant::now();
-    let engine = {
-        let _s = bgw_trace::span!("workflow.chi");
-        ChiEngine::new(&wf, &mtxel, chi_cfg)
-    };
-    timings.t_chi = t.elapsed().as_secs_f64();
+    let engine = Stage::Chi.timed(&mut timings, || p.chi_engine());
+    let blocks = engine.nv_blocks();
 
     // Shared single-writer slots the tasks communicate through. Declared
     // before the graph so every task's borrow outlives execution.
@@ -232,17 +183,12 @@ pub(crate) fn run_gpp_gw_dag_injected(
     let ctx_slot: OnceLock<SigmaContext> = OnceLock::new();
     let sigma_parts: Vec<Mutex<Option<SigmaPart>>> =
         sigma_bands.iter().map(|_| Mutex::new(None)).collect();
-    let stage_s: Mutex<StageSeconds> = Mutex::new(StageSeconds::default());
+    let stage_s: Mutex<GwTimings> = Mutex::new(timings);
     let err_slot: Mutex<Option<DagflowError>> = Mutex::new(None);
 
     let stats = {
         let mut g = TaskGraph::new();
-        let wf = &wf;
-        let mtxel = &mtxel;
-        let wfn_sph = &wfn_sph;
-        let eps_sph = &eps_sph;
-        let coulomb = &coulomb;
-        let vsqrt = &vsqrt;
+        let p = &p;
         let sigma_bands = &sigma_bands;
         let grids = &grids;
         let omegas = &omegas;
@@ -257,6 +203,9 @@ pub(crate) fn run_gpp_gw_dag_injected(
         let sigma_parts = &sigma_parts;
         let stage_s = &stage_s;
         let err_slot = &err_slot;
+        let missing = move |task: &'static str, input: &'static str| {
+            record_err(err_slot, DagflowError::MissingInput { task, input });
+        };
 
         // One task per NV block: build the M panel and contract it for
         // every frequency (the panel is reused across frequencies,
@@ -266,11 +215,10 @@ pub(crate) fn run_gpp_gw_dag_injected(
             .enumerate()
             .map(|(b, &(v0, v1))| {
                 g.add(&[], move || {
-                    let _s = bgw_trace::span!("workflow.chi");
-                    let t0 = Instant::now();
-                    *contribs[b].lock().unwrap_or_else(|e| e.into_inner()) =
-                        engine.chi_block_freqs(v0, v1, omegas);
-                    charge(stage_s, StageSeconds::CHI, t0);
+                    task(Stage::Chi, stage_s, || {
+                        *contribs[b].lock().unwrap_or_else(|e| e.into_inner()) =
+                            engine.chi_block_freqs(v0, v1, omegas);
+                    })
                 })
             })
             .collect();
@@ -281,161 +229,102 @@ pub(crate) fn run_gpp_gw_dag_injected(
         let inv_ids: Vec<_> = (0..omegas.len())
             .map(|f| {
                 let t_red = g.add(&block_ids, move || {
-                    let _s = bgw_trace::span!("workflow.chi");
-                    let t0 = Instant::now();
-                    if faults.drop_chi_reduction {
-                        // Injected malformed state: complete without
-                        // depositing, as a died-mid-write task would.
-                        charge(stage_s, StageSeconds::CHI, t0);
-                        return;
-                    }
-                    let mut acc: Option<CMatrix> = None;
-                    for c in contribs {
-                        // Take this frequency's contribution out of the
-                        // block slot (freeing it) and fold it in block
-                        // order — fixed association for determinism.
-                        let m = {
-                            let mut guard = c.lock().unwrap_or_else(|e| e.into_inner());
-                            std::mem::replace(&mut guard[f], CMatrix::zeros(0, 0))
-                        };
-                        match &mut acc {
-                            None => acc = Some(m),
-                            Some(a) => a.axpy(Complex64::ONE, &m),
+                    task(Stage::Chi, stage_s, || {
+                        if faults.drop_chi_reduction {
+                            // Injected malformed state: complete without
+                            // depositing, as a died-mid-write task would.
+                            return;
                         }
-                    }
-                    if faults.corrupt_chi {
-                        if let Some(a) = &mut acc {
-                            a.as_mut_slice()[0] = bgw_num::c64(f64::NAN, 0.0);
+                        let mut acc: Option<CMatrix> = None;
+                        for c in contribs {
+                            // Take this frequency's contribution out of the
+                            // block slot (freeing it) and fold it in block
+                            // order — fixed association for determinism.
+                            let m = {
+                                let mut guard = c.lock().unwrap_or_else(|e| e.into_inner());
+                                std::mem::replace(&mut guard[f], CMatrix::zeros(0, 0))
+                            };
+                            match &mut acc {
+                                None => acc = Some(m),
+                                Some(a) => a.axpy(Complex64::ONE, &m),
+                            }
                         }
-                    }
-                    *chi_slots[f].lock().unwrap_or_else(|e| e.into_inner()) = acc;
-                    charge(stage_s, StageSeconds::CHI, t0);
+                        if faults.corrupt_chi {
+                            if let Some(a) = &mut acc {
+                                a.as_mut_slice()[0] = bgw_num::c64(f64::NAN, 0.0);
+                            }
+                        }
+                        *chi_slots[f].lock().unwrap_or_else(|e| e.into_inner()) = acc;
+                    })
                 });
                 g.add(&[t_red], move || {
-                    let _s = bgw_trace::span!("workflow.epsilon");
-                    let t0 = Instant::now();
-                    let chi = match chi_slots[f]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .take()
-                    {
-                        Some(chi) => chi,
-                        None => {
-                            record_err(
-                                err_slot,
-                                DagflowError::MissingInput {
-                                    task: "epsilon.invert",
-                                    input: "chi reduction",
-                                },
-                            );
-                            return;
-                        }
-                    };
-                    let built = EpsilonInverse::build(
-                        std::slice::from_ref(&chi),
-                        &omegas[f..f + 1],
-                        coulomb,
-                        eps_sph,
-                    );
-                    let inv = match built {
-                        Ok(mut e) => match e.inv.pop() {
-                            Some(inv) => inv,
-                            None => {
-                                record_err(
-                                    err_slot,
-                                    DagflowError::MissingInput {
-                                        task: "epsilon.invert",
-                                        input: "single-frequency inverse",
-                                    },
-                                );
-                                return;
+                    task(Stage::Epsilon, stage_s, || {
+                        let Some(chi) = chi_slots[f]
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .take()
+                        else {
+                            return missing("epsilon.invert", "chi reduction");
+                        };
+                        let built = EpsilonInverse::build(
+                            std::slice::from_ref(&chi),
+                            &omegas[f..f + 1],
+                            &p.coulomb,
+                            &p.eps_sph,
+                        );
+                        match built.map(|mut e| e.inv.pop()) {
+                            Ok(Some(inv)) => {
+                                *inv_slots[f].lock().unwrap_or_else(|e| e.into_inner()) = Some(inv)
                             }
-                        },
-                        Err(e) => {
-                            record_err(err_slot, DagflowError::Epsilon(e));
-                            return;
+                            Ok(None) => missing("epsilon.invert", "single-frequency inverse"),
+                            Err(e) => record_err(err_slot, DagflowError::Epsilon(e)),
                         }
-                    };
-                    *inv_slots[f].lock().unwrap_or_else(|e| e.into_inner()) = Some(inv);
-                    charge(stage_s, StageSeconds::EPSILON, t0);
+                    })
                 })
             })
             .collect();
 
         // Reassemble the frequency-ordered inverse set.
         let t_eps = g.add(&inv_ids, move || {
-            let _s = bgw_trace::span!("workflow.epsilon");
-            let t0 = Instant::now();
-            let mut inv: Vec<CMatrix> = Vec::with_capacity(inv_slots.len());
-            for s in inv_slots {
-                match s.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                    Some(m) => inv.push(m),
-                    None => {
-                        record_err(
-                            err_slot,
-                            DagflowError::MissingInput {
-                                task: "epsilon.assemble",
-                                input: "per-frequency inverse",
-                            },
-                        );
-                        return;
+            task(Stage::Epsilon, stage_s, || {
+                let mut inv: Vec<CMatrix> = Vec::with_capacity(inv_slots.len());
+                for s in inv_slots {
+                    match s.lock().unwrap_or_else(|e| e.into_inner()).take() {
+                        Some(m) => inv.push(m),
+                        None => return missing("epsilon.assemble", "per-frequency inverse"),
                     }
                 }
-            }
-            let _ = eps_slot.set(EpsilonInverse::from_parts(
-                omegas.to_vec(),
-                inv,
-                vsqrt.clone(),
-            ));
-            charge(stage_s, StageSeconds::EPSILON, t0);
+                let _ = eps_slot.set(p.adopt(omegas.to_vec(), inv));
+            })
         });
 
         // Charge density: no dependencies — overlaps the whole CHI /
-        // epsilon chain.
+        // epsilon chain (the one stage-4 piece this driver keeps, calling
+        // the shared GPP constructor once both inputs exist).
         let t_rho = g.add(&[], move || {
-            let _ = rho_slot.set(charge_density_g(wf, wfn_sph));
+            let _ = rho_slot.set(charge_density_g(&p.wf, &p.wfn_sph));
         });
 
         let t_gpp = g.add(&[t_eps, t_rho], move || {
-            let _s = bgw_trace::span!("workflow.mtxel");
-            let t0 = Instant::now();
-            let (Some(eps), Some(rho)) = (eps_slot.get(), rho_slot.get()) else {
-                record_err(
-                    err_slot,
-                    DagflowError::MissingInput {
-                        task: "gpp.build",
-                        input: "epsilon inverse / charge density",
-                    },
-                );
-                return;
-            };
-            let gpp = GppModel::new(eps, eps_sph, wfn_sph, rho, volume);
-            *gpp_slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(gpp);
-            charge(stage_s, StageSeconds::MTXEL_SIGMA, t0);
+            task(Stage::Mtxel, stage_s, || {
+                let (Some(eps), Some(rho)) = (eps_slot.get(), rho_slot.get()) else {
+                    return missing("gpp.build", "epsilon inverse / charge density");
+                };
+                *gpp_slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(p.gpp_model(eps, rho));
+            })
         });
 
         let t_ctx = g.add(&[t_gpp], move || {
-            let _s = bgw_trace::span!("workflow.mtxel");
-            let t0 = Instant::now();
             let Some(gpp) = gpp_slot.lock().unwrap_or_else(|e| e.into_inner()).take() else {
-                record_err(
-                    err_slot,
-                    DagflowError::MissingInput {
-                        task: "sigma.context",
-                        input: "gpp model",
-                    },
-                );
-                return;
+                return missing("sigma.context", "gpp model");
             };
-            let _ = ctx_slot.set(SigmaContext::build(
-                wf,
-                mtxel,
-                gpp,
-                vsqrt,
-                sigma_bands,
-                coulomb.q0,
-            ));
-            charge(stage_s, StageSeconds::MTXEL_SIGMA, t0);
+            let (ctx, secs) =
+                context_stage(&p.wf, &p.mtxel, &p.vsqrt, p.coulomb.q0, gpp, sigma_bands);
+            stage_s
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .charge(Stage::Mtxel, secs);
+            let _ = ctx_slot.set(ctx);
         });
 
         // One task per Sigma band, through the *same* diag kernel with
@@ -444,24 +333,16 @@ pub(crate) fn run_gpp_gw_dag_injected(
         // the full kernel's numbers for that band.
         for s in 0..sigma_bands.len() {
             g.add(&[t_ctx], move || {
-                let _sp = bgw_trace::span!("workflow.sigma");
-                let t0 = Instant::now();
-                let Some(ctx) = ctx_slot.get() else {
-                    record_err(
-                        err_slot,
-                        DagflowError::MissingInput {
-                            task: "sigma.band",
-                            input: "sigma context",
-                        },
-                    );
-                    return;
-                };
-                let mut masked: Vec<Vec<f64>> = vec![Vec::new(); grids.len()];
-                masked[s].clone_from(&grids[s]);
-                let r = gpp_sigma_diag(ctx, &masked, cfg.variant);
-                *sigma_parts[s].lock().unwrap_or_else(|e| e.into_inner()) =
-                    Some((r.sigma[s].clone(), r.flops, r.seconds));
-                charge(stage_s, StageSeconds::SIGMA, t0);
+                task(Stage::Sigma, stage_s, || {
+                    let Some(ctx) = ctx_slot.get() else {
+                        return missing("sigma.band", "sigma context");
+                    };
+                    let mut masked: Vec<Vec<f64>> = vec![Vec::new(); grids.len()];
+                    masked[s].clone_from(&grids[s]);
+                    let mut r = gpp_sigma_diag(ctx, &masked, cfg.variant);
+                    *sigma_parts[s].lock().unwrap_or_else(|e| e.into_inner()) =
+                        Some((r.sigma.swap_remove(s), r.flops));
+                })
             });
         }
 
@@ -475,64 +356,34 @@ pub(crate) fn run_gpp_gw_dag_injected(
     }
 
     // Final (trivial) assembly on the caller: fixed band order.
-    let ctx = ctx_slot.into_inner().ok_or(DagflowError::MissingInput {
+    let missing = |input| DagflowError::MissingInput {
         task: "assembly",
-        input: "sigma context",
-    })?;
-    let eps_inv = eps_slot.into_inner().ok_or(DagflowError::MissingInput {
-        task: "assembly",
-        input: "epsilon inverse",
-    })?;
-    let eps_macro = eps_inv.macroscopic_constant();
-    let mut sigma = Vec::with_capacity(sigma_bands.len());
-    let mut sigma_flops = 0u64;
-    let mut sigma_seconds = 0.0;
-    for part in &sigma_parts {
-        let (sig, flops, secs) = part
-            .lock()
+        input,
+    };
+    let ctx = ctx_slot
+        .into_inner()
+        .ok_or_else(|| missing("sigma context"))?;
+    let eps_inv = eps_slot
+        .into_inner()
+        .ok_or_else(|| missing("epsilon inverse"))?;
+    let timings = stage_s.into_inner().unwrap_or_else(|e| e.into_inner());
+    let mut diag = SigmaDiagResult {
+        sigma: Vec::with_capacity(sigma_parts.len()),
+        e_grids: grids,
+        seconds: timings.t_sigma,
+        flops: 0,
+    };
+    for part in sigma_parts {
+        let (row, flops) = part
+            .into_inner()
             .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .ok_or(DagflowError::MissingInput {
-                task: "assembly",
-                input: "sigma band part",
-            })?;
-        sigma.push(sig);
-        sigma_flops += flops;
-        sigma_seconds += secs;
+            .ok_or_else(|| missing("sigma band part"))?;
+        diag.sigma.push(row);
+        diag.flops += flops;
     }
-    let diag = SigmaDiagResult {
-        sigma,
-        e_grids: grids.clone(),
-        seconds: sigma_seconds,
-        flops: sigma_flops,
-    };
-    let states = solve_qp_diag(&ctx.sigma_energies, &diag);
-    let gap_qp = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
-
-    let stage = stage_s.into_inner().unwrap_or_else(|e| e.into_inner());
-    timings.t_chi += stage.0[StageSeconds::CHI];
-    timings.t_epsilon = stage.0[StageSeconds::EPSILON];
-    timings.t_mtxel_sigma = stage.0[StageSeconds::MTXEL_SIGMA];
-    timings.t_sigma = sigma_seconds.max(stage.0[StageSeconds::SIGMA]);
-    timings.substrate = counters0.delta(&bgw_perf::counters::snapshot());
-
-    let dims = SigmaDims {
-        n_sigma: ctx.n_sigma(),
-        n_b: ctx.n_b(),
-        n_g: ctx.n_g(),
-        n_e: grids.first().map_or(0, Vec::len),
-    };
+    let eps_macro = eps_inv.macroscopic_constant();
     Ok(DagGwResults {
-        results: GwResults {
-            sigma_bands,
-            states,
-            gap_mf_ry: wf.gap_ry(),
-            gap_qp_ry: gap_qp,
-            eps_macro,
-            timings,
-            sigma_flops,
-            dims,
-        },
+        results: assemble(&ctx, &diag, eps_macro, timings, &counters0),
         stats,
     })
 }

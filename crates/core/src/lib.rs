@@ -14,7 +14,8 @@
 //! GW level (Sec. 5.1), [`bse`] solves the Bethe-Salpeter equation for
 //! excitons and optical spectra on top of the same screened interaction,
 //! and [`spectral`] turns frequency-resolved self-energies into
-//! photoemission line shapes. [`workflow`] ties it all together.
+//! photoemission line shapes. [`service`] spells the pipeline's shared stages
+//! once (the spine); [`workflow`] and its sibling drivers run them.
 
 #![warn(missing_docs)]
 
@@ -63,9 +64,9 @@ pub use restart::{
     RestartError,
 };
 pub use service::{
-    band_subset, build_screening, ff_eval, gpp_eval_preemptible, screening_from_checkpoint,
-    screening_to_checkpoint, sigma_context, FfEvalResult, FfSpec, GppEvalResult, GppOutcome,
-    GppPartial, Screening,
+    band_subset, bands_around_gap, build_screening, ff_eval, gpp_eval_preemptible,
+    screening_from_checkpoint, screening_to_checkpoint, sigma_context, three_point_grids,
+    FfEvalResult, FfSpec, GppEvalResult, GppOutcome, GppPartial, Screening,
 };
 pub use sigma::diag::{gpp_sigma_diag, KernelVariant, SigmaDiagResult};
 pub use sigma::fullfreq::{

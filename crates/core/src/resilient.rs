@@ -20,21 +20,20 @@
 //! tasks whose owner died instead of re-running the survivors' work
 //! (DESIGN.md Sec. 14).
 
-use crate::chi::{try_chi_distributed, ChiConfig, ChiEngine};
-use crate::coulomb::Coulomb;
-use crate::dyson::{qp_gap, solve_qp_diag, QpState};
+use crate::chi::try_chi_distributed;
+use crate::dyson::QpState;
 use crate::epsilon::{EpsilonError, EpsilonInverse};
-use crate::gpp::GppModel;
-use crate::mtxel::Mtxel;
+use crate::service::{
+    assemble, finish_screening, into_context, prefix, three_point_grids, Prefix, N_GRID,
+};
 use crate::sigma::diag::{gpp_sigma_diag_partial, try_gpp_sigma_diag_distributed, SigmaDiagResult};
-use crate::sigma::SigmaContext;
-use crate::workflow::GwConfig;
+use crate::workflow::{GwConfig, GwTimings};
 use bgw_comm::{Comm, CommError};
 use bgw_dist::{try_invert_epsilon_distributed, DistError, DistMatrix};
 use bgw_linalg::CMatrix;
 use bgw_num::{c64, Complex64};
 use bgw_par::dag::TaskGraph;
-use bgw_pwdft::{charge_density_g, solve_bands, ModelSystem};
+use bgw_pwdft::ModelSystem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -212,57 +211,32 @@ pub fn run_gpp_gw_resilient(
     comm: &Comm,
 ) -> Result<ResilientGwReport, ResilientError> {
     let mut cursor = CommCursor::new(comm);
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-    let coulomb = Coulomb::bulk_for_cell(system.crystal.lattice.volume());
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
+    let mut timings = GwTimings::default();
+    let counters0 = bgw_perf::counters::snapshot();
+    let p = prefix(system, cfg, &mut timings);
 
     // CHI: round-robin valence split + allreduce, re-split on shrink.
     let chi0 = with_recovery(&mut cursor, |c| {
-        Ok(try_chi_distributed(c, &wf, &mtxel, chi_cfg, &[0.0])?
+        Ok(try_chi_distributed(c, &p.wf, &p.mtxel, p.chi_cfg, &[0.0])?
             .pop()
-            .unwrap())
+            .expect("one frequency asked, one matrix returned"))
     })?;
 
     // Epsilon: distributed Newton-Schulz inversion, replicated at the end.
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let eps_inv = epsilon_stage(&mut cursor, &chi0, &vsqrt)?;
-    let eps_macro = eps_inv.macroscopic_constant();
+    let eps_inv = epsilon_stage(&mut cursor, &chi0, &p)?;
 
     // Sigma: G'-sliced diag kernel + allreduce, re-sliced on shrink.
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let sigma_bands: Vec<usize> = (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect();
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
-    let d = cfg.sampling_delta_ry;
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - d, e, e + d])
-        .collect();
+    let (ctx, eps_macro) = into_context(finish_screening(p, eps_inv, None), cfg, &mut timings);
+    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
     let diag = with_recovery(&mut cursor, |c| {
         try_gpp_sigma_diag_distributed(c, &ctx, &grids)
     })?;
 
-    let states = solve_qp_diag(&ctx.sigma_energies, &diag);
-    let gap_qp = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
+    let r = assemble(&ctx, &diag, eps_macro, timings, &counters0);
     Ok(ResilientGwReport {
-        sigma_bands,
-        states,
-        gap_qp_ry: gap_qp,
+        sigma_bands: r.sigma_bands,
+        states: r.states,
+        gap_qp_ry: r.gap_qp_ry,
         eps_macro,
         final_size: cursor.get().size(),
         recoveries: cursor.recoveries(),
@@ -279,8 +253,9 @@ pub fn run_gpp_gw_resilient(
 fn epsilon_stage(
     cursor: &mut CommCursor<'_>,
     chi0: &CMatrix,
-    vsqrt: &[f64],
+    p: &Prefix,
 ) -> Result<EpsilonInverse, ResilientError> {
+    let vsqrt = &p.vsqrt;
     let eps_m = crate::epsilon::assemble_sym_eps(chi0, vsqrt);
     if !eps_m
         .as_slice()
@@ -305,11 +280,7 @@ fn epsilon_stage(
         let (inv_dist, _iters) = try_invert_epsilon_distributed(c, &chi_dist, vsqrt, 1e-12)?;
         Ok(inv_dist.try_to_replicated(c)?)
     })?;
-    Ok(EpsilonInverse::from_parts(
-        vec![0.0],
-        vec![inv],
-        vsqrt.to_vec(),
-    ))
+    Ok(p.adopt(vec![0.0], vec![inv]))
 }
 
 // ---------------------------------------------------------------------------
@@ -420,6 +391,32 @@ where
     }
 }
 
+/// One task-granular stage: runs this rank's round-robin share of tasks
+/// `0..n_tasks` (each a `len`-long additive contribution), then
+/// [`allreduce_with_reenqueue`]s the partial sums.
+fn reduce_task_set<F>(
+    cursor: &mut CommCursor<'_>,
+    n_tasks: usize,
+    len: usize,
+    reenqueued: &mut usize,
+    compute: &F,
+) -> Result<Vec<Complex64>, ResilientError>
+where
+    F: Fn(usize) -> Vec<Complex64> + Sync,
+{
+    let mut done = vec![false; n_tasks];
+    let mut partial = vec![Complex64::ZERO; len];
+    let c = cursor.get();
+    let mine: Vec<usize> = (0..n_tasks).filter(|t| t % c.size() == c.rank()).collect();
+    for (t, contrib) in mine.iter().zip(run_task_set(&mine, compute)) {
+        for (a, b) in partial.iter_mut().zip(&contrib) {
+            *a += *b;
+        }
+        done[*t] = true;
+    }
+    allreduce_with_reenqueue(cursor, &mut done, &mut partial, reenqueued, compute)
+}
+
 /// What a surviving rank reports after a task-granular (DAG) resilient
 /// run.
 #[derive(Clone, Debug)]
@@ -466,21 +463,15 @@ pub fn run_gpp_gw_resilient_dag(
 ) -> Result<ResilientDagReport, ResilientError> {
     let mut cursor = CommCursor::new(comm);
     let mut reenqueued = 0usize;
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-    let coulomb = Coulomb::bulk_for_cell(system.crystal.lattice.volume());
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
+    let mut timings = GwTimings::default();
+    let counters0 = bgw_perf::counters::snapshot();
+    let p = prefix(system, cfg, &mut timings);
 
     // CHI: one task per valence band, owners fixed round-robin over the
     // initial ranks — a lost rank orphans exactly its bands.
-    let engine = ChiEngine::new(&wf, &mtxel, chi_cfg);
+    let engine = p.chi_engine();
     let ng = engine.n_g();
-    let nv = wf.n_valence;
+    let nv = p.wf.n_valence;
     let chi_task = |v: usize| -> Vec<Complex64> {
         engine
             .chi_block_freqs(v, v + 1, &[0.0])
@@ -489,54 +480,19 @@ pub fn run_gpp_gw_resilient_dag(
             .as_slice()
             .to_vec()
     };
-    let mut chi_done = vec![false; nv];
-    let mut chi_partial = vec![Complex64::ZERO; ng * ng];
-    {
-        let c = cursor.get();
-        let mine: Vec<usize> = (0..nv).filter(|v| v % c.size() == c.rank()).collect();
-        for (v, contrib) in mine.iter().zip(run_task_set(&mine, &chi_task)) {
-            for (a, b) in chi_partial.iter_mut().zip(&contrib) {
-                *a += *b;
-            }
-            chi_done[*v] = true;
-        }
-    }
     let chi0 = CMatrix::from_vec(
         ng,
         ng,
-        allreduce_with_reenqueue(
-            &mut cursor,
-            &mut chi_done,
-            &mut chi_partial,
-            &mut reenqueued,
-            &chi_task,
-        )?,
+        reduce_task_set(&mut cursor, nv, ng * ng, &mut reenqueued, &chi_task)?,
     );
 
     // Epsilon: stage-granular by design (see `epsilon_stage`).
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let eps_inv = epsilon_stage(&mut cursor, &chi0, &vsqrt)?;
-    let eps_macro = eps_inv.macroscopic_constant();
+    let eps_inv = epsilon_stage(&mut cursor, &chi0, &p)?;
 
     // Sigma: G' slices overdecomposed 2x over the initial world, so the
     // shrunken world rebalances at task granularity.
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let k = cfg.bands_around_gap.max(1);
-    let sigma_bands: Vec<usize> = (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect();
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
-    let d = cfg.sampling_delta_ry;
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - d, e, e + d])
-        .collect();
+    let (ctx, eps_macro) = into_context(finish_screening(p, eps_inv, None), cfg, &mut timings);
+    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
     let ng_s = ctx.n_g();
     let n_slices = (comm.size() * 2).clamp(1, ng_s.max(1));
     let sigma_flops = AtomicU64::new(0);
@@ -551,37 +507,17 @@ pub fn run_gpp_gw_resilient_dag(
             .collect()
     };
     let t_sigma = Instant::now();
-    let flat_len: usize = grids.iter().map(Vec::len).sum();
-    let mut sig_done = vec![false; n_slices];
-    let mut sig_partial = vec![Complex64::ZERO; flat_len];
-    {
-        let c = cursor.get();
-        let mine: Vec<usize> = (0..n_slices).filter(|t| t % c.size() == c.rank()).collect();
-        for (t, contrib) in mine.iter().zip(run_task_set(&mine, &sigma_task)) {
-            for (a, b) in sig_partial.iter_mut().zip(&contrib) {
-                *a += *b;
-            }
-            sig_done[*t] = true;
-        }
-    }
-    let reduced = allreduce_with_reenqueue(
+    let reduced = reduce_task_set(
         &mut cursor,
-        &mut sig_done,
-        &mut sig_partial,
+        n_slices,
+        grids.len() * N_GRID,
         &mut reenqueued,
         &sigma_task,
     )?;
-    let mut sigma = Vec::with_capacity(grids.len());
-    let mut flat_at = 0;
-    for grid in &grids {
-        sigma.push(
-            reduced[flat_at..flat_at + grid.len()]
-                .iter()
-                .map(|z| z.re)
-                .collect(),
-        );
-        flat_at += grid.len();
-    }
+    let sigma = reduced
+        .chunks_exact(N_GRID)
+        .map(|row| row.iter().map(|z| z.re).collect())
+        .collect();
     let diag = SigmaDiagResult {
         sigma,
         e_grids: grids,
@@ -589,12 +525,11 @@ pub fn run_gpp_gw_resilient_dag(
         flops: sigma_flops.into_inner(),
     };
 
-    let states = solve_qp_diag(&ctx.sigma_energies, &diag);
-    let gap_qp = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
+    let r = assemble(&ctx, &diag, eps_macro, timings, &counters0);
     Ok(ResilientDagReport {
-        sigma_bands,
-        states,
-        gap_qp_ry: gap_qp,
+        sigma_bands: r.sigma_bands,
+        states: r.states,
+        gap_qp_ry: r.gap_qp_ry,
         eps_macro,
         final_size: cursor.get().size(),
         recoveries: cursor.recoveries(),

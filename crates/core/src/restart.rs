@@ -2,7 +2,7 @@
 //!
 //! Leadership-class GW runs burn node-hours by the hundred thousand; a
 //! crash at hour N must not restart the pipeline from hour zero. These
-//! drivers wrap [`run_gpp_gw`](crate::workflow::run_gpp_gw) and
+//! drivers run [`run_gpp_gw`](crate::workflow::run_gpp_gw) and
 //! [`run_evgw`](crate::workflow::run_evgw) with periodic snapshots of the
 //! expensive accumulated state — partial CHI sums, inverted dielectric
 //! blocks, per-band Sigma values, self-consistency iterates — through the
@@ -16,18 +16,17 @@
 //! any checkpoint boundary and resumed reproduces the uninterrupted run's
 //! quasiparticle energies to 1e-10.
 
-use crate::chi::{ChiConfig, ChiEngine, ChiTimings};
-use crate::coulomb::Coulomb;
-use crate::dyson::{qp_gap, solve_qp_diag};
-use crate::epsilon::EpsilonInverse;
-use crate::gpp::GppModel;
-use crate::mtxel::Mtxel;
-use crate::sigma::diag::{gpp_sigma_diag, SigmaDiagResult};
+use crate::chi::ChiTimings;
+use crate::service::{
+    assemble, decode_sigma_partial, finish_screening, gpp_partial_to_checkpoint,
+    gpp_rows_preemptible, into_context, prefix, screened_context, sigma_band_window,
+    three_point_grids, GppPartial, Stage, N_GRID,
+};
 use crate::sigma::SigmaContext;
-use crate::workflow::{EvGwResults, GwConfig, GwResults, GwTimings};
+use crate::workflow::{evgw_step, EvGwResults, GwConfig, GwResults, GwTimings};
 use bgw_io::{read_latest_checkpoint, write_checkpoint, Checkpoint, IoError};
 use bgw_linalg::CMatrix;
-use bgw_pwdft::{charge_density_g, solve_bands, ModelSystem};
+use bgw_pwdft::ModelSystem;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -59,7 +58,7 @@ pub struct CheckpointPolicy {
     pub dir: PathBuf,
     /// Valence bands accumulated between CHI checkpoints. `None` uses the
     /// run's `nv_block`, which keeps the chunked accumulation identical to
-    /// the uninterrupted [`ChiEngine`] sweep.
+    /// the uninterrupted [`ChiEngine`](crate::chi::ChiEngine) sweep.
     pub chi_stride: Option<usize>,
     /// Test hook simulating a kill: abort with
     /// [`RestartError::Aborted`] immediately *after* this many checkpoint
@@ -173,21 +172,29 @@ enum GppResume {
     /// Nothing usable on disk: start from scratch.
     Fresh,
     /// CHI partially accumulated over the first `chunks_done` chunks.
-    Chi { chunks_done: u64, acc: CMatrix },
+    Chi { chunks_done: usize, acc: CMatrix },
     /// Epsilon inverted; Sigma not started.
     Epsilon { inv: CMatrix },
-    /// Sigma evaluated for the first `bands_done` bands.
-    Sigma {
-        inv: CMatrix,
-        bands_done: u64,
-        sigma: Vec<Vec<f64>>,
-        flops: u64,
-    },
+    /// Sigma evaluated for the first `partial.sigma.len()` bands.
+    Sigma { inv: CMatrix, partial: GppPartial },
 }
 
-/// A checkpoint matrix must match the G-sphere of the run resuming from
-/// it; anything else is residue from a different system or cutoff.
-fn check_square(m: &CMatrix, ng: usize, stage: &'static str) -> Result<(), RestartError> {
+/// Takes matrix 0 of a record. It must exist and match the G-sphere of
+/// the run resuming from it; anything else is residue from a different
+/// system or cutoff.
+fn first_matrix(
+    matrices: Vec<CMatrix>,
+    ng: usize,
+    stage: &'static str,
+    what: &str,
+) -> Result<CMatrix, RestartError> {
+    let m = matrices
+        .into_iter()
+        .next()
+        .ok_or_else(|| RestartError::Malformed {
+            stage,
+            reason: format!("record carries no {what} matrix"),
+        })?;
     if m.nrows() != ng || m.ncols() != ng {
         return Err(RestartError::Malformed {
             stage,
@@ -198,107 +205,46 @@ fn check_square(m: &CMatrix, ng: usize, stage: &'static str) -> Result<(), Resta
             ),
         });
     }
-    Ok(())
+    Ok(m)
 }
 
 fn classify_gpp(
     found: Option<(u64, Checkpoint)>,
     ng: usize,
     n_chunks: usize,
+    n_sigma: usize,
 ) -> Result<(GppResume, u64), RestartError> {
     let Some((idx, ck)) = found else {
         return Ok((GppResume::Fresh, 0));
     };
     let resume = match ck.stage {
         s if s == GwStage::ChiPartial as u64 => {
-            let acc = ck
-                .matrices
-                .into_iter()
-                .next()
-                .ok_or(RestartError::Malformed {
-                    stage: "chi",
-                    reason: "record carries no chi accumulator matrix".into(),
-                })?;
-            check_square(&acc, ng, "chi")?;
-            if ck.step as usize > n_chunks {
+            let acc = first_matrix(ck.matrices, ng, "chi", "chi accumulator")?;
+            let chunks_done = ck.step as usize;
+            if chunks_done > n_chunks {
                 return Err(RestartError::Malformed {
                     stage: "chi",
                     reason: format!(
-                        "claims {} valence chunks accumulated, this run only has {n_chunks}",
-                        ck.step
+                        "claims {chunks_done} valence chunks accumulated, \
+                         this run only has {n_chunks}"
                     ),
                 });
             }
-            GppResume::Chi {
-                chunks_done: ck.step,
-                acc,
-            }
+            GppResume::Chi { chunks_done, acc }
         }
-        s if s == GwStage::EpsilonDone as u64 => {
-            let inv = ck
-                .matrices
-                .into_iter()
-                .next()
-                .ok_or(RestartError::Malformed {
-                    stage: "epsilon",
-                    reason: "record carries no inverse dielectric matrix".into(),
-                })?;
-            check_square(&inv, ng, "epsilon")?;
-            GppResume::Epsilon { inv }
-        }
+        s if s == GwStage::EpsilonDone as u64 => GppResume::Epsilon {
+            inv: first_matrix(ck.matrices, ng, "epsilon", "inverse dielectric")?,
+        },
         s if s == GwStage::SigmaPartial as u64 => {
-            let inv = ck
-                .matrices
-                .into_iter()
-                .next()
-                .ok_or(RestartError::Malformed {
+            let partial = decode_sigma_partial(&ck, n_sigma, N_GRID).map_err(|reason| {
+                RestartError::Malformed {
                     stage: "sigma",
-                    reason: "record carries no inverse dielectric matrix".into(),
-                })?;
-            check_square(&inv, ng, "sigma")?;
-            // meta = [n_grid, flops, sigma values band-major]
-            if ck.meta.len() < 2 {
-                return Err(RestartError::Malformed {
-                    stage: "sigma",
-                    reason: format!("metadata has {} values, header needs 2", ck.meta.len()),
-                });
-            }
-            if !(0.0..=1e9).contains(&ck.meta[0]) || !(0.0..=f64::MAX).contains(&ck.meta[1]) {
-                return Err(RestartError::Malformed {
-                    stage: "sigma",
-                    reason: format!(
-                        "nonsense header: n_grid = {}, flops = {}",
-                        ck.meta[0], ck.meta[1]
-                    ),
-                });
-            }
-            let n_grid = ck.meta[0] as usize;
-            let flops = ck.meta[1] as u64;
-            let bands_done = ck.step as usize;
-            let need = 2 + bands_done * n_grid.max(1);
-            if ck.meta.len() < need {
-                return Err(RestartError::Malformed {
-                    stage: "sigma",
-                    reason: format!(
-                        "sigma table truncated: {} bands x {n_grid} energies needs {} \
-                         meta values, record has {}",
-                        bands_done,
-                        need,
-                        ck.meta.len()
-                    ),
-                });
-            }
-            let vals = &ck.meta[2..];
-            let sigma: Vec<Vec<f64>> = vals
-                .chunks_exact(n_grid.max(1))
-                .take(bands_done)
-                .map(|c| c.to_vec())
-                .collect();
+                    reason,
+                }
+            })?;
             GppResume::Sigma {
-                inv,
-                bands_done: ck.step,
-                sigma,
-                flops,
+                inv: first_matrix(ck.matrices, ng, "sigma", "inverse dielectric")?,
+                partial,
             }
         }
         _ => GppResume::Fresh, // unknown stage (e.g. evGW residue)
@@ -312,8 +258,9 @@ fn classify_gpp(
 /// loaded and the pipeline resumes after it; on success the results are
 /// identical to the uninterrupted driver to better than 1e-10 in every QP
 /// energy. Checkpoints are written after every `chi_stride` valence bands
-/// of CHI accumulation, after the dielectric inversion, and after each
-/// Sigma band.
+/// of CHI accumulation, after the dielectric inversion, and between Sigma
+/// bands. The policy pieces kept here are the chunked CHI accumulation and
+/// the write after every step; the rest is the shared spine.
 pub fn run_gpp_gw_checkpointed(
     system: &ModelSystem,
     cfg: &GwConfig,
@@ -321,33 +268,17 @@ pub fn run_gpp_gw_checkpointed(
 ) -> Result<GwResults, RestartError> {
     let mut timings = GwTimings::default();
     let counters0 = bgw_perf::counters::snapshot();
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-
-    let t = Instant::now();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-    timings.t_meanfield = t.elapsed().as_secs_f64();
-
-    let coulomb = if cfg.slab {
-        Coulomb::slab(
-            system.crystal.lattice.a[2][2],
-            system.crystal.lattice.volume(),
-        )
-    } else {
-        Coulomb::bulk_for_cell(system.crystal.lattice.volume())
-    };
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
-    let engine = ChiEngine::new(&wf, &mtxel, chi_cfg);
+    let p = prefix(system, cfg, &mut timings);
+    let engine = p.chi_engine();
     let ng = engine.n_g();
-    let stride = policy.chi_stride.unwrap_or(chi_cfg.nv_block).max(1);
+    let stride = policy.chi_stride.unwrap_or(p.chi_cfg.nv_block).max(1);
+    let valence: Vec<usize> = (0..p.wf.n_valence).collect();
+    let chunks: Vec<&[usize]> = valence.chunks(stride).collect();
+    let n_sigma = sigma_band_window(&p.wf, cfg).len();
 
     let t_read = Instant::now();
-    let n_chunks = wf.n_valence.div_ceil(stride);
-    let (resume, next_index) = classify_gpp(read_latest_checkpoint(&policy.dir)?, ng, n_chunks)?;
+    let found = read_latest_checkpoint(&policy.dir)?;
+    let (resume, next_index) = classify_gpp(found, ng, chunks.len(), n_sigma)?;
     let mut writer = CkptWriter {
         policy: policy.clone(),
         next_index,
@@ -356,43 +287,37 @@ pub fn run_gpp_gw_checkpointed(
     };
 
     // ---- CHI accumulation, chunk by chunk -------------------------------
-    let valence: Vec<usize> = (0..wf.n_valence).collect();
-    let chunks: Vec<&[usize]> = valence.chunks(stride).collect();
-    let (mut chi0, start_chunk, mut have_inv) = match &resume {
-        GppResume::Fresh => (CMatrix::zeros(ng, ng), 0usize, None),
-        GppResume::Chi { chunks_done, acc } => (acc.clone(), *chunks_done as usize, None),
-        GppResume::Epsilon { inv } => (CMatrix::zeros(0, 0), chunks.len(), Some(inv.clone())),
-        GppResume::Sigma { inv, .. } => (CMatrix::zeros(0, 0), chunks.len(), Some(inv.clone())),
-    };
-    if start_chunk < chunks.len() {
-        for (ci, chunk) in chunks.iter().enumerate().skip(start_chunk) {
-            let t = Instant::now();
-            let mut ct = ChiTimings::default();
-            let partial = engine
-                .chi_freqs_subset(&[0.0], Some(chunk), &mut ct)
-                .pop()
-                .unwrap();
-            for (a, b) in chi0.as_mut_slice().iter_mut().zip(partial.as_slice()) {
-                *a += *b;
-            }
-            timings.t_chi += t.elapsed().as_secs_f64();
-            writer.write(&Checkpoint {
-                stage: GwStage::ChiPartial as u64,
-                step: (ci + 1) as u64,
-                meta: vec![],
-                matrices: vec![chi0.clone()],
-            })?;
+    let (mut chi0, start_chunk, have_inv, mut partial) = match resume {
+        GppResume::Fresh => (CMatrix::zeros(ng, ng), 0, None, None),
+        GppResume::Chi { chunks_done, acc } => (acc, chunks_done, None, None),
+        GppResume::Epsilon { inv } => (CMatrix::zeros(0, 0), chunks.len(), Some(inv), None),
+        GppResume::Sigma { inv, partial } => {
+            (CMatrix::zeros(0, 0), chunks.len(), Some(inv), Some(partial))
         }
+    };
+    for (ci, chunk) in chunks.iter().enumerate().skip(start_chunk) {
+        let part = Stage::Chi.timed(&mut timings, || {
+            engine
+                .chi_freqs_subset(&[0.0], Some(chunk), &mut ChiTimings::default())
+                .pop()
+                .expect("one frequency asked, one matrix returned")
+        });
+        for (a, b) in chi0.as_mut_slice().iter_mut().zip(part.as_slice()) {
+            *a += *b;
+        }
+        writer.write(&Checkpoint {
+            stage: GwStage::ChiPartial as u64,
+            step: (ci + 1) as u64,
+            meta: vec![],
+            matrices: vec![chi0.clone()],
+        })?;
     }
 
     // ---- Epsilon inversion ---------------------------------------------
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let eps_inv = match have_inv.take() {
-        Some(inv) => EpsilonInverse::from_parts(vec![0.0], vec![inv], vsqrt.clone()),
+    let eps_inv = match have_inv {
+        Some(inv) => p.adopt(vec![0.0], vec![inv]),
         None => {
-            let t = Instant::now();
-            let built = EpsilonInverse::build(&[chi0], &[0.0], &coulomb, &eps_sph)?;
-            timings.t_epsilon = t.elapsed().as_secs_f64();
+            let built = p.invert(&[chi0], &[0.0], &mut timings)?;
             writer.write(&Checkpoint {
                 stage: GwStage::EpsilonDone as u64,
                 step: 0,
@@ -402,90 +327,32 @@ pub fn run_gpp_gw_checkpointed(
             built
         }
     };
-    let eps_macro = eps_inv.macroscopic_constant();
+    let inv0 = eps_inv.inv[0].clone();
 
     // ---- Sigma, band by band -------------------------------------------
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let lo = nv.saturating_sub(k);
-    let hi = (nv + k).min(wf.n_bands());
-    let sigma_bands: Vec<usize> = (lo..hi).collect();
-
-    let t = Instant::now();
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
-    timings.t_mtxel_sigma = t.elapsed().as_secs_f64();
-
-    let d = cfg.sampling_delta_ry;
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - d, e, e + d])
-        .collect();
-    let n_grid = grids.first().map_or(0, |g| g.len());
-    let dims = crate::workflow::SigmaDims {
-        n_sigma: ctx.n_sigma(),
-        n_b: ctx.n_b(),
-        n_g: ctx.n_g(),
-        n_e: n_grid,
-    };
-
-    let (mut sigma, mut flops, start_band) = match resume {
-        GppResume::Sigma {
-            sigma,
-            flops,
-            bands_done,
-            ..
-        } => (sigma, flops, bands_done as usize),
-        _ => (Vec::new(), 0u64, 0usize),
-    };
-    let eps_inv_mat = eps_inv.inv[0].clone();
-    for s in start_band..ctx.n_sigma() {
-        let t = Instant::now();
-        let one = band_slice(&ctx, s);
-        let r = gpp_sigma_diag(&one, &grids[s..s + 1], cfg.variant);
-        timings.t_sigma += t.elapsed().as_secs_f64();
-        sigma.push(r.sigma.into_iter().next().unwrap());
-        flops += r.flops;
-        let mut meta = vec![n_grid as f64, flops as f64];
-        for band in &sigma {
-            meta.extend_from_slice(band);
+    let (ctx, eps_macro) = into_context(finish_screening(p, eps_inv, None), cfg, &mut timings);
+    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
+    let diag = loop {
+        let rows = gpp_rows_preemptible(
+            &ctx,
+            &grids,
+            cfg.variant,
+            partial.take(),
+            &mut timings,
+            |_| true,
+        );
+        match rows {
+            Ok(diag) => break diag,
+            Err(done) => {
+                let mut ck = gpp_partial_to_checkpoint(&done, N_GRID);
+                ck.matrices = vec![inv0.clone()];
+                writer.write(&ck)?;
+                partial = Some(done);
+            }
         }
-        writer.write(&Checkpoint {
-            stage: GwStage::SigmaPartial as u64,
-            step: (s + 1) as u64,
-            meta,
-            matrices: vec![eps_inv_mat.clone()],
-        })?;
-    }
-
-    let diag = SigmaDiagResult {
-        sigma,
-        e_grids: grids,
-        seconds: timings.t_sigma,
-        flops,
     };
-    let states = solve_qp_diag(&ctx.sigma_energies, &diag);
-    let gap_qp = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
     timings.t_checkpoint = writer.t_checkpoint;
-    timings.substrate = counters0.delta(&bgw_perf::counters::snapshot());
-    Ok(GwResults {
-        sigma_bands,
-        states,
-        gap_mf_ry: wf.gap_ry(),
-        gap_qp_ry: gap_qp,
-        eps_macro,
-        timings,
-        sigma_flops: diag.flops,
-        dims,
-    })
+    Ok(assemble(&ctx, &diag, eps_macro, timings, &counters0))
 }
 
 /// A one-band view of a [`SigmaContext`]: the checkpoint unit of the Sigma
@@ -515,32 +382,7 @@ pub fn run_evgw_checkpointed(
     tol_ry: f64,
     policy: &CheckpointPolicy,
 ) -> Result<EvGwResults, RestartError> {
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-    let coulomb = Coulomb::bulk_for_cell(system.crystal.lattice.volume());
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
-    let chi0 = ChiEngine::new(&wf, &mtxel, chi_cfg).chi_static();
-    let eps_inv = EpsilonInverse::build(&[chi0], &[0.0], &coulomb, &eps_sph)?;
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let sigma_bands: Vec<usize> = (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect();
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
-    let homo = ctx.homo_pos();
-    let lumo = ctx.lumo_pos();
+    let (ctx, _) = screened_context(system, cfg, &mut GwTimings::default())?;
     let n_sigma = ctx.n_sigma();
 
     // Resume the iterate if a valid evGW checkpoint exists.
@@ -582,19 +424,9 @@ pub fn run_evgw_checkpointed(
         t_checkpoint: 0.0,
     };
 
-    let damping = 0.6;
     while iterations < max_iter {
         iterations += 1;
-        let grids: Vec<Vec<f64>> = e_qp.iter().map(|&e| vec![e]).collect();
-        let diag = gpp_sigma_diag(&ctx, &grids, cfg.variant);
-        let mut max_delta: f64 = 0.0;
-        for (s, e) in e_qp.iter_mut().enumerate() {
-            let target = ctx.sigma_energies[s] + diag.sigma[s][0];
-            let new = *e + damping * (target - *e);
-            max_delta = max_delta.max((new - *e).abs());
-            *e = new;
-        }
-        gap_history.push(e_qp[lumo] - e_qp[homo]);
+        let max_delta = evgw_step(&ctx, cfg.variant, &mut e_qp, &mut gap_history);
         let mut meta = e_qp.clone();
         meta.extend_from_slice(&gap_history);
         writer.write(&Checkpoint {

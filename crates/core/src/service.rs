@@ -1,35 +1,49 @@
-//! Request-shaped entry points for the serving layer (`bgw-serve`).
+//! The GW spine, split at the W boundary, and the request-shaped entry
+//! points the serving layer (`bgw-serve`) builds on it.
 //!
-//! The one-shot drivers in [`workflow`](crate::workflow) recompute the
-//! expensive screening prefix — CHI, the dielectric inversion, the GPP
-//! model — on every invocation, even though requests that differ only in
-//! which Sigma diagonals or evaluation energies they ask for share it
-//! verbatim. This module splits the pipeline at the W boundary:
+//! The Fig. 1 pipeline is spelled exactly once, here, as seven shared
+//! stages (DESIGN.md, "The spine and its policies"):
 //!
-//! * [`build_screening`] computes everything up to and including
+//! 1. `prefix` — spheres, mean-field bands, the slab-aware Coulomb,
+//!    the MTXEL engine, `sqrt(v)` and the `q0`-patched `ChiConfig`;
+//! 2. chi0 — **the driver's own** (barrier `chi_static`, NV-block DAG
+//!    tasks, checkpointed chunks, `try_*` collectives, ...);
+//! 3. the dielectric inversion — **the driver's own** (`Prefix::invert`
+//!    is the barrier LU the non-distributed drivers share);
+//! 4. `finish_screening` — `eps_macro`, charge density, [`GppModel`]
+//!    -> [`Screening`];
+//! 5. [`sigma_context`] / `into_context` — the Sigma matrix elements;
+//! 6. Sigma rows — **the driver's own** (`sigma_diag` and
+//!    `gpp_rows_preemptible` are the two shared spellings);
+//! 7. `assemble` — Dyson solve, gaps and `SigmaDims` -> [`GwResults`].
+//!
+//! Every driver in [`workflow`](crate::workflow),
+//! [`dagflow`](crate::dagflow), [`restart`](crate::restart) and
+//! [`resilient`](crate::resilient) is the shared stages plus the three
+//! pieces it keeps, so "served == one-shot" holds by construction. Stage
+//! spans (`workflow.meanfield|chi|epsilon|mtxel|sigma`) and stage seconds
+//! ([`GwTimings`]) are produced by `Stage::run` and nowhere else.
+//!
+//! On top of the spine the serving layer gets:
+//!
+//! * [`build_screening`] — the barrier policy up to and including
 //!   `eps~^{-1}` (static, and optionally full-frequency on the quadrature
-//!   nodes) exactly as [`run_gpp_gw`](crate::workflow::run_gpp_gw) /
-//!   `ff_sigma` would, and packages it as a [`Screening`];
+//!   nodes), packaged as a [`Screening`];
 //! * [`screening_to_checkpoint`] / [`screening_from_checkpoint`] encode a
 //!   `Screening` as a checksummed BGWR [`Checkpoint`] record (stage
 //!   [`GwStage::WScreening`]) — the serve artifact store's unit, so a
-//!   cache hit *is* a restart: the cheap deterministic prefix (bands,
-//!   MTXEL, charge density) is recomputed and the stored `eps~^{-1}`
-//!   blocks are re-adopted via [`EpsilonInverse::from_parts`], mirroring
-//!   [`restart`](crate::restart)'s `EpsilonDone` resume path;
+//!   cache hit *is* a restart: the cheap deterministic prefix is
+//!   recomputed and the stored `eps~^{-1}` blocks are re-adopted;
 //! * [`gpp_eval_preemptible`] / [`ff_eval`] evaluate Sigma for an explicit
 //!   band list against a `Screening`. The GPP path walks one
-//!   [`band_slice`](crate::restart::band_slice) at a time and can yield
-//!   between bands, returning a [`GppPartial`] that round-trips through a
-//!   `SigmaPartial` checkpoint — the serving loop's preemption unit.
-//!
-//! Parity contract (enforced by `tests/serve.rs`): evaluating any band
-//! subset through this module reproduces the corresponding one-shot
-//! driver's Sigma values to 1e-12.
+//!   [`band_slice`] at a time and can yield between bands, returning a
+//!   [`GppPartial`] that round-trips through a `SigmaPartial` checkpoint
+//!   — the serving loop's preemption unit and the checkpointed driver's
+//!   restart unit.
 
 use crate::chi::{ChiConfig, ChiEngine};
 use crate::coulomb::Coulomb;
-use crate::dyson::{solve_qp_diag, QpState};
+use crate::dyson::{qp_gap, solve_qp_diag, QpState};
 use crate::epsilon::{EpsilonError, EpsilonInverse};
 use crate::gpp::GppModel;
 use crate::mtxel::Mtxel;
@@ -37,11 +51,63 @@ use crate::restart::{band_slice, GwStage};
 use crate::sigma::diag::{gpp_sigma_diag, KernelVariant, SigmaDiagResult};
 use crate::sigma::fullfreq::ff_sigma_diag;
 use crate::sigma::SigmaContext;
-use crate::workflow::GwConfig;
+use crate::workflow::{GwConfig, GwResults, GwTimings, SigmaDims};
 use bgw_io::Checkpoint;
+use bgw_linalg::CMatrix;
 use bgw_num::grid::semi_infinite_quadrature;
 use bgw_num::Complex64;
+use bgw_perf::CounterSnapshot;
 use bgw_pwdft::{charge_density_g, solve_bands, GSphere, ModelSystem, Wavefunctions};
+use std::time::Instant;
+
+/// The five timed stages of a GW run: the one place their span names and
+/// their [`GwTimings`] slots are spelled.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Stage {
+    Meanfield,
+    Chi,
+    Epsilon,
+    Mtxel,
+    Sigma,
+}
+
+impl Stage {
+    /// Runs `f` under this stage's span; returns its value and wall
+    /// seconds. Task-scheduled drivers charge the seconds themselves
+    /// (their tasks cannot share a `&mut GwTimings`).
+    pub(crate) fn run<T>(self, f: impl FnOnce() -> T) -> (T, f64) {
+        let _span = match self {
+            Stage::Meanfield => bgw_trace::span!("workflow.meanfield"),
+            Stage::Chi => bgw_trace::span!("workflow.chi"),
+            Stage::Epsilon => bgw_trace::span!("workflow.epsilon"),
+            Stage::Mtxel => bgw_trace::span!("workflow.mtxel"),
+            Stage::Sigma => bgw_trace::span!("workflow.sigma"),
+        };
+        let t0 = Instant::now();
+        let v = f();
+        (v, t0.elapsed().as_secs_f64())
+    }
+
+    /// [`run`](Self::run), charging the seconds to `t`.
+    pub(crate) fn timed<T>(self, t: &mut GwTimings, f: impl FnOnce() -> T) -> T {
+        let (v, secs) = self.run(f);
+        t.charge(self, secs);
+        v
+    }
+}
+
+impl GwTimings {
+    /// Adds `secs` to the slot of `stage`.
+    pub(crate) fn charge(&mut self, stage: Stage, secs: f64) {
+        *match stage {
+            Stage::Meanfield => &mut self.t_meanfield,
+            Stage::Chi => &mut self.t_chi,
+            Stage::Epsilon => &mut self.t_epsilon,
+            Stage::Mtxel => &mut self.t_mtxel_sigma,
+            Stage::Sigma => &mut self.t_sigma,
+        } += secs;
+    }
+}
 
 /// Full-frequency screening request: build `eps~^{-1}` on the
 /// semi-infinite quadrature (scale 2.0 Ry, matching the `ff_smoke`
@@ -113,21 +179,30 @@ impl Screening {
     }
 }
 
-/// The deterministic cheap prefix shared by build and restore.
-struct Prefix {
-    wfn_sph: GSphere,
-    eps_sph: GSphere,
-    wf: Wavefunctions,
-    coulomb: Coulomb,
-    mtxel: Mtxel,
-    vsqrt: Vec<f64>,
+// ---------------------------------------------------------------------------
+// The shared stages
+// ---------------------------------------------------------------------------
+
+/// Stage 1: the deterministic cheap prefix every driver starts from (and
+/// every restore recomputes).
+pub(crate) struct Prefix {
+    pub(crate) wfn_sph: GSphere,
+    pub(crate) eps_sph: GSphere,
+    pub(crate) wf: Wavefunctions,
+    pub(crate) coulomb: Coulomb,
+    pub(crate) mtxel: Mtxel,
+    pub(crate) vsqrt: Vec<f64>,
+    /// `cfg.chi` with `q0` patched to the Coulomb's.
+    pub(crate) chi_cfg: ChiConfig,
     volume: f64,
 }
 
-fn prefix(system: &ModelSystem, cfg: &GwConfig) -> Prefix {
+pub(crate) fn prefix(system: &ModelSystem, cfg: &GwConfig, t: &mut GwTimings) -> Prefix {
     let wfn_sph = system.wfn_sphere();
     let eps_sph = system.eps_sphere();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
+    let wf = Stage::Meanfield.timed(t, || {
+        solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()))
+    });
     let volume = system.crystal.lattice.volume();
     let coulomb = if cfg.slab {
         Coulomb::slab(system.crystal.lattice.a[2][2], volume)
@@ -136,6 +211,10 @@ fn prefix(system: &ModelSystem, cfg: &GwConfig) -> Prefix {
     };
     let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
     let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
+    let chi_cfg = ChiConfig {
+        q0: coulomb.q0,
+        ..cfg.chi
+    };
     Prefix {
         wfn_sph,
         eps_sph,
@@ -143,18 +222,49 @@ fn prefix(system: &ModelSystem, cfg: &GwConfig) -> Prefix {
         coulomb,
         mtxel,
         vsqrt,
+        chi_cfg,
         volume,
     }
 }
 
-fn finish_screening(
+impl Prefix {
+    /// The polarizability engine every chi0 policy drives.
+    pub(crate) fn chi_engine(&self) -> ChiEngine<'_> {
+        ChiEngine::new(&self.wf, &self.mtxel, self.chi_cfg)
+    }
+
+    /// The barrier inversion policy: LU of every frequency at once.
+    pub(crate) fn invert(
+        &self,
+        chis: &[CMatrix],
+        omegas: &[f64],
+        t: &mut GwTimings,
+    ) -> Result<EpsilonInverse, EpsilonError> {
+        Stage::Epsilon.timed(t, || {
+            EpsilonInverse::build(chis, omegas, &self.coulomb, &self.eps_sph)
+        })
+    }
+
+    /// Re-adopts inverted blocks a policy produced elsewhere (a
+    /// checkpoint, per-frequency tasks, a distributed inversion).
+    pub(crate) fn adopt(&self, omegas: Vec<f64>, inv: Vec<CMatrix>) -> EpsilonInverse {
+        EpsilonInverse::from_parts(omegas, inv, self.vsqrt.clone())
+    }
+
+    /// The plasmon-pole model of a static inverse and a charge density.
+    pub(crate) fn gpp_model(&self, eps_inv: &EpsilonInverse, rho: &[Complex64]) -> GppModel {
+        GppModel::new(eps_inv, &self.eps_sph, &self.wfn_sph, rho, self.volume)
+    }
+}
+
+/// Stage 4: `eps_macro`, charge density and the GPP model -> [`Screening`].
+pub(crate) fn finish_screening(
     p: Prefix,
     eps_inv: EpsilonInverse,
     ff: Option<(EpsilonInverse, Vec<f64>)>,
 ) -> Screening {
     let eps_macro = eps_inv.macroscopic_constant();
-    let rho = charge_density_g(&p.wf, &p.wfn_sph);
-    let gpp = GppModel::new(&eps_inv, &p.eps_sph, &p.wfn_sph, &rho, p.volume);
+    let gpp = p.gpp_model(&eps_inv, &charge_density_g(&p.wf, &p.wfn_sph));
     Screening {
         wf: p.wf,
         wfn_sph: p.wfn_sph,
@@ -169,41 +279,175 @@ fn finish_screening(
     }
 }
 
+/// Stages 1-4 under the barrier policy (`chi_static` + LU, plus the
+/// quadrature blocks when `ff` is set).
+fn screen(
+    system: &ModelSystem,
+    cfg: &GwConfig,
+    ff: Option<FfSpec>,
+    t: &mut GwTimings,
+) -> Result<Screening, EpsilonError> {
+    let p = prefix(system, cfg, t);
+    let (engine, chi0) = Stage::Chi.timed(t, || {
+        let engine = p.chi_engine();
+        let chi0 = engine.chi_static();
+        (engine, chi0)
+    });
+    let eps_inv = p.invert(&[chi0], &[0.0], t)?;
+    let ff = match ff {
+        None => None,
+        Some(spec) => {
+            let (nodes, weights) = semi_infinite_quadrature(spec.n_quad, 2.0);
+            let chis = Stage::Chi.timed(t, || engine.chi_freqs(&nodes).0);
+            Some((p.invert(&chis, &nodes, t)?, weights))
+        }
+    };
+    Ok(finish_screening(p, eps_inv, ff))
+}
+
+/// The Sigma band window of the one-shot drivers: `cfg.bands_around_gap`
+/// bands (at least one) on each side of the gap.
+pub(crate) fn sigma_band_window(wf: &Wavefunctions, cfg: &GwConfig) -> Vec<usize> {
+    bands_around_gap(wf.n_valence, wf.n_bands(), cfg.bands_around_gap.max(1))
+}
+
+/// `k` bands on each side of the gap of a system with `nv` valence bands
+/// out of `nb`, clamped to the bands that exist.
+pub fn bands_around_gap(nv: usize, nb: usize, k: usize) -> Vec<usize> {
+    (nv.saturating_sub(k)..(nv + k).min(nb)).collect()
+}
+
+/// The 3-point Sigma sampling grid `[e - delta, e, e + delta]` around
+/// each of `energies` (Ry) — what the diagonal Dyson solve interpolates.
+pub fn three_point_grids(energies: &[f64], delta: f64) -> Vec<Vec<f64>> {
+    energies
+        .iter()
+        .map(|&e| vec![e - delta, e, e + delta])
+        .collect()
+}
+
+/// Points per band of [`three_point_grids`].
+pub(crate) const N_GRID: usize = 3;
+
+/// Stage 5 on borrowed parts (a [`Prefix`] inside a task graph, or a
+/// [`Screening`]): the Sigma matrix elements, with the stage's seconds.
+pub(crate) fn context_stage(
+    wf: &Wavefunctions,
+    mtxel: &Mtxel,
+    vsqrt: &[f64],
+    q0: f64,
+    gpp: GppModel,
+    bands: &[usize],
+) -> (SigmaContext, f64) {
+    Stage::Mtxel.run(|| SigmaContext::build(wf, mtxel, gpp, vsqrt, bands, q0))
+}
+
+/// Stage 5 for the one-shot drivers: consumes the screening — its GPP
+/// model moves into the context, no `N_G^2` copy — and returns the
+/// context over [`sigma_band_window`] with `eps_macro`.
+pub(crate) fn into_context(s: Screening, cfg: &GwConfig, t: &mut GwTimings) -> (SigmaContext, f64) {
+    let bands = sigma_band_window(&s.wf, cfg);
+    let (ctx, secs) = context_stage(&s.wf, &s.mtxel, &s.vsqrt, s.coulomb.q0, s.gpp, &bands);
+    t.charge(Stage::Mtxel, secs);
+    (ctx, s.eps_macro)
+}
+
+/// Stages 1-5 under the barrier policy: where `run_gpp_gw`, `run_evgw`
+/// and `run_full_dyson_gw` start.
+pub(crate) fn screened_context(
+    system: &ModelSystem,
+    cfg: &GwConfig,
+    t: &mut GwTimings,
+) -> Result<(SigmaContext, f64), EpsilonError> {
+    Ok(into_context(screen(system, cfg, None, t)?, cfg, t))
+}
+
+/// Stage 6, whole context at once: the GPP diag kernel.
+pub(crate) fn sigma_diag(
+    ctx: &SigmaContext,
+    grids: &[Vec<f64>],
+    variant: KernelVariant,
+    t: &mut GwTimings,
+) -> SigmaDiagResult {
+    Stage::Sigma.timed(t, || gpp_sigma_diag(ctx, grids, variant))
+}
+
+/// Stage 6, one [`band_slice`] at a time — identical arithmetic to the
+/// full-context kernel, per the `band_slice` contract — calling
+/// `should_yield(bands_done)` between bands. `Err` carries the resumable
+/// state of a yield; pass it back as `resume` to continue.
+pub(crate) fn gpp_rows_preemptible(
+    ctx: &SigmaContext,
+    grids: &[Vec<f64>],
+    variant: KernelVariant,
+    resume: Option<GppPartial>,
+    t: &mut GwTimings,
+    mut should_yield: impl FnMut(usize) -> bool,
+) -> Result<SigmaDiagResult, GppPartial> {
+    let mut partial = resume.unwrap_or_default();
+    assert!(
+        partial.sigma.len() <= ctx.n_sigma(),
+        "resume state has more bands than the context"
+    );
+    for s in partial.sigma.len()..ctx.n_sigma() {
+        let r = sigma_diag(&band_slice(ctx, s), &grids[s..s + 1], variant, t);
+        partial.sigma.extend(r.sigma);
+        partial.flops += r.flops;
+        if partial.sigma.len() < ctx.n_sigma() && should_yield(partial.sigma.len()) {
+            return Err(partial);
+        }
+    }
+    Ok(SigmaDiagResult {
+        sigma: partial.sigma,
+        e_grids: grids.to_vec(),
+        seconds: t.t_sigma,
+        flops: partial.flops,
+    })
+}
+
+/// Stage 7: the diagonal Dyson solve, both gaps and the Sigma-stage
+/// dimensions. `counters0` is the substrate snapshot taken at run start.
+pub(crate) fn assemble(
+    ctx: &SigmaContext,
+    diag: &SigmaDiagResult,
+    eps_macro: f64,
+    mut timings: GwTimings,
+    counters0: &CounterSnapshot,
+) -> GwResults {
+    let states = solve_qp_diag(&ctx.sigma_energies, diag);
+    timings.substrate = counters0.delta(&bgw_perf::counters::snapshot());
+    GwResults {
+        sigma_bands: ctx.sigma_bands.clone(),
+        gap_mf_ry: ctx.energies[ctx.n_occ] - ctx.energies[ctx.n_occ - 1],
+        gap_qp_ry: qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos()),
+        states,
+        eps_macro,
+        timings,
+        sigma_flops: diag.flops,
+        dims: SigmaDims {
+            n_sigma: ctx.n_sigma(),
+            n_b: ctx.n_b(),
+            n_g: ctx.n_g(),
+            n_e: diag.e_grids.first().map_or(0, Vec::len),
+        },
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Request-shaped entry points
+// ---------------------------------------------------------------------------
+
 /// Computes the full screening state for a structure: CHI, the static
 /// dielectric inversion (and the full-frequency inversions when `ff` is
-/// set), and the GPP model — the exact arithmetic of the one-shot
-/// drivers, so downstream Sigma evaluations match them bitwise.
+/// set), and the GPP model — the one-shot drivers' own stages, so
+/// downstream Sigma evaluations match them bitwise.
 pub fn build_screening(
     system: &ModelSystem,
     cfg: &GwConfig,
     ff: Option<FfSpec>,
 ) -> Result<Screening, EpsilonError> {
     let _s = bgw_trace::span!("serve.screening.build");
-    let p = prefix(system, cfg);
-    let chi_cfg = ChiConfig {
-        q0: p.coulomb.q0,
-        ..cfg.chi
-    };
-    let engine = ChiEngine::new(&p.wf, &p.mtxel, chi_cfg);
-    let chi0 = {
-        let _s = bgw_trace::span!("serve.screening.chi");
-        engine.chi_static()
-    };
-    let eps_inv = {
-        let _s = bgw_trace::span!("serve.screening.epsilon");
-        EpsilonInverse::build(&[chi0], &[0.0], &p.coulomb, &p.eps_sph)?
-    };
-    let ff_built = match ff {
-        None => None,
-        Some(spec) => {
-            let _s = bgw_trace::span!("serve.screening.ff");
-            let (nodes, weights) = semi_infinite_quadrature(spec.n_quad, 2.0);
-            let (chis, _) = engine.chi_freqs(&nodes);
-            let eps = EpsilonInverse::build(&chis, &nodes, &p.coulomb, &p.eps_sph)?;
-            Some((eps, weights))
-        }
-    };
-    Ok(finish_screening(p, eps_inv, ff_built))
+    screen(system, cfg, ff, &mut GwTimings::default())
 }
 
 /// Encodes a screening as a BGWR checkpoint record (stage
@@ -252,7 +496,7 @@ pub fn screening_from_checkpoint(
     if ck.meta[0] as usize != n_ff {
         return None;
     }
-    let p = prefix(system, cfg);
+    let p = prefix(system, cfg, &mut GwTimings::default());
     let ng = p.eps_sph.len();
     for m in &ck.matrices {
         if m.nrows() != ng || m.ncols() != ng {
@@ -270,14 +514,8 @@ pub fn screening_from_checkpoint(
     if nodes.iter().chain(&weights).any(|x| !x.is_finite()) {
         return None;
     }
-    let eps_inv =
-        EpsilonInverse::from_parts(vec![0.0], vec![ck.matrices[0].clone()], p.vsqrt.clone());
-    let ff = if n_ff > 0 {
-        let eps = EpsilonInverse::from_parts(nodes, ck.matrices[1..].to_vec(), p.vsqrt.clone());
-        Some((eps, weights))
-    } else {
-        None
-    };
+    let eps_inv = p.adopt(vec![0.0], vec![ck.matrices[0].clone()]);
+    let ff = (n_ff > 0).then(|| (p.adopt(nodes, ck.matrices[1..].to_vec()), weights));
     Some(finish_screening(p, eps_inv, ff))
 }
 
@@ -285,15 +523,15 @@ pub fn screening_from_checkpoint(
 /// screening. Kept separate from the evaluators so a coalesced batch pays
 /// the matrix-element cost once for its union band set.
 pub fn sigma_context(s: &Screening, bands: &[usize]) -> SigmaContext {
-    let _s2 = bgw_trace::span!("serve.sigma.mtxel");
-    SigmaContext::build(
+    context_stage(
         &s.wf,
         &s.mtxel,
-        s.gpp.clone(),
         &s.vsqrt,
-        bands,
         s.coulomb.q0,
+        s.gpp.clone(),
+        bands,
     )
+    .0
 }
 
 /// A multi-band view of a context: the bands at `positions` of `ctx`'s
@@ -312,8 +550,8 @@ pub fn band_subset(ctx: &SigmaContext, positions: &[usize]) -> SigmaContext {
     }
 }
 
-/// Per-band Sigma state carried across a preemption: the first
-/// `sigma.len()` bands of the request's band list are done.
+/// Per-band Sigma state carried across a preemption or a checkpoint: the
+/// first `sigma.len()` bands of the band list are done.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GppPartial {
     /// Completed per-band Sigma rows (each `n_grid` long).
@@ -347,57 +585,35 @@ pub enum GppOutcome {
     Yielded(GppPartial),
 }
 
-/// Evaluates GPP Sigma diagonals for `ctx` one band slice at a time —
-/// identical arithmetic to the full-context kernel, per the
-/// [`band_slice`] contract — calling `should_yield(bands_done)` between
-/// bands. Pass a previous [`GppPartial`] to resume after a preemption.
+/// Evaluates GPP Sigma diagonals for `ctx` on the 3-point grids, one band
+/// at a time (`gpp_rows_preemptible`), calling
+/// `should_yield(bands_done)` between bands. Pass a previous
+/// [`GppPartial`] to resume after a preemption.
 pub fn gpp_eval_preemptible(
     ctx: &SigmaContext,
     delta_ry: f64,
     variant: KernelVariant,
     resume: Option<GppPartial>,
-    mut should_yield: impl FnMut(usize) -> bool,
+    should_yield: impl FnMut(usize) -> bool,
 ) -> GppOutcome {
-    let _s = bgw_trace::span!("serve.sigma.gpp");
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - delta_ry, e, e + delta_ry])
-        .collect();
-    let mut partial = resume.unwrap_or_default();
-    assert!(
-        partial.sigma.len() <= ctx.n_sigma(),
-        "resume state has more bands than the context"
-    );
-    for s in partial.sigma.len()..ctx.n_sigma() {
-        let one = band_slice(ctx, s);
-        let r = gpp_sigma_diag(&one, &grids[s..s + 1], variant);
-        partial.sigma.push(r.sigma.into_iter().next().unwrap());
-        partial.flops += r.flops;
-        if partial.sigma.len() < ctx.n_sigma() && should_yield(partial.sigma.len()) {
-            return GppOutcome::Yielded(partial);
-        }
+    let grids = three_point_grids(&ctx.sigma_energies, delta_ry);
+    let mut t = GwTimings::default();
+    match gpp_rows_preemptible(ctx, &grids, variant, resume, &mut t, should_yield) {
+        Err(partial) => GppOutcome::Yielded(partial),
+        Ok(diag) => GppOutcome::Done(GppEvalResult {
+            bands: ctx.sigma_bands.clone(),
+            sigma_energies: ctx.sigma_energies.clone(),
+            n_occ: ctx.n_occ,
+            states: solve_qp_diag(&ctx.sigma_energies, &diag),
+            flops: diag.flops,
+        }),
     }
-    let diag = SigmaDiagResult {
-        sigma: partial.sigma,
-        e_grids: grids,
-        seconds: 0.0,
-        flops: partial.flops,
-    };
-    let states = solve_qp_diag(&ctx.sigma_energies, &diag);
-    GppOutcome::Done(GppEvalResult {
-        bands: ctx.sigma_bands.clone(),
-        sigma_energies: ctx.sigma_energies.clone(),
-        n_occ: ctx.n_occ,
-        states,
-        flops: diag.flops,
-    })
 }
 
 /// Encodes a [`GppPartial`] as a `SigmaPartial`-stage checkpoint (meta =
 /// `[n_grid, flops, sigma rows band-major]`, `step` = bands done) so a
-/// preempted request survives a server restart through the same
-/// checksummed store as the screening artifacts.
+/// preempted request — or a killed checkpointed run, which adds its
+/// `eps~^{-1}` as matrix 0 — resumes through the same checksummed records.
 pub fn gpp_partial_to_checkpoint(p: &GppPartial, n_grid: usize) -> Checkpoint {
     let mut meta = vec![n_grid as f64, p.flops as f64];
     for band in &p.sigma {
@@ -412,26 +628,64 @@ pub fn gpp_partial_to_checkpoint(p: &GppPartial, n_grid: usize) -> Checkpoint {
     }
 }
 
-/// Decodes a [`gpp_partial_to_checkpoint`] record; `None` when the record
-/// is not a consistent `SigmaPartial` (degrade to evaluating from band 0).
-pub fn gpp_partial_from_checkpoint(ck: &Checkpoint) -> Option<GppPartial> {
-    if ck.stage != GwStage::SigmaPartial as u64 || ck.meta.len() < 2 {
-        return None;
+/// The one decoder of `SigmaPartial` records. The record must fit the
+/// evaluation resuming from it: at most `n_bands` bands done, rows exactly
+/// `n_grid` wide, a table of exactly `step` finite rows. The reason of a
+/// rejection comes back as text ([`RestartError::Malformed`] on the
+/// restart side, a recompute from band 0 on the serving side).
+///
+/// [`RestartError::Malformed`]: crate::restart::RestartError::Malformed
+pub(crate) fn decode_sigma_partial(
+    ck: &Checkpoint,
+    n_bands: usize,
+    n_grid: usize,
+) -> Result<GppPartial, String> {
+    if ck.stage != GwStage::SigmaPartial as u64 {
+        return Err(format!("stage {} is not a sigma partial", ck.stage));
     }
-    let n_grid = ck.meta[0] as usize;
+    let [grid, flops, rows @ ..] = ck.meta.as_slice() else {
+        return Err(format!(
+            "metadata has {} values, header needs 2",
+            ck.meta.len()
+        ));
+    };
+    if *grid != n_grid as f64 || !(0.0..=f64::MAX).contains(flops) {
+        return Err(format!(
+            "header (n_grid = {grid}, flops = {flops}) does not fit this run's \
+             {n_grid}-point grids"
+        ));
+    }
     let bands_done = ck.step as usize;
-    if n_grid == 0 || ck.meta.len() != 2 + n_grid * bands_done {
-        return None;
+    if bands_done > n_bands {
+        return Err(format!(
+            "claims {bands_done} bands done, this run only has {n_bands}"
+        ));
     }
-    let flops = ck.meta[1] as u64;
-    let sigma: Vec<Vec<f64>> = ck.meta[2..]
-        .chunks_exact(n_grid)
-        .map(|c| c.to_vec())
-        .collect();
-    if sigma.iter().flatten().any(|x| !x.is_finite()) {
-        return None;
+    if rows.len() != bands_done * n_grid {
+        return Err(format!(
+            "sigma table has {} values, {bands_done} bands x {n_grid} energies needs {}",
+            rows.len(),
+            bands_done * n_grid
+        ));
     }
-    Some(GppPartial { sigma, flops })
+    if rows.iter().any(|x| !x.is_finite()) {
+        return Err("sigma table contains non-finite values".into());
+    }
+    Ok(GppPartial {
+        sigma: rows.chunks_exact(n_grid).map(<[f64]>::to_vec).collect(),
+        flops: *flops as u64,
+    })
+}
+
+/// Decodes a [`gpp_partial_to_checkpoint`] record for an evaluation over
+/// `n_bands` bands on `n_grid`-point grids; `None` when the record does
+/// not fit it (degrade to evaluating from band 0).
+pub fn gpp_partial_from_checkpoint(
+    ck: &Checkpoint,
+    n_bands: usize,
+    n_grid: usize,
+) -> Option<GppPartial> {
+    decode_sigma_partial(ck, n_bands, n_grid).ok()
 }
 
 /// Result of a full-frequency Sigma evaluation through the service path.
@@ -458,11 +712,7 @@ pub fn ff_eval(
 ) -> Option<FfEvalResult> {
     let (eps_ff, weights) = s.ff.as_ref()?;
     let _sp = bgw_trace::span!("serve.sigma.ff");
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - delta_ry, e, e + delta_ry])
-        .collect();
+    let grids = three_point_grids(&ctx.sigma_energies, delta_ry);
     let r = ff_sigma_diag(ctx, eps_ff, weights, &grids, eta_ry);
     Some(FfEvalResult {
         bands: ctx.sigma_bands.clone(),
@@ -549,17 +799,18 @@ mod tests {
             };
         assert_eq!(done.bands, oracle.sigma_bands);
         for (a, b) in done.states.iter().zip(&oracle.states) {
-            assert!(
-                (a.e_qp - b.e_qp).abs() < 1e-12,
+            assert_eq!(
+                a.e_qp.to_bits(),
+                b.e_qp.to_bits(),
                 "served {} vs oracle {}",
                 a.e_qp,
                 b.e_qp
             );
-            assert!((a.z - b.z).abs() < 1e-12);
+            assert_eq!(a.z.to_bits(), b.z.to_bits());
         }
 
         // Yield after every band, round-tripping the partial through a
-        // checkpoint record each time, and still match at 1e-12.
+        // checkpoint record each time, and still match exactly.
         let mut partial: Option<GppPartial> = None;
         let resumed = loop {
             match gpp_eval_preemptible(
@@ -571,13 +822,17 @@ mod tests {
             ) {
                 GppOutcome::Done(r) => break r,
                 GppOutcome::Yielded(p) => {
-                    let ck = gpp_partial_to_checkpoint(&p, 3);
-                    partial = Some(gpp_partial_from_checkpoint(&ck).expect("partial roundtrip"));
+                    let ck = gpp_partial_to_checkpoint(&p, N_GRID);
+                    partial = Some(
+                        gpp_partial_from_checkpoint(&ck, ctx.n_sigma(), N_GRID)
+                            .expect("partial roundtrip"),
+                    );
                 }
             }
         };
         for (a, b) in resumed.states.iter().zip(&oracle.states) {
-            assert!((a.e_qp - b.e_qp).abs() < 1e-12);
+            assert_eq!(a.e_qp.to_bits(), b.e_qp.to_bits());
+            assert_eq!(a.z.to_bits(), b.z.to_bits());
         }
     }
 
@@ -621,15 +876,19 @@ mod tests {
             flops: 42,
         };
         let ck = gpp_partial_to_checkpoint(&p, 3);
-        assert_eq!(gpp_partial_from_checkpoint(&ck).unwrap(), p);
+        assert_eq!(gpp_partial_from_checkpoint(&ck, 4, 3).unwrap(), p);
         let mut bad = ck.clone();
         bad.step = 2; // claims more bands than the meta holds
-        assert!(gpp_partial_from_checkpoint(&bad).is_none());
+        assert!(gpp_partial_from_checkpoint(&bad, 4, 3).is_none());
         let mut bad = ck.clone();
         bad.meta[2] = f64::NAN;
-        assert!(gpp_partial_from_checkpoint(&bad).is_none());
-        let mut bad = ck;
+        assert!(gpp_partial_from_checkpoint(&bad, 4, 3).is_none());
+        let mut bad = ck.clone();
         bad.stage = GwStage::ChiPartial as u64;
-        assert!(gpp_partial_from_checkpoint(&bad).is_none());
+        assert!(gpp_partial_from_checkpoint(&bad, 4, 3).is_none());
+        // A consistent record that does not fit the evaluation resuming
+        // from it: more bands than the context, or another grid width.
+        assert!(gpp_partial_from_checkpoint(&ck, 0, 3).is_none());
+        assert!(gpp_partial_from_checkpoint(&ck, 4, 2).is_none());
     }
 }

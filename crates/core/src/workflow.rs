@@ -2,18 +2,18 @@
 //!
 //! Mean field -> Parabands -> MTXEL -> chi (Epsilon) -> GPP or FF ->
 //! Sigma -> Dyson. Used by the examples and the benchmark harness; each
-//! stage's wall-clock time is recorded.
+//! stage's wall-clock time is recorded. The stages themselves live in
+//! [`service`](crate::service) (the spine); the drivers here are its
+//! barrier policy plus what they do with the Sigma context.
 
-use crate::chi::{ChiConfig, ChiEngine};
-use crate::coulomb::Coulomb;
-use crate::dyson::{qp_gap, solve_qp_diag, QpState};
-use crate::epsilon::EpsilonInverse;
-use crate::gpp::GppModel;
-use crate::mtxel::Mtxel;
+use crate::chi::ChiConfig;
+use crate::dyson::{solve_qp_full, QpState};
+use crate::service::{assemble, screened_context, sigma_diag, three_point_grids};
 use crate::sigma::diag::{gpp_sigma_diag, KernelVariant};
+use crate::sigma::offdiag::gpp_sigma_offdiag;
 use crate::sigma::SigmaContext;
-use bgw_pwdft::{charge_density_g, solve_bands, ModelSystem};
-use std::time::Instant;
+use bgw_num::UniformGrid;
+use bgw_pwdft::ModelSystem;
 
 /// Configuration for a one-shot G0W0(GPP) run.
 #[derive(Clone, Copy, Debug)]
@@ -99,104 +99,19 @@ pub struct GwResults {
     pub dims: SigmaDims,
 }
 
-/// Runs the full G0W0(GPP) pipeline on a model system.
+/// Runs the full G0W0(GPP) pipeline on a model system: the barrier
+/// policy over the shared spine ([`service`](crate::service)) — the same
+/// stages `build_screening` -> `sigma_context` -> the diag kernel run for
+/// a served request, so the two agree bit for bit.
 pub fn run_gpp_gw(system: &ModelSystem, cfg: &GwConfig) -> GwResults {
     let _run_span = bgw_trace::span!("workflow.gpp_gw");
     let mut timings = GwTimings::default();
     let counters0 = bgw_perf::counters::snapshot();
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-
-    let t = Instant::now();
-    let wf = {
-        let _s = bgw_trace::span!("workflow.meanfield");
-        solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()))
-    };
-    timings.t_meanfield = t.elapsed().as_secs_f64();
-
-    let coulomb = if cfg.slab {
-        Coulomb::slab(
-            system.crystal.lattice.a[2][2],
-            system.crystal.lattice.volume(),
-        )
-    } else {
-        Coulomb::bulk_for_cell(system.crystal.lattice.volume())
-    };
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let t = Instant::now();
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
-    let chi0 = {
-        let _s = bgw_trace::span!("workflow.chi");
-        ChiEngine::new(&wf, &mtxel, chi_cfg).chi_static()
-    };
-    timings.t_chi = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let eps_inv = {
-        let _s = bgw_trace::span!("workflow.epsilon");
-        EpsilonInverse::build(&[chi0], &[0.0], &coulomb, &eps_sph)
-            .expect("dielectric matrix must be invertible")
-    };
-    let eps_macro = eps_inv.macroscopic_constant();
-    timings.t_epsilon = t.elapsed().as_secs_f64();
-
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let lo = nv.saturating_sub(k);
-    let hi = (nv + k).min(wf.n_bands());
-    let sigma_bands: Vec<usize> = (lo..hi).collect();
-
-    let t = Instant::now();
-    let ctx = {
-        let _s = bgw_trace::span!("workflow.mtxel");
-        SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0)
-    };
-    timings.t_mtxel_sigma = t.elapsed().as_secs_f64();
-
-    let d = cfg.sampling_delta_ry;
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - d, e, e + d])
-        .collect();
-    let dims = SigmaDims {
-        n_sigma: ctx.n_sigma(),
-        n_b: ctx.n_b(),
-        n_g: ctx.n_g(),
-        n_e: grids.first().map_or(0, Vec::len),
-    };
-    let t = Instant::now();
-    let diag = {
-        let _s = bgw_trace::span!("workflow.sigma");
-        gpp_sigma_diag(&ctx, &grids, cfg.variant)
-    };
-    timings.t_sigma = t.elapsed().as_secs_f64();
-
-    let states = solve_qp_diag(&ctx.sigma_energies, &diag);
-    let gap_qp = qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos());
-    timings.substrate = counters0.delta(&bgw_perf::counters::snapshot());
-    GwResults {
-        sigma_bands,
-        states,
-        gap_mf_ry: wf.gap_ry(),
-        gap_qp_ry: gap_qp,
-        eps_macro,
-        timings,
-        sigma_flops: diag.flops,
-        dims,
-    }
+    let (ctx, eps_macro) =
+        screened_context(system, cfg, &mut timings).expect("dielectric matrix must be invertible");
+    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
+    let diag = sigma_diag(&ctx, &grids, cfg.variant, &mut timings);
+    assemble(&ctx, &diag, eps_macro, timings, &counters0)
 }
 
 /// Result of a self-consistent quasiparticle-energy solve.
@@ -213,6 +128,30 @@ pub struct EvGwResults {
     pub e_qp: Vec<f64>,
 }
 
+/// One damped fixed-point update of `E = E^MF + Re Sigma_ll(E)` on every
+/// Sigma band: evaluates Sigma at the current estimates `e_qp`, moves
+/// them, appends the new gap to `gap_history`, and returns the largest
+/// move (Ry). Shared by [`run_evgw`] and its checkpointed twin.
+pub(crate) fn evgw_step(
+    ctx: &SigmaContext,
+    variant: KernelVariant,
+    e_qp: &mut [f64],
+    gap_history: &mut Vec<f64>,
+) -> f64 {
+    const DAMPING: f64 = 0.6;
+    let grids: Vec<Vec<f64>> = e_qp.iter().map(|&e| vec![e]).collect();
+    let diag = gpp_sigma_diag(ctx, &grids, variant);
+    let mut max_delta: f64 = 0.0;
+    for (s, e) in e_qp.iter_mut().enumerate() {
+        let target = ctx.sigma_energies[s] + diag.sigma[s][0];
+        let new = *e + DAMPING * (target - *e);
+        max_delta = max_delta.max((new - *e).abs());
+        *e = new;
+    }
+    gap_history.push(e_qp[ctx.lumo_pos()] - e_qp[ctx.homo_pos()]);
+    max_delta
+}
+
 /// Graphical (fixed-point) solution of the quasiparticle equation
 /// `E = E^MF + Re Sigma_ll(E)` for every Sigma band, iterated to
 /// self-consistency with damping — the beyond-Z-factor solution the
@@ -221,59 +160,22 @@ pub struct EvGwResults {
 /// from the full solutions of the Dyson's equation"). The screening stays
 /// at RPA@mean-field (GW0).
 pub fn run_evgw(system: &ModelSystem, cfg: &GwConfig, max_iter: usize, tol_ry: f64) -> EvGwResults {
-    use crate::sigma::diag::gpp_sigma_diag;
-
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-    let coulomb = Coulomb::bulk_for_cell(system.crystal.lattice.volume());
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
-    let chi0 = ChiEngine::new(&wf, &mtxel, chi_cfg).chi_static();
-    let eps_inv = EpsilonInverse::build(&[chi0], &[0.0], &coulomb, &eps_sph)
+    let (ctx, _) = screened_context(system, cfg, &mut GwTimings::default())
         .expect("dielectric matrix must be invertible");
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let sigma_bands: Vec<usize> = (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect();
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
-    let homo = ctx.homo_pos();
-    let lumo = ctx.lumo_pos();
-
-    let damping = 0.6;
     let mut e_qp = ctx.sigma_energies.clone();
     let mut gap_history = Vec::new();
     let mut iterations = 0;
-    for _ in 0..max_iter {
+    while iterations < max_iter {
         iterations += 1;
-        // evaluate Sigma at the current QP estimates
-        let grids: Vec<Vec<f64>> = e_qp.iter().map(|&e| vec![e]).collect();
-        let diag = gpp_sigma_diag(&ctx, &grids, cfg.variant);
-        let mut max_delta: f64 = 0.0;
-        for (s, e) in e_qp.iter_mut().enumerate() {
-            let target = ctx.sigma_energies[s] + diag.sigma[s][0];
-            let new = *e + damping * (target - *e);
-            max_delta = max_delta.max((new - *e).abs());
-            *e = new;
-        }
-        gap_history.push(e_qp[lumo] - e_qp[homo]);
+        let max_delta = evgw_step(&ctx, cfg.variant, &mut e_qp, &mut gap_history);
         if max_delta < tol_ry && iterations > 1 {
             break;
         }
     }
     EvGwResults {
-        gap_ry: *gap_history.last().unwrap(),
+        gap_ry: *gap_history
+            .last()
+            .expect("max_iter >= 1: at least one iteration ran"),
         gap_history,
         iterations,
         e_qp,
@@ -300,69 +202,28 @@ pub struct FullDysonResults {
 /// Runs the off-diagonal Sigma kernel on a uniform energy grid and solves
 /// Dyson's equation both in the diagonal approximation and with the full
 /// Sigma matrix — the paper's "full solutions of the Dyson's equation"
-/// workflow (Sec. 5.6).
+/// workflow (Sec. 5.6). The diagonal reference *is* [`run_gpp_gw`]'s
+/// result (same spine, same kernel).
 pub fn run_full_dyson_gw(system: &ModelSystem, cfg: &GwConfig, n_e: usize) -> FullDysonResults {
-    use crate::dyson::{solve_qp_diag, solve_qp_full};
-    use crate::sigma::diag::gpp_sigma_diag;
-    use crate::sigma::offdiag::gpp_sigma_offdiag;
-    use bgw_num::UniformGrid;
-
-    let wfn_sph = system.wfn_sphere();
-    let eps_sph = system.eps_sphere();
-    let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-    let coulomb = Coulomb::bulk_for_cell(system.crystal.lattice.volume());
-    let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-    let chi_cfg = ChiConfig {
-        q0: coulomb.q0,
-        ..cfg.chi
-    };
-    let chi0 = ChiEngine::new(&wf, &mtxel, chi_cfg).chi_static();
-    let eps_inv = EpsilonInverse::build(&[chi0], &[0.0], &coulomb, &eps_sph)
-        .expect("dielectric matrix must be invertible");
-    let rho = charge_density_g(&wf, &wfn_sph);
-    let gpp = GppModel::new(
-        &eps_inv,
-        &eps_sph,
-        &wfn_sph,
-        &rho,
-        system.crystal.lattice.volume(),
-    );
-    let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-    let nv = wf.n_valence;
-    let k = cfg.bands_around_gap.max(1);
-    let sigma_bands: Vec<usize> = (nv.saturating_sub(k)..(nv + k).min(wf.n_bands())).collect();
-    let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
-
-    // diagonal reference
-    let d = cfg.sampling_delta_ry;
-    let grids: Vec<Vec<f64>> = ctx
-        .sigma_energies
-        .iter()
-        .map(|&e| vec![e - d, e, e + d])
-        .collect();
-    let diag = gpp_sigma_diag(&ctx, &grids, cfg.variant);
-    let diag_states = solve_qp_diag(&ctx.sigma_energies, &diag);
-    let e_qp_diag: Vec<f64> = diag_states.iter().map(|s| s.e_qp).collect();
+    let mut timings = GwTimings::default();
+    let counters0 = bgw_perf::counters::snapshot();
+    let (ctx, eps_macro) =
+        screened_context(system, cfg, &mut timings).expect("dielectric matrix must be invertible");
+    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
+    let diag = sigma_diag(&ctx, &grids, cfg.variant, &mut timings);
+    let reference = assemble(&ctx, &diag, eps_macro, timings, &counters0);
+    let e_qp_diag: Vec<f64> = reference.states.iter().map(|s| s.e_qp).collect();
 
     // uniform grid spanning the expected QP window (Sec. 5.6's
     // (l, m)-independent energy grid)
-    let lo = e_qp_diag
-        .iter()
-        .chain(&ctx.sigma_energies)
-        .cloned()
-        .fold(f64::INFINITY, f64::min)
-        - 0.3;
-    let hi = e_qp_diag
-        .iter()
-        .chain(&ctx.sigma_energies)
-        .cloned()
-        .fold(f64::NEG_INFINITY, f64::max)
-        + 0.3;
+    let window = || e_qp_diag.iter().chain(&ctx.sigma_energies).copied();
+    let lo = window().fold(f64::INFINITY, f64::min) - 0.3;
+    let hi = window().fold(f64::NEG_INFINITY, f64::max) + 0.3;
     let grid = UniformGrid::new(lo, hi, n_e.max(4));
     let off = gpp_sigma_offdiag(&ctx, &grid, bgw_linalg::GemmBackend::Parallel);
     let e_qp_full = solve_qp_full(&ctx.sigma_energies, &off);
     FullDysonResults {
-        sigma_bands,
+        sigma_bands: reference.sigma_bands,
         e_mf: ctx.sigma_energies.clone(),
         e_qp_diag,
         e_qp_full,

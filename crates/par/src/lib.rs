@@ -422,13 +422,20 @@ where
     bgw_perf::counters::record_pool_inline(excl);
 }
 
-/// Parallel reduction: each participant folds its chunks into a local
-/// accumulator created by `identity`, then the accumulators are merged
-/// with `merge`.
+/// Parallel reduction with a schedule-independent result: every chunk
+/// `[lo, hi)` of the [`chunk_bounds`] split is folded by `body` into its
+/// *own* fresh `identity()` partial, and the partials are combined with
+/// `merge` as a left fold in chunk-index order.
 ///
-/// The merge order is deterministic (participant slot order), so results
-/// are reproducible for associative-enough `merge` operations; chunk
-/// *assignment* is dynamic, as in the paper's two-stage reductions.
+/// The operand grouping is therefore a function of `(n, chunk)` alone —
+/// not of the pool width, of which participant picked up which chunk, or
+/// of whether the region ran pooled or inline — so a non-associative
+/// `merge` (f64 addition) returns bit-identical results at every
+/// `BGW_THREADS` and on every run. Chunk *assignment* stays dynamic
+/// (shared counter); only the combination is fixed-shape, like the
+/// paper's two-stage reductions (Sec. 5.5.1). The pooled path holds one
+/// partial per chunk until the final fold, so pick `chunk` with the size
+/// of `T` in mind.
 pub fn parallel_reduce<T, Fid, Fbody, Fmerge>(
     n: usize,
     chunk: usize,
@@ -447,47 +454,48 @@ where
     }
     let chunk = chunk.max(1);
     let k = chunk_count(n, chunk);
+    let fold_chunk = |i: usize| {
+        let (lo, hi) = chunk_bounds(n, chunk, i);
+        let mut part = identity();
+        body(&mut part, lo, hi);
+        part
+    };
     let participants = num_threads().min(k);
     if participants > 1 {
-        let slots: Vec<Mutex<Option<T>>> = (0..participants).map(|_| Mutex::new(None)).collect();
+        let parts: Vec<Mutex<Option<T>>> = (0..k).map(|_| Mutex::new(None)).collect();
         let counter = AtomicUsize::new(0);
         let work = |slot: usize| {
             if slot >= participants {
                 return;
             }
-            let mut acc = identity();
             loop {
                 let i = counter.fetch_add(1, Ordering::Relaxed);
                 if i >= k {
                     break;
                 }
-                let (lo, hi) = chunk_bounds(n, chunk, i);
-                body(&mut acc, lo, hi);
+                *parts[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(fold_chunk(i));
             }
-            *slots[slot].lock().unwrap_or_else(|e| e.into_inner()) = Some(acc);
         };
         if pool_run(participants, &work) {
-            let mut acc: Option<T> = None;
-            for m in slots {
-                // A slot stays `None` only if the pool could not field a
-                // worker for it; slot 0 (the caller) always ran.
-                if let Some(v) = m.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                    acc = Some(match acc {
-                        None => v,
-                        Some(a) => merge(a, v),
-                    });
-                }
-            }
-            return acc.expect("caller slot always produces a value");
+            // The caller (slot 0) drains the counter even if no helper
+            // could be spawned, so every chunk has deposited its partial.
+            return parts
+                .into_iter()
+                .map(|m| {
+                    m.into_inner()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .expect("every chunk is folded before the region quiesces")
+                })
+                .reduce(&merge)
+                .expect("n > 0 gives at least one chunk");
         }
     }
     let _span = bgw_trace::span!("par.inline");
     let timer = RegionTimer::start();
-    let mut acc = identity();
-    for i in 0..k {
-        let (lo, hi) = chunk_bounds(n, chunk, i);
-        body(&mut acc, lo, hi);
-    }
+    let acc = (0..k)
+        .map(fold_chunk)
+        .reduce(&merge)
+        .expect("n > 0 gives at least one chunk");
     let (_wall, excl) = timer.finish();
     bgw_perf::counters::record_pool_inline(excl);
     acc
@@ -741,6 +749,48 @@ mod tests {
                 |a, b| a + b,
             );
             assert_eq!(total, (n as u64 - 1) * n as u64 / 2, "threads {threads}");
+        }
+        set_num_threads(0);
+    }
+
+    #[test]
+    fn reduce_f64_sum_is_bitwise_identical_across_widths_and_repeats() {
+        // f64 addition is not associative: with terms spanning ~30 decades
+        // and mixed signs, any change in operand grouping moves the last
+        // bits. The grouping must depend on (n, chunk) only.
+        let _g = test_guard();
+        let n = 100_003usize;
+        let term = |i: usize| {
+            let h = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mantissa = 1.0 + (h >> 12) as f64 / (1u64 << 52) as f64;
+            let exponent = ((h >> 3) % 31) as i32 - 15;
+            let sign = if h & 1 == 0 { 1.0 } else { -1.0 };
+            sign * mantissa * 10f64.powi(exponent)
+        };
+        let sum = || {
+            parallel_reduce(
+                n,
+                32,
+                || 0.0f64,
+                |acc, lo, hi| {
+                    for i in lo..hi {
+                        *acc += term(i);
+                    }
+                },
+                |a, b| a + b,
+            )
+        };
+        set_num_threads(1);
+        let reference = sum().to_bits();
+        for &threads in &[1usize, 2, 3, 4, 7] {
+            set_num_threads(threads);
+            for repeat in 0..20 {
+                assert_eq!(
+                    sum().to_bits(),
+                    reference,
+                    "threads {threads}, repeat {repeat}: grouping depended on scheduling"
+                );
+            }
         }
         set_num_threads(0);
     }

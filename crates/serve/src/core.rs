@@ -34,7 +34,7 @@ use bgw_core::epsilon::EpsilonError;
 use bgw_core::restart::{band_slice, GwStage};
 use bgw_core::service::{
     band_subset, build_screening, ff_eval, screening_from_checkpoint, screening_to_checkpoint,
-    sigma_context, Screening,
+    sigma_context, three_point_grids, Screening,
 };
 use bgw_core::sigma::diag::{gpp_sigma_diag, SigmaDiagResult};
 use bgw_core::solve_qp_diag;
@@ -158,6 +158,14 @@ pub enum ServeError {
 /// dead shard).
 fn internal(what: impl Into<String>) -> ServeError {
     ServeError::Internal { what: what.into() }
+}
+
+/// One coalesced batch's Sigma context over its union band set, under
+/// the serve-owned span the per-request report pins (the shared stage
+/// inside it reports as `workflow.mtxel`).
+fn batch_context(screening: &Screening, union: &[usize]) -> bgw_core::SigmaContext {
+    let _s = bgw_trace::span!("serve.sigma.mtxel");
+    sigma_context(screening, union)
 }
 
 impl std::fmt::Display for ServeError {
@@ -875,7 +883,7 @@ impl ServeCore {
             });
         }
 
-        let ctx = sigma_context(screening, &union);
+        let ctx = batch_context(screening, &union);
         let todo: Vec<(usize, u32)> = rows_needed
             .iter()
             .copied()
@@ -888,9 +896,7 @@ impl ServeCore {
                     None => Err(internal(format!("band {band} missing from batch union"))),
                     Some(s) => {
                         let one = band_slice(&ctx, s);
-                        let e = ctx.sigma_energies[s];
-                        let d = delta_m as f64 / 1000.0;
-                        let grid = vec![vec![e - d, e, e + d]];
+                        let grid = three_point_grids(&one.sigma_energies, delta_m as f64 / 1000.0);
                         let r = gpp_sigma_diag(&one, &grid, batch[0].0.req.gw_config().variant);
                         match r.sigma.into_iter().next() {
                             Some(row) => Ok((row, r.flops)),
@@ -965,9 +971,7 @@ impl ServeCore {
                 continue;
             }
             let delta_m = p.req.delta_milli_ry();
-            let d = p.req.delta_ry();
             let mut sigma = Vec::with_capacity(bands.len());
-            let mut grids = Vec::with_capacity(bands.len());
             let mut energies = Vec::with_capacity(bands.len());
             let mut flops = 0u64;
             let mut member_err: Option<ServeError> = None;
@@ -980,10 +984,8 @@ impl ServeCore {
                     member_err = Some(internal(format!("band {b} missing from batch union")));
                     break;
                 };
-                let e = ctx.sigma_energies[s];
                 sigma.push(row);
-                grids.push(vec![e - d, e, e + d]);
-                energies.push(e);
+                energies.push(ctx.sigma_energies[s]);
                 flops += row_flops;
             }
             if let Some(e) = member_err {
@@ -992,7 +994,7 @@ impl ServeCore {
             }
             let diag = SigmaDiagResult {
                 sigma,
-                e_grids: grids,
+                e_grids: three_point_grids(&energies, p.req.delta_ry()),
                 seconds: 0.0,
                 flops,
             };
@@ -1044,7 +1046,7 @@ impl ServeCore {
         let mut union: Vec<usize> = member_bands.iter().flatten().copied().collect();
         union.sort_unstable();
         union.dedup();
-        let ctx = sigma_context(screening, &union);
+        let ctx = batch_context(screening, &union);
         let wkey = batch[0].req.w_key();
 
         let mut retirements = Vec::new();

@@ -256,8 +256,7 @@ impl GwRequest {
     /// The Sigma band list for this request against a solved system —
     /// exactly the one-shot drivers' window `nv-k .. nv+k` (clamped).
     pub fn bands(&self, n_valence: usize, n_bands: usize) -> Vec<usize> {
-        let k = self.bands_around_gap().max(1);
-        (n_valence.saturating_sub(k)..(n_valence + k).min(n_bands)).collect()
+        bgw_core::bands_around_gap(n_valence, n_bands, self.bands_around_gap().max(1))
     }
 
     /// The [`GwConfig`] whose one-shot run this request must reproduce.

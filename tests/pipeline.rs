@@ -5,9 +5,13 @@ use berkeleygw_rs::core::chi::{ChiConfig, ChiEngine};
 use berkeleygw_rs::core::coulomb::Coulomb;
 use berkeleygw_rs::core::epsilon::EpsilonInverse;
 use berkeleygw_rs::core::mtxel::Mtxel;
-use berkeleygw_rs::core::{run_gpp_gw, GwConfig, KernelVariant};
+use berkeleygw_rs::core::{
+    build_screening, gpp_eval_preemptible, run_evgw, run_full_dyson_gw, run_gpp_gw, run_gpp_gw_dag,
+    sigma_context, GppOutcome, GwConfig, KernelVariant,
+};
 use berkeleygw_rs::num::RYDBERG_EV;
-use berkeleygw_rs::pwdft::{lih_defect, si_bulk, si_divacancy, solve_bands};
+use berkeleygw_rs::perf::counters::exclusive_test_guard;
+use berkeleygw_rs::pwdft::{bn_defect_sheet, lih_defect, si_bulk, si_divacancy, solve_bands};
 
 #[test]
 fn si_bulk_gw_pipeline_opens_gap() {
@@ -127,4 +131,92 @@ fn epsilon_macroscopic_grows_with_screening() {
     }
     assert!(eps_m[1] > eps_m[0], "{eps_m:?}");
     assert!(eps_m[0] > 1.0);
+}
+
+#[test]
+fn every_driver_honours_the_slab_flag() {
+    // A sheet-like cell (as examples/bn_sheet_defect.rs builds): the
+    // slab-truncated Coulomb must reach every driver through the shared
+    // prefix, not only run_gpp_gw.
+    let mut sys = bn_defect_sheet(2, 12.0, 5.0);
+    sys.n_bands = sys.n_valence() + 10;
+    let slab = GwConfig {
+        slab: true,
+        ..GwConfig::default()
+    };
+    let bulk = GwConfig {
+        slab: false,
+        ..slab
+    };
+
+    // The diagonal reference of the full-Dyson driver *is* run_gpp_gw.
+    let gpp = run_gpp_gw(&sys, &slab);
+    let full = run_full_dyson_gw(&sys, &slab, 8);
+    assert_eq!(full.sigma_bands, gpp.sigma_bands);
+    for (diag, st) in full.e_qp_diag.iter().zip(&gpp.states) {
+        assert_eq!(
+            diag.to_bits(),
+            st.e_qp.to_bits(),
+            "full-Dyson diagonal reference {diag} vs run_gpp_gw {}",
+            st.e_qp
+        );
+    }
+
+    // Truncating the interaction changes the screening, so the evGW
+    // iterates must move with the flag.
+    let ev_slab = run_evgw(&sys, &slab, 3, 1e-9);
+    let ev_bulk = run_evgw(&sys, &bulk, 3, 1e-9);
+    assert_ne!(
+        ev_slab.gap_history, ev_bulk.gap_history,
+        "run_evgw ignored GwConfig::slab"
+    );
+}
+
+#[test]
+fn one_shot_served_and_dag_drivers_share_one_spine() {
+    // run_gpp_gw, the served path (build_screening -> sigma_context ->
+    // gpp_eval_preemptible) and an uninterrupted DAG run are the same
+    // stages under different policies: identical band set, dimensions
+    // and counted FLOPs, and the first two agree in every bit of every
+    // QP energy at every pool width.
+    let _guard = exclusive_test_guard();
+    let mut sys = si_bulk(1, 2.2);
+    sys.n_bands = 24;
+    let cfg = GwConfig::default();
+
+    let mut reference: Option<Vec<u64>> = None;
+    for width in [1usize, 2, 3] {
+        berkeleygw_rs::par::set_num_threads(width);
+        let one_shot = run_gpp_gw(&sys, &cfg);
+        let screening = build_screening(&sys, &cfg, None).expect("screening builds");
+        let ctx = sigma_context(&screening, &one_shot.sigma_bands);
+        let served =
+            match gpp_eval_preemptible(&ctx, cfg.sampling_delta_ry, cfg.variant, None, |_| false) {
+                GppOutcome::Done(r) => r,
+                GppOutcome::Yielded(_) => panic!("never asked to yield"),
+            };
+        let dag = run_gpp_gw_dag(&sys, &cfg)
+            .expect("dag run succeeds")
+            .results;
+        berkeleygw_rs::par::set_num_threads(0);
+
+        assert_eq!(served.bands, one_shot.sigma_bands, "width {width}");
+        assert_eq!(served.flops, one_shot.sigma_flops, "width {width}");
+        assert_eq!(dag.sigma_bands, one_shot.sigma_bands, "width {width}");
+        assert_eq!(dag.dims, one_shot.dims, "width {width}");
+        assert_eq!(dag.sigma_flops, one_shot.sigma_flops, "width {width}");
+        assert_eq!(
+            (one_shot.dims.n_sigma, one_shot.dims.n_b, one_shot.dims.n_g),
+            (ctx.n_sigma(), ctx.n_b(), ctx.n_g()),
+            "width {width}"
+        );
+
+        let bits: Vec<u64> = one_shot.states.iter().map(|s| s.e_qp.to_bits()).collect();
+        let served_bits: Vec<u64> = served.states.iter().map(|s| s.e_qp.to_bits()).collect();
+        assert_eq!(served_bits, bits, "width {width}: served != one-shot");
+        match &reference {
+            None => reference = Some(bits),
+            Some(r) => assert_eq!(&bits, r, "width {width}: QP energies moved with the pool"),
+        }
+    }
 }

@@ -228,6 +228,28 @@ fn malformed_gpp_checkpoints_are_typed_errors_not_panics() {
                 matrices: vec![CMatrix::zeros(ng, ng)],
             },
         ),
+        (
+            // Internally consistent (5 bands x 3 energies), but the run
+            // has 4 Sigma bands: used to reach the Dyson solver's assert.
+            "sigma record claiming more bands than the run has",
+            Checkpoint {
+                stage: 3,
+                step: 5,
+                meta: [vec![3.0, 0.0], vec![0.1; 15]].concat(),
+                matrices: vec![CMatrix::zeros(ng, ng)],
+            },
+        ),
+        (
+            // Internally consistent 2-point rows against the run's
+            // 3-point grids: used to reach `solve_one`'s length assert.
+            "sigma record on a different energy-grid width",
+            Checkpoint {
+                stage: 3,
+                step: 1,
+                meta: vec![2.0, 0.0, 0.1, 0.2],
+                matrices: vec![CMatrix::zeros(ng, ng)],
+            },
+        ),
     ];
     for (label, ck) in cases {
         let dir = tmpdir("gpp_malformed");
