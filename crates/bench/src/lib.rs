@@ -1,9 +1,10 @@
-//! `bgw-bench`: the benchmark harness.
+//! `bgw-bench`: the paper-reproduction binaries.
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md
-//! Sec. 5 for the index), plus criterion micro-benchmarks of the kernels.
-//! This library holds the shared plumbing: scaled-system construction, GW
-//! setup assembly, local throughput calibration, and timing helpers.
+//! One binary per table, figure and ablation of the paper's evaluation
+//! (see DESIGN.md Sec. 5 for the index). Performance is measured by
+//! `gwbench` (`benchmark/`), correctness by `cargo test`; nothing here
+//! gates either. This library holds the shared plumbing: scaled-system
+//! construction, GW setup assembly, and a timing helper.
 
 #![warn(missing_docs)]
 
@@ -91,43 +92,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (r, t0.elapsed().as_secs_f64())
 }
 
-/// Locally measured sustained throughput (FLOP/s) of the optimized GPP
-/// diag kernel on this host, used to put the "local node" on the same
-/// axis as the modeled machines.
-pub fn calibrate_local_diag(setup: &BenchSetup) -> f64 {
-    let grids: Vec<Vec<f64>> = setup.ctx.sigma_energies.iter().map(|&e| vec![e]).collect();
-    let r = bgw_core::sigma::diag::gpp_sigma_diag(
-        &setup.ctx,
-        &grids,
-        bgw_core::sigma::diag::KernelVariant::Optimized,
-    );
-    r.flops as f64 / r.seconds.max(1e-9)
-}
-
-/// Locally measured ZGEMM throughput (FLOP/s) at a given square size.
-pub fn calibrate_local_zgemm(n: usize) -> f64 {
-    let a = CMatrix::random(n, n, 1);
-    let b = CMatrix::random(n, n, 2);
-    // warm-up
-    let _ = bgw_linalg::matmul(
-        &a,
-        bgw_linalg::Op::None,
-        &b,
-        bgw_linalg::Op::None,
-        bgw_linalg::GemmBackend::Parallel,
-    );
-    let (_, secs) = timed(|| {
-        bgw_linalg::matmul(
-            &a,
-            bgw_linalg::Op::None,
-            &b,
-            bgw_linalg::Op::None,
-            bgw_linalg::GemmBackend::Parallel,
-        )
-    });
-    bgw_linalg::zgemm_flops(n, n, n) as f64 / secs.max(1e-9)
-}
-
 /// The scaled benchmark roster: `(paper name, scaled system, N_Sigma)`.
 /// Cutoffs are sized for minutes-not-hours runtimes on one node.
 pub fn bench_roster() -> Vec<(&'static str, ModelSystem, usize)> {
@@ -155,15 +119,6 @@ mod tests {
         assert_eq!(s.ctx.n_sigma(), 4);
         assert!(s.ctx.n_g() > 4);
         assert!(s.eps_inv.macroscopic_constant() > 1.0);
-    }
-
-    #[test]
-    fn calibration_returns_positive_rates() {
-        let mut sys = bgw_pwdft::si_bulk(1, 2.0);
-        sys.n_bands = 20;
-        let s = build_setup(sys, 2);
-        assert!(calibrate_local_diag(&s) > 0.0);
-        assert!(calibrate_local_zgemm(32) > 0.0);
     }
 
     #[test]

@@ -110,8 +110,8 @@ impl GwTimings {
 }
 
 /// Full-frequency screening request: build `eps~^{-1}` on the
-/// semi-infinite quadrature (scale 2.0 Ry, matching the `ff_smoke`
-/// harness) in addition to the static matrix.
+/// semi-infinite quadrature (scale 2.0 Ry) in addition to the static
+/// matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FfSpec {
     /// Quadrature nodes on the positive frequency axis.

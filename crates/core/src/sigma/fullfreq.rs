@@ -109,7 +109,8 @@ pub fn ff_sigma_diag_subspace(
 
 /// Full-frequency Sigma on the full basis through the retained scalar
 /// oracle — the pre-recast triple-loop kernel, kept for validation (the
-/// pooled path must match it to 1e-12; see `tools/check.sh --ff`).
+/// pooled path must match it to 1e-12; see
+/// `tests::pooled_matches_serial_oracle_across_pool_sizes`).
 pub fn ff_sigma_diag_serial(
     ctx: &SigmaContext,
     eps_ff: &EpsilonInverse,

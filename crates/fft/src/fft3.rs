@@ -111,8 +111,7 @@ impl Fft3d {
 
     /// Transforms `data` in place with the original serial per-line kernel
     /// (recursive butterflies, twiddle index recomputed per butterfly).
-    /// This is the oracle the pooled path is checked against and the
-    /// baseline the `bench_fft_mtxel` harness measures speedups over.
+    /// This is the oracle the pooled path is checked against.
     pub fn process_serial(&self, data: &mut [Complex64], dir: Direction) {
         assert_eq!(data.len(), self.len(), "grid buffer length mismatch");
         let _span = bgw_trace::span!("fft.serial");

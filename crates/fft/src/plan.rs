@@ -284,12 +284,6 @@ impl FftPlan {
         2 * self.n * LINE_BATCH
     }
 
-    /// Scratch length required by [`FftPlan::process_batch`] (legacy
-    /// interleaved wrapper).
-    pub fn batch_scratch_len(&self) -> usize {
-        (self.n * LINE_BATCH).max(self.n + self.scratch_len())
-    }
-
     /// Transforms a batch of `batch <= LINE_BATCH` lines held as split
     /// re/im `f64` planes, in place.
     ///
@@ -373,43 +367,6 @@ impl FftPlan {
             batch,
             cs,
         );
-    }
-
-    /// Transforms a batch of `batch <= LINE_BATCH` *interleaved*
-    /// `Complex64` lines in place (element `k` of line `b` at
-    /// `data[k * batch + b]`).
-    ///
-    /// Compatibility wrapper: deinterleaves into split planes, runs
-    /// [`FftPlan::process_batch_split`], and reassembles. The 3-D driver
-    /// gathers straight into split planes instead, so only ad-hoc callers
-    /// pay the conversion.
-    pub fn process_batch(
-        &self,
-        data: &mut [Complex64],
-        batch: usize,
-        scratch: &mut [Complex64],
-        dir: Direction,
-    ) {
-        assert!((1..=LINE_BATCH).contains(&batch), "batch out of range");
-        assert_eq!(data.len(), self.n * batch, "batch buffer length mismatch");
-        assert!(
-            scratch.len() >= self.batch_scratch_len(),
-            "batch scratch too small"
-        );
-        if self.n == 1 {
-            return;
-        }
-        let mut re = vec![0.0f64; self.n * batch];
-        let mut im = vec![0.0f64; self.n * batch];
-        for (i, z) in data.iter().enumerate() {
-            re[i] = z.re;
-            im[i] = z.im;
-        }
-        let mut split_scratch = vec![0.0f64; self.batch_scratch_split_len()];
-        self.process_batch_split(&mut re, &mut im, batch, &mut split_scratch, dir);
-        for (i, z) in data.iter_mut().enumerate() {
-            *z = c64(re[i], im[i]);
-        }
     }
 
     /// Batched split-plane analogue of [`FftPlan::rec`]: logical element
@@ -1079,54 +1036,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_to_rounding() {
-        // Smooth, Bluestein, and degenerate lengths; full and ragged
-        // batches. The batched kernel's hard-wired radix-2/3/4/5
-        // butterflies use exact DFT constants where the scalar kernel
-        // multiplies by table entries with ~1e-16 phase error, so the two
-        // agree to rounding, not bit-for-bit.
-        for n in [1usize, 2, 12, 60, 64, 90, 100, 17, 31] {
-            for batch in [1usize, 3, LINE_BATCH] {
-                for dir in [Direction::Forward, Direction::Inverse] {
-                    let plan = FftPlan::new(n);
-                    let lines: Vec<Vec<Complex64>> = (0..batch)
-                        .map(|b| rand_signal(n, (17 * n + b) as u64))
-                        .collect();
-                    // Interleave: data[k*batch + b] = lines[b][k].
-                    let mut data = vec![Complex64::ZERO; n * batch];
-                    for (b, line) in lines.iter().enumerate() {
-                        for (k, &z) in line.iter().enumerate() {
-                            data[k * batch + b] = z;
-                        }
-                    }
-                    let mut scratch = vec![Complex64::ZERO; plan.batch_scratch_len()];
-                    plan.process_batch(&mut data, batch, &mut scratch, dir);
-                    for (b, line) in lines.iter().enumerate() {
-                        let mut want = line.clone();
-                        plan.process(&mut want, dir);
-                        for (k, w) in want.iter().enumerate() {
-                            let got = data[k * batch + b];
-                            assert!(
-                                (got - *w).abs() <= 1e-12 * (n as f64).max(1.0),
-                                "n={n} batch={batch} dir={dir:?} b={b} k={k}: {got:?} vs {w:?}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn split_batch_matches_scalar_and_advances_isa_counter() {
-        // Direct split-plane path: radix-2/3/4/5 mixes, a large-prime
-        // radix (13), and a Bluestein length, checked per line against the
-        // scalar kernel. Also pins the per-ISA FFT telemetry: the
-        // butterfly set that ran must be the effective ISA's.
+        // Degenerate lengths, radix-2/3/4/5 mixes, a large-prime radix
+        // (13) and Bluestein lengths (17, 31); full and ragged batches,
+        // both directions, checked per line against the scalar kernel.
+        // The hard-wired radix-2/3/4/5 butterflies use exact DFT constants
+        // where the scalar kernel multiplies by table entries with ~1e-16
+        // phase error, so the two agree to rounding, not bit-for-bit. Also
+        // pins the per-ISA FFT telemetry: the butterfly set that ran must
+        // be the effective ISA's.
         let effective = bgw_num::simd::effective();
         let before = bgw_perf::counters::snapshot().fft_mk_calls_by_isa();
-        for n in [8usize, 15, 45, 60, 26, 17] {
-            for batch in [1usize, 5, LINE_BATCH] {
+        for n in [1usize, 2, 8, 12, 15, 17, 26, 31, 45, 60, 64, 90, 100] {
+            for batch in [1usize, 3, 5, LINE_BATCH] {
                 for dir in [Direction::Forward, Direction::Inverse] {
                     let plan = FftPlan::new(n);
                     let lines: Vec<Vec<Complex64>> = (0..batch)

@@ -155,8 +155,8 @@ pub fn supported() -> Vec<Isa> {
         .collect()
 }
 
-/// Pins the process-wide dispatch decision (tests, autotune sweeps, and
-/// the `simd_smoke` parity gate). Returns `false` — leaving the previous
+/// Pins the process-wide dispatch decision (tests and autotune sweeps).
+/// Returns `false` — leaving the previous
 /// setting untouched — when the host cannot execute `isa`: [`effective`]
 /// must never name an ISA the machine would fault on. `force(None)`
 /// restores runtime detection.

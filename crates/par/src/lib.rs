@@ -1013,7 +1013,6 @@ mod tests {
         set_num_threads(0);
     }
 
-    #[cfg(feature = "spans")]
     #[test]
     fn span_tree_sibling_exclusive_times_bounded_by_parent() {
         // Single-threaded, every region runs inline on one stack, so the
@@ -1076,7 +1075,6 @@ mod tests {
         set_num_threads(0);
     }
 
-    #[cfg(feature = "spans")]
     #[test]
     fn pooled_worker_spans_adopt_dispatcher_parent() {
         let _g = test_guard();

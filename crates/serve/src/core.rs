@@ -624,11 +624,7 @@ impl ServeCore {
             }
         }
 
-        let report_before = if self.cfg.collect_reports && bgw_trace::compiled_in() {
-            Some(bgw_trace::report())
-        } else {
-            None
-        };
+        let report_before = self.cfg.collect_reports.then(bgw_trace::report);
         let t_batch = Instant::now();
 
         // --- screening acquisition ---------------------------------------

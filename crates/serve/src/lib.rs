@@ -34,8 +34,7 @@
 //!   through the serving loop for the adversarial test battery.
 //!
 //! Every served result is pinned to the corresponding one-shot oracle
-//! (`run_gpp_gw` / `ff_sigma_diag`) at 1e-12 by `tests/serve.rs` and the
-//! `serve_smoke` bench gate.
+//! (`run_gpp_gw` / `ff_sigma_diag`) at 1e-12 by `tests/serve.rs`.
 
 #![warn(missing_docs)]
 

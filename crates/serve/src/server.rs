@@ -193,20 +193,38 @@ impl Drop for Server {
 }
 
 fn dispatch_loop(cfg: ServeConfig, store: ArtifactStore, shared: Arc<Shared>) -> ServeCore {
+    let queue_capacity = cfg.queue_capacity;
     let mut core = ServeCore::with_store(cfg, store);
     let mut tickets: HashMap<RequestId, Arc<Cell>> = HashMap::new();
     loop {
-        // Admit waiting submissions into the bounded engine queue.
-        let (drained, shutdown) = {
-            let mut inj = relock(&shared.injector);
-            (std::mem::take(&mut inj.waiting), inj.shutdown)
-        };
-        for (req, cancel, cell) in drained {
-            match core.enqueue_with_cancel(req, cancel) {
-                Ok(id) => {
-                    tickets.insert(id, cell);
+        // Admit waiting submissions into the bounded engine queue, and
+        // keep admitting until none is left. A client's burst lands a few
+        // microseconds apart while admission validates each request, so a
+        // single drain would batch whatever prefix of the burst beat the
+        // dispatcher's wake-up: batch shapes, and preemptions of that
+        // prefix by the burst's own tail, would follow thread timing
+        // instead of the request stream. Stopping at capacity keeps a
+        // flood of submissions from starving the step below.
+        let mut shutdown;
+        loop {
+            let drained = {
+                let mut inj = relock(&shared.injector);
+                shutdown = inj.shutdown;
+                std::mem::take(&mut inj.waiting)
+            };
+            if drained.is_empty() {
+                break;
+            }
+            for (req, cancel, cell) in drained {
+                match core.enqueue_with_cancel(req, cancel) {
+                    Ok(id) => {
+                        tickets.insert(id, cell);
+                    }
+                    Err(e) => fulfill(&cell, Err(e)),
                 }
-                Err(e) => fulfill(&cell, Err(e)),
+            }
+            if core.queue_len() >= queue_capacity {
+                break;
             }
         }
 

@@ -1,6 +1,6 @@
 //! Seeded synthetic traffic: a zipf-distributed request stream over a
-//! small structure catalog, shared by the replay tests and the
-//! `serve_smoke` bench so both drive the engine with the same shapes.
+//! small structure catalog, shared by the replay tests and the gwbench
+//! serve workloads so both drive the engine with the same shapes.
 //!
 //! The stream is a pure function of [`TrafficConfig`]: same config, same
 //! byte-identical `Vec<GwRequest>`. Structure popularity follows

@@ -15,10 +15,7 @@
 //!   (inclusive of children, accumulated over calls).
 //!
 //! Tracing is **off by default at runtime** ([`set_enabled`]): a
-//! disabled span costs one relaxed atomic load. It is also
-//! **compile-out-able**: building without the `spans` cargo feature
-//! replaces every entry point with an empty inline stub, so the
-//! zero-overhead path stays zero (DESIGN.md Sec. 11).
+//! disabled span costs one relaxed atomic load (DESIGN.md Sec. 11).
 //!
 //! ## Threads
 //!
@@ -42,7 +39,6 @@ pub mod report;
 
 pub use report::{RunReport, SpanNode};
 
-#[cfg(feature = "spans")]
 mod imp {
     use crate::report::{RunReport, SpanNode};
     use bgw_perf::counters::{self, CounterSnapshot};
@@ -149,11 +145,6 @@ mod imp {
     /// Whether spans are currently being collected.
     pub fn enabled() -> bool {
         ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// True when the crate was built with the `spans` feature.
-    pub const fn compiled_in() -> bool {
-        true
     }
 
     /// Discards the span tree (epoch-bumped: spans still open on any
@@ -450,84 +441,9 @@ mod imp {
     }
 }
 
-#[cfg(not(feature = "spans"))]
-mod imp {
-    //! Compiled-out stubs: identical signatures, empty bodies, so call
-    //! sites need no `cfg` and the optimizer erases them entirely.
-    #![allow(clippy::missing_const_for_fn)]
-
-    use crate::report::RunReport;
-
-    /// A static call-site identity for a span (inert stub).
-    pub struct SpanSite;
-
-    impl SpanSite {
-        /// Declares a call site (inert stub).
-        pub const fn new(_name: &'static str) -> Self {
-            Self
-        }
-    }
-
-    /// RAII span guard (inert stub).
-    pub struct Span;
-
-    /// Enters a span (inert stub).
-    #[inline(always)]
-    pub fn enter(_site: &'static SpanSite) -> Span {
-        Span
-    }
-
-    /// Attributes FLOPs to the active span (inert stub).
-    #[inline(always)]
-    pub fn add_flops(_n: u64) {}
-
-    /// Turns span collection on or off (inert stub).
-    #[inline(always)]
-    pub fn set_enabled(_on: bool) {}
-
-    /// Whether spans are being collected — always `false` here.
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    /// True when built with the `spans` feature — `false` here.
-    pub const fn compiled_in() -> bool {
-        false
-    }
-
-    /// Discards the span tree (inert stub).
-    #[inline(always)]
-    pub fn reset() {}
-
-    /// Cross-thread span reference (inert stub).
-    #[derive(Clone, Copy, Debug)]
-    pub struct Handle;
-
-    /// Captures the innermost span (inert stub).
-    #[inline(always)]
-    pub fn current_handle() -> Handle {
-        Handle
-    }
-
-    /// Guard restoring the pre-adoption parent (inert stub).
-    pub struct AdoptGuard;
-
-    /// Adopts a dispatcher's span as this thread's parent (inert stub).
-    #[inline(always)]
-    pub fn adopt(_handle: Handle) -> AdoptGuard {
-        AdoptGuard
-    }
-
-    /// Builds an empty [`RunReport`].
-    pub fn report() -> RunReport {
-        RunReport::new(Vec::new())
-    }
-}
-
 pub use imp::{
-    add_flops, adopt, compiled_in, current_handle, enabled, enter, report, reset, set_enabled,
-    AdoptGuard, Handle, Span, SpanSite,
+    add_flops, adopt, current_handle, enabled, enter, report, reset, set_enabled, AdoptGuard,
+    Handle, Span, SpanSite,
 };
 
 /// Opens a span named by a string literal, registering the call site
@@ -544,7 +460,7 @@ macro_rules! span {
     }};
 }
 
-#[cfg(all(test, feature = "spans"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

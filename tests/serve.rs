@@ -8,7 +8,8 @@
 //! requests, a direct `ff_sigma_diag` build for full-frequency ones).
 //! Further tests cover coalescing, disk-hit-as-restart, preemption,
 //! cancellation, artifact-key properties, torn store entries, the golden
-//! per-request trace report, and the threaded [`Server`] wrapper.
+//! per-request trace report, the threaded [`Server`] wrapper, and a replay
+//! under a store byte budget (GC end to end).
 
 use berkeleygw_rs::core::{
     ff_sigma_diag, run_gpp_gw, ChiConfig, ChiEngine, Coulomb, EpsilonInverse, GppModel, GwResults,
@@ -24,7 +25,7 @@ use berkeleygw_rs::serve::{
 };
 use berkeleygw_rs::trace;
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -75,7 +76,7 @@ fn ff_req(structure: StructureSpec, bag: usize, n_quad: usize, priority: u8) -> 
 }
 
 /// One-shot FF oracle: the direct primitive pipeline (no service layer,
-/// no cache, no checkpoints), mirroring the `ff_smoke` harness.
+/// no cache, no checkpoints).
 fn ff_oracle(req: &GwRequest) -> (Vec<usize>, Vec<f64>, Vec<Vec<Complex64>>) {
     let RequestKind::FullFreq { n_quad, .. } = req.kind else {
         panic!("ff oracle on a GPP request");
@@ -588,9 +589,6 @@ fn artifact_keys_canonicalize_and_torn_entries_degrade_to_recompute() {
 #[test]
 fn golden_per_request_trace_report() {
     let _guard = exclusive_test_guard();
-    if !trace::compiled_in() {
-        return;
-    }
     trace::reset();
     trace::set_enabled(true);
     let dir = tmpdir("golden");
@@ -612,14 +610,17 @@ fn golden_per_request_trace_report() {
     core.run_until_idle(&mut || None);
     let (_, warm) = core.take_responses().pop().unwrap();
     let warm = warm.unwrap();
+    trace::set_enabled(false);
+    trace::reset();
     assert_eq!(warm.telemetry.cache, CacheStatus::MemHit);
+    // Tracing changes no physics: the traced response equals the untraced
+    // one-shot run.
+    Oracles::default().check(&req, &warm);
     let warm_rep = warm.telemetry.report.expect("warm report");
     assert!(
         warm_rep.find("serve.batch/serve.screening.build").is_none(),
         "a warm request must not rebuild the screening"
     );
-    trace::set_enabled(false);
-    trace::reset();
 
     // Pin the pruned + scrubbed warm report: serve-owned spans only (host
     // pool/kernel spans vary), times and counters zeroed, names / call
@@ -649,31 +650,93 @@ fn golden_per_request_trace_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn threaded_server_round_trips_tickets() {
-    let _guard = exclusive_test_guard();
-    let dir = tmpdir("daemon");
-    let server = Server::start(ServeConfig::new(&dir));
-    let req = gpp_req(si_small(), 1, 50, 0);
-    // Duplicate submissions: whichever interleaving the dispatcher picks
-    // (coalesced into one batch or served warm), only one screening build
-    // may happen.
-    let before = counters::snapshot();
-    let tickets: Vec<_> = (0..3).map(|_| server.submit(req)).collect();
-    let mut oracles = Oracles::default();
-    for t in tickets {
-        let ok = t.wait().expect("served");
-        oracles.check(&req, &ok);
+/// Replays `stream` through the threaded daemon over `dir` in waves of
+/// eight, checking every ticket against its one-shot oracle; the store is
+/// capped at `store_budget_bytes` (0 = uncapped).
+fn replay_through_server(
+    dir: &Path,
+    store_budget_bytes: u64,
+    stream: &[GwRequest],
+    oracles: &mut Oracles,
+) {
+    let mut sc = ServeConfig::new(dir);
+    sc.queue_capacity = stream.len();
+    sc.store_budget_bytes = store_budget_bytes;
+    let server = Server::start(sc);
+    for wave in stream.chunks(8) {
+        let tickets: Vec<_> = wave.iter().map(|r| server.submit(*r)).collect();
+        for (req, t) in wave.iter().zip(tickets) {
+            oracles.check(req, &t.wait().expect("no faults planned"));
+        }
     }
     let cores = server.shutdown();
     assert!(
         cores.iter().all(|c| c.is_idle()),
         "shutdown drains the queue"
     );
+}
+
+#[test]
+fn threaded_server_round_trips_tickets() {
+    let _guard = exclusive_test_guard();
+    let dir = tmpdir("daemon");
+    let req = gpp_req(si_small(), 1, 50, 0);
+    // Duplicate submissions: whichever interleaving the dispatcher picks
+    // (coalesced into one batch or served warm), only one screening build
+    // may happen.
+    let before = counters::snapshot();
+    replay_through_server(&dir, 0, &[req; 3], &mut Oracles::default());
     let d = before.delta(&counters::snapshot());
     assert_eq!(d.serve_misses, 1, "one screening build for three requests");
     assert_eq!(d.serve_completed, 3);
     assert_eq!(d.serve_hits_mem + d.serve_coalesced, 2, "two warm riders");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(total bytes, largest file, partial_* count)` under a store directory.
+fn store_footprint(dir: &Path) -> (u64, u64, usize) {
+    let mut total = 0;
+    let mut largest = 0;
+    let mut partials = 0;
+    for entry in std::fs::read_dir(dir).expect("store dir") {
+        let entry = entry.expect("store entry");
+        let len = entry.metadata().expect("store entry metadata").len();
+        total += len;
+        largest = largest.max(len);
+        if entry.file_name().to_string_lossy().starts_with("partial_") {
+            partials += 1;
+        }
+    }
+    (total, largest, partials)
+}
+
+#[test]
+fn store_budget_replay_stays_under_budget_at_parity() {
+    let _guard = exclusive_test_guard();
+    let stream = zipf_stream(&TrafficConfig::small(2024, 24));
+    let mut oracles = Oracles::default();
+
+    // The uncapped footprint calibrates the budget: half of it, floored at
+    // twice the largest record so the newest write plus a pinned in-flight
+    // entry always fit.
+    let uncapped_dir = tmpdir("gc_uncapped");
+    replay_through_server(&uncapped_dir, 0, &stream, &mut oracles);
+    let (uncapped, largest, _) = store_footprint(&uncapped_dir);
+    let _ = std::fs::remove_dir_all(&uncapped_dir);
+    let budget = (uncapped / 2).max(2 * largest);
+    assert!(
+        budget < uncapped,
+        "the stream must outgrow the budget ({uncapped} bytes uncapped, budget {budget})"
+    );
+
+    let dir = tmpdir("gc_capped");
+    replay_through_server(&dir, budget, &stream, &mut oracles);
+    let (bytes, _, partials) = store_footprint(&dir);
+    assert!(
+        bytes <= budget,
+        "store holds {bytes} bytes over the {budget}-byte budget"
+    );
+    assert_eq!(partials, 0, "orphaned partial_* files survived the replay");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

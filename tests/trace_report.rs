@@ -7,11 +7,17 @@
 //! model tests assert the paper's Eq. 7 FLOP count (`gpp_diag_flops`)
 //! reproduces the kernel's own counted FLOPs *exactly* on a tiny
 //! deterministic workload, including when `alpha` is calibrated on one
-//! workload shape and used to predict another.
+//! workload shape and used to predict another, and that a traced kernel
+//! (GPP diag and full-frequency) attributes exactly its counted FLOPs to
+//! its span.
 
 use berkeleygw_rs::core::sigma::diag::{gpp_sigma_diag, measured_alpha, KernelVariant};
-use berkeleygw_rs::core::testkit;
+use berkeleygw_rs::core::{
+    ff_sigma_diag, testkit, ChiConfig, ChiEngine, Coulomb, EpsilonInverse, Mtxel,
+};
+use berkeleygw_rs::num::grid::semi_infinite_quadrature;
 use berkeleygw_rs::perf::counters::exclusive_test_guard;
+use berkeleygw_rs::perf::flopmodel::ff_sigma_flops;
 use berkeleygw_rs::perf::{gpp_diag_flops, CounterSnapshot};
 use berkeleygw_rs::trace;
 use berkeleygw_rs::trace::{RunReport, SpanNode};
@@ -202,20 +208,54 @@ fn adopted_span_finishing_after_parent_does_not_double_count_exclusive() {
 #[test]
 fn traced_kernel_attributes_its_counted_flops_to_the_span() {
     let _guard = exclusive_test_guard();
-    let (ctx, _) = testkit::small_context();
+    let (ctx, setup) = testkit::small_context();
     let grids: Vec<Vec<f64>> = ctx.sigma_energies.iter().map(|&e| vec![e]).collect();
-    trace::reset();
-    trace::set_enabled(true);
-    let r = gpp_sigma_diag(&ctx, &grids, KernelVariant::Optimized);
-    trace::set_enabled(false);
-    let rep = trace::report();
-    let span = rep.find("sigma.diag").expect("sigma.diag span recorded");
-    assert_eq!(span.calls, 1);
-    assert_eq!(
-        span.inclusive_flops(),
-        r.flops,
-        "the span must carry exactly the kernel's counted FLOPs"
+    // Full-frequency inputs: eps~^{-1} at the quadrature nodes.
+    let (nodes, weights) = semi_infinite_quadrature(6, 2.0);
+    let mtxel = Mtxel::new(&setup.wfn_sph, &setup.eps_sph);
+    let (chis, _) = ChiEngine::new(&setup.wf, &mtxel, ChiConfig::default()).chi_freqs(&nodes);
+    let eps_ff = EpsilonInverse::build(&chis, &nodes, &Coulomb::bulk(), &setup.eps_sph)
+        .expect("dielectric matrix must be invertible");
+    let ff_model = ff_sigma_flops(
+        ctx.n_sigma(),
+        eps_ff.n_freq(),
+        ctx.n_b(),
+        ctx.n_g(),
+        ctx.n_g(),
+        ctx.n_occ,
+        1,
+        false,
     );
-    assert!(span.incl_ns > 0 && span.excl_ns <= span.incl_ns);
+
+    // Runs `kernel` (returning its own FLOP count) traced and checks the
+    // named span carries exactly that count.
+    let span_carries_counted = |name: &str, kernel: &dyn Fn() -> u64| -> u64 {
+        trace::reset();
+        trace::set_enabled(true);
+        let counted = kernel();
+        trace::set_enabled(false);
+        let rep = trace::report();
+        let span = rep
+            .find(name)
+            .unwrap_or_else(|| panic!("{name} span recorded"));
+        assert_eq!(span.calls, 1, "{name}");
+        assert_eq!(
+            span.inclusive_flops(),
+            counted,
+            "the {name} span must carry exactly the kernel's counted FLOPs"
+        );
+        assert!(span.incl_ns > 0 && span.excl_ns <= span.incl_ns, "{name}");
+        counted
+    };
+    span_carries_counted("sigma.diag", &|| {
+        gpp_sigma_diag(&ctx, &grids, KernelVariant::Optimized).flops
+    });
+    // The FF count splits over the kernel's ZGEMMs and three `add_flops`
+    // sites under `sigma.ff`; dropping any one breaks the identity. Its
+    // count is shape-only, so it also equals the closed-form model.
+    let ff_counted = span_carries_counted("sigma.ff", &|| {
+        ff_sigma_diag(&ctx, &eps_ff, &weights, &grids, 0.05).flops
+    });
+    assert_eq!(ff_counted as f64, ff_model, "sigma.ff: counted vs model");
     trace::reset();
 }

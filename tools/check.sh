@@ -2,54 +2,13 @@
 # Offline CI gate: release build, full test suite, formatting, lints.
 # The workspace has zero external crates, so everything here must pass
 # with the network disabled — CARGO_NET_OFFLINE makes any accidental
-# registry access a hard error instead of a hang.
+# registry access a hard error instead of a hang. Correctness lives in
+# `cargo test`, performance in gwbench (benchmark/README.md); this script
+# only orchestrates.
 #
 # Usage:
-#   tools/check.sh            full gate (build, tests, fmt, clippy, smokes)
-#   tools/check.sh --faults   fault-injection smoke only (builds the bin
-#                             first if needed)
-#   tools/check.sh --trace    traced-GPP smoke only: span tree + run
-#                             report, FLOP-model validation (< 5% error)
-#                             and disabled-tracing overhead (< 2%) gates
-#   tools/check.sh --ff       full-frequency Sigma smoke only: pooled
-#                             ZGEMM path vs serial oracle (1e-12), span
-#                             FLOP attribution, typed singular-epsilon
-#   tools/check.sh --simd     SIMD microkernel smoke only: per-variant
-#                             parity vs Naive (1e-12), >= 3x throughput
-#                             over the pre-SIMD baseline (skipped with a
-#                             notice on scalar-only hosts), autotune
-#                             persistence round trip (tune once, second
-#                             process picks the table up un-reswept,
-#                             corrupt/stale files degrade to defaults)
-#   tools/check.sh --dag      task-DAG smoke only: DAG-vs-barrier parity
-#                             (1e-12, exact FLOPs), barrier-vs-DAG
-#                             strong-scaling sweep (self-speedup gate
-#                             armed only on multi-core hosts), and a
-#                             faulted recovery run gating that ONLY the
-#                             dead rank's tasks are re-enqueued
-#   tools/check.sh --spacetime  space-time chi0 smoke only: cross-validates
-#                             the cubic-scaling imaginary-time path against
-#                             the dense imaginary-axis oracle on two roster
-#                             systems (rel error gated at 10x the minimax
-#                             fit residual), then sweeps N_b timing dense
-#                             vs space-time and reports the crossover;
-#                             writes BENCH_spacetime_chi.json (the
-#                             committed full run gates that the cubic path
-#                             overtakes dense at some N_b)
-#   tools/check.sh --serve    serve traffic-replay smoke only: seeded zipf
-#                             stream through the resident daemon, gating
-#                             hit rate > 0 on repeated structures, one
-#                             screening build per distinct W key (warm
-#                             requests skip epsilon/W, checked on perf
-#                             counters and span trees), finite p50/p99,
-#                             1e-12 parity of every response vs the
-#                             one-shot oracles, store GC (replay under a
-#                             byte budget stays under budget, zero
-#                             leftover partials), and a 1/2/4 dispatcher
-#                             shard sweep (bit-identical results at every
-#                             shard count; the >= 1.5x 4-vs-1-shard
-#                             throughput gate arms only on >= 4 cores);
-#                             writes BENCH_serve.json
+#   tools/check.sh            full gate (build, spine, tests, determinism
+#                             loop, fmt, clippy)
 #   tools/check.sh --spine    grep gate only: the GW spine is spelled once.
 #                             Above their test modules, the five driver
 #                             files of crates/core hold exactly one call
@@ -62,47 +21,6 @@ set -eu
 
 cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
-
-run_faults_smoke() {
-    echo "==> faults smoke: canned crash/transient/corruption plans (QP gate 1e-10)"
-    # Three canned FaultPlans against the resilient distributed pipeline:
-    # a rank crash (survivors must shrink and match the fault-free QP
-    # energies to 1e-10), transient send failures (retried in place), and
-    # a corrupted collective payload (retransmitted). A watchdog turns a
-    # hang into exit 2, and a /proc thread count gate fails on leaked
-    # worker threads.
-    ./target/release/faults_smoke
-}
-
-run_trace_smoke() {
-    echo "==> trace smoke: span tree, run report, FLOP-model + overhead gates"
-    # Traced GPP pipeline on bulk Si. Gates: (1) the paper's Eq. 7/8 FLOP
-    # models reproduce the kernels' counted FLOPs within 5% (Eq. 7 with
-    # alpha calibrated on a *different* workload shape), (2) the FLOPs
-    # attributed to the sigma.diag span equal the kernel's own count, and
-    # (3) the runtime-disabled span overhead stays under 2% of the
-    # untraced wall time. Run in a temp dir so the smoke-sized JSON never
-    # clobbers committed numbers.
-    root=$(pwd)
-    tracedir=$(mktemp -d)
-    (cd "$tracedir" && "$root/target/release/trace_smoke")
-    rm -rf "$tracedir"
-}
-
-run_ff_smoke() {
-    echo "==> ff smoke: pooled FF Sigma vs serial oracle, FLOP attribution, typed errors"
-    # The full-frequency quadrature's pooled-ZGEMM recast against the
-    # retained scalar oracle (parity 1e-12 at two shapes), the sigma.ff
-    # span's attributed FLOPs against the kernel's count and the
-    # ff_sigma_flops model (< 5%), and a crafted singular dielectric
-    # surfacing as the typed EpsilonError instead of a panic. --smoke
-    # shrinks the bench shape and skips the wall-clock speedup gate (the
-    # committed BENCH_ff_sigma.json records the gated >= 3x full run).
-    root=$(pwd)
-    ffdir=$(mktemp -d)
-    (cd "$ffdir" && "$root/target/release/ff_smoke" --smoke)
-    rm -rf "$ffdir"
-}
 
 # Non-blank, non-comment lines above the `#[cfg(test)]` line of each file.
 nontest_code() {
@@ -148,16 +66,24 @@ run_determinism_loop() {
     # parallel_reduce used to group its operands by which worker drew
     # which chunk, so these three failed nondeterministically at any pool
     # width > 1. Twenty consecutive green runs at width 2 is the gate.
-    i=0
-    while [ "$i" -lt 20 ]; do
-        BGW_THREADS=2 cargo test --release -q -p berkeleygw-rs --test serve -- --exact \
-            sharded_replay_is_deterministic_and_shard_count_invariant >/dev/null
-        BGW_THREADS=2 cargo test --release -q -p berkeleygw-rs --test workflow_io -- --exact \
-            gw_through_files_matches_in_memory >/dev/null
-        BGW_THREADS=2 cargo test --release -q -p bgw-core --lib -- --exact \
-            service::tests::union_context_band_slices_match_per_request_contexts >/dev/null
+    log=$(mktemp)
+    i=1
+    while [ "$i" -le 20 ]; do
+        for t in \
+            "-p berkeleygw-rs --test serve -- --exact sharded_replay_is_deterministic_and_shard_count_invariant" \
+            "-p berkeleygw-rs --test workflow_io -- --exact gw_through_files_matches_in_memory" \
+            "-p bgw-core --lib -- --exact service::tests::union_context_band_slices_match_per_request_contexts"; do
+            # shellcheck disable=SC2086
+            if ! BGW_THREADS=2 cargo test --release -q $t >"$log" 2>&1; then
+                echo "FAIL: iteration $i/20: cargo test --release -q $t"
+                cat "$log"
+                rm -f "$log"
+                exit 1
+            fi
+        done
         i=$((i + 1))
     done
+    rm -f "$log"
     echo "    20/20 green"
 }
 
@@ -165,136 +91,23 @@ if [ "${1:-}" = "--spine" ]; then
     run_spine_gate
     exit 0
 fi
-
-if [ "${1:-}" = "--faults" ]; then
-    cargo build --release -p bgw-bench --bin faults_smoke
-    run_faults_smoke
-    exit 0
+if [ "$#" -gt 0 ]; then
+    echo "usage: tools/check.sh [--spine]" >&2
+    exit 2
 fi
 
-if [ "${1:-}" = "--trace" ]; then
-    cargo build --release -p bgw-bench --bin trace_smoke
-    run_trace_smoke
-    exit 0
-fi
-
-run_simd_smoke() {
-    echo "==> simd smoke: microkernel parity, 3x throughput gate, autotune round trip"
-    # BGW_THREADS pins the pool width to the committed baseline config so
-    # the >= 3x gate compares like with like. The smoke spawns the
-    # ablation_gemm_tuning tuner against a scratch BGW_AUTOTUNE_PATH, so
-    # the host's real per-user autotune cache is never touched, and runs
-    # in a temp dir so the smoke JSON never clobbers committed numbers.
-    root=$(pwd)
-    simddir=$(mktemp -d)
-    (cd "$simddir" && BGW_THREADS=4 "$root/target/release/simd_smoke")
-    rm -rf "$simddir"
-}
-
-if [ "${1:-}" = "--ff" ]; then
-    cargo build --release -p bgw-bench --bin ff_smoke
-    run_ff_smoke
-    exit 0
-fi
-
-if [ "${1:-}" = "--simd" ]; then
-    cargo build --release -p bgw-bench --bin simd_smoke --bin ablation_gemm_tuning
-    run_simd_smoke
-    exit 0
-fi
-
-run_dag_smoke() {
-    echo "==> dag smoke: DAG-vs-barrier parity, strong-scaling sweep, faulted recovery"
-    # The task-DAG spine against the barrier-ordered oracle (QP parity
-    # 1e-12, bitwise-equal FLOP totals), a barrier-vs-DAG scaling sweep
-    # at 1/2/4 workers (the DAG must never be slower than 1.5x the
-    # barrier path and must win at the widest pool; the DAG-vs-itself
-    # speedup gate arms only when the host actually has >= 4 cores),
-    # and a rank-crash recovery run where the survivors must re-enqueue
-    # exactly the dead rank's CHI tasks — a strict subset of the stage.
-    # Run in a temp dir so the smoke JSON never clobbers the committed
-    # BENCH_task_dag.json.
-    root=$(pwd)
-    dagdir=$(mktemp -d)
-    (cd "$dagdir" && "$root/target/release/dag_smoke")
-    rm -rf "$dagdir"
-}
-
-if [ "${1:-}" = "--dag" ]; then
-    cargo build --release -p bgw-bench --bin dag_smoke
-    run_dag_smoke
-    exit 0
-fi
-
-run_spacetime_smoke() {
-    echo "==> spacetime smoke: dense-oracle cross-validation, N_b crossover sweep"
-    # The cubic-scaling space-time chi0 engine against the dense
-    # imaginary-axis oracle on bulk Si and the LiH defect: chi0(i omega)
-    # must agree within 10x the self-reported minimax fit residual (the
-    # cosine-transform fit is the only approximation separating the two
-    # paths). The N_b sweep times both paths at equal cutoffs with
-    # synthetic orthonormal bands (N_v = N_b/4); the crossover gate arms
-    # only in the full run (the committed BENCH_spacetime_chi.json records
-    # the cubic path overtaking dense at N_b = 192). Run in a temp dir so
-    # the smoke-sized JSON never clobbers the committed full sweep.
-    root=$(pwd)
-    stdir=$(mktemp -d)
-    (cd "$stdir" && "$root/target/release/spacetime_smoke" --smoke)
-    rm -rf "$stdir"
-}
-
-if [ "${1:-}" = "--spacetime" ]; then
-    cargo build --release -p bgw-bench --bin spacetime_smoke
-    run_spacetime_smoke
-    exit 0
-fi
-
-run_serve_smoke() {
-    echo "==> serve smoke: zipf replay, cache/GC gates, shard sweep, oracle parity 1e-12"
-    # A seeded zipf request stream through the threaded bgw-serve daemon.
-    # Gates: warm requests must hit the screening cache (hit rate > 0 and
-    # exactly one screening build per distinct W key — the epsilon/W skip
-    # is checked on both the perf counters and the per-request span
-    # trees), p50/p99 service latency finite, and every response pinned
-    # at 1e-12 to its one-shot oracle (run_gpp_gw / direct ff_sigma).
-    # Then the store-GC gate replays the stream against a byte budget of
-    # half the uncapped footprint (the store must stay under budget with
-    # zero leftover partial_* files), and the shard sweep serves a
-    # mod-4-balanced distinct-W mix with 1/2/4 dispatcher shards:
-    # results must be bit-identical at every shard count, warm hits
-    # preserved per shard, and on hosts with >= 4 cores the 4-shard run
-    # must beat 1 shard by >= 1.5x throughput (disarmed on narrower
-    # hosts, like the DAG self-speedup gate). Run in a temp dir so the
-    # smoke-sized JSON never clobbers the committed full BENCH_serve.json.
-    root=$(pwd)
-    servedir=$(mktemp -d)
-    (cd "$servedir" && "$root/target/release/serve_smoke" --smoke)
-    rm -rf "$servedir"
-}
-
-if [ "${1:-}" = "--serve" ]; then
-    cargo build --release -p bgw-bench --bin serve_smoke
-    run_serve_smoke
-    exit 0
-fi
-
-echo "==> cargo build --release --workspace"
-cargo build --release --workspace
-
-echo "==> cargo build --no-default-features (span tracing compiled out)"
-# The spans feature chain must stay severable: the root package without
-# default features compiles bgw-trace's inert stubs into the whole tree.
-cargo build --release -p berkeleygw-rs --no-default-features
+echo "==> cargo build --release"
+cargo build --release
 
 echo "==> cargo build: the standalone benchmark package (API pins in benchmark/src/adapter.rs)"
-# benchmark/ is its own workspace, invisible to the builds above; a
+# benchmark/ is its own workspace, invisible to the build above; a
 # renamed bgw-* item would otherwise surface only when the driver runs it.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 run_spine_gate
 
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+echo "==> cargo test -q"
+cargo test -q
 
 run_determinism_loop
 
@@ -303,29 +116,5 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (warnings denied)"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> bench smoke: bench_fft_mtxel --smoke (oracle gates at 1e-10)"
-# The bench asserts the pooled FFT against the serial kernel and cached
-# MTXEL pairs against the direct convolution before timing anything; any
-# mismatch > 1e-10 aborts with a nonzero exit. Run in a temp dir so the
-# smoke-sized JSON never clobbers the committed full-size numbers.
-root=$(pwd)
-smokedir=$(mktemp -d)
-(cd "$smokedir" && "$root/target/release/bench_fft_mtxel" --smoke)
-rm -rf "$smokedir"
-
-run_faults_smoke
-
-run_trace_smoke
-
-run_ff_smoke
-
-run_simd_smoke
-
-run_dag_smoke
-
-run_spacetime_smoke
-
-run_serve_smoke
 
 echo "==> all checks passed"
