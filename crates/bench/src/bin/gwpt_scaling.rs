@@ -87,6 +87,7 @@ fn main() {
                 &e_grid,
                 GemmBackend::Blocked,
             )
+            .expect("fault-free world")
             .iter()
             .map(|m| m.as_slice().to_vec())
             .collect::<Vec<_>>()

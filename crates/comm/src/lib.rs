@@ -27,9 +27,10 @@
 //! identically. Faults surface through the fallible `try_*` API as typed
 //! [`CommError`]s instead of deadlocks; transient faults are retried with
 //! bounded exponential backoff; after a peer crash the survivors agree on
-//! a shrunken communicator via [`Comm::shrink`]. The infallible legacy
-//! API is preserved and panics (with the typed error as payload) only if
-//! a fault actually fires. See DESIGN.md Sec. 10.
+//! a shrunken communicator via [`Comm::shrink`]. Every operation has the
+//! one fallible spelling; a caller that cannot meet a fault (an unarmed
+//! [`run_world`]) says so with `.expect` at its own edge. See DESIGN.md
+//! Sec. 10.
 
 #![warn(missing_docs)]
 
@@ -352,11 +353,9 @@ impl WorldShared {
 /// A rank's handle to a communicator (the analogue of an `MPI_Comm` plus
 /// the calling rank).
 ///
-/// Every method exists in two forms: the fallible `try_*` form returning
-/// `Result<_, CommError>` (faults surface here), and the legacy
-/// infallible form, which delegates and panics with the typed error as
-/// payload if a fault actually fires — on a fault-free world it behaves
-/// exactly like the pre-fault runtime.
+/// Every operation is fallible: the `try_*` methods (and
+/// [`shrink`](Comm::shrink)) return `Result<_, CommError>`, which is where
+/// faults surface. On an unarmed world they never fail.
 pub struct Comm {
     rank: usize,
     shared: Arc<WorldShared>,
@@ -675,11 +674,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Synchronizes all ranks.
-    pub fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| fail(e))
-    }
-
     /// The fundamental rendezvous: every rank contributes one value and
     /// receives everyone's values in rank order. Injected corruption is
     /// observed by the whole group, which agrees to retransmit under a
@@ -700,13 +694,8 @@ impl Comm {
         Ok(out)
     }
 
-    /// The fundamental rendezvous: every rank contributes one value and
-    /// receives everyone's values in rank order.
-    pub fn allgather<T: CommData>(&self, value: T) -> Vec<T> {
-        self.try_allgather(value).unwrap_or_else(|e| fail(e))
-    }
-
-    /// Fallible broadcast from `root`; see [`Comm::bcast`].
+    /// Broadcast from `root`. Only the root's `value` is used; other ranks
+    /// may pass `None`.
     pub fn try_bcast<T: CommData>(&self, root: usize, value: Option<T>) -> Result<T, CommError> {
         assert!(root < self.size());
         assert!(
@@ -718,13 +707,7 @@ impl Comm {
         Ok(gathered[root].clone().expect("bcast root value missing"))
     }
 
-    /// Broadcast from `root`. Only the root's `value` is used; other ranks
-    /// may pass `None`.
-    pub fn bcast<T: CommData>(&self, root: usize, value: Option<T>) -> T {
-        self.try_bcast(root, value).unwrap_or_else(|e| fail(e))
-    }
-
-    /// Fallible reduction to all ranks; see [`Comm::allreduce`].
+    /// Reduction to all ranks with a caller-supplied associative fold.
     pub fn try_allreduce<T: CommData, F: Fn(T, T) -> T>(
         &self,
         value: T,
@@ -736,13 +719,8 @@ impl Comm {
         Ok(it.fold(first, op))
     }
 
-    /// Reduction to all ranks with a caller-supplied associative fold.
-    pub fn allreduce<T: CommData, F: Fn(T, T) -> T>(&self, value: T, op: F) -> T {
-        self.try_allreduce(value, op).unwrap_or_else(|e| fail(e))
-    }
-
-    /// Fallible elementwise complex-vector sum; see
-    /// [`Comm::allreduce_sum_c64`].
+    /// Elementwise vector sum allreduce for complex payloads — the pattern
+    /// of the two-stage GPP kernel reduction (paper Sec. 5.5.1, item 5).
     pub fn try_allreduce_sum_c64(
         &self,
         value: Vec<bgw_num::Complex64>,
@@ -756,14 +734,7 @@ impl Comm {
         })
     }
 
-    /// Elementwise vector sum allreduce for complex payloads — the pattern
-    /// of the two-stage GPP kernel reduction (paper Sec. 5.5.1, item 5).
-    pub fn allreduce_sum_c64(&self, value: Vec<bgw_num::Complex64>) -> Vec<bgw_num::Complex64> {
-        self.try_allreduce_sum_c64(value)
-            .unwrap_or_else(|e| fail(e))
-    }
-
-    /// Fallible gather to `root`; see [`Comm::gather`].
+    /// Gather to `root`; non-roots receive `None`.
     pub fn try_gather<T: CommData>(
         &self,
         root: usize,
@@ -773,12 +744,7 @@ impl Comm {
         Ok((self.rank == root).then_some(all))
     }
 
-    /// Gather to `root`; non-roots receive `None`.
-    pub fn gather<T: CommData>(&self, root: usize, value: T) -> Option<Vec<T>> {
-        self.try_gather(root, value).unwrap_or_else(|e| fail(e))
-    }
-
-    /// Fallible scatter from `root`; see [`Comm::scatter`].
+    /// Scatter from `root`: the root supplies one value per rank.
     pub fn try_scatter<T: CommData>(
         &self,
         root: usize,
@@ -794,12 +760,8 @@ impl Comm {
         Ok(all[self.rank].clone())
     }
 
-    /// Scatter from `root`: the root supplies one value per rank.
-    pub fn scatter<T: CommData>(&self, root: usize, values: Option<Vec<T>>) -> T {
-        self.try_scatter(root, values).unwrap_or_else(|e| fail(e))
-    }
-
-    /// Fallible reduce-scatter; see [`Comm::reduce_scatter`].
+    /// Reduce-scatter: every rank contributes `size()` values; value `j`
+    /// from every rank is folded with `op` and delivered to rank `j`.
     pub fn try_reduce_scatter<T: CommData, F: Fn(T, T) -> T>(
         &self,
         values: Vec<T>,
@@ -816,14 +778,7 @@ impl Comm {
         Ok(it.fold(first, op))
     }
 
-    /// Reduce-scatter: every rank contributes `size()` values; value `j`
-    /// from every rank is folded with `op` and delivered to rank `j`.
-    pub fn reduce_scatter<T: CommData, F: Fn(T, T) -> T>(&self, values: Vec<T>, op: F) -> T {
-        self.try_reduce_scatter(values, op)
-            .unwrap_or_else(|e| fail(e))
-    }
-
-    /// Fallible combined send + receive; see [`Comm::sendrecv`].
+    /// Combined send + receive with one peer (deadlock-safe ordering).
     pub fn try_sendrecv<T: CommData>(
         &self,
         peer: usize,
@@ -837,13 +792,8 @@ impl Comm {
         self.try_recv(peer, tag)
     }
 
-    /// Combined send + receive with one peer (deadlock-safe ordering).
-    pub fn sendrecv<T: CommData>(&self, peer: usize, tag: u64, value: T) -> T {
-        self.try_sendrecv(peer, tag, value)
-            .unwrap_or_else(|e| fail(e))
-    }
-
-    /// Fallible all-to-all; see [`Comm::alltoall`].
+    /// All-to-all personalized exchange: element `j` of this rank's input
+    /// goes to rank `j`; the result's element `i` came from rank `i`.
     pub fn try_alltoall<T: CommData>(&self, values: Vec<T>) -> Result<Vec<T>, CommError> {
         assert_eq!(values.len(), self.size(), "alltoall needs size() items");
         let matrix = self.try_allgather(values)?;
@@ -852,15 +802,9 @@ impl Comm {
             .collect())
     }
 
-    /// All-to-all personalized exchange: element `j` of this rank's input
-    /// goes to rank `j`; the result's element `i` came from rank `i`.
-    pub fn alltoall<T: CommData>(&self, values: Vec<T>) -> Vec<T> {
-        self.try_alltoall(values).unwrap_or_else(|e| fail(e))
-    }
-
-    /// Fallible point-to-point send; see [`Comm::send`]. A buffered send
-    /// succeeds regardless of the receiver's health (MPI buffered
-    /// semantics); only a fault on the *sender* can fail it.
+    /// Point-to-point send (buffered; matching is by `(from, to, tag)`). A
+    /// buffered send succeeds regardless of the receiver's health (MPI
+    /// buffered semantics); only a fault on the *sender* can fail it.
     pub fn try_send<T: CommData>(&self, to: usize, tag: u64, value: T) -> Result<(), CommError> {
         assert!(to < self.size());
         let repeats = self.fault_gate()?;
@@ -881,13 +825,8 @@ impl Comm {
         Ok(())
     }
 
-    /// Point-to-point send (buffered; matching is by `(from, to, tag)`).
-    pub fn send<T: CommData>(&self, to: usize, tag: u64, value: T) {
-        self.try_send(to, tag, value).unwrap_or_else(|e| fail(e))
-    }
-
-    /// Fallible point-to-point receive; fails typed if the sender crashed
-    /// before posting the message.
+    /// Point-to-point receive; blocks until the matching send arrives, and
+    /// fails typed if the sender crashed before posting the message.
     pub fn try_recv<T: CommData>(&self, from: usize, tag: u64) -> Result<T, CommError> {
         assert!(from < self.size());
         let repeats = self.fault_gate()?;
@@ -934,12 +873,9 @@ impl Comm {
         Ok(value)
     }
 
-    /// Point-to-point receive; blocks until the matching send arrives.
-    pub fn recv<T: CommData>(&self, from: usize, tag: u64) -> T {
-        self.try_recv(from, tag).unwrap_or_else(|e| fail(e))
-    }
-
-    /// Fallible communicator split; see [`Comm::split`]. Consumes one op
+    /// Splits the communicator by `color`; ranks sharing a color form a new
+    /// communicator ordered by `(key, old rank)`. This is how self-energy
+    /// pools are carved out of the world communicator. Consumes one op
     /// index (the membership exchange).
     pub fn try_split(&self, color: u64, key: u64) -> Result<Comm, CommError> {
         let split_seq = self.seq.get(); // key shared by all ranks: the
@@ -980,13 +916,6 @@ impl Comm {
             ops: Rc::clone(&self.ops),
             shrink_seq: Cell::new(0),
         })
-    }
-
-    /// Splits the communicator by `color`; ranks sharing a color form a new
-    /// communicator ordered by `(key, old rank)`. This is how self-energy
-    /// pools are carved out of the world communicator.
-    pub fn split(&self, color: u64, key: u64) -> Comm {
-        self.try_split(color, key).unwrap_or_else(|e| fail(e))
     }
 
     /// Agrees with the surviving ranks on a shrunken communicator after a
@@ -1091,13 +1020,6 @@ impl Comm {
     }
 }
 
-/// Infallible-wrapper failure: panics with the typed [`CommError`] as the
-/// panic payload, which `try_run_world` recognizes and converts back into
-/// that rank's `Err` result without poisoning the world a second time.
-fn fail(e: CommError) -> ! {
-    std::panic::panic_any(e)
-}
-
 /// Outcome of [`try_run_world`]: per-rank results (a rank that crashed,
 /// exhausted retries, or returned an error reports its typed error),
 /// per-rank traffic statistics, and the world-level fault/recovery
@@ -1124,7 +1046,10 @@ impl<R> WorldReport<R> {
     }
 }
 
-fn run_world_inner<R, F>(size: usize, plan: FaultPlan, f: F) -> WorldReport<R>
+/// Spawns `size` rank threads under the given [`FaultPlan`] and runs `f`
+/// on each with its [`Comm`] handle. Never hangs: every injected fault or
+/// rank panic surfaces as a typed per-rank `Err` in the report.
+pub fn try_run_world<R, F>(size: usize, plan: FaultPlan, f: F) -> WorldReport<R>
 where
     R: Send,
     F: Fn(&Comm) -> Result<R, CommError> + Send + Sync,
@@ -1158,24 +1083,16 @@ where
                         res
                     }
                     Err(payload) => {
-                        if let Some(e) = payload.downcast_ref::<CommError>() {
-                            // An infallible wrapper hit a fault: the
-                            // poison state is already set; surface the
-                            // typed error as this rank's result.
-                            root.mark_crashed(rank, false);
-                            Err(e.clone())
-                        } else {
-                            // A genuine panic (assertion failure, bug):
-                            // fatal to the whole world, shrink included.
-                            let reason = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "opaque panic payload".to_string());
-                            root.poison_panic(reason.clone());
-                            root.mark_crashed(rank, true);
-                            Err(CommError::WorldPoisoned { reason })
-                        }
+                        // A panic (assertion failure, bug): fatal to the
+                        // whole world, shrink included.
+                        let reason = payload
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "opaque panic payload".to_string());
+                        root.poison_panic(reason.clone());
+                        root.mark_crashed(rank, true);
+                        Err(CommError::WorldPoisoned { reason })
                     }
                 }
             }));
@@ -1194,17 +1111,6 @@ where
     }
 }
 
-/// Spawns `size` rank threads under the given [`FaultPlan`] and runs `f`
-/// on each with its [`Comm`] handle. Never hangs: every injected fault or
-/// rank panic surfaces as a typed per-rank `Err` in the report.
-pub fn try_run_world<R, F>(size: usize, plan: FaultPlan, f: F) -> WorldReport<R>
-where
-    R: Send,
-    F: Fn(&Comm) -> Result<R, CommError> + Send + Sync,
-{
-    run_world_inner(size, plan, f)
-}
-
 /// Spawns `size` rank threads, runs `f` on each with its [`Comm`] handle,
 /// and returns the per-rank results (index = rank) together with the
 /// per-rank traffic statistics.
@@ -1218,7 +1124,7 @@ where
     R: Send,
     F: Fn(&Comm) -> R + Send + Sync,
 {
-    let report = run_world_inner(size, FaultPlan::none(), |c| Ok(f(c)));
+    let report = try_run_world(size, FaultPlan::none(), |c| Ok(f(c)));
     let mut out = Vec::with_capacity(size);
     for (rank, res) in report.results.into_iter().enumerate() {
         match res {
@@ -1237,6 +1143,14 @@ mod tests {
     use super::*;
     use bgw_num::c64;
 
+    /// `run_world` for a fallible rank body on an unarmed world.
+    fn world<R: Send>(
+        size: usize,
+        f: impl Fn(&Comm) -> Result<R, CommError> + Send + Sync,
+    ) -> (Vec<R>, Vec<CommStats>) {
+        run_world(size, |c| f(c).expect("unarmed world"))
+    }
+
     #[test]
     fn world_runs_every_rank() {
         let (out, stats) = run_world(4, |c| c.rank() * 10 + c.size());
@@ -1246,7 +1160,7 @@ mod tests {
 
     #[test]
     fn allgather_orders_by_rank() {
-        let (out, _) = run_world(5, |c| c.allgather(c.rank() as u64 * 2));
+        let (out, _) = world(5, |c| c.try_allgather(c.rank() as u64 * 2));
         for gathered in out {
             assert_eq!(gathered, vec![0, 2, 4, 6, 8]);
         }
@@ -1254,24 +1168,24 @@ mod tests {
 
     #[test]
     fn bcast_from_nonzero_root() {
-        let (out, _) = run_world(4, |c| {
+        let (out, _) = world(4, |c| {
             let v = if c.rank() == 2 { Some(99u64) } else { None };
-            c.bcast(2, v)
+            c.try_bcast(2, v)
         });
         assert_eq!(out, vec![99; 4]);
     }
 
     #[test]
     fn allreduce_sums() {
-        let (out, _) = run_world(6, |c| c.allreduce(c.rank() as u64 + 1, |a, b| a + b));
+        let (out, _) = world(6, |c| c.try_allreduce(c.rank() as u64 + 1, |a, b| a + b));
         assert_eq!(out, vec![21; 6]);
     }
 
     #[test]
     fn allreduce_sum_c64_elementwise() {
-        let (out, _) = run_world(3, |c| {
+        let (out, _) = world(3, |c| {
             let v = vec![c64(c.rank() as f64, 1.0), c64(0.0, c.rank() as f64)];
-            c.allreduce_sum_c64(v)
+            c.try_allreduce_sum_c64(v)
         });
         for o in out {
             assert_eq!(o[0], c64(3.0, 3.0));
@@ -1281,7 +1195,7 @@ mod tests {
 
     #[test]
     fn gather_only_root_receives() {
-        let (out, _) = run_world(3, |c| c.gather(1, c.rank() as u64));
+        let (out, _) = world(3, |c| c.try_gather(1, c.rank() as u64));
         assert_eq!(out[0], None);
         assert_eq!(out[1], Some(vec![0, 1, 2]));
         assert_eq!(out[2], None);
@@ -1289,9 +1203,9 @@ mod tests {
 
     #[test]
     fn scatter_distributes_in_rank_order() {
-        let (out, _) = run_world(4, |c| {
+        let (out, _) = world(4, |c| {
             let data = c.is_root().then(|| vec![10u64, 20, 30, 40]);
-            c.scatter(0, data)
+            c.try_scatter(0, data)
         });
         assert_eq!(out, vec![10, 20, 30, 40]);
     }
@@ -1299,9 +1213,9 @@ mod tests {
     #[test]
     fn alltoall_transposes() {
         let n = 4;
-        let (out, _) = run_world(n, |c| {
+        let (out, _) = world(n, |c| {
             let send: Vec<u64> = (0..n).map(|j| (c.rank() * 100 + j) as u64).collect();
-            c.alltoall(send)
+            c.try_alltoall(send)
         });
         for (me, recv) in out.iter().enumerate() {
             for (src, &v) in recv.iter().enumerate() {
@@ -1313,10 +1227,10 @@ mod tests {
     #[test]
     fn reduce_scatter_folds_columns() {
         let n = 4;
-        let (out, _) = run_world(n, |c| {
+        let (out, _) = world(n, |c| {
             // rank r contributes [r*10 + 0, ..., r*10 + 3]
             let v: Vec<u64> = (0..n).map(|j| (c.rank() * 10 + j) as u64).collect();
-            c.reduce_scatter(v, |a, b| a + b)
+            c.try_reduce_scatter(v, |a, b| a + b)
         });
         // rank j receives sum_r (10 r + j) = 10*6 + 4j
         for (j, &v) in out.iter().enumerate() {
@@ -1326,28 +1240,28 @@ mod tests {
 
     #[test]
     fn sendrecv_exchanges_pairs() {
-        let (out, _) = run_world(4, |c| {
+        let (out, _) = world(4, |c| {
             let peer = c.rank() ^ 1; // swap within pairs (0,1) and (2,3)
-            c.sendrecv(peer, 9, c.rank() as u64 * 100)
+            c.try_sendrecv(peer, 9, c.rank() as u64 * 100)
         });
         assert_eq!(out, vec![100, 0, 300, 200]);
     }
 
     #[test]
     fn sendrecv_self_is_identity() {
-        let (out, _) = run_world(2, |c| c.sendrecv(c.rank(), 1, c.rank() as u64));
+        let (out, _) = world(2, |c| c.try_sendrecv(c.rank(), 1, c.rank() as u64));
         assert_eq!(out, vec![0, 1]);
     }
 
     #[test]
     fn send_recv_point_to_point() {
-        let (out, stats) = run_world(2, |c| {
+        let (out, stats) = world(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 7, vec![1.0f64, 2.0, 3.0]);
-                0.0
+                c.try_send(1, 7, vec![1.0f64, 2.0, 3.0])?;
+                Ok(0.0)
             } else {
-                let v: Vec<f64> = c.recv(0, 7);
-                v.iter().sum()
+                let v: Vec<f64> = c.try_recv(0, 7)?;
+                Ok(v.iter().sum())
             }
         });
         assert_eq!(out[1], 6.0);
@@ -1358,16 +1272,16 @@ mod tests {
 
     #[test]
     fn send_recv_out_of_order_tags() {
-        let (out, _) = run_world(2, |c| {
+        let (out, _) = world(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 1, 111u64);
-                c.send(1, 2, 222u64);
-                0
+                c.try_send(1, 1, 111u64)?;
+                c.try_send(1, 2, 222u64)?;
+                Ok(0)
             } else {
                 // receive in the opposite order
-                let b: u64 = c.recv(0, 2);
-                let a: u64 = c.recv(0, 1);
-                a * 1000 + b
+                let b: u64 = c.try_recv(0, 2)?;
+                let a: u64 = c.try_recv(0, 1)?;
+                Ok(a * 1000 + b)
             }
         });
         assert_eq!(out[1], 111_222);
@@ -1376,10 +1290,10 @@ mod tests {
     #[test]
     fn split_into_pools() {
         // 6 ranks -> 2 pools of 3 (pool = rank % 2), like self-energy pools.
-        let (out, _) = run_world(6, |c| {
-            let pool = c.split((c.rank() % 2) as u64, c.rank() as u64);
-            let sum = pool.allreduce(c.rank() as u64, |a, b| a + b);
-            (pool.rank(), pool.size(), sum)
+        let (out, _) = world(6, |c| {
+            let pool = c.try_split((c.rank() % 2) as u64, c.rank() as u64)?;
+            let sum = pool.try_allreduce(c.rank() as u64, |a, b| a + b)?;
+            Ok((pool.rank(), pool.size(), sum))
         });
         // even ranks 0,2,4 -> pool sums 6; odd 1,3,5 -> 9
         let expect = |r: usize| {
@@ -1394,20 +1308,20 @@ mod tests {
 
     #[test]
     fn nested_split_and_parent_still_usable() {
-        let (out, _) = run_world(4, |c| {
-            let pool = c.split((c.rank() / 2) as u64, 0);
-            let local = pool.allreduce(1u64, |a, b| a + b);
+        let (out, _) = world(4, |c| {
+            let pool = c.try_split((c.rank() / 2) as u64, 0)?;
+            let local = pool.try_allreduce(1u64, |a, b| a + b)?;
             // parent communicator still works afterwards
-            c.allreduce(local, |a, b| a + b)
+            c.try_allreduce(local, |a, b| a + b)
         });
         assert_eq!(out, vec![8; 4]);
     }
 
     #[test]
     fn traffic_accounting_counts_collectives() {
-        let (_, stats) = run_world(3, |c| {
-            let _ = c.allgather(1.0f64);
-            c.barrier();
+        let (_, stats) = world(3, |c| {
+            c.try_allgather(1.0f64)?;
+            c.try_barrier()
         });
         for st in &stats {
             assert_eq!(st.collectives, 1);
@@ -1419,11 +1333,11 @@ mod tests {
 
     #[test]
     fn single_rank_world() {
-        let (out, _) = run_world(1, |c| {
-            let g = c.allgather(5u64);
-            let r = c.allreduce(3u64, |a, b| a + b);
-            c.barrier();
-            (g, r)
+        let (out, _) = world(1, |c| {
+            let g = c.try_allgather(5u64)?;
+            let r = c.try_allreduce(3u64, |a, b| a + b)?;
+            c.try_barrier()?;
+            Ok((g, r))
         });
         assert_eq!(out[0], (vec![5], 3));
     }
@@ -1467,11 +1381,11 @@ mod tests {
     fn barrier_synchronizes_phases() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let phase1 = AtomicUsize::new(0);
-        let (out, _) = run_world(4, |c| {
+        let (out, _) = world(4, |c| {
             phase1.fetch_add(1, Ordering::SeqCst);
-            c.barrier();
+            c.try_barrier()?;
             // after the barrier every rank must observe all 4 increments
-            phase1.load(Ordering::SeqCst)
+            Ok(phase1.load(Ordering::SeqCst))
         });
         assert_eq!(out, vec![4; 4]);
     }
@@ -1678,7 +1592,7 @@ mod tests {
             if c.rank() == 1 {
                 panic!("legacy panic path");
             }
-            c.allreduce(1u64, |a, b| a + b)
+            c.try_allreduce(1u64, |a, b| a + b)
         });
     }
 

@@ -414,10 +414,10 @@ pub fn chi_distributed_2d(
     cfg: ChiConfig,
     omegas: &[f64],
     n_pools: usize,
-) -> Vec<CMatrix> {
+) -> Result<Vec<CMatrix>, bgw_comm::CommError> {
     let n_pools = n_pools.clamp(1, omegas.len().min(comm.size()));
     let pool_id = comm.rank() % n_pools;
-    let pool = comm.split(pool_id as u64, comm.rank() as u64);
+    let pool = comm.try_split(pool_id as u64, comm.rank() as u64)?;
     // frequencies owned by this pool
     let my_freqs: Vec<(usize, f64)> = omegas
         .iter()
@@ -434,42 +434,31 @@ pub fn chi_distributed_2d(
     let mut t = ChiTimings::default();
     let partials = engine.chi_freqs_subset(&freq_vals, Some(&mine), &mut t);
     let ng = engine.n_g();
-    let pool_results: Vec<(u64, Vec<Complex64>)> = my_freqs
+    let pool_results = my_freqs
         .iter()
         .zip(partials)
         .map(|(&(i, _), chi)| {
-            let reduced = pool.allreduce_sum_c64(chi.as_slice().to_vec());
-            (i as u64, reduced)
+            let reduced = pool.try_allreduce_sum_c64(chi.as_slice().to_vec())?;
+            Ok((i as u64, reduced))
         })
-        .collect();
+        .collect::<Result<Vec<(u64, Vec<Complex64>)>, bgw_comm::CommError>>()?;
     // exchange across pools via the world communicator
-    let gathered = comm.allgather(pool_results);
+    let gathered = comm.try_allgather(pool_results)?;
     let mut out = vec![CMatrix::zeros(ng, ng); omegas.len()];
     for rank_items in gathered {
         for (i, flat) in rank_items {
             out[i as usize] = CMatrix::from_vec(ng, ng, flat);
         }
     }
-    out
+    Ok(out)
 }
 
 /// Distributed polarizability: each rank of `comm` computes the partial sum
 /// over its (round-robin) share of the valence bands and the results are
 /// summed with an allreduce — the parallel decomposition of the Epsilon
-/// module.
-pub fn chi_distributed(
-    comm: &bgw_comm::Comm,
-    wf: &Wavefunctions,
-    mtxel: &Mtxel,
-    cfg: ChiConfig,
-    omegas: &[f64],
-) -> Vec<CMatrix> {
-    try_chi_distributed(comm, wf, mtxel, cfg, omegas).unwrap_or_else(|e| std::panic::panic_any(e))
-}
-
-/// Fallible [`chi_distributed`]: communicator faults (peer crashes,
-/// exhausted retries, corruption) surface as `Err` instead of panicking,
-/// so a resilient driver can shrink the communicator and retry.
+/// module. Communicator faults (peer crashes, exhausted retries,
+/// corruption) surface as `Err`, so a resilient driver can shrink the
+/// communicator and retry.
 pub fn try_chi_distributed(
     comm: &bgw_comm::Comm,
     wf: &Wavefunctions,
@@ -660,6 +649,7 @@ mod tests {
             let (results, _) = bgw_comm::run_world(world, |comm| {
                 let mtxel = Mtxel::new(&wfn, &eps);
                 chi_distributed_2d(comm, &wf, &mtxel, cfg, &freqs, pools)
+                    .expect("fault-free world")
                     .into_iter()
                     .map(|m| m.as_slice().to_vec())
                     .collect::<Vec<_>>()
@@ -684,7 +674,8 @@ mod tests {
         let serial = ChiEngine::new(&wf, &mtxel, ChiConfig::default()).chi_static();
         let (results, _) = bgw_comm::run_world(3, |comm| {
             let mtxel = Mtxel::new(&wfn, &eps);
-            let chis = chi_distributed(comm, &wf, &mtxel, ChiConfig::default(), &[0.0]);
+            let chis = try_chi_distributed(comm, &wf, &mtxel, ChiConfig::default(), &[0.0])
+                .expect("fault-free world");
             chis[0].as_slice().to_vec()
         });
         for r in results {

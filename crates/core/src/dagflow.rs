@@ -25,11 +25,9 @@
 //! order of the NV-block sum and the band reduction).
 
 use crate::epsilon::EpsilonInverse;
+use crate::error::GwError;
 use crate::gpp::GppModel;
-use crate::service::{
-    assemble, context_stage, prefix, sigma_band_window, three_point_grids, Stage,
-};
-use crate::sigma::diag::{gpp_sigma_diag, SigmaDiagResult};
+use crate::service::{context_stage, prefix, sigma_band_window, sigma_row, SigmaRows, Stage};
 use crate::sigma::SigmaContext;
 use crate::workflow::{GwConfig, GwResults, GwTimings};
 use bgw_linalg::CMatrix;
@@ -38,51 +36,9 @@ use bgw_par::dag::{DagStats, TaskGraph};
 use bgw_pwdft::{charge_density_g, ModelSystem};
 use std::sync::{Mutex, OnceLock};
 
-/// What a per-band Sigma task deposits: the band's Sigma(E) grid row and
-/// the kernel's counted FLOPs.
-type SigmaPart = (Vec<f64>, u64);
-
-/// Typed failure of a DAG-scheduled run. A malformed task-graph state —
-/// an empty input slot where a dependency should have deposited data, or
-/// a numerically dead dielectric matrix — used to panic the worker pool;
-/// it now fails the run with the *first* error encountered (later
-/// missing-input cascades are suppressed so the root cause surfaces).
-#[derive(Clone, Debug, PartialEq)]
-pub enum DagflowError {
-    /// A task ran with an empty input slot: the dependency that should
-    /// have filled it never deposited (it died or was misordered).
-    MissingInput {
-        /// The task that found its input missing.
-        task: &'static str,
-        /// Which input slot was empty.
-        input: &'static str,
-    },
-    /// The dielectric inversion failed (singular / non-finite matrix).
-    Epsilon(crate::epsilon::EpsilonError),
-}
-
-impl std::fmt::Display for DagflowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::MissingInput { task, input } => {
-                write!(f, "dag task '{task}' found input '{input}' missing")
-            }
-            Self::Epsilon(e) => write!(f, "dag epsilon task: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DagflowError {}
-
-impl From<crate::epsilon::EpsilonError> for DagflowError {
-    fn from(e: crate::epsilon::EpsilonError) -> Self {
-        Self::Epsilon(e)
-    }
-}
-
 /// Records the first error of the run; cascading follow-up errors (a
 /// missing input *because* an upstream task bailed) are dropped.
-fn record_err(slot: &Mutex<Option<DagflowError>>, e: DagflowError) {
+fn record_err(slot: &Mutex<Option<GwError>>, e: GwError) {
     let mut g = slot.lock().unwrap_or_else(|p| p.into_inner());
     if g.is_none() {
         *g = Some(e);
@@ -133,9 +89,9 @@ fn task<T>(stage: Stage, acc: &Mutex<GwTimings>, f: impl FnOnce() -> T) -> T {
 /// equal counted Sigma FLOPs.
 ///
 /// A malformed task-graph state (a task input that was never deposited)
-/// or a failed dielectric inversion returns a typed [`DagflowError`]
+/// or a failed dielectric inversion returns a typed [`GwError`]
 /// instead of panicking the worker pool.
-pub fn run_gpp_gw_dag(system: &ModelSystem, cfg: &GwConfig) -> Result<DagGwResults, DagflowError> {
+pub fn run_gpp_gw_dag(system: &ModelSystem, cfg: &GwConfig) -> Result<DagGwResults, GwError> {
     run_gpp_gw_dag_injected(system, cfg, DagFaults::default())
 }
 
@@ -145,10 +101,9 @@ pub(crate) fn run_gpp_gw_dag_injected(
     system: &ModelSystem,
     cfg: &GwConfig,
     faults: DagFaults,
-) -> Result<DagGwResults, DagflowError> {
+) -> Result<DagGwResults, GwError> {
     let _run_span = bgw_trace::span!("workflow.gpp_gw_dag");
-    let counters0 = bgw_perf::counters::snapshot();
-    let mut timings = GwTimings::default();
+    let mut timings = GwTimings::started();
 
     // The graph's shape (NV-block count, Sigma band set, energy grids)
     // is a function of the solved bands, so the shared prefix (mean
@@ -156,10 +111,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
     // front. Everything downstream is task-scheduled.
     let p = prefix(system, cfg, &mut timings);
     let sigma_bands = sigma_band_window(&p.wf, cfg);
-    // ctx.sigma_energies is wf.energies[l] by construction, so the grids
-    // can be fixed before the context exists.
-    let sigma_energies: Vec<f64> = sigma_bands.iter().map(|&l| p.wf.energies[l]).collect();
-    let grids = three_point_grids(&sigma_energies, cfg.sampling_delta_ry);
+    let delta = cfg.sampling_delta_ry;
 
     // Static GPP screening: one frequency node. The per-frequency task
     // layout below generalizes unchanged to a full-frequency grid.
@@ -181,16 +133,15 @@ pub(crate) fn run_gpp_gw_dag_injected(
     let rho_slot: OnceLock<Vec<Complex64>> = OnceLock::new();
     let gpp_slot: Mutex<Option<GppModel>> = Mutex::new(None);
     let ctx_slot: OnceLock<SigmaContext> = OnceLock::new();
-    let sigma_parts: Vec<Mutex<Option<SigmaPart>>> =
-        sigma_bands.iter().map(|_| Mutex::new(None)).collect();
+    // Keyed by (band, delta), so deposit order is free.
+    let sigma_rows: Mutex<SigmaRows> = Mutex::new(SigmaRows::default());
     let stage_s: Mutex<GwTimings> = Mutex::new(timings);
-    let err_slot: Mutex<Option<DagflowError>> = Mutex::new(None);
+    let err_slot: Mutex<Option<GwError>> = Mutex::new(None);
 
     let stats = {
         let mut g = TaskGraph::new();
         let p = &p;
         let sigma_bands = &sigma_bands;
-        let grids = &grids;
         let omegas = &omegas;
         let engine = &engine;
         let contribs = &contribs;
@@ -200,11 +151,11 @@ pub(crate) fn run_gpp_gw_dag_injected(
         let rho_slot = &rho_slot;
         let gpp_slot = &gpp_slot;
         let ctx_slot = &ctx_slot;
-        let sigma_parts = &sigma_parts;
+        let sigma_rows = &sigma_rows;
         let stage_s = &stage_s;
         let err_slot = &err_slot;
         let missing = move |task: &'static str, input: &'static str| {
-            record_err(err_slot, DagflowError::MissingInput { task, input });
+            record_err(err_slot, GwError::MissingInput { task, input });
         };
 
         // One task per NV block: build the M panel and contract it for
@@ -277,7 +228,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
                                 *inv_slots[f].lock().unwrap_or_else(|e| e.into_inner()) = Some(inv)
                             }
                             Ok(None) => missing("epsilon.invert", "single-frequency inverse"),
-                            Err(e) => record_err(err_slot, DagflowError::Epsilon(e)),
+                            Err(e) => record_err(err_slot, GwError::Epsilon(e)),
                         }
                     })
                 })
@@ -327,21 +278,19 @@ pub(crate) fn run_gpp_gw_dag_injected(
             let _ = ctx_slot.set(ctx);
         });
 
-        // One task per Sigma band, through the *same* diag kernel with
-        // the other bands' grids masked empty (zero-length grids cost
-        // zero work and zero counted FLOPs), so each band's numbers are
-        // the full kernel's numbers for that band.
+        // One task per Sigma row: the row entry on the shared context.
         for s in 0..sigma_bands.len() {
             g.add(&[t_ctx], move || {
                 task(Stage::Sigma, stage_s, || {
                     let Some(ctx) = ctx_slot.get() else {
                         return missing("sigma.band", "sigma context");
                     };
-                    let mut masked: Vec<Vec<f64>> = vec![Vec::new(); grids.len()];
-                    masked[s].clone_from(&grids[s]);
-                    let mut r = gpp_sigma_diag(ctx, &masked, cfg.variant);
-                    *sigma_parts[s].lock().unwrap_or_else(|e| e.into_inner()) =
-                        Some((r.sigma.swap_remove(s), r.flops));
+                    let row = sigma_row(ctx, s, delta, cfg.variant);
+                    sigma_rows
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .rows
+                        .push(row);
                 })
             });
         }
@@ -356,7 +305,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
     }
 
     // Final (trivial) assembly on the caller: fixed band order.
-    let missing = |input| DagflowError::MissingInput {
+    let missing = |input| GwError::MissingInput {
         task: "assembly",
         input,
     };
@@ -367,23 +316,11 @@ pub(crate) fn run_gpp_gw_dag_injected(
         .into_inner()
         .ok_or_else(|| missing("epsilon inverse"))?;
     let timings = stage_s.into_inner().unwrap_or_else(|e| e.into_inner());
-    let mut diag = SigmaDiagResult {
-        sigma: Vec::with_capacity(sigma_parts.len()),
-        e_grids: grids,
-        seconds: timings.t_sigma,
-        flops: 0,
-    };
-    for part in sigma_parts {
-        let (row, flops) = part
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .ok_or_else(|| missing("sigma band part"))?;
-        diag.sigma.push(row);
-        diag.flops += flops;
-    }
+    // A row task that never deposited surfaces from the assembly.
+    let rows = sigma_rows.into_inner().unwrap_or_else(|e| e.into_inner());
     let eps_macro = eps_inv.macroscopic_constant();
     Ok(DagGwResults {
-        results: assemble(&ctx, &diag, eps_macro, timings, &counters0),
+        results: rows.assemble(&ctx, &ctx.sigma_bands, delta, eps_macro, timings)?,
         stats,
     })
 }
@@ -414,7 +351,7 @@ mod tests {
             assert_eq!(r.dims, oracle.dims);
             assert_eq!(
                 r.sigma_flops, oracle.sigma_flops,
-                "masked per-band kernel must count exactly the full kernel's FLOPs"
+                "the row tasks must count exactly the full kernel's FLOPs"
             );
             assert!(
                 (r.gap_mf_ry - oracle.gap_mf_ry).abs() < 1e-12,
@@ -475,12 +412,15 @@ mod tests {
             },
         )
         .expect_err("dropped reduction must fail the run");
-        assert_eq!(
-            err,
-            DagflowError::MissingInput {
-                task: "epsilon.invert",
-                input: "chi reduction",
-            }
+        assert!(
+            matches!(
+                err,
+                GwError::MissingInput {
+                    task: "epsilon.invert",
+                    input: "chi reduction",
+                }
+            ),
+            "wrong error: {err:?}"
         );
     }
 
@@ -499,7 +439,7 @@ mod tests {
         assert!(
             matches!(
                 err,
-                DagflowError::Epsilon(crate::epsilon::EpsilonError::NonFinite { .. })
+                GwError::Epsilon(crate::epsilon::EpsilonError::NonFinite { .. })
             ),
             "wrong error: {err:?}"
         );

@@ -238,7 +238,7 @@ pub fn gwpt_distributed(
     vsqrt: &[f64],
     e_grid: &UniformGrid,
     backend: GemmBackend,
-) -> Vec<CMatrix> {
+) -> Result<Vec<CMatrix>, bgw_comm::CommError> {
     let ns = ctx.n_sigma();
     // compute my round-robin share
     let mut mine: Vec<(u64, Vec<Complex64>)> = Vec::new();
@@ -252,14 +252,14 @@ pub fn gwpt_distributed(
     }
     // one allgather of (index, payload) pairs — the "minimal
     // communications" of the paper's N_p parallelization
-    let gathered = comm.allgather(mine);
+    let gathered = comm.try_allgather(mine)?;
     let mut out = vec![CMatrix::zeros(ns, ns); perturbations.len()];
     for rank_items in gathered {
         for (p, flat) in rank_items {
             out[p as usize] = CMatrix::from_vec(ns, ns, flat);
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -356,7 +356,8 @@ mod tests {
                 &setup.vsqrt,
                 &e_grid,
                 GemmBackend::Blocked,
-            );
+            )
+            .expect("fault-free world");
             out.iter()
                 .map(|m| m.as_slice().to_vec())
                 .collect::<Vec<_>>()

@@ -27,6 +27,7 @@ pub mod coulomb;
 pub mod dagflow;
 pub mod dyson;
 pub mod epsilon;
+pub mod error;
 pub mod gpp;
 pub mod gwpt;
 pub mod mtxel;
@@ -47,28 +48,26 @@ pub use chi::{ChiConfig, ChiEngine};
 pub use cohsex::{cohsex_sigma, CohsexValue};
 pub use convergence::{sweep_bands, sweep_eps_cutoff, ConvergenceStudy};
 pub use coulomb::Coulomb;
-pub use dagflow::{run_gpp_gw_dag, DagGwResults, DagflowError};
+pub use dagflow::{run_gpp_gw_dag, DagGwResults};
 pub use dyson::{solve_qp_diag, solve_qp_full, QpState};
 pub use epsilon::{is_static_freq, EpsilonError, EpsilonInverse};
+pub use error::GwError;
 pub use gpp::{godby_needs, GppModel};
 pub use gwpt::{gwpt_for_perturbation, GwptResult};
 pub use mtxel::{BandCache, Mtxel};
 pub use params::GwParams;
 pub use pseudobands::{chebyshev_pseudoband, compress, Pseudobands, PseudobandsConfig};
 pub use resilient::{
-    run_gpp_gw_resilient, run_gpp_gw_resilient_dag, with_recovery, CommCursor, ResilientDagReport,
-    ResilientError, ResilientGwReport, MAX_RECOVERIES,
+    run_gpp_gw_resilient, run_gpp_gw_resilient_dag, with_recovery, CommCursor, ResilientGwReport,
+    MAX_RECOVERIES,
 };
-pub use restart::{
-    band_slice, run_evgw_checkpointed, run_gpp_gw_checkpointed, CheckpointPolicy, GwStage,
-    RestartError,
-};
+pub use restart::{run_evgw_checkpointed, run_gpp_gw_checkpointed, CheckpointPolicy, GwStage};
 pub use service::{
     band_subset, bands_around_gap, build_screening, ff_eval, gpp_eval_preemptible,
-    screening_from_checkpoint, screening_to_checkpoint, sigma_context, three_point_grids,
-    FfEvalResult, FfSpec, GppEvalResult, GppOutcome, GppPartial, Screening,
+    screening_from_checkpoint, screening_to_checkpoint, sigma_context, sigma_row,
+    three_point_grids, FfEvalResult, FfSpec, Screening, SigmaRow, SigmaRows,
 };
-pub use sigma::diag::{gpp_sigma_diag, KernelVariant, SigmaDiagResult};
+pub use sigma::diag::{gpp_sigma_diag, gpp_sigma_row, KernelVariant, SigmaDiagResult};
 pub use sigma::fullfreq::{
     ff_sigma_diag, ff_sigma_diag_serial, ff_sigma_diag_subspace, ff_sigma_diag_subspace_serial,
     SigmaFfResult,
@@ -77,7 +76,7 @@ pub use sigma::imagaxis::{imag_axis_sigma_diag, SigmaImagAxisResult};
 pub use sigma::offdiag::{gpp_sigma_offdiag, gpp_sigma_offdiag_distributed, SigmaOffdiagResult};
 pub use sigma::SigmaContext;
 pub use spacetime::{
-    build_imag_epsilon, run_imagaxis_gw, ChiBackend, ImagAxisError, ImagAxisGwResult, SpaceTimeChi,
+    build_imag_epsilon, run_imagaxis_gw, ChiBackend, ImagAxisGwResult, SpaceTimeChi,
     SpaceTimeConfig, SpaceTimeError, SpaceTimeReport,
 };
 pub use spectral::SpectralFunction;

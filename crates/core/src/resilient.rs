@@ -21,15 +21,15 @@
 //! (DESIGN.md Sec. 14).
 
 use crate::chi::try_chi_distributed;
-use crate::dyson::QpState;
 use crate::epsilon::{EpsilonError, EpsilonInverse};
+use crate::error::GwError;
 use crate::service::{
     assemble, finish_screening, into_context, prefix, three_point_grids, Prefix, N_GRID,
 };
 use crate::sigma::diag::{gpp_sigma_diag_partial, try_gpp_sigma_diag_distributed, SigmaDiagResult};
-use crate::workflow::{GwConfig, GwTimings};
+use crate::workflow::{GwConfig, GwResults, GwTimings};
 use bgw_comm::{Comm, CommError};
-use bgw_dist::{try_invert_epsilon_distributed, DistError, DistMatrix};
+use bgw_dist::{try_invert_epsilon_distributed, DistMatrix};
 use bgw_linalg::CMatrix;
 use bgw_num::{c64, Complex64};
 use bgw_par::dag::TaskGraph;
@@ -41,62 +41,6 @@ use std::time::Instant;
 /// Most shrink-and-retry cycles one stage may consume before giving up
 /// with [`CommError::RecoveryExhausted`].
 pub const MAX_RECOVERIES: u32 = 8;
-
-/// How a resilient run fails: a communicator fault, or an application
-/// condition that no amount of shrink-and-retry can fix.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ResilientError {
-    /// A runtime fault of the simulated communicator (crash, exhausted
-    /// retries, corruption, poisoned world).
-    Comm(CommError),
-    /// The dielectric matrix is singular or non-finite — retrying on a
-    /// shrunken communicator would recompute the same matrix, so this is
-    /// reported as data instead of burning recovery cycles (or panicking
-    /// inside the Newton-Schulz iteration, which would poison the world
-    /// for every surviving rank).
-    Epsilon(EpsilonError),
-}
-
-impl std::fmt::Display for ResilientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResilientError::Comm(e) => write!(f, "communicator fault: {e:?}"),
-            ResilientError::Epsilon(e) => write!(f, "epsilon stage: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ResilientError {}
-
-impl From<CommError> for ResilientError {
-    fn from(e: CommError) -> Self {
-        ResilientError::Comm(e)
-    }
-}
-
-impl From<EpsilonError> for ResilientError {
-    fn from(e: EpsilonError) -> Self {
-        ResilientError::Epsilon(e)
-    }
-}
-
-impl From<DistError> for ResilientError {
-    fn from(e: DistError) -> Self {
-        match e {
-            DistError::Comm(c) => ResilientError::Comm(c),
-            // Newton-Schulz non-convergence means the dielectric matrix
-            // is singular/ill-conditioned — the same application-level
-            // condition the LU pre-flight reports, so it maps onto the
-            // existing epsilon failure surface (deterministic across
-            // ranks; retrying on a shrunken world recomputes the same
-            // matrix).
-            DistError::NotConverged { .. } => ResilientError::Epsilon(EpsilonError::Singular {
-                freq_index: 0,
-                omega: 0.0,
-            }),
-        }
-    }
-}
 
 /// Borrow-or-owned communicator cursor: starts out borrowing the world
 /// communicator handed to a rank closure and switches to owned shrunken
@@ -137,60 +81,45 @@ impl<'a> CommCursor<'a> {
 }
 
 /// Runs `f` against the cursor's communicator, shrinking and retrying on
-/// recoverable faults (peer crashes). Non-recoverable errors — including
-/// this rank's own injected crash — return immediately.
+/// recoverable communicator faults (peer crashes). Everything else — this
+/// rank's own injected crash, a numerical failure that a shrunken world
+/// would only recompute — returns immediately.
 pub fn with_recovery<T>(
     cursor: &mut CommCursor<'_>,
-    mut f: impl FnMut(&Comm) -> Result<T, CommError>,
-) -> Result<T, CommError> {
+    mut f: impl FnMut(&Comm) -> Result<T, GwError>,
+) -> Result<T, GwError> {
     for _ in 0..MAX_RECOVERIES {
         match f(cursor.get()) {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_recoverable() => cursor.shrink()?,
-            Err(e) => return Err(e),
+            Err(GwError::Comm(e)) if e.is_recoverable() => cursor.shrink()?,
+            done => return done,
         }
     }
     Err(CommError::RecoveryExhausted {
         attempts: MAX_RECOVERIES,
-    })
-}
-
-/// [`with_recovery`] for stages built on `bgw-dist`, whose typed
-/// [`DistError`] may embed a recoverable communicator fault. Numerical
-/// failures ([`DistError::NotConverged`]) return immediately — they are
-/// deterministic, so shrinking would just recompute the same failure.
-pub fn with_recovery_dist<T>(
-    cursor: &mut CommCursor<'_>,
-    mut f: impl FnMut(&Comm) -> Result<T, DistError>,
-) -> Result<T, DistError> {
-    for _ in 0..MAX_RECOVERIES {
-        match f(cursor.get()) {
-            Ok(v) => return Ok(v),
-            Err(DistError::Comm(e)) if e.is_recoverable() => cursor.shrink()?,
-            Err(e) => return Err(e),
-        }
     }
-    Err(DistError::Comm(CommError::RecoveryExhausted {
-        attempts: MAX_RECOVERIES,
-    }))
+    .into())
 }
 
-/// What a surviving rank reports after a resilient GPP run.
+/// What a surviving rank reports after a resilient GPP run, stage- or
+/// task-granular.
 #[derive(Clone, Debug)]
 pub struct ResilientGwReport {
-    /// Band indices whose self-energy was computed.
-    pub sigma_bands: Vec<usize>,
-    /// Quasiparticle solutions, aligned with `sigma_bands`.
-    pub states: Vec<QpState>,
-    /// Quasiparticle gap (Ry).
-    pub gap_qp_ry: f64,
-    /// Macroscopic dielectric constant.
-    pub eps_macro: f64,
+    /// The physics, as stage 7 (`service::assemble`) returned it.
+    pub results: GwResults,
     /// Communicator size at the end of the run (`< initial` iff ranks
     /// were lost and the survivors recovered).
     pub final_size: usize,
     /// Shrink-and-retry cycles this rank performed.
     pub recoveries: u32,
+    /// `(total, reenqueued)` task counts of the task-granular driver;
+    /// `None` from the stage-granular one. `total` is one CHI task per
+    /// valence band plus the overdecomposed Sigma G' slices — identical
+    /// on every rank and invariant under shrinks (task identity never
+    /// changes, only ownership does). `reenqueued` counts the orphaned
+    /// tasks this rank recomputed after their owners died: zero on
+    /// fault-free runs, and summed over the survivors of one crash it is
+    /// the dead rank's task count, not the whole stage.
+    pub tasks: Option<(usize, usize)>,
 }
 
 /// The distributed G0W0(GPP) pipeline on fallible collectives with
@@ -203,16 +132,15 @@ pub struct ResilientGwReport {
 /// a seeded [`bgw_comm::FaultPlan`], surviving ranks recover and
 /// reproduce the *fault-free resilient* run's QP energies to 1e-10; the
 /// crashed rank gets its own typed error. A singular dielectric matrix
-/// surfaces as [`ResilientError::Epsilon`] on every rank instead of a
+/// surfaces as [`GwError::Epsilon`] on every rank instead of a
 /// panic inside the distributed inversion.
 pub fn run_gpp_gw_resilient(
     system: &ModelSystem,
     cfg: &GwConfig,
     comm: &Comm,
-) -> Result<ResilientGwReport, ResilientError> {
+) -> Result<ResilientGwReport, GwError> {
     let mut cursor = CommCursor::new(comm);
-    let mut timings = GwTimings::default();
-    let counters0 = bgw_perf::counters::snapshot();
+    let mut timings = GwTimings::started();
     let p = prefix(system, cfg, &mut timings);
 
     // CHI: round-robin valence split + allreduce, re-split on shrink.
@@ -229,17 +157,14 @@ pub fn run_gpp_gw_resilient(
     let (ctx, eps_macro) = into_context(finish_screening(p, eps_inv, None), cfg, &mut timings);
     let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
     let diag = with_recovery(&mut cursor, |c| {
-        try_gpp_sigma_diag_distributed(c, &ctx, &grids)
+        Ok(try_gpp_sigma_diag_distributed(c, &ctx, &grids)?)
     })?;
 
-    let r = assemble(&ctx, &diag, eps_macro, timings, &counters0);
     Ok(ResilientGwReport {
-        sigma_bands: r.sigma_bands,
-        states: r.states,
-        gap_qp_ry: r.gap_qp_ry,
-        eps_macro,
+        results: assemble(&ctx, &ctx.sigma_bands, &diag, eps_macro, timings)?,
         final_size: cursor.get().size(),
         recoveries: cursor.recoveries(),
+        tasks: None,
     })
 }
 
@@ -254,7 +179,7 @@ fn epsilon_stage(
     cursor: &mut CommCursor<'_>,
     chi0: &CMatrix,
     p: &Prefix,
-) -> Result<EpsilonInverse, ResilientError> {
+) -> Result<EpsilonInverse, GwError> {
     let vsqrt = &p.vsqrt;
     let eps_m = crate::epsilon::assemble_sym_eps(chi0, vsqrt);
     if !eps_m
@@ -275,7 +200,7 @@ fn epsilon_stage(
         }
         .into());
     }
-    let inv = with_recovery_dist(cursor, |c| {
+    let inv = with_recovery(cursor, |c| {
         let chi_dist = DistMatrix::from_replicated(c, chi0);
         let (inv_dist, _iters) = try_invert_epsilon_distributed(c, &chi_dist, vsqrt, 1e-12)?;
         Ok(inv_dist.try_to_replicated(c)?)
@@ -322,12 +247,12 @@ where
 /// the task must be re-enqueued. The mask collective itself runs under
 /// shrink-and-retry, so a crash *during the census* just shrinks further
 /// and the census repeats among the remaining survivors.
-fn lost_tasks(cursor: &mut CommCursor<'_>, done: &[bool]) -> Result<Vec<usize>, CommError> {
+fn lost_tasks(cursor: &mut CommCursor<'_>, done: &[bool]) -> Result<Vec<usize>, GwError> {
     let mask: Vec<Complex64> = done
         .iter()
         .map(|&d| c64(if d { 1.0 } else { 0.0 }, 0.0))
         .collect();
-    let counts = with_recovery(cursor, |c| c.try_allreduce_sum_c64(mask.clone()))?;
+    let counts = with_recovery(cursor, |c| Ok(c.try_allreduce_sum_c64(mask.clone())?))?;
     Ok(counts
         .iter()
         .enumerate()
@@ -352,7 +277,7 @@ fn allreduce_with_reenqueue<F>(
     partial: &mut [Complex64],
     reenqueued: &mut usize,
     compute: &F,
-) -> Result<Vec<Complex64>, ResilientError>
+) -> Result<Vec<Complex64>, GwError>
 where
     F: Fn(usize) -> Vec<Complex64> + Sync,
 {
@@ -400,7 +325,7 @@ fn reduce_task_set<F>(
     len: usize,
     reenqueued: &mut usize,
     compute: &F,
-) -> Result<Vec<Complex64>, ResilientError>
+) -> Result<Vec<Complex64>, GwError>
 where
     F: Fn(usize) -> Vec<Complex64> + Sync,
 {
@@ -415,33 +340,6 @@ where
         done[*t] = true;
     }
     allreduce_with_reenqueue(cursor, &mut done, &mut partial, reenqueued, compute)
-}
-
-/// What a surviving rank reports after a task-granular (DAG) resilient
-/// run.
-#[derive(Clone, Debug)]
-pub struct ResilientDagReport {
-    /// Band indices whose self-energy was computed.
-    pub sigma_bands: Vec<usize>,
-    /// Quasiparticle solutions, aligned with `sigma_bands`.
-    pub states: Vec<QpState>,
-    /// Quasiparticle gap (Ry).
-    pub gap_qp_ry: f64,
-    /// Macroscopic dielectric constant.
-    pub eps_macro: f64,
-    /// Communicator size at the end of the run.
-    pub final_size: usize,
-    /// Shrink-and-retry cycles this rank performed.
-    pub recoveries: u32,
-    /// Fixed task count of the run: one CHI task per valence band plus
-    /// the overdecomposed Sigma G' slices. Identical on every rank and
-    /// invariant under shrinks — task identity never changes, only
-    /// ownership does.
-    pub tasks_total: usize,
-    /// Orphaned tasks this rank recomputed after their owners died. Zero
-    /// on fault-free runs; the sum over survivors after one crash is the
-    /// dead rank's task count, not the whole stage.
-    pub tasks_reenqueued: usize,
 }
 
 /// The distributed G0W0(GPP) pipeline with *task-granular* fault
@@ -460,11 +358,10 @@ pub fn run_gpp_gw_resilient_dag(
     system: &ModelSystem,
     cfg: &GwConfig,
     comm: &Comm,
-) -> Result<ResilientDagReport, ResilientError> {
+) -> Result<ResilientGwReport, GwError> {
     let mut cursor = CommCursor::new(comm);
     let mut reenqueued = 0usize;
-    let mut timings = GwTimings::default();
-    let counters0 = bgw_perf::counters::snapshot();
+    let mut timings = GwTimings::started();
     let p = prefix(system, cfg, &mut timings);
 
     // CHI: one task per valence band, owners fixed round-robin over the
@@ -525,15 +422,10 @@ pub fn run_gpp_gw_resilient_dag(
         flops: sigma_flops.into_inner(),
     };
 
-    let r = assemble(&ctx, &diag, eps_macro, timings, &counters0);
-    Ok(ResilientDagReport {
-        sigma_bands: r.sigma_bands,
-        states: r.states,
-        gap_qp_ry: r.gap_qp_ry,
-        eps_macro,
+    Ok(ResilientGwReport {
+        results: assemble(&ctx, &ctx.sigma_bands, &diag, eps_macro, timings)?,
         final_size: cursor.get().size(),
         recoveries: cursor.recoveries(),
-        tasks_total: nv + n_slices,
-        tasks_reenqueued: reenqueued,
+        tasks: Some((nv + n_slices, reenqueued)),
     })
 }

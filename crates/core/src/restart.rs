@@ -17,14 +17,13 @@
 //! quasiparticle energies to 1e-10.
 
 use crate::chi::ChiTimings;
+use crate::error::GwError;
 use crate::service::{
-    assemble, decode_sigma_partial, finish_screening, gpp_partial_to_checkpoint,
-    gpp_rows_preemptible, into_context, prefix, screened_context, sigma_band_window,
-    three_point_grids, GppPartial, Stage, N_GRID,
+    finish_screening, into_context, prefix, screened_context, sigma_band_window, sigma_row,
+    SigmaRows, Stage,
 };
-use crate::sigma::SigmaContext;
-use crate::workflow::{evgw_step, EvGwResults, GwConfig, GwResults, GwTimings};
-use bgw_io::{read_latest_checkpoint, write_checkpoint, Checkpoint, IoError};
+use crate::workflow::{evgw_iterate, EvGwResults, GwConfig, GwResults, GwTimings};
+use bgw_io::{read_latest_checkpoint, write_checkpoint, Checkpoint};
 use bgw_linalg::CMatrix;
 use bgw_pwdft::ModelSystem;
 use std::path::PathBuf;
@@ -39,8 +38,10 @@ pub enum GwStage {
     ChiPartial = 1,
     /// Dielectric inversion finished; matrix 0 = `eps~^{-1}(0)`.
     EpsilonDone = 2,
-    /// Sigma evaluation in progress; `step` = Sigma bands done, matrix 0 =
-    /// `eps~^{-1}(0)`, meta = flattened per-band Sigma values + flops.
+    /// Sigma evaluation in progress; `step` = Sigma rows done, meta = the
+    /// keyed rows ([`SigmaRows::to_checkpoint`] is the layout), matrix 0 =
+    /// `eps~^{-1}(0)` when a checkpointed run wrote it (a served
+    /// preemption partial carries no matrix).
     SigmaPartial = 3,
     /// Self-consistent (evGW) iteration finished; `step` = iterations,
     /// meta = current QP energies then the gap history.
@@ -61,7 +62,7 @@ pub struct CheckpointPolicy {
     /// the uninterrupted [`ChiEngine`](crate::chi::ChiEngine) sweep.
     pub chi_stride: Option<usize>,
     /// Test hook simulating a kill: abort with
-    /// [`RestartError::Aborted`] immediately *after* this many checkpoint
+    /// [`GwError::Aborted`] immediately *after* this many checkpoint
     /// writes, leaving a valid on-disk state to resume from.
     pub abort_after_writes: Option<usize>,
 }
@@ -77,68 +78,6 @@ impl CheckpointPolicy {
     }
 }
 
-/// Errors from a checkpointed run.
-#[derive(Debug)]
-pub enum RestartError {
-    /// Checkpoint file traffic failed.
-    Io(IoError),
-    /// The [`CheckpointPolicy::abort_after_writes`] kill switch fired.
-    Aborted {
-        /// Checkpoint writes completed before the abort.
-        writes: usize,
-    },
-    /// The dielectric matrix could not be inverted — an application
-    /// condition surfaced as data (the on-disk checkpoints up to the CHI
-    /// stage stay valid and resumable), not a panic that would discard
-    /// them.
-    Epsilon(crate::epsilon::EpsilonError),
-    /// A checkpoint decoded cleanly (checksums passed) but its payload
-    /// does not fit the run resuming from it: a missing or mis-shaped
-    /// matrix, a truncated metadata table, or a step count inconsistent
-    /// with the stored data. Stale residue from a different system or a
-    /// partially rewritten record degrades to this typed error instead of
-    /// an index-out-of-bounds panic deep inside the resume path.
-    Malformed {
-        /// Which resume path rejected the record (`"chi"`, `"epsilon"`,
-        /// `"sigma"`, `"evgw"`).
-        stage: &'static str,
-        /// What failed to validate.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for RestartError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RestartError::Io(e) => write!(f, "checkpoint io: {e}"),
-            RestartError::Aborted { writes } => {
-                write!(
-                    f,
-                    "aborted after {writes} checkpoint writes (injected kill)"
-                )
-            }
-            RestartError::Epsilon(e) => write!(f, "epsilon stage: {e}"),
-            RestartError::Malformed { stage, reason } => {
-                write!(f, "malformed checkpoint ({stage}): {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RestartError {}
-
-impl From<IoError> for RestartError {
-    fn from(e: IoError) -> Self {
-        RestartError::Io(e)
-    }
-}
-
-impl From<crate::epsilon::EpsilonError> for RestartError {
-    fn from(e: crate::epsilon::EpsilonError) -> Self {
-        RestartError::Epsilon(e)
-    }
-}
-
 /// Bookkeeping for one checkpointed invocation: monotonic file indices and
 /// the injected-kill countdown.
 struct CkptWriter {
@@ -149,7 +88,7 @@ struct CkptWriter {
 }
 
 impl CkptWriter {
-    fn write(&mut self, ckpt: &Checkpoint) -> Result<(), RestartError> {
+    fn write(&mut self, ckpt: &Checkpoint) -> Result<(), GwError> {
         let _s = bgw_trace::span!("workflow.checkpoint");
         let t = Instant::now();
         write_checkpoint(&self.policy.dir, self.next_index, ckpt)?;
@@ -158,7 +97,7 @@ impl CkptWriter {
         self.writes += 1;
         if let Some(limit) = self.policy.abort_after_writes {
             if self.writes >= limit {
-                return Err(RestartError::Aborted {
+                return Err(GwError::Aborted {
                     writes: self.writes,
                 });
             }
@@ -167,16 +106,19 @@ impl CkptWriter {
     }
 }
 
-/// State recovered from disk when a GPP run resumes.
-enum GppResume {
-    /// Nothing usable on disk: start from scratch.
-    Fresh,
-    /// CHI partially accumulated over the first `chunks_done` chunks.
-    Chi { chunks_done: usize, acc: CMatrix },
-    /// Epsilon inverted; Sigma not started.
-    Epsilon { inv: CMatrix },
-    /// Sigma evaluated for the first `partial.sigma.len()` bands.
-    Sigma { inv: CMatrix, partial: GppPartial },
+/// State recovered from disk when a GPP run resumes; the default is a
+/// fresh start.
+#[derive(Default)]
+struct GppResume {
+    /// Valence chunks already summed into `chi_acc` (all of them once the
+    /// inversion is on record).
+    chunks_done: usize,
+    /// The partial `chi(0)` accumulator of an interrupted CHI stage.
+    chi_acc: Option<CMatrix>,
+    /// `eps~^{-1}(0)`, once inverted.
+    inv: Option<CMatrix>,
+    /// Sigma rows evaluated so far.
+    rows: SigmaRows,
 }
 
 /// Takes matrix 0 of a record. It must exist and match the G-sphere of
@@ -187,16 +129,16 @@ fn first_matrix(
     ng: usize,
     stage: &'static str,
     what: &str,
-) -> Result<CMatrix, RestartError> {
+) -> Result<CMatrix, GwError> {
     let m = matrices
         .into_iter()
         .next()
-        .ok_or_else(|| RestartError::Malformed {
+        .ok_or_else(|| GwError::Malformed {
             stage,
             reason: format!("record carries no {what} matrix"),
         })?;
     if m.nrows() != ng || m.ncols() != ng {
-        return Err(RestartError::Malformed {
+        return Err(GwError::Malformed {
             stage,
             reason: format!(
                 "matrix is {}x{}, this run needs {ng}x{ng}",
@@ -212,43 +154,63 @@ fn classify_gpp(
     found: Option<(u64, Checkpoint)>,
     ng: usize,
     n_chunks: usize,
-    n_sigma: usize,
-) -> Result<(GppResume, u64), RestartError> {
+    window: &[usize],
+    delta_ry: f64,
+) -> Result<(GppResume, u64), GwError> {
     let Some((idx, ck)) = found else {
-        return Ok((GppResume::Fresh, 0));
+        return Ok((GppResume::default(), 0));
     };
-    let resume = match ck.stage {
+    let mut resume = GppResume::default();
+    match ck.stage {
         s if s == GwStage::ChiPartial as u64 => {
-            let acc = first_matrix(ck.matrices, ng, "chi", "chi accumulator")?;
-            let chunks_done = ck.step as usize;
-            if chunks_done > n_chunks {
-                return Err(RestartError::Malformed {
+            resume.chi_acc = Some(first_matrix(ck.matrices, ng, "chi", "chi accumulator")?);
+            resume.chunks_done = ck.step as usize;
+            if resume.chunks_done > n_chunks {
+                return Err(GwError::Malformed {
                     stage: "chi",
                     reason: format!(
-                        "claims {chunks_done} valence chunks accumulated, \
-                         this run only has {n_chunks}"
+                        "claims {} valence chunks accumulated, this run only has {n_chunks}",
+                        resume.chunks_done
                     ),
                 });
             }
-            GppResume::Chi { chunks_done, acc }
         }
-        s if s == GwStage::EpsilonDone as u64 => GppResume::Epsilon {
-            inv: first_matrix(ck.matrices, ng, "epsilon", "inverse dielectric")?,
-        },
+        s if s == GwStage::EpsilonDone as u64 => {
+            resume.chunks_done = n_chunks;
+            resume.inv = Some(first_matrix(
+                ck.matrices,
+                ng,
+                "epsilon",
+                "inverse dielectric",
+            )?);
+        }
         s if s == GwStage::SigmaPartial as u64 => {
-            let partial = decode_sigma_partial(&ck, n_sigma, N_GRID).map_err(|reason| {
-                RestartError::Malformed {
-                    stage: "sigma",
-                    reason,
-                }
-            })?;
-            GppResume::Sigma {
-                inv: first_matrix(ck.matrices, ng, "sigma", "inverse dielectric")?,
-                partial,
+            let malformed = |reason| GwError::Malformed {
+                stage: "sigma",
+                reason,
+            };
+            resume.rows = SigmaRows::from_checkpoint(&ck, window.len()).map_err(malformed)?;
+            if let Some(r) = resume
+                .rows
+                .rows
+                .iter()
+                .find(|r| !window.contains(&r.band) || r.delta_ry != delta_ry)
+            {
+                return Err(malformed(format!(
+                    "row (band {}, delta {} Ry) is not one of this run's",
+                    r.band, r.delta_ry
+                )));
             }
+            resume.chunks_done = n_chunks;
+            resume.inv = Some(first_matrix(
+                ck.matrices,
+                ng,
+                "sigma",
+                "inverse dielectric",
+            )?);
         }
-        _ => GppResume::Fresh, // unknown stage (e.g. evGW residue)
-    };
+        _ => {} // unknown stage (e.g. evGW residue): start fresh
+    }
     Ok((resume, idx + 1))
 }
 
@@ -265,20 +227,20 @@ pub fn run_gpp_gw_checkpointed(
     system: &ModelSystem,
     cfg: &GwConfig,
     policy: &CheckpointPolicy,
-) -> Result<GwResults, RestartError> {
-    let mut timings = GwTimings::default();
-    let counters0 = bgw_perf::counters::snapshot();
+) -> Result<GwResults, GwError> {
+    let mut timings = GwTimings::started();
     let p = prefix(system, cfg, &mut timings);
     let engine = p.chi_engine();
     let ng = engine.n_g();
     let stride = policy.chi_stride.unwrap_or(p.chi_cfg.nv_block).max(1);
     let valence: Vec<usize> = (0..p.wf.n_valence).collect();
     let chunks: Vec<&[usize]> = valence.chunks(stride).collect();
-    let n_sigma = sigma_band_window(&p.wf, cfg).len();
+    let window = sigma_band_window(&p.wf, cfg);
+    let delta = cfg.sampling_delta_ry;
 
     let t_read = Instant::now();
     let found = read_latest_checkpoint(&policy.dir)?;
-    let (resume, next_index) = classify_gpp(found, ng, chunks.len(), n_sigma)?;
+    let (resume, next_index) = classify_gpp(found, ng, chunks.len(), &window, delta)?;
     let mut writer = CkptWriter {
         policy: policy.clone(),
         next_index,
@@ -287,15 +249,9 @@ pub fn run_gpp_gw_checkpointed(
     };
 
     // ---- CHI accumulation, chunk by chunk -------------------------------
-    let (mut chi0, start_chunk, have_inv, mut partial) = match resume {
-        GppResume::Fresh => (CMatrix::zeros(ng, ng), 0, None, None),
-        GppResume::Chi { chunks_done, acc } => (acc, chunks_done, None, None),
-        GppResume::Epsilon { inv } => (CMatrix::zeros(0, 0), chunks.len(), Some(inv), None),
-        GppResume::Sigma { inv, partial } => {
-            (CMatrix::zeros(0, 0), chunks.len(), Some(inv), Some(partial))
-        }
-    };
-    for (ci, chunk) in chunks.iter().enumerate().skip(start_chunk) {
+    let mut chi0 = resume.chi_acc.unwrap_or_else(|| CMatrix::zeros(ng, ng));
+    let mut rows = resume.rows;
+    for (ci, chunk) in chunks.iter().enumerate().skip(resume.chunks_done) {
         let part = Stage::Chi.timed(&mut timings, || {
             engine
                 .chi_freqs_subset(&[0.0], Some(chunk), &mut ChiTimings::default())
@@ -314,7 +270,7 @@ pub fn run_gpp_gw_checkpointed(
     }
 
     // ---- Epsilon inversion ---------------------------------------------
-    let eps_inv = match have_inv {
+    let eps_inv = match resume.inv {
         Some(inv) => p.adopt(vec![0.0], vec![inv]),
         None => {
             let built = p.invert(&[chi0], &[0.0], &mut timings)?;
@@ -329,45 +285,22 @@ pub fn run_gpp_gw_checkpointed(
     };
     let inv0 = eps_inv.inv[0].clone();
 
-    // ---- Sigma, band by band -------------------------------------------
+    // ---- Sigma, row by row: a write after every row but the last --------
     let (ctx, eps_macro) = into_context(finish_screening(p, eps_inv, None), cfg, &mut timings);
-    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
-    let diag = loop {
-        let rows = gpp_rows_preemptible(
-            &ctx,
-            &grids,
-            cfg.variant,
-            partial.take(),
-            &mut timings,
-            |_| true,
-        );
-        match rows {
-            Ok(diag) => break diag,
-            Err(done) => {
-                let mut ck = gpp_partial_to_checkpoint(&done, N_GRID);
-                ck.matrices = vec![inv0.clone()];
-                writer.write(&ck)?;
-                partial = Some(done);
-            }
+    for s in 0..ctx.n_sigma() {
+        if rows.get(ctx.sigma_bands[s], delta).is_some() {
+            continue;
         }
-    };
-    timings.t_checkpoint = writer.t_checkpoint;
-    Ok(assemble(&ctx, &diag, eps_macro, timings, &counters0))
-}
-
-/// A one-band view of a [`SigmaContext`]: the checkpoint unit of the Sigma
-/// stage (and the preemption unit of the `bgw-serve` loop). Evaluating the
-/// slices in order reproduces the full-context kernel exactly (each band's
-/// sum is independent).
-pub fn band_slice(ctx: &SigmaContext, s: usize) -> SigmaContext {
-    SigmaContext {
-        m_tilde: vec![ctx.m_tilde[s].clone()],
-        energies: ctx.energies.clone(),
-        n_occ: ctx.n_occ,
-        gpp: ctx.gpp.clone(),
-        sigma_bands: vec![ctx.sigma_bands[s]],
-        sigma_energies: vec![ctx.sigma_energies[s]],
+        let row = Stage::Sigma.timed(&mut timings, || sigma_row(&ctx, s, delta, cfg.variant));
+        rows.rows.push(row);
+        if rows.rows.len() < ctx.n_sigma() {
+            let mut ck = rows.to_checkpoint();
+            ck.matrices = vec![inv0.clone()];
+            writer.write(&ck)?;
+        }
     }
+    timings.t_checkpoint = writer.t_checkpoint;
+    rows.assemble(&ctx, &ctx.sigma_bands, delta, eps_macro, timings)
 }
 
 /// [`run_evgw`](crate::workflow::run_evgw) with per-iteration
@@ -381,20 +314,20 @@ pub fn run_evgw_checkpointed(
     max_iter: usize,
     tol_ry: f64,
     policy: &CheckpointPolicy,
-) -> Result<EvGwResults, RestartError> {
+) -> Result<EvGwResults, GwError> {
     let (ctx, _) = screened_context(system, cfg, &mut GwTimings::default())?;
     let n_sigma = ctx.n_sigma();
 
     // Resume the iterate if a valid evGW checkpoint exists.
     let found = read_latest_checkpoint(&policy.dir)?;
-    let (mut e_qp, mut gap_history, mut iterations, next_index) = match found {
+    let (e_qp, gap_history, next_index) = match found {
         Some((idx, ck)) if ck.stage == GwStage::EvGwIter as u64 => {
             // meta = [e_qp per sigma band, gap history: one entry per
             // completed iteration]. Anything else is residue from a
             // different band set or a half-rewritten record.
             let expect = n_sigma + ck.step as usize;
             if ck.meta.len() != expect {
-                return Err(RestartError::Malformed {
+                return Err(GwError::Malformed {
                     stage: "evgw",
                     reason: format!(
                         "iterate has {} meta values; step {} with {n_sigma} sigma bands \
@@ -406,16 +339,15 @@ pub fn run_evgw_checkpointed(
             }
             let e_qp = ck.meta[..n_sigma].to_vec();
             if e_qp.iter().any(|e| !e.is_finite()) {
-                return Err(RestartError::Malformed {
+                return Err(GwError::Malformed {
                     stage: "evgw",
                     reason: "resumed QP energies contain non-finite values".into(),
                 });
             }
-            let hist = ck.meta[n_sigma..].to_vec();
-            (e_qp, hist, ck.step as usize, idx + 1)
+            (e_qp, ck.meta[n_sigma..].to_vec(), idx + 1)
         }
-        Some((idx, _)) => (ctx.sigma_energies.clone(), Vec::new(), 0, idx + 1),
-        None => (ctx.sigma_energies.clone(), Vec::new(), 0, 0),
+        Some((idx, _)) => (ctx.sigma_energies.clone(), Vec::new(), idx + 1),
+        None => (ctx.sigma_energies.clone(), Vec::new(), 0),
     };
     let mut writer = CkptWriter {
         policy: policy.clone(),
@@ -424,31 +356,20 @@ pub fn run_evgw_checkpointed(
         t_checkpoint: 0.0,
     };
 
-    while iterations < max_iter {
-        iterations += 1;
-        let max_delta = evgw_step(&ctx, cfg.variant, &mut e_qp, &mut gap_history);
-        let mut meta = e_qp.clone();
-        meta.extend_from_slice(&gap_history);
-        writer.write(&Checkpoint {
-            stage: GwStage::EvGwIter as u64,
-            step: iterations as u64,
-            meta,
-            matrices: vec![],
-        })?;
-        if max_delta < tol_ry && iterations > 1 {
-            break;
-        }
-    }
-    let gap_ry = *gap_history.last().ok_or(RestartError::Malformed {
-        stage: "evgw",
-        reason: "run finished with an empty gap history \
-                 (zero iterations performed and nothing resumed)"
-            .into(),
-    })?;
-    Ok(EvGwResults {
-        gap_ry,
-        gap_history,
-        iterations,
+    evgw_iterate(
+        &ctx,
+        cfg.variant,
+        max_iter,
+        tol_ry,
         e_qp,
-    })
+        gap_history,
+        |e_qp, gap_history| {
+            writer.write(&Checkpoint {
+                stage: GwStage::EvGwIter as u64,
+                step: gap_history.len() as u64,
+                meta: [e_qp, gap_history].concat(),
+                matrices: vec![],
+            })
+        },
+    )
 }

@@ -13,8 +13,10 @@
 //! 4. `finish_screening` — `eps_macro`, charge density, [`GppModel`]
 //!    -> [`Screening`];
 //! 5. [`sigma_context`] / `into_context` — the Sigma matrix elements;
-//! 6. Sigma rows — **the driver's own** (`sigma_diag` and
-//!    `gpp_rows_preemptible` are the two shared spellings);
+//! 6. Sigma rows — **the driver's own loop** over the one row entry
+//!    ([`sigma_row`]: row `s` of a context on its 3-point grid, with its
+//!    counted FLOPs; `gpp_sigma_diag` is the whole-context kernel, the
+//!    same loop inside one span), collected in a keyed [`SigmaRows`] set;
 //! 7. `assemble` — Dyson solve, gaps and `SigmaDims` -> [`GwResults`].
 //!
 //! Every driver in [`workflow`](crate::workflow),
@@ -35,20 +37,22 @@
 //!   cache hit *is* a restart: the cheap deterministic prefix is
 //!   recomputed and the stored `eps~^{-1}` blocks are re-adopted;
 //! * [`gpp_eval_preemptible`] / [`ff_eval`] evaluate Sigma for an explicit
-//!   band list against a `Screening`. The GPP path walks one
-//!   [`band_slice`] at a time and can yield between bands, returning a
-//!   [`GppPartial`] that round-trips through a `SigmaPartial` checkpoint
-//!   — the serving loop's preemption unit and the checkpointed driver's
-//!   restart unit.
+//!   band list against a `Screening`. The GPP path is the plain loop over
+//!   [`sigma_row`] and can stop between rows; the [`SigmaRows`] it returns
+//!   round-trip through the one `SigmaPartial` checkpoint layout
+//!   ([`SigmaRows::to_checkpoint`] / [`SigmaRows::from_checkpoint`]) — the
+//!   serving loop's preemption unit and the checkpointed driver's restart
+//!   unit.
 
 use crate::chi::{ChiConfig, ChiEngine};
 use crate::coulomb::Coulomb;
-use crate::dyson::{qp_gap, solve_qp_diag, QpState};
+use crate::dyson::{qp_gap, solve_qp_diag};
 use crate::epsilon::{EpsilonError, EpsilonInverse};
+use crate::error::GwError;
 use crate::gpp::GppModel;
 use crate::mtxel::Mtxel;
-use crate::restart::{band_slice, GwStage};
-use crate::sigma::diag::{gpp_sigma_diag, KernelVariant, SigmaDiagResult};
+use crate::restart::GwStage;
+use crate::sigma::diag::{gpp_sigma_row, KernelVariant, SigmaDiagResult};
 use crate::sigma::fullfreq::ff_sigma_diag;
 use crate::sigma::SigmaContext;
 use crate::workflow::{GwConfig, GwResults, GwTimings, SigmaDims};
@@ -56,7 +60,6 @@ use bgw_io::Checkpoint;
 use bgw_linalg::CMatrix;
 use bgw_num::grid::semi_infinite_quadrature;
 use bgw_num::Complex64;
-use bgw_perf::CounterSnapshot;
 use bgw_pwdft::{charge_density_g, solve_bands, GSphere, ModelSystem, Wavefunctions};
 use std::time::Instant;
 
@@ -97,6 +100,15 @@ impl Stage {
 }
 
 impl GwTimings {
+    /// Timings of a run starting now: `substrate` holds the run-start
+    /// counter snapshot until [`assemble`] turns it into the run's delta.
+    pub(crate) fn started() -> Self {
+        Self {
+            substrate: bgw_perf::counters::snapshot(),
+            ..Self::default()
+        }
+    }
+
     /// Adds `secs` to the slot of `stage`.
     pub(crate) fn charge(&mut self, stage: Stage, secs: f64) {
         *match stage {
@@ -317,17 +329,22 @@ pub fn bands_around_gap(nv: usize, nb: usize, k: usize) -> Vec<usize> {
     (nv.saturating_sub(k)..(nv + k).min(nb)).collect()
 }
 
-/// The 3-point Sigma sampling grid `[e - delta, e, e + delta]` around
-/// each of `energies` (Ry) — what the diagonal Dyson solve interpolates.
+/// Points per band of [`three_point_grids`].
+pub(crate) const N_GRID: usize = 3;
+
+/// The 3-point Sigma sampling grid around one mean-field energy (Ry) —
+/// what the diagonal Dyson solve interpolates.
+fn three_point_grid(e: f64, delta: f64) -> [f64; N_GRID] {
+    [e - delta, e, e + delta]
+}
+
+/// The 3-point sampling grid around each of `energies`.
 pub fn three_point_grids(energies: &[f64], delta: f64) -> Vec<Vec<f64>> {
     energies
         .iter()
-        .map(|&e| vec![e - delta, e, e + delta])
+        .map(|&e| three_point_grid(e, delta).to_vec())
         .collect()
 }
-
-/// Points per band of [`three_point_grids`].
-pub(crate) const N_GRID: usize = 3;
 
 /// Stage 5 on borrowed parts (a [`Prefix`] inside a task graph, or a
 /// [`Screening`]): the Sigma matrix elements, with the stage's seconds.
@@ -362,75 +379,67 @@ pub(crate) fn screened_context(
     Ok(into_context(screen(system, cfg, None, t)?, cfg, t))
 }
 
-/// Stage 6, whole context at once: the GPP diag kernel.
-pub(crate) fn sigma_diag(
-    ctx: &SigmaContext,
-    grids: &[Vec<f64>],
-    variant: KernelVariant,
-    t: &mut GwTimings,
-) -> SigmaDiagResult {
-    Stage::Sigma.timed(t, || gpp_sigma_diag(ctx, grids, variant))
-}
-
-/// Stage 6, one [`band_slice`] at a time — identical arithmetic to the
-/// full-context kernel, per the `band_slice` contract — calling
-/// `should_yield(bands_done)` between bands. `Err` carries the resumable
-/// state of a yield; pass it back as `resume` to continue.
-pub(crate) fn gpp_rows_preemptible(
-    ctx: &SigmaContext,
-    grids: &[Vec<f64>],
-    variant: KernelVariant,
-    resume: Option<GppPartial>,
-    t: &mut GwTimings,
-    mut should_yield: impl FnMut(usize) -> bool,
-) -> Result<SigmaDiagResult, GppPartial> {
-    let mut partial = resume.unwrap_or_default();
-    assert!(
-        partial.sigma.len() <= ctx.n_sigma(),
-        "resume state has more bands than the context"
-    );
-    for s in partial.sigma.len()..ctx.n_sigma() {
-        let r = sigma_diag(&band_slice(ctx, s), &grids[s..s + 1], variant, t);
-        partial.sigma.extend(r.sigma);
-        partial.flops += r.flops;
-        if partial.sigma.len() < ctx.n_sigma() && should_yield(partial.sigma.len()) {
-            return Err(partial);
-        }
+/// Stage 6, one row: row `s` of `ctx` on its 3-point grid at offset
+/// `delta_ry` — the unit the checkpointed driver writes after, the DAG
+/// schedules, and the serving loop polls preemption between.
+pub fn sigma_row(ctx: &SigmaContext, s: usize, delta_ry: f64, variant: KernelVariant) -> SigmaRow {
+    let mut sigma = [0.0; N_GRID];
+    let grid = three_point_grid(ctx.sigma_energies[s], delta_ry);
+    let flops = gpp_sigma_row(ctx, s, &grid, variant, &mut sigma);
+    SigmaRow {
+        band: ctx.sigma_bands[s],
+        delta_ry,
+        sigma,
+        flops,
     }
-    Ok(SigmaDiagResult {
-        sigma: partial.sigma,
-        e_grids: grids.to_vec(),
-        seconds: t.t_sigma,
-        flops: partial.flops,
-    })
 }
 
 /// Stage 7: the diagonal Dyson solve, both gaps and the Sigma-stage
-/// dimensions. `counters0` is the substrate snapshot taken at run start.
+/// dimensions for `bands` — the context's own list for a one-shot run, one
+/// request's window of a coalesced batch's union context for a served one
+/// — with `diag` aligned to `bands`. `timings.substrate` comes in as the
+/// run-start counter snapshot (all zeros from `GwTimings::default()`, for
+/// callers that report no substrate) and goes out as the delta since.
 pub(crate) fn assemble(
     ctx: &SigmaContext,
+    bands: &[usize],
     diag: &SigmaDiagResult,
     eps_macro: f64,
     mut timings: GwTimings,
-    counters0: &CounterSnapshot,
-) -> GwResults {
-    let states = solve_qp_diag(&ctx.sigma_energies, diag);
-    timings.substrate = counters0.delta(&bgw_perf::counters::snapshot());
-    GwResults {
-        sigma_bands: ctx.sigma_bands.clone(),
-        gap_mf_ry: ctx.energies[ctx.n_occ] - ctx.energies[ctx.n_occ - 1],
-        gap_qp_ry: qp_gap(&states, ctx.homo_pos(), ctx.lumo_pos()),
+) -> Result<GwResults, GwError> {
+    let missing = |input| GwError::MissingInput {
+        task: "assembly",
+        input,
+    };
+    let e_mf = bands
+        .iter()
+        .map(|&b| ctx.energies.get(b).copied())
+        .collect::<Option<Vec<f64>>>()
+        .ok_or(missing("band energy"))?;
+    if diag.sigma.len() != bands.len() {
+        return Err(missing("sigma row"));
+    }
+    let pos = |band| bands.iter().position(|&b| Some(b) == band);
+    let (Some(homo), Some(lumo)) = (pos(ctx.n_occ.checked_sub(1)), pos(Some(ctx.n_occ))) else {
+        return Err(missing("HOMO/LUMO row"));
+    };
+    let states = solve_qp_diag(&e_mf, diag);
+    timings.substrate = timings.substrate.delta(&bgw_perf::counters::snapshot());
+    Ok(GwResults {
+        sigma_bands: bands.to_vec(),
+        gap_mf_ry: e_mf[lumo] - e_mf[homo],
+        gap_qp_ry: qp_gap(&states, homo, lumo),
         states,
         eps_macro,
         timings,
         sigma_flops: diag.flops,
         dims: SigmaDims {
-            n_sigma: ctx.n_sigma(),
+            n_sigma: bands.len(),
             n_b: ctx.n_b(),
             n_g: ctx.n_g(),
             n_e: diag.e_grids.first().map_or(0, Vec::len),
         },
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -535,10 +544,10 @@ pub fn sigma_context(s: &Screening, bands: &[usize]) -> SigmaContext {
 }
 
 /// A multi-band view of a context: the bands at `positions` of `ctx`'s
-/// band list, in that order. Like [`band_slice`], evaluating a subset
-/// view reproduces the directly-built context exactly (each band's
-/// matrix-element block and energy row are independent) — the coalescing
-/// path uses this to serve one member of a batch from the union context.
+/// band list, in that order. Evaluating a subset view reproduces the
+/// directly-built context exactly (each band's matrix-element block and
+/// energy row are independent) — the full-frequency coalescing path uses
+/// this to serve one member of a batch from the union context.
 pub fn band_subset(ctx: &SigmaContext, positions: &[usize]) -> SigmaContext {
     SigmaContext {
         m_tilde: positions.iter().map(|&p| ctx.m_tilde[p].clone()).collect(),
@@ -550,142 +559,193 @@ pub fn band_subset(ctx: &SigmaContext, positions: &[usize]) -> SigmaContext {
     }
 }
 
-/// Per-band Sigma state carried across a preemption or a checkpoint: the
-/// first `sigma.len()` bands of the band list are done.
+/// One evaluated Sigma row: the 3-point `Sigma_ll(E)` samples of `band`
+/// at sampling offset `delta_ry`, with the kernel FLOPs they cost.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SigmaRow {
+    /// Band index `l`.
+    pub band: usize,
+    /// Grid offset (Ry): the samples sit at `E^MF_l + [-delta, 0, delta]`.
+    pub delta_ry: f64,
+    /// `Sigma_ll` on that grid (Ry).
+    pub sigma: [f64; N_GRID],
+    /// Kernel FLOPs counted for this row.
+    pub flops: u64,
+}
+
+/// Evaluated rows keyed by `(band, delta)`: what a GPP evaluation carries
+/// across a preemption or a checkpoint. Keyed rather than "first k bands
+/// done" because a coalesced batch mixes deltas and can come back reshaped
+/// after a preemption; the checkpointed driver's prefix is the special
+/// case.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct GppPartial {
-    /// Completed per-band Sigma rows (each `n_grid` long).
-    pub sigma: Vec<Vec<f64>>,
-    /// Kernel FLOPs accumulated so far.
-    pub flops: u64,
+pub struct SigmaRows {
+    /// The rows, in evaluation order.
+    pub rows: Vec<SigmaRow>,
 }
 
-/// Result of a completed preemptible GPP evaluation.
-#[derive(Clone, Debug)]
-pub struct GppEvalResult {
-    /// Band indices evaluated (the request's list, in order).
-    pub bands: Vec<usize>,
-    /// Mean-field energies of those bands (Ry).
-    pub sigma_energies: Vec<f64>,
-    /// Occupied-band count (for locating HOMO/LUMO in `bands`).
-    pub n_occ: usize,
-    /// Quasiparticle solutions, aligned with `bands`.
-    pub states: Vec<QpState>,
-    /// Kernel FLOPs.
-    pub flops: u64,
+/// Values per row of a `SigmaPartial` record: band, delta, FLOPs, samples.
+const ROW_WIDTH: usize = 3 + N_GRID;
+
+impl SigmaRows {
+    /// The row of `band` at `delta_ry`, if evaluated.
+    pub fn get(&self, band: usize, delta_ry: f64) -> Option<&SigmaRow> {
+        self.rows
+            .iter()
+            .find(|r| r.band == band && r.delta_ry == delta_ry)
+    }
+
+    /// Stage 7 straight from a row set: `assemble` over the rows of
+    /// `bands` at `delta_ry`. Fails typed on a row that was never
+    /// evaluated.
+    pub fn assemble(
+        &self,
+        ctx: &SigmaContext,
+        bands: &[usize],
+        delta_ry: f64,
+        eps_macro: f64,
+        timings: GwTimings,
+    ) -> Result<GwResults, GwError> {
+        let diag = self.diag_for(ctx, bands, delta_ry)?;
+        assemble(ctx, bands, &diag, eps_macro, timings)
+    }
+
+    /// The rows of `bands` at `delta_ry` in the diag kernel's result shape
+    /// (grids rebuilt around `ctx`'s mean-field energies).
+    fn diag_for(
+        &self,
+        ctx: &SigmaContext,
+        bands: &[usize],
+        delta_ry: f64,
+    ) -> Result<SigmaDiagResult, GwError> {
+        let mut diag = SigmaDiagResult {
+            sigma: Vec::with_capacity(bands.len()),
+            e_grids: Vec::with_capacity(bands.len()),
+            seconds: 0.0,
+            flops: 0,
+        };
+        for &band in bands {
+            let (Some(row), Some(&e_mf)) = (self.get(band, delta_ry), ctx.energies.get(band))
+            else {
+                return Err(GwError::MissingInput {
+                    task: "assembly",
+                    input: "sigma row",
+                });
+            };
+            diag.sigma.push(row.sigma.to_vec());
+            diag.e_grids.push(three_point_grid(e_mf, delta_ry).to_vec());
+            diag.flops += row.flops;
+        }
+        Ok(diag)
+    }
+
+    /// The one encoder of `SigmaPartial` records: `step` = rows, meta =
+    /// `[n_grid, rows, then per row: band, delta_ry, flops, samples]`, no
+    /// matrices (a checkpointed run adds its `eps~^{-1}` as matrix 0).
+    pub fn to_checkpoint(&self) -> Checkpoint {
+        let mut meta = vec![N_GRID as f64, self.rows.len() as f64];
+        for r in &self.rows {
+            meta.extend([r.band as f64, r.delta_ry, r.flops as f64]);
+            meta.extend(r.sigma);
+        }
+        Checkpoint {
+            stage: GwStage::SigmaPartial as u64,
+            step: self.rows.len() as u64,
+            meta,
+            matrices: vec![],
+        }
+    }
+
+    /// The one decoder of `SigmaPartial` records, for an evaluation that
+    /// can need at most `max_rows` rows. Everything read off disk is
+    /// validated before it sizes or indexes anything: the header, the row
+    /// count against `step`, `max_rows` and the table length (checked
+    /// arithmetic), integral band/FLOP fields, finite values, distinct
+    /// keys. Records of either pre-unification layout fail the header or
+    /// length check. The reason of a rejection comes back as text
+    /// ([`GwError::Malformed`] on the restart side, a recompute from row 0
+    /// on the serving side).
+    pub fn from_checkpoint(ck: &Checkpoint, max_rows: usize) -> Result<Self, String> {
+        if ck.stage != GwStage::SigmaPartial as u64 {
+            return Err(format!("stage {} is not a sigma partial", ck.stage));
+        }
+        let [n_grid, n_rows, table @ ..] = ck.meta.as_slice() else {
+            return Err(format!(
+                "metadata has {} values, header needs 2",
+                ck.meta.len()
+            ));
+        };
+        if *n_grid != N_GRID as f64 {
+            return Err(format!(
+                "rows are {n_grid} energies wide, this build samples {N_GRID}"
+            ));
+        }
+        let n = usize::try_from(ck.step)
+            .ok()
+            .filter(|&n| n <= max_rows && n as f64 == *n_rows)
+            .ok_or_else(|| {
+                format!(
+                    "claims {} rows (header says {n_rows}), this evaluation has at most {max_rows}",
+                    ck.step
+                )
+            })?;
+        if n.checked_mul(ROW_WIDTH) != Some(table.len()) {
+            return Err(format!(
+                "sigma table has {} values, {n} rows need {ROW_WIDTH} each",
+                table.len()
+            ));
+        }
+        // Exactly representable non-negative integers only.
+        let integral = |x: f64| (0.0..9.0e15).contains(&x) && x.fract() == 0.0;
+        let mut rows: Vec<SigmaRow> = Vec::with_capacity(n);
+        for c in table.chunks_exact(ROW_WIDTH) {
+            if !integral(c[0]) || !integral(c[2]) || c.iter().any(|x| !x.is_finite()) {
+                return Err("sigma table holds a non-integral key or non-finite value".into());
+            }
+            let row = SigmaRow {
+                band: c[0] as usize,
+                delta_ry: c[1],
+                flops: c[2] as u64,
+                sigma: [c[3], c[4], c[5]],
+            };
+            if rows
+                .iter()
+                .any(|r| r.band == row.band && r.delta_ry == row.delta_ry)
+            {
+                return Err(format!(
+                    "row (band {}, delta {}) appears twice",
+                    row.band, row.delta_ry
+                ));
+            }
+            rows.push(row);
+        }
+        Ok(Self { rows })
+    }
 }
 
-/// Outcome of [`gpp_eval_preemptible`]: finished, or yielded between
-/// bands with resumable state.
-pub enum GppOutcome {
-    /// All bands evaluated and the QP equation solved.
-    Done(GppEvalResult),
-    /// The yield hook fired; `partial` resumes the evaluation where it
-    /// stopped (`partial.sigma.len()` bands done).
-    Yielded(GppPartial),
-}
-
-/// Evaluates GPP Sigma diagonals for `ctx` on the 3-point grids, one band
-/// at a time (`gpp_rows_preemptible`), calling
-/// `should_yield(bands_done)` between bands. Pass a previous
-/// [`GppPartial`] to resume after a preemption.
+/// Evaluates the GPP Sigma rows of `ctx` at offset `delta_ry` that
+/// `resume` does not already hold, one [`sigma_row`] at a time, asking
+/// `should_yield(rows_held)` between rows. Returns the row set — complete
+/// (one row per band of `ctx`, ready for [`SigmaRows::assemble`]) unless the hook stopped it, in which case passing it back
+/// as `resume` continues where it stopped.
 pub fn gpp_eval_preemptible(
     ctx: &SigmaContext,
     delta_ry: f64,
     variant: KernelVariant,
-    resume: Option<GppPartial>,
-    should_yield: impl FnMut(usize) -> bool,
-) -> GppOutcome {
-    let grids = three_point_grids(&ctx.sigma_energies, delta_ry);
-    let mut t = GwTimings::default();
-    match gpp_rows_preemptible(ctx, &grids, variant, resume, &mut t, should_yield) {
-        Err(partial) => GppOutcome::Yielded(partial),
-        Ok(diag) => GppOutcome::Done(GppEvalResult {
-            bands: ctx.sigma_bands.clone(),
-            sigma_energies: ctx.sigma_energies.clone(),
-            n_occ: ctx.n_occ,
-            states: solve_qp_diag(&ctx.sigma_energies, &diag),
-            flops: diag.flops,
-        }),
+    resume: Option<SigmaRows>,
+    mut should_yield: impl FnMut(usize) -> bool,
+) -> SigmaRows {
+    let mut rows = resume.unwrap_or_default();
+    for s in 0..ctx.n_sigma() {
+        if rows.get(ctx.sigma_bands[s], delta_ry).is_some() {
+            continue;
+        }
+        rows.rows.push(sigma_row(ctx, s, delta_ry, variant));
+        if s + 1 < ctx.n_sigma() && should_yield(rows.rows.len()) {
+            break;
+        }
     }
-}
-
-/// Encodes a [`GppPartial`] as a `SigmaPartial`-stage checkpoint (meta =
-/// `[n_grid, flops, sigma rows band-major]`, `step` = bands done) so a
-/// preempted request — or a killed checkpointed run, which adds its
-/// `eps~^{-1}` as matrix 0 — resumes through the same checksummed records.
-pub fn gpp_partial_to_checkpoint(p: &GppPartial, n_grid: usize) -> Checkpoint {
-    let mut meta = vec![n_grid as f64, p.flops as f64];
-    for band in &p.sigma {
-        assert_eq!(band.len(), n_grid, "partial row width mismatch");
-        meta.extend_from_slice(band);
-    }
-    Checkpoint {
-        stage: GwStage::SigmaPartial as u64,
-        step: p.sigma.len() as u64,
-        meta,
-        matrices: vec![],
-    }
-}
-
-/// The one decoder of `SigmaPartial` records. The record must fit the
-/// evaluation resuming from it: at most `n_bands` bands done, rows exactly
-/// `n_grid` wide, a table of exactly `step` finite rows. The reason of a
-/// rejection comes back as text ([`RestartError::Malformed`] on the
-/// restart side, a recompute from band 0 on the serving side).
-///
-/// [`RestartError::Malformed`]: crate::restart::RestartError::Malformed
-pub(crate) fn decode_sigma_partial(
-    ck: &Checkpoint,
-    n_bands: usize,
-    n_grid: usize,
-) -> Result<GppPartial, String> {
-    if ck.stage != GwStage::SigmaPartial as u64 {
-        return Err(format!("stage {} is not a sigma partial", ck.stage));
-    }
-    let [grid, flops, rows @ ..] = ck.meta.as_slice() else {
-        return Err(format!(
-            "metadata has {} values, header needs 2",
-            ck.meta.len()
-        ));
-    };
-    if *grid != n_grid as f64 || !(0.0..=f64::MAX).contains(flops) {
-        return Err(format!(
-            "header (n_grid = {grid}, flops = {flops}) does not fit this run's \
-             {n_grid}-point grids"
-        ));
-    }
-    let bands_done = ck.step as usize;
-    if bands_done > n_bands {
-        return Err(format!(
-            "claims {bands_done} bands done, this run only has {n_bands}"
-        ));
-    }
-    if rows.len() != bands_done * n_grid {
-        return Err(format!(
-            "sigma table has {} values, {bands_done} bands x {n_grid} energies needs {}",
-            rows.len(),
-            bands_done * n_grid
-        ));
-    }
-    if rows.iter().any(|x| !x.is_finite()) {
-        return Err("sigma table contains non-finite values".into());
-    }
-    Ok(GppPartial {
-        sigma: rows.chunks_exact(n_grid).map(<[f64]>::to_vec).collect(),
-        flops: *flops as u64,
-    })
-}
-
-/// Decodes a [`gpp_partial_to_checkpoint`] record for an evaluation over
-/// `n_bands` bands on `n_grid`-point grids; `None` when the record does
-/// not fit it (degrade to evaluating from band 0).
-pub fn gpp_partial_from_checkpoint(
-    ck: &Checkpoint,
-    n_bands: usize,
-    n_grid: usize,
-) -> Option<GppPartial> {
-    decode_sigma_partial(ck, n_bands, n_grid).ok()
+    rows
 }
 
 /// Result of a full-frequency Sigma evaluation through the service path.
@@ -783,6 +843,18 @@ mod tests {
         assert!(screening_from_checkpoint(&sys, &cfg, &bad).is_none());
     }
 
+    /// Stage 7 for `bands` out of a row set, as the serving loop runs it.
+    fn solve(
+        s: &Screening,
+        ctx: &SigmaContext,
+        bands: &[usize],
+        rows: &SigmaRows,
+        delta_ry: f64,
+    ) -> GwResults {
+        rows.assemble(ctx, bands, delta_ry, s.eps_macro, GwTimings::default())
+            .expect("every row evaluated, window straddles the gap")
+    }
+
     #[test]
     fn preemptible_eval_matches_oneshot_driver_exactly() {
         let sys = small_system();
@@ -790,14 +862,14 @@ mod tests {
         let oracle = run_gpp_gw(&sys, &cfg);
         let s = build_screening(&sys, &cfg, None).expect("build");
         let ctx = sigma_context(&s, &oracle.sigma_bands);
+        let delta = cfg.sampling_delta_ry;
 
         // Uninterrupted.
-        let done =
-            match gpp_eval_preemptible(&ctx, cfg.sampling_delta_ry, cfg.variant, None, |_| false) {
-                GppOutcome::Done(r) => r,
-                GppOutcome::Yielded(_) => panic!("must not yield"),
-            };
-        assert_eq!(done.bands, oracle.sigma_bands);
+        let rows = gpp_eval_preemptible(&ctx, delta, cfg.variant, None, |_| false);
+        assert_eq!(rows.rows.len(), ctx.n_sigma(), "must not yield");
+        let done = solve(&s, &ctx, &ctx.sigma_bands, &rows, delta);
+        assert_eq!(done.sigma_bands, oracle.sigma_bands);
+        assert_eq!(done.sigma_flops, oracle.sigma_flops);
         for (a, b) in done.states.iter().zip(&oracle.states) {
             assert_eq!(
                 a.e_qp.to_bits(),
@@ -808,28 +880,21 @@ mod tests {
             );
             assert_eq!(a.z.to_bits(), b.z.to_bits());
         }
+        assert_eq!(done.gap_qp_ry.to_bits(), oracle.gap_qp_ry.to_bits());
+        assert_eq!(done.gap_mf_ry.to_bits(), oracle.gap_mf_ry.to_bits());
 
-        // Yield after every band, round-tripping the partial through a
+        // Yield after every row, round-tripping the rows through a
         // checkpoint record each time, and still match exactly.
-        let mut partial: Option<GppPartial> = None;
-        let resumed = loop {
-            match gpp_eval_preemptible(
-                &ctx,
-                cfg.sampling_delta_ry,
-                cfg.variant,
-                partial.take(),
-                |_| true,
-            ) {
-                GppOutcome::Done(r) => break r,
-                GppOutcome::Yielded(p) => {
-                    let ck = gpp_partial_to_checkpoint(&p, N_GRID);
-                    partial = Some(
-                        gpp_partial_from_checkpoint(&ck, ctx.n_sigma(), N_GRID)
-                            .expect("partial roundtrip"),
-                    );
-                }
-            }
-        };
+        let mut rows = SigmaRows::default();
+        let mut yields = 0;
+        while rows.rows.len() < ctx.n_sigma() {
+            rows = gpp_eval_preemptible(&ctx, delta, cfg.variant, Some(rows), |_| true);
+            rows = SigmaRows::from_checkpoint(&rows.to_checkpoint(), ctx.n_sigma())
+                .expect("partial roundtrip");
+            yields += 1;
+        }
+        assert_eq!(yields, ctx.n_sigma(), "one row per resumption");
+        let resumed = solve(&s, &ctx, &ctx.sigma_bands, &rows, delta);
         for (a, b) in resumed.states.iter().zip(&oracle.states) {
             assert_eq!(a.e_qp.to_bits(), b.e_qp.to_bits());
             assert_eq!(a.z.to_bits(), b.z.to_bits());
@@ -839,56 +904,117 @@ mod tests {
     #[test]
     fn union_context_band_slices_match_per_request_contexts() {
         // Coalescing contract: a band evaluated through the union context
-        // of a batch equals the same band through a request-sized context.
+        // of a batch equals the same band through a request-sized context,
+        // and a request's window assembles out of the union's row set.
         let sys = small_system();
         let cfg = GwConfig::default();
         let s = build_screening(&sys, &cfg, None).expect("build");
         let nv = s.wf.n_valence;
         let narrow: Vec<usize> = vec![nv - 1, nv];
         let wide: Vec<usize> = (nv - 2..nv + 2).collect();
+        let delta = cfg.sampling_delta_ry;
         let ctx_n = sigma_context(&s, &narrow);
         let ctx_w = sigma_context(&s, &wide);
-        let eval = |ctx: &SigmaContext| match gpp_eval_preemptible(
-            ctx,
-            cfg.sampling_delta_ry,
-            cfg.variant,
-            None,
-            |_| false,
-        ) {
-            GppOutcome::Done(r) => r,
-            GppOutcome::Yielded(_) => unreachable!(),
-        };
-        let rn = eval(&ctx_n);
-        let rw = eval(&ctx_w);
-        for (i, band) in narrow.iter().enumerate() {
-            let j = wide.iter().position(|b| b == band).unwrap();
+        let rows_n = gpp_eval_preemptible(&ctx_n, delta, cfg.variant, None, |_| false);
+        let rows_w = gpp_eval_preemptible(&ctx_w, delta, cfg.variant, None, |_| false);
+        let rn = solve(&s, &ctx_n, &narrow, &rows_n, delta);
+        let from_union = solve(&s, &ctx_w, &narrow, &rows_w, delta);
+        assert_eq!(from_union.sigma_bands, narrow);
+        assert_eq!(from_union.sigma_flops, rn.sigma_flops);
+        for (band, (a, b)) in narrow.iter().zip(rn.states.iter().zip(&from_union.states)) {
             assert_eq!(
-                rn.states[i].e_qp, rw.states[j].e_qp,
+                a.e_qp, b.e_qp,
                 "band {band} differs between narrow and union contexts"
             );
+        }
+        assert_eq!(from_union.gap_qp_ry, rn.gap_qp_ry);
+    }
+
+    fn row(band: usize, delta_ry: f64) -> SigmaRow {
+        SigmaRow {
+            band,
+            delta_ry,
+            sigma: [1.0, 2.0, 3.0],
+            flops: 42,
         }
     }
 
     #[test]
     fn partial_checkpoint_rejects_inconsistent_records() {
-        let p = GppPartial {
-            sigma: vec![vec![1.0, 2.0, 3.0]],
-            flops: 42,
+        let p = SigmaRows {
+            rows: vec![row(7, 0.05), row(7, 0.1)],
         };
-        let ck = gpp_partial_to_checkpoint(&p, 3);
-        assert_eq!(gpp_partial_from_checkpoint(&ck, 4, 3).unwrap(), p);
+        let ck = p.to_checkpoint();
+        assert_eq!(SigmaRows::from_checkpoint(&ck, 4).unwrap(), p);
+        let reject = |bad: &Checkpoint, why: &str| {
+            assert!(SigmaRows::from_checkpoint(bad, 4).is_err(), "{why}");
+        };
         let mut bad = ck.clone();
-        bad.step = 2; // claims more bands than the meta holds
-        assert!(gpp_partial_from_checkpoint(&bad, 4, 3).is_none());
+        bad.step = 3;
+        reject(&bad, "claims more rows than the meta holds");
         let mut bad = ck.clone();
-        bad.meta[2] = f64::NAN;
-        assert!(gpp_partial_from_checkpoint(&bad, 4, 3).is_none());
+        bad.meta[1] = 3.0;
+        reject(&bad, "header row count disagrees with step");
+        let mut bad = ck.clone();
+        bad.meta[5] = f64::NAN;
+        reject(&bad, "non-finite sample");
+        let mut bad = ck.clone();
+        bad.meta[2] = 7.5;
+        reject(&bad, "fractional band index");
+        let mut bad = ck.clone();
+        bad.meta[4] = -1.0;
+        reject(&bad, "negative FLOP count");
+        let mut bad = ck.clone();
+        bad.meta[9] = 0.05;
+        reject(&bad, "the same (band, delta) twice");
+        let mut bad = ck.clone();
+        bad.meta[0] = 2.0;
+        reject(&bad, "another grid width");
+        let mut bad = ck.clone();
+        bad.meta.pop();
+        reject(&bad, "truncated table");
         let mut bad = ck.clone();
         bad.stage = GwStage::ChiPartial as u64;
-        assert!(gpp_partial_from_checkpoint(&bad, 4, 3).is_none());
+        reject(&bad, "wrong stage");
         // A consistent record that does not fit the evaluation resuming
-        // from it: more bands than the context, or another grid width.
-        assert!(gpp_partial_from_checkpoint(&ck, 0, 3).is_none());
-        assert!(gpp_partial_from_checkpoint(&ck, 4, 2).is_none());
+        // from it: more rows than it can need.
+        assert!(SigmaRows::from_checkpoint(&ck, 1).is_err());
+    }
+
+    #[test]
+    fn partial_decoder_rejects_both_former_layouts_and_hostile_counts() {
+        // Former core layout: [n_grid, flops, rows band-major], step =
+        // bands done.
+        let former_core = Checkpoint {
+            stage: GwStage::SigmaPartial as u64,
+            step: 2,
+            meta: vec![3.0, 84.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            matrices: vec![],
+        };
+        assert!(SigmaRows::from_checkpoint(&former_core, 64).is_err());
+        // Former serve layout: [n, then per row: band, delta_milli, flops,
+        // samples], step = n. With n = 3 its first value even equals
+        // N_GRID; the length (1 + 6 n, never 2 + 6 n) gives it away.
+        let mut meta = vec![3.0];
+        for band in [3.0, 4.0, 5.0] {
+            meta.extend([band, 50.0, 42.0, 1.0, 2.0, 3.0]);
+        }
+        let former_serve = Checkpoint {
+            stage: GwStage::SigmaPartial as u64,
+            step: 3,
+            meta,
+            matrices: vec![],
+        };
+        assert!(SigmaRows::from_checkpoint(&former_serve, 64).is_err());
+        // Row counts no table can back: nothing may be sized from them.
+        for (step, n_rows) in [(u64::MAX, f64::INFINITY), (u64::MAX, 1.8446744073709552e19)] {
+            let hostile = Checkpoint {
+                stage: GwStage::SigmaPartial as u64,
+                step,
+                meta: vec![3.0, n_rows],
+                matrices: vec![],
+            };
+            assert!(SigmaRows::from_checkpoint(&hostile, usize::MAX).is_err());
+        }
     }
 }

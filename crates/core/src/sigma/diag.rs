@@ -48,7 +48,8 @@ pub const FLOPS_PER_ACTIVE_PAIR: u64 = 18;
 /// Flops for an inactive pair (bare-exchange delta handling only).
 pub const FLOPS_PER_INACTIVE_PAIR: u64 = 2;
 
-/// Evaluates `Sigma_ll(E)` on a per-band energy grid.
+/// Evaluates `Sigma_ll(E)` on a per-band energy grid: the loop over
+/// [`gpp_sigma_row`]'s kernel, under one span.
 ///
 /// `e_grids[s]` lists the energies (Ry) for Sigma band `s`; they may differ
 /// per band (the diag kernel samples around each band's own `E^MF`,
@@ -61,11 +62,16 @@ pub fn gpp_sigma_diag(
     assert_eq!(e_grids.len(), ctx.n_sigma(), "one grid per Sigma band");
     let _span = bgw_trace::span!("sigma.diag");
     let t0 = Instant::now();
-    let (sigma, flops) = match variant {
-        KernelVariant::Reference => run_reference(ctx, e_grids),
-        KernelVariant::Blocked => run_blocked(ctx, e_grids),
-        KernelVariant::Optimized => run_optimized(ctx, e_grids),
-    };
+    let mut flops = 0u64;
+    let sigma = e_grids
+        .iter()
+        .enumerate()
+        .map(|(s, grid)| {
+            let mut sig = vec![0.0; grid.len()];
+            flops += row_kernel(ctx, s, grid, variant, &mut sig);
+            sig
+        })
+        .collect();
     bgw_trace::add_flops(flops);
     SigmaDiagResult {
         sigma,
@@ -75,195 +81,208 @@ pub fn gpp_sigma_diag(
     }
 }
 
-fn run_reference(ctx: &SigmaContext, e_grids: &[Vec<f64>]) -> (Vec<Vec<f64>>, u64) {
-    let ng = ctx.n_g();
-    let nb = ctx.n_b();
-    let mut flops = 0u64;
-    let mut out = Vec::with_capacity(ctx.n_sigma());
-    for (s, grid) in e_grids.iter().enumerate() {
-        let m = &ctx.m_tilde[s];
-        let mut sig = vec![0.0; grid.len()];
-        for (ei, &e) in grid.iter().enumerate() {
-            let mut acc = Complex64::ZERO;
-            for n in 0..nb {
-                let occupied = n < ctx.n_occ;
-                let de = e - ctx.energies[n];
-                let row = m.row(n);
-                for g in 0..ng {
-                    for gp in 0..ng {
-                        let p = gpp_factor(&ctx.gpp, g, gp, de, occupied);
-                        if p != 0.0 {
-                            acc += row[g].conj() * row[gp] * p;
-                        }
-                        flops += if ctx.gpp.strength(g, gp) > 0.0 {
-                            FLOPS_PER_ACTIVE_PAIR
-                        } else {
-                            FLOPS_PER_INACTIVE_PAIR
-                        };
-                    }
-                }
-            }
-            sig[ei] = acc.re;
-        }
-        out.push(sig);
-    }
-    (out, flops)
+/// The Sigma row — the unit of work of a self-energy pool (paper
+/// Sec. 5.5) and of every driver that checkpoints, schedules or preempts
+/// between bands: evaluates row `s` of `ctx` on `grid` in place, writing
+/// `Sigma_{l_s l_s}(E)` into `out` and returning the counted FLOPs. Each
+/// band's sum is independent, so the rows of a context evaluated in any
+/// order, on any subset, reproduce [`gpp_sigma_diag`] bit for bit.
+pub fn gpp_sigma_row(
+    ctx: &SigmaContext,
+    s: usize,
+    grid: &[f64],
+    variant: KernelVariant,
+    out: &mut [f64],
+) -> u64 {
+    let _span = bgw_trace::span!("sigma.diag");
+    let flops = row_kernel(ctx, s, grid, variant, out);
+    bgw_trace::add_flops(flops);
+    flops
 }
 
-fn run_blocked(ctx: &SigmaContext, e_grids: &[Vec<f64>]) -> (Vec<Vec<f64>>, u64) {
+fn row_kernel(
+    ctx: &SigmaContext,
+    s: usize,
+    grid: &[f64],
+    variant: KernelVariant,
+    out: &mut [f64],
+) -> u64 {
+    assert_eq!(grid.len(), out.len(), "one output slot per energy");
+    match variant {
+        KernelVariant::Reference => row_reference(ctx, s, grid, out),
+        KernelVariant::Blocked => row_blocked(ctx, s, grid, out),
+        KernelVariant::Optimized => row_optimized(ctx, s, grid, out),
+    }
+}
+
+fn row_reference(ctx: &SigmaContext, s: usize, grid: &[f64], out: &mut [f64]) -> u64 {
+    let ng = ctx.n_g();
+    let m = &ctx.m_tilde[s];
+    let mut flops = 0u64;
+    for (sig, &e) in out.iter_mut().zip(grid) {
+        let mut acc = Complex64::ZERO;
+        for n in 0..ctx.n_b() {
+            let occupied = n < ctx.n_occ;
+            let de = e - ctx.energies[n];
+            let row = m.row(n);
+            for g in 0..ng {
+                for gp in 0..ng {
+                    let p = gpp_factor(&ctx.gpp, g, gp, de, occupied);
+                    if p != 0.0 {
+                        acc += row[g].conj() * row[gp] * p;
+                    }
+                    flops += if ctx.gpp.strength(g, gp) > 0.0 {
+                        FLOPS_PER_ACTIVE_PAIR
+                    } else {
+                        FLOPS_PER_INACTIVE_PAIR
+                    };
+                }
+            }
+        }
+        *sig = acc.re;
+    }
+    flops
+}
+
+fn row_blocked(ctx: &SigmaContext, s: usize, grid: &[f64], out: &mut [f64]) -> u64 {
     const TILE: usize = 32;
     let ng = ctx.n_g();
-    let nb = ctx.n_b();
+    let m = &ctx.m_tilde[s];
     let mut flops = 0u64;
-    let mut out = Vec::with_capacity(ctx.n_sigma());
-    for (s, grid) in e_grids.iter().enumerate() {
-        let m = &ctx.m_tilde[s];
-        let mut sig = vec![0.0; grid.len()];
-        for (ei, &e) in grid.iter().enumerate() {
-            let mut acc = Complex64::ZERO;
-            for n in 0..nb {
-                let occupied = n < ctx.n_occ;
-                let de = e - ctx.energies[n];
-                let row = m.row(n);
-                for g in 0..ng {
-                    // hoisted conjugate (data reuse), tiled inner sweep;
-                    // still division-heavy like the directive versions
-                    let mg_conj = row[g].conj();
-                    let mut row_acc = Complex64::ZERO;
-                    for gp0 in (0..ng).step_by(TILE) {
-                        let gp1 = (gp0 + TILE).min(ng);
-                        let mut tile_acc = Complex64::ZERO;
-                        for (gp, &rgp) in row.iter().enumerate().take(gp1).skip(gp0) {
-                            let p = gpp_factor(&ctx.gpp, g, gp, de, occupied);
-                            if p != 0.0 {
-                                tile_acc += rgp.scale(p);
-                            }
+    for (sig, &e) in out.iter_mut().zip(grid) {
+        let mut acc = Complex64::ZERO;
+        for n in 0..ctx.n_b() {
+            let occupied = n < ctx.n_occ;
+            let de = e - ctx.energies[n];
+            let row = m.row(n);
+            for g in 0..ng {
+                // hoisted conjugate (data reuse), tiled inner sweep;
+                // still division-heavy like the directive versions
+                let mg_conj = row[g].conj();
+                let mut row_acc = Complex64::ZERO;
+                for gp0 in (0..ng).step_by(TILE) {
+                    let gp1 = (gp0 + TILE).min(ng);
+                    let mut tile_acc = Complex64::ZERO;
+                    for (gp, &rgp) in row.iter().enumerate().take(gp1).skip(gp0) {
+                        let p = gpp_factor(&ctx.gpp, g, gp, de, occupied);
+                        if p != 0.0 {
+                            tile_acc += rgp.scale(p);
                         }
-                        row_acc += tile_acc;
                     }
-                    acc += mg_conj * row_acc;
+                    row_acc += tile_acc;
                 }
-                flops += count_pair_flops(ctx, ng);
+                acc += mg_conj * row_acc;
             }
-            sig[ei] = acc.re;
+            flops += count_pair_flops(ctx, ng);
         }
-        out.push(sig);
+        *sig = acc.re;
     }
-    (out, flops)
+    flops
 }
 
-fn run_optimized(ctx: &SigmaContext, e_grids: &[Vec<f64>]) -> (Vec<Vec<f64>>, u64) {
+fn row_optimized(ctx: &SigmaContext, s: usize, grid: &[f64], out: &mut [f64]) -> u64 {
     // Per-energy accumulators, amortized pole-data loads, divisions
     // replaced by reciprocal multiplies, and plain-f64 FMA accumulation
     // (the kernel factor is real) — the Sec. 5.5.1 optimization set.
     const MAX_NE: usize = 16;
-    let ng = ctx.n_g();
-    let nb = ctx.n_b();
-    let n_sigma = ctx.n_sigma();
     const DENOM_FLOOR: f64 = 1e-4;
-
-    let mut out = vec![Vec::new(); n_sigma];
+    let ng = ctx.n_g();
+    let ne = grid.len();
+    let m = &ctx.m_tilde[s];
     let mut flops = 0u64;
-    for s in 0..n_sigma {
-        let grid = &e_grids[s];
-        let ne = grid.len();
-        let m = &ctx.m_tilde[s];
-        // Chunk the energy grid so the per-(g, gp) factor array stays on
-        // the stack.
-        let mut sig = vec![0.0; ne];
-        for e0 in (0..ne).step_by(MAX_NE) {
-            let e1 = (e0 + MAX_NE).min(ne);
-            let nee = e1 - e0;
-            // Band-parallel with per-worker accumulators, merged
-            // deterministically (the two-stage reduction of Sec. 5.5.1).
-            let (acc, fl) = bgw_par::parallel_reduce(
-                nb,
-                1,
-                || (vec![c64(0.0, 0.0); nee], 0u64),
-                |(acc, fl), n0, n1| {
-                    let mut de = [0.0f64; MAX_NE];
-                    let mut p = [0.0f64; MAX_NE];
-                    let mut acc_re = [0.0f64; MAX_NE];
-                    let mut acc_im = [0.0f64; MAX_NE];
-                    for n in n0..n1 {
-                        let occupied = n < ctx.n_occ;
-                        let row = m.row(n);
-                        let en = ctx.energies[n];
-                        for (k, &e) in grid[e0..e1].iter().enumerate() {
-                            de[k] = e - en;
-                        }
-                        acc_re[..nee].fill(0.0);
-                        acc_im[..nee].fill(0.0);
-                        for g in 0..ng {
-                            let mg = row[g];
-                            let strengths = &ctx.gpp.pole_strength[g * ng..(g + 1) * ng];
-                            let freqs = &ctx.gpp.mode_freq[g * ng..(g + 1) * ng];
-                            for gp in 0..ng {
-                                // Kernel factor for every E of the chunk;
-                                // pole data loaded once per (g, gp),
-                                // inactive pairs skipped entirely.
-                                let strength = strengths[gp];
-                                let exch = occupied && g == gp;
-                                if strength <= 0.0 && !exch {
-                                    continue;
-                                }
-                                let base = if exch { -1.0 } else { 0.0 };
-                                if strength > 0.0 {
-                                    let w = freqs[gp];
-                                    let w2 = w * w;
-                                    let two_w = 2.0 * w;
-                                    for k in 0..nee {
-                                        let d = de[k];
-                                        let mut pk = base;
-                                        if occupied {
-                                            let den = d.mul_add(d, -w2);
-                                            let den = if den.abs() < DENOM_FLOOR {
-                                                DENOM_FLOOR.copysign(den)
-                                            } else {
-                                                den
-                                            };
-                                            pk = (-strength).mul_add(1.0 / den, pk);
-                                        }
-                                        let den = two_w * (d - w);
+    // Chunk the energy grid so the per-(g, gp) factor array stays on
+    // the stack.
+    for e0 in (0..ne).step_by(MAX_NE) {
+        let e1 = (e0 + MAX_NE).min(ne);
+        let nee = e1 - e0;
+        // Band-parallel with per-worker accumulators, merged
+        // deterministically (the two-stage reduction of Sec. 5.5.1).
+        let (acc, fl) = bgw_par::parallel_reduce(
+            ctx.n_b(),
+            1,
+            || (vec![c64(0.0, 0.0); nee], 0u64),
+            |(acc, fl), n0, n1| {
+                let mut de = [0.0f64; MAX_NE];
+                let mut p = [0.0f64; MAX_NE];
+                let mut acc_re = [0.0f64; MAX_NE];
+                let mut acc_im = [0.0f64; MAX_NE];
+                for n in n0..n1 {
+                    let occupied = n < ctx.n_occ;
+                    let row = m.row(n);
+                    let en = ctx.energies[n];
+                    for (k, &e) in grid[e0..e1].iter().enumerate() {
+                        de[k] = e - en;
+                    }
+                    acc_re[..nee].fill(0.0);
+                    acc_im[..nee].fill(0.0);
+                    for g in 0..ng {
+                        let mg = row[g];
+                        let strengths = &ctx.gpp.pole_strength[g * ng..(g + 1) * ng];
+                        let freqs = &ctx.gpp.mode_freq[g * ng..(g + 1) * ng];
+                        for gp in 0..ng {
+                            // Kernel factor for every E of the chunk;
+                            // pole data loaded once per (g, gp),
+                            // inactive pairs skipped entirely.
+                            let strength = strengths[gp];
+                            let exch = occupied && g == gp;
+                            if strength <= 0.0 && !exch {
+                                continue;
+                            }
+                            let base = if exch { -1.0 } else { 0.0 };
+                            if strength > 0.0 {
+                                let w = freqs[gp];
+                                let w2 = w * w;
+                                let two_w = 2.0 * w;
+                                for k in 0..nee {
+                                    let d = de[k];
+                                    let mut pk = base;
+                                    if occupied {
+                                        let den = d.mul_add(d, -w2);
                                         let den = if den.abs() < DENOM_FLOOR {
                                             DENOM_FLOOR.copysign(den)
                                         } else {
                                             den
                                         };
-                                        p[k] = strength.mul_add(1.0 / den, pk);
+                                        pk = (-strength).mul_add(1.0 / den, pk);
                                     }
-                                } else {
-                                    p[..nee].fill(base);
+                                    let den = two_w * (d - w);
+                                    let den = if den.abs() < DENOM_FLOOR {
+                                        DENOM_FLOOR.copysign(den)
+                                    } else {
+                                        den
+                                    };
+                                    p[k] = strength.mul_add(1.0 / den, pk);
                                 }
-                                // conj(m_g) * m_gp once, then real FMA per E.
-                                let prod = mg.conj() * row[gp];
-                                for k in 0..nee {
-                                    acc_re[k] = p[k].mul_add(prod.re, acc_re[k]);
-                                    acc_im[k] = p[k].mul_add(prod.im, acc_im[k]);
-                                }
+                            } else {
+                                p[..nee].fill(base);
+                            }
+                            // conj(m_g) * m_gp once, then real FMA per E.
+                            let prod = mg.conj() * row[gp];
+                            for k in 0..nee {
+                                acc_re[k] = p[k].mul_add(prod.re, acc_re[k]);
+                                acc_im[k] = p[k].mul_add(prod.im, acc_im[k]);
                             }
                         }
-                        for k in 0..nee {
-                            acc[k] += c64(acc_re[k], acc_im[k]);
-                        }
-                        *fl += count_pair_flops(ctx, ng) * nee as u64;
                     }
-                },
-                |(mut a, fa), (b, fb)| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
+                    for k in 0..nee {
+                        acc[k] += c64(acc_re[k], acc_im[k]);
                     }
-                    (a, fa + fb)
-                },
-            );
-            for (k, z) in acc.iter().enumerate() {
-                sig[e0 + k] = z.re;
-            }
-            flops += fl;
+                    *fl += count_pair_flops(ctx, ng) * nee as u64;
+                }
+            },
+            |(mut a, fa), (b, fb)| {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x += y;
+                }
+                (a, fa + fb)
+            },
+        );
+        for (slot, z) in out[e0..e1].iter_mut().zip(&acc) {
+            *slot = z.re;
         }
-        out[s] = sig;
+        flops += fl;
     }
-    (out, flops)
+    flops
 }
 
 /// Partial diag kernel over a contiguous `G'` slice `gp_lo..gp_hi` — the
@@ -328,17 +347,8 @@ pub fn gpp_sigma_diag_partial(
 /// and split the `G'` summation; the partial sums are combined with the
 /// pool allreduce (the two-stage reduction of Sec. 5.5.1, item 5).
 /// Returns the full result on every rank, with this rank's partial
-/// `seconds`/`flops` preserved for load-balance accounting.
-pub fn gpp_sigma_diag_distributed(
-    comm: &bgw_comm::Comm,
-    ctx: &SigmaContext,
-    e_grids: &[Vec<f64>],
-) -> SigmaDiagResult {
-    try_gpp_sigma_diag_distributed(comm, ctx, e_grids).unwrap_or_else(|e| std::panic::panic_any(e))
-}
-
-/// Fallible [`gpp_sigma_diag_distributed`]: communicator faults surface as
-/// `Err` instead of panicking, so a resilient driver can shrink the
+/// `seconds`/`flops` preserved for load-balance accounting. Communicator
+/// faults surface as `Err`, so a resilient driver can shrink the
 /// communicator and retry the kernel on the survivors.
 pub fn try_gpp_sigma_diag_distributed(
     comm: &bgw_comm::Comm,
@@ -419,6 +429,34 @@ mod tests {
     }
 
     #[test]
+    fn row_entry_matches_whole_context_kernel_bitwise() {
+        // The row contract every band-at-a-time driver rests on: row `s`
+        // evaluated alone, in any order, is row `s` of the whole-context
+        // kernel in every bit, with FLOPs that sum to the kernel's count.
+        let (ctx, _) = testkit::small_context();
+        let grids: Vec<Vec<f64>> = ctx
+            .sigma_energies
+            .iter()
+            .map(|&e| vec![e - 0.05, e, e + 0.05])
+            .collect();
+        for variant in [
+            KernelVariant::Reference,
+            KernelVariant::Blocked,
+            KernelVariant::Optimized,
+        ] {
+            let whole = gpp_sigma_diag(&ctx, &grids, variant);
+            let mut flops = 0;
+            for s in (0..ctx.n_sigma()).rev() {
+                let mut row = [0.0; 3];
+                flops += gpp_sigma_row(&ctx, s, &grids[s], variant, &mut row);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&row), bits(&whole.sigma[s]), "{variant:?} row {s}");
+            }
+            assert_eq!(flops, whole.flops, "{variant:?}");
+        }
+    }
+
+    #[test]
     fn sigma_is_negative_for_valence_bands() {
         // screened exchange dominates for occupied states: Sigma_vv < 0.
         let (ctx, _) = testkit::small_context();
@@ -490,7 +528,9 @@ mod tests {
         let grids: Vec<Vec<f64>> = ctx.sigma_energies.iter().map(|&e| vec![e]).collect();
         let full = gpp_sigma_diag(&ctx, &grids, KernelVariant::Reference);
         let (results, stats) = bgw_comm::run_world(3, |comm| {
-            gpp_sigma_diag_distributed(comm, &ctx, &grids).sigma
+            try_gpp_sigma_diag_distributed(comm, &ctx, &grids)
+                .expect("fault-free world")
+                .sigma
         });
         for r in &results {
             for (s, (rrow, frow)) in r.iter().zip(&full.sigma).enumerate() {

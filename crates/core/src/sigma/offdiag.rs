@@ -118,7 +118,7 @@ pub fn gpp_sigma_offdiag_distributed(
     ctx: &SigmaContext,
     e_grid: &UniformGrid,
     backend: GemmBackend,
-) -> SigmaOffdiagResult {
+) -> Result<SigmaOffdiagResult, bgw_comm::CommError> {
     let ns = ctx.n_sigma();
     let ng = ctx.n_g();
     let nb = ctx.n_b();
@@ -187,18 +187,18 @@ pub fn gpp_sigma_offdiag_distributed(
         .iter()
         .flat_map(|m| m.as_slice().iter().copied())
         .collect();
-    let reduced = comm.allreduce_sum_c64(flat);
+    let reduced = comm.try_allreduce_sum_c64(flat)?;
     for (ei, m) in sigma.iter_mut().enumerate() {
         m.as_mut_slice()
             .copy_from_slice(&reduced[ei * ns * ns..(ei + 1) * ns * ns]);
     }
-    SigmaOffdiagResult {
+    Ok(SigmaOffdiagResult {
         sigma,
         e_grid: e_grid.clone(),
         seconds: t0.elapsed().as_secs_f64(),
         prep_seconds,
         zgemm_flops,
-    }
+    })
 }
 
 /// Paper Eq. 8: the analytic ZGEMM FLOP count for given sizes.
@@ -274,7 +274,8 @@ mod tests {
         let serial = gpp_sigma_offdiag(&ctx, &grid, GemmBackend::Blocked);
         for world in [2usize, 3, 5] {
             let (results, _) = bgw_comm::run_world(world, |comm| {
-                let r = gpp_sigma_offdiag_distributed(comm, &ctx, &grid, GemmBackend::Blocked);
+                let r = gpp_sigma_offdiag_distributed(comm, &ctx, &grid, GemmBackend::Blocked)
+                    .expect("fault-free world");
                 (
                     r.sigma
                         .iter()

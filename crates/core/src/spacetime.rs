@@ -30,7 +30,8 @@
 
 use crate::chi::{ChiConfig, ChiEngine, ChiTimings};
 use crate::coulomb::Coulomb;
-use crate::epsilon::{EpsilonError, EpsilonInverse};
+use crate::epsilon::EpsilonInverse;
+use crate::error::GwError;
 use crate::mtxel::Mtxel;
 use crate::sigma::imagaxis::{imag_axis_sigma_diag, SigmaImagAxisResult};
 use crate::sigma::SigmaContext;
@@ -38,7 +39,6 @@ use bgw_fft::{Direction, Fft3d};
 use bgw_linalg::{matmul, CMatrix, GemmBackend, Op};
 use bgw_num::grid::semi_infinite_quadrature;
 use bgw_num::minimax::{FitOptions, MinimaxGrid};
-use bgw_num::PadeError;
 use bgw_num::{c64, Complex64};
 use bgw_pwdft::{GSphere, Wavefunctions};
 use std::time::Instant;
@@ -462,47 +462,6 @@ impl SpaceTimeChi {
     }
 }
 
-/// Errors of the end-to-end imaginary-axis pipeline.
-#[derive(Debug)]
-pub enum ImagAxisError {
-    /// The space-time chi0 build failed.
-    SpaceTime(SpaceTimeError),
-    /// The symmetrized dielectric matrix could not be inverted.
-    Epsilon(EpsilonError),
-    /// The Pade analytic continuation was degenerate.
-    Pade(PadeError),
-}
-
-impl From<SpaceTimeError> for ImagAxisError {
-    fn from(e: SpaceTimeError) -> Self {
-        Self::SpaceTime(e)
-    }
-}
-
-impl From<EpsilonError> for ImagAxisError {
-    fn from(e: EpsilonError) -> Self {
-        Self::Epsilon(e)
-    }
-}
-
-impl From<PadeError> for ImagAxisError {
-    fn from(e: PadeError) -> Self {
-        Self::Pade(e)
-    }
-}
-
-impl std::fmt::Display for ImagAxisError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::SpaceTime(e) => write!(f, "space-time chi0: {e}"),
-            Self::Epsilon(e) => write!(f, "imaginary-axis epsilon: {e}"),
-            Self::Pade(e) => write!(f, "analytic continuation: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ImagAxisError {}
-
 /// Builds `eps~^{-1}(i u_k)` on a semi-infinite quadrature through either
 /// polarizability backend. Returns the inverse, the quadrature weights
 /// (for [`imag_axis_sigma_diag`]), and the space-time report when that
@@ -517,7 +476,7 @@ pub fn build_imag_epsilon(
     backend: &ChiBackend,
     n_quad: usize,
     quad_w0: f64,
-) -> Result<(EpsilonInverse, Vec<f64>, Option<SpaceTimeReport>), ImagAxisError> {
+) -> Result<(EpsilonInverse, Vec<f64>, Option<SpaceTimeReport>), GwError> {
     let (nodes, weights) = semi_infinite_quadrature(n_quad, quad_w0);
     let (chis, report) = match backend {
         ChiBackend::Dense(cfg) => {
@@ -563,7 +522,7 @@ pub fn run_imagaxis_gw(
     e_grids: &[Vec<f64>],
     n_quad: usize,
     iw_samples: usize,
-) -> Result<ImagAxisGwResult, ImagAxisError> {
+) -> Result<ImagAxisGwResult, GwError> {
     let (eps, weights, report) =
         build_imag_epsilon(wf, mtxel, wfn_sph, eps_sph, coulomb, backend, n_quad, 1.5)?;
     let sigma = imag_axis_sigma_diag(ctx, &eps, &weights, e_grids, iw_samples)?;

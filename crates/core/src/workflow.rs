@@ -8,7 +8,8 @@
 
 use crate::chi::ChiConfig;
 use crate::dyson::{solve_qp_full, QpState};
-use crate::service::{assemble, screened_context, sigma_diag, three_point_grids};
+use crate::error::GwError;
+use crate::service::{assemble, screened_context, three_point_grids, Stage};
 use crate::sigma::diag::{gpp_sigma_diag, KernelVariant};
 use crate::sigma::offdiag::gpp_sigma_offdiag;
 use crate::sigma::SigmaContext;
@@ -59,7 +60,9 @@ pub struct GwTimings {
     /// Checkpoint write/read time (zero for non-checkpointed runs).
     pub t_checkpoint: f64,
     /// Substrate counter deltas over the whole run: worker-pool dispatch
-    /// and region time, plus the GEMM packing-vs-microkernel split.
+    /// and region time, plus the GEMM packing-vs-microkernel split. (While
+    /// a run is in flight this holds its start snapshot; stage 7 turns it
+    /// into the delta.)
     pub substrate: bgw_perf::CounterSnapshot,
 }
 
@@ -103,15 +106,24 @@ pub struct GwResults {
 /// policy over the shared spine ([`service`](crate::service)) — the same
 /// stages `build_screening` -> `sigma_context` -> the diag kernel run for
 /// a served request, so the two agree bit for bit.
+///
+/// # Panics
+/// On a singular dielectric matrix or a system with no gap for the band
+/// window to straddle; the other drivers return those as [`GwError`]s.
 pub fn run_gpp_gw(system: &ModelSystem, cfg: &GwConfig) -> GwResults {
     let _run_span = bgw_trace::span!("workflow.gpp_gw");
-    let mut timings = GwTimings::default();
-    let counters0 = bgw_perf::counters::snapshot();
-    let (ctx, eps_macro) =
-        screened_context(system, cfg, &mut timings).expect("dielectric matrix must be invertible");
+    gpp_gw(system, cfg).expect("G0W0(GPP) run failed").1
+}
+
+/// The barrier-policy run [`run_gpp_gw`] and [`run_full_dyson_gw`] share:
+/// the Sigma context and its diagonal results.
+fn gpp_gw(system: &ModelSystem, cfg: &GwConfig) -> Result<(SigmaContext, GwResults), GwError> {
+    let mut timings = GwTimings::started();
+    let (ctx, eps_macro) = screened_context(system, cfg, &mut timings)?;
     let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
-    let diag = sigma_diag(&ctx, &grids, cfg.variant, &mut timings);
-    assemble(&ctx, &diag, eps_macro, timings, &counters0)
+    let diag = Stage::Sigma.timed(&mut timings, || gpp_sigma_diag(&ctx, &grids, cfg.variant));
+    let results = assemble(&ctx, &ctx.sigma_bands, &diag, eps_macro, timings)?;
+    Ok((ctx, results))
 }
 
 /// Result of a self-consistent quasiparticle-energy solve.
@@ -131,8 +143,8 @@ pub struct EvGwResults {
 /// One damped fixed-point update of `E = E^MF + Re Sigma_ll(E)` on every
 /// Sigma band: evaluates Sigma at the current estimates `e_qp`, moves
 /// them, appends the new gap to `gap_history`, and returns the largest
-/// move (Ry). Shared by [`run_evgw`] and its checkpointed twin.
-pub(crate) fn evgw_step(
+/// move (Ry).
+fn evgw_step(
     ctx: &SigmaContext,
     variant: KernelVariant,
     e_qp: &mut [f64],
@@ -152,6 +164,43 @@ pub(crate) fn evgw_step(
     max_delta
 }
 
+/// The damped self-consistency loop of both evGW drivers: [`evgw_step`]
+/// from the iterate `(e_qp, gap_history)` — one history entry per
+/// iteration already on record — until the largest move drops below
+/// `tol_ry` or `max_iter` iterations are done, handing the iterate to
+/// `after_iter` after every step (the checkpointed driver's write). A run
+/// that ends with no iteration on record (`max_iter = 0`, nothing resumed)
+/// has no gap to report and fails typed.
+pub(crate) fn evgw_iterate(
+    ctx: &SigmaContext,
+    variant: KernelVariant,
+    max_iter: usize,
+    tol_ry: f64,
+    mut e_qp: Vec<f64>,
+    mut gap_history: Vec<f64>,
+    mut after_iter: impl FnMut(&[f64], &[f64]) -> Result<(), GwError>,
+) -> Result<EvGwResults, GwError> {
+    while gap_history.len() < max_iter {
+        let max_delta = evgw_step(ctx, variant, &mut e_qp, &mut gap_history);
+        after_iter(&e_qp, &gap_history)?;
+        if max_delta < tol_ry && gap_history.len() > 1 {
+            break;
+        }
+    }
+    let gap_ry = *gap_history.last().ok_or(GwError::Malformed {
+        stage: "evgw",
+        reason: "run finished with an empty gap history \
+                 (zero iterations performed and nothing resumed)"
+            .into(),
+    })?;
+    Ok(EvGwResults {
+        gap_ry,
+        iterations: gap_history.len(),
+        gap_history,
+        e_qp,
+    })
+}
+
 /// Graphical (fixed-point) solution of the quasiparticle equation
 /// `E = E^MF + Re Sigma_ll(E)` for every Sigma band, iterated to
 /// self-consistency with damping — the beyond-Z-factor solution the
@@ -159,27 +208,23 @@ pub(crate) fn evgw_step(
 /// Sec. 5.6: "much more accurate self-consistent quasiparticle energies
 /// from the full solutions of the Dyson's equation"). The screening stays
 /// at RPA@mean-field (GW0).
-pub fn run_evgw(system: &ModelSystem, cfg: &GwConfig, max_iter: usize, tol_ry: f64) -> EvGwResults {
-    let (ctx, _) = screened_context(system, cfg, &mut GwTimings::default())
-        .expect("dielectric matrix must be invertible");
-    let mut e_qp = ctx.sigma_energies.clone();
-    let mut gap_history = Vec::new();
-    let mut iterations = 0;
-    while iterations < max_iter {
-        iterations += 1;
-        let max_delta = evgw_step(&ctx, cfg.variant, &mut e_qp, &mut gap_history);
-        if max_delta < tol_ry && iterations > 1 {
-            break;
-        }
-    }
-    EvGwResults {
-        gap_ry: *gap_history
-            .last()
-            .expect("max_iter >= 1: at least one iteration ran"),
-        gap_history,
-        iterations,
-        e_qp,
-    }
+pub fn run_evgw(
+    system: &ModelSystem,
+    cfg: &GwConfig,
+    max_iter: usize,
+    tol_ry: f64,
+) -> Result<EvGwResults, GwError> {
+    let (ctx, _) = screened_context(system, cfg, &mut GwTimings::default())?;
+    let e_mf = ctx.sigma_energies.clone();
+    evgw_iterate(
+        &ctx,
+        cfg.variant,
+        max_iter,
+        tol_ry,
+        e_mf,
+        Vec::new(),
+        |_, _| Ok(()),
+    )
 }
 
 /// Results of a full-matrix Dyson solution.
@@ -204,14 +249,12 @@ pub struct FullDysonResults {
 /// Sigma matrix — the paper's "full solutions of the Dyson's equation"
 /// workflow (Sec. 5.6). The diagonal reference *is* [`run_gpp_gw`]'s
 /// result (same spine, same kernel).
-pub fn run_full_dyson_gw(system: &ModelSystem, cfg: &GwConfig, n_e: usize) -> FullDysonResults {
-    let mut timings = GwTimings::default();
-    let counters0 = bgw_perf::counters::snapshot();
-    let (ctx, eps_macro) =
-        screened_context(system, cfg, &mut timings).expect("dielectric matrix must be invertible");
-    let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
-    let diag = sigma_diag(&ctx, &grids, cfg.variant, &mut timings);
-    let reference = assemble(&ctx, &diag, eps_macro, timings, &counters0);
+pub fn run_full_dyson_gw(
+    system: &ModelSystem,
+    cfg: &GwConfig,
+    n_e: usize,
+) -> Result<FullDysonResults, GwError> {
+    let (ctx, reference) = gpp_gw(system, cfg)?;
     let e_qp_diag: Vec<f64> = reference.states.iter().map(|s| s.e_qp).collect();
 
     // uniform grid spanning the expected QP window (Sec. 5.6's
@@ -222,14 +265,14 @@ pub fn run_full_dyson_gw(system: &ModelSystem, cfg: &GwConfig, n_e: usize) -> Fu
     let grid = UniformGrid::new(lo, hi, n_e.max(4));
     let off = gpp_sigma_offdiag(&ctx, &grid, bgw_linalg::GemmBackend::Parallel);
     let e_qp_full = solve_qp_full(&ctx.sigma_energies, &off);
-    FullDysonResults {
+    Ok(FullDysonResults {
         sigma_bands: reference.sigma_bands,
-        e_mf: ctx.sigma_energies.clone(),
+        e_mf: ctx.sigma_energies,
         e_qp_diag,
         e_qp_full,
         zgemm_flops: off.zgemm_flops,
         kernel_seconds: off.seconds,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -242,7 +285,7 @@ mod tests {
         let mut sys = si_bulk(1, 2.2);
         sys.n_bands = 28;
         let g0w0 = run_gpp_gw(&sys, &GwConfig::default());
-        let ev = run_evgw(&sys, &GwConfig::default(), 40, 1e-5);
+        let ev = run_evgw(&sys, &GwConfig::default(), 40, 1e-5).expect("evGW runs");
         assert!(
             ev.iterations >= 2 && ev.iterations < 40,
             "iters {}",
@@ -272,7 +315,7 @@ mod tests {
     fn full_dyson_workflow_runs() {
         let mut sys = si_bulk(1, 2.2);
         sys.n_bands = 28;
-        let r = run_full_dyson_gw(&sys, &GwConfig::default(), 24);
+        let r = run_full_dyson_gw(&sys, &GwConfig::default(), 24).expect("full Dyson runs");
         assert_eq!(r.e_qp_full.len(), r.sigma_bands.len());
         assert!(r.zgemm_flops > 0 && r.kernel_seconds > 0.0);
         for (full, diag) in r.e_qp_full.iter().zip(&r.e_qp_diag) {

@@ -125,9 +125,9 @@ impl DistMatrix {
         self.local.nrows()
     }
 
-    /// Fallible row-block gather; faults in the underlying allgather
-    /// surface as typed errors instead of panics, which is what the
-    /// crash-recovery drivers in `bgw-core` build on.
+    /// Gathers the full matrix on every rank (an allgather of row
+    /// blocks). Faults in the underlying allgather surface as typed errors,
+    /// which is what the crash-recovery drivers in `bgw-core` build on.
     pub fn try_to_replicated(&self, comm: &Comm) -> Result<CMatrix, CommError> {
         let blocks = comm.try_allgather(self.local.as_slice().to_vec())?;
         let mut out = CMatrix::zeros(self.n_rows, self.n_cols);
@@ -144,13 +144,10 @@ impl DistMatrix {
         Ok(out)
     }
 
-    /// Gathers the full matrix on every rank (an allgather of row blocks).
-    pub fn to_replicated(&self, comm: &Comm) -> CMatrix {
-        self.try_to_replicated(comm)
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible distributed product; see [`DistMatrix::matmul`].
+    /// Distributed product `self * b` where `b` is distributed the same
+    /// way: `b`'s row blocks are all-gathered into a replicated operand,
+    /// then each rank multiplies its local row panel — the standard
+    /// row-panel SUMMA degenerate case, one allgather per product.
     pub fn try_matmul(&self, comm: &Comm, b: &DistMatrix) -> Result<DistMatrix, CommError> {
         let _span = bgw_trace::span!("dist.matmul");
         assert_eq!(self.n_cols, b.n_rows, "distributed dims disagree");
@@ -168,15 +165,6 @@ impl DistMatrix {
             row_offset: self.row_offset,
             local,
         })
-    }
-
-    /// Distributed product `self * b` where `b` is distributed the same
-    /// way: `b`'s row blocks are all-gathered into a replicated operand,
-    /// then each rank multiplies its local row panel — the standard
-    /// row-panel SUMMA degenerate case, one allgather per product.
-    pub fn matmul(&self, comm: &Comm, b: &DistMatrix) -> DistMatrix {
-        self.try_matmul(comm, b)
-            .unwrap_or_else(|e| std::panic::panic_any(e))
     }
 
     /// Pipelined distributed product `self * b`: instead of one
@@ -255,15 +243,15 @@ impl DistMatrix {
     }
 
     /// Global Frobenius norm (allreduced).
-    pub fn frobenius_norm(&self, comm: &Comm) -> f64 {
+    pub fn frobenius_norm(&self, comm: &Comm) -> Result<f64, CommError> {
         let local: f64 = self.local.as_slice().iter().map(|z| z.norm_sqr()).sum();
-        comm.allreduce(local, |a, b| a + b).sqrt()
+        Ok(comm.try_allreduce(local, |a, b| a + b)?.sqrt())
     }
 
     /// Global max-abs (allreduced).
-    pub fn max_abs(&self, comm: &Comm) -> f64 {
+    pub fn max_abs(&self, comm: &Comm) -> Result<f64, CommError> {
         let local = self.local.max_abs();
-        comm.allreduce(local, f64::max)
+        comm.try_allreduce(local, f64::max)
     }
 }
 
@@ -272,12 +260,15 @@ impl DistMatrix {
 /// with compute without shrinking the per-panel GEMM below useful size.
 const NS_PIPELINE_PANELS: usize = 4;
 
-/// Fallible distributed Newton-Schulz inversion; see
-/// [`newton_schulz_inverse`]. Communication faults surface as
-/// [`DistError::Comm`]; non-convergence (a singular or ill-conditioned
-/// matrix) surfaces as [`DistError::NotConverged`] instead of the assert
-/// that used to abort the pool — resilient callers degrade to their
-/// typed-error recovery path.
+/// Distributed Newton-Schulz inversion of a square matrix.
+///
+/// Converges quadratically when seeded with `X_0 = A^dagger / (||A||_1
+/// ||A||_inf)`; iteration stops when `||I - A X||_max < tol` or after
+/// `max_iter` sweeps. Returns `(inverse, iterations)`. Communication
+/// faults surface as [`DistError::Comm`]; a residual that fails to drop
+/// below `0.9` within the budget (a singular or ill-conditioned matrix)
+/// surfaces as [`DistError::NotConverged`] — resilient callers degrade to
+/// their typed-error recovery path.
 pub fn try_newton_schulz_inverse(
     comm: &Comm,
     a: &DistMatrix,
@@ -359,25 +350,9 @@ pub fn try_newton_schulz_inverse(
     Ok((x, iterations))
 }
 
-/// Distributed Newton-Schulz inversion of a square matrix.
-///
-/// Converges quadratically when seeded with `X_0 = A^dagger / (||A||_1
-/// ||A||_inf)`; iteration stops when `||I - A X||_max < tol` or after
-/// `max_iter` sweeps. Returns `(inverse, iterations)`; panics (with a
-/// typed [`DistError`] payload) if the residual fails to drop below
-/// `0.9` within the budget — fallible callers use
-/// [`try_newton_schulz_inverse`] and recover instead.
-pub fn newton_schulz_inverse(
-    comm: &Comm,
-    a: &DistMatrix,
-    tol: f64,
-    max_iter: usize,
-) -> (DistMatrix, usize) {
-    try_newton_schulz_inverse(comm, a, tol, max_iter).unwrap_or_else(|e| std::panic::panic_any(e))
-}
-
-/// Fallible distributed epsilon build-and-invert; see
-/// [`invert_epsilon_distributed`].
+/// Distributed build-and-invert of the symmetrized dielectric matrix:
+/// `eps~ = I - v^{1/2} chi v^{1/2}` from a distributed `chi`, inverted by
+/// Newton-Schulz — the distributed Epsilon path.
 pub fn try_invert_epsilon_distributed(
     comm: &Comm,
     chi: &DistMatrix,
@@ -398,24 +373,19 @@ pub fn try_invert_epsilon_distributed(
     try_newton_schulz_inverse(comm, &eps, tol, 60)
 }
 
-/// Distributed build-and-invert of the symmetrized dielectric matrix:
-/// `eps~ = I - v^{1/2} chi v^{1/2}` from a distributed `chi`, inverted by
-/// Newton-Schulz — the distributed Epsilon path.
-pub fn invert_epsilon_distributed(
-    comm: &Comm,
-    chi: &DistMatrix,
-    vsqrt: &[f64],
-    tol: f64,
-) -> (DistMatrix, usize) {
-    try_invert_epsilon_distributed(comm, chi, vsqrt, tol)
-        .unwrap_or_else(|e| std::panic::panic_any(e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bgw_comm::run_world;
     use bgw_linalg::invert;
+
+    /// `run_world` for a fallible rank body on a fault-free world.
+    fn world<R: Send>(
+        size: usize,
+        f: impl Fn(&Comm) -> Result<R, DistError> + Send + Sync,
+    ) -> Vec<R> {
+        run_world(size, |c| f(c).expect("fault-free world")).0
+    }
 
     #[test]
     fn row_ranges_tile() {
@@ -433,9 +403,9 @@ mod tests {
     #[test]
     fn scatter_gather_roundtrip() {
         let a = CMatrix::random(13, 9, 1);
-        let (out, _) = run_world(4, |comm| {
+        let out = world(4, |comm| {
             let d = DistMatrix::from_replicated(comm, &a);
-            d.to_replicated(comm).as_slice().to_vec()
+            Ok(d.try_to_replicated(comm)?.as_slice().to_vec())
         });
         for flat in out {
             let b = CMatrix::from_vec(13, 9, flat);
@@ -448,10 +418,11 @@ mod tests {
         let a = CMatrix::random(11, 7, 2);
         let b = CMatrix::random(7, 5, 3);
         let serial = matmul(&a, Op::None, &b, Op::None, GemmBackend::Naive);
-        let (out, _) = run_world(3, |comm| {
+        let out = world(3, |comm| {
             let da = DistMatrix::from_replicated(comm, &a);
             let db = DistMatrix::from_replicated(comm, &b);
-            da.matmul(comm, &db).to_replicated(comm).as_slice().to_vec()
+            let c = da.try_matmul(comm, &db)?.try_to_replicated(comm)?;
+            Ok(c.as_slice().to_vec())
         });
         for flat in out {
             let c = CMatrix::from_vec(11, 5, flat);
@@ -468,10 +439,10 @@ mod tests {
             a[(d, d)] += Complex64::new(4.0, 0.0);
         }
         let reference = invert(&a).unwrap();
-        let (out, _) = run_world(4, |comm| {
+        let out = world(4, |comm| {
             let da = DistMatrix::from_replicated(comm, &a);
-            let (inv, iters) = newton_schulz_inverse(comm, &da, 1e-12, 60);
-            (inv.to_replicated(comm).as_slice().to_vec(), iters)
+            let (inv, iters) = try_newton_schulz_inverse(comm, &da, 1e-12, 60)?;
+            Ok((inv.try_to_replicated(comm)?.as_slice().to_vec(), iters))
         });
         for (flat, iters) in out {
             let inv = CMatrix::from_vec(n, n, flat);
@@ -505,10 +476,10 @@ mod tests {
             }
         }
         let reference = invert(&eps).unwrap();
-        let (out, _) = run_world(3, |comm| {
+        let out = world(3, |comm| {
             let dchi = DistMatrix::from_replicated(comm, &chi);
-            let (inv, _) = invert_epsilon_distributed(comm, &dchi, &vsqrt, 1e-12);
-            inv.to_replicated(comm).as_slice().to_vec()
+            let (inv, _) = try_invert_epsilon_distributed(comm, &dchi, &vsqrt, 1e-12)?;
+            Ok(inv.try_to_replicated(comm)?.as_slice().to_vec())
         });
         for flat in out {
             let inv = CMatrix::from_vec(n, n, flat);
@@ -522,14 +493,11 @@ mod tests {
         let b = CMatrix::random(7, 5, 22);
         let serial = matmul(&a, Op::None, &b, Op::None, GemmBackend::Naive);
         for panels in [1usize, 2, 4, 9] {
-            let (out, _) = run_world(3, |comm| {
+            let out = world(3, |comm| {
                 let da = DistMatrix::from_replicated(comm, &a);
                 let db = DistMatrix::from_replicated(comm, &b);
-                da.try_matmul_pipelined(comm, &db, panels)
-                    .unwrap()
-                    .to_replicated(comm)
-                    .as_slice()
-                    .to_vec()
+                let c = da.try_matmul_pipelined(comm, &db, panels)?;
+                Ok(c.try_to_replicated(comm)?.as_slice().to_vec())
             });
             for flat in out {
                 let c = CMatrix::from_vec(11, 5, flat);
@@ -571,9 +539,9 @@ mod tests {
         let a = CMatrix::random(10, 10, 11);
         let serial_f = a.frobenius_norm();
         let serial_m = a.max_abs();
-        let (out, _) = run_world(4, |comm| {
+        let out = world(4, |comm| {
             let d = DistMatrix::from_replicated(comm, &a);
-            (d.frobenius_norm(comm), d.max_abs(comm))
+            Ok((d.frobenius_norm(comm)?, d.max_abs(comm)?))
         });
         for (f, m) in out {
             assert!((f - serial_f).abs() < 1e-12);
@@ -585,11 +553,11 @@ mod tests {
     fn axpby_local_update() {
         let a = CMatrix::random(8, 8, 1);
         let b = CMatrix::random(8, 8, 2);
-        let (out, _) = run_world(2, |comm| {
+        let out = world(2, |comm| {
             let mut da = DistMatrix::from_replicated(comm, &a);
             let db = DistMatrix::from_replicated(comm, &b);
             da.axpby(Complex64::new(2.0, 0.0), Complex64::new(0.0, 1.0), &db);
-            da.to_replicated(comm).as_slice().to_vec()
+            Ok(da.try_to_replicated(comm)?.as_slice().to_vec())
         });
         for flat in out {
             let c = CMatrix::from_vec(8, 8, flat);

@@ -16,11 +16,14 @@
 //! 2. acquire the screening: memory LRU → disk artifact (a cache hit *is*
 //!    a restart through `screening_from_checkpoint`) → full recompute +
 //!    atomic store;
-//! 3. evaluate each distinct `(band, delta)` Sigma diagonal exactly once
-//!    over the union context (resuming a preemption partial if one is on
-//!    record), yielding between band slices when `peek` reports a higher
-//!    waiting priority;
-//! 4. assemble and retire per-request responses, consulting the seeded
+//! 3. evaluate each distinct `(band, delta)` Sigma row exactly once over
+//!    the union context — `bgw_core::service::sigma_row`, the one-shot
+//!    drivers' row entry — resuming the `SigmaRows` of a preemption
+//!    partial if one is on record and yielding between rows when `peek`
+//!    reports a higher waiting priority;
+//! 4. assemble (`SigmaRows::assemble`, the one-shot drivers' stage 7, over
+//!    each member's own window) and retire per-request
+//!    responses, consulting the seeded
 //!    fault plan at each request's evaluation op: crashes re-enqueue only
 //!    that request, transients retry with bounded backoff, corruption
 //!    poisons the *stored* artifact (the checksummed reader must catch it
@@ -31,14 +34,11 @@ use crate::request::{GwRequest, RequestKind};
 use crate::store::ArtifactStore;
 use bgw_comm::{FaultKind, FaultPlan};
 use bgw_core::epsilon::EpsilonError;
-use bgw_core::restart::{band_slice, GwStage};
 use bgw_core::service::{
     band_subset, build_screening, ff_eval, screening_from_checkpoint, screening_to_checkpoint,
-    sigma_context, three_point_grids, Screening,
+    sigma_context, sigma_row, Screening, SigmaRows,
 };
-use bgw_core::sigma::diag::{gpp_sigma_diag, SigmaDiagResult};
-use bgw_core::solve_qp_diag;
-use bgw_io::Checkpoint;
+use bgw_core::workflow::GwTimings;
 use bgw_num::Complex64;
 use bgw_perf::counters;
 use bgw_trace::RunReport;
@@ -364,61 +364,6 @@ struct Pending {
     cancel: Arc<AtomicBool>,
 }
 
-/// Dedup identity of one Sigma row within a batch: `(band, delta_milli_ry)`.
-type RowKey = (usize, u32);
-/// One evaluated row: the 3-point Sigma grid plus its FLOP attribution.
-type RowVal = (Vec<f64>, u64);
-
-/// A preemption partial: per-`(band, delta_milli_ry)` Sigma rows already
-/// evaluated for a W batch, plus their FLOP attribution.
-#[derive(Clone, Debug, Default, PartialEq)]
-struct BatchPartial {
-    rows: Vec<(RowKey, RowVal)>,
-}
-
-const PARTIAL_N_GRID: usize = 3;
-
-impl BatchPartial {
-    fn get(&self, key: RowKey) -> Option<&RowVal> {
-        self.rows.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
-    fn to_checkpoint(&self) -> Checkpoint {
-        let mut meta = vec![self.rows.len() as f64];
-        for ((band, delta), (row, flops)) in &self.rows {
-            meta.push(*band as f64);
-            meta.push(*delta as f64);
-            meta.push(*flops as f64);
-            meta.extend_from_slice(row);
-        }
-        Checkpoint {
-            stage: GwStage::SigmaPartial as u64,
-            step: self.rows.len() as u64,
-            meta,
-            matrices: vec![],
-        }
-    }
-
-    fn from_checkpoint(ck: &Checkpoint) -> Option<BatchPartial> {
-        if ck.stage != GwStage::SigmaPartial as u64 || ck.meta.is_empty() {
-            return None;
-        }
-        let n = ck.meta[0] as usize;
-        if ck.step as usize != n || ck.meta.len() != 1 + n * (3 + PARTIAL_N_GRID) {
-            return None;
-        }
-        let mut rows = Vec::with_capacity(n);
-        for chunk in ck.meta[1..].chunks_exact(3 + PARTIAL_N_GRID) {
-            let row = chunk[3..].to_vec();
-            if row.iter().any(|x| !x.is_finite()) {
-                return None;
-            }
-            rows.push(((chunk[0] as usize, chunk[1] as u32), (row, chunk[2] as u64)));
-        }
-        Some(BatchPartial { rows })
-    }
-}
-
 /// The synchronous serving engine. See the module docs for the step
 /// anatomy; [`Server`](crate::server::Server) is the threaded wrapper.
 pub struct ServeCore {
@@ -427,7 +372,7 @@ pub struct ServeCore {
     queue: VecDeque<Pending>,
     mem: Vec<(ArtifactKey, Arc<Screening>, u64)>,
     mem_bytes: u64,
-    partials: HashMap<ArtifactKey, BatchPartial>,
+    partials: HashMap<ArtifactKey, SigmaRows>,
     events: Vec<ServeEvent>,
     responses: Vec<(RequestId, Result<ServeOk, ServeError>)>,
     next_id: RequestId,
@@ -817,6 +762,20 @@ impl ServeCore {
         }
     }
 
+    /// The retire-time gate of one batch member: the fault plan's verdict
+    /// on its evaluation op, then its cancel flag. `None` when the member
+    /// was re-enqueued (a crash re-enqueues only this request) or retired
+    /// here.
+    fn admit(&mut self, mut p: Pending, wkey: ArtifactKey) -> Option<Pending> {
+        match self.fault_gate(&mut p, wkey) {
+            Ok(true) if p.cancel.load(Ordering::Acquire) => self.retire_cancelled(p),
+            Ok(true) => return Some(p),
+            Ok(false) => self.queue.push_back(p),
+            Err(e) => self.retire_err(p, e),
+        }
+        None
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn eval_gpp_batch(
         &mut self,
@@ -848,69 +807,61 @@ impl ServeCore {
         let mut union: Vec<usize> = batch.iter().flat_map(|(_, b)| b).copied().collect();
         union.sort_unstable();
         union.dedup();
-        let mut rows_needed: Vec<(usize, u32)> = Vec::new();
+        let mut rows_needed: Vec<(usize, f64)> = Vec::new();
         for (p, bands) in &batch {
             for &b in bands {
-                let key = (b, p.req.delta_milli_ry());
+                let key = (b, p.req.delta_ry());
                 if !rows_needed.contains(&key) {
                     rows_needed.push(key);
                 }
             }
         }
-        rows_needed.sort_unstable();
+        rows_needed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
 
         // Resume a preemption partial if one is on record (memory first,
-        // then the checksummed, spec-verified on-disk record).
-        let mut partial = match self.partials.remove(&wkey) {
+        // then the checksummed, spec-verified on-disk record; one that
+        // does not decode degrades to evaluating from row 0). No batch
+        // this engine can form needs more rows than a full queue of
+        // whole-spectrum requests.
+        let max_rows = self.cfg.queue_capacity.saturating_mul(nb);
+        let mut rows = match self.partials.remove(&wkey) {
             Some(p) => p,
             None => self
                 .store
                 .load_partial(wkey, &wcanon)
-                .and_then(|ck| BatchPartial::from_checkpoint(&ck))
+                .and_then(|ck| SigmaRows::from_checkpoint(&ck, max_rows).ok())
                 .unwrap_or_default(),
         };
         // Only keep rows this batch actually needs (a reshaped batch after
         // preemption must not resurrect stale rows at retire time).
-        partial.rows.retain(|(k, _)| rows_needed.contains(k));
-        if !partial.rows.is_empty() {
+        rows.rows
+            .retain(|r| rows_needed.contains(&(r.band, r.delta_ry)));
+        if !rows.rows.is_empty() {
             self.events.push(ServeEvent::Resumed {
                 id: batch[0].0.id,
-                rows_done: partial.rows.len(),
+                rows_done: rows.rows.len(),
             });
         }
 
         let ctx = batch_context(screening, &union);
-        let todo: Vec<(usize, u32)> = rows_needed
+        let variant = batch[0].0.req.gw_config().variant;
+        let todo: Vec<(usize, f64)> = rows_needed
             .iter()
             .copied()
-            .filter(|k| partial.get(*k).is_none())
+            .filter(|&(band, delta)| rows.get(band, delta).is_none())
             .collect();
-        for (i, &(band, delta_m)) in todo.iter().enumerate() {
-            let row_result: Result<(Vec<f64>, u64), ServeError> = {
-                let _row_span = bgw_trace::span!("serve.sigma.gpp");
-                match union.iter().position(|&b| b == band) {
-                    None => Err(internal(format!("band {band} missing from batch union"))),
-                    Some(s) => {
-                        let one = band_slice(&ctx, s);
-                        let grid = three_point_grids(&one.sigma_energies, delta_m as f64 / 1000.0);
-                        let r = gpp_sigma_diag(&one, &grid, batch[0].0.req.gw_config().variant);
-                        match r.sigma.into_iter().next() {
-                            Some(row) => Ok((row, r.flops)),
-                            None => Err(internal("GPP sigma returned no rows")),
-                        }
-                    }
+        for (i, &(band, delta)) in todo.iter().enumerate() {
+            let Some(s) = union.iter().position(|&b| b == band) else {
+                // An engine invariant broke: degrade to failed requests
+                // (typed), never a panicked (dead) shard.
+                for (p, _) in batch {
+                    self.retire_err(p, internal(format!("band {band} missing from batch union")));
                 }
+                return;
             };
-            match row_result {
-                Ok(row) => partial.rows.push(((band, delta_m), row)),
-                Err(e) => {
-                    // An engine invariant broke: degrade to failed
-                    // requests (typed), never a panicked (dead) shard.
-                    for (p, _) in batch {
-                        self.retire_err(p, e.clone());
-                    }
-                    return;
-                }
+            {
+                let _row_span = bgw_trace::span!("serve.sigma.gpp");
+                rows.rows.push(sigma_row(&ctx, s, delta, variant));
             }
             // Drop members cancelled mid-batch; their rows may become
             // unneeded but recomputing the need-set is not worth it.
@@ -933,12 +884,10 @@ impl ServeCore {
                 counters::record_serve_preemption();
                 self.events.push(ServeEvent::Preempted {
                     id: batch[0].0.id,
-                    rows_done: partial.rows.len(),
+                    rows_done: rows.rows.len(),
                 });
-                let _ = self
-                    .store
-                    .save_partial(wkey, &wcanon, partial.to_checkpoint());
-                self.partials.insert(wkey, partial);
+                let _ = self.store.save_partial(wkey, &wcanon, rows.to_checkpoint());
+                self.partials.insert(wkey, rows);
                 for (p, _) in batch {
                     self.queue.push_back(p); // keeps seq: resumes in order
                 }
@@ -949,70 +898,36 @@ impl ServeCore {
         // --- assemble + retire per member --------------------------------
         let report = self.finish_report(report_before);
         let compute_seconds = t_batch.elapsed().as_secs_f64();
-        for (mut p, bands) in batch {
-            match self.fault_gate(&mut p, wkey) {
-                Ok(true) => {}
-                Ok(false) => {
-                    // Crash: re-enqueue only this request.
-                    self.queue.push_back(p);
-                    continue;
-                }
-                Err(e) => {
-                    self.retire_err(p, e);
-                    continue;
-                }
-            }
-            if p.cancel.load(Ordering::Acquire) {
-                self.retire_cancelled(p);
+        for (p, bands) in batch {
+            let Some(p) = self.admit(p, wkey) else {
                 continue;
-            }
-            let delta_m = p.req.delta_milli_ry();
-            let mut sigma = Vec::with_capacity(bands.len());
-            let mut energies = Vec::with_capacity(bands.len());
-            let mut flops = 0u64;
-            let mut member_err: Option<ServeError> = None;
-            for &b in &bands {
-                let Some((row, row_flops)) = partial.get((b, delta_m)).cloned() else {
-                    member_err = Some(internal(format!("row for band {b} missing at retire")));
-                    break;
-                };
-                let Some(s) = union.iter().position(|&u| u == b) else {
-                    member_err = Some(internal(format!("band {b} missing from batch union")));
-                    break;
-                };
-                sigma.push(row);
-                energies.push(ctx.sigma_energies[s]);
-                flops += row_flops;
-            }
-            if let Some(e) = member_err {
-                self.retire_err(p, e);
-                continue;
-            }
-            let diag = SigmaDiagResult {
-                sigma,
-                e_grids: three_point_grids(&energies, p.req.delta_ry()),
-                seconds: 0.0,
-                flops,
             };
-            let states = solve_qp_diag(&energies, &diag);
-            let (Some(homo), Some(lumo)) = (
-                bands.iter().position(|&b| b == nv - 1),
-                bands.iter().position(|&b| b == nv),
-            ) else {
-                // enqueue() rejects windows that cannot straddle the gap,
-                // so reaching this means the band derivation regressed.
-                self.retire_err(p, internal("band window lost HOMO/LUMO"));
-                continue;
+            // enqueue() rejects windows that cannot straddle the gap and
+            // every needed row was just evaluated, so an error here means
+            // the band derivation or the row bookkeeping regressed.
+            let solved = rows.assemble(
+                &ctx,
+                &bands,
+                p.req.delta_ry(),
+                screening.eps_macro,
+                GwTimings::default(),
+            );
+            let r = match solved {
+                Ok(r) => r,
+                Err(e) => {
+                    self.retire_err(p, internal(e.to_string()));
+                    continue;
+                }
             };
             let payload = GppPayload {
-                e_mf: energies,
-                e_qp: states.iter().map(|st| st.e_qp).collect(),
-                z: states.iter().map(|st| st.z).collect(),
-                gap_mf_ry: screening.wf.gap_ry(),
-                gap_qp_ry: states[lumo].e_qp - states[homo].e_qp,
-                eps_macro: screening.eps_macro,
-                flops,
                 bands,
+                e_mf: r.states.iter().map(|st| st.e_mf).collect(),
+                e_qp: r.states.iter().map(|st| st.e_qp).collect(),
+                z: r.states.iter().map(|st| st.z).collect(),
+                gap_mf_ry: r.gap_mf_ry,
+                gap_qp_ry: r.gap_qp_ry,
+                eps_macro: r.eps_macro,
+                flops: r.sigma_flops,
             };
             self.retire_ok(
                 p,
@@ -1046,22 +961,10 @@ impl ServeCore {
         let wkey = batch[0].req.w_key();
 
         let mut retirements = Vec::new();
-        for (mut p, bands) in batch.into_iter().zip(member_bands) {
-            match self.fault_gate(&mut p, wkey) {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.queue.push_back(p);
-                    continue;
-                }
-                Err(e) => {
-                    self.retire_err(p, e);
-                    continue;
-                }
-            }
-            if p.cancel.load(Ordering::Acquire) {
-                self.retire_cancelled(p);
+        for (p, bands) in batch.into_iter().zip(member_bands) {
+            let Some(p) = self.admit(p, wkey) else {
                 continue;
-            }
+            };
             let mut positions = Vec::with_capacity(bands.len());
             for &b in &bands {
                 match union.iter().position(|&u| u == b) {

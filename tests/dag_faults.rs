@@ -7,8 +7,9 @@
 
 use berkeleygw_rs::comm::{try_run_world, CommError, FaultPlan, WorldReport};
 use berkeleygw_rs::core::resilient::{
-    run_gpp_gw_resilient, run_gpp_gw_resilient_dag, ResilientDagReport, ResilientError,
+    run_gpp_gw_resilient, run_gpp_gw_resilient_dag, ResilientGwReport,
 };
+use berkeleygw_rs::core::GwError;
 use berkeleygw_rs::pwdft::{si_bulk, ModelSystem};
 
 const WORLD: usize = 4;
@@ -19,19 +20,25 @@ fn small_system() -> ModelSystem {
     sys
 }
 
-fn dag_run(plan: FaultPlan) -> WorldReport<ResilientDagReport> {
+fn dag_run(plan: FaultPlan) -> WorldReport<ResilientGwReport> {
     let sys = small_system();
     let cfg = berkeleygw_rs::core::workflow::GwConfig::default();
     try_run_world(WORLD, plan, move |comm| {
         run_gpp_gw_resilient_dag(&sys, &cfg, comm).map_err(|e| match e {
-            ResilientError::Comm(c) => c,
-            ResilientError::Epsilon(eps) => panic!("unexpected epsilon failure: {eps}"),
+            GwError::Comm(c) => c,
+            other => panic!("unexpected non-communicator failure: {other}"),
         })
     })
 }
 
-fn qp_energies(r: &ResilientDagReport) -> Vec<f64> {
-    r.states.iter().map(|s| s.e_qp).collect()
+fn qp_energies(r: &ResilientGwReport) -> Vec<f64> {
+    r.results.states.iter().map(|s| s.e_qp).collect()
+}
+
+/// `(total, reenqueued)` task counts of a task-granular report.
+fn tasks(r: &ResilientGwReport) -> (usize, usize) {
+    r.tasks
+        .expect("the task-granular driver reports its task counts")
 }
 
 #[test]
@@ -46,13 +53,14 @@ fn fault_free_dag_matches_stage_level_driver() {
     let cfg = berkeleygw_rs::core::workflow::GwConfig::default();
     let stage = try_run_world(WORLD, FaultPlan::none(), move |comm| {
         run_gpp_gw_resilient(&sys, &cfg, comm).map_err(|e| match e {
-            ResilientError::Comm(c) => c,
-            ResilientError::Epsilon(eps) => panic!("unexpected epsilon failure: {eps}"),
+            GwError::Comm(c) => c,
+            other => panic!("unexpected non-communicator failure: {other}"),
         })
     });
     let stage_qp: Vec<f64> = stage.results[0]
         .as_ref()
         .unwrap()
+        .results
         .states
         .iter()
         .map(|s| s.e_qp)
@@ -63,12 +71,13 @@ fn fault_free_dag_matches_stage_level_driver() {
         let r = res.as_ref().unwrap();
         assert_eq!(r.final_size, WORLD, "rank {rank}");
         assert_eq!(r.recoveries, 0, "rank {rank}");
-        assert_eq!(r.tasks_reenqueued, 0, "rank {rank}: nothing died");
+        assert_eq!(tasks(r).1, 0, "rank {rank}: nothing died");
         assert_eq!(
-            r.tasks_total, first.tasks_total,
+            tasks(r).0,
+            tasks(first).0,
             "rank {rank}: task identity must be world-wide"
         );
-        assert!(r.tasks_total > WORLD, "must be overdecomposed");
+        assert!(tasks(r).0 > WORLD, "must be overdecomposed");
         for (a, b) in qp_energies(r).iter().zip(&stage_qp) {
             assert!(
                 (a - b).abs() < 1e-10,
@@ -96,7 +105,7 @@ fn crash_reenqueues_only_the_lost_ranks_tasks() {
         .iter()
         .find_map(|r| r.as_ref().ok())
         .expect("some survivor succeeded");
-    let nv = first_ok.sigma_bands[0] + 2;
+    let nv = first_ok.results.sigma_bands[0] + 2;
     let rank2_chi_tasks = (0..nv).filter(|v| v % WORLD == 2).count();
     assert!(rank2_chi_tasks > 0, "test system too small to orphan tasks");
 
@@ -106,7 +115,7 @@ fn crash_reenqueues_only_the_lost_ranks_tasks() {
             Ok(report) => {
                 assert_eq!(report.final_size, WORLD - 1, "rank {rank}");
                 assert!(report.recoveries >= 1, "rank {rank}");
-                reenqueued_total += report.tasks_reenqueued;
+                reenqueued_total += tasks(report).1;
                 for (a, b) in qp_energies(report).iter().zip(&oracle_qp) {
                     assert!(
                         (a - b).abs() < 1e-10,
@@ -148,7 +157,7 @@ fn transients_and_corruption_are_absorbed_without_reenqueue() {
         let r = res.as_ref().unwrap();
         assert_eq!(r.final_size, WORLD);
         assert_eq!(r.recoveries, 0);
-        assert_eq!(r.tasks_reenqueued, 0);
+        assert_eq!(tasks(r).1, 0);
         for (a, b) in qp_energies(r).iter().zip(&oracle_qp) {
             assert!((a - b).abs() < 1e-10);
         }
@@ -193,7 +202,7 @@ fn fixed_seed_recovery_is_deterministic() {
         match (ra, rb) {
             (Ok(ra), Ok(rb)) => {
                 assert_eq!(ra.recoveries, rb.recoveries, "rank {rank}");
-                assert_eq!(ra.tasks_reenqueued, rb.tasks_reenqueued, "rank {rank}");
+                assert_eq!(tasks(ra).1, tasks(rb).1, "rank {rank}");
                 assert_eq!(ra.final_size, rb.final_size, "rank {rank}");
                 for (x, y) in qp_energies(ra).iter().zip(qp_energies(rb)) {
                     assert_eq!(
@@ -224,7 +233,7 @@ fn reenqueue_counter_flows_into_perf_snapshots() {
         .results
         .iter()
         .filter_map(|r| r.as_ref().ok())
-        .map(|r| r.tasks_reenqueued)
+        .map(|r| tasks(r).1)
         .sum();
     assert!(reenqueued > 0, "crash must orphan at least one task");
     assert!(

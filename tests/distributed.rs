@@ -2,16 +2,29 @@
 //! the parallel decompositions must reproduce serial results exactly and
 //! account their communication.
 
-use berkeleygw_rs::comm::run_world;
-use berkeleygw_rs::core::chi::{chi_distributed, ChiConfig, ChiEngine};
+use berkeleygw_rs::comm::{run_world, Comm, CommStats};
+use berkeleygw_rs::core::chi::{try_chi_distributed, ChiConfig, ChiEngine};
 use berkeleygw_rs::core::coulomb::Coulomb;
 use berkeleygw_rs::core::mtxel::Mtxel;
-use berkeleygw_rs::core::sigma::diag::{gpp_sigma_diag, gpp_sigma_diag_distributed, KernelVariant};
+use berkeleygw_rs::core::sigma::diag::{
+    gpp_sigma_diag, try_gpp_sigma_diag_distributed, KernelVariant,
+};
 use berkeleygw_rs::core::testkit;
-use berkeleygw_rs::dist::{invert_epsilon_distributed, newton_schulz_inverse, DistMatrix};
+use berkeleygw_rs::dist::{
+    try_invert_epsilon_distributed, try_newton_schulz_inverse, DistError, DistMatrix,
+};
 use berkeleygw_rs::linalg::{matmul, CMatrix, GemmBackend, Op};
 use berkeleygw_rs::num::Xoshiro256StarStar;
 use berkeleygw_rs::pwdft::{si_bulk, solve_bands};
+
+/// `run_world` for a fallible rank body. These worlds are unarmed, so a
+/// communicator error (or a failed inversion) is a test failure.
+fn run_ranks<R: Send>(
+    size: usize,
+    f: impl Fn(&Comm) -> Result<R, DistError> + Send + Sync,
+) -> (Vec<R>, Vec<CommStats>) {
+    run_world(size, |c| f(c).expect("unarmed world"))
+}
 
 #[test]
 fn distributed_chi_equals_serial_for_any_world_size() {
@@ -27,11 +40,10 @@ fn distributed_chi_equals_serial_for_any_world_size() {
     let mtxel = Mtxel::new(&wfn, &eps);
     let serial = ChiEngine::new(&wf, &mtxel, cfg).chi_static();
     for world in [1usize, 2, 5] {
-        let (results, stats) = run_world(world, |comm| {
+        let (results, stats) = run_ranks(world, |comm| {
             let mtxel = Mtxel::new(&wfn, &eps);
-            chi_distributed(comm, &wf, &mtxel, cfg, &[0.0])[0]
-                .as_slice()
-                .to_vec()
+            let chis = try_chi_distributed(comm, &wf, &mtxel, cfg, &[0.0])?;
+            Ok(chis[0].as_slice().to_vec())
         });
         for r in results {
             let chi = CMatrix::from_vec(serial.nrows(), serial.ncols(), r);
@@ -52,9 +64,9 @@ fn sigma_pool_decomposition_is_exact_and_balanced() {
     let (ctx, _) = testkit::small_context();
     let grids: Vec<Vec<f64>> = ctx.sigma_energies.iter().map(|&e| vec![e]).collect();
     let serial = gpp_sigma_diag(&ctx, &grids, KernelVariant::Reference);
-    let (results, _) = run_world(4, |comm| {
-        let r = gpp_sigma_diag_distributed(comm, &ctx, &grids);
-        (r.sigma, r.flops)
+    let (results, _) = run_ranks(4, |comm| {
+        let r = try_gpp_sigma_diag_distributed(comm, &ctx, &grids)?;
+        Ok((r.sigma, r.flops))
     });
     let total_flops: u64 = results.iter().map(|(_, f)| f).sum();
     assert_eq!(total_flops, serial.flops, "work must partition exactly");
@@ -79,9 +91,9 @@ fn pools_of_pools_nested_split() {
     let (ctx, _) = testkit::small_context();
     let grids: Vec<Vec<f64>> = ctx.sigma_energies.iter().map(|&e| vec![e]).collect();
     let serial = gpp_sigma_diag(&ctx, &grids, KernelVariant::Reference);
-    let (results, _) = run_world(8, |comm| {
+    let (results, _) = run_ranks(8, |comm| {
         let pool_id = comm.rank() % 2;
-        let pool = comm.split(pool_id as u64, comm.rank() as u64);
+        let pool = comm.try_split(pool_id as u64, comm.rank() as u64)?;
         // pool 0 handles Sigma bands {0, 1}, pool 1 handles {2, 3}
         let my_bands: Vec<usize> = (0..ctx.n_sigma()).filter(|s| s % 2 == pool_id).collect();
         let mut sub = ctx.clone();
@@ -89,8 +101,8 @@ fn pools_of_pools_nested_split() {
         sub.sigma_bands = my_bands.iter().map(|&s| ctx.sigma_bands[s]).collect();
         sub.sigma_energies = my_bands.iter().map(|&s| ctx.sigma_energies[s]).collect();
         let sub_grids: Vec<Vec<f64>> = my_bands.iter().map(|&s| grids[s].clone()).collect();
-        let r = gpp_sigma_diag_distributed(&pool, &sub, &sub_grids);
-        (my_bands, r.sigma)
+        let r = try_gpp_sigma_diag_distributed(&pool, &sub, &sub_grids)?;
+        Ok((my_bands, r.sigma))
     });
     for (bands, sigma) in &results {
         for (i, &s) in bands.iter().enumerate() {
@@ -117,9 +129,10 @@ fn communication_volume_scales_with_matrix_size() {
     for ecut in [0.55, 1.1] {
         let eps = berkeleygw_rs::pwdft::GSphere::new(&sys.crystal.lattice, ecut);
         let n_g = eps.len();
-        let (_, stats) = run_world(2, |comm| {
+        let (_, stats) = run_ranks(2, |comm| {
             let mtxel = Mtxel::new(&wfn, &eps);
-            let _ = chi_distributed(comm, &wf, &mtxel, cfg, &[0.0]);
+            try_chi_distributed(comm, &wf, &mtxel, cfg, &[0.0])?;
+            Ok(())
         });
         volumes.push((n_g, stats[0].bytes_sent));
     }
@@ -147,11 +160,9 @@ fn dist_replication_roundtrip_property_sweep() {
             let n = 1 + rng.next_below(12);
             let m = 1 + rng.next_below(12);
             let a = CMatrix::random(n, m, rng.next_u64());
-            let (results, _) = run_world(world, |comm| {
-                DistMatrix::from_replicated(comm, &a)
-                    .to_replicated(comm)
-                    .as_slice()
-                    .to_vec()
+            let (results, _) = run_ranks(world, |comm| {
+                let back = DistMatrix::from_replicated(comm, &a).try_to_replicated(comm)?;
+                Ok(back.as_slice().to_vec())
             });
             for r in results {
                 let back = CMatrix::from_vec(n, m, r);
@@ -176,10 +187,11 @@ fn dist_matmul_matches_serial_oracle_sweep() {
             let a = CMatrix::random(n, k, rng.next_u64());
             let b = CMatrix::random(k, m, rng.next_u64());
             let oracle = matmul(&a, Op::None, &b, Op::None, GemmBackend::Blocked);
-            let (results, _) = run_world(world, |comm| {
+            let (results, _) = run_ranks(world, |comm| {
                 let ad = DistMatrix::from_replicated(comm, &a);
                 let bd = DistMatrix::from_replicated(comm, &b);
-                ad.matmul(comm, &bd).to_replicated(comm).as_slice().to_vec()
+                let c = ad.try_matmul(comm, &bd)?.try_to_replicated(comm)?;
+                Ok(c.as_slice().to_vec())
             });
             for r in results {
                 let c = CMatrix::from_vec(n, m, r);
@@ -206,10 +218,10 @@ fn dist_inversion_agrees_across_world_sizes() {
             a[(d, d)] += berkeleygw_rs::num::c64(3.0 + n as f64 * 0.5, 0.0);
         }
         let lu = berkeleygw_rs::linalg::invert(&a).unwrap();
-        let (results, _) = run_world(world, |comm| {
+        let (results, _) = run_ranks(world, |comm| {
             let ad = DistMatrix::from_replicated(comm, &a);
-            let (inv, iters) = newton_schulz_inverse(comm, &ad, 1e-13, 60);
-            (inv.to_replicated(comm).as_slice().to_vec(), iters)
+            let (inv, iters) = try_newton_schulz_inverse(comm, &ad, 1e-13, 60)?;
+            Ok((inv.try_to_replicated(comm)?.as_slice().to_vec(), iters))
         });
         for (r, iters) in results {
             let inv = CMatrix::from_vec(n, n, r);
@@ -225,16 +237,16 @@ fn dist_inversion_agrees_across_world_sizes() {
 
 #[test]
 fn dist_epsilon_inversion_matches_serial_epsilon_sweep() {
-    // invert_epsilon_distributed against the serial EpsilonInverse (LU)
+    // try_invert_epsilon_distributed against the serial EpsilonInverse (LU)
     // on the real chi(0) of the test fixture, across world sizes 1-5.
     let (_, setup) = testkit::small_context();
     let serial = setup.eps_inv.static_inv().clone();
     let n = serial.nrows();
     for world in 1usize..=5 {
-        let (results, _) = run_world(world, |comm| {
+        let (results, _) = run_ranks(world, |comm| {
             let chi = DistMatrix::from_replicated(comm, &setup.chi0);
-            let (inv, _) = invert_epsilon_distributed(comm, &chi, &setup.vsqrt, 1e-13);
-            inv.to_replicated(comm).as_slice().to_vec()
+            let (inv, _) = try_invert_epsilon_distributed(comm, &chi, &setup.vsqrt, 1e-13)?;
+            Ok(inv.try_to_replicated(comm)?.as_slice().to_vec())
         });
         for r in results {
             let inv = CMatrix::from_vec(n, n, r);

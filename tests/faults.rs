@@ -6,8 +6,9 @@
 
 use berkeleygw_rs::comm::{try_run_world, CommError, FaultPlan};
 use berkeleygw_rs::core::pseudobands::{compress, PseudobandsConfig};
-use berkeleygw_rs::core::resilient::{run_gpp_gw_resilient, ResilientError, ResilientGwReport};
+use berkeleygw_rs::core::resilient::{run_gpp_gw_resilient, ResilientGwReport};
 use berkeleygw_rs::core::testkit;
+use berkeleygw_rs::core::GwError;
 use berkeleygw_rs::num::Complex64;
 use berkeleygw_rs::pwdft::{si_bulk, ModelSystem};
 
@@ -24,16 +25,16 @@ fn resilient_run(plan: FaultPlan) -> berkeleygw_rs::comm::WorldReport<ResilientG
     let cfg = berkeleygw_rs::core::workflow::GwConfig::default();
     try_run_world(WORLD, plan, move |comm| {
         run_gpp_gw_resilient(&sys, &cfg, comm).map_err(|e| match e {
-            ResilientError::Comm(c) => c,
+            GwError::Comm(c) => c,
             // The test systems are well-conditioned; a singular epsilon
-            // here is a regression, not a fault scenario.
-            ResilientError::Epsilon(eps) => panic!("unexpected epsilon failure: {eps}"),
+            // (or anything else) here is a regression, not a fault scenario.
+            other => panic!("unexpected non-communicator failure: {other}"),
         })
     })
 }
 
 fn qp_energies(r: &ResilientGwReport) -> Vec<f64> {
-    r.states.iter().map(|s| s.e_qp).collect()
+    r.results.states.iter().map(|s| s.e_qp).collect()
 }
 
 #[test]

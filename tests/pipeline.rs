@@ -5,13 +5,18 @@ use berkeleygw_rs::core::chi::{ChiConfig, ChiEngine};
 use berkeleygw_rs::core::coulomb::Coulomb;
 use berkeleygw_rs::core::epsilon::EpsilonInverse;
 use berkeleygw_rs::core::mtxel::Mtxel;
+use berkeleygw_rs::core::workflow::GwTimings;
 use berkeleygw_rs::core::{
     build_screening, gpp_eval_preemptible, run_evgw, run_full_dyson_gw, run_gpp_gw, run_gpp_gw_dag,
-    sigma_context, GppOutcome, GwConfig, KernelVariant,
+    sigma_context, GwConfig, GwResults, KernelVariant,
 };
 use berkeleygw_rs::num::RYDBERG_EV;
 use berkeleygw_rs::perf::counters::exclusive_test_guard;
 use berkeleygw_rs::pwdft::{bn_defect_sheet, lih_defect, si_bulk, si_divacancy, solve_bands};
+use berkeleygw_rs::serve::{
+    GppPayload, GwRequest, Payload, RequestKind, ServeConfig, ServeCore, ServeEvent, ServeOk,
+    Server, StructureSpec,
+};
 
 #[test]
 fn si_bulk_gw_pipeline_opens_gap() {
@@ -151,7 +156,7 @@ fn every_driver_honours_the_slab_flag() {
 
     // The diagonal reference of the full-Dyson driver *is* run_gpp_gw.
     let gpp = run_gpp_gw(&sys, &slab);
-    let full = run_full_dyson_gw(&sys, &slab, 8);
+    let full = run_full_dyson_gw(&sys, &slab, 8).expect("full Dyson runs");
     assert_eq!(full.sigma_bands, gpp.sigma_bands);
     for (diag, st) in full.e_qp_diag.iter().zip(&gpp.states) {
         assert_eq!(
@@ -164,44 +169,123 @@ fn every_driver_honours_the_slab_flag() {
 
     // Truncating the interaction changes the screening, so the evGW
     // iterates must move with the flag.
-    let ev_slab = run_evgw(&sys, &slab, 3, 1e-9);
-    let ev_bulk = run_evgw(&sys, &bulk, 3, 1e-9);
+    let ev_slab = run_evgw(&sys, &slab, 3, 1e-9).expect("evGW runs");
+    let ev_bulk = run_evgw(&sys, &bulk, 3, 1e-9).expect("evGW runs");
     assert_ne!(
         ev_slab.gap_history, ev_bulk.gap_history,
         "run_evgw ignored GwConfig::slab"
     );
 }
 
+/// `(e_qp, z)` bit patterns, band by band.
+fn qp_bits(e_qp: impl Iterator<Item = f64>, z: impl Iterator<Item = f64>) -> Vec<(u64, u64)> {
+    e_qp.zip(z)
+        .map(|(e, z)| (e.to_bits(), z.to_bits()))
+        .collect()
+}
+
+fn results_bits(r: &GwResults) -> Vec<(u64, u64)> {
+    qp_bits(
+        r.states.iter().map(|s| s.e_qp),
+        r.states.iter().map(|s| s.z),
+    )
+}
+
+fn gpp_payload(ok: ServeOk) -> GppPayload {
+    match ok.payload {
+        Payload::Gpp(p) => p,
+        Payload::FullFreq(_) => panic!("GPP request answered with a full-frequency payload"),
+    }
+}
+
 #[test]
 fn one_shot_served_and_dag_drivers_share_one_spine() {
-    // run_gpp_gw, the served path (build_screening -> sigma_context ->
-    // gpp_eval_preemptible) and an uninterrupted DAG run are the same
-    // stages under different policies: identical band set, dimensions
-    // and counted FLOPs, and the first two agree in every bit of every
-    // QP energy at every pool width.
+    // run_gpp_gw; the plain row loop (build_screening -> sigma_context ->
+    // gpp_eval_preemptible -> SigmaRows::assemble); the daemon itself, twice — a
+    // threaded Server, and synchronous ServeCores preempted after every
+    // row, each a fresh engine that can only resume from the partial its
+    // predecessor left in the artifact store; and an uninterrupted DAG run
+    // are the same stages under different policies: identical band set,
+    // dimensions and counted FLOPs, and all but the DAG (its chi0 sum
+    // associates by NV block) agree in every bit of every QP energy and Z
+    // at every pool width and across widths.
     let _guard = exclusive_test_guard();
-    let mut sys = si_bulk(1, 2.2);
-    sys.n_bands = 24;
-    let cfg = GwConfig::default();
+    let req = GwRequest {
+        structure: StructureSpec::SiBulk {
+            m: 1,
+            ecut_centi_ry: 220,
+            n_bands: 24,
+        },
+        kind: RequestKind::GppDiag {
+            bands_around_gap: 2,
+            delta_milli_ry: 50,
+        },
+        priority: 0,
+    };
+    let sys = req.structure.system();
+    let cfg = req.gw_config();
 
-    let mut reference: Option<Vec<u64>> = None;
-    for width in [1usize, 2, 3] {
+    let mut reference: Option<Vec<(u64, u64)>> = None;
+    for width in [1usize, 2, 3, 4, 7] {
+        let dir =
+            std::env::temp_dir().join(format!("bgw_pipeline_spine_{}_{width}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         berkeleygw_rs::par::set_num_threads(width);
         let one_shot = run_gpp_gw(&sys, &cfg);
+
         let screening = build_screening(&sys, &cfg, None).expect("screening builds");
         let ctx = sigma_context(&screening, &one_shot.sigma_bands);
-        let served =
-            match gpp_eval_preemptible(&ctx, cfg.sampling_delta_ry, cfg.variant, None, |_| false) {
-                GppOutcome::Done(r) => r,
-                GppOutcome::Yielded(_) => panic!("never asked to yield"),
-            };
+        let delta = cfg.sampling_delta_ry;
+        let rows = gpp_eval_preemptible(&ctx, delta, cfg.variant, None, |_| false);
+        let row_loop = rows
+            .assemble(
+                &ctx,
+                &ctx.sigma_bands,
+                delta,
+                screening.eps_macro,
+                GwTimings::default(),
+            )
+            .expect("never asked to yield, window straddles the gap");
+
+        let server = Server::start(ServeConfig::new(&dir));
+        let threaded = gpp_payload(server.submit(req).wait().expect("threaded daemon answers"));
+        drop(server);
+
+        let mut resumptions = 0;
+        let preempted = loop {
+            // Nothing in memory: the rows so far can only come off disk.
+            let mut core = ServeCore::new(ServeConfig::new(&dir));
+            core.enqueue(req).expect("queue has room");
+            assert!(core.step_with(&mut || Some(u8::MAX)));
+            let resumed_rows = core.events().iter().find_map(|e| match e {
+                ServeEvent::Resumed { rows_done, .. } => Some(*rows_done),
+                _ => None,
+            });
+            assert_eq!(
+                resumed_rows,
+                (resumptions > 0).then_some(resumptions),
+                "width {width}: each engine resumes every row its predecessors stored"
+            );
+            match core.take_responses().pop() {
+                Some((_, answer)) => break gpp_payload(answer.expect("preempted daemon answers")),
+                None => resumptions += 1,
+            }
+        };
+        assert_eq!(
+            resumptions,
+            one_shot.sigma_bands.len() - 1,
+            "width {width}: a yield after every row but the last"
+        );
+
         let dag = run_gpp_gw_dag(&sys, &cfg)
             .expect("dag run succeeds")
             .results;
         berkeleygw_rs::par::set_num_threads(0);
+        let _ = std::fs::remove_dir_all(&dir);
 
-        assert_eq!(served.bands, one_shot.sigma_bands, "width {width}");
-        assert_eq!(served.flops, one_shot.sigma_flops, "width {width}");
+        assert_eq!(row_loop.sigma_bands, one_shot.sigma_bands, "width {width}");
+        assert_eq!(row_loop.sigma_flops, one_shot.sigma_flops, "width {width}");
+        assert_eq!(row_loop.dims, one_shot.dims, "width {width}");
         assert_eq!(dag.sigma_bands, one_shot.sigma_bands, "width {width}");
         assert_eq!(dag.dims, one_shot.dims, "width {width}");
         assert_eq!(dag.sigma_flops, one_shot.sigma_flops, "width {width}");
@@ -211,9 +295,26 @@ fn one_shot_served_and_dag_drivers_share_one_spine() {
             "width {width}"
         );
 
-        let bits: Vec<u64> = one_shot.states.iter().map(|s| s.e_qp.to_bits()).collect();
-        let served_bits: Vec<u64> = served.states.iter().map(|s| s.e_qp.to_bits()).collect();
-        assert_eq!(served_bits, bits, "width {width}: served != one-shot");
+        let bits = results_bits(&one_shot);
+        assert_eq!(
+            results_bits(&row_loop),
+            bits,
+            "width {width}: row loop != one-shot"
+        );
+        for (served, how) in [(&threaded, "threaded"), (&preempted, "preempted")] {
+            assert_eq!(served.bands, one_shot.sigma_bands, "width {width}, {how}");
+            assert_eq!(served.flops, one_shot.sigma_flops, "width {width}, {how}");
+            assert_eq!(
+                qp_bits(served.e_qp.iter().copied(), served.z.iter().copied()),
+                bits,
+                "width {width}: {how} daemon != one-shot"
+            );
+            assert_eq!(
+                served.gap_qp_ry.to_bits(),
+                one_shot.gap_qp_ry.to_bits(),
+                "width {width}, {how}"
+            );
+        }
         match &reference {
             None => reference = Some(bits),
             Some(r) => assert_eq!(&bits, r, "width {width}: QP energies moved with the pool"),

@@ -2,8 +2,8 @@
 //! spheres, pseudopotentials, distributed algebra, Pade continuation,
 //! communicator semantics) under deterministic randomized sweeps.
 
-use berkeleygw_rs::comm::run_world;
-use berkeleygw_rs::dist::{newton_schulz_inverse, row_range, DistMatrix};
+use berkeleygw_rs::comm::{run_world, CommError};
+use berkeleygw_rs::dist::{row_range, try_newton_schulz_inverse, DistError, DistMatrix};
 use berkeleygw_rs::linalg::CMatrix;
 use berkeleygw_rs::num::pade::PadeApproximant;
 use berkeleygw_rs::num::{c64, Complex64, Xoshiro256StarStar};
@@ -136,13 +136,13 @@ fn distributed_inverse_randomized() {
             a[(d, d)] += c64(3.0, 0.0);
         }
         let reference = berkeleygw_rs::linalg::invert(&a).unwrap();
-        let (out, _) = run_world(world, |comm| {
+        let (out, _) = run_world(world, |comm| -> Result<_, DistError> {
             let da = DistMatrix::from_replicated(comm, &a);
-            let (inv, _) = newton_schulz_inverse(comm, &da, 1e-11, 80);
-            inv.to_replicated(comm).as_slice().to_vec()
+            let (inv, _) = try_newton_schulz_inverse(comm, &da, 1e-11, 80)?;
+            Ok(inv.try_to_replicated(comm)?.as_slice().to_vec())
         });
         for flat in out {
-            let inv = CMatrix::from_vec(n, n, flat);
+            let inv = CMatrix::from_vec(n, n, flat.expect("unarmed world, regular matrix"));
             assert!(inv.max_abs_diff(&reference) < 1e-8, "n={n}, world={world}");
         }
     }
@@ -153,28 +153,29 @@ fn collectives_compose_arbitrarily() {
     // a randomized (but rank-uniform) sequence of collectives must be
     // deadlock-free and consistent
     let ops: Vec<u8> = vec![0, 2, 1, 3, 0, 1, 2, 3, 3, 1];
-    let (out, _) = run_world(4, |comm| {
+    let (out, _) = run_world(4, |comm| -> Result<u64, CommError> {
         let mut acc = comm.rank() as u64;
         for (i, &op) in ops.iter().enumerate() {
             match op {
                 0 => {
-                    acc = comm.allreduce(acc, |a, b| a.wrapping_add(b));
+                    acc = comm.try_allreduce(acc, |a, b| a.wrapping_add(b))?;
                 }
                 1 => {
-                    let all = comm.allgather(acc);
+                    let all = comm.try_allgather(acc)?;
                     acc = all
                         .iter()
                         .fold(0u64, |a, &b| a.wrapping_mul(31).wrapping_add(b));
                 }
                 2 => {
-                    acc = comm.bcast(i % comm.size(), Some(acc));
+                    acc = comm.try_bcast(i % comm.size(), Some(acc))?;
                 }
-                _ => comm.barrier(),
+                _ => comm.try_barrier()?,
             }
         }
-        acc
+        Ok(acc)
     });
     // every rank converges to the same value (all ops end symmetric)
+    let out: Vec<u64> = out.into_iter().map(|r| r.expect("unarmed world")).collect();
     assert!(out.windows(2).all(|w| w[0] == w[1]), "{out:?}");
 }
 

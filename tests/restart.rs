@@ -6,13 +6,13 @@
 use berkeleygw_rs::core::chi::{ChiConfig, ChiEngine, ChiTimings};
 use berkeleygw_rs::core::mtxel::Mtxel;
 use berkeleygw_rs::core::restart::{
-    run_evgw_checkpointed, run_gpp_gw_checkpointed, CheckpointPolicy, RestartError,
+    run_evgw_checkpointed, run_gpp_gw_checkpointed, CheckpointPolicy,
 };
 use berkeleygw_rs::core::sigma::fullfreq::ff_sigma_diag_subspace;
 use berkeleygw_rs::core::subspace::{symmetrize, Subspace};
 use berkeleygw_rs::core::testkit;
 use berkeleygw_rs::core::workflow::{run_evgw, run_gpp_gw, GwConfig, GwResults};
-use berkeleygw_rs::core::EpsilonInverse;
+use berkeleygw_rs::core::{EpsilonInverse, GwError, SigmaRow, SigmaRows};
 use berkeleygw_rs::io::{read_checkpoint_file, write_checkpoint, Checkpoint};
 use berkeleygw_rs::linalg::CMatrix;
 use berkeleygw_rs::pwdft::{si_bulk, ModelSystem};
@@ -71,7 +71,7 @@ fn checkpointed_gpp_matches_plain_driver_and_restarts_cleanly() {
             abort_after_writes: Some(kill_after),
         };
         match run_gpp_gw_checkpointed(&sys, &cfg, &killer) {
-            Err(RestartError::Aborted { writes }) => assert_eq!(writes, kill_after),
+            Err(GwError::Aborted { writes }) => assert_eq!(writes, kill_after),
             other => panic!("kill switch did not fire: {other:?}"),
         }
         let resumed = run_gpp_gw_checkpointed(&sys, &cfg, &CheckpointPolicy::new(&dir)).unwrap();
@@ -121,7 +121,7 @@ fn corrupt_latest_checkpoint_is_skipped_on_restart() {
 fn evgw_restart_matches_uninterrupted() {
     let sys = small_system();
     let cfg = GwConfig::default();
-    let oracle = run_evgw(&sys, &cfg, 40, 1e-5);
+    let oracle = run_evgw(&sys, &cfg, 40, 1e-5).unwrap();
 
     let dir = tmpdir("evgw_clean");
     let clean = run_evgw_checkpointed(&sys, &cfg, 40, 1e-5, &CheckpointPolicy::new(&dir)).unwrap();
@@ -136,7 +136,7 @@ fn evgw_restart_matches_uninterrupted() {
         abort_after_writes: Some(2),
     };
     match run_evgw_checkpointed(&sys, &cfg, 40, 1e-5, &killer) {
-        Err(RestartError::Aborted { writes }) => assert_eq!(writes, 2),
+        Err(GwError::Aborted { writes }) => assert_eq!(writes, 2),
         other => panic!("kill switch did not fire: {other:?}"),
     }
     let resumed =
@@ -150,12 +150,36 @@ fn evgw_restart_matches_uninterrupted() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The six values one row occupies in a `SigmaPartial` record.
+fn sigma_row_values(band: usize, delta_ry: f64) -> Vec<f64> {
+    vec![band as f64, delta_ry, 42.0, 0.1, 0.2, 0.3]
+}
+
+/// A well-formed `SigmaPartial` record of a checkpointed run (through the
+/// one encoder), holding a row for each `(band, delta)` key.
+fn sigma_record(keys: &[(usize, f64)], ng: usize) -> Checkpoint {
+    let rows = keys
+        .iter()
+        .map(|&(band, delta_ry)| SigmaRow {
+            band,
+            delta_ry,
+            sigma: [0.1, 0.2, 0.3],
+            flops: 42,
+        })
+        .collect();
+    Checkpoint {
+        matrices: vec![CMatrix::zeros(ng, ng)],
+        ..SigmaRows { rows }.to_checkpoint()
+    }
+}
+
 #[test]
 fn malformed_gpp_checkpoints_are_typed_errors_not_panics() {
     // Records that decode cleanly (checksums pass) but whose payload does
     // not fit this run — missing matrices, wrong G-sphere, truncated sigma
-    // tables, impossible step counts — must surface as
-    // RestartError::Malformed, never as an index-out-of-bounds panic.
+    // tables, impossible step counts, rows of another run, either
+    // pre-unification sigma layout — must surface as
+    // GwError::Malformed, never as an index-out-of-bounds panic.
     let sys = small_system();
     let cfg = GwConfig::default();
     // Learn the run's actual G-sphere size from a real checkpoint, so the
@@ -173,6 +197,7 @@ fn malformed_gpp_checkpoints_are_typed_errors_not_panics() {
         .matrices[0]
         .nrows();
     std::fs::remove_dir_all(&probe_dir).ok();
+    let nv = run_gpp_gw(&sys, &cfg).sigma_bands[0] + cfg.bands_around_gap;
     let cases: Vec<(&str, Checkpoint)> = vec![
         (
             "chi record with no accumulator matrix",
@@ -220,24 +245,27 @@ fn malformed_gpp_checkpoints_are_typed_errors_not_panics() {
             },
         ),
         (
-            "sigma table shorter than the claimed band count",
+            "sigma table shorter than the claimed row count",
             Checkpoint {
-                stage: 3,
                 step: 4,
-                meta: vec![3.0, 0.0, 1.0, 2.0],
-                matrices: vec![CMatrix::zeros(ng, ng)],
+                meta: [vec![3.0, 4.0], sigma_row_values(nv, 0.05)].concat(),
+                ..sigma_record(&[], ng)
             },
         ),
         (
-            // Internally consistent (5 bands x 3 energies), but the run
-            // has 4 Sigma bands: used to reach the Dyson solver's assert.
-            "sigma record claiming more bands than the run has",
-            Checkpoint {
-                stage: 3,
-                step: 5,
-                meta: [vec![3.0, 0.0], vec![0.1; 15]].concat(),
-                matrices: vec![CMatrix::zeros(ng, ng)],
-            },
+            // Internally consistent (5 rows), but the run has 4 Sigma
+            // bands: used to reach the Dyson solver's assert.
+            "sigma record claiming more rows than the run has",
+            sigma_record(
+                &[
+                    (nv - 2, 0.05),
+                    (nv - 1, 0.05),
+                    (nv, 0.05),
+                    (nv + 1, 0.05),
+                    (nv + 2, 0.05),
+                ],
+                ng,
+            ),
         ),
         (
             // Internally consistent 2-point rows against the run's
@@ -246,7 +274,44 @@ fn malformed_gpp_checkpoints_are_typed_errors_not_panics() {
             Checkpoint {
                 stage: 3,
                 step: 1,
-                meta: vec![2.0, 0.0, 0.1, 0.2],
+                meta: vec![2.0, 1.0, nv as f64, 0.05, 0.0, 0.1, 0.2],
+                matrices: vec![CMatrix::zeros(ng, ng)],
+            },
+        ),
+        (
+            "sigma row for a band outside this run's window",
+            sigma_record(&[(nv + 7, 0.05)], ng),
+        ),
+        (
+            "sigma row sampled at another run's delta",
+            sigma_record(&[(nv, 0.07)], ng),
+        ),
+        (
+            // The checkpointed driver's pre-unification layout: meta =
+            // [n_grid, flops, rows band-major], step = bands done.
+            "former core-layout sigma record",
+            Checkpoint {
+                stage: 3,
+                step: 2,
+                meta: [vec![3.0, 84.0], vec![0.1; 6]].concat(),
+                matrices: vec![CMatrix::zeros(ng, ng)],
+            },
+        ),
+        (
+            // The serving loop's pre-unification layout: meta = [n, then
+            // per row: band, delta_milli, flops, samples], step = n.
+            "former serve-layout sigma record",
+            Checkpoint {
+                stage: 3,
+                step: 3,
+                meta: [
+                    vec![3.0],
+                    [nv - 1, nv, nv + 1]
+                        .iter()
+                        .flat_map(|&b| [b as f64, 50.0, 42.0, 0.1, 0.2, 0.3])
+                        .collect(),
+                ]
+                .concat(),
                 matrices: vec![CMatrix::zeros(ng, ng)],
             },
         ),
@@ -255,7 +320,7 @@ fn malformed_gpp_checkpoints_are_typed_errors_not_panics() {
         let dir = tmpdir("gpp_malformed");
         write_checkpoint(&dir, 0, &ck).unwrap();
         match run_gpp_gw_checkpointed(&sys, &cfg, &CheckpointPolicy::new(&dir)) {
-            Err(RestartError::Malformed { stage, reason }) => {
+            Err(GwError::Malformed { stage, reason }) => {
                 assert!(!reason.is_empty(), "{label}: empty reason");
                 assert!(
                     ["chi", "epsilon", "sigma"].contains(&stage),
@@ -289,7 +354,7 @@ fn malformed_evgw_iterate_is_a_typed_error() {
     )
     .unwrap();
     match run_evgw_checkpointed(&sys, &cfg, 10, 1e-5, &CheckpointPolicy::new(&dir)) {
-        Err(RestartError::Malformed { stage: "evgw", .. }) => {}
+        Err(GwError::Malformed { stage: "evgw", .. }) => {}
         other => panic!("short evGW meta: expected Malformed, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -317,13 +382,38 @@ fn malformed_evgw_iterate_is_a_typed_error() {
     )
     .unwrap();
     match run_evgw_checkpointed(&sys, &cfg, 10, 1e-5, &CheckpointPolicy::new(&dir)) {
-        Err(RestartError::Malformed {
+        Err(GwError::Malformed {
             stage: "evgw",
             reason,
         }) => {
             assert!(reason.contains("non-finite"), "wrong reason: {reason}");
         }
         other => panic!("NaN evGW iterate: expected Malformed, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn evgw_with_no_iteration_budget_is_one_typed_error_from_both_drivers() {
+    // max_iter = 0 leaves no gap to report. run_evgw used to panic on
+    // `.expect("max_iter >= 1")` while its checkpointed twin returned a
+    // typed error; they are one loop now and fail the same way.
+    let sys = small_system();
+    let cfg = GwConfig::default();
+    let dir = tmpdir("evgw_zero_iter");
+    let plain = run_evgw(&sys, &cfg, 0, 1e-5);
+    let checkpointed = run_evgw_checkpointed(&sys, &cfg, 0, 1e-5, &CheckpointPolicy::new(&dir));
+    for (label, err) in [
+        ("run_evgw", plain.unwrap_err()),
+        ("run_evgw_checkpointed", checkpointed.unwrap_err()),
+    ] {
+        match err {
+            GwError::Malformed {
+                stage: "evgw",
+                reason,
+            } => assert!(reason.contains("empty gap history"), "{label}: {reason}"),
+            other => panic!("{label}: expected the typed empty-history error, got {other:?}"),
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -259,6 +259,69 @@ fn no_partial_record_is_visible_to_a_later_hit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn undecodable_partials_degrade_to_recompute_from_row_zero() {
+    // A partial that passes the store's checksum and spec check but is not
+    // a record the one decoder accepts must cost a recompute from row 0 —
+    // never a misread row, never a dead shard. The first record used to
+    // overflow `1 + n * 6` (n cast from an infinite float that `step`
+    // agreed with) and panic the engine; the other two are the serving
+    // loop's and the checkpointed driver's pre-unification layouts, rows
+    // the batch needs included, with Sigma values no kernel produced.
+    let _guard = exclusive_test_guard();
+    let req = gpp_req(1, 50); // bands nv-1, nv
+    let nv = req.structure.system().n_valence();
+    let (wkey, wcanon) = (req.w_key(), req.w_spec().canonical());
+    let sigma_partial = |step: u64, meta: Vec<f64>| berkeleygw_rs::io::Checkpoint {
+        stage: berkeleygw_rs::core::GwStage::SigmaPartial as u64,
+        step,
+        meta,
+        matrices: vec![],
+    };
+    let former_serve: Vec<f64> = [nv - 1, nv]
+        .iter()
+        .flat_map(|&b| [b as f64, 50.0, 42.0, 9.0, 9.0, 9.0])
+        .collect();
+    let cases = [
+        (
+            "hostile row count",
+            sigma_partial(u64::MAX, vec![f64::INFINITY]),
+        ),
+        (
+            "former serve layout",
+            sigma_partial(2, [vec![2.0], former_serve].concat()),
+        ),
+        (
+            "former core layout",
+            sigma_partial(2, [vec![3.0, 84.0], vec![9.0; 6]].concat()),
+        ),
+    ];
+    let mut oracles = HashMap::new();
+    for (label, record) in cases {
+        let dir = tmpdir("bad_partial");
+        let mut core = ServeCore::new(ServeConfig::new(&dir));
+        core.store()
+            .save_partial(wkey, &wcanon, record)
+            .expect("partial written");
+        core.enqueue(req).unwrap();
+        core.run_until_idle(&mut || None);
+        assert!(
+            !core
+                .events()
+                .iter()
+                .any(|e| matches!(e, ServeEvent::Resumed { .. })),
+            "{label}: nothing may be resumed from the record"
+        );
+        let (_, resp) = core.take_responses().pop().expect("request retired");
+        check_gpp(&mut oracles, &req, &resp.expect(label).payload);
+        assert!(
+            core.store().load_partial(wkey, &wcanon).is_none(),
+            "{label}: completion clears the bad record"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 fn store_file_counts(dir: &Path) -> (usize, usize) {
     let (mut artifacts, mut partials) = (0, 0);
     if let Ok(entries) = std::fs::read_dir(dir) {

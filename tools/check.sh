@@ -14,9 +14,18 @@
 #                             files of crates/core hold exactly one call
 #                             site each of solve_bands(, Coulomb::slab(,
 #                             Coulomb::bulk_for_cell and
-#                             bands_around_gap.max(1), and the non-test
-#                             code of crates/{core,serve}/src builds the
-#                             [e - d, e, e + d] grid in one place
+#                             bands_around_gap.max(1); the non-test code
+#                             of crates/{core,serve}/src builds the
+#                             [e - d, e, e + d] grid in one place; the
+#                             daemon runs the spine's Sigma row, record
+#                             codec and Dyson assembly instead of its own
+#                             (no gpp_sigma_diag(, solve_qp_diag( or
+#                             GwStage::SigmaPartial in crates/serve/src,
+#                             one SigmaPartial encoder and one decoder in
+#                             the workspace, no band_slice / BatchPartial /
+#                             gpp_rows_preemptible / masked grid); and no
+#                             collective in crates/{comm,dist}/src has a
+#                             panicking twin of its try_ form
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -43,7 +52,8 @@ run_spine_gate() {
            crates/core/src/service.rs"
     # shellcheck disable=SC2086
     code=$(nontest_code $spine)
-    echo "    spine: $(printf '%s\n' "$code" | wc -l) non-blank non-comment lines above the test modules"
+    # shellcheck disable=SC2086
+    echo "    spine: $(nontest_code $spine crates/serve/src/core.rs crates/core/src/sigma/diag.rs | wc -l) non-blank non-comment lines above the test modules (five drivers + serve/src/core.rs + sigma/diag.rs)"
     status=0
     for pat in 'solve_bands(' 'Coulomb::bulk_for_cell' 'Coulomb::slab(' 'bands_around_gap.max(1)'; do
         n=$(printf '%s\n' "$code" | grep -cF -- "$pat" || true)
@@ -55,6 +65,42 @@ run_spine_gate() {
         grep -cE 'e - [a-z_]+, e, e \+ [a-z_]+' || true)
     echo "    [e - d, e, e + d]: $n site(s) in crates/{core,serve}/src"
     [ "$n" -eq 1 ] || status=1
+
+    # The Sigma row is the unit: the daemon loops over the spine's row
+    # entry, row set and assembly. A kernel call, a Dyson solve or a
+    # SigmaPartial record spelled in crates/serve/src is a second spine.
+    # shellcheck disable=SC2046
+    serve=$(nontest_code $(find crates/serve/src -name '*.rs'))
+    for pat in 'gpp_sigma_diag(' 'solve_qp_diag(' 'GwStage::SigmaPartial'; do
+        n=$(printf '%s\n' "$serve" | grep -cF -- "$pat" || true)
+        echo "    crates/serve/src: $pat: $n site(s)"
+        [ "$n" -eq 0 ] || status=1
+    done
+    # shellcheck disable=SC2046
+    all=$(nontest_code $(find crates/*/src -name '*.rs'))
+    for pat in 'stage: GwStage::SigmaPartial' '!= GwStage::SigmaPartial'; do
+        n=$(printf '%s\n' "$all" | grep -cF -- "$pat" || true)
+        echo "    SigmaPartial record, '$pat': $n site(s) in the workspace (one encoder, one decoder)"
+        [ "$n" -eq 1 ] || status=1
+    done
+    n=$(printf '%s\n' "$all" |
+        grep -cE 'fn band_slice|struct BatchPartial|fn gpp_rows_preemptible' || true)
+    echo "    band_slice / BatchPartial / gpp_rows_preemptible: $n definition(s)"
+    [ "$n" -eq 0 ] || status=1
+    n=$(nontest_code crates/core/src/dagflow.rs | grep -c 'masked' || true)
+    echo "    dagflow masked grids: $n mention(s)"
+    [ "$n" -eq 0 ] || status=1
+
+    # One spelling per collective: a `pub fn X` beside a `pub fn try_X` is
+    # a panicking twin. run_world / try_run_world differ in fault plan, not
+    # in error style, and stay.
+    # shellcheck disable=SC2046
+    fns=$(nontest_code $(find crates/comm/src crates/dist/src -name '*.rs') |
+        sed -n 's/^[ \t]*pub fn \([a-z_0-9]*\).*/\1/p')
+    twins=$(printf '%s\n' "$fns" | sed -n 's/^try_//p' | grep -v '^run_world$' |
+        while read -r f; do printf '%s\n' "$fns" | grep -x -- "$f" || true; done)
+    echo "    panicking twins in crates/{comm,dist}/src: $(printf '%s' "$twins" | grep -c . || true)"
+    [ -z "$twins" ] || { echo "      $twins"; status=1; }
     if [ "$status" -ne 0 ]; then
         echo "FAIL: the spine is spelled more (or less) than once; route the driver through core::service"
         exit 1
