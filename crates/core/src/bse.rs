@@ -168,25 +168,24 @@ pub fn solve_bse(
     // v^{1/2} rho eps~^{-1} rho v^{1/2}).
     let unique_v: Vec<usize> = (v_lo..nv_total).collect();
     let unique_c: Vec<usize> = (nv_total..nv_total + cfg.n_c).collect();
+    // Entry `i1` holds, as row `i2`, the symmetrized `M_{b1 b2}(G)`.
     let m_between = |bands: &[usize]| -> Vec<CMatrix> {
-        // m[b1 * n + b2] not needed; store per (i, j) pair row matrix
-        let n = bands.len();
-        let mut out = Vec::with_capacity(n * n);
         // Each band appears in n pairs; transform all of them once.
         let real = mtxel.to_real_space_many(wf, bands);
-        for (i1, &b1) in bands.iter().enumerate() {
-            let r1 = &real[i1];
-            for (i2, &b2) in bands.iter().enumerate() {
-                let r2 = &real[i2];
-                let mut row = mtxel.pair_from_real(r1, r2);
-                row[0] = mtxel.head_kp(wf, b1, b2, q0);
-                for (g, x) in row.iter_mut().enumerate() {
-                    *x = x.scale(vsqrt[g]);
-                }
-                out.push(CMatrix::from_vec(1, ng, row));
-            }
-        }
-        out
+        bands
+            .iter()
+            .zip(&real)
+            .map(|(&b1, r1)| {
+                let mut m = CMatrix::zeros(bands.len(), ng);
+                mtxel.pairs_from_real(r1, &real, m.as_mut_slice(), |i2, row| {
+                    row[0] = mtxel.head_kp(wf, b1, bands[i2], q0);
+                    for (x, &v) in row.iter_mut().zip(vsqrt) {
+                        *x = x.scale(v);
+                    }
+                });
+                m
+            })
+            .collect()
     };
     let m_cc = m_between(&unique_c);
     let m_vv = m_between(&unique_v);
@@ -213,24 +212,22 @@ pub fn solve_bse(
             }
         }
         // direct: - sum_GG' conj(M_cc'(G)) W_GG' M_vv'(G')
-        let n_c = cfg.n_c;
-        let n_v = cfg.n_v;
         for (i, &(vi, ci)) in pairs.iter().enumerate() {
             let vi_idx = vi - v_lo;
             let ci_idx = ci - nv_total;
             for (j, &(vj, cj)) in pairs.iter().enumerate() {
                 let vj_idx = vj - v_lo;
                 let cj_idx = cj - nv_total;
-                let mc = &m_cc[ci_idx * n_c + cj_idx];
-                let mv = &m_vv[vi_idx * n_v + vj_idx];
+                let mc = m_cc[ci_idx].row(cj_idx);
+                let mv = m_vv[vi_idx].row(vj_idx);
                 // w_vec = W * mv^T
                 let mut acc = Complex64::ZERO;
                 for g in 0..ng {
                     let mut inner = Complex64::ZERO;
                     for gp in 0..ng {
-                        inner = inner.mul_add(w_static[(g, gp)], mv[(0, gp)]);
+                        inner = inner.mul_add(w_static[(g, gp)], mv[gp]);
                     }
-                    acc = acc.conj_mul_add(mc[(0, g)], inner);
+                    acc = acc.conj_mul_add(mc[g], inner);
                 }
                 h[(i, j)] -= acc;
             }

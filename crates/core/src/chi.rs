@@ -17,6 +17,7 @@ use crate::epsilon::is_static_freq;
 use crate::mtxel::Mtxel;
 use bgw_linalg::{zgemm, CMatrix, GemmBackend, Op};
 use bgw_num::{c64, Complex64};
+use bgw_par::Flops;
 use bgw_pwdft::Wavefunctions;
 use std::time::Instant;
 
@@ -121,20 +122,31 @@ impl<'a> ChiEngine<'a> {
     /// Builds the `M` panel for valence bands `v0..v1`: row `(v - v0) * N_c
     /// + c` holds `M_vc^G` over the output sphere.
     pub fn m_panel(&self, v0: usize, v1: usize) -> CMatrix {
+        let bands: Vec<usize> = (v0..v1).collect();
+        self.m_panel_of(&bands, None)
+    }
+
+    /// The `M` panel of the valence bands `vs` (rows `(i, c)`), every
+    /// band's row block filled by one batched pair pass; `vsqrt`
+    /// symmetrizes the rows (Eq. 6 subspace) when given.
+    fn m_panel_of(&self, vs: &[usize], vsqrt: Option<&[f64]>) -> CMatrix {
         let nc = self.wf.n_conduction();
         let ng = self.n_g();
-        let mut panel = CMatrix::zeros((v1 - v0) * nc, ng);
-        let bands: Vec<usize> = (v0..v1).collect();
-        let val_real = self.mtxel.to_real_space_many(self.wf, &bands);
-        for v in v0..v1 {
-            let psi_v = &val_real[v - v0];
-            for c in 0..nc {
-                let mut row = self.mtxel.pair_from_real(psi_v, &self.cond_real[c]);
-                row[0] = self
-                    .mtxel
-                    .head_kp(self.wf, v, self.wf.n_valence + c, self.cfg.q0);
-                panel.row_mut((v - v0) * nc + c).copy_from_slice(&row);
-            }
+        let mut panel = CMatrix::zeros(vs.len() * nc, ng);
+        let val_real = self.mtxel.to_real_space_many(self.wf, vs);
+        let blocks = panel.as_mut_slice().chunks_exact_mut(nc * ng);
+        for ((&v, psi_v), block) in vs.iter().zip(&val_real).zip(blocks) {
+            self.mtxel
+                .pairs_from_real(psi_v, &self.cond_real, block, |c, row| {
+                    row[0] = self
+                        .mtxel
+                        .head_kp(self.wf, v, self.wf.n_valence + c, self.cfg.q0);
+                    if let Some(vsqrt) = vsqrt {
+                        for (x, &w) in row.iter_mut().zip(vsqrt) {
+                            *x = x.scale(w);
+                        }
+                    }
+                });
         }
         panel
     }
@@ -188,25 +200,8 @@ impl<'a> ChiEngine<'a> {
         for chunk in vs.chunks(self.cfg.nv_block.max(1)) {
             let t0 = Instant::now();
             // Build this block's M panel (rows: (idx within chunk, c)),
-            // transforming the whole block of valence bands in one batch.
-            let mut panel = CMatrix::zeros(chunk.len() * nc, ng);
-            let val_real = self.mtxel.to_real_space_many(self.wf, chunk);
-            for (i, &v) in chunk.iter().enumerate() {
-                let psi_v = &val_real[i];
-                for c in 0..nc {
-                    let mut row = self.mtxel.pair_from_real(psi_v, &self.cond_real[c]);
-                    row[0] = self
-                        .mtxel
-                        .head_kp(self.wf, v, self.wf.n_valence + c, self.cfg.q0);
-                    if let Some((_, vsqrt)) = proj {
-                        // Symmetrize before projecting (Eq. 6 subspace).
-                        for (g, x) in row.iter_mut().enumerate() {
-                            *x = x.scale(vsqrt[g]);
-                        }
-                    }
-                    panel.row_mut(i * nc + c).copy_from_slice(&row);
-                }
-            }
+            // symmetrized before projecting when a subspace is given.
+            let panel = self.m_panel_of(chunk, proj.map(|(_, vsqrt)| vsqrt));
             timings.t_mtxel += t0.elapsed().as_secs_f64();
             // Projection (the Transf-like step folded into CHI-Freq).
             let panel = match proj {
@@ -247,7 +242,9 @@ impl<'a> ChiEngine<'a> {
                 }
                 // scaled = Delta * M: fused copy + row scaling on the pool.
                 let src = panel.as_slice();
-                bgw_par::parallel_rows(scaled.as_mut_slice(), n_out, |r, row| {
+                // One complex multiply per element.
+                let cost = Flops(6 * n_out as u64);
+                bgw_par::parallel_rows(scaled.as_mut_slice(), n_out, cost, |r, row| {
                     let d = deltas[r];
                     for (z, &p) in row.iter_mut().zip(&src[r * n_out..(r + 1) * n_out]) {
                         *z = p * d;
@@ -361,7 +358,8 @@ impl<'a> ChiEngine<'a> {
                 }
             }
             let src = panel.as_slice();
-            bgw_par::parallel_rows(scaled.as_mut_slice(), ng, |r, row| {
+            let cost = Flops(6 * ng as u64);
+            bgw_par::parallel_rows(scaled.as_mut_slice(), ng, cost, |r, row| {
                 let d = deltas[r];
                 for (z, &p) in row.iter_mut().zip(&src[r * ng..(r + 1) * ng]) {
                     *z = p * d;

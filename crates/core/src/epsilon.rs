@@ -117,7 +117,9 @@ impl EpsilonInverse {
             assert!(chi.is_square());
         }
         let mut slots: Vec<Option<Result<CMatrix, EpsilonError>>> = vec![None; chis.len()];
-        bgw_par::parallel_fill(&mut slots, |k, slot| {
+        let invert_cost =
+            bgw_par::Flops(bgw_perf::flopmodel::epsilon_invert_flops(sph.len()) as u64);
+        bgw_par::parallel_fill(&mut slots, invert_cost, |k, slot| {
             *slot = Some(invert_one(&chis[k], &vsqrt, k, omegas[k]));
         });
         let mut inv = Vec::with_capacity(chis.len());

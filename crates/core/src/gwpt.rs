@@ -18,7 +18,7 @@
 //! `g^GW_lm = g^DFPT_lm + [dSigma(E)]_lm`.
 
 use crate::mtxel::Mtxel;
-use crate::sigma::{gpp_factor, SigmaContext};
+use crate::sigma::{gpp_factor, gpp_row_cost, SigmaContext};
 use bgw_linalg::{zgemm, CMatrix, GemmBackend, Op};
 use bgw_num::{c64, Complex64, UniformGrid};
 use bgw_pwdft::{Perturbation, Wavefunctions};
@@ -67,17 +67,15 @@ pub fn build_dm_tilde(
     for &l in &ctx.sigma_bands {
         let psi_l = &psi_real[l];
         let dpsi_l = &dpsi_real[l];
+        // <d psi_l| e^{iGr} |psi_n> + <psi_l| e^{iGr} |d psi_n>
+        let mut a = CMatrix::zeros(nb, ng);
+        mtxel.pairs_from_real(dpsi_l, &psi_real, a.as_mut_slice(), |_, _| {});
         let mut m = CMatrix::zeros(nb, ng);
-        for n in 0..nb {
-            let psi_n = &psi_real[n];
-            let dpsi_n = &dpsi_real[n];
-            // <d psi_l| e^{iGr} |psi_n> + <psi_l| e^{iGr} |d psi_n>
-            let a = mtxel.pair_from_real(dpsi_l, psi_n);
-            let b = mtxel.pair_from_real(psi_l, dpsi_n);
-            for (g, slot) in m.row_mut(n).iter_mut().enumerate() {
-                *slot = (a[g] + b[g]).scale(vsqrt[g]);
+        mtxel.pairs_from_real(psi_l, &dpsi_real, m.as_mut_slice(), |n, row| {
+            for ((b, &a), &v) in row.iter_mut().zip(a.row(n)).zip(vsqrt) {
+                *b = (a + *b).scale(v);
             }
-        }
+        });
         out.push(m);
     }
     out
@@ -114,7 +112,7 @@ pub fn gwpt_dsigma(
         let db_conj = db_n.conj();
         for (ei, &e) in e_grid.points.iter().enumerate() {
             let de = e - en;
-            bgw_par::parallel_rows(p.as_mut_slice(), ng, |g, row| {
+            bgw_par::parallel_rows(p.as_mut_slice(), ng, gpp_row_cost(ng), |g, row| {
                 for (gp, z) in row.iter_mut().enumerate() {
                     *z = c64(gpp_factor(&ctx.gpp, g, gp, de, occupied), 0.0);
                 }

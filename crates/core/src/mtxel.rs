@@ -8,6 +8,7 @@
 
 use bgw_fft::{Direction, Fft3d};
 use bgw_num::Complex64;
+use bgw_par::{Flops, SendPtr};
 use bgw_pwdft::{GSphere, Wavefunctions};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -364,24 +365,68 @@ impl Mtxel {
         grids
     }
 
-    /// Computes `M_mn^G` over the output sphere given the two bands'
-    /// real-space amplitudes.
-    pub fn pair_from_real(&self, psi_m_r: &[Complex64], psi_n_r: &[Complex64]) -> Vec<Complex64> {
+    /// The batched pair kernel: `M_{m n}^G` of one band `psi_m_r` against
+    /// every band of `others` (real-space amplitudes), row `n` of the
+    /// row-major `out` (`others.len() x n_out`) receiving pair `(m, n)`.
+    ///
+    /// One pooled region spans the pairs. Each participant forms the
+    /// product `psi_m^*(r) psi_n(r)`, transforms it with its own scratch
+    /// (axis passes on its own thread), gathers the output sphere straight
+    /// into the destination row and hands the row to `finish(n, row)` —
+    /// the caller's k.p head and `v^{1/2}` scaling — so no per-pair vector
+    /// is allocated and the pool is woken once per band, not three times
+    /// per pair.
+    pub fn pairs_from_real<B, F>(
+        &self,
+        psi_m_r: &[Complex64],
+        others: &[B],
+        out: &mut [Complex64],
+        finish: F,
+    ) where
+        B: AsRef<[Complex64]> + Sync,
+        F: Fn(usize, &mut [Complex64]) + Sync,
+    {
+        let ng = self.n_out();
         assert_eq!(psi_m_r.len(), self.npts);
-        assert_eq!(psi_n_r.len(), self.npts);
-        let mut prod: Vec<Complex64> = psi_m_r
-            .iter()
-            .zip(psi_n_r)
-            .map(|(m, n)| m.conj() * *n)
-            .collect();
-        self.plan.process(&mut prod, Direction::Forward);
-        self.stats.ffts.fetch_add(1, Ordering::Relaxed);
-        self.stats.pairs.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(out.len(), others.len() * ng, "one output row per pair");
         let norm = 1.0 / self.npts as f64;
-        self.out_gather
-            .iter()
-            .map(|&pos| prod[pos].scale(norm))
-            .collect()
+        // Per pair: the 3-D FFT plus one complex multiply per grid point.
+        let cost = Flops(self.plan.flops() + 6 * self.npts as u64);
+        let chunk = bgw_par::auto_chunk(others.len(), bgw_par::num_threads(), 1);
+        let rows = SendPtr::new(out.as_mut_ptr());
+        bgw_par::parallel_for_chunked(others.len(), chunk, cost, |lo, hi| {
+            let mut prod = vec![Complex64::ZERO; self.npts];
+            let mut scratch = self.plan.scratch();
+            for (n, psi_n_r) in others.iter().enumerate().take(hi).skip(lo) {
+                let psi_n_r = psi_n_r.as_ref();
+                assert_eq!(psi_n_r.len(), self.npts);
+                for (p, (m, n)) in prod.iter_mut().zip(psi_m_r.iter().zip(psi_n_r)) {
+                    *p = m.conj() * *n;
+                }
+                self.plan
+                    .process_with(&mut prod, &mut scratch, Direction::Forward);
+                // SAFETY: chunks [lo, hi) are disjoint across participants
+                // and `out` holds `others.len()` rows of `ng`, so row `n`
+                // has exactly one writer.
+                let row = unsafe { std::slice::from_raw_parts_mut(rows.get().add(n * ng), ng) };
+                for (slot, &pos) in row.iter_mut().zip(&self.out_gather) {
+                    *slot = prod[pos].scale(norm);
+                }
+                finish(n, row);
+            }
+        });
+        let pairs = others.len() as u64;
+        self.stats.ffts.fetch_add(pairs, Ordering::Relaxed);
+        self.stats.pairs.fetch_add(pairs, Ordering::Relaxed);
+    }
+
+    /// Computes `M_mn^G` over the output sphere given the two bands'
+    /// real-space amplitudes: the one-pair case of
+    /// [`Mtxel::pairs_from_real`].
+    pub fn pair_from_real(&self, psi_m_r: &[Complex64], psi_n_r: &[Complex64]) -> Vec<Complex64> {
+        let mut row = vec![Complex64::ZERO; self.n_out()];
+        self.pairs_from_real(psi_m_r, &[psi_n_r], &mut row, |_, _| {});
+        row
     }
 
     /// Convenience: `M_mn^G` for a band pair of `wf`.

@@ -189,6 +189,7 @@ fn row_optimized(ctx: &SigmaContext, s: usize, grid: &[f64], out: &mut [f64]) ->
     let ng = ctx.n_g();
     let ne = grid.len();
     let m = &ctx.m_tilde[s];
+    let pair_flops = count_pair_flops(ctx, ng);
     let mut flops = 0u64;
     // Chunk the energy grid so the per-(g, gp) factor array stays on
     // the stack.
@@ -200,6 +201,7 @@ fn row_optimized(ctx: &SigmaContext, s: usize, grid: &[f64], out: &mut [f64]) ->
         let (acc, fl) = bgw_par::parallel_reduce(
             ctx.n_b(),
             1,
+            bgw_par::Flops(pair_flops * nee as u64),
             || (vec![c64(0.0, 0.0); nee], 0u64),
             |(acc, fl), n0, n1| {
                 let mut de = [0.0f64; MAX_NE];
@@ -267,7 +269,7 @@ fn row_optimized(ctx: &SigmaContext, s: usize, grid: &[f64], out: &mut [f64]) ->
                     for k in 0..nee {
                         acc[k] += c64(acc_re[k], acc_im[k]);
                     }
-                    *fl += count_pair_flops(ctx, ng) * nee as u64;
+                    *fl += pair_flops * nee as u64;
                 }
             },
             |(mut a, fa), (b, fb)| {

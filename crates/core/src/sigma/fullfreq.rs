@@ -233,7 +233,11 @@ fn ff_sigma_impl(
         let mut q = vec![0.0f64; nk * nb];
         {
             let _qk = bgw_trace::span!("sigma.ff.qk");
-            bgw_par::parallel_rows(&mut q, nb, |k, qrow| {
+            // Per node: one ZGEMM and nb dots (the counts added to `flops`).
+            let node_cost = bgw_par::Flops(
+                zgemm_flops(nb, dim, dim) + FF_FLOPS_PER_DOT_TERM as u64 * (nb * dim) as u64,
+            );
+            bgw_par::parallel_rows(&mut q, nb, node_cost, |k, qrow| {
                 let y = matmul(&m, Op::None, &spectral[k], Op::Trans, GemmBackend::Parallel);
                 for (n, qn) in qrow.iter_mut().enumerate() {
                     *qn = real_part_checked(conj_dot(m.row(n), y.row(n)));
@@ -258,7 +262,8 @@ fn ff_sigma_impl(
         let mut band = vec![Complex64::ZERO; grid.len()];
         {
             let _asm = bgw_trace::span!("sigma.ff.assemble");
-            bgw_par::parallel_fill(&mut band, |gi, slot| {
+            let point_cost = bgw_par::Flops(FF_FLOPS_PER_POLE_TERM as u64 * (nb * nk) as u64);
+            bgw_par::parallel_fill(&mut band, point_cost, |gi, slot| {
                 let e = grid[gi];
                 let mut corr = Complex64::ZERO;
                 for n in 0..nb {

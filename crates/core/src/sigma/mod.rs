@@ -74,13 +74,12 @@ impl SigmaContext {
             assert!(l < nb, "Sigma band {l} out of range");
             let psi_l = &band_real[l];
             let mut m = CMatrix::zeros(nb, ng);
-            for (n, psi_n) in band_real.iter().enumerate() {
-                let mut row = mtxel.pair_from_real(psi_l, psi_n);
+            mtxel.pairs_from_real(psi_l, &band_real, m.as_mut_slice(), |n, row| {
                 row[0] = mtxel.head_kp(wf, l, n, q0);
-                for (g, (slot, &mg)) in m.row_mut(n).iter_mut().zip(&row).enumerate() {
-                    *slot = mg.scale(vsqrt[g]);
+                for (mg, &v) in row.iter_mut().zip(vsqrt) {
+                    *mg = mg.scale(v);
                 }
-            }
+            });
             m_tilde.push(m);
         }
         Self {
@@ -162,6 +161,13 @@ pub fn gpp_factor(gpp: &GppModel, i: usize, j: usize, de: f64, occupied: bool) -
         p += s / d;
     }
     p
+}
+
+/// What filling one `N_G`-long row of the `P` matrix with [`gpp_factor`]
+/// costs, at the diag kernel's count for one `(G, G')` pair — the cost
+/// the off-diagonal and GWPT prep loops state to the pool.
+pub(crate) fn gpp_row_cost(ng: usize) -> bgw_par::Flops {
+    bgw_par::Flops(diag::FLOPS_PER_ACTIVE_PAIR * ng as u64)
 }
 
 pub use SigmaContext as Context;

@@ -11,7 +11,7 @@
 //! only (paper Eq. 8), while the reported runtime includes the prep step —
 //! the same lower-bound convention the paper uses.
 
-use super::{gpp_factor, SigmaContext};
+use super::{gpp_factor, gpp_row_cost, SigmaContext};
 use bgw_linalg::{zgemm, CMatrix, GemmBackend, Op};
 use bgw_num::UniformGrid;
 use bgw_num::{c64, Complex64};
@@ -65,7 +65,7 @@ pub fn gpp_sigma_offdiag(
             let de = e - en;
             // Fill the (real) GPP P-matrix row-parallel on the worker pool;
             // rows are independent and this prep step bounds the ZGEMM rate.
-            bgw_par::parallel_rows(p.as_mut_slice(), ng, |g, row| {
+            bgw_par::parallel_rows(p.as_mut_slice(), ng, gpp_row_cost(ng), |g, row| {
                 for (gp, z) in row.iter_mut().enumerate() {
                     *z = c64(gpp_factor(&ctx.gpp, g, gp, de, occupied), 0.0);
                 }
@@ -151,7 +151,7 @@ pub fn gpp_sigma_offdiag_distributed(
             }
             let tp = Instant::now();
             let de = e - en;
-            bgw_par::parallel_rows(p.as_mut_slice(), ng, |g, row| {
+            bgw_par::parallel_rows(p.as_mut_slice(), ng, gpp_row_cost(ng), |g, row| {
                 for (gp, z) in row.iter_mut().enumerate() {
                     *z = bgw_num::c64(gpp_factor(&ctx.gpp, g, gp, de, occupied), 0.0);
                 }

@@ -42,11 +42,15 @@ pub struct TestSetup {
     pub coulomb: Coulomb,
 }
 
-fn build() -> (SigmaContext, TestSetup) {
+/// The bulk-silicon GW setup at the given wavefunction and epsilon
+/// cutoffs (Ry) with `n_bands` bands, uncached: for the tests that need
+/// regions larger than [`small_context`]'s (which all sit under the
+/// worker pool's floor).
+pub fn context_at(ecut_wfn_ry: f64, ecut_eps_ry: f64, n_bands: usize) -> (SigmaContext, TestSetup) {
     let crystal = Crystal::diamond(Species::Si, bgw_pwdft::pseudo::SI_A0);
-    let wfn_sph = GSphere::new(&crystal.lattice, 2.2);
-    let eps_sph = GSphere::new(&crystal.lattice, 0.55);
-    let wf = solve_bands(&crystal, &wfn_sph, 28);
+    let wfn_sph = GSphere::new(&crystal.lattice, ecut_wfn_ry);
+    let eps_sph = GSphere::new(&crystal.lattice, ecut_eps_ry);
+    let wf = solve_bands(&crystal, &wfn_sph, n_bands);
     let volume = crystal.lattice.volume();
     let coulomb = Coulomb::bulk_for_cell(volume);
     let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
@@ -85,7 +89,7 @@ static CACHE: OnceLock<(SigmaContext, TestSetup)> = OnceLock::new();
 
 /// A cached small Si GW context: `(SigmaContext, TestSetup)`.
 pub fn small_context() -> (SigmaContext, TestSetup) {
-    CACHE.get_or_init(build).clone()
+    CACHE.get_or_init(|| context_at(2.2, 0.55, 28)).clone()
 }
 
 #[cfg(test)]

@@ -4,21 +4,28 @@
 //! from the plane-wave sphere onto the FFT box, transformed to real space,
 //! multiplied pointwise, and transformed back (paper Sec. 5.2, ref 8).
 //!
-//! The hot path executes each axis as *batched* line transforms on the
-//! `bgw-par` worker pool: lines are gathered [`LINE_BATCH`] at a time into
-//! per-worker split re/im `f64` panels, pushed through
-//! [`FftPlan::process_batch_split`] (table-driven butterflies compiled per
-//! ISA and dispatched at runtime, twiddle lookups amortized over the batch,
-//! the batch dimension vectorized) and scattered back. z-lines are
-//! contiguous; y and x lines are strided gathers.
-//! [`Fft3d::process_serial`] keeps the original one-line-at-a-time kernel as
-//! the correctness oracle and baseline, and [`Fft3d::process_many`] batches
-//! whole grids (one worker per grid, axis passes running inline inside it),
-//! which is the shape the MTXEL band cache and the SCF density sum feed.
+//! The hot path executes each axis as *batched* line transforms: lines are
+//! gathered [`LINE_BATCH`] at a time into split re/im `f64` panels, pushed
+//! through [`FftPlan::process_batch_split`] (table-driven butterflies
+//! compiled per ISA and dispatched at runtime, twiddle lookups amortized
+//! over the batch, the batch dimension vectorized) and scattered back.
+//! z-lines are contiguous; y and x lines are strided gathers.
+//!
+//! Three drivers share that line-group loop. [`Fft3d::process_with`] runs
+//! one grid on the calling thread with caller-owned [`FftScratch`] — the
+//! unit one pool participant executes; [`Fft3d::process_many`] distributes
+//! whole grids over the `bgw-par` pool, one scratch per participant (the
+//! shape the MTXEL band loops and the SCF density sum feed);
+//! [`Fft3d::process`] offers each axis pass of a single grid to the pool,
+//! which takes it only when the pass is worth a wake-up (every driver
+//! states its work by the `5 n log2 n` count; `bgw-par` owns the floor).
+//! [`Fft3d::process_serial`] keeps the original one-line-at-a-time kernel
+//! as the correctness oracle and baseline.
 
 use crate::plan::{cached_plan, Direction, FftPlan, LINE_BATCH};
 use bgw_num::Complex64;
-use bgw_par::SendPtr;
+use bgw_par::{Flops, SendPtr};
+use bgw_trace::SpanSite;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,6 +40,38 @@ pub struct Fft3d {
     plan_x: Arc<FftPlan>,
     plan_y: Arc<FftPlan>,
     plan_z: Arc<FftPlan>,
+}
+
+/// The buffers one thread needs to transform grids: split re/im line
+/// panels and butterfly scratch for [`LINE_BATCH`] lines of the longest
+/// axis. Owned by whoever runs the transforms ([`Fft3d::scratch`]), so a
+/// loop over many grids allocates once per thread, not per axis pass.
+pub struct FftScratch {
+    panel_re: Vec<f64>,
+    panel_im: Vec<f64>,
+    work: Vec<f64>,
+}
+
+impl FftScratch {
+    fn for_plan(plan: &FftPlan) -> Self {
+        Self {
+            panel_re: vec![0.0; plan.len() * LINE_BATCH],
+            panel_im: vec![0.0; plan.len() * LINE_BATCH],
+            work: vec![0.0; plan.batch_scratch_split_len()],
+        }
+    }
+}
+
+/// One axis pass of a grid: `n_lines` lines of `plan.len()` elements
+/// `stride` apart, line `l` starting at flat offset
+/// `(l / block) * block_stride + l % block`.
+struct AxisPass<'a> {
+    plan: &'a FftPlan,
+    n_lines: usize,
+    stride: usize,
+    block: usize,
+    block_stride: usize,
+    span: &'static SpanSite,
 }
 
 impl Fft3d {
@@ -68,45 +107,107 @@ impl Fft3d {
         self.nx * self.ny + self.nx * self.nz + self.ny * self.nz
     }
 
+    /// Operation count of one 3-D pass: every line at the `5 n log2 n`
+    /// convention. What a caller handing whole grids to the pool states
+    /// as the cost of one.
+    pub fn flops(&self) -> u64 {
+        self.passes()
+            .iter()
+            .map(|p| p.n_lines as u64 * p.plan.line_flops())
+            .sum()
+    }
+
     /// Flat index of grid point `(ix, iy, iz)`.
     #[inline]
     pub fn index(&self, ix: usize, iy: usize, iz: usize) -> usize {
         (ix * self.ny + iy) * self.nz + iz
     }
 
-    /// Transforms `data` (length `nx*ny*nz`, row-major) in place on the
-    /// worker pool, batching lines per axis.
-    pub fn process(&self, data: &mut [Complex64], dir: Direction) {
+    /// z lines are contiguous (line `l` starts at `l * nz`), y lines
+    /// stride `nz` within each x-plane, x lines stride `ny * nz`.
+    fn passes(&self) -> [AxisPass<'_>; 3] {
+        static AXIS_Z: SpanSite = SpanSite::new("fft.axis_z");
+        static AXIS_Y: SpanSite = SpanSite::new("fft.axis_y");
+        static AXIS_X: SpanSite = SpanSite::new("fft.axis_x");
+        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
+        [
+            AxisPass {
+                plan: &self.plan_z,
+                n_lines: nx * ny,
+                stride: 1,
+                block: 1,
+                block_stride: nz,
+                span: &AXIS_Z,
+            },
+            AxisPass {
+                plan: &self.plan_y,
+                n_lines: nx * nz,
+                stride: nz,
+                block: nz,
+                block_stride: ny * nz,
+                span: &AXIS_Y,
+            },
+            AxisPass {
+                plan: &self.plan_x,
+                n_lines: ny * nz,
+                stride: ny * nz,
+                block: ny * nz,
+                block_stride: 0,
+                span: &AXIS_X,
+            },
+        ]
+    }
+
+    /// The frame every batched driver shares: one `fft.grid` span, the
+    /// three axis passes in z, y, x order through `run`, one
+    /// `record_fft_pass`.
+    fn transform(
+        &self,
+        data: &mut [Complex64],
+        mut run: impl FnMut(&AxisPass<'_>, SendPtr<Complex64>),
+    ) {
         assert_eq!(data.len(), self.len(), "grid buffer length mismatch");
         let _span = bgw_trace::span!("fft.grid");
         let t0 = Instant::now();
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        // z lines are contiguous: line l starts at l*nz.
-        {
-            let _axis = bgw_trace::span!("fft.axis_z");
-            axis_pass(&self.plan_z, data, nx * ny, 1, |l| l * nz, dir);
-        }
-        // y lines: stride nz within each x-plane.
-        {
-            let _axis = bgw_trace::span!("fft.axis_y");
-            axis_pass(
-                &self.plan_y,
-                data,
-                nx * nz,
-                nz,
-                |l| (l / nz) * ny * nz + (l % nz),
-                dir,
-            );
-        }
-        // x lines: stride ny*nz.
-        {
-            let _axis = bgw_trace::span!("fft.axis_x");
-            axis_pass(&self.plan_x, data, ny * nz, ny * nz, |l| l, dir);
+        let ptr = SendPtr::new(data.as_mut_ptr());
+        for pass in self.passes() {
+            if pass.plan.len() > 1 && pass.n_lines > 0 {
+                let _axis = bgw_trace::enter(pass.span);
+                run(&pass, ptr);
+            }
         }
         bgw_perf::counters::record_fft_pass(
             self.line_count() as u64,
             t0.elapsed().as_nanos() as u64,
         );
+    }
+
+    /// Transforms `data` (length `nx*ny*nz`, row-major) in place, offering
+    /// each axis pass to the worker pool.
+    pub fn process(&self, data: &mut [Complex64], dir: Direction) {
+        self.transform(data, |pass, ptr| pass.pooled(ptr, dir));
+    }
+
+    /// Allocates the per-thread buffers [`Fft3d::process_with`] needs.
+    pub fn scratch(&self) -> FftScratch {
+        let longest = [&self.plan_x, &self.plan_y, &self.plan_z]
+            .into_iter()
+            .max_by_key(|p| p.len())
+            .expect("three axes");
+        FftScratch::for_plan(longest)
+    }
+
+    /// Transforms `data` in place on the calling thread, reusing the
+    /// caller's `scratch` (from [`Fft3d::scratch`] of a plan whose longest
+    /// axis is at least this one's). No pool interaction: this is what one
+    /// participant of a region over many grids runs per grid.
+    pub fn process_with(&self, data: &mut [Complex64], scratch: &mut FftScratch, dir: Direction) {
+        self.transform(data, |pass, ptr| {
+            // SAFETY: `ptr` spans the exclusively borrowed `data`, whose
+            // length `transform` checked, and this thread is the only one
+            // touching it.
+            unsafe { pass.groups(ptr, 0, pass.n_groups(), scratch, dir) }
+        });
     }
 
     /// Transforms `data` in place with the original serial per-line kernel
@@ -163,15 +264,25 @@ impl Fft3d {
     }
 
     /// Transforms every grid in `grids` in place, distributing whole grids
-    /// over the worker pool. Axis passes inside a worker run inline (the
-    /// pool refuses nested dispatch), so grid-level parallelism composes
-    /// with the per-axis batching instead of fighting it.
+    /// over the worker pool: each participant transforms its share with
+    /// one [`FftScratch`] of its own.
     pub fn process_many(&self, grids: &mut [Vec<Complex64>], dir: Direction) {
         let _span = bgw_trace::span!("fft.batch");
         for g in grids.iter() {
             assert_eq!(g.len(), self.len(), "grid buffer length mismatch");
         }
-        bgw_par::parallel_fill(grids, |_, grid| self.process(grid, dir));
+        let n = grids.len();
+        let chunk = bgw_par::auto_chunk(n, bgw_par::num_threads(), 1);
+        let ptr = SendPtr::new(grids.as_mut_ptr());
+        bgw_par::parallel_for_chunked(n, chunk, Flops(self.flops()), move |lo, hi| {
+            let mut scratch = self.scratch();
+            for g in lo..hi {
+                // SAFETY: chunks [lo, hi) are disjoint across participants,
+                // so each grid has exactly one writer.
+                let grid = unsafe { &mut *ptr.get().add(g) };
+                self.process_with(grid, &mut scratch, dir);
+            }
+        });
     }
 
     /// [`Fft3d::process_many`] in the forward direction.
@@ -185,53 +296,69 @@ impl Fft3d {
     }
 }
 
-/// One batched axis pass: `n_lines` lines of length `plan.len()`, line `l`
-/// starting at flat offset `line_base(l)` with element stride `stride`.
-/// Groups of up to [`LINE_BATCH`] lines are gathered straight into
-/// per-worker split re/im panels (the strided gather doubles as the
-/// complex-to-split-plane conversion, so the layout change costs nothing
-/// extra), transformed with [`FftPlan::process_batch_split`] and scattered
-/// back; groups are distributed over the pool.
-fn axis_pass<F>(
-    plan: &FftPlan,
-    data: &mut [Complex64],
-    n_lines: usize,
-    stride: usize,
-    line_base: F,
-    dir: Direction,
-) where
-    F: Fn(usize) -> usize + Sync,
-{
-    let n = plan.len();
-    if n <= 1 || n_lines == 0 {
-        return;
+impl AxisPass<'_> {
+    /// Lines are transformed [`LINE_BATCH`] at a time; group `g` holds
+    /// lines `g * LINE_BATCH..` — a function of the grid alone, so every
+    /// driver and every pool width runs the same batches.
+    fn n_groups(&self) -> usize {
+        self.n_lines.div_ceil(LINE_BATCH)
     }
-    let groups = n_lines.div_ceil(LINE_BATCH);
-    let chunk = bgw_par::auto_chunk(groups, bgw_par::num_threads(), 1);
-    let ptr = SendPtr::new(data.as_mut_ptr());
-    bgw_par::parallel_for_chunked(groups, chunk, move |glo, ghi| {
-        let mut panel_re = vec![0.0f64; n * LINE_BATCH];
-        let mut panel_im = vec![0.0f64; n * LINE_BATCH];
-        let mut scratch = vec![0.0f64; plan.batch_scratch_split_len()];
+
+    /// Offers the pass's line groups to the pool, each participant with
+    /// scratch of its own; the cost of one group is its lines' FFTs.
+    fn pooled(&self, ptr: SendPtr<Complex64>, dir: Direction) {
+        let groups = self.n_groups();
+        let chunk = bgw_par::auto_chunk(groups, bgw_par::num_threads(), 1);
+        let cost = Flops(LINE_BATCH as u64 * self.plan.line_flops());
+        bgw_par::parallel_for_chunked(groups, chunk, cost, move |glo, ghi| {
+            let mut scratch = FftScratch::for_plan(self.plan);
+            // SAFETY: `Fft3d::transform` hands out a pointer to a grid of
+            // the plan's size; group ranges are disjoint across
+            // participants and distinct lines occupy disjoint offsets.
+            unsafe { self.groups(ptr, glo, ghi, &mut scratch, dir) }
+        });
+    }
+
+    /// Transforms line groups `glo..ghi`: each group is gathered straight
+    /// into the split re/im panels (the strided gather doubles as the
+    /// complex-to-split-plane conversion, so the layout change costs
+    /// nothing extra), pushed through [`FftPlan::process_batch_split`] and
+    /// scattered back.
+    ///
+    /// # Safety
+    /// `ptr` must point to a grid this pass was built for, and no other
+    /// thread may access the lines of groups `glo..ghi` during the call.
+    unsafe fn groups(
+        &self,
+        ptr: SendPtr<Complex64>,
+        glo: usize,
+        ghi: usize,
+        scratch: &mut FftScratch,
+        dir: Direction,
+    ) {
+        let n = self.plan.len();
+        let line_base = |l: usize| (l / self.block) * self.block_stride + l % self.block;
+        let panel_re = &mut scratch.panel_re[..n * LINE_BATCH];
+        let panel_im = &mut scratch.panel_im[..n * LINE_BATCH];
+        let work = &mut scratch.work[..self.plan.batch_scratch_split_len()];
         for g in glo..ghi {
             let lo = g * LINE_BATCH;
-            let b = LINE_BATCH.min(n_lines - lo);
+            let b = LINE_BATCH.min(self.n_lines - lo);
             for (j, l) in (lo..lo + b).enumerate() {
                 let base = line_base(l);
                 for k in 0..n {
-                    // SAFETY: distinct lines occupy disjoint flat offsets
-                    // and group ranges are disjoint across workers, so each
-                    // element has exactly one reader/writer in this pass.
-                    let z = unsafe { *ptr.get().add(base + k * stride) };
+                    // SAFETY: the caller owns these lines (see above); the
+                    // offset is inside the grid by construction of the pass.
+                    let z = unsafe { *ptr.get().add(base + k * self.stride) };
                     panel_re[k * b + j] = z.re;
                     panel_im[k * b + j] = z.im;
                 }
             }
-            plan.process_batch_split(
+            self.plan.process_batch_split(
                 &mut panel_re[..n * b],
                 &mut panel_im[..n * b],
                 b,
-                &mut scratch,
+                work,
                 dir,
             );
             for (j, l) in (lo..lo + b).enumerate() {
@@ -239,11 +366,11 @@ fn axis_pass<F>(
                 for k in 0..n {
                     let z = Complex64::new(panel_re[k * b + j], panel_im[k * b + j]);
                     // SAFETY: as above — one writer per element.
-                    unsafe { *ptr.get().add(base + k * stride) = z };
+                    unsafe { *ptr.get().add(base + k * self.stride) = z };
                 }
             }
         }
-    });
+    }
 }
 
 #[cfg(test)]

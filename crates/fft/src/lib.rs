@@ -12,5 +12,5 @@
 pub mod fft3;
 pub mod plan;
 
-pub use fft3::Fft3d;
+pub use fft3::{Fft3d, FftScratch};
 pub use plan::{cached_plan, dft_reference, good_size, Direction, FftPlan, LINE_BATCH};

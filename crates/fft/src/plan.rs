@@ -176,6 +176,12 @@ impl FftPlan {
         self.n
     }
 
+    /// Operation count of one line by the usual `5 n log2 n` convention
+    /// (exact for radix 2, the accepted nominal count otherwise).
+    pub fn line_flops(&self) -> u64 {
+        (5.0 * self.n as f64 * (self.n.max(1) as f64).log2()) as u64
+    }
+
     /// `true` only for the degenerate length-0 case (never, by construction).
     pub fn is_empty(&self) -> bool {
         self.n == 0

@@ -472,8 +472,10 @@ fn zgemm_blocked(
             };
 
             let panels = m.div_ceil(mc);
-            if parallel && panels > 1 && bgw_par::num_threads() > 1 {
-                bgw_par::parallel_for_chunked(panels, 1, |lo, hi| {
+            if parallel {
+                // One `mc x kk` panel of A against the packed B strip.
+                let panel_cost = bgw_par::Flops(zgemm_flops(mc.min(m), kk, jc1 - jc0));
+                bgw_par::parallel_for_chunked(panels, 1, panel_cost, |lo, hi| {
                     for pi in lo..hi {
                         let i0 = pi * mc;
                         row_panel(i0, (i0 + mc).min(m));

@@ -258,9 +258,6 @@ struct Shared<'g, 'env> {
 
 impl<'env> Shared<'_, 'env> {
     fn run_worker(&self, slot: usize) {
-        if slot >= self.participants {
-            return;
-        }
         loop {
             if self.cancelled.load(Ordering::Relaxed) || self.remaining.load(Ordering::Acquire) == 0
             {
@@ -366,7 +363,7 @@ impl<'env> Shared<'_, 'env> {
 mod tests {
     use super::*;
     use crate::set_num_threads;
-    use crate::tests::test_guard;
+    use crate::tests::{test_guard, HEAVY};
     use std::sync::atomic::AtomicU32;
     use std::sync::Mutex;
 
@@ -492,7 +489,7 @@ mod tests {
         // chunk=1 yields 4 chunks, so the outer region genuinely dispatches
         // to the pool (it could still fall back inline if the pool is busy;
         // the pool-worker name check below covers exactly the pooled case).
-        crate::parallel_for_chunked(4, 1, |_, _| {
+        crate::parallel_for_chunked(4, 1, HEAVY, |_, _| {
             let mut g = TaskGraph::new();
             let a = g.add(&[], || {
                 ran.fetch_add(1, Ordering::Relaxed);
@@ -525,6 +522,7 @@ mod tests {
                 let s = crate::parallel_reduce(
                     100,
                     8,
+                    HEAVY,
                     || 0u64,
                     |acc, lo, hi| {
                         for i in lo..hi {

@@ -21,6 +21,13 @@
 //! thread is dispatching, runs inline on the calling thread. This makes
 //! nesting and concurrent callers deadlock-free by construction.
 //!
+//! Granularity rule: every call states what one index costs ([`Flops`],
+//! from the call site's own operation count) and a region whose total is
+//! below one crate-private floor runs inline too — a wake-up costs tens
+//! of microseconds, so a region has to be worth several of them. The
+//! choice never alters `chunk`: inline and pooled execution walk the same
+//! [`chunk_bounds`] split, so results are bit-identical either way.
+//!
 //! The worker count defaults to the machine's available parallelism and
 //! can be overridden with the `BGW_THREADS` environment variable or
 //! [`set_num_threads`].
@@ -39,6 +46,27 @@ static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Upper bound on pool threads, a guard against absurd `BGW_THREADS`.
 const MAX_POOL_WORKERS: usize = 128;
+
+/// Estimated floating-point operations *one index* of a parallel region
+/// costs, stated by the call site from its own operation count (a line
+/// FFT's `5 n log2 n`, a ZGEMM panel's `8 m k n`, a GPP band's pair
+/// count). It is all a call site says about granularity: whether the
+/// region is worth a pool wake-up is decided in this crate, against one
+/// floor, never by a threshold at the call site.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Flops(pub u64);
+
+/// The floor: a region whose stated single-thread work (`n` indices times
+/// its [`Flops`]) is below this runs inline on the calling thread.
+///
+/// Measured on the 2-vCPU reference host with `gwbench --trace`: a pooled
+/// region costs 23-35 us of publish, condvar wake-up and join
+/// (`par.dispatch_s / par.dispatches`: 0.54 s / 23 424 on `gpp_oneshot`,
+/// 3.2 ms / 91 per `serve_zipf` request), and the kernels that reach the
+/// pool sustain 2.5-3.2 GFLOP/s single-threaded by their own counts (a
+/// 12^3 FFT is 93 kFLOP in ~36 us; the GPP diag kernel reports 3.2). Ten
+/// wake-ups, ~250 us, of such work is ~0.75 MFLOP.
+const MIN_REGION_FLOPS: u64 = 750_000;
 
 /// Sets the number of worker threads used by subsequent parallel calls.
 /// A value of 0 restores the automatic default.
@@ -177,7 +205,11 @@ struct PoolState {
     /// Dispatcher's span at publish time; workers adopt it so their spans
     /// nest under the dispatching call in the trace tree.
     job_trace: Option<bgw_trace::Handle>,
-    /// Workers that have not yet finished the current epoch.
+    /// Width of the current region: slots below it (the dispatcher is
+    /// slot 0) join the epoch, the other workers re-park. 0 between
+    /// regions.
+    participants: usize,
+    /// Joined workers that have not yet finished the current epoch.
     active: usize,
     /// Worker threads spawned so far (they never exit).
     spawned: usize,
@@ -209,6 +241,7 @@ fn pool() -> &'static Pool {
             epoch: 0,
             job: None,
             job_trace: None,
+            participants: 0,
             active: 0,
             spawned: 0,
             panicked: false,
@@ -224,10 +257,19 @@ fn worker_loop(p: &'static Pool, slot: usize, mut seen: u64) {
     loop {
         let (job, job_trace) = {
             let mut st = lock_state(p);
-            while st.epoch == seen {
-                st = p.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            // Only the region's participants join an epoch. A worker the
+            // region is too narrow for notes the epoch and parks again
+            // without touching `active`, so after a wide region a narrow
+            // one neither runs on nor waits for every thread ever spawned.
+            loop {
+                while st.epoch == seen {
+                    st = p.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                }
+                seen = st.epoch;
+                if slot < st.participants {
+                    break;
+                }
             }
-            seen = st.epoch;
             (st.job, st.job_trace)
         };
         let panicked = match job {
@@ -276,10 +318,11 @@ fn spawn_to(st: &mut PoolState, target: usize) {
     }
 }
 
-/// Runs `job` on the pool with `participants` total executors (the caller
-/// is slot 0). Returns `false` — without running anything — when the
-/// region must run inline instead (single participant, nested call, or
-/// another thread is mid-dispatch).
+/// Runs `job(slot)` on the pool for every `slot < participants` that has a
+/// thread (the caller is slot 0; fewer helpers may exist than asked for).
+/// Returns `false` — without running anything — when the region must run
+/// inline instead (single participant, nested call, or another thread is
+/// mid-dispatch).
 pub(crate) fn pool_run(participants: usize, job: &(dyn Fn(usize) + Sync)) -> bool {
     if participants <= 1 || IN_PARALLEL.with(|c| c.get()) {
         return false;
@@ -292,7 +335,10 @@ pub(crate) fn pool_run(participants: usize, job: &(dyn Fn(usize) + Sync)) -> boo
     let _dispatch = match p.dispatch.try_lock() {
         Ok(g) => g,
         Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-        Err(std::sync::TryLockError::WouldBlock) => return false,
+        Err(std::sync::TryLockError::WouldBlock) => {
+            bgw_perf::counters::record_pool_inline_busy();
+            return false;
+        }
     };
     let _region_span = bgw_trace::span!("par.region");
     let trace_handle = bgw_trace::current_handle();
@@ -311,7 +357,8 @@ pub(crate) fn pool_run(participants: usize, job: &(dyn Fn(usize) + Sync)) -> boo
         spawn_to(&mut st, participants - 1);
         st.job = Some(job_ref);
         st.job_trace = Some(trace_handle);
-        st.active = st.spawned;
+        st.participants = participants;
+        st.active = st.spawned.min(participants - 1);
         st.epoch += 1;
         p.work_cv.notify_all();
     }
@@ -336,6 +383,7 @@ pub(crate) fn pool_run(participants: usize, job: &(dyn Fn(usize) + Sync)) -> boo
         }
         st.job = None;
         st.job_trace = None;
+        st.participants = 0;
         std::mem::replace(&mut st.panicked, false)
     };
     // Everything the dispatching thread spent beyond its own body share
@@ -360,53 +408,40 @@ pub(crate) fn pool_run(participants: usize, job: &(dyn Fn(usize) + Sync)) -> boo
 // Data-parallel primitives.
 // ---------------------------------------------------------------------------
 
-/// Runs `body(i)` for every `i in 0..n`, distributing chunks of indices
-/// over the worker pool with dynamic (atomic counter) scheduling.
-///
-/// `body` must be safe to call concurrently from several threads.
-pub fn parallel_for<F>(n: usize, body: F)
+/// How many threads a region of `k` chunks over `n` indices gets: 1 (run
+/// inline) at pool width 1, inside another region, or when the stated
+/// work is under [`MIN_REGION_FLOPS`]. `chunk` is not an input and not an
+/// output: grouping stays a function of `(n, chunk)` on both sides of the
+/// choice.
+fn region_width(n: usize, k: usize, cost: Flops) -> usize {
+    let width = num_threads().min(k);
+    if width <= 1 || IN_PARALLEL.with(|c| c.get()) {
+        return 1;
+    }
+    if cost.0.saturating_mul(n as u64) < MIN_REGION_FLOPS {
+        bgw_perf::counters::record_pool_inline_small();
+        return 1;
+    }
+    width
+}
+
+/// Runs `per_chunk(i)` for every chunk index `i in 0..k` of a region over
+/// `n` indices: on the pool, participants drawing indices from one shared
+/// counter, when [`region_width`] grants more than one thread and no other
+/// thread is dispatching; inline in index order otherwise.
+fn run_chunks<F>(n: usize, k: usize, cost: Flops, per_chunk: F)
 where
     F: Fn(usize) + Sync,
 {
-    parallel_for_chunked(n, auto_chunk(n, num_threads(), 16), |lo, hi| {
-        for i in lo..hi {
-            body(i);
-        }
-    });
-}
-
-/// Runs `body(lo, hi)` over disjoint chunks `[lo, hi)` covering `0..n`.
-///
-/// This is the primitive the GW kernels use directly: a chunk corresponds
-/// to a tile of the `(G', n)` loop nest and the body runs its own inner
-/// loops. Chunks are the balanced [`chunk_bounds`] split: sizes differ by
-/// at most one index and never exceed `chunk`, so a remainder just above
-/// a chunk boundary is spread over all chunks instead of stranded as a
-/// sliver on one worker.
-pub fn parallel_for_chunked<F>(n: usize, chunk: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let chunk = chunk.max(1);
-    let k = chunk_count(n, chunk);
-    let participants = num_threads().min(k);
+    let participants = region_width(n, k, cost);
     if participants > 1 {
         let counter = AtomicUsize::new(0);
-        let work = |slot: usize| {
-            if slot >= participants {
-                return; // pool is larger than this region wants
+        let work = |_slot: usize| loop {
+            let i = counter.fetch_add(1, Ordering::Relaxed);
+            if i >= k {
+                break;
             }
-            loop {
-                let i = counter.fetch_add(1, Ordering::Relaxed);
-                if i >= k {
-                    break;
-                }
-                let (lo, hi) = chunk_bounds(n, chunk, i);
-                body(lo, hi);
-            }
+            per_chunk(i);
         };
         if pool_run(participants, &work) {
             return;
@@ -414,31 +449,69 @@ where
     }
     let _span = bgw_trace::span!("par.inline");
     let timer = RegionTimer::start();
-    for i in 0..k {
-        let (lo, hi) = chunk_bounds(n, chunk, i);
-        body(lo, hi);
-    }
+    (0..k).for_each(per_chunk);
     let (_wall, excl) = timer.finish();
     bgw_perf::counters::record_pool_inline(excl);
+}
+
+/// Runs `body(i)` for every `i in 0..n`, distributing chunks of indices
+/// over the worker pool with dynamic (atomic counter) scheduling. `cost`
+/// is the work of one index.
+///
+/// `body` must be safe to call concurrently from several threads.
+pub fn parallel_for<F>(n: usize, cost: Flops, body: F)
+where
+    F: Fn(usize) + Sync,
+{
+    parallel_for_chunked(n, auto_chunk(n, num_threads(), 16), cost, |lo, hi| {
+        for i in lo..hi {
+            body(i);
+        }
+    });
+}
+
+/// Runs `body(lo, hi)` over disjoint chunks `[lo, hi)` covering `0..n`;
+/// `cost` is the work of one index.
+///
+/// This is the primitive the GW kernels use directly: a chunk corresponds
+/// to a tile of the `(G', n)` loop nest and the body runs its own inner
+/// loops. Chunks are the balanced [`chunk_bounds`] split: sizes differ by
+/// at most one index and never exceed `chunk`, so a remainder just above
+/// a chunk boundary is spread over all chunks instead of stranded as a
+/// sliver on one worker.
+pub fn parallel_for_chunked<F>(n: usize, chunk: usize, cost: Flops, body: F)
+where
+    F: Fn(usize, usize) + Sync,
+{
+    if n == 0 {
+        return;
+    }
+    let chunk = chunk.max(1);
+    run_chunks(n, chunk_count(n, chunk), cost, |i| {
+        let (lo, hi) = chunk_bounds(n, chunk, i);
+        body(lo, hi);
+    });
 }
 
 /// Parallel reduction with a schedule-independent result: every chunk
 /// `[lo, hi)` of the [`chunk_bounds`] split is folded by `body` into its
 /// *own* fresh `identity()` partial, and the partials are combined with
-/// `merge` as a left fold in chunk-index order.
+/// `merge` as a left fold in chunk-index order. `cost` is the work of one
+/// index.
 ///
 /// The operand grouping is therefore a function of `(n, chunk)` alone —
 /// not of the pool width, of which participant picked up which chunk, or
-/// of whether the region ran pooled or inline — so a non-associative
-/// `merge` (f64 addition) returns bit-identical results at every
-/// `BGW_THREADS` and on every run. Chunk *assignment* stays dynamic
-/// (shared counter); only the combination is fixed-shape, like the
-/// paper's two-stage reductions (Sec. 5.5.1). The pooled path holds one
-/// partial per chunk until the final fold, so pick `chunk` with the size
-/// of `T` in mind.
+/// of whether the region ran pooled or inline (`cost` only picks between
+/// those two) — so a non-associative `merge` (f64 addition) returns
+/// bit-identical results at every `BGW_THREADS` and on every run. Chunk
+/// *assignment* stays dynamic (shared counter); only the combination is
+/// fixed-shape, like the paper's two-stage reductions (Sec. 5.5.1). One
+/// partial per chunk is held until the final fold, so pick `chunk` with
+/// the size of `T` in mind.
 pub fn parallel_reduce<T, Fid, Fbody, Fmerge>(
     n: usize,
     chunk: usize,
+    cost: Flops,
     identity: Fid,
     body: Fbody,
     merge: Fmerge,
@@ -454,51 +527,24 @@ where
     }
     let chunk = chunk.max(1);
     let k = chunk_count(n, chunk);
-    let fold_chunk = |i: usize| {
+    // One slot per chunk on either path, so the fold below sees the same
+    // partials in the same order wherever the chunks ran.
+    let parts: Vec<Mutex<Option<T>>> = (0..k).map(|_| Mutex::new(None)).collect();
+    run_chunks(n, k, cost, |i| {
         let (lo, hi) = chunk_bounds(n, chunk, i);
         let mut part = identity();
         body(&mut part, lo, hi);
-        part
-    };
-    let participants = num_threads().min(k);
-    if participants > 1 {
-        let parts: Vec<Mutex<Option<T>>> = (0..k).map(|_| Mutex::new(None)).collect();
-        let counter = AtomicUsize::new(0);
-        let work = |slot: usize| {
-            if slot >= participants {
-                return;
-            }
-            loop {
-                let i = counter.fetch_add(1, Ordering::Relaxed);
-                if i >= k {
-                    break;
-                }
-                *parts[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(fold_chunk(i));
-            }
-        };
-        if pool_run(participants, &work) {
-            // The caller (slot 0) drains the counter even if no helper
-            // could be spawned, so every chunk has deposited its partial.
-            return parts
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .expect("every chunk is folded before the region quiesces")
-                })
-                .reduce(&merge)
-                .expect("n > 0 gives at least one chunk");
-        }
-    }
-    let _span = bgw_trace::span!("par.inline");
-    let timer = RegionTimer::start();
-    let acc = (0..k)
-        .map(fold_chunk)
-        .reduce(&merge)
-        .expect("n > 0 gives at least one chunk");
-    let (_wall, excl) = timer.finish();
-    bgw_perf::counters::record_pool_inline(excl);
-    acc
+        *parts[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(part);
+    });
+    parts
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("every chunk is folded before the region returns")
+        })
+        .reduce(merge)
+        .expect("n > 0 gives at least one chunk")
 }
 
 /// A `Send + Sync` raw-pointer wrapper for handing disjoint regions of a
@@ -534,9 +580,10 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Applies `body(i, &mut slot)` to each element of `out` in parallel,
-/// where `i` is the element index. This is the safe "one writer per
-/// element" pattern used to fill rows of distributed matrices.
-pub fn parallel_fill<T, F>(out: &mut [T], body: F)
+/// where `i` is the element index and `cost` the work of one element.
+/// This is the safe "one writer per element" pattern used to fill rows of
+/// distributed matrices.
+pub fn parallel_fill<T, F>(out: &mut [T], cost: Flops, body: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
@@ -547,7 +594,7 @@ where
     }
     let chunk = auto_chunk(n, num_threads(), 1);
     let ptr = SendPtr::new(out.as_mut_ptr());
-    parallel_for_chunked(n, chunk, move |lo, hi| {
+    parallel_for_chunked(n, chunk, cost, move |lo, hi| {
         for i in lo..hi {
             // SAFETY: chunks [lo, hi) are disjoint across participants and
             // `i` is visited exactly once, so each element has one writer.
@@ -558,11 +605,12 @@ where
 }
 
 /// Applies `body(r, row)` to each `row_len`-sized row of `data` in
-/// parallel. `data.len()` must be a multiple of `row_len`.
+/// parallel; `cost` is the work of one row. `data.len()` must be a
+/// multiple of `row_len`.
 ///
 /// This is the row-scaling / row-fill primitive behind the CHI_SUM energy
 /// factors and the GPP `P`-matrix prep step.
-pub fn parallel_rows<T, F>(data: &mut [T], row_len: usize, body: F)
+pub fn parallel_rows<T, F>(data: &mut [T], row_len: usize, cost: Flops, body: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -579,7 +627,7 @@ where
     let nrows = data.len() / row_len;
     let chunk = auto_chunk(nrows, num_threads(), 1);
     let ptr = SendPtr::new(data.as_mut_ptr());
-    parallel_for_chunked(nrows, chunk, move |lo, hi| {
+    parallel_for_chunked(nrows, chunk, cost, move |lo, hi| {
         for r in lo..hi {
             // SAFETY: row ranges [lo, hi) are disjoint across participants,
             // so each row slice has exactly one writer.
@@ -602,6 +650,10 @@ mod tests {
     pub(crate) fn test_guard() -> MutexGuard<'static, ()> {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// One index is already worth a wake-up: regions stating this cost
+    /// reach the pool whenever the width and chunk count allow.
+    pub(crate) const HEAVY: Flops = Flops(MIN_REGION_FLOPS);
 
     #[test]
     fn thread_count_override() {
@@ -686,7 +738,7 @@ mod tests {
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let max_sz = AtomicU64::new(0);
         let min_sz = AtomicU64::new(u64::MAX);
-        parallel_for_chunked(n, chunk, |lo, hi| {
+        parallel_for_chunked(n, chunk, HEAVY, |lo, hi| {
             max_sz.fetch_max((hi - lo) as u64, Ordering::Relaxed);
             min_sz.fetch_min((hi - lo) as u64, Ordering::Relaxed);
             for h in &hits[lo..hi] {
@@ -705,7 +757,7 @@ mod tests {
             set_num_threads(threads);
             let n = 1000;
             let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            parallel_for(n, |i| {
+            parallel_for(n, HEAVY, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             for (i, h) in hits.iter().enumerate() {
@@ -721,7 +773,7 @@ mod tests {
         set_num_threads(4);
         let n = 103;
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        parallel_for_chunked(n, 10, |lo, hi| {
+        parallel_for_chunked(n, 10, HEAVY, |lo, hi| {
             assert!(lo < hi && hi <= n);
             for h in &hits[lo..hi] {
                 h.fetch_add(1, Ordering::Relaxed);
@@ -740,6 +792,7 @@ mod tests {
             let total = parallel_reduce(
                 n,
                 64,
+                HEAVY,
                 || 0u64,
                 |acc, lo, hi| {
                     for i in lo..hi {
@@ -771,6 +824,7 @@ mod tests {
             parallel_reduce(
                 n,
                 32,
+                HEAVY,
                 || 0.0f64,
                 |acc, lo, hi| {
                     for i in lo..hi {
@@ -797,7 +851,7 @@ mod tests {
 
     #[test]
     fn reduce_empty_returns_identity() {
-        let v = parallel_reduce(0, 8, || 42i32, |_, _, _| unreachable!(), |a, _| a);
+        let v = parallel_reduce(0, 8, HEAVY, || 42i32, |_, _, _| unreachable!(), |a, _| a);
         assert_eq!(v, 42);
     }
 
@@ -806,7 +860,7 @@ mod tests {
         let _g = test_guard();
         set_num_threads(4);
         let mut out = vec![0usize; 517];
-        parallel_fill(&mut out, |i, slot| *slot = i * i);
+        parallel_fill(&mut out, HEAVY, |i, slot| *slot = i * i);
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, i * i);
         }
@@ -816,7 +870,7 @@ mod tests {
     #[test]
     fn parallel_fill_empty_is_noop() {
         let mut out: Vec<u8> = vec![];
-        parallel_fill(&mut out, |_, _| panic!("must not run"));
+        parallel_fill(&mut out, HEAVY, |_, _| panic!("must not run"));
     }
 
     #[test]
@@ -826,7 +880,7 @@ mod tests {
         let nrows = 37;
         let row_len = 11;
         let mut data = vec![1.0f64; nrows * row_len];
-        parallel_rows(&mut data, row_len, |r, row| {
+        parallel_rows(&mut data, row_len, HEAVY, |r, row| {
             for x in row {
                 *x *= (r + 1) as f64;
             }
@@ -844,8 +898,8 @@ mod tests {
         let _g = test_guard();
         set_num_threads(2);
         let acc = AtomicU64::new(0);
-        parallel_for(4, |_| {
-            parallel_for(8, |_| {
+        parallel_for(4, HEAVY, |_| {
+            parallel_for(8, HEAVY, |_| {
                 acc.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -858,11 +912,12 @@ mod tests {
         let _g = test_guard();
         set_num_threads(3);
         let acc = AtomicU64::new(0);
-        parallel_for(2, |_| {
-            parallel_for(2, |_| {
+        parallel_for(2, HEAVY, |_| {
+            parallel_for(2, HEAVY, |_| {
                 parallel_reduce(
                     4,
                     1,
+                    HEAVY,
                     || 0u64,
                     |a, lo, hi| *a += (hi - lo) as u64,
                     |a, b| a + b,
@@ -890,6 +945,7 @@ mod tests {
                             let total = parallel_reduce(
                                 n,
                                 16,
+                                HEAVY,
                                 || 0u64,
                                 |acc, lo, hi| {
                                     for i in lo..hi {
@@ -926,7 +982,7 @@ mod tests {
             set_num_threads(threads);
             let n = 777;
             let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            parallel_for(n, |i| {
+            parallel_for(n, HEAVY, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
@@ -938,11 +994,113 @@ mod tests {
     }
 
     #[test]
+    fn narrow_region_after_a_wide_one_wakes_only_its_participants() {
+        // The pool keeps its widest size. A region used to set `active`
+        // to every spawned worker, so after one width-7 region each
+        // width-2 region ran on, and joined, all six.
+        let _g = test_guard();
+        set_num_threads(7);
+        parallel_for_chunked(7, 1, HEAVY, |_, _| {}); // spawn six workers
+        set_num_threads(2);
+        let worker_bodies = AtomicU64::new(0);
+        let job = |slot: usize| {
+            if slot != 0 {
+                worker_bodies.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        assert!(pool_run(2, &job), "the guarded pool is free");
+        assert_eq!(
+            worker_bodies.load(Ordering::Relaxed),
+            1,
+            "a width-2 region has one worker beside its dispatcher"
+        );
+        set_num_threads(0);
+    }
+
+    #[test]
+    fn the_floor_picks_inline_or_pooled_and_never_the_bits() {
+        // Both sides of the choice, by count: under the floor no
+        // dispatch, one index of cost above it a dispatch; and the
+        // non-associative f64 sum of `reduce_f64_sum_is_bitwise_...` is
+        // the same on both, because `cost` never reaches `chunk`.
+        let _g = test_guard();
+        set_num_threads(4);
+        let n = 4096usize;
+        let under = Flops(MIN_REGION_FLOPS / n as u64 - 1);
+        let over = Flops(MIN_REGION_FLOPS / n as u64 + 1);
+        let term = |i: usize| {
+            let h = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let sign = if h & 1 == 0 { 1.0 } else { -1.0 };
+            sign * (1.0 + (h >> 12) as f64 / (1u64 << 52) as f64) * 10f64.powi((h % 31) as i32 - 15)
+        };
+        let run = |cost: Flops| {
+            let before = bgw_perf::counters::snapshot();
+            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            parallel_for_chunked(n, 32, cost, |lo, hi| {
+                for h in &hits[lo..hi] {
+                    h.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            let sum = parallel_reduce(
+                n,
+                32,
+                cost,
+                || 0.0f64,
+                |acc, lo, hi| {
+                    for i in lo..hi {
+                        *acc += term(i);
+                    }
+                },
+                |a, b| a + b,
+            );
+            (sum.to_bits(), before.delta(&bgw_perf::counters::snapshot()))
+        };
+        let (small_bits, small) = run(under);
+        assert_eq!(small.pool_dispatches, 0, "under the floor: no wake-up");
+        assert_eq!((small.pool_inline_runs, small.pool_inline_small), (2, 2));
+        let (large_bits, large) = run(over);
+        assert_eq!(large.pool_dispatches, 2, "over the floor: pooled");
+        assert_eq!((large.pool_inline_runs, large.pool_inline_small), (0, 0));
+        assert_eq!(
+            small_bits, large_bits,
+            "the choice must not regroup the sum"
+        );
+        // Width 1 and nested calls are inline for their own reason, not
+        // the floor's.
+        set_num_threads(1);
+        let (_, serial) = run(over);
+        assert_eq!((serial.pool_inline_runs, serial.pool_inline_small), (2, 0));
+        set_num_threads(0);
+    }
+
+    #[test]
+    fn a_busy_pool_is_counted_as_the_reason() {
+        let _g = test_guard();
+        set_num_threads(4);
+        let before = bgw_perf::counters::snapshot();
+        {
+            // Another dispatcher holds the pool: the region must run
+            // inline and say why.
+            let _held = pool().dispatch.lock().unwrap_or_else(|e| e.into_inner());
+            let hits = AtomicU64::new(0);
+            parallel_for_chunked(64, 1, HEAVY, |lo, hi| {
+                hits.fetch_add((hi - lo) as u64, Ordering::Relaxed);
+            });
+            assert_eq!(hits.load(Ordering::Relaxed), 64);
+        }
+        let d = before.delta(&bgw_perf::counters::snapshot());
+        assert_eq!((d.pool_dispatches, d.pool_inline_runs), (0, 1));
+        assert_eq!((d.pool_inline_busy, d.pool_inline_small), (1, 0));
+        set_num_threads(0);
+    }
+
+    #[test]
     fn pool_dispatch_counter_advances() {
         let _g = test_guard();
         set_num_threads(4);
         let before = bgw_perf::counters::snapshot();
-        parallel_for(10_000, |_| {});
+        parallel_for(10_000, HEAVY, |_| {});
         let after = bgw_perf::counters::snapshot();
         let d = before.delta(&after);
         assert!(
@@ -964,14 +1122,14 @@ mod tests {
         // clock, while region/inline time carries the body.
         let _g = test_guard();
         set_num_threads(2);
-        parallel_for(64, |_| {}); // warm the pool (spawn + first wakeup)
+        parallel_for(64, HEAVY, |_| {}); // warm the pool (spawn + first wakeup)
         let before = bgw_perf::counters::snapshot();
         let t0 = Instant::now();
         let mut rows = vec![0u8; 2];
-        parallel_rows(&mut rows, 1, |_, _| {
+        parallel_rows(&mut rows, 1, HEAVY, |_, _| {
             std::thread::sleep(std::time::Duration::from_millis(15));
             let mut inner = vec![0u8; 2];
-            parallel_rows(&mut inner, 1, |_, _| {
+            parallel_rows(&mut inner, 1, HEAVY, |_, _| {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             });
         });
@@ -1027,10 +1185,10 @@ mod tests {
         {
             let _t = bgw_trace::span!("t.par.tree");
             let mut rows = vec![0u8; 4];
-            parallel_rows(&mut rows, 1, |_, _| {
+            parallel_rows(&mut rows, 1, HEAVY, |_, _| {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 let mut inner = vec![0u8; 2];
-                parallel_rows(&mut inner, 1, |_, _| {});
+                parallel_rows(&mut inner, 1, HEAVY, |_, _| {});
             });
         }
         bgw_trace::set_enabled(false);
@@ -1080,12 +1238,12 @@ mod tests {
         let _g = test_guard();
         let _c = bgw_perf::counters::exclusive_test_guard();
         set_num_threads(4);
-        parallel_for(64, |_| {}); // warm the pool before tracing
+        parallel_for(64, HEAVY, |_| {}); // warm the pool before tracing
         bgw_trace::reset();
         bgw_trace::set_enabled(true);
         {
             let _t = bgw_trace::span!("t.par.pooled");
-            parallel_for(4096, |_| {
+            parallel_for(4096, HEAVY, |_| {
                 std::hint::black_box(());
             });
         }
@@ -1115,7 +1273,7 @@ mod tests {
         let _g = test_guard();
         set_num_threads(4);
         let r = catch_unwind(AssertUnwindSafe(|| {
-            parallel_for(64, |i| {
+            parallel_for(64, HEAVY, |i| {
                 if i == 13 {
                     panic!("boom");
                 }
@@ -1124,7 +1282,7 @@ mod tests {
         assert!(r.is_err(), "panic in a region body must propagate");
         // The pool must still be usable afterwards.
         let hits = AtomicU64::new(0);
-        parallel_for(100, |_| {
+        parallel_for(100, HEAVY, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 100);
@@ -1141,7 +1299,7 @@ mod tests {
         set_num_threads(4);
         for round in 0..3 {
             let r = catch_unwind(AssertUnwindSafe(|| {
-                parallel_for_chunked(256, 8, |lo, _| {
+                parallel_for_chunked(256, 8, HEAVY, |lo, _| {
                     if lo == 64 {
                         panic!("boom in round {round}");
                     }
@@ -1150,7 +1308,7 @@ mod tests {
             assert!(r.is_err(), "round {round}: panic must propagate");
             let before = bgw_perf::counters::snapshot();
             let hits = AtomicU64::new(0);
-            parallel_for_chunked(256, 8, |lo, hi| {
+            parallel_for_chunked(256, 8, HEAVY, |lo, hi| {
                 hits.fetch_add((hi - lo) as u64, Ordering::Relaxed);
             });
             assert_eq!(hits.load(Ordering::Relaxed), 256, "round {round}");
@@ -1177,6 +1335,7 @@ mod tests {
             parallel_reduce(
                 64,
                 4,
+                HEAVY,
                 || 0u64,
                 |_, lo, _| {
                     if lo < 64 {
@@ -1190,6 +1349,7 @@ mod tests {
         let total = parallel_reduce(
             100,
             4,
+            HEAVY,
             || 0u64,
             |acc, lo, hi| *acc += (lo..hi).map(|i| i as u64).sum::<u64>(),
             |a, b| a + b,

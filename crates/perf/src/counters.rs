@@ -37,6 +37,8 @@ static POOL_DISPATCH_NS: AtomicU64 = AtomicU64::new(0);
 static POOL_REGION_NS: AtomicU64 = AtomicU64::new(0);
 static POOL_INLINE_RUNS: AtomicU64 = AtomicU64::new(0);
 static POOL_INLINE_NS: AtomicU64 = AtomicU64::new(0);
+static POOL_INLINE_SMALL: AtomicU64 = AtomicU64::new(0);
+static POOL_INLINE_BUSY: AtomicU64 = AtomicU64::new(0);
 static GEMM_CALLS: AtomicU64 = AtomicU64::new(0);
 static GEMM_PACK_NS: AtomicU64 = AtomicU64::new(0);
 static GEMM_COMPUTE_NS: AtomicU64 = AtomicU64::new(0);
@@ -99,12 +101,19 @@ pub struct CounterSnapshot {
     /// threads; each participant excludes nested inline parallel calls,
     /// so this never overlaps `pool_inline_ns`.
     pub pool_region_ns: u64,
-    /// Parallel calls that ran inline (single worker requested, nested
-    /// call, or the pool was busy with another dispatcher).
+    /// Parallel calls that ran inline, whatever the reason (single worker
+    /// requested, nested call, work below the pool's floor, or the pool
+    /// busy with another dispatcher).
     pub pool_inline_runs: u64,
     /// Exclusive nanoseconds spent in inline parallel calls (nested
     /// inline calls are charged to themselves, not to their parent).
     pub pool_inline_ns: u64,
+    /// The inline runs above that could have used the pool (width > 1,
+    /// not nested) but whose stated work sat below `bgw-par`'s floor.
+    pub pool_inline_small: u64,
+    /// The inline runs above that lost the dispatch `try_lock` to another
+    /// OS thread's region (shards sharing one pool).
+    pub pool_inline_busy: u64,
     /// Blocked/parallel/tuned ZGEMM invocations.
     pub gemm_calls: u64,
     /// Nanoseconds spent packing GEMM operand panels (summed over threads).
@@ -238,6 +247,8 @@ macro_rules! for_each_counter_field {
         $m!(pool_region_ns);
         $m!(pool_inline_runs);
         $m!(pool_inline_ns);
+        $m!(pool_inline_small);
+        $m!(pool_inline_busy);
         $m!(gemm_calls);
         $m!(gemm_pack_ns);
         $m!(gemm_compute_ns);
@@ -485,6 +496,8 @@ pub fn snapshot() -> CounterSnapshot {
         pool_region_ns: POOL_REGION_NS.load(Ordering::Relaxed),
         pool_inline_runs: POOL_INLINE_RUNS.load(Ordering::Relaxed),
         pool_inline_ns: POOL_INLINE_NS.load(Ordering::Relaxed),
+        pool_inline_small: POOL_INLINE_SMALL.load(Ordering::Relaxed),
+        pool_inline_busy: POOL_INLINE_BUSY.load(Ordering::Relaxed),
         gemm_calls: GEMM_CALLS.load(Ordering::Relaxed),
         gemm_pack_ns: GEMM_PACK_NS.load(Ordering::Relaxed),
         gemm_compute_ns: GEMM_COMPUTE_NS.load(Ordering::Relaxed),
@@ -575,6 +588,20 @@ pub fn record_pool_region_ns(ns: u64) {
 pub fn record_pool_inline(ns: u64) {
     POOL_INLINE_RUNS.fetch_add(1, Ordering::Relaxed);
     POOL_INLINE_NS.fetch_add(ns, Ordering::Relaxed);
+}
+
+/// Marks the inline run about to be recorded as one the floor chose:
+/// the pool was available and the region's stated work was too small.
+#[inline]
+pub fn record_pool_inline_small() {
+    POOL_INLINE_SMALL.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Marks the inline run about to be recorded as one that found another
+/// OS thread mid-dispatch.
+#[inline]
+pub fn record_pool_inline_busy() {
+    POOL_INLINE_BUSY.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Records one blocked-family ZGEMM invocation.
@@ -795,6 +822,8 @@ mod tests {
         record_pool_dispatch(1000);
         record_pool_region_ns(4000);
         record_pool_inline(200);
+        record_pool_inline_small();
+        record_pool_inline_busy();
         record_gemm_call();
         record_gemm_pack_ns(10);
         record_gemm_compute_ns(20);
@@ -828,6 +857,8 @@ mod tests {
         assert!(d.pool_region_ns >= 4000);
         assert!(d.pool_inline_runs >= 1);
         assert!(d.pool_inline_ns >= 200);
+        assert!(d.pool_inline_small >= 1);
+        assert!(d.pool_inline_busy >= 1);
         assert!(d.gemm_calls >= 1);
         assert!(d.gemm_pack_ns >= 10);
         assert!(d.gemm_compute_ns >= 20);
@@ -964,7 +995,7 @@ mod tests {
             n_fields += 1;
         });
         assert_eq!(a, b);
-        assert_eq!(n_fields, 55, "visitor must cover every field");
+        assert_eq!(n_fields, 57, "visitor must cover every field");
         assert!(!b.set_field("no_such_counter", 1));
         assert!(CounterSnapshot::default().is_zero());
         assert!(!a.is_zero());

@@ -114,6 +114,11 @@ fn crystal_lattice_box(crystal: &Crystal, dims: (usize, usize, usize)) -> BoxSpe
     }
 }
 
+/// Nominal operation count of one atom's term in `V(dG)`: the form-factor
+/// interpolation, the phase dot product, a sine/cosine pair and the
+/// scaled accumulate.
+const FLOPS_PER_ATOM_TERM: u64 = 60;
+
 /// Computes `V(dG)` for every Miller triplet representable on the FFT box.
 fn potential_on_box(_crystal: &Crystal, spec: &BoxSpec) -> Vec<Complex64> {
     let (nx, ny, nz) = spec.dims;
@@ -129,7 +134,10 @@ fn potential_on_box(_crystal: &Crystal, spec: &BoxSpec) -> Vec<Complex64> {
         }
     };
     let two_pi = 2.0 * std::f64::consts::PI;
-    bgw_par::parallel_fill(&mut v, |flat, slot| {
+    // Per grid point: |G| and, per atom, a form factor, a phase and a
+    // complex exponential.
+    let point_cost = bgw_par::Flops(FLOPS_PER_ATOM_TERM * spec.atoms.len() as u64);
+    bgw_par::parallel_fill(&mut v, point_cost, |flat, slot| {
         let ix = flat / (ny * nz);
         let iy = (flat / nz) % ny;
         let iz = flat % nz;

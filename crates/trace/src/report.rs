@@ -88,7 +88,8 @@ impl RunReport {
     }
 
     /// Renders the span tree with inclusive/exclusive times, call
-    /// counts, and FLOP rates where FLOPs were attributed.
+    /// counts, and FLOP rates where FLOPs were attributed, then a footer
+    /// naming each fallback the run took (nonzero ones only).
     pub fn render_tree(&self) -> String {
         let mut out = String::from("== span tree ==\n");
         if self.spans.is_empty() {
@@ -97,6 +98,30 @@ impl RunReport {
         }
         for (i, root) in self.spans.iter().enumerate() {
             render_node(&mut out, root, "", i + 1 == self.spans.len(), 0);
+        }
+        let mut total = CounterSnapshot::default();
+        for root in &self.spans {
+            total.accumulate(&root.counters);
+        }
+        let fallbacks = [
+            (
+                "pool_inline_small",
+                total.pool_inline_small,
+                "parallel regions run inline: work under the pool's floor",
+            ),
+            (
+                "pool_inline_busy",
+                total.pool_inline_busy,
+                "parallel regions run inline: pool busy with another thread's region",
+            ),
+        ];
+        if fallbacks.iter().any(|&(_, n, _)| n > 0) {
+            out.push_str("== fallbacks ==\n");
+            for (name, n, what) in fallbacks {
+                if n > 0 {
+                    out.push_str(&format!("{name} = {n}  ({what})\n"));
+                }
+            }
         }
         out
     }
@@ -692,8 +717,24 @@ mod tests {
         assert!(s.contains("`- sigma.offdiag"));
         assert!(s.contains("   `- gemm.compute"));
         assert!(s.contains("calls=4"));
+        assert!(!s.contains("fallbacks"), "no fallback taken, no footer");
         let empty = RunReport::default().render_tree();
         assert!(empty.contains("no spans"));
+    }
+
+    #[test]
+    fn footer_names_nonzero_inline_reasons() {
+        let mut rep = sample_report();
+        rep.spans[0].counters.pool_inline_small = 12;
+        let s = rep.render_tree();
+        assert!(s.contains("== fallbacks ==\npool_inline_small = 12  ("));
+        assert!(!s.contains("pool_inline_busy"), "zero counters stay out");
+        rep.spans[0].counters.pool_inline_busy = 3;
+        assert!(rep.render_tree().contains("\npool_inline_busy = 3  ("));
+        // Both survive the JSON round trip like every other counter.
+        let back = RunReport::from_json(&rep.to_json()).expect("parse");
+        assert_eq!(back.spans[0].counters.pool_inline_busy, 3);
+        assert_eq!(back.spans[0].counters.pool_inline_small, 12);
     }
 
     #[test]

@@ -7,9 +7,16 @@
 # only orchestrates.
 #
 # Usage:
-#   tools/check.sh            full gate (build, spine, tests, determinism
-#                             loop, fmt, clippy)
-#   tools/check.sh --spine    grep gate only: the GW spine is spelled once.
+#   tools/check.sh            full gate (build, grep gates, tests,
+#                             determinism loop, fmt, clippy)
+#   tools/check.sh --spine    grep gates only. Pool granularity: no
+#                             pair_from_real( call site outside
+#                             crates/core/src/mtxel.rs (pair loops go
+#                             through the batched pairs_from_real), the
+#                             pool's floor constant named nowhere outside
+#                             crates/par/src, and no bgw_par::Flops cost
+#                             that is a bare numeric literal. And the GW
+#                             spine is spelled once.
 #                             Above their test modules, the five driver
 #                             files of crates/core hold exactly one call
 #                             site each of solve_bands(, Coulomb::slab(,
@@ -107,18 +114,49 @@ run_spine_gate() {
     fi
 }
 
+run_pool_gate() {
+    echo "==> pool gate: one dispatch per batch of pairs, one floor, costs stated not chosen"
+    # Every pool wake-up used to be an axis pass of one small grid inside
+    # a serial pair loop. The loops now hand a band's pairs to
+    # Mtxel::pairs_from_real; a per-pair call site outside mtxel.rs is
+    # that loop coming back. Whether a region is worth a wake-up is
+    # bgw-par's decision against one constant: a call site states an
+    # operation count and never a threshold of its own.
+    status=0
+    # shellcheck disable=SC2046
+    n=$(nontest_code $(find crates/*/src -name '*.rs' ! -path crates/core/src/mtxel.rs) |
+        grep -cF 'pair_from_real(' || true)
+    echo "    pair_from_real( outside crates/core/src/mtxel.rs: $n call site(s)"
+    [ "$n" -eq 0 ] || status=1
+    n=$(grep -rl 'MIN_REGION' --include='*.rs' crates src tests examples |
+        grep -vc '^crates/par/src/' || true)
+    echo "    the floor constant outside crates/par/src: $n file(s)"
+    [ "$n" -eq 0 ] || status=1
+    # shellcheck disable=SC2046
+    n=$(nontest_code $(find crates/*/src -name '*.rs') | grep -cE 'Flops\([0-9_]+\)' || true)
+    echo "    Flops(<numeric literal>) costs: $n site(s)"
+    [ "$n" -eq 0 ] || status=1
+    if [ "$status" -ne 0 ]; then
+        echo "FAIL: route pair loops through Mtxel::pairs_from_real and state costs as operation counts"
+        exit 1
+    fi
+}
+
 run_determinism_loop() {
-    echo "==> determinism loop: the three formerly flaky bit-exact tests, 20x at BGW_THREADS=2"
+    echo "==> determinism loop: the bit-exact tests and the determinism battery, 20x at BGW_THREADS=2"
     # parallel_reduce used to group its operands by which worker drew
-    # which chunk, so these three failed nondeterministically at any pool
-    # width > 1. Twenty consecutive green runs at width 2 is the gate.
+    # which chunk, so the first three failed nondeterministically at any
+    # pool width > 1; tests/determinism.rs holds every other kernel family
+    # to the same bits across widths and repeats. Twenty consecutive green
+    # runs at width 2 is the gate.
     log=$(mktemp)
     i=1
     while [ "$i" -le 20 ]; do
         for t in \
             "-p berkeleygw-rs --test serve -- --exact sharded_replay_is_deterministic_and_shard_count_invariant" \
             "-p berkeleygw-rs --test workflow_io -- --exact gw_through_files_matches_in_memory" \
-            "-p bgw-core --lib -- --exact service::tests::union_context_band_slices_match_per_request_contexts"; do
+            "-p bgw-core --lib -- --exact service::tests::union_context_band_slices_match_per_request_contexts" \
+            "-p berkeleygw-rs --test determinism"; do
             # shellcheck disable=SC2086
             if ! BGW_THREADS=2 cargo test --release -q $t >"$log" 2>&1; then
                 echo "FAIL: iteration $i/20: cargo test --release -q $t"
@@ -134,6 +172,7 @@ run_determinism_loop() {
 }
 
 if [ "${1:-}" = "--spine" ]; then
+    run_pool_gate
     run_spine_gate
     exit 0
 fi
@@ -150,6 +189,7 @@ echo "==> cargo build: the standalone benchmark package (API pins in benchmark/s
 # renamed bgw-* item would otherwise surface only when the driver runs it.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+run_pool_gate
 run_spine_gate
 
 echo "==> cargo test -q"
