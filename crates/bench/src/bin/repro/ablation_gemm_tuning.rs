@@ -291,7 +291,7 @@ fn run_ablation() {
     );
 }
 
-fn main() {
+pub fn run() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let force = args.iter().any(|a| a == "--force");
     let quick = args.iter().any(|a| a == "--quick");

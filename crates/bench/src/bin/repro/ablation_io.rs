@@ -7,14 +7,15 @@
 //! round-trip, and compares the measured local I/O-to-kernel ratio with
 //! the modeled Frontier one.
 
-use bgw_bench::{build_setup, timed};
+use bgw_bench::timed;
 use bgw_core::sigma::diag::{gpp_sigma_diag, KernelVariant};
+use bgw_core::{bands_around_gap, build_screening, sigma_context, GwConfig};
 use bgw_io::{read_matrix, read_wavefunctions, write_matrix, write_wavefunctions};
 use bgw_linalg::CMatrix;
 use bgw_perf::Table;
 use bgw_pwdft::solve_bands;
 
-fn main() {
+pub fn run() {
     let dir = std::env::temp_dir().join(format!("bgw_io_bench_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
 
@@ -68,9 +69,10 @@ fn main() {
     let mut small = bgw_pwdft::si_divacancy(1, 4.2);
     small.ecut_eps_ry = small.ecut_wfn_ry / 2.2;
     small.n_bands = 60;
-    let setup = build_setup(small, 8);
-    let grids: Vec<Vec<f64>> = setup
-        .ctx
+    let s = build_screening(&small, &GwConfig::default(), None)
+        .expect("dielectric matrix must be invertible");
+    let ctx = &sigma_context(&s, &bands_around_gap(s.wf.n_valence, s.wf.n_bands(), 4));
+    let grids: Vec<Vec<f64>> = ctx
         .sigma_energies
         .iter()
         .map(|&e| vec![e - 0.05, e, e + 0.05])
@@ -78,14 +80,14 @@ fn main() {
     // write the inputs a Sigma run would read
     let wfn_path = dir.join("sigma_wfn.bgwr");
     let eps_path = dir.join("sigma_eps.bgwr");
-    write_wavefunctions(&wfn_path, &setup.wf).unwrap();
-    write_matrix(&eps_path, setup.eps_inv.static_inv()).unwrap();
+    write_wavefunctions(&wfn_path, &s.wf).unwrap();
+    write_matrix(&eps_path, s.eps_inv.static_inv()).unwrap();
     // incl. I/O: read inputs, then run the kernel
     let (_, t_io) = timed(|| {
         let _ = read_wavefunctions(&wfn_path).unwrap();
         let _ = read_matrix(&eps_path).unwrap();
     });
-    let (_, t_kernel) = timed(|| gpp_sigma_diag(&setup.ctx, &grids, KernelVariant::Optimized));
+    let (_, t_kernel) = timed(|| gpp_sigma_diag(ctx, &grids, KernelVariant::Optimized));
     println!(
         "\nlocal Sigma run: kernel {t_kernel:.4} s, input read {t_io:.4} s \
          -> incl./excl. ratio {:.2}",

@@ -14,7 +14,7 @@ use bgw_core::mtxel::Mtxel;
 use bgw_perf::Table;
 use bgw_pwdft::solve_bands;
 
-fn main() {
+pub fn run() {
     let mut sys = bgw_pwdft::si_bulk(2, 2.4);
     sys.ecut_eps_ry = 0.9;
     sys.n_bands = 200;

@@ -8,31 +8,32 @@
 //! mechanism behind the paper's claim that pseudobands cut the effective
 //! scaling of GW (to ~O(N^2.4) in ref 14).
 
-use bgw_bench::{build_setup, timed};
+use bgw_bench::timed;
 use bgw_core::chi::{ChiConfig, ChiEngine};
-use bgw_core::mtxel::Mtxel;
 use bgw_core::pseudobands::{compress, PseudobandsConfig};
 use bgw_core::sigma::diag::{gpp_sigma_diag, KernelVariant};
 use bgw_core::sigma::SigmaContext;
+use bgw_core::{bands_around_gap, build_screening, sigma_context, GwConfig};
 use bgw_num::RunningStats;
 use bgw_perf::Table;
 
-fn main() {
+pub fn run() {
     let mut sys = bgw_pwdft::si_bulk(1, 4.5);
     sys.ecut_eps_ry = 1.4;
     sys.n_bands = 140;
-    let setup = build_setup(sys, 4);
-    let ctx = &setup.ctx;
-    let wf = &setup.wf;
-    let mtxel = Mtxel::new(&setup.wfn_sph, &setup.eps_sph);
+    let s = build_screening(&sys, &GwConfig::default(), None)
+        .expect("dielectric matrix must be invertible");
+    let ctx = &sigma_context(&s, &bands_around_gap(s.wf.n_valence, s.wf.n_bands(), 2));
+    let wf = &s.wf;
+    let mtxel = &s.mtxel;
     let cfg = ChiConfig {
-        q0: setup.coulomb.q0,
+        q0: s.coulomb.q0,
         ..ChiConfig::default()
     };
 
     // exact references
     let chi_head_exact = {
-        let engine = ChiEngine::new(wf, &mtxel, cfg);
+        let engine = ChiEngine::new(wf, mtxel, cfg);
         engine.chi_static()[(1, 1)].re
     };
     let grids: Vec<Vec<f64>> = ctx.sigma_energies.iter().map(|&e| vec![e]).collect();
@@ -71,17 +72,17 @@ fn main() {
             let pb = compress(wf, &pcfg);
             n_eff = pb.wf.n_bands();
             // chi head from the compressed set
-            let engine = ChiEngine::new(&pb.wf, &mtxel, cfg);
+            let engine = ChiEngine::new(&pb.wf, mtxel, cfg);
             let chi = engine.chi_static();
             chi_err.push((chi[(1, 1)].re - chi_head_exact).abs() / chi_head_exact.abs());
             // Sigma on the compressed bands (same screening/GPP)
             let pctx = SigmaContext::build(
                 &pb.wf,
-                &mtxel,
+                mtxel,
                 ctx.gpp.clone(),
-                &setup.vsqrt,
+                &s.vsqrt,
                 &ctx.sigma_bands,
-                setup.coulomb.q0,
+                s.coulomb.q0,
             );
             let (r, secs) = timed(|| gpp_sigma_diag(&pctx, &grids, KernelVariant::Optimized));
             t_kernel = secs;

@@ -7,34 +7,35 @@
 //! as `(N_G / N_Eig)^2`). This bench measures both on the model system:
 //! CHI-Freq seconds (full basis vs subspace) and the FF self-energy error.
 
-use bgw_bench::{build_setup, timed};
+use bgw_bench::timed;
 use bgw_core::chi::{ChiConfig, ChiEngine, ChiTimings};
 use bgw_core::epsilon::EpsilonInverse;
-use bgw_core::mtxel::Mtxel;
 use bgw_core::sigma::fullfreq::{ff_sigma_diag, ff_sigma_diag_subspace};
 use bgw_core::subspace::Subspace;
+use bgw_core::{bands_around_gap, build_screening, sigma_context, GwConfig};
 use bgw_num::grid::semi_infinite_quadrature;
 use bgw_perf::Table;
 
-fn main() {
+pub fn run() {
     let mut sys = bgw_pwdft::si_divacancy(1, 3.8);
     sys.ecut_eps_ry = sys.ecut_wfn_ry / 2.2;
     sys.n_bands = 90;
-    let setup = build_setup(sys, 4);
-    let ctx = &setup.ctx;
+    let s = build_screening(&sys, &GwConfig::default(), None)
+        .expect("dielectric matrix must be invertible");
+    let ctx = &sigma_context(&s, &bands_around_gap(s.wf.n_valence, s.wf.n_bands(), 2));
     let ng = ctx.n_g();
     let (nodes_q, weights) = semi_infinite_quadrature(10, 2.0);
-    let mtxel = Mtxel::new(&setup.wfn_sph, &setup.eps_sph);
     let cfg = ChiConfig {
-        q0: setup.coulomb.q0,
+        q0: s.coulomb.q0,
         ..ChiConfig::default()
     };
-    let engine = ChiEngine::new(&setup.wf, &mtxel, cfg);
+    let engine = ChiEngine::new(&s.wf, &s.mtxel, cfg);
+    let chi0 = engine.chi_static();
 
     // Full-basis finite-frequency chi (the expensive reference path).
     let mut tm_full = ChiTimings::default();
     let chis = engine.chi_freqs_subset(&nodes_q, None, &mut tm_full);
-    let eps_ff = EpsilonInverse::build(&chis, &nodes_q, &setup.coulomb, &setup.eps_sph)
+    let eps_ff = EpsilonInverse::build(&chis, &nodes_q, &s.coulomb, &s.eps_sph)
         .expect("dielectric matrix must be invertible");
     let grids: Vec<Vec<f64>> = ctx.sigma_energies.iter().map(|&e| vec![e]).collect();
     let (full_sigma, _) = timed(|| ff_sigma_diag(ctx, &eps_ff, &weights, &grids, 0.05));
@@ -63,9 +64,9 @@ fn main() {
     ]);
     for fraction in [0.5, 0.25, 0.15, 0.08] {
         let n_eig = ((ng as f64 * fraction) as usize).max(2);
-        let sub = Subspace::from_chi0(&setup.chi0, &setup.vsqrt, n_eig);
+        let sub = Subspace::from_chi0(&chi0, &s.vsqrt, n_eig);
         let mut tm = ChiTimings::default();
-        let _ = engine.chi_freqs_subspace(&nodes_q, &sub.basis, &setup.vsqrt, &mut tm);
+        let _ = engine.chi_freqs_subspace(&nodes_q, &sub.basis, &s.vsqrt, &mut tm);
         let sig = ff_sigma_diag_subspace(ctx, &eps_ff, &weights, &grids, 0.05, &sub);
         let err = (0..ctx.n_sigma())
             .map(|s| (sig.sigma[s][0].re - full_sigma.sigma[s][0].re).abs())

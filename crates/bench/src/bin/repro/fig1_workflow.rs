@@ -4,14 +4,15 @@
 //! (GPP kernel), and Dyson, plus the GWPT branch for the LiH system.
 
 use bgw_bench::timed;
-use bgw_core::workflow::{run_gpp_gw, GwConfig};
-use bgw_core::{gwpt_for_perturbation, Mtxel, SigmaContext};
+use bgw_core::{
+    bands_around_gap, build_screening, gwpt_for_perturbation, run_gpp_gw, sigma_context, GwConfig,
+};
 use bgw_linalg::GemmBackend;
 use bgw_num::{UniformGrid, RYDBERG_EV};
 use bgw_perf::Table;
 use bgw_pwdft::Perturbation;
 
-fn main() {
+pub fn run() {
     let mut t = Table::new(
         "Fig. 1 workflow: per-module seconds across the scaled roster",
         &[
@@ -50,32 +51,22 @@ fn main() {
     // GWPT branch (Fig. 1c): one perturbation on the LiH defect system.
     let mut sys = bgw_pwdft::lih_defect(1, 3.6);
     sys.n_bands = 36;
-    let setup = bgw_bench::build_setup(sys, 4);
-    let mtxel = Mtxel::new(&setup.wfn_sph, &setup.eps_sph);
-    let ctx: &SigmaContext = &setup.ctx;
-    let pert = Perturbation::new(&setup.system.crystal, &setup.wfn_sph, 0, 0);
+    let s = build_screening(&sys, &GwConfig::default(), None)
+        .expect("dielectric matrix must be invertible");
+    let ctx = &sigma_context(&s, &bands_around_gap(s.wf.n_valence, s.wf.n_bands(), 2));
+    let pert = Perturbation::new(&sys.crystal, &s.wfn_sph, 0, 0);
     let e_grid = UniformGrid::new(
         ctx.sigma_energies[0] - 0.3,
         *ctx.sigma_energies.last().unwrap() + 0.3,
         5,
     );
-    let (g, secs) = timed(|| {
-        gwpt_for_perturbation(
-            ctx,
-            &setup.wf,
-            &mtxel,
-            &pert,
-            &setup.vsqrt,
-            &e_grid,
-            GemmBackend::Parallel,
-        )
-    });
+    let (g, secs) = timed(|| gwpt_for_perturbation(&s, ctx, &pert, &e_grid, GemmBackend::Parallel));
     println!(
         "\nGWPT branch ({}): dSigma/dR kernel {secs:.2} s per perturbation,\n\
          max |g_DFPT| = {:.4} eV/bohr, max |g_GW| = {:.4} eV/bohr\n\
          (the N_p perturbations run independently — the paper's massively\n\
          parallel dimension).",
-        setup.system.name,
+        sys.name,
         g.g_dfpt.max_abs() * RYDBERG_EV,
         g.g_gw.max_abs() * RYDBERG_EV,
     );

@@ -17,7 +17,7 @@ use bgw_core::subspace::{symmetrize, Subspace};
 use bgw_perf::Table;
 use bgw_pwdft::solve_bands;
 
-fn main() {
+pub fn run() {
     // Size ladder: wavefunction cutoff fixed; epsilon cutoff grows so the
     // CHI work (~ N_G^2) grows, and the band count grows the pair count.
     let rungs = [

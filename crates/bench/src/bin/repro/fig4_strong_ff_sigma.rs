@@ -8,55 +8,55 @@
 //! parallelism over self-energy elements gives near-ideal strong scaling
 //! until the pool reduction bites — the paper's portable-scaling claim.
 
-use bgw_bench::{build_setup, timed};
+use bgw_bench::timed;
 use bgw_core::chi::{ChiConfig, ChiEngine};
 use bgw_core::epsilon::EpsilonInverse;
-use bgw_core::mtxel::Mtxel;
 use bgw_core::sigma::fullfreq::{ff_sigma_diag, ff_sigma_diag_subspace};
 use bgw_core::subspace::Subspace;
+use bgw_core::{bands_around_gap, build_screening, sigma_context, GwConfig};
 use bgw_num::grid::semi_infinite_quadrature;
 use bgw_perf::flopmodel::ALPHA_FRONTIER;
 use bgw_perf::timemodel::{strong_scaling, Efficiencies, Kernel, SigmaWorkload};
 use bgw_perf::{fmt_secs, Machine, Table};
 
-fn main() {
+pub fn run() {
     // ---- measured local FF Sigma ----------------------------------------
     let mut sys = bgw_pwdft::si_divacancy(1, 3.6);
     sys.ecut_eps_ry = sys.ecut_wfn_ry / 2.5;
     sys.n_bands = 80;
-    let setup = build_setup(sys, 6);
+    let s = build_screening(&sys, &GwConfig::default(), None)
+        .expect("dielectric matrix must be invertible");
+    let ctx = &sigma_context(&s, &bands_around_gap(s.wf.n_valence, s.wf.n_bands(), 3));
     let (nodes_q, weights) = semi_infinite_quadrature(10, 2.0);
-    let mtxel = Mtxel::new(&setup.wfn_sph, &setup.eps_sph);
     let cfg = ChiConfig {
-        q0: setup.coulomb.q0,
+        q0: s.coulomb.q0,
         ..ChiConfig::default()
     };
-    let engine = ChiEngine::new(&setup.wf, &mtxel, cfg);
+    let engine = ChiEngine::new(&s.wf, &s.mtxel, cfg);
     let (chis, _) = engine.chi_freqs(&nodes_q);
-    let eps_ff = EpsilonInverse::build(&chis, &nodes_q, &setup.coulomb, &setup.eps_sph)
+    let eps_ff = EpsilonInverse::build(&chis, &nodes_q, &s.coulomb, &s.eps_sph)
         .expect("dielectric matrix must be invertible");
-    let grids: Vec<Vec<f64>> = setup
-        .ctx
+    let grids: Vec<Vec<f64>> = ctx
         .sigma_energies
         .iter()
         .map(|&e| vec![e - 0.05, e, e + 0.05])
         .collect();
-    let (full, t_full) = timed(|| ff_sigma_diag(&setup.ctx, &eps_ff, &weights, &grids, 0.05));
-    let n_eig = (setup.ctx.n_g() / 5).max(2);
-    let sub = Subspace::from_chi0(&setup.chi0, &setup.vsqrt, n_eig);
+    let (full, t_full) = timed(|| ff_sigma_diag(ctx, &eps_ff, &weights, &grids, 0.05));
+    let n_eig = (ctx.n_g() / 5).max(2);
+    let sub = Subspace::from_chi0(&engine.chi_static(), &s.vsqrt, n_eig);
     let (subr, t_sub) =
-        timed(|| ff_sigma_diag_subspace(&setup.ctx, &eps_ff, &weights, &grids, 0.05, &sub));
-    let max_dev = (0..setup.ctx.n_sigma())
+        timed(|| ff_sigma_diag_subspace(ctx, &eps_ff, &weights, &grids, 0.05, &sub));
+    let max_dev = (0..ctx.n_sigma())
         .map(|s| (full.sigma[s][1].re - subr.sigma[s][1].re).abs())
         .fold(0.0, f64::max);
     println!(
         "measured FF Sigma ({} bands, {} freqs): full-basis {} s (dim {}),\n\
          {}%-subspace {} s (dim {}), max deviation {:.2e} Ry\n",
-        setup.ctx.n_sigma(),
+        ctx.n_sigma(),
         nodes_q.len(),
         fmt_secs(t_full),
         full.contracted_dim,
-        (100 * n_eig) / setup.ctx.n_g(),
+        (100 * n_eig) / ctx.n_g(),
         fmt_secs(t_sub),
         subr.contracted_dim,
         max_dev,

@@ -11,7 +11,7 @@ use bgw_perf::flopmodel::{ALPHA_AURORA, ALPHA_FRONTIER};
 use bgw_perf::timemodel::{weak_scaling, Efficiencies, Kernel, SigmaWorkload};
 use bgw_perf::{Machine, Table};
 
-fn main() {
+pub fn run() {
     let eff = Efficiencies::paper_anchored();
     let nodes = [16usize, 64, 256, 1024, 4096, 9408];
 

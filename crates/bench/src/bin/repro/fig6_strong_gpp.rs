@@ -8,13 +8,14 @@
 //! whose measured critical-path times must follow the 1/ranks shape the
 //! model assumes.
 
-use bgw_bench::{build_setup, timed};
+use bgw_bench::timed;
 use bgw_core::sigma::diag::gpp_sigma_diag_partial;
+use bgw_core::{bands_around_gap, build_screening, sigma_context, GwConfig};
 use bgw_perf::flopmodel::ALPHA_FRONTIER;
 use bgw_perf::timemodel::{strong_scaling, Efficiencies, Kernel, SigmaWorkload};
 use bgw_perf::{fmt_secs, Machine, Table};
 
-fn main() {
+pub fn run() {
     let eff = Efficiencies::paper_anchored();
     let nodes = [128usize, 256, 512, 1024, 2048, 4096, 9408];
 
@@ -83,8 +84,9 @@ fn main() {
     let mut sys = bgw_pwdft::si_divacancy(1, 4.2);
     sys.ecut_eps_ry = sys.ecut_wfn_ry / 2.2;
     sys.n_bands = 60;
-    let setup = build_setup(sys, 4);
-    let ctx = &setup.ctx;
+    let s = build_screening(&sys, &GwConfig::default(), None)
+        .expect("dielectric matrix must be invertible");
+    let ctx = &sigma_context(&s, &bands_around_gap(s.wf.n_valence, s.wf.n_bands(), 2));
     let grids: Vec<Vec<f64>> = ctx.sigma_energies.iter().map(|&e| vec![e]).collect();
     let ng = ctx.n_g();
     let mut t = Table::new(

@@ -94,7 +94,7 @@ fn aurora_configs() -> Vec<Config> {
     ]
 }
 
-fn main() {
+pub fn run() {
     let eff = Efficiencies::paper_anchored();
 
     let cases = [

@@ -8,7 +8,7 @@ use bgw_perf::roofline::{diag_intensity, hbm_gb_per_gpu, offdiag_intensity, roof
 use bgw_perf::timemodel::SigmaWorkload;
 use bgw_perf::{Machine, Table};
 
-fn main() {
+pub fn run() {
     let mut t = Table::new(
         "GPP kernel roofline placement (per GPU)",
         &[

@@ -4,7 +4,7 @@
 use bgw_core::GwParams;
 use bgw_perf::Table;
 
-fn main() {
+pub fn run() {
     let mut t = Table::new(
         "Table 1: Computational parameters in the GW workflow",
         &["Symbol", "Synopsis"],

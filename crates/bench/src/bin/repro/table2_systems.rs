@@ -69,7 +69,7 @@ fn paper_rows() -> Vec<PaperRow> {
     ]
 }
 
-fn main() {
+pub fn run() {
     let mut t = Table::new(
         "Table 2 (paper, production scale)",
         &["System", "N_G^psi", "N_G", "N_b", "N_v", "N_c", "N_v/atom"],

@@ -11,12 +11,13 @@
 //! validation the paper performs. The paper's own rows are reprinted for
 //! comparison.
 
-use bgw_bench::{build_setup, timed};
+use bgw_bench::timed;
 use bgw_core::sigma::diag::{gpp_sigma_diag, KernelVariant};
+use bgw_core::{bands_around_gap, build_screening, sigma_context, GwConfig};
 use bgw_perf::flopmodel::{gpp_diag_flops, paper_table3, ALPHA_AURORA, ALPHA_FRONTIER};
 use bgw_perf::Table;
 
-fn main() {
+pub fn run() {
     // Paper rows first.
     let mut t = Table::new(
         "Table 3 (paper): measured vs estimated FLOPs, Si-214",
@@ -78,8 +79,10 @@ fn main() {
         let mut sys = bgw_pwdft::si_divacancy(1, 4.2);
         sys.ecut_eps_ry = sys.ecut_wfn_ry * frac;
         sys.n_bands = n_bands;
-        let setup = build_setup(sys, n_sigma);
-        let ctx = &setup.ctx;
+        let s = build_screening(&sys, &GwConfig::default(), None)
+            .expect("dielectric matrix must be invertible");
+        let bands = bands_around_gap(s.wf.n_valence, s.wf.n_bands(), n_sigma / 2);
+        let ctx = &sigma_context(&s, &bands);
         let n_b = ctx.n_b();
         let grids: Vec<Vec<f64>> = ctx
             .sigma_energies

@@ -16,8 +16,9 @@
 //! (every slice is actually computed; the reported time is the critical
 //! path = the slowest slice), plus the modeled pool reduction.
 
-use bgw_bench::{build_setup, timed};
+use bgw_bench::timed;
 use bgw_core::sigma::diag::{gpp_sigma_diag, gpp_sigma_diag_partial, KernelVariant};
+use bgw_core::{bands_around_gap, build_screening, sigma_context, GwConfig};
 use bgw_perf::{Machine, Table};
 
 /// Paper Table 4, GW-GPP diag block (seconds).
@@ -38,7 +39,7 @@ fn paper_gpp_block() -> (Vec<usize>, Vec<(&'static str, Vec<f64>)>) {
     (nodes, cols)
 }
 
-fn main() {
+pub fn run() {
     // --- paper block ----------------------------------------------------
     let (nodes, cols) = paper_gpp_block();
     let mut headers: Vec<&str> = vec!["# nodes"];
@@ -59,12 +60,16 @@ fn main() {
     sys.ecut_eps_ry = sys.ecut_wfn_ry / 2.2;
     sys.n_bands = 200;
     let n_sigma = 8; // scaled from the paper's 128
-    let setup = build_setup(sys, n_sigma);
-    let ctx = &setup.ctx;
+    let s = build_screening(&sys, &GwConfig::default(), None)
+        .expect("dielectric matrix must be invertible");
+    let ctx = &sigma_context(
+        &s,
+        &bands_around_gap(s.wf.n_valence, s.wf.n_bands(), n_sigma / 2),
+    );
     println!(
         "\nscaled system: {} (N_G^psi = {}, N_G = {}, N_b = {}, N_Sigma = {n_sigma})\n",
-        setup.system.name,
-        setup.wfn_sph.len(),
+        sys.name,
+        s.wfn_sph.len(),
         ctx.n_g(),
         ctx.n_b(),
     );

@@ -236,7 +236,7 @@ fn rows() -> Vec<Row> {
     ]
 }
 
-fn main() {
+pub fn run() {
     let eff = Efficiencies::paper_anchored();
     let mut t = Table::new(
         "Table 5: best throughput — paper measurement vs calibrated model",

@@ -1,4 +1,4 @@
-//! Autotune persistence across processes: the `ablation_gemm_tuning`
+//! Autotune persistence across processes: the `repro ablation_gemm_tuning`
 //! tuner sweeps and persists a table on its first run, picks it up without
 //! re-sweeping on its second, and a different process (this one) resolves
 //! `GemmBackend::Tuned` through that file.
@@ -13,11 +13,11 @@ use std::process::Command;
 
 /// Runs the tuner against `table` and returns its `AUTOTUNE_SWEPT` count.
 fn tuner_swept(table: &Path) -> usize {
-    let out = Command::new(env!("CARGO_BIN_EXE_ablation_gemm_tuning"))
-        .args(["--quick", "--autotune-only"])
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["ablation_gemm_tuning", "--quick", "--autotune-only"])
         .env(autotune::PATH_ENV, table)
         .output()
-        .expect("spawn ablation_gemm_tuning");
+        .expect("spawn repro ablation_gemm_tuning");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),

@@ -415,7 +415,7 @@ impl Comm {
     }
 
     /// `true` when the world carries a non-empty fault plan. Only armed
-    /// worlds enforce the [`WAIT_BUDGET`]; unarmed worlds keep the
+    /// worlds enforce the `WAIT_BUDGET`; unarmed worlds keep the
     /// pre-fault "wait forever" semantics.
     fn armed(&self) -> bool {
         !self.shared.root.plan.is_empty()
@@ -927,7 +927,7 @@ impl Comm {
     /// The first survivor to observe that every communicator rank is
     /// either registered or crashed freezes the survivor set under the
     /// registry lock, so late arrivals cannot disagree about membership.
-    /// Shrink always runs under the [`WAIT_BUDGET`] and never deadlocks;
+    /// Shrink always runs under the `WAIT_BUDGET` and never deadlocks;
     /// a genuine panic anywhere in the world still aborts it with
     /// [`CommError::WorldPoisoned`].
     pub fn shrink(&self) -> Result<Comm, CommError> {

@@ -132,64 +132,6 @@ impl GppModel {
     }
 }
 
-/// The Godby-Needs plasmon-pole variant: instead of the f-sum rule, the
-/// pole parameters are fitted to the computed `eps~^{-1}` at two
-/// frequencies — `omega = 0` and one imaginary frequency `i u_pp` (chosen
-/// near the plasma frequency). With the same one-pole ansatz
-/// `eps~^{-1}(w) = delta + Omega^2 / (w^2 - w~^2)`:
-///
-/// `A0 = eps~^{-1}(0) - delta = -Omega^2 / w~^2`
-/// `Au = eps~^{-1}(i u) - delta = -Omega^2 / (u^2 + w~^2)`
-///
-/// gives `w~^2 = u^2 Au / (A0 - Au)` and `Omega^2 = -A0 w~^2`.
-/// Production codes offer both (HL in BerkeleyGW, GN in Abinit/Yambo);
-/// comparing them bounds the plasmon-pole error without a full-frequency
-/// run.
-pub fn godby_needs(eps_static: &EpsilonInverse, eps_imag: &CMatrixRef<'_>, u_pp: f64) -> GppModel {
-    let n_g = eps_static.n_g();
-    let inv0 = eps_static.static_inv();
-    assert_eq!(
-        eps_imag.0.nrows(),
-        n_g,
-        "imaginary-frequency matrix mismatch"
-    );
-    assert!(u_pp > 0.0);
-    let mut pole_strength = vec![0.0; n_g * n_g];
-    let mut mode_freq = vec![0.0; n_g * n_g];
-    for i in 0..n_g {
-        for j in 0..n_g {
-            let delta = if i == j { 1.0 } else { 0.0 };
-            let a0 = inv0[(i, j)].re - delta;
-            let au = eps_imag.0[(i, j)].re - delta;
-            // physical pole: A0 < 0 (screening), |Au| < |A0| (decay with u)
-            let denom = a0 - au;
-            if a0 >= -1e-12 || denom.abs() < 1e-14 {
-                continue;
-            }
-            let w2 = u_pp * u_pp * au / denom;
-            if w2 <= 0.0 {
-                continue;
-            }
-            let omega2 = -a0 * w2;
-            if omega2 <= 0.0 {
-                continue;
-            }
-            pole_strength[i * n_g + j] = omega2;
-            mode_freq[i * n_g + j] = w2.sqrt();
-        }
-    }
-    GppModel {
-        pole_strength,
-        mode_freq,
-        n_g,
-        wp2: u_pp * u_pp,
-    }
-}
-
-/// Thin newtype so `godby_needs` can take a plain matrix without pulling
-/// a full [`EpsilonInverse`] for the single imaginary frequency.
-pub struct CMatrixRef<'a>(pub &'a bgw_linalg::CMatrix);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,55 +202,6 @@ mod tests {
             assert!(s > 0.0, "inactive diagonal mode {i}");
             let w = gpp.freq(i, i);
             assert!(w > 0.0 && w < 100.0, "mode freq {w} Ry at {i}");
-        }
-    }
-
-    #[test]
-    fn godby_needs_agrees_with_hybertsen_louie_at_zero_frequency() {
-        // Both models reproduce eps^{-1}(0) exactly where their poles are
-        // active — they differ only in the pole frequency assignment.
-        let (hl, eps, _) = build();
-        // build eps^{-1}(i u) from the engine with the eta-substitution
-        // trick (see sigma::imagaxis tests)
-        let c = bgw_pwdft::Crystal::diamond(bgw_pwdft::Species::Si, bgw_pwdft::pseudo::SI_A0);
-        let wfn = GSphere::new(&c.lattice, 2.2);
-        let eps_sph = GSphere::new(&c.lattice, 0.55);
-        let wf = bgw_pwdft::solve_bands(&c, &wfn, 24);
-        let coulomb = Coulomb::bulk_for_cell(c.lattice.volume());
-        let mtxel = Mtxel::new(&wfn, &eps_sph);
-        let u_pp = hl.wp2.sqrt();
-        let cfg = ChiConfig {
-            eta_ry: u_pp,
-            q0: coulomb.q0,
-            ..ChiConfig::default()
-        };
-        let mut t = Default::default();
-        let chi_iu = ChiEngine::new(&wf, &mtxel, cfg)
-            .chi_freqs_subset(&[1e-12], None, &mut t)
-            .pop()
-            .unwrap();
-        let eps_iu = EpsilonInverse::build(&[chi_iu], &[0.0], &coulomb, &eps_sph)
-            .expect("dielectric matrix must be invertible");
-        let gn = godby_needs(&eps, &CMatrixRef(&eps_iu.inv[0]), u_pp);
-        // static limit identical wherever both poles are active
-        let mut compared = 0;
-        for i in 0..gn.n_g.min(12) {
-            for j in 0..gn.n_g.min(12) {
-                if gn.strength(i, j) > 0.0 && hl.strength(i, j) > 0.0 {
-                    let a = gn.eps_inv_model(i, j, 0.0);
-                    let b = hl.eps_inv_model(i, j, 0.0);
-                    assert!((a - b).abs() < 1e-8, "({i},{j}): GN {a} vs HL {b}");
-                    compared += 1;
-                }
-            }
-        }
-        assert!(compared >= 5, "too few active pairs compared: {compared}");
-        // pole frequencies are the same order of magnitude on the diagonal
-        for i in 0..gn.n_g.min(8) {
-            if gn.strength(i, i) > 0.0 && hl.strength(i, i) > 0.0 {
-                let r = gn.freq(i, i) / hl.freq(i, i);
-                assert!((0.1..10.0).contains(&r), "diag {i}: ratio {r}");
-            }
         }
     }
 

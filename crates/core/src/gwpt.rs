@@ -18,6 +18,7 @@
 //! `g^GW_lm = g^DFPT_lm + [dSigma(E)]_lm`.
 
 use crate::mtxel::Mtxel;
+use crate::service::Screening;
 use crate::sigma::{gpp_factor, gpp_row_cost, SigmaContext};
 use bgw_linalg::{zgemm, CMatrix, GemmBackend, Op};
 use bgw_num::{c64, Complex64, UniformGrid};
@@ -200,40 +201,38 @@ pub fn gwpt_dsigma(
     }
 }
 
-/// Convenience driver: builds `dpsi`, `dm~`, and runs [`gwpt_dsigma`] for
-/// one atomic perturbation.
+/// GWPT for one atomic perturbation against a shared [`Screening`]: the
+/// bands, MTXEL engine and `sqrt(v)` are the screening's own, so every
+/// perturbation of a run contracts against the same frozen `W`.
 pub fn gwpt_for_perturbation(
+    s: &Screening,
     ctx: &SigmaContext,
-    wf: &Wavefunctions,
-    mtxel: &Mtxel,
     perturbation: &Perturbation,
-    vsqrt: &[f64],
     e_grid: &UniformGrid,
     backend: GemmBackend,
 ) -> GwptResult {
-    let dpsi = perturbation.first_order_wavefunctions(wf, 1e-8);
-    let dm = build_dm_tilde(ctx, wf, mtxel, &dpsi, vsqrt);
-    gwpt_dsigma(ctx, &dm, perturbation, wf, e_grid, backend)
+    let dpsi = perturbation.first_order_wavefunctions(&s.wf, 1e-8);
+    let dm = build_dm_tilde(ctx, &s.wf, &s.mtxel, &dpsi, &s.vsqrt);
+    gwpt_dsigma(ctx, &dm, perturbation, &s.wf, e_grid, backend)
 }
 
-/// Distributed GWPT: the `N_p` perturbations are independent and are
-/// farmed out round-robin over the ranks of `comm` (paper Sec. 5.1: "the
-/// N_p perturbations are independent and massively parallelized to full
-/// scale with minimal communications"). Every rank returns the complete
-/// set of results, gathered with one allgather at the end.
+/// Distributed GWPT: the `N_p` perturbations share one [`Screening`], are
+/// independent, and are farmed out round-robin over the ranks of `comm`
+/// (paper Sec. 5.1: "the N_p perturbations are independent and massively
+/// parallelized to full scale with minimal communications"). Each
+/// perturbation is computed whole by one rank with
+/// [`gwpt_for_perturbation`]'s arithmetic, so the result does not depend
+/// on the world size. Every rank returns the complete set of `g^GW`
+/// matrices, gathered with one allgather at the end.
 ///
-/// `perturbations` lists `(atom, axis)` pairs; all ranks must pass the
-/// same list.
-#[allow(clippy::too_many_arguments)]
+/// `perturbations` lists `(atom, axis)` pairs of `crystal`; all ranks must
+/// pass the same list.
 pub fn gwpt_distributed(
     comm: &bgw_comm::Comm,
+    s: &Screening,
     ctx: &SigmaContext,
-    wf: &Wavefunctions,
-    mtxel: &Mtxel,
     crystal: &bgw_pwdft::Crystal,
-    wfn_sph: &bgw_pwdft::GSphere,
     perturbations: &[(usize, usize)],
-    vsqrt: &[f64],
     e_grid: &UniformGrid,
     backend: GemmBackend,
 ) -> Result<Vec<CMatrix>, bgw_comm::CommError> {
@@ -244,8 +243,8 @@ pub fn gwpt_distributed(
         if p % comm.size() != comm.rank() {
             continue;
         }
-        let pert = Perturbation::new(crystal, wfn_sph, atom, axis);
-        let r = gwpt_for_perturbation(ctx, wf, mtxel, &pert, vsqrt, e_grid, backend);
+        let pert = Perturbation::new(crystal, &s.wfn_sph, atom, axis);
+        let r = gwpt_for_perturbation(s, ctx, &pert, e_grid, backend);
         mine.push((p as u64, r.g_gw.as_slice().to_vec()));
     }
     // one allgather of (index, payload) pairs — the "minimal
@@ -263,9 +262,21 @@ pub fn gwpt_distributed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{bands_around_gap, build_screening, sigma_context};
     use crate::sigma::diag::{gpp_sigma_diag, KernelVariant};
     use crate::testkit;
-    use bgw_pwdft::solve_bands;
+    use crate::workflow::GwConfig;
+    use bgw_pwdft::{si_bulk, solve_bands, ModelSystem};
+
+    /// Bulk Si at unit-test cutoffs: the system, its one screening and the
+    /// Sigma context of two bands on each side of the gap.
+    fn fixture() -> (ModelSystem, Screening, SigmaContext) {
+        let mut sys = si_bulk(1, 2.2);
+        sys.n_bands = 28;
+        let s = build_screening(&sys, &GwConfig::default(), None).expect("invertible epsilon");
+        let ctx = sigma_context(&s, &bands_around_gap(s.wf.n_valence, s.wf.n_bands(), 2));
+        (sys, s, ctx)
+    }
 
     fn grid_for(ctx: &SigmaContext) -> UniformGrid {
         let lo = ctx.sigma_energies[0] - 0.5;
@@ -275,18 +286,9 @@ mod tests {
 
     #[test]
     fn dsigma_is_hermitian() {
-        let (ctx, setup) = testkit::small_context();
-        let mtxel = Mtxel::new(&setup.wfn_sph, &setup.eps_sph);
-        let pert = Perturbation::new(&setup.crystal, &setup.wfn_sph, 0, 0);
-        let r = gwpt_for_perturbation(
-            &ctx,
-            &setup.wf,
-            &mtxel,
-            &pert,
-            &setup.vsqrt,
-            &grid_for(&ctx),
-            GemmBackend::Parallel,
-        );
+        let (sys, s, ctx) = fixture();
+        let pert = Perturbation::new(&sys.crystal, &s.wfn_sph, 0, 0);
+        let r = gwpt_for_perturbation(&s, &ctx, &pert, &grid_for(&ctx), GemmBackend::Parallel);
         for (ei, ds) in r.d_sigma.iter().enumerate() {
             assert!(
                 ds.is_hermitian(1e-8),
@@ -302,75 +304,49 @@ mod tests {
     #[test]
     fn gw_coupling_differs_from_dfpt() {
         // The many-body correction must actually do something.
-        let (ctx, setup) = testkit::small_context();
-        let mtxel = Mtxel::new(&setup.wfn_sph, &setup.eps_sph);
-        let pert = Perturbation::new(&setup.crystal, &setup.wfn_sph, 1, 2);
-        let r = gwpt_for_perturbation(
-            &ctx,
-            &setup.wf,
-            &mtxel,
-            &pert,
-            &setup.vsqrt,
-            &grid_for(&ctx),
-            GemmBackend::Parallel,
-        );
+        let (sys, s, ctx) = fixture();
+        let pert = Perturbation::new(&sys.crystal, &s.wfn_sph, 1, 2);
+        let r = gwpt_for_perturbation(&s, &ctx, &pert, &grid_for(&ctx), GemmBackend::Parallel);
         let diff = r.g_gw.max_abs_diff(&r.g_dfpt);
         assert!(diff > 1e-12, "GW correction to g vanished");
     }
 
     #[test]
     fn distributed_perturbations_match_serial() {
-        let (ctx, setup) = testkit::small_context();
-        let mtxel = Mtxel::new(&setup.wfn_sph, &setup.eps_sph);
+        // N_p = 4 perturbations against ONE screening: each is computed
+        // whole by one rank with the serial arithmetic, so every world
+        // size — 6 > N_p leaves two ranks idle — returns the serial
+        // loop's bits on every rank.
+        let (sys, s, ctx) = fixture();
         let e_grid = grid_for(&ctx);
-        let perts = vec![(0usize, 0usize), (0, 1), (1, 0), (1, 2)];
-        // serial reference
-        let serial: Vec<CMatrix> = perts
+        let perts = [(0usize, 0usize), (0, 1), (1, 0), (1, 2)];
+        let bits = |m: &CMatrix| -> Vec<(u64, u64)> {
+            m.as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        let serial: Vec<_> = perts
             .iter()
             .map(|&(a, ax)| {
-                let p = Perturbation::new(&setup.crystal, &setup.wfn_sph, a, ax);
-                gwpt_for_perturbation(
-                    &ctx,
-                    &setup.wf,
-                    &mtxel,
-                    &p,
-                    &setup.vsqrt,
-                    &e_grid,
-                    GemmBackend::Blocked,
-                )
-                .g_gw
+                let p = Perturbation::new(&sys.crystal, &s.wfn_sph, a, ax);
+                bits(&gwpt_for_perturbation(&s, &ctx, &p, &e_grid, GemmBackend::Blocked).g_gw)
             })
             .collect();
-        let (results, stats) = bgw_comm::run_world(3, |comm| {
-            let mtxel = Mtxel::new(&setup.wfn_sph, &setup.eps_sph);
-            let out = gwpt_distributed(
-                comm,
-                &ctx,
-                &setup.wf,
-                &mtxel,
-                &setup.crystal,
-                &setup.wfn_sph,
-                &perts,
-                &setup.vsqrt,
-                &e_grid,
-                GemmBackend::Blocked,
-            )
-            .expect("fault-free world");
-            out.iter()
-                .map(|m| m.as_slice().to_vec())
-                .collect::<Vec<_>>()
-        });
-        for rank_out in results {
-            for (p, flat) in rank_out.into_iter().enumerate() {
-                let m = CMatrix::from_vec(ctx.n_sigma(), ctx.n_sigma(), flat);
-                assert!(
-                    m.max_abs_diff(&serial[p]) < 1e-9,
-                    "perturbation {p}: {}",
-                    m.max_abs_diff(&serial[p])
-                );
+        for world in [1usize, 2, 3, 4, 6] {
+            let (results, stats) = bgw_comm::run_world(world, |comm| {
+                let backend = GemmBackend::Blocked;
+                gwpt_distributed(comm, &s, &ctx, &sys.crystal, &perts, &e_grid, backend)
+                    .expect("fault-free world")
+                    .iter()
+                    .map(bits)
+                    .collect::<Vec<_>>()
+            });
+            for (rank, rank_out) in results.iter().enumerate() {
+                assert_eq!(rank_out, &serial, "world {world}, rank {rank}");
             }
+            assert!(stats.iter().all(|st| st.collectives >= 1), "world {world}");
         }
-        assert!(stats.iter().all(|s| s.collectives >= 1));
     }
 
     #[test]
@@ -418,15 +394,9 @@ mod tests {
         let axis = 0;
         let pert = Perturbation::new(&setup.crystal, &setup.wfn_sph, atom, axis);
         let e_grid = UniformGrid::new(ctx.sigma_energies[0], ctx.sigma_energies[1], 2);
-        let r = gwpt_for_perturbation(
-            &ctx,
-            &wf,
-            &mtxel,
-            &pert,
-            &setup.vsqrt,
-            &e_grid,
-            GemmBackend::Blocked,
-        );
+        let dpsi = pert.first_order_wavefunctions(&wf, 1e-8);
+        let dm = build_dm_tilde(&ctx, &wf, &mtxel, &dpsi, &setup.vsqrt);
+        let r = gwpt_dsigma(&ctx, &dm, &pert, &wf, &e_grid, GemmBackend::Blocked);
         // finite difference: Sigma with displaced wavefunctions, frozen
         // energies and screening.
         let h = 2e-3;

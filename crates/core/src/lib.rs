@@ -10,19 +10,14 @@
 //! ([`sigma::fullfreq`], accelerated by the [`subspace`] approximation) ->
 //! [`sigma`] self-energy kernels (diag and ZGEMM-recast off-diag) ->
 //! [`dyson`] quasiparticle energies. [`pseudobands`] compresses the band
-//! sums (Sec. 5.3), [`gwpt`] computes electron-phonon coupling at the
-//! GW level (Sec. 5.1), [`bse`] solves the Bethe-Salpeter equation for
-//! excitons and optical spectra on top of the same screened interaction,
-//! and [`spectral`] turns frequency-resolved self-energies into
-//! photoemission line shapes. [`service`] spells the pipeline's shared stages
-//! once (the spine); [`workflow`] and its sibling drivers run them.
+//! sums (Sec. 5.3) and [`gwpt`] computes electron-phonon coupling at the
+//! GW level (Sec. 5.1) for `N_p` perturbations against one shared
+//! [`Screening`]. [`service`] spells the pipeline's shared stages once
+//! (the spine); [`workflow`] and its sibling drivers run them.
 
 #![warn(missing_docs)]
 
-pub mod bse;
 pub mod chi;
-pub mod cohsex;
-pub mod convergence;
 pub mod coulomb;
 pub mod dagflow;
 pub mod dyson;
@@ -38,21 +33,17 @@ pub mod restart;
 pub mod service;
 pub mod sigma;
 pub mod spacetime;
-pub mod spectral;
 pub mod subspace;
 pub mod testkit;
 pub mod workflow;
 
-pub use bse::{solve_bse, BseConfig, ExcitonSpectrum};
 pub use chi::{ChiConfig, ChiEngine};
-pub use cohsex::{cohsex_sigma, CohsexValue};
-pub use convergence::{sweep_bands, sweep_eps_cutoff, ConvergenceStudy};
 pub use coulomb::Coulomb;
 pub use dagflow::{run_gpp_gw_dag, DagGwResults};
 pub use dyson::{solve_qp_diag, solve_qp_full, QpState};
 pub use epsilon::{is_static_freq, EpsilonError, EpsilonInverse};
 pub use error::GwError;
-pub use gpp::{godby_needs, GppModel};
+pub use gpp::GppModel;
 pub use gwpt::{gwpt_for_perturbation, GwptResult};
 pub use mtxel::{BandCache, Mtxel};
 pub use params::GwParams;
@@ -73,13 +64,12 @@ pub use sigma::fullfreq::{
     SigmaFfResult,
 };
 pub use sigma::imagaxis::{imag_axis_sigma_diag, SigmaImagAxisResult};
-pub use sigma::offdiag::{gpp_sigma_offdiag, gpp_sigma_offdiag_distributed, SigmaOffdiagResult};
+pub use sigma::offdiag::{gpp_sigma_offdiag, SigmaOffdiagResult};
 pub use sigma::SigmaContext;
 pub use spacetime::{
     build_imag_epsilon, run_imagaxis_gw, ChiBackend, ImagAxisGwResult, SpaceTimeChi,
     SpaceTimeConfig, SpaceTimeError, SpaceTimeReport,
 };
-pub use spectral::SpectralFunction;
 pub use subspace::Subspace;
 pub use workflow::{
     run_evgw, run_full_dyson_gw, run_gpp_gw, EvGwResults, FullDysonResults, GwConfig, GwResults,

@@ -27,7 +27,7 @@
 //! pooled path is validated against it to 1e-12 across pool sizes.
 //!
 //! Discarding the imaginary part of `q_k(n)` is exact only for Hermitian
-//! `B`; the guard in [`real_part_checked`] surfaces violations through a
+//! `B`; the guard in `real_part_checked` surfaces violations through a
 //! `bgw-perf` occurrence counter (and a debug assertion) instead of
 //! silently dropping spectral weight.
 //!

@@ -107,100 +107,6 @@ pub fn gpp_sigma_offdiag(
     }
 }
 
-/// Distributed off-diag kernel: the `(n, E)` ZGEMM pairs are split
-/// round-robin over the ranks of `comm` and the accumulated
-/// `N_Sigma x N_Sigma x N_E` result is summed with one allreduce — the
-/// decomposition behind the paper's full-machine off-diag runs (Sec. 5.6,
-/// Fig. 7). Each rank returns the complete result; per-rank `seconds` and
-/// `zgemm_flops` reflect only its own share (for load-balance accounting).
-pub fn gpp_sigma_offdiag_distributed(
-    comm: &bgw_comm::Comm,
-    ctx: &SigmaContext,
-    e_grid: &UniformGrid,
-    backend: GemmBackend,
-) -> Result<SigmaOffdiagResult, bgw_comm::CommError> {
-    let ns = ctx.n_sigma();
-    let ng = ctx.n_g();
-    let nb = ctx.n_b();
-    let ne = e_grid.len();
-    let t0 = Instant::now();
-    let mut prep_seconds = 0.0;
-    let mut zgemm_flops = 0u64;
-    let mut sigma = vec![CMatrix::zeros(ns, ns); ne];
-
-    let mut b_n = CMatrix::zeros(ns, ng);
-    let mut p = CMatrix::zeros(ng, ng);
-    let mut pair_index = 0usize;
-    for n in 0..nb {
-        let occupied = n < ctx.n_occ;
-        let en = ctx.energies[n];
-        let mut b_loaded = false;
-        let mut b_conj = CMatrix::zeros(0, 0);
-        for (ei, &e) in e_grid.points.iter().enumerate() {
-            let mine = pair_index % comm.size() == comm.rank();
-            pair_index += 1;
-            if !mine {
-                continue;
-            }
-            if !b_loaded {
-                for s in 0..ns {
-                    b_n.row_mut(s).copy_from_slice(ctx.m_tilde[s].row(n));
-                }
-                b_conj = b_n.conj();
-                b_loaded = true;
-            }
-            let tp = Instant::now();
-            let de = e - en;
-            bgw_par::parallel_rows(p.as_mut_slice(), ng, gpp_row_cost(ng), |g, row| {
-                for (gp, z) in row.iter_mut().enumerate() {
-                    *z = bgw_num::c64(gpp_factor(&ctx.gpp, g, gp, de, occupied), 0.0);
-                }
-            });
-            prep_seconds += tp.elapsed().as_secs_f64();
-            let mut t = CMatrix::zeros(ng, ns);
-            zgemm(
-                Complex64::ONE,
-                &p,
-                Op::None,
-                &b_n,
-                Op::Trans,
-                Complex64::ZERO,
-                &mut t,
-                backend,
-            );
-            zgemm(
-                Complex64::ONE,
-                &b_conj,
-                Op::None,
-                &t,
-                Op::None,
-                Complex64::ONE,
-                &mut sigma[ei],
-                backend,
-            );
-            zgemm_flops +=
-                bgw_linalg::zgemm_flops(ng, ng, ns) + bgw_linalg::zgemm_flops(ns, ng, ns);
-        }
-    }
-    // Two-stage reduction of the accumulated matrices.
-    let flat: Vec<Complex64> = sigma
-        .iter()
-        .flat_map(|m| m.as_slice().iter().copied())
-        .collect();
-    let reduced = comm.try_allreduce_sum_c64(flat)?;
-    for (ei, m) in sigma.iter_mut().enumerate() {
-        m.as_mut_slice()
-            .copy_from_slice(&reduced[ei * ns * ns..(ei + 1) * ns * ns]);
-    }
-    Ok(SigmaOffdiagResult {
-        sigma,
-        e_grid: e_grid.clone(),
-        seconds: t0.elapsed().as_secs_f64(),
-        prep_seconds,
-        zgemm_flops,
-    })
-}
-
 /// Paper Eq. 8: the analytic ZGEMM FLOP count for given sizes.
 pub fn offdiag_flops_eq8(n_b: usize, n_e: usize, n_sigma: usize, n_g: usize) -> u64 {
     2 * n_b as u64
@@ -265,38 +171,6 @@ mod tests {
         // already summed inside the parenthesis; verify the exact relation.
         let eq8 = offdiag_flops_eq8(ctx.n_b(), grid.len(), ctx.n_sigma(), ctx.n_g());
         assert_eq!(off.zgemm_flops * 2, eq8);
-    }
-
-    #[test]
-    fn distributed_pairs_match_serial() {
-        let (ctx, _) = testkit::small_context();
-        let grid = UniformGrid::new(-0.6, 0.8, 5);
-        let serial = gpp_sigma_offdiag(&ctx, &grid, GemmBackend::Blocked);
-        for world in [2usize, 3, 5] {
-            let (results, _) = bgw_comm::run_world(world, |comm| {
-                let r = gpp_sigma_offdiag_distributed(comm, &ctx, &grid, GemmBackend::Blocked)
-                    .expect("fault-free world");
-                (
-                    r.sigma
-                        .iter()
-                        .map(|m| m.as_slice().to_vec())
-                        .collect::<Vec<_>>(),
-                    r.zgemm_flops,
-                )
-            });
-            let total_flops: u64 = results.iter().map(|(_, f)| f).sum();
-            assert_eq!(total_flops, serial.zgemm_flops, "world {world}");
-            for (mats, _) in results {
-                for (ei, flat) in mats.into_iter().enumerate() {
-                    let m = CMatrix::from_vec(ctx.n_sigma(), ctx.n_sigma(), flat);
-                    assert!(
-                        m.max_abs_diff(&serial.sigma[ei]) < 1e-9,
-                        "world {world}, E {ei}: {}",
-                        m.max_abs_diff(&serial.sigma[ei])
-                    );
-                }
-            }
-        }
     }
 
     #[test]

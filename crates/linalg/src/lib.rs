@@ -8,8 +8,6 @@
 //! - [`eig`]: Hermitian eigensolver for the static subspace approximation
 //!   (Sec. 5.2) and full Dyson solutions.
 //! - [`lu`]: pivoted LU for the dielectric-matrix inversion (Eq. 3).
-//! - [`cholesky`]: HPD factorization (overlaps, insulating eps~).
-//! - [`qr`]: Householder QR and least squares (band orthonormalization).
 //! - [`matrix`]: the dense row-major complex container shared by all of it.
 //! - [`microkernel`]: runtime-dispatched SIMD register-tile kernels
 //!   (scalar / NEON / AVX2+FMA / AVX-512F) under the blocked ZGEMM.
@@ -19,15 +17,12 @@
 #![warn(missing_docs)]
 
 pub mod autotune;
-pub mod cholesky;
 pub mod eig;
 pub mod gemm;
 pub mod lu;
 pub mod matrix;
 pub mod microkernel;
-pub mod qr;
 
-pub use cholesky::{Cholesky, NotPositiveDefinite};
 pub use eig::{eigh, eigvalsh, HermitianEig};
 pub use gemm::{
     conj_dot, matmul, zgemm, zgemm_flops, zgemm_with_microkernel, GemmBackend, Op, TileParams,
@@ -35,4 +30,3 @@ pub use gemm::{
 pub use lu::{invert, Lu, SingularMatrix};
 pub use matrix::CMatrix;
 pub use microkernel::MicroKernel;
-pub use qr::{qr, Qr};

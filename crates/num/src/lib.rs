@@ -1,8 +1,7 @@
 //! `bgw-num`: numerical foundations for the BerkeleyGW reproduction.
 //!
-//! Provides the scalar complex type every GW kernel is built on, accurate
-//! summation for the large reduction sums in the self-energy (Eq. 2 of the
-//! paper), Chebyshev-Jackson expansions for the pseudobands spectral
+//! Provides the scalar complex type every GW kernel is built on,
+//! Chebyshev-Jackson expansions for the pseudobands spectral
 //! projectors (Sec. 5.3), frequency/energy grids (Secs. 5.2 and 5.6), and
 //! small statistics utilities for the stochastic-error analysis and the
 //! benchmark harness.
@@ -17,16 +16,14 @@ pub mod pade;
 pub mod rng;
 pub mod simd;
 pub mod stats;
-pub mod sum;
 
 pub use chebyshev::{ChebyshevJackson, SpectralMap};
 pub use complex::{c64, Complex64};
 pub use grid::UniformGrid;
 pub use minimax::{MinimaxGrid, TransformFit};
-pub use pade::{continue_to_real, PadeApproximant, PadeError};
+pub use pade::{PadeApproximant, PadeError};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::RunningStats;
-pub use sum::{KahanC64, KahanF64};
 
 /// Hartree atomic unit of energy expressed in electron-volts.
 pub const HARTREE_EV: f64 = 27.211386245988;

@@ -11,22 +11,18 @@
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod epsilonmodel;
 pub mod flopmodel;
 pub mod machine;
 pub mod report;
 pub mod roofline;
 pub mod timemodel;
-pub mod validate;
 
 pub use counters::CounterSnapshot;
-pub use epsilonmodel::{epsilon_time, epsilon_weak_scaling, EpsilonTimes, EpsilonWorkload};
 pub use flopmodel::{gpp_diag_flops, gpp_offdiag_flops, ALPHA_AURORA, ALPHA_FRONTIER};
 pub use machine::Machine;
-pub use report::{fmt_pflops, fmt_secs, Table};
+pub use report::{fmt_secs, Table};
 pub use roofline::{attainable, diag_intensity, offdiag_intensity, roofline_point, RooflinePoint};
 pub use timemodel::{
     sigma_time, strong_scaling, weak_scaling, Efficiencies, Kernel, ScalingPoint, SigmaWorkload,
     TimeBreakdown,
 };
-pub use validate::{ModelCheck, ValidationTable};

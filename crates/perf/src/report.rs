@@ -79,11 +79,6 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Formats a FLOP/s value as PFLOP/s.
-pub fn fmt_pflops(f: f64) -> String {
-    format!("{:.2}", f / 1e15)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +109,5 @@ mod tests {
         assert_eq!(fmt_secs(123.456), "123.5");
         assert_eq!(fmt_secs(1.234), "1.23");
         assert_eq!(fmt_secs(0.01234), "0.0123");
-        assert_eq!(fmt_pflops(1.06936e18), "1069.36");
     }
 }

@@ -157,87 +157,6 @@ pub fn band_structure(
         .collect()
 }
 
-/// A Monkhorst-Pack k-grid: `n1 x n2 x n3` uniform Bloch vectors in the
-/// first Brillouin zone (Cartesian, bohr^-1), with the standard
-/// `(2i - n - 1) / 2n` fractional offsets (Gamma included for odd `n`).
-pub fn monkhorst_pack(lattice: &crate::lattice::Lattice, n: [usize; 3]) -> Vec<KVector> {
-    assert!(n.iter().all(|&x| x >= 1));
-    let b = lattice.reciprocal();
-    let mut ks = Vec::with_capacity(n[0] * n[1] * n[2]);
-    let frac = |i: usize, nn: usize| (2.0 * i as f64 - nn as f64 + 1.0) / (2.0 * nn as f64);
-    for i in 0..n[0] {
-        for j in 0..n[1] {
-            for l in 0..n[2] {
-                let f = [frac(i, n[0]), frac(j, n[1]), frac(l, n[2])];
-                let mut k = [0.0; 3];
-                for (c, kc) in k.iter_mut().enumerate() {
-                    *kc = f[0] * b[0][c] + f[1] * b[1][c] + f[2] * b[2][c];
-                }
-                ks.push(k);
-            }
-        }
-    }
-    ks
-}
-
-/// k-summed density of states over a Monkhorst-Pack grid (Gaussian
-/// smearing `sigma`, spin factor 2, normalized per cell and per k-point).
-#[allow(clippy::too_many_arguments)]
-pub fn kgrid_dos(
-    crystal: &Crystal,
-    sph: &GSphere,
-    kgrid: &[KVector],
-    n_bands: usize,
-    e_lo: f64,
-    e_hi: f64,
-    n_points: usize,
-    sigma: f64,
-) -> (Vec<f64>, Vec<f64>) {
-    assert!(!kgrid.is_empty() && n_points >= 2 && sigma > 0.0);
-    let h0 = Hamiltonian::new(crystal, sph);
-    let energies: Vec<f64> = (0..n_points)
-        .map(|i| e_lo + (e_hi - e_lo) * i as f64 / (n_points - 1) as f64)
-        .collect();
-    let mut values = vec![0.0; n_points];
-    let norm = 2.0 / (sigma * (2.0 * std::f64::consts::PI).sqrt()) / kgrid.len() as f64;
-    for &k in kgrid {
-        let bands = bands_at_k(crystal, sph, &h0, k, n_bands);
-        for &en in &bands {
-            for (e, v) in energies.iter().zip(values.iter_mut()) {
-                let x = (e - en) / sigma;
-                *v += norm * (-0.5 * x * x).exp();
-            }
-        }
-    }
-    (energies, values)
-}
-
-/// Effective mass (in electron masses) of band `band` at `k0` along the
-/// unit direction `dir`, from the second difference of `E(k)` with step
-/// `dk` (bohr^-1). In Ry units `E = k^2 / m*`, so
-/// `1/m* = d2E/dk2 / 2 * (1/ Ry-units) = d2E/dk2 / 2`.
-pub fn effective_mass(
-    crystal: &Crystal,
-    sph: &GSphere,
-    h0: &Hamiltonian,
-    band: usize,
-    k0: KVector,
-    dir: [f64; 3],
-    dk: f64,
-) -> f64 {
-    let norm = (dir[0] * dir[0] + dir[1] * dir[1] + dir[2] * dir[2]).sqrt();
-    assert!(norm > 0.0 && dk > 0.0);
-    let d = [dir[0] / norm, dir[1] / norm, dir[2] / norm];
-    let at = |t: f64| {
-        let k = [k0[0] + t * d[0], k0[1] + t * d[1], k0[2] + t * d[2]];
-        bands_at_k(crystal, sph, h0, k, band + 1)[band]
-    };
-    let d2e = (at(dk) - 2.0 * at(0.0) + at(-dk)) / (dk * dk);
-    // E(k) = E0 + (hbar^2/2m*) k^2; in Ry a.u. the free-electron band is
-    // E = k^2, i.e. hbar^2/2m_e = 1 Ry bohr^2 -> m*/m_e = 2 / d2E.
-    2.0 / d2e
-}
-
 /// Indirect gap over a sampled path: `min_k E_{N_v}(k) - max_k E_{N_v-1}(k)`.
 pub fn indirect_gap(bands: &[Vec<f64>], n_valence: usize) -> f64 {
     // A NaN band energy must surface as a NaN gap: `f64::max`/`min`
@@ -355,85 +274,6 @@ mod tests {
             .min_by(|&i, &j| bands[i][nv].total_cmp(&bands[j][nv]))
             .unwrap();
         assert_ne!(cbm_k, gamma_idx, "silicon-like model must be indirect");
-    }
-
-    #[test]
-    fn monkhorst_pack_grids() {
-        let lat = crate::lattice::Lattice::cubic(10.0);
-        // odd grid contains Gamma exactly
-        let ks = monkhorst_pack(&lat, [3, 3, 3]);
-        assert_eq!(ks.len(), 27);
-        assert!(ks.iter().any(|k| k.iter().all(|&x| x.abs() < 1e-12)));
-        // even grid avoids Gamma
-        let ks2 = monkhorst_pack(&lat, [2, 2, 2]);
-        assert_eq!(ks2.len(), 8);
-        assert!(!ks2.iter().any(|k| k.iter().all(|&x| x.abs() < 1e-12)));
-        // grid is inversion symmetric: for every k there is -k
-        for k in &ks2 {
-            assert!(ks2
-                .iter()
-                .any(|q| (0..3).all(|c| (q[c] + k[c]).abs() < 1e-10)));
-        }
-    }
-
-    #[test]
-    fn kgrid_dos_integrates_to_band_count() {
-        let c = Crystal::diamond_primitive(Species::Si, SI_A0);
-        let sph = GSphere::new(&c.lattice, 5.0);
-        let ks = monkhorst_pack(&c.lattice, [2, 2, 2]);
-        let n_bands = 6;
-        let e_lo = -1.5;
-        let e_hi = 3.0;
-        let (es, vs) = kgrid_dos(&c, &sph, &ks, n_bands, e_lo, e_hi, 800, 0.02);
-        // trapezoid integral over the whole window = 2 * n_bands
-        let mut integral = 0.0;
-        for i in 1..es.len() {
-            integral += 0.5 * (vs[i] + vs[i - 1]) * (es[i] - es[i - 1]);
-        }
-        assert!(
-            (integral - 2.0 * n_bands as f64).abs() < 0.3,
-            "k-DOS integral {integral} vs {}",
-            2 * n_bands
-        );
-        // the k-summed DOS fills the indirect gap region less than the
-        // bands but is nonzero where Gamma-only DOS would be silent: just
-        // sanity-check positivity
-        assert!(vs.iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn effective_masses_have_physical_signs() {
-        let (c, sph) = si_setup();
-        let h0 = Hamiltonian::new(&c, &sph);
-        let nv = c.n_valence_bands();
-        // free-electron check: an empty lattice gives m* = 1 for the
-        // lowest band at Gamma... our crystal has a potential, so instead
-        // check signs: valence-band top curves down (m* < 0), and the
-        // lowest band at Gamma curves up (m* > 0).
-        let m_bottom = effective_mass(&c, &sph, &h0, 0, [0.0; 3], [1.0, 0.0, 0.0], 0.02);
-        assert!(
-            m_bottom > 0.0,
-            "band 0 at Gamma must be electron-like: {m_bottom}"
-        );
-        let m_vbm = effective_mass(&c, &sph, &h0, nv - 1, [0.0; 3], [1.0, 0.0, 0.0], 0.02);
-        assert!(m_vbm < 0.0, "VBM must be hole-like: {m_vbm}");
-        // magnitudes within a physical window (0.05 .. 50 m_e)
-        for m in [m_bottom.abs(), m_vbm.abs()] {
-            assert!((0.05..50.0).contains(&m), "unphysical |m*| = {m}");
-        }
-    }
-
-    #[test]
-    fn empty_lattice_mass_is_unity() {
-        // crystal with no atoms: free electrons, m* = 1 exactly.
-        let c = Crystal {
-            lattice: crate::lattice::Lattice::cubic(10.0),
-            atoms: vec![],
-        };
-        let sph = GSphere::new(&c.lattice, 3.0);
-        let h0 = Hamiltonian::new(&c, &sph);
-        let m = effective_mass(&c, &sph, &h0, 0, [0.0; 3], [0.0, 1.0, 0.0], 0.05);
-        assert!((m - 1.0).abs() < 1e-6, "free-electron m* = {m}");
     }
 
     #[test]

@@ -20,32 +20,23 @@
 //!   BN sheet defect).
 //! - [`kpoints`]: arbitrary-k solver, high-symmetry paths, and band
 //!   structures for validating the model pseudopotentials.
-//! - [`parabands`]: the iterative (Chebyshev-filtered subspace iteration)
-//!   alternative to the dense Parabands solve.
 
 #![warn(missing_docs)]
 
 pub mod dfpt;
-pub mod dos;
 pub mod gvec;
 pub mod hamiltonian;
 pub mod kpoints;
 pub mod lattice;
-pub mod parabands;
 pub mod pseudo;
 pub mod solver;
 pub mod systems;
 
 pub use dfpt::Perturbation;
-pub use dos::{dos, Dos};
 pub use gvec::GSphere;
 pub use hamiltonian::Hamiltonian;
-pub use kpoints::{
-    band_structure, bands_at_k, effective_mass, indirect_gap, kgrid_dos, kpath, monkhorst_pack,
-    KPath, KPoint,
-};
+pub use kpoints::{band_structure, bands_at_k, indirect_gap, kpath, KPath, KPoint};
 pub use lattice::{Atom, Crystal, Lattice};
-pub use parabands::{solve_bands_iterative, ParabandsConfig, ParabandsStats};
 pub use pseudo::Species;
-pub use solver::{charge_density_g, residual_norm, solve_bands, Wavefunctions};
-pub use systems::{bn_defect_sheet, lih_defect, si_bulk, si_divacancy, table2_roster, ModelSystem};
+pub use solver::{charge_density_g, solve_bands, Wavefunctions};
+pub use systems::{bn_defect_sheet, lih_defect, si_bulk, si_divacancy, ModelSystem};

@@ -124,19 +124,6 @@ pub fn bn_defect_sheet(m: usize, vacuum_bohr: f64, ecut_wfn_ry: f64) -> ModelSys
     }
 }
 
-/// The scaled-down Table 2 roster used throughout the benches. Cutoffs are
-/// sized so that the largest system stays tractable on one node.
-pub fn table2_roster() -> Vec<ModelSystem> {
-    vec![
-        si_divacancy(1, 4.5), // Si6   (proxy for Si214)
-        si_divacancy(2, 3.2), // Si62  (proxy for Si510)
-        si_bulk(1, 4.5),
-        lih_defect(1, 4.0),            // LiH6  (proxy for LiH998)
-        lih_defect(2, 3.0),            // LiH62 (proxy for LiH17574)
-        bn_defect_sheet(2, 12.0, 4.0), // BN7 (proxy for BN867)
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,15 +165,5 @@ mod tests {
         assert!(wfn.len() > eps.len(), "N_G^psi must exceed N_G");
         assert!(s.n_bands > s.n_valence());
         assert_eq!(s.n_conduction(), s.n_bands - s.n_valence());
-    }
-
-    #[test]
-    fn roster_builds() {
-        let roster = table2_roster();
-        assert!(roster.len() >= 5);
-        for s in &roster {
-            assert!(s.crystal.n_atoms() > 0);
-            assert!(s.n_bands > s.n_valence(), "{}", s.name);
-        }
     }
 }

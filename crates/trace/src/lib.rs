@@ -2,7 +2,7 @@
 //!
 //! The paper validates its FLOP models against *profilers* (Table 3);
 //! this crate is the reproduction's profiler. A span is a named region
-//! of execution entered with the [`span!`] macro (or [`enter`]) and
+//! of execution entered with the [`span!`](crate::span!) macro (or [`enter`]) and
 //! closed by RAII. Spans nest through a thread-local stack; every
 //! distinct `(parent, call-site)` pair becomes one node in a
 //! process-wide tree, and each node accumulates:
@@ -29,7 +29,7 @@
 //! only a single-thread guarantee — across threads, child inclusive
 //! time is real CPU time, not a slice of the parent's wall clock.
 //! Adopted children *do* subtract from their parent's exclusive time,
-//! but the correction is settled node-side at [`report`] time (an
+//! but the correction is settled node-side at [`report()`] time (an
 //! adopted child — a stolen task, say — may finish after its parent's
 //! frame has already closed), saturating at zero.
 
@@ -51,7 +51,7 @@ mod imp {
 
     /// A static call-site identity for a span.
     ///
-    /// Declared once per call site (the [`span!`] macro does this) and
+    /// Declared once per call site (the [`span!`](crate::span!) macro does this) and
     /// registered lazily in the process-wide registry on first use; the
     /// atomic id makes repeat entries lock-free on the site itself.
     pub struct SpanSite {
@@ -183,7 +183,7 @@ mod imp {
         _not_send: PhantomData<*const ()>,
     }
 
-    /// Enters a span at `site`. Prefer the [`span!`] macro, which owns
+    /// Enters a span at `site`. Prefer the [`span!`](crate::span!) macro, which owns
     /// the static site declaration.
     pub fn enter(site: &'static SpanSite) -> Span {
         if !enabled() {

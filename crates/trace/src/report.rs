@@ -1,6 +1,6 @@
 //! Run reports: the serializable view of a span tree.
 //!
-//! A [`RunReport`] is a plain data snapshot (built by [`crate::report`])
+//! A [`RunReport`] is a plain data snapshot (built by [`crate::report()`])
 //! that can render a human-readable span tree and round-trip through a
 //! hand-rolled JSON encoding (`schema = "bgw-trace/1"`). Everything in
 //! the JSON is an integer, a string, or a nested object/array — no
@@ -143,7 +143,7 @@ impl RunReport {
     /// span registry.
     ///
     /// The registry only ever accumulates (node identity is `(parent,
-    /// site)` and counters are monotonic), so two [`crate::report`] calls
+    /// site)` and counters are monotonic), so two [`crate::report()`] calls
     /// bracketing a served request differ exactly by that request's
     /// spans. Nodes are matched by name path; nodes new in `later` are
     /// kept whole, nodes whose call count did not advance are dropped,

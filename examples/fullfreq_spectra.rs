@@ -11,27 +11,29 @@
 //! Run with: `cargo run --release --example fullfreq_spectra`
 
 use berkeleygw_rs::core::chi::{ChiConfig, ChiEngine};
-use berkeleygw_rs::core::epsilon::EpsilonInverse;
-use berkeleygw_rs::core::mtxel::Mtxel;
 use berkeleygw_rs::core::sigma::fullfreq::ff_sigma_diag_subspace;
 use berkeleygw_rs::core::subspace::Subspace;
-use berkeleygw_rs::core::testkit;
-use berkeleygw_rs::num::grid::semi_infinite_quadrature;
+use berkeleygw_rs::core::{bands_around_gap, build_screening, sigma_context, FfSpec, GwConfig};
 use berkeleygw_rs::num::RYDBERG_EV;
+use berkeleygw_rs::pwdft::si_bulk;
 
 fn main() {
-    let (ctx, setup) = testkit::small_context();
-    let (nodes, weights) = semi_infinite_quadrature(16, 2.0);
-    let mtxel = Mtxel::new(&setup.wfn_sph, &setup.eps_sph);
+    let mut sys = si_bulk(1, 2.2);
+    sys.ecut_eps_ry = 0.55;
+    sys.n_bands = 28;
+    // One screening carries the static inverse and the 16 quadrature blocks.
+    let s = build_screening(&sys, &GwConfig::default(), Some(FfSpec { n_quad: 16 }))
+        .expect("dielectric matrix must be invertible");
+    let ctx = sigma_context(&s, &bands_around_gap(s.wf.n_valence, s.wf.n_bands(), 2));
+    let (eps_ff, weights) = s.ff.as_ref().expect("built with an FfSpec");
+    // The subspace basis diagonalizes chi0(0), which a screening does not
+    // keep: ask the engine on the screening's own bands.
     let cfg = ChiConfig {
-        q0: setup.coulomb.q0,
+        q0: s.coulomb.q0,
         ..ChiConfig::default()
     };
-    let engine = ChiEngine::new(&setup.wf, &mtxel, cfg);
-    let (chis, _) = engine.chi_freqs(&nodes);
-    let eps_ff = EpsilonInverse::build(&chis, &nodes, &setup.coulomb, &setup.eps_sph)
-        .expect("dielectric matrix must be invertible");
-    let sub = Subspace::from_chi0(&setup.chi0, &setup.vsqrt, (ctx.n_g() / 3).max(4));
+    let chi0 = ChiEngine::new(&s.wf, &s.mtxel, cfg).chi_static();
+    let sub = Subspace::from_chi0(&chi0, &s.vsqrt, (ctx.n_g() / 3).max(4));
 
     // Frequency window spanning the bands of interest.
     let eta = 0.08;
@@ -41,7 +43,7 @@ fn main() {
         .map(|i| e_lo + (e_hi - e_lo) * i as f64 / (n_omega - 1) as f64)
         .collect();
     let grids: Vec<Vec<f64>> = (0..ctx.n_sigma()).map(|_| omegas.clone()).collect();
-    let r = ff_sigma_diag_subspace(&ctx, &eps_ff, &weights, &grids, eta, &sub);
+    let r = ff_sigma_diag_subspace(&ctx, eps_ff, weights, &grids, eta, &sub);
 
     for (label, pos) in [("HOMO", ctx.homo_pos()), ("LUMO", ctx.lumo_pos())] {
         let e_mf = ctx.sigma_energies[pos];

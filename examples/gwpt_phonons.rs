@@ -4,13 +4,15 @@
 //! several atomic-displacement perturbations (`N_p`), each giving the
 //! DFPT-level coupling `g^DFPT` and the GW-corrected `g^GW = g^DFPT +
 //! dSigma`, for the bands around the gap. The perturbations are
-//! independent — the paper parallelizes them across the machine; here they
-//! run in a loop with per-perturbation timing.
+//! independent and share one `Screening` — the paper parallelizes them
+//! across the machine; here they run in a loop with per-perturbation
+//! timing.
 //!
 //! Run with: `cargo run --release --example gwpt_phonons`
 
-use berkeleygw_rs::core::gwpt::gwpt_for_perturbation;
-use berkeleygw_rs::core::mtxel::Mtxel;
+use berkeleygw_rs::core::{
+    bands_around_gap, build_screening, gwpt_for_perturbation, sigma_context, GwConfig,
+};
 use berkeleygw_rs::linalg::GemmBackend;
 use berkeleygw_rs::num::{UniformGrid, RYDBERG_EV};
 use berkeleygw_rs::pwdft::{lih_defect, Perturbation};
@@ -18,9 +20,10 @@ use berkeleygw_rs::pwdft::{lih_defect, Perturbation};
 fn main() {
     let mut system = lih_defect(1, 3.6);
     system.n_bands = 40;
-    let setup = bgw_bench_setup(system);
-    let ctx = &setup.ctx;
-    let mtxel = Mtxel::new(&setup.wfn_sph, &setup.eps_sph);
+    // One W for all N_p perturbations.
+    let s = build_screening(&system, &GwConfig::default(), None)
+        .expect("dielectric matrix must be invertible");
+    let ctx = &sigma_context(&s, &bands_around_gap(s.wf.n_valence, s.wf.n_bands(), 2));
     let e_grid = UniformGrid::new(
         ctx.sigma_energies[0] - 0.3,
         *ctx.sigma_energies.last().unwrap() + 0.3,
@@ -33,7 +36,7 @@ fn main() {
         (0..2).flat_map(|a| (0..3).map(move |ax| (a, ax))).collect();
     println!(
         "system {}: N_Sigma = {}, N_b = {}, N_G = {}, N_p = {}\n",
-        setup.system.name,
+        system.name,
         ctx.n_sigma(),
         ctx.n_b(),
         ctx.n_g(),
@@ -41,16 +44,8 @@ fn main() {
     );
     println!("pert (atom,axis)   |g_DFPT| max (eV/bohr)   |g_GW| max   GW/DFPT   kernel s");
     for &(atom, axis) in &perturbations {
-        let pert = Perturbation::new(&setup.system.crystal, &setup.wfn_sph, atom, axis);
-        let r = gwpt_for_perturbation(
-            ctx,
-            &setup.wf,
-            &mtxel,
-            &pert,
-            &setup.vsqrt,
-            &e_grid,
-            GemmBackend::Parallel,
-        );
+        let pert = Perturbation::new(&system.crystal, &s.wfn_sph, atom, axis);
+        let r = gwpt_for_perturbation(&s, ctx, &pert, &e_grid, GemmBackend::Parallel);
         let g_dfpt = r.g_dfpt.max_abs() * RYDBERG_EV;
         let g_gw = r.g_gw.max_abs() * RYDBERG_EV;
         println!(
@@ -64,67 +59,4 @@ fn main() {
          electron-phonon coupling — the physics GWPT was built to capture\n\
          (paper refs [6, 7]: up to ~2x in correlated materials)."
     );
-}
-
-/// Builds the shared GW context (same plumbing as the bench harness).
-fn bgw_bench_setup(system: berkeleygw_rs::pwdft::ModelSystem) -> bgw_bench_like::Setup {
-    bgw_bench_like::build(system)
-}
-
-/// Minimal local copy of the bench-harness setup so the example only
-/// depends on the published library crates.
-mod bgw_bench_like {
-    use berkeleygw_rs::core::chi::{ChiConfig, ChiEngine};
-    use berkeleygw_rs::core::coulomb::Coulomb;
-    use berkeleygw_rs::core::epsilon::EpsilonInverse;
-    use berkeleygw_rs::core::gpp::GppModel;
-    use berkeleygw_rs::core::mtxel::Mtxel;
-    use berkeleygw_rs::core::sigma::SigmaContext;
-    use berkeleygw_rs::pwdft::{
-        charge_density_g, solve_bands, GSphere, ModelSystem, Wavefunctions,
-    };
-
-    pub struct Setup {
-        pub system: ModelSystem,
-        pub wfn_sph: GSphere,
-        pub eps_sph: GSphere,
-        pub wf: Wavefunctions,
-        pub vsqrt: Vec<f64>,
-        pub ctx: SigmaContext,
-    }
-
-    pub fn build(system: ModelSystem) -> Setup {
-        let wfn_sph = system.wfn_sphere();
-        let eps_sph = system.eps_sphere();
-        let wf = solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()));
-        let coulomb = Coulomb::bulk_for_cell(system.crystal.lattice.volume());
-        let mtxel = Mtxel::new(&wfn_sph, &eps_sph);
-        let cfg = ChiConfig {
-            q0: coulomb.q0,
-            ..ChiConfig::default()
-        };
-        let chi0 = ChiEngine::new(&wf, &mtxel, cfg).chi_static();
-        let eps_inv = EpsilonInverse::build(&[chi0], &[0.0], &coulomb, &eps_sph)
-            .expect("dielectric matrix must be invertible");
-        let rho = charge_density_g(&wf, &wfn_sph);
-        let gpp = GppModel::new(
-            &eps_inv,
-            &eps_sph,
-            &wfn_sph,
-            &rho,
-            system.crystal.lattice.volume(),
-        );
-        let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
-        let nv = wf.n_valence;
-        let sigma_bands: Vec<usize> = (nv.saturating_sub(2)..(nv + 2).min(wf.n_bands())).collect();
-        let ctx = SigmaContext::build(&wf, &mtxel, gpp, &vsqrt, &sigma_bands, coulomb.q0);
-        Setup {
-            system,
-            wfn_sph,
-            eps_sph,
-            wf,
-            vsqrt,
-            ctx,
-        }
-    }
 }

@@ -5,7 +5,7 @@
 //! This root crate re-exports the workspace crates so that examples and
 //! downstream users can depend on a single package:
 //!
-//! - [`num`]: complex arithmetic, summation, Chebyshev-Jackson, grids.
+//! - [`num`]: complex arithmetic, Chebyshev-Jackson, Pade, grids.
 //! - [`par`]: thread pool and data-parallel primitives.
 //! - [`fft`]: mixed-radix/Bluestein complex FFTs (1-D and 3-D).
 //! - [`linalg`]: dense complex linear algebra (ZGEMM, eigensolver, LU).

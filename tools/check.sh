@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Offline CI gate: release build, full test suite, formatting, lints.
+# Offline CI gate: release build, full test suite, formatting, lints, docs.
 # The workspace has zero external crates, so everything here must pass
 # with the network disabled — CARGO_NET_OFFLINE makes any accidental
 # registry access a hard error instead of a hang. Correctness lives in
@@ -8,7 +8,7 @@
 #
 # Usage:
 #   tools/check.sh            full gate (build, grep gates, tests,
-#                             determinism loop, fmt, clippy)
+#                             determinism loop, fmt, clippy, rustdoc)
 #   tools/check.sh --spine    grep gates only. Pool granularity: no
 #                             pair_from_real( call site outside
 #                             crates/core/src/mtxel.rs (pair loops go
@@ -32,7 +32,15 @@
 #                             the workspace, no band_slice / BatchPartial /
 #                             gpp_rows_preemptible / masked grid); and no
 #                             collective in crates/{comm,dist}/src has a
-#                             panicking twin of its try_ form
+#                             panicking twin of its try_ form. And no
+#                             orphans: every `pub mod` of crates/*/src/lib.rs
+#                             and core/src/sigma/mod.rs outside the five
+#                             spine files is named (`m::` or an item its
+#                             lib re-exports) by non-test code in another
+#                             file of crates/*/src, src/ or benchmark/src,
+#                             or sits on the in-script allowlist with its
+#                             reason; and GppModel::new( has no call site
+#                             under crates/bench/ or examples/
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -46,6 +54,12 @@ nontest_code() {
     done
 }
 
+# The GW spine: core::service and the driver files that are policies
+# over its shared stages.
+spine="crates/core/src/workflow.rs crates/core/src/dagflow.rs
+       crates/core/src/restart.rs crates/core/src/resilient.rs
+       crates/core/src/service.rs"
+
 run_spine_gate() {
     echo "==> spine gate: one spelling of the pipeline prefix, band window and 3-point grid"
     # The drivers (barrier, DAG, checkpointed, resilient x2, served) are
@@ -54,9 +68,6 @@ run_spine_gate() {
     # spells the sampling grid itself is a forked spine: fail here, at
     # review time, instead of drifting (five of nine drivers once dropped
     # GwConfig::slab that way).
-    spine="crates/core/src/workflow.rs crates/core/src/dagflow.rs
-           crates/core/src/restart.rs crates/core/src/resilient.rs
-           crates/core/src/service.rs"
     # shellcheck disable=SC2086
     code=$(nontest_code $spine)
     # shellcheck disable=SC2086
@@ -110,6 +121,67 @@ run_spine_gate() {
     [ -z "$twins" ] || { echo "      $twins"; status=1; }
     if [ "$status" -ne 0 ]; then
         echo "FAIL: the spine is spelled more (or less) than once; route the driver through core::service"
+        exit 1
+    fi
+}
+
+run_orphan_gate() {
+    echo "==> orphan gate: every pub mod has a caller, and nobody outside the spine builds W"
+    # The five spine files are the roots. Any other module stays if
+    # non-test code outside its own file reaches it — from the spine, from
+    # a bgw-bench regenerator (crates/bench) or from gwbench
+    # (benchmark/src). Examples, tests/, #[cfg(test)] tails, `pub mod` and
+    # `pub use` lines are not callers. A module on the allowlist carries
+    # the reason it is kept without one.
+    allow='pwdft/kpoints: DESIGN Sec. 2 - the band structure along L-Gamma-X is the evidence that the model pseudopotential is physical (examples/band_structure.rs, si_model_band_topology)
+core/testkit: test fixture - the small Si context unit tests, tests/ and examples share'
+    # "file<TAB>line" for every non-blank, non-comment line above the
+    # test module of every library, regenerator and benchmark source,
+    # `pub mod` lines and whole `pub use ...;` statements dropped.
+    corpus=$(find crates/*/src src benchmark/src -name '*.rs' -exec awk '
+        FNR == 1 { tail = 0; use = 0 }
+        /^#\[cfg\(test\)\]/ { tail = 1 }
+        tail { next }
+        { l = $0; sub(/^[ \t]+/, "", l) }
+        l == "" || substr(l, 1, 2) == "//" { next }
+        use || l ~ /^pub use / { use = (l !~ /;/); next }
+        l ~ /^pub mod / { next }
+        { print FILENAME "\t" l }' {} +)
+    status=0
+    orphans=0
+    for lib in crates/*/src/lib.rs crates/core/src/sigma/mod.rs; do
+        dir=$(dirname "$lib")
+        crate=$(printf '%s' "$lib" | cut -d/ -f2)
+        for m in $(sed -n 's/^pub mod \([a-z_0-9]*\);.*/\1/p' "$lib"); do
+            case " $(echo $spine) " in *" $dir/$m.rs "*) continue ;; esac
+            # `m::` or any name `pub use m::...;` re-exports from this lib;
+            # not after a `.` (`.sum::<f64>()` names no module `sum`).
+            items=$(awk -v m="$m" '
+                use == "" && $0 ~ "^pub use " m "::" { use = " " }
+                use != "" { use = use $0; if ($0 ~ /;/) { print use; use = "" } }' "$lib" |
+                sed "s/pub use $m:://" | tr -c 'A-Za-z0-9_\n' ' ' | tr ' ' '\n' |
+                grep -vxE '(self|as)?' | sort -u | tr '\n' '|')
+            pat="(^|[^A-Za-z0-9_.])(${m}::|(${items}${m}::)([^A-Za-z0-9_]|\$))"
+            n=$(printf '%s\n' "$corpus" | grep -E -- "$pat" | cut -f1 | sort -u |
+                grep -vcE "^$dir/$m(\.rs\$|/)" || true)
+            [ "$n" -eq 0 ] || continue
+            if reason=$(printf '%s\n' "$allow" | grep "^$crate/$m: "); then
+                echo "    kept without a caller: $reason"
+            else
+                echo "    ORPHAN: $dir/$m has no non-test caller outside its own file"
+                orphans=$((orphans + 1))
+            fi
+        done
+    done
+    echo "    orphan pub mods: $orphans"
+    [ "$orphans" -eq 0 ] || status=1
+    # W is built by core::service and nowhere else: a regenerator or an
+    # example that calls GppModel::new is re-spelling stages 1-5.
+    n=$(grep -rF 'GppModel::new(' --include='*.rs' crates/bench examples | grep -c . || true)
+    echo "    GppModel::new( under crates/bench/ and examples/: $n call site(s)"
+    [ "$n" -eq 0 ] || status=1
+    if [ "$status" -ne 0 ]; then
+        echo "FAIL: delete the orphan (git keeps it) or give it the caller that justifies it; start from service::build_screening"
         exit 1
     fi
 }
@@ -174,6 +246,7 @@ run_determinism_loop() {
 if [ "${1:-}" = "--spine" ]; then
     run_pool_gate
     run_spine_gate
+    run_orphan_gate
     exit 0
 fi
 if [ "$#" -gt 0 ]; then
@@ -191,6 +264,7 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 run_pool_gate
 run_spine_gate
+run_orphan_gate
 
 echo "==> cargo test -q"
 cargo test -q
@@ -202,5 +276,8 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (warnings denied)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> all checks passed"
