@@ -36,10 +36,11 @@ use crate::mtxel::Mtxel;
 use crate::sigma::imagaxis::{imag_axis_sigma_diag, SigmaImagAxisResult};
 use crate::sigma::SigmaContext;
 use bgw_fft::{Direction, Fft3d};
-use bgw_linalg::{matmul, CMatrix, GemmBackend, Op};
+use bgw_linalg::{matmul, zgemm_flops, CMatrix, GemmBackend, Op};
 use bgw_num::grid::semi_infinite_quadrature;
 use bgw_num::minimax::{FitOptions, MinimaxGrid};
 use bgw_num::{c64, Complex64};
+use bgw_par::{Flops, SendPtr};
 use bgw_pwdft::{GSphere, Wavefunctions};
 use std::time::Instant;
 
@@ -87,8 +88,9 @@ pub struct SpaceTimeConfig {
     /// Number of imaginary-time nodes (the minimax grid size). 10-16
     /// reaches fit residuals of 1e-5..1e-7 for typical gap ratios.
     pub n_tau: usize,
-    /// Rows of `r` processed per Green's-function GEMM + FFT batch
-    /// (bounds peak memory at `row_batch * N_r` amplitudes).
+    /// Rows of `r` processed per Green's-function GEMM + FFT batch, the
+    /// unit of parallel work (bounds peak memory at two `row_batch * N_r`
+    /// amplitude buffers per pool participant).
     pub row_batch: usize,
     /// GEMM backend for the Green's-function products.
     pub backend: GemmBackend,
@@ -135,9 +137,13 @@ pub struct SpaceTimeReport {
     /// Sup-norm relative residual of the fitted tau -> omega cosine
     /// transform: the tolerance cross-validation should gate on.
     pub fit_residual: f64,
-    /// Seconds in the Green's-function GEMMs.
+    /// Busy seconds in the Green's-function GEMMs, summed over the row
+    /// batches wherever they ran: at pool width `W > 1` this can reach
+    /// `W` times the wall it took.
     pub t_green: f64,
-    /// Seconds in the staged FFTs (both passes plus gathers).
+    /// Seconds in the staged FFTs (both passes plus gathers): stage 1 is
+    /// busy seconds summed over the row batches like `t_green`, stage 2
+    /// is the wall of its one batched transform.
     pub t_fft: f64,
     /// Seconds in the time -> frequency accumulation.
     pub t_transform: f64,
@@ -294,8 +300,7 @@ impl SpaceTimeChi {
     pub fn chi_tau(&self, tau: f64, report: &mut SpaceTimeReport) -> CMatrix {
         let ng = self.n_g();
         let npts = self.npts;
-        let nv = self.e_occ.len();
-        let nc = self.e_emp.len();
+        let n_bands = self.e_occ.len() + self.e_emp.len();
         let inv_n2 = 1.0 / (npts as f64 * npts as f64);
 
         let t0 = Instant::now();
@@ -305,44 +310,68 @@ impl SpaceTimeChi {
 
         // Stage 1: for each r, transform chi0(r, .) over r' and gather at
         // -G' (the e^{+i G'.r'} component). Batched over `row_batch` rows
-        // of r so the Green's functions never materialize fully.
+        // of r so the Green's functions never materialize fully, and a
+        // batch is the unit of parallel work: its GEMMs have one row
+        // panel (nothing for the pool to split) and run, like its FFTs,
+        // inline on whichever participant drew it. Each batch writes its
+        // own rows of `t1` and nothing else, so the arithmetic — and the
+        // bits — are those of the serial batch loop at every pool width.
         let mut t1 = CMatrix::zeros(npts, ng);
         let batch = self.cfg.row_batch.max(1);
-        let mut r0 = 0;
-        while r0 < npts {
-            let r1 = (r0 + batch).min(npts);
-            let tg = Instant::now();
-            // occ_rows[(i, r')] = sum_v conj(A[(v, r0+i)]) A[(v, r')]
-            //                   = conj(G_occ(r0+i, r'))
-            let occ_sub = a.submatrix(0, nv, r0, r1);
-            let occ_rows = matmul(&occ_sub, Op::Adj, &a, Op::None, self.cfg.backend);
-            // emp_rows[(i, r')] = sum_c conj(B[(c, r0+i)]) B[(c, r')]
-            //                   = G_emp(r', r0+i)
-            let emp_sub = b.submatrix(0, nc, r0, r1);
-            let emp_rows = matmul(&emp_sub, Op::Adj, &b, Op::None, self.cfg.backend);
-            report.t_green += tg.elapsed().as_secs_f64();
+        let batch_cost =
+            Flops(zgemm_flops(batch, n_bands, npts) + batch as u64 * self.plan.flops());
+        let t1_rows = SendPtr::new(t1.as_mut_slice().as_mut_ptr());
+        let (green_s, fft_s) = bgw_par::parallel_reduce(
+            npts.div_ceil(batch),
+            1,
+            batch_cost,
+            || (0.0f64, 0.0f64),
+            |busy, lo, hi| {
+                // Chunks of one: `[lo, hi)` is a single batch of rows.
+                let (r0, r1) = (lo * batch, (hi * batch).min(npts));
+                let tg = Instant::now();
+                // Rows r0..r1 of `amps^dagger amps`, the `(r0+i, r')`
+                // block of a Green's function.
+                let green_rows = |amps: &CMatrix| {
+                    let sub = amps.submatrix(0, amps.nrows(), r0, r1);
+                    matmul(&sub, Op::Adj, amps, Op::None, self.cfg.backend)
+                };
+                // pair[(i, r')] = sum_v conj(A[(v, r0+i)]) A[(v, r')]
+                //               = conj(G_occ(r0+i, r'))
+                let mut pair = green_rows(&a);
+                // emp_rows[(i, r')] = sum_c conj(B[(c, r0+i)]) B[(c, r')]
+                //                   = G_emp(r', r0+i)
+                let emp_rows = green_rows(&b);
+                busy.0 += tg.elapsed().as_secs_f64();
 
-            let tf = Instant::now();
-            let mut grids: Vec<Vec<Complex64>> = (0..r1 - r0)
-                .map(|i| {
-                    occ_rows
-                        .row(i)
-                        .iter()
-                        .zip(emp_rows.row(i))
-                        .map(|(o, e)| o.conj() * *e)
-                        .collect()
-                })
-                .collect();
-            self.plan.forward_many(&mut grids);
-            for (i, grid) in grids.iter().enumerate() {
-                let row = t1.row_mut(r0 + i);
-                for (g, &pos) in self.gather_minus.iter().enumerate() {
-                    row[g] = grid[pos];
+                // The pair product overwrites the occupied rows: two
+                // `batch x N_r` buffers per participant, not three.
+                let tf = Instant::now();
+                for (o, e) in pair.as_mut_slice().iter_mut().zip(emp_rows.as_slice()) {
+                    *o = o.conj() * *e;
                 }
-            }
-            report.t_fft += tf.elapsed().as_secs_f64();
-            r0 = r1;
-        }
+                let mut scratch = self.plan.scratch();
+                for i in 0..r1 - r0 {
+                    let grid = pair.row_mut(i);
+                    self.plan
+                        .process_with(grid, &mut scratch, Direction::Forward);
+                    // SAFETY: `t1` is `npts x ng` and `r0 + i < npts`;
+                    // batches cover disjoint row ranges and each is drawn
+                    // by exactly one participant, so this row has one
+                    // writer and no reader until the region has returned.
+                    let row = unsafe {
+                        std::slice::from_raw_parts_mut(t1_rows.get().add((r0 + i) * ng), ng)
+                    };
+                    for (dst, &pos) in row.iter_mut().zip(&self.gather_minus) {
+                        *dst = grid[pos];
+                    }
+                }
+                busy.1 += tf.elapsed().as_secs_f64();
+            },
+            |x, y| (x.0 + y.0, x.1 + y.1),
+        );
+        report.t_green += green_s;
+        report.t_fft += fft_s;
 
         // Stage 2: per output column G', transform over r and gather at
         // +G (the e^{-i G.r} component).
@@ -667,6 +696,39 @@ mod tests {
         );
         assert!(chi[(0, 0)].re < 0.0, "head must be negative");
         assert!(chi[(0, 0)].im.abs() < 1e-12);
+    }
+
+    #[test]
+    fn chi_tau_is_bitwise_the_same_at_pool_width_1_and_4() {
+        let _guard = bgw_perf::counters::exclusive_test_guard();
+        let (_, setup) = testkit::small_context();
+        let mtxel = Mtxel::new(&setup.wfn_sph, &setup.eps_sph);
+        let cfg = SpaceTimeConfig {
+            q0: setup.coulomb.q0,
+            row_batch: 100,
+            fit: test_fit(),
+            ..SpaceTimeConfig::default()
+        };
+        let st = SpaceTimeChi::new(&setup.wf, &mtxel, &setup.wfn_sph, &setup.eps_sph, cfg)
+            .expect("gapped");
+        assert!(
+            st.npts() > 200 && !st.npts().is_multiple_of(100),
+            "several batches, the last one ragged: npts = {}",
+            st.npts()
+        );
+        // Whether width 4 reaches the pool is `tests/granularity.rs`'s
+        // pin (other unit tests share this process's counters).
+        let bits_at_width = |width: usize| -> Vec<u64> {
+            bgw_par::set_num_threads(width);
+            let chi = st.chi_tau(0.7, &mut SpaceTimeReport::default());
+            bgw_par::set_num_threads(0);
+            chi.as_slice()
+                .iter()
+                .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                .collect()
+        };
+        let (serial, pooled) = (bits_at_width(1), bits_at_width(4));
+        assert!(serial == pooled, "chi(tau) depends on the pool width");
     }
 
     #[test]

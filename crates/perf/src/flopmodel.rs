@@ -71,6 +71,46 @@ pub fn ff_sigma_flops(
     n_sigma as f64 * (proj + gemm + dots + exch + assemble)
 }
 
+/// FLOPs charged per entry of the imaginary-axis kernel table
+/// `dz / (dz^2 + u_k^2)`: the shift (1) and one complex divide (11).
+/// `dz^2` is hoisted out of the node loop.
+pub const IMAG_FLOPS_PER_KERNEL_TERM: f64 = 12.0;
+/// FLOPs per term of a `Sigma^c(i w_j)` sum: scale the table entry by
+/// `w_k / pi * q_k(n)` (2) and accumulate (2).
+pub const IMAG_FLOPS_PER_SAMPLE_TERM: f64 = 4.0;
+
+/// FLOPs of the imaginary-axis Sigma quadrature in its ZGEMM recast: per
+/// Sigma band and quadrature node one `Y = M~ C_k^T` ZGEMM
+/// (`8 N_b N_G^2`) and `N_b` row-wise dots, then the sample assembly —
+/// the `N_iw N_b N_k` kernel table, built once, the `w_k / pi` fold into
+/// `q_k(n)` (one multiply each) and the table's contraction with it per
+/// Sigma band. The bare exchange and the Pade continuation are not
+/// charged (`O(N_G)` and `O(N_iw^2)` per band).
+///
+/// This is the exact count the `sigma.imagaxis` span attributes, an
+/// identity check like [`ff_sigma_flops`].
+pub fn imagaxis_sigma_flops(
+    n_sigma: usize,
+    n_k: usize,
+    n_b: usize,
+    n_g: usize,
+    n_iw: usize,
+) -> f64 {
+    let (ns, nk, nb, ng, niw) = (
+        n_sigma as f64,
+        n_k as f64,
+        n_b as f64,
+        n_g as f64,
+        n_iw as f64,
+    );
+    let gemm = 8.0 * nb * ng * ng;
+    let dots = FF_FLOPS_PER_DOT_TERM * nb * ng;
+    let table = IMAG_FLOPS_PER_KERNEL_TERM * niw * nb * nk;
+    let fold = ns * nb * nk;
+    let sums = IMAG_FLOPS_PER_SAMPLE_TERM * ns * niw * nb * nk;
+    ns * nk * (gemm + dots) + table + fold + sums
+}
+
 /// FLOPs of one dense complex LU inversion of an `n x n` matrix:
 /// factorization (`8/3 n^3`) plus the `n`-RHS triangular solves
 /// (`8 n^3`), the model attributed to the `epsilon.invert` span.
@@ -171,6 +211,21 @@ mod tests {
         // the subspace projection charges exactly 8 N_b N_G dim more per band
         let proj = ff_sigma_flops(4, 10, 40, 100, 200, 10, 3, true);
         assert!((proj - base - 4.0 * 8.0 * 40.0 * 200.0 * 100.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn imagaxis_model_is_its_gemms_plus_the_sample_assembly() {
+        let base = imagaxis_sigma_flops(8, 16, 186, 81, 16);
+        let gemm_and_dots = 8.0 * 16.0 * (8.0 * 186.0 * 81.0 * 81.0 + 8.0 * 186.0 * 81.0);
+        let per_band = 186.0 * 16.0 * (1.0 + 4.0 * 16.0);
+        let table = 12.0 * 16.0 * 186.0 * 16.0;
+        assert_eq!(base, gemm_and_dots + 8.0 * per_band + table);
+        // the kernel table is shared by the Sigma bands: doubling N_Sigma
+        // doubles everything but it
+        assert_eq!(
+            2.0 * base - imagaxis_sigma_flops(16, 16, 186, 81, 16),
+            table
+        );
     }
 
     #[test]

@@ -8,16 +8,17 @@
 //! reproduces the kernel's own counted FLOPs *exactly* on a tiny
 //! deterministic workload, including when `alpha` is calibrated on one
 //! workload shape and used to predict another, and that a traced kernel
-//! (GPP diag and full-frequency) attributes exactly its counted FLOPs to
-//! its span.
+//! (GPP diag, full-frequency and imaginary-axis) attributes exactly its
+//! counted FLOPs to its span.
 
 use berkeleygw_rs::core::sigma::diag::{gpp_sigma_diag, measured_alpha, KernelVariant};
 use berkeleygw_rs::core::{
-    ff_sigma_diag, testkit, ChiConfig, ChiEngine, Coulomb, EpsilonInverse, Mtxel,
+    ff_sigma_diag, imag_axis_sigma_diag, testkit, ChiConfig, ChiEngine, Coulomb, EpsilonInverse,
+    Mtxel,
 };
 use berkeleygw_rs::num::grid::semi_infinite_quadrature;
 use berkeleygw_rs::perf::counters::exclusive_test_guard;
-use berkeleygw_rs::perf::flopmodel::ff_sigma_flops;
+use berkeleygw_rs::perf::flopmodel::{ff_sigma_flops, imagaxis_sigma_flops};
 use berkeleygw_rs::perf::{gpp_diag_flops, CounterSnapshot};
 use berkeleygw_rs::trace;
 use berkeleygw_rs::trace::{RunReport, SpanNode};
@@ -257,5 +258,23 @@ fn traced_kernel_attributes_its_counted_flops_to_the_span() {
         ff_sigma_diag(&ctx, &eps_ff, &weights, &grids, 0.05).flops
     });
     assert_eq!(ff_counted as f64, ff_model, "sigma.ff: counted vs model");
+    // The imaginary-axis count splits the same way: N_Sigma x N_k ZGEMMs
+    // plus two `add_flops` sites (the row dots, the sample assembly).
+    let engine = ChiEngine::new(&setup.wf, &mtxel, ChiConfig::default());
+    let chis_iw = engine.chi_imag_freqs(&nodes, &mut Default::default());
+    let eps_iw = EpsilonInverse::build(&chis_iw, &nodes, &Coulomb::bulk(), &setup.eps_sph)
+        .expect("dielectric matrix must be invertible");
+    let n_iw = 8;
+    let imag_counted = span_carries_counted("sigma.imagaxis", &|| {
+        imag_axis_sigma_diag(&ctx, &eps_iw, &weights, &grids, n_iw)
+            .expect("continuation succeeds")
+            .flops
+    });
+    let imag_model =
+        imagaxis_sigma_flops(ctx.n_sigma(), eps_iw.n_freq(), ctx.n_b(), ctx.n_g(), n_iw);
+    assert_eq!(
+        imag_counted as f64, imag_model,
+        "sigma.imagaxis: counted vs model"
+    );
     trace::reset();
 }

@@ -15,8 +15,12 @@
 #                             through the batched pairs_from_real), the
 #                             pool's floor constant named nowhere outside
 #                             crates/par/src, and no bgw_par::Flops cost
-#                             that is a bare numeric literal. And the GW
-#                             spine is spelled once.
+#                             that is a bare numeric literal; the
+#                             imaginary-axis Sigma indexes no element of
+#                             its correlation matrix and builds it at one
+#                             call site, and the space-time chi has no
+#                             serial `while r0 < npts` batch loop. And
+#                             the GW spine is spelled once.
 #                             Above their test modules, the five driver
 #                             files of crates/core hold exactly one call
 #                             site each of solve_bands(, Coulomb::slab(,
@@ -208,8 +212,24 @@ run_pool_gate() {
     n=$(nontest_code $(find crates/*/src -name '*.rs') | grep -cE 'Flops\([0-9_]+\)' || true)
     echo "    Flops(<numeric literal>) costs: $n site(s)"
     [ "$n" -eq 0 ] || status=1
+    # The imaginary axis runs on the pool: q_k(n) is one ZGEMM per
+    # (node, Sigma band) against one hoisted correlation matrix, and a row
+    # batch is the space-time chi's parallel unit. Element indexing of
+    # that matrix, a second call site for it, or the serial batch loop in
+    # non-test code is the scalar path coming back (it lives on as the
+    # test module's oracle).
+    imag=$(nontest_code crates/core/src/sigma/imagaxis.rs)
+    n=$(printf '%s\n' "$imag" | grep -cF 'corr[(' || true)
+    echo "    corr[( element indexing in sigma/imagaxis.rs: $n site(s)"
+    [ "$n" -eq 0 ] || status=1
+    n=$(printf '%s\n' "$imag" | grep -cF 'correlation_part(' || true)
+    echo "    correlation_part( in sigma/imagaxis.rs: $n call site(s)"
+    [ "$n" -eq 1 ] || status=1
+    n=$(nontest_code crates/core/src/spacetime.rs | grep -cF 'while r0 < npts' || true)
+    echo "    while r0 < npts in spacetime.rs: $n loop(s)"
+    [ "$n" -eq 0 ] || status=1
     if [ "$status" -ne 0 ]; then
-        echo "FAIL: route pair loops through Mtxel::pairs_from_real and state costs as operation counts"
+        echo "FAIL: route pair loops through Mtxel::pairs_from_real, keep q_k(n) on ZGEMM and the row batch on the pool, and state costs as operation counts"
         exit 1
     fi
 }
