@@ -5,9 +5,9 @@
 //! This module models them *reproducibly*: a [`FaultPlan`] is a seeded
 //! (xoshiro256**-driven) schedule mapping `(rank, op index)` slots to
 //! injected faults. Every fault-checkable communicator operation (each
-//! collective rendezvous, each point-to-point send/receive, each barrier)
-//! consumes exactly one op index on the issuing rank, so a plan replays
-//! identically run after run — the determinism contract that makes the
+//! collective rendezvous, each shrink) consumes exactly one op index on
+//! the issuing rank, so a plan replays identically run after run — the
+//! determinism contract that makes the
 //! adversarial test battery a regression suite instead of a flake farm.
 //!
 //! Fault semantics (see DESIGN.md Sec. 10 for the full model):
@@ -61,7 +61,7 @@ pub enum FaultKind {
 ///
 /// Keys are `(rank, op index)` where the op index is the count of
 /// fault-checkable operations the rank has issued so far (monotonic across
-/// communicator splits and shrinks on the same rank thread). Plans are
+/// communicator shrinks on the same rank thread). Plans are
 /// immutable once built; the same plan against the same program replays
 /// the same fault sequence bit for bit.
 #[derive(Clone, Debug)]

@@ -244,7 +244,11 @@ mod tests {
     fn static_inverse_is_hermitian_and_screens() {
         let e = build_eps(&[0.0]);
         let inv0 = e.static_inv();
-        assert!(inv0.is_hermitian(1e-8), "err {}", inv0.hermiticity_error());
+        assert!(
+            inv0.hermiticity_error() <= 1e-8,
+            "err {}",
+            inv0.hermiticity_error()
+        );
         // Screening: 0 < eps~^{-1}_00 < 1 for an insulator.
         let head = inv0[(0, 0)].re;
         assert!(head > 0.0 && head < 1.0, "head = {head}");

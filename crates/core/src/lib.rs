@@ -45,7 +45,7 @@ pub use epsilon::{is_static_freq, EpsilonError, EpsilonInverse};
 pub use error::GwError;
 pub use gpp::GppModel;
 pub use gwpt::{gwpt_for_perturbation, GwptResult};
-pub use mtxel::{BandCache, Mtxel};
+pub use mtxel::Mtxel;
 pub use params::GwParams;
 pub use pseudobands::{chebyshev_pseudoband, compress, Pseudobands, PseudobandsConfig};
 pub use resilient::{
@@ -60,8 +60,7 @@ pub use service::{
 };
 pub use sigma::diag::{gpp_sigma_diag, gpp_sigma_row, KernelVariant, SigmaDiagResult};
 pub use sigma::fullfreq::{
-    ff_sigma_diag, ff_sigma_diag_serial, ff_sigma_diag_subspace, ff_sigma_diag_subspace_serial,
-    SigmaFfResult,
+    ff_sigma_diag, ff_sigma_diag_subspace, ff_sigma_diag_subspace_serial, SigmaFfResult,
 };
 pub use sigma::imagaxis::{imag_axis_sigma_diag, SigmaImagAxisResult};
 pub use sigma::offdiag::{gpp_sigma_offdiag, SigmaOffdiagResult};

@@ -10,126 +10,7 @@ use bgw_fft::{Direction, Fft3d};
 use bgw_num::Complex64;
 use bgw_par::{Flops, SendPtr};
 use bgw_pwdft::{GSphere, Wavefunctions};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Bytes of one real-space grid of `npts` complex amplitudes.
-fn grid_bytes(npts: usize) -> usize {
-    npts * std::mem::size_of::<Complex64>()
-}
-
-/// Caller-owned LRU cache of real-space band amplitudes with a byte
-/// budget.
-///
-/// The MTXEL pair kernel transforms *two* bands per pair; every consumer
-/// loop (`chi` panels, the Sigma bare-exchange sum, GWPT's `l`-loop, BSE
-/// kernels) iterates an outer band against many inner bands, so caching
-/// the inner transforms turns `O(n_outer * n_inner)` inverse FFTs into
-/// `O(n_inner)`. The cache is owned by the *caller*, not the engine: the
-/// same [`Mtxel`] is routinely used with several `Wavefunctions` objects
-/// (e.g. GWPT's displaced crystals), and a band index alone would alias
-/// between them. Entries are `Arc`s, so a hit is a pointer clone and
-/// eviction never invalidates grids still in use.
-pub struct BandCache {
-    budget: usize,
-    inner: Mutex<CacheInner>,
-}
-
-struct CacheInner {
-    map: HashMap<usize, (Arc<Vec<Complex64>>, u64)>,
-    bytes: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl BandCache {
-    /// Creates a cache that holds at most `budget_bytes` of grids (at
-    /// least one grid is always retained, so a tiny budget degrades to
-    /// per-call memoization of the most recent band, never to a panic).
-    pub fn with_budget(budget_bytes: usize) -> Self {
-        Self {
-            budget: budget_bytes,
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                bytes: 0,
-                tick: 0,
-                hits: 0,
-                misses: 0,
-            }),
-        }
-    }
-
-    /// Sizing rule used by the GW kernels: room for `max_grids` grids of
-    /// `npts` points each.
-    pub fn for_grids(npts: usize, max_grids: usize) -> Self {
-        Self::with_budget(grid_bytes(npts) * max_grids.max(1))
-    }
-
-    /// Returns the cached grid for `key`, computing it with `make` on a
-    /// miss. Oldest-used entries are evicted once the budget overflows.
-    pub fn get_or(&self, key: usize, make: impl FnOnce() -> Vec<Complex64>) -> Arc<Vec<Complex64>> {
-        {
-            let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            st.tick += 1;
-            let tick = st.tick;
-            if let Some(entry) = st.map.get_mut(&key) {
-                entry.1 = tick;
-                let grid = Arc::clone(&entry.0);
-                st.hits += 1;
-                return grid;
-            }
-        }
-        // Compute outside the lock: transforms are expensive and other
-        // bands' lookups should not serialize behind this one.
-        let grid = Arc::new(make());
-        let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        st.misses += 1;
-        st.tick += 1;
-        let tick = st.tick;
-        let added = grid_bytes(grid.len());
-        if let Some(prev) = st.map.insert(key, (Arc::clone(&grid), tick)) {
-            st.bytes -= grid_bytes(prev.0.len());
-        }
-        st.bytes += added;
-        while st.bytes > self.budget && st.map.len() > 1 {
-            let oldest = st
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(k, _)| *k);
-            match oldest {
-                Some(k) => {
-                    if let Some((g, _)) = st.map.remove(&k) {
-                        st.bytes -= grid_bytes(g.len());
-                    }
-                }
-                None => break,
-            }
-        }
-        grid
-    }
-
-    /// `(hits, misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        let st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        (st.hits, st.misses)
-    }
-
-    /// Bytes currently held.
-    pub fn bytes(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).bytes
-    }
-
-    /// Drops every entry (the `Arc`s keep outstanding grids alive).
-    pub fn clear(&self) {
-        let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        st.map.clear();
-        st.bytes = 0;
-    }
-}
 
 /// Counts of work done by an MTXEL engine (for the perf model).
 #[derive(Debug, Default)]
@@ -255,62 +136,6 @@ impl Mtxel {
         )
     }
 
-    /// Transforms band `n` of `wf` to real space (amplitude on the box).
-    pub fn to_real_space(&self, wf: &Wavefunctions, band: usize) -> Vec<Complex64> {
-        let mut grid = vec![Complex64::ZERO; self.npts];
-        for (g, &pos) in self.wfn_scatter.iter().enumerate() {
-            grid[pos] = wf.coeffs[(band, g)];
-        }
-        self.plan.process(&mut grid, Direction::Inverse);
-        // undo the 1/N of the inverse so grid holds sum_G c e^{iGr}
-        let s = self.npts as f64;
-        for z in grid.iter_mut() {
-            *z = z.scale(s);
-        }
-        self.stats.ffts.fetch_add(1, Ordering::Relaxed);
-        grid
-    }
-
-    /// Transforms an arbitrary coefficient vector on the wavefunction
-    /// sphere to real space (used by GWPT for the first-order states).
-    pub fn vector_to_real_space(&self, coeffs: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(coeffs.len(), self.wfn_scatter.len());
-        let mut grid = vec![Complex64::ZERO; self.npts];
-        for (g, &pos) in self.wfn_scatter.iter().enumerate() {
-            grid[pos] = coeffs[g];
-        }
-        self.plan.process(&mut grid, Direction::Inverse);
-        let s = self.npts as f64;
-        for z in grid.iter_mut() {
-            *z = z.scale(s);
-        }
-        self.stats.ffts.fetch_add(1, Ordering::Relaxed);
-        grid
-    }
-
-    /// [`Mtxel::to_real_space`] through a caller-owned [`BandCache`]
-    /// keyed by band index. The cache must be used with a single
-    /// `Wavefunctions` object (band indices alias across different ones).
-    pub fn to_real_space_cached(
-        &self,
-        cache: &BandCache,
-        wf: &Wavefunctions,
-        band: usize,
-    ) -> Arc<Vec<Complex64>> {
-        cache.get_or(band, || self.to_real_space(wf, band))
-    }
-
-    /// [`Mtxel::vector_to_real_space`] through a caller-owned cache under
-    /// a caller-chosen `key` (GWPT keys first-order states by row index).
-    pub fn vector_to_real_space_cached(
-        &self,
-        cache: &BandCache,
-        key: usize,
-        coeffs: &[Complex64],
-    ) -> Arc<Vec<Complex64>> {
-        cache.get_or(key, || self.vector_to_real_space(coeffs))
-    }
-
     /// Transforms several bands of `wf` to real space in one batched pass
     /// over the pooled 3-D FFT (grids are distributed over workers; each
     /// grid's axis passes run the batched line kernel inline).
@@ -338,8 +163,9 @@ impl Mtxel {
         grids
     }
 
-    /// Batched [`Mtxel::vector_to_real_space`] over several coefficient
-    /// vectors (GWPT transforms every first-order state once this way).
+    /// Transforms several coefficient vectors on the wavefunction sphere
+    /// to real space in one batched pass (GWPT transforms every
+    /// first-order state once this way).
     pub fn vectors_to_real_space_many(&self, vecs: &[&[Complex64]]) -> Vec<Vec<Complex64>> {
         let mut grids: Vec<Vec<Complex64>> = vecs
             .iter()
@@ -428,16 +254,49 @@ impl Mtxel {
         self.pairs_from_real(psi_m_r, &[psi_n_r], &mut row, |_, _| {});
         row
     }
+}
 
-    /// Convenience: `M_mn^G` for a band pair of `wf`.
-    pub fn band_pair(&self, wf: &Wavefunctions, m: usize, n: usize) -> Vec<Complex64> {
-        let pm = self.to_real_space(wf, m);
-        let pn = self.to_real_space(wf, n);
-        self.pair_from_real(&pm, &pn)
+/// The one-grid transform the batched [`Mtxel::to_real_space_many`] is
+/// held to.
+#[cfg(test)]
+impl Mtxel {
+    /// Transforms band `n` of `wf` to real space (amplitude on the box).
+    fn to_real_space(&self, wf: &Wavefunctions, band: usize) -> Vec<Complex64> {
+        let mut grid = vec![Complex64::ZERO; self.npts];
+        for (g, &pos) in self.wfn_scatter.iter().enumerate() {
+            grid[pos] = wf.coeffs[(band, g)];
+        }
+        self.plan.process(&mut grid, Direction::Inverse);
+        // undo the 1/N of the inverse so grid holds sum_G c e^{iGr}
+        let s = self.npts as f64;
+        for z in grid.iter_mut() {
+            *z = z.scale(s);
+        }
+        self.stats.ffts.fetch_add(1, Ordering::Relaxed);
+        grid
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bgw_pwdft::{solve_bands, Crystal, Species};
+
+    fn setup() -> (GSphere, GSphere, Wavefunctions) {
+        let c = Crystal::diamond(Species::Si, bgw_pwdft::pseudo::SI_A0);
+        let wfn = GSphere::new(&c.lattice, 2.4);
+        let eps = GSphere::new(&c.lattice, 1.2);
+        let wf = solve_bands(&c, &wfn, 20);
+        (wfn, eps, wf)
+    }
+
+    /// `M_mn^G` for a band pair of `wf` through the FFT path.
+    fn band_pair(eng: &Mtxel, wf: &Wavefunctions, m: usize, n: usize) -> Vec<Complex64> {
+        eng.pair_from_real(&eng.to_real_space(wf, m), &eng.to_real_space(wf, n))
     }
 
     /// Reference O(N_G^psi * N_G) direct evaluation (correctness oracle).
-    pub fn band_pair_direct(
+    fn band_pair_direct(
         wf: &Wavefunctions,
         wfn_sph: &GSphere,
         out_sph: &GSphere,
@@ -459,28 +318,14 @@ impl Mtxel {
         }
         out
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bgw_pwdft::{solve_bands, Crystal, Species};
-
-    fn setup() -> (GSphere, GSphere, Wavefunctions) {
-        let c = Crystal::diamond(Species::Si, bgw_pwdft::pseudo::SI_A0);
-        let wfn = GSphere::new(&c.lattice, 2.4);
-        let eps = GSphere::new(&c.lattice, 1.2);
-        let wf = solve_bands(&c, &wfn, 20);
-        (wfn, eps, wf)
-    }
 
     #[test]
     fn fft_matches_direct_evaluation() {
         let (wfn, eps, wf) = setup();
         let eng = Mtxel::new(&wfn, &eps);
         for (m, n) in [(0usize, 0usize), (0, 5), (3, 7), (10, 2)] {
-            let fast = eng.band_pair(&wf, m, n);
-            let slow = Mtxel::band_pair_direct(&wf, &wfn, &eps, m, n);
+            let fast = band_pair(&eng, &wf, m, n);
+            let slow = band_pair_direct(&wf, &wfn, &eps, m, n);
             let err = fast
                 .iter()
                 .zip(&slow)
@@ -496,7 +341,7 @@ mod tests {
         let (wfn, eps, wf) = setup();
         let eng = Mtxel::new(&wfn, &eps);
         for n in [0usize, 4, 9] {
-            let m = eng.band_pair(&wf, n, n);
+            let m = band_pair(&eng, &wf, n, n);
             assert!((m[0] - Complex64::ONE).abs() < 1e-9, "band {n}: {}", m[0]);
         }
     }
@@ -506,7 +351,7 @@ mod tests {
         // M_mn^{G=0} = <m|n> = 0 for m != n.
         let (wfn, eps, wf) = setup();
         let eng = Mtxel::new(&wfn, &eps);
-        let m = eng.band_pair(&wf, 2, 6);
+        let m = band_pair(&eng, &wf, 2, 6);
         assert!(m[0].abs() < 1e-9, "overlap leak {}", m[0]);
     }
 
@@ -515,10 +360,13 @@ mod tests {
         // M_mn^G = conj(M_nm^{-G}).
         let (wfn, eps, wf) = setup();
         let eng = Mtxel::new(&wfn, &eps);
-        let mn = eng.band_pair(&wf, 1, 4);
-        let nm = eng.band_pair(&wf, 4, 1);
+        let mn = band_pair(&eng, &wf, 1, 4);
+        let nm = band_pair(&eng, &wf, 4, 1);
         for (g, &mng) in mn.iter().enumerate().take(eps.len()) {
-            let gm = eps.minus(g);
+            let m = eps.miller[g];
+            let gm = eps
+                .find([-m[0], -m[1], -m[2]])
+                .expect("inversion-symmetric sphere");
             assert!(
                 (mng - nm[gm].conj()).abs() < 1e-10,
                 "g = {g}: {} vs conj {}",
@@ -526,45 +374,6 @@ mod tests {
                 nm[gm]
             );
         }
-    }
-
-    #[test]
-    fn band_cache_hits_reuse_and_budget_evicts() {
-        let (wfn, eps, wf) = setup();
-        let eng = Mtxel::new(&wfn, &eps);
-        let npts = eng.to_real_space(&wf, 0).len();
-        let cache = BandCache::for_grids(npts, 2);
-        // First touch of each band misses; repeats hit and return the
-        // exact same allocation.
-        let a = eng.to_real_space_cached(&cache, &wf, 3);
-        let b = eng.to_real_space_cached(&cache, &wf, 3);
-        assert!(Arc::ptr_eq(&a, &b));
-        let direct = eng.to_real_space(&wf, 3);
-        assert_eq!(a.as_slice(), direct.as_slice());
-        let (h, m) = cache.stats();
-        assert_eq!((h, m), (1, 1));
-        // Budget of 2 grids: touching a third band must evict the oldest.
-        eng.to_real_space_cached(&cache, &wf, 4);
-        eng.to_real_space_cached(&cache, &wf, 5);
-        assert!(cache.bytes() <= npts * std::mem::size_of::<Complex64>() * 2);
-        // Band 3 was evicted: next touch is a miss but still correct.
-        let a2 = eng.to_real_space_cached(&cache, &wf, 3);
-        assert_eq!(a2.as_slice(), direct.as_slice());
-        let (_, m2) = cache.stats();
-        assert!(m2 >= 4);
-        cache.clear();
-        assert_eq!(cache.bytes(), 0);
-    }
-
-    #[test]
-    fn tiny_budget_degrades_to_most_recent_band() {
-        let (wfn, eps, wf) = setup();
-        let eng = Mtxel::new(&wfn, &eps);
-        let cache = BandCache::with_budget(1); // below one grid
-        let a = eng.to_real_space_cached(&cache, &wf, 0);
-        let b = eng.to_real_space_cached(&cache, &wf, 0);
-        assert!(Arc::ptr_eq(&a, &b), "most recent band must stay cached");
-        assert_eq!(a.as_slice(), eng.to_real_space(&wf, 0).as_slice());
     }
 
     #[test]
@@ -587,8 +396,8 @@ mod tests {
         // output G-vectors of maximal |m| along each axis.
         let (wfn, eps, wf) = setup();
         let eng = Mtxel::new(&wfn, &eps);
-        let fast = eng.band_pair(&wf, 1, 6);
-        let slow = Mtxel::band_pair_direct(&wf, &wfn, &eps, 1, 6);
+        let fast = band_pair(&eng, &wf, 1, 6);
+        let slow = band_pair_direct(&wf, &wfn, &eps, 1, 6);
         for axis in 0..3 {
             let mmax = eps
                 .miller
@@ -607,19 +416,26 @@ mod tests {
 
     #[test]
     fn reusing_real_space_amplitudes() {
+        // One transform of band 1 serves every pair it enters: the batched
+        // kernel's rows equal the one-pair kernel's, and the counters
+        // record one FFT per transform plus one per pair.
         let (wfn, eps, wf) = setup();
         let eng = Mtxel::new(&wfn, &eps);
         let p1 = eng.to_real_space(&wf, 1);
-        let p4 = eng.to_real_space(&wf, 4);
-        let via_cache = eng.pair_from_real(&p1, &p4);
-        let direct = eng.band_pair(&wf, 1, 4);
-        let err = via_cache
+        let others: Vec<Vec<Complex64>> = [4usize, 7]
             .iter()
-            .zip(&direct)
-            .map(|(a, b)| (*a - *b).abs())
-            .fold(0.0, f64::max);
-        assert!(err < 1e-13);
+            .map(|&n| eng.to_real_space(&wf, n))
+            .collect();
+        let mut rows = vec![Complex64::ZERO; others.len() * eng.n_out()];
+        eng.pairs_from_real(&p1, &others, &mut rows, |_, _| {});
+        for (n, other) in others.iter().enumerate() {
+            let single = eng.pair_from_real(&p1, other);
+            assert_eq!(
+                &rows[n * eng.n_out()..(n + 1) * eng.n_out()],
+                single.as_slice()
+            );
+        }
         let (ffts, pairs) = eng.stats();
-        assert!(ffts >= 5 && pairs >= 2);
+        assert_eq!((ffts, pairs), (3 + 2 + 2, 2 + 2));
     }
 }

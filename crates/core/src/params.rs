@@ -51,12 +51,6 @@ impl GwParams {
         ]
     }
 
-    /// Canonical complexity of the GPP diag kernel, `N_Sigma N_b N_G^2 N_E`
-    /// (the paper's Eq. 7 without the architecture prefactor `alpha`).
-    pub fn gpp_diag_complexity(&self) -> u128 {
-        self.n_sigma as u128 * self.n_b() as u128 * (self.n_g as u128).pow(2) * self.n_e as u128
-    }
-
     /// ZGEMM FLOPs of the GPP off-diag kernel, paper Eq. 8:
     /// `2 N_b N_E * 8 (N_Sigma N_G^2 + N_G N_Sigma^2)`.
     pub fn gpp_offdiag_flops(&self) -> u128 {
@@ -97,7 +91,6 @@ mod tests {
     #[test]
     fn complexity_formulas() {
         let p = sample();
-        assert_eq!(p.gpp_diag_complexity(), 8 * 80 * 300u128 * 300 * 3);
         assert_eq!(
             p.gpp_offdiag_flops(),
             2 * 80 * 3 * 8 * (8 * 300u128 * 300 + 300 * 64)

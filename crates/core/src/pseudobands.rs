@@ -62,13 +62,6 @@ pub struct Pseudobands {
     pub n_original: usize,
 }
 
-impl Pseudobands {
-    /// Compression ratio `N_b(original) / N_b(compressed)`.
-    pub fn compression(&self) -> f64 {
-        self.n_original as f64 / self.wf.n_bands() as f64
-    }
-}
-
 /// Compresses a band set according to `cfg`.
 pub fn compress(wf: &Wavefunctions, cfg: &PseudobandsConfig) -> Pseudobands {
     assert!(cfg.n_xi >= 1, "need at least one pseudoband per slice");
@@ -241,7 +234,6 @@ mod tests {
         };
         let pb = compress(&setup.wf, &cfg);
         assert!(pb.wf.n_bands() < setup.wf.n_bands());
-        assert!(pb.compression() > 1.0);
         assert!(pb.n_slices >= 1);
     }
 

@@ -325,13 +325,15 @@ pub fn run_evgw_checkpointed(
             // meta = [e_qp per sigma band, gap history: one entry per
             // completed iteration]. Anything else is residue from a
             // different band set or a half-rewritten record.
-            let expect = n_sigma + ck.step as usize;
-            if ck.meta.len() != expect {
+            let expect = usize::try_from(ck.step)
+                .ok()
+                .and_then(|step| step.checked_add(n_sigma));
+            if expect != Some(ck.meta.len()) {
                 return Err(GwError::Malformed {
                     stage: "evgw",
                     reason: format!(
                         "iterate has {} meta values; step {} with {n_sigma} sigma bands \
-                         needs exactly {expect}",
+                         needs {n_sigma} + step",
                         ck.meta.len(),
                         ck.step
                     ),

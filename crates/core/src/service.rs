@@ -498,8 +498,11 @@ pub fn screening_from_checkpoint(
     if ck.stage != GwStage::WScreening as u64 {
         return None;
     }
-    let n_ff = ck.step as usize;
-    if ck.matrices.len() != 1 + n_ff || ck.meta.len() != 1 + 2 * n_ff {
+    // `step` is read off disk: a count no record could hold is malformed,
+    // not an overflow.
+    let n_ff = usize::try_from(ck.step).ok()?;
+    let n_meta = n_ff.checked_mul(2)?.checked_add(1)?;
+    if ck.matrices.len() != n_ff.checked_add(1)? || ck.meta.len() != n_meta {
         return None;
     }
     if ck.meta[0] as usize != n_ff {
@@ -838,8 +841,12 @@ mod tests {
         bad.matrices[0][(0, 0)] = bgw_num::c64(f64::NAN, 0.0);
         assert!(screening_from_checkpoint(&sys, &cfg, &bad).is_none());
         // Inconsistent meta.
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.meta[0] = 5.0;
+        assert!(screening_from_checkpoint(&sys, &cfg, &bad).is_none());
+        // A frequency count no record could hold (`1 + 2 n_ff` overflows).
+        let mut bad = good;
+        bad.step = u64::MAX;
         assert!(screening_from_checkpoint(&sys, &cfg, &bad).is_none());
     }
 

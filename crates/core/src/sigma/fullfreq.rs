@@ -107,21 +107,6 @@ pub fn ff_sigma_diag_subspace(
     )
 }
 
-/// Full-frequency Sigma on the full basis through the retained scalar
-/// oracle — the pre-recast triple-loop kernel, kept for validation (the
-/// pooled path must match it to 1e-12; see
-/// `tests::pooled_matches_serial_oracle_across_pool_sizes`).
-pub fn ff_sigma_diag_serial(
-    ctx: &SigmaContext,
-    eps_ff: &EpsilonInverse,
-    weights: &[f64],
-    e_grids: &[Vec<f64>],
-    eta: f64,
-) -> SigmaFfResult {
-    let spectral = spectral_weights(eps_ff);
-    ff_sigma_impl_serial(ctx, &spectral, &eps_ff.omegas, weights, e_grids, eta, None)
-}
-
 /// Subspace-contracted FF Sigma through the retained scalar oracle.
 pub fn ff_sigma_diag_subspace_serial(
     ctx: &SigmaContext,
@@ -428,11 +413,25 @@ mod tests {
         (eps, weights)
     }
 
+    /// Full-frequency Sigma on the full basis through the retained scalar
+    /// oracle — the pre-recast triple-loop kernel the pooled path must
+    /// match to 1e-12 (`pooled_matches_serial_oracle_across_pool_sizes`).
+    fn ff_sigma_diag_serial(
+        ctx: &SigmaContext,
+        eps_ff: &EpsilonInverse,
+        weights: &[f64],
+        e_grids: &[Vec<f64>],
+        eta: f64,
+    ) -> SigmaFfResult {
+        let spectral = spectral_weights(eps_ff);
+        ff_sigma_impl_serial(ctx, &spectral, &eps_ff.omegas, weights, e_grids, eta, None)
+    }
+
     #[test]
     fn anti_hermitian_part_is_hermitian() {
         let a = CMatrix::random(6, 6, 3);
         let b = anti_hermitian_part(&a);
-        assert!(b.is_hermitian(1e-12));
+        assert!(b.hermiticity_error() <= 1e-12);
         // for Hermitian input the spectral part vanishes
         let h = CMatrix::random_hermitian(6, 4);
         assert!(anti_hermitian_part(&h).max_abs() < 1e-12);

@@ -152,7 +152,7 @@ mod tests {
         let off = gpp_sigma_offdiag(&ctx, &grid, GemmBackend::Parallel);
         for (ei, s) in off.sigma.iter().enumerate() {
             assert!(
-                s.is_hermitian(1e-8),
+                s.hermiticity_error() <= 1e-8,
                 "Sigma(E_{ei}) Hermiticity error {}",
                 s.hermiticity_error()
             );

@@ -144,29 +144,6 @@ impl DistMatrix {
         Ok(out)
     }
 
-    /// Distributed product `self * b` where `b` is distributed the same
-    /// way: `b`'s row blocks are all-gathered into a replicated operand,
-    /// then each rank multiplies its local row panel — the standard
-    /// row-panel SUMMA degenerate case, one allgather per product.
-    pub fn try_matmul(&self, comm: &Comm, b: &DistMatrix) -> Result<DistMatrix, CommError> {
-        let _span = bgw_trace::span!("dist.matmul");
-        assert_eq!(self.n_cols, b.n_rows, "distributed dims disagree");
-        let b_full = b.try_to_replicated(comm)?;
-        let local = matmul(
-            &self.local,
-            Op::None,
-            &b_full,
-            Op::None,
-            GemmBackend::Parallel,
-        );
-        Ok(DistMatrix {
-            n_rows: self.n_rows,
-            n_cols: b.n_cols,
-            row_offset: self.row_offset,
-            local,
-        })
-    }
-
     /// Pipelined distributed product `self * b`: instead of one
     /// whole-matrix allgather followed by one local GEMM, `b` is gathered
     /// and consumed in `n_panels` column panels. Each collective posts as
@@ -175,8 +152,8 @@ impl DistMatrix {
     /// so communication of the next panel overlaps compute of the current
     /// one across the world (and the replicated footprint drops from
     /// `n x n` to `n x panel`). Column panels see the full contraction
-    /// dimension, so the result is elementwise identical to
-    /// [`DistMatrix::try_matmul`].
+    /// dimension, so the result does not depend on `n_panels`; one panel
+    /// is the plain row-panel product (one allgather of all of `b`).
     pub fn try_matmul_pipelined(
         &self,
         comm: &Comm,
@@ -227,25 +204,6 @@ impl DistMatrix {
             row_offset: self.row_offset,
             local,
         })
-    }
-
-    /// `self = alpha * self + beta * other` elementwise on the local block.
-    pub fn axpby(&mut self, alpha: Complex64, beta: Complex64, other: &DistMatrix) {
-        assert_eq!(self.local.shape(), other.local.shape());
-        for (a, b) in self
-            .local
-            .as_mut_slice()
-            .iter_mut()
-            .zip(other.local.as_slice())
-        {
-            *a = *a * alpha + *b * beta;
-        }
-    }
-
-    /// Global Frobenius norm (allreduced).
-    pub fn frobenius_norm(&self, comm: &Comm) -> Result<f64, CommError> {
-        let local: f64 = self.local.as_slice().iter().map(|z| z.norm_sqr()).sum();
-        Ok(comm.try_allreduce(local, |a, b| a + b)?.sqrt())
     }
 
     /// Global max-abs (allreduced).
@@ -414,23 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn distributed_matmul_matches_serial() {
-        let a = CMatrix::random(11, 7, 2);
-        let b = CMatrix::random(7, 5, 3);
-        let serial = matmul(&a, Op::None, &b, Op::None, GemmBackend::Naive);
-        let out = world(3, |comm| {
-            let da = DistMatrix::from_replicated(comm, &a);
-            let db = DistMatrix::from_replicated(comm, &b);
-            let c = da.try_matmul(comm, &db)?.try_to_replicated(comm)?;
-            Ok(c.as_slice().to_vec())
-        });
-        for flat in out {
-            let c = CMatrix::from_vec(11, 5, flat);
-            assert!(c.max_abs_diff(&serial) < 1e-12);
-        }
-    }
-
-    #[test]
     fn newton_schulz_matches_lu_inverse() {
         // well-conditioned test matrix: diagonally dominant
         let n = 16;
@@ -537,36 +478,13 @@ mod tests {
     #[test]
     fn norms_are_global() {
         let a = CMatrix::random(10, 10, 11);
-        let serial_f = a.frobenius_norm();
         let serial_m = a.max_abs();
         let out = world(4, |comm| {
             let d = DistMatrix::from_replicated(comm, &a);
-            Ok((d.frobenius_norm(comm)?, d.max_abs(comm)?))
+            Ok(d.max_abs(comm)?)
         });
-        for (f, m) in out {
-            assert!((f - serial_f).abs() < 1e-12);
+        for m in out {
             assert!((m - serial_m).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn axpby_local_update() {
-        let a = CMatrix::random(8, 8, 1);
-        let b = CMatrix::random(8, 8, 2);
-        let out = world(2, |comm| {
-            let mut da = DistMatrix::from_replicated(comm, &a);
-            let db = DistMatrix::from_replicated(comm, &b);
-            da.axpby(Complex64::new(2.0, 0.0), Complex64::new(0.0, 1.0), &db);
-            Ok(da.try_to_replicated(comm)?.as_slice().to_vec())
-        });
-        for flat in out {
-            let c = CMatrix::from_vec(8, 8, flat);
-            for i in 0..8 {
-                for j in 0..8 {
-                    let expect = a[(i, j)].scale(2.0) + b[(i, j)] * Complex64::new(0.0, 1.0);
-                    assert!((c[(i, j)] - expect).abs() < 1e-14);
-                }
-            }
         }
     }
 }

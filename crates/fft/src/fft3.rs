@@ -19,8 +19,8 @@
 //! [`Fft3d::process`] offers each axis pass of a single grid to the pool,
 //! which takes it only when the pass is worth a wake-up (every driver
 //! states its work by the `5 n log2 n` count; `bgw-par` owns the floor).
-//! [`Fft3d::process_serial`] keeps the original one-line-at-a-time kernel
-//! as the correctness oracle and baseline.
+//! The original one-line-at-a-time kernel lives on in the test module as
+//! the correctness oracle.
 
 use crate::plan::{cached_plan, Direction, FftPlan, LINE_BATCH};
 use bgw_num::Complex64;
@@ -210,59 +210,6 @@ impl Fft3d {
         });
     }
 
-    /// Transforms `data` in place with the original serial per-line kernel
-    /// (recursive butterflies, twiddle index recomputed per butterfly).
-    /// This is the oracle the pooled path is checked against.
-    pub fn process_serial(&self, data: &mut [Complex64], dir: Direction) {
-        assert_eq!(data.len(), self.len(), "grid buffer length mismatch");
-        let _span = bgw_trace::span!("fft.serial");
-        let t0 = Instant::now();
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        // z lines are contiguous.
-        {
-            let mut scratch = vec![Complex64::ZERO; self.plan_z.scratch_len()];
-            for line in data.chunks_exact_mut(nz) {
-                self.plan_z.process_with(line, &mut scratch, dir);
-            }
-        }
-        // y lines: stride nz within each x-plane.
-        {
-            let mut scratch = vec![Complex64::ZERO; self.plan_y.scratch_len()];
-            let mut line = vec![Complex64::ZERO; ny];
-            for ix in 0..nx {
-                for iz in 0..nz {
-                    let base = ix * ny * nz + iz;
-                    for iy in 0..ny {
-                        line[iy] = data[base + iy * nz];
-                    }
-                    self.plan_y.process_with(&mut line, &mut scratch, dir);
-                    for iy in 0..ny {
-                        data[base + iy * nz] = line[iy];
-                    }
-                }
-            }
-        }
-        // x lines: stride ny*nz.
-        {
-            let mut scratch = vec![Complex64::ZERO; self.plan_x.scratch_len()];
-            let mut line = vec![Complex64::ZERO; nx];
-            let stride = ny * nz;
-            for rem in 0..stride {
-                for ix in 0..nx {
-                    line[ix] = data[rem + ix * stride];
-                }
-                self.plan_x.process_with(&mut line, &mut scratch, dir);
-                for ix in 0..nx {
-                    data[rem + ix * stride] = line[ix];
-                }
-            }
-        }
-        bgw_perf::counters::record_fft_pass(
-            self.line_count() as u64,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
-
     /// Transforms every grid in `grids` in place, distributing whole grids
     /// over the worker pool: each participant transforms its share with
     /// one [`FftScratch`] of its own.
@@ -370,6 +317,62 @@ impl AxisPass<'_> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl Fft3d {
+    /// Transforms `data` in place with the original serial per-line kernel
+    /// (recursive butterflies, twiddle index recomputed per butterfly).
+    /// This is the oracle the pooled path is checked against.
+    fn process_serial(&self, data: &mut [Complex64], dir: Direction) {
+        assert_eq!(data.len(), self.len(), "grid buffer length mismatch");
+        let _span = bgw_trace::span!("fft.serial");
+        let t0 = Instant::now();
+        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
+        // z lines are contiguous.
+        {
+            let mut scratch = vec![Complex64::ZERO; self.plan_z.scratch_len()];
+            for line in data.chunks_exact_mut(nz) {
+                self.plan_z.process_with(line, &mut scratch, dir);
+            }
+        }
+        // y lines: stride nz within each x-plane.
+        {
+            let mut scratch = vec![Complex64::ZERO; self.plan_y.scratch_len()];
+            let mut line = vec![Complex64::ZERO; ny];
+            for ix in 0..nx {
+                for iz in 0..nz {
+                    let base = ix * ny * nz + iz;
+                    for iy in 0..ny {
+                        line[iy] = data[base + iy * nz];
+                    }
+                    self.plan_y.process_with(&mut line, &mut scratch, dir);
+                    for iy in 0..ny {
+                        data[base + iy * nz] = line[iy];
+                    }
+                }
+            }
+        }
+        // x lines: stride ny*nz.
+        {
+            let mut scratch = vec![Complex64::ZERO; self.plan_x.scratch_len()];
+            let mut line = vec![Complex64::ZERO; nx];
+            let stride = ny * nz;
+            for rem in 0..stride {
+                for ix in 0..nx {
+                    line[ix] = data[rem + ix * stride];
+                }
+                self.plan_x.process_with(&mut line, &mut scratch, dir);
+                for ix in 0..nx {
+                    data[rem + ix * stride] = line[ix];
+                }
+            }
+        }
+        bgw_perf::counters::record_fft_pass(
+            self.line_count() as u64,
+            t0.elapsed().as_nanos() as u64,
+        );
     }
 }
 

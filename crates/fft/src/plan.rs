@@ -278,11 +278,6 @@ impl FftPlan {
         // distinct k values touch disjoint positions.
     }
 
-    /// `true` when this length falls back to the chirp-z (Bluestein) path.
-    pub fn uses_bluestein(&self) -> bool {
-        self.bluestein.is_some()
-    }
-
     /// Scratch length (in `f64` elements) required by
     /// [`FftPlan::process_batch_split`]: ping-pong re/im planes for a full
     /// line batch.
@@ -881,6 +876,18 @@ pub fn dft_reference(x: &[Complex64], dir: Direction) -> Vec<Complex64> {
 mod tests {
     use super::*;
     use bgw_num::c64;
+    use bgw_perf::counters::CounterSnapshot;
+
+    /// Butterfly passes by combine-set ISA index (0 scalar, 1 neon,
+    /// 2 avx2, 3 avx512).
+    fn fft_mk_calls(s: &CounterSnapshot) -> [u64; 4] {
+        [
+            s.fft_mk_calls_scalar,
+            s.fft_mk_calls_neon,
+            s.fft_mk_calls_avx2,
+            s.fft_mk_calls_avx512,
+        ]
+    }
 
     fn rand_signal(n: usize, seed: u64) -> Vec<Complex64> {
         // Small deterministic LCG; avoids pulling rand into the hot crate.
@@ -1052,7 +1059,7 @@ mod tests {
         // pins the per-ISA FFT telemetry: the butterfly set that ran must
         // be the effective ISA's.
         let effective = bgw_num::simd::effective();
-        let before = bgw_perf::counters::snapshot().fft_mk_calls_by_isa();
+        let before = fft_mk_calls(&bgw_perf::counters::snapshot());
         for n in [1usize, 2, 8, 12, 15, 17, 26, 31, 45, 60, 64, 90, 100] {
             for batch in [1usize, 3, 5, LINE_BATCH] {
                 for dir in [Direction::Forward, Direction::Inverse] {
@@ -1084,7 +1091,7 @@ mod tests {
                 }
             }
         }
-        let after = bgw_perf::counters::snapshot().fft_mk_calls_by_isa();
+        let after = fft_mk_calls(&bgw_perf::counters::snapshot());
         assert!(
             after[effective.index()] > before[effective.index()],
             "effective-ISA butterfly lane must advance"

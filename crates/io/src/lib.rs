@@ -11,7 +11,10 @@
 //!
 //! Format: magic `BGWR`, format version, a record tag, shape header, and
 //! a raw little-endian `f64` payload followed by an FNV-1a checksum of
-//! the payload bytes.
+//! the payload bytes. The shape header is not checksummed, so every count
+//! it holds is checked against the bytes left in the file before it sizes
+//! anything: a flipped header field is [`IoError::BadHeader`], never an
+//! overflow or an allocation the file could not fill.
 
 #![warn(missing_docs)]
 
@@ -23,6 +26,10 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"BGWR";
 const VERSION: u32 = 1;
+
+/// Smallest matrix record on disk: a 16-byte header, two dims and the
+/// checksum of an empty payload.
+const MIN_MATRIX_RECORD: u64 = 16 + 2 * 8 + 8;
 
 /// Record tags identifying what a file holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,7 +53,8 @@ pub const CHECKPOINT_VERSION: u64 = 1;
 pub enum IoError {
     /// Underlying filesystem error.
     Io(io::Error),
-    /// Not a BGWR file or unsupported version.
+    /// Not a BGWR file, unsupported version, or a header count the file
+    /// cannot hold.
     BadHeader(String),
     /// The payload checksum did not match (truncation/corruption).
     ChecksumMismatch {
@@ -107,7 +115,27 @@ fn write_header<W: Write>(w: &mut W, tag: RecordTag, dims: &[u64]) -> io::Result
     Ok(())
 }
 
-fn read_header<R: Read>(r: &mut R, expect: RecordTag) -> Result<Vec<u64>, IoError> {
+/// Takes `n` bytes (`None`: the count overflowed) off `left`, the bytes of
+/// the file the decoder has not consumed yet.
+fn take(left: &mut u64, n: Option<u64>, what: &str) -> Result<(), IoError> {
+    match n {
+        Some(n) if n <= *left => {
+            *left -= n;
+            Ok(())
+        }
+        _ => Err(IoError::BadHeader(format!(
+            "{what} needs more than the {left} bytes left in the file"
+        ))),
+    }
+}
+
+/// `a * b` as a `usize` count, `None` on overflow.
+fn count(a: u64, b: u64) -> Option<usize> {
+    a.checked_mul(b).and_then(|n| usize::try_from(n).ok())
+}
+
+fn read_header<R: Read>(r: &mut R, expect: RecordTag, left: &mut u64) -> Result<Vec<u64>, IoError> {
+    take(left, Some(16), "record header")?;
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -129,6 +157,7 @@ fn read_header<R: Read>(r: &mut R, expect: RecordTag) -> Result<Vec<u64>, IoErro
     if ndims > 8 {
         return Err(IoError::BadHeader(format!("{ndims} dims")));
     }
+    take(left, Some(8 * ndims as u64), "shape header")?;
     let mut dims = Vec::with_capacity(ndims);
     let mut b8 = [0u8; 8];
     for _ in 0..ndims {
@@ -148,8 +177,12 @@ fn write_payload<W: Write>(w: &mut W, data: &[f64]) -> io::Result<()> {
     Ok(())
 }
 
-fn read_payload<R: Read>(r: &mut R, n: usize) -> Result<Vec<f64>, IoError> {
-    let mut bytes = vec![0u8; n * 8];
+/// Reads a payload of `n` values (`None`: the count overflowed) and its
+/// checksum, after checking the file holds them.
+fn read_payload<R: Read>(r: &mut R, n: Option<usize>, left: &mut u64) -> Result<Vec<f64>, IoError> {
+    let len = n.and_then(|n| n.checked_mul(8));
+    take(left, len.and_then(|b| (b as u64).checked_add(8)), "payload")?;
+    let mut bytes = vec![0u8; len.unwrap_or(0)];
     r.read_exact(&mut bytes)?;
     let mut b8 = [0u8; 8];
     r.read_exact(&mut b8)?;
@@ -189,13 +222,19 @@ pub fn write_wavefunctions(path: &Path, wf: &Wavefunctions) -> Result<u64, IoErr
 /// Reads a band set back.
 pub fn read_wavefunctions(path: &Path) -> Result<Wavefunctions, IoError> {
     let f = std::fs::File::open(path)?;
+    let mut left = f.metadata()?.len();
     let mut r = io::BufReader::new(f);
-    let dims = read_header(&mut r, RecordTag::Wavefunctions)?;
+    let dims = read_header(&mut r, RecordTag::Wavefunctions, &mut left)?;
     if dims.len() != 3 {
         return Err(IoError::BadHeader(format!("{} dims for WFN", dims.len())));
     }
+    // energies (nb) + coefficients (2 nb ng)
+    let n = dims[1]
+        .checked_mul(2)
+        .and_then(|g2| g2.checked_add(1))
+        .and_then(|per_band| count(dims[0], per_band));
+    let data = read_payload(&mut r, n, &mut left)?;
     let (nb, ng, nv) = (dims[0] as usize, dims[1] as usize, dims[2] as usize);
-    let data = read_payload(&mut r, nb + 2 * nb * ng)?;
     let energies = data[..nb].to_vec();
     let coeffs_flat: Vec<Complex64> = data[nb..]
         .chunks_exact(2)
@@ -222,16 +261,19 @@ fn write_matrix_to<W: Write>(w: &mut W, m: &CMatrix) -> Result<u64, IoError> {
 }
 
 /// Reads one matrix record from an open stream.
-fn read_matrix_from<R: Read>(r: &mut R) -> Result<CMatrix, IoError> {
-    let dims = read_header(r, RecordTag::Matrix)?;
+fn read_matrix_from<R: Read>(r: &mut R, left: &mut u64) -> Result<CMatrix, IoError> {
+    let dims = read_header(r, RecordTag::Matrix, left)?;
     if dims.len() != 2 {
         return Err(IoError::BadHeader(format!(
             "{} dims for matrix",
             dims.len()
         )));
     }
+    let n = dims[0]
+        .checked_mul(2)
+        .and_then(|re_im| count(re_im, dims[1]));
+    let data = read_payload(r, n, left)?;
     let (nr, nc) = (dims[0] as usize, dims[1] as usize);
-    let data = read_payload(r, 2 * nr * nc)?;
     let flat: Vec<Complex64> = data.chunks_exact(2).map(|p| c64(p[0], p[1])).collect();
     Ok(CMatrix::from_vec(nr, nc, flat))
 }
@@ -249,56 +291,9 @@ pub fn write_matrix(path: &Path, m: &CMatrix) -> Result<u64, IoError> {
 /// Reads a dense complex matrix back.
 pub fn read_matrix(path: &Path) -> Result<CMatrix, IoError> {
     let f = std::fs::File::open(path)?;
+    let mut left = f.metadata()?.len();
     let mut r = io::BufReader::new(f);
-    read_matrix_from(&mut r)
-}
-
-/// Writes a full dielectric container (frequencies, vsqrt, matrices) as a
-/// directory of BGWR files — the epsmat-directory analogue.
-pub fn write_epsilon(
-    dir: &Path,
-    omegas: &[f64],
-    vsqrt: &[f64],
-    mats: &[CMatrix],
-) -> Result<u64, IoError> {
-    assert_eq!(omegas.len(), mats.len());
-    std::fs::create_dir_all(dir)?;
-    let mut total = 0u64;
-    // header record: omegas and vsqrt packed as a 2 x max matrix is
-    // wasteful; store as a (2, n) "matrix" with rows (omega pad, vsqrt).
-    let n = vsqrt.len();
-    let mut head = CMatrix::zeros(2, n.max(omegas.len()));
-    for (j, &w) in omegas.iter().enumerate() {
-        head[(0, j)] = c64(w, 0.0);
-    }
-    for (j, &v) in vsqrt.iter().enumerate() {
-        head[(1, j)] = c64(v, 0.0);
-    }
-    total += write_matrix(&dir.join("head.bgwr"), &head)?;
-    for (i, m) in mats.iter().enumerate() {
-        total += write_matrix(&dir.join(format!("eps_{i:04}.bgwr")), m)?;
-    }
-    Ok(total)
-}
-
-/// Reads a dielectric container back: `(omegas, vsqrt, matrices)`.
-#[allow(clippy::type_complexity)]
-pub fn read_epsilon(dir: &Path) -> Result<(Vec<f64>, Vec<f64>, Vec<CMatrix>), IoError> {
-    let head = read_matrix(&dir.join("head.bgwr"))?;
-    let mut mats = Vec::new();
-    let mut i = 0usize;
-    loop {
-        let path = dir.join(format!("eps_{i:04}.bgwr"));
-        if !path.exists() {
-            break;
-        }
-        mats.push(read_matrix(&path)?);
-        i += 1;
-    }
-    let n_g = mats.first().map_or(0, |m| m.nrows());
-    let omegas: Vec<f64> = (0..mats.len()).map(|j| head[(0, j)].re).collect();
-    let vsqrt: Vec<f64> = (0..n_g).map(|j| head[(1, j)].re).collect();
-    Ok((omegas, vsqrt, mats))
+    read_matrix_from(&mut r, &mut left)
 }
 
 /// A restart checkpoint: where a workflow was (stage/step), a small vector
@@ -384,8 +379,9 @@ pub fn write_checkpoint_file(path: &Path, ckpt: &Checkpoint) -> Result<u64, IoEr
 pub fn read_checkpoint_file(path: &Path) -> Result<Checkpoint, IoError> {
     let _span = bgw_trace::span!("io.ckpt.read");
     let f = std::fs::File::open(path)?;
+    let mut left = f.metadata()?.len();
     let mut r = io::BufReader::new(f);
-    let dims = read_header(&mut r, RecordTag::Checkpoint)?;
+    let dims = read_header(&mut r, RecordTag::Checkpoint, &mut left)?;
     if dims.len() != 5 {
         return Err(IoError::BadHeader(format!(
             "{} dims for checkpoint",
@@ -399,12 +395,19 @@ pub fn read_checkpoint_file(path: &Path) -> Result<Checkpoint, IoError> {
         )));
     }
     let (stage, step) = (dims[1], dims[2]);
-    let (n_meta, n_mats) = (dims[3] as usize, dims[4] as usize);
-    let meta = read_payload(&mut r, n_meta)?;
-    let mut matrices = Vec::with_capacity(n_mats);
-    let mut bytes = (n_meta * 8) as u64;
+    let meta = read_payload(&mut r, usize::try_from(dims[3]).ok(), &mut left)?;
+    // Each embedded matrix record is at least its two-dim header and a
+    // checksum, so the bytes left bound the count before it sizes a Vec.
+    let n_mats = dims[4];
+    if n_mats > left / MIN_MATRIX_RECORD {
+        return Err(IoError::BadHeader(format!(
+            "{n_mats} matrices need more than the {left} bytes left in the file"
+        )));
+    }
+    let mut matrices = Vec::with_capacity(n_mats as usize);
+    let mut bytes = (meta.len() * 8) as u64;
     for _ in 0..n_mats {
-        let m = read_matrix_from(&mut r)?;
+        let m = read_matrix_from(&mut r, &mut left)?;
         bytes += (2 * m.nrows() * m.ncols() * 8) as u64;
         matrices.push(m);
     }
@@ -514,7 +517,11 @@ mod tests {
         write_wavefunctions(&path, &wf).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(matches!(read_wavefunctions(&path), Err(IoError::Io(_))));
+        // the intact header promises a payload the file no longer holds
+        assert!(matches!(
+            read_wavefunctions(&path),
+            Err(IoError::BadHeader(_))
+        ));
         std::fs::remove_file(&path).ok();
     }
 
@@ -528,24 +535,6 @@ mod tests {
             other => panic!("tag confusion not detected: {other:?}"),
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn epsilon_container_roundtrip() {
-        let dir = tmp("epsdir");
-        let omegas = vec![0.0, 0.5, 1.0];
-        let vsqrt = vec![3.0, 2.0, 1.5, 1.0];
-        let mats: Vec<CMatrix> = (0..3)
-            .map(|i| CMatrix::random(4, 4, i as u64 + 50))
-            .collect();
-        write_epsilon(&dir, &omegas, &vsqrt, &mats).unwrap();
-        let (o2, v2, m2) = read_epsilon(&dir).unwrap();
-        assert_eq!(o2, omegas);
-        assert_eq!(v2, vsqrt);
-        for (a, b) in mats.iter().zip(&m2) {
-            assert_eq!(a.max_abs_diff(b), 0.0);
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -653,6 +642,53 @@ mod tests {
             read_checkpoint_file(&path),
             Err(IoError::BadHeader(_))
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes a valid checkpoint `index` under `dir`, then overwrites the
+    /// 8-byte header field at `offset` with `value`.
+    fn crafted_checkpoint(dir: &Path, index: u64, offset: usize, value: u64) -> std::path::PathBuf {
+        let ckpt = Checkpoint {
+            stage: 1,
+            step: 2,
+            meta: vec![7.0],
+            matrices: vec![CMatrix::random(3, 3, 1)],
+        };
+        write_checkpoint(dir, index, &ckpt).unwrap();
+        let path = checkpoint_path(dir, index);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        path
+    }
+
+    #[test]
+    fn crafted_header_counts_are_bad_headers() {
+        // The header dims sit after magic + version + tag + ndims (16
+        // bytes): version, stage, step, n_meta (byte 40), n_mats (byte
+        // 48). The first embedded matrix header follows the 56-byte
+        // header and the one-value meta payload with its checksum; its
+        // row count is at 56 + 16 + 16 = 88.
+        let dir = tmp("ckptcrafted");
+        for (offset, field) in [(40, "n_meta"), (48, "n_mats"), (88, "matrix rows")] {
+            let path = crafted_checkpoint(&dir, 0, offset, u64::MAX);
+            match read_checkpoint_file(&path) {
+                Err(IoError::BadHeader(_)) => {}
+                other => panic!("{field} = u64::MAX: expected BadHeader, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn latest_checkpoint_skips_a_crafted_header() {
+        let dir = tmp("ckptcraftedlatest");
+        let good = crafted_checkpoint(&dir, 0, 32, 2); // step rewritten to itself
+        let want = read_checkpoint_file(&good).unwrap();
+        crafted_checkpoint(&dir, 1, 48, u64::MAX);
+        let (idx, ckpt) = read_latest_checkpoint(&dir).unwrap().unwrap();
+        assert_eq!(idx, 0);
+        assert_eq!(ckpt, want);
         std::fs::remove_dir_all(&dir).ok();
     }
 

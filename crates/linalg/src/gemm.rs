@@ -160,9 +160,8 @@ pub fn zgemm(
 /// global dispatch state, so concurrent callers can exercise different
 /// kernels.
 ///
-/// The kernel must come from the registry ([`microkernel::kernels_for`]
-/// or [`microkernel::host_kernels`]), which only hands out
-/// host-executable variants.
+/// The kernel must come from the registry ([`microkernel::kernels_for`]),
+/// which only hands out host-executable variants.
 #[allow(clippy::too_many_arguments)]
 pub fn zgemm_with_microkernel(
     alpha: Complex64,
@@ -495,6 +494,18 @@ fn zgemm_blocked(
 mod tests {
     use super::*;
     use bgw_num::{c64, Xoshiro256StarStar};
+    use bgw_perf::counters::CounterSnapshot;
+
+    /// Microkernel dispatches by ISA index (0 scalar, 1 neon, 2 avx2,
+    /// 3 avx512).
+    fn gemm_mk_calls(s: &CounterSnapshot) -> [u64; 4] {
+        [
+            s.gemm_mk_calls_scalar,
+            s.gemm_mk_calls_neon,
+            s.gemm_mk_calls_avx2,
+            s.gemm_mk_calls_avx512,
+        ]
+    }
 
     fn backends() -> Vec<GemmBackend> {
         vec![
@@ -842,10 +853,10 @@ mod tests {
         let reference = matmul(&a, Op::None, &b, Op::None, GemmBackend::Naive);
         for isa in simd::supported() {
             assert!(simd::force(Some(isa)), "supported ISA must be forceable");
-            let before = bgw_perf::counters::snapshot().gemm_mk_calls_by_isa()[isa.index()];
+            let before = gemm_mk_calls(&bgw_perf::counters::snapshot())[isa.index()];
             let c = matmul(&a, Op::None, &b, Op::None, GemmBackend::Parallel);
             assert!(c.max_abs_diff(&reference) <= 1e-12, "{isa:?} parity");
-            let after = bgw_perf::counters::snapshot().gemm_mk_calls_by_isa()[isa.index()];
+            let after = gemm_mk_calls(&bgw_perf::counters::snapshot())[isa.index()];
             assert!(
                 after > before,
                 "{isa:?} lane must record the dispatched kernel"
@@ -884,7 +895,7 @@ mod tests {
         assert!(d.gemm_pack_ns > 0, "packing must be accounted");
         assert!(d.gemm_compute_ns > 0, "microkernel must be accounted");
         // The per-ISA lanes must account the same work to some lane.
-        let mk_calls: u64 = d.gemm_mk_calls_by_isa().iter().sum();
+        let mk_calls: u64 = gemm_mk_calls(&d).iter().sum();
         assert!(mk_calls >= 1, "dispatched kernel lane must advance");
     }
 }

@@ -15,8 +15,6 @@ pub struct Lu {
     lu: CMatrix,
     /// Row permutation: `piv[i]` is the original row now in position `i`.
     piv: Vec<usize>,
-    /// Sign/phase of the permutation (+1 or -1) for determinants.
-    perm_sign: f64,
 }
 
 /// Error returned when a matrix is numerically singular.
@@ -45,7 +43,6 @@ impl Lu {
         let n = a.nrows();
         let mut lu = a.clone();
         let mut piv: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
         for k in 0..n {
             // Partial pivot: largest modulus in column k at or below row k.
             let mut best = k;
@@ -68,7 +65,6 @@ impl Lu {
                     lu[(best, j)] = t;
                 }
                 piv.swap(k, best);
-                perm_sign = -perm_sign;
             }
             let pivot_inv = lu[(k, k)].inv();
             for i in k + 1..n {
@@ -80,7 +76,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Self { lu, piv, perm_sign })
+        Ok(Self { lu, piv })
     }
 
     /// Matrix dimension.
@@ -130,15 +126,6 @@ impl Lu {
     /// Computes `A^{-1}`.
     pub fn inverse(&self) -> CMatrix {
         self.solve(&CMatrix::identity(self.dim()))
-    }
-
-    /// Determinant of `A`.
-    pub fn det(&self) -> Complex64 {
-        let mut d = Complex64::real(self.perm_sign);
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
     }
 }
 
@@ -192,36 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_of_triangular_and_permuted() {
-        let a = CMatrix::from_vec(
-            2,
-            2,
-            vec![c64(3.0, 0.0), c64(1.0, 0.0), Complex64::ZERO, c64(2.0, 0.0)],
-        );
-        let d = Lu::new(&a).unwrap().det();
-        assert!((d - c64(6.0, 0.0)).abs() < 1e-12);
-        // swap rows: determinant flips sign
-        let b = CMatrix::from_vec(
-            2,
-            2,
-            vec![Complex64::ZERO, c64(2.0, 0.0), c64(3.0, 0.0), c64(1.0, 0.0)],
-        );
-        let d = Lu::new(&b).unwrap().det();
-        assert!((d + c64(6.0, 0.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn det_multiplicative() {
-        let a = CMatrix::random(6, 6, 9);
-        let b = CMatrix::random(6, 6, 10);
-        let ab = matmul(&a, Op::None, &b, Op::None, GemmBackend::Blocked);
-        let da = Lu::new(&a).unwrap().det();
-        let db = Lu::new(&b).unwrap().det();
-        let dab = Lu::new(&ab).unwrap().det();
-        assert!((dab - da * db).abs() < 1e-9 * dab.abs().max(1.0));
-    }
-
-    #[test]
     fn singular_matrix_detected() {
         let mut a = CMatrix::zeros(3, 3);
         a[(0, 0)] = c64(1.0, 0.0);
@@ -239,8 +196,8 @@ mod tests {
             2,
             vec![c64(0.0, 1.0), c64(1.0, 0.0), c64(1.0, 0.0), c64(0.0, -1.0)],
         );
-        // det = i*(-i) - 1 = 1 - 1 = 0 -> singular? i * -i = -i^2 = 1... det = 1 - 1 = 0.
-        assert!(Lu::new(&a).is_err() || Lu::new(&a).unwrap().det().abs() < 1e-12);
+        // det = i*(-i) - 1 = 1 - 1 = 0: the second pivot is exactly zero.
+        assert!(Lu::new(&a).is_err());
         let b = CMatrix::from_vec(
             2,
             2,

@@ -207,15 +207,6 @@ pub fn kernels_for(isa: Isa) -> &'static [MicroKernel] {
     }
 }
 
-/// All kernels this host can execute, narrowest ISA first. Parity sweeps
-/// and the autotuner iterate this list.
-pub fn host_kernels() -> Vec<&'static MicroKernel> {
-    simd::supported()
-        .into_iter()
-        .flat_map(|isa| kernels_for(isa).iter())
-        .collect()
-}
-
 /// The default kernel for `isa`, falling back to scalar when the host
 /// lacks the ISA (so the return is always executable).
 pub fn default_kernel(isa: Isa) -> &'static MicroKernel {
@@ -298,6 +289,16 @@ pub fn resolve(
         tiles,
         tiles_from,
     }
+}
+
+/// All kernels this host can execute, narrowest ISA first: what the
+/// parity sweeps iterate.
+#[cfg(test)]
+pub(crate) fn host_kernels() -> Vec<&'static MicroKernel> {
+    simd::supported()
+        .into_iter()
+        .flat_map(|isa| kernels_for(isa).iter())
+        .collect()
 }
 
 #[cfg(test)]

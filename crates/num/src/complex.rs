@@ -46,13 +46,6 @@ impl Complex64 {
         c64(re, 0.0)
     }
 
-    /// Creates a complex number from polar coordinates `r * exp(i theta)`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        let (s, c) = theta.sin_cos();
-        c64(r * c, r * s)
-    }
-
     /// `exp(i theta)`, a unit-modulus phase factor (used by stochastic
     /// pseudobands and FFT twiddles).
     #[inline]
@@ -361,21 +354,6 @@ impl Product for Complex64 {
     }
 }
 
-/// Views a complex slice as interleaved `[re, im, re, im, ...]` reals.
-#[inline]
-pub fn as_interleaved(z: &[Complex64]) -> &[f64] {
-    // SAFETY: Complex64 is repr(C) with exactly two f64 fields, so the
-    // layouts are compatible and alignment of f64 divides that of Complex64.
-    unsafe { std::slice::from_raw_parts(z.as_ptr() as *const f64, z.len() * 2) }
-}
-
-/// Views a mutable complex slice as interleaved reals.
-#[inline]
-pub fn as_interleaved_mut(z: &mut [Complex64]) -> &mut [f64] {
-    // SAFETY: see `as_interleaved`.
-    unsafe { std::slice::from_raw_parts_mut(z.as_mut_ptr() as *mut f64, z.len() * 2) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,7 +372,7 @@ mod tests {
 
     #[test]
     fn polar_roundtrip() {
-        let z = Complex64::from_polar(2.0, 0.7);
+        let z = Complex64::cis(0.7).scale(2.0);
         assert!((z.abs() - 2.0).abs() < 1e-12);
         assert!((z.arg() - 0.7).abs() < 1e-12);
         let u = Complex64::cis(1.3);
@@ -492,14 +470,6 @@ mod tests {
             c64(1.0, 0.0) * c64(0.0, 1.0) * c64(2.0, 2.0),
             1e-12
         ));
-    }
-
-    #[test]
-    fn interleaved_views() {
-        let mut v = vec![c64(1.0, 2.0), c64(3.0, 4.0)];
-        assert_eq!(as_interleaved(&v), &[1.0, 2.0, 3.0, 4.0]);
-        as_interleaved_mut(&mut v)[3] = 9.0;
-        assert_eq!(v[1], c64(3.0, 9.0));
     }
 
     #[test]

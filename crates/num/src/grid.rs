@@ -59,22 +59,6 @@ impl UniformGrid {
         let i = ((x - self.points[0]) / step).round();
         (i.max(0.0) as usize).min(self.points.len() - 1)
     }
-
-    /// Linear interpolation weight pair `(i, t)` such that
-    /// `f(x) ≈ (1-t) f_i + t f_{i+1}`; clamps outside the grid.
-    pub fn interp_weights(&self, x: f64) -> (usize, f64) {
-        let n = self.points.len();
-        if n == 1 || x <= self.points[0] {
-            return (0, 0.0);
-        }
-        if x >= self.points[n - 1] {
-            return (n - 2, 1.0);
-        }
-        let step = self.step();
-        let u = (x - self.points[0]) / step;
-        let i = (u.floor() as usize).min(n - 2);
-        (i, u - i as f64)
-    }
 }
 
 /// Gauss-Legendre nodes and weights on `[0, 1]`, used for the frequency
@@ -165,23 +149,6 @@ mod tests {
         assert_eq!(g.nearest(3.6), 4);
         assert_eq!(g.nearest(-5.0), 0);
         assert_eq!(g.nearest(50.0), 10);
-    }
-
-    #[test]
-    fn interp_weights_reproduce_linear_function() {
-        let g = UniformGrid::new(-1.0, 3.0, 9);
-        let f: Vec<f64> = g.points.iter().map(|x| 2.0 * x + 1.0).collect();
-        for &x in &[-1.0, -0.3, 0.77, 2.999, 3.0] {
-            let (i, t) = g.interp_weights(x);
-            let v = (1.0 - t) * f[i] + t * f[i + 1];
-            assert!((v - (2.0 * x + 1.0)).abs() < 1e-12, "x={x}");
-        }
-        // clamped outside
-        let (i, t) = g.interp_weights(-10.0);
-        assert_eq!((i, t), (0, 0.0));
-        let (i, t) = g.interp_weights(10.0);
-        assert_eq!(i, 7);
-        assert_eq!(t, 1.0);
     }
 
     #[test]

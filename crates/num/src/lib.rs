@@ -30,6 +30,3 @@ pub const HARTREE_EV: f64 = 27.211386245988;
 
 /// Rydberg expressed in electron-volts.
 pub const RYDBERG_EV: f64 = HARTREE_EV / 2.0;
-
-/// Bohr radius expressed in angstroms.
-pub const BOHR_ANGSTROM: f64 = 0.529177210903;

@@ -72,16 +72,6 @@ impl Isa {
     pub fn all() -> [Isa; ISA_COUNT] {
         [Isa::Scalar, Isa::Neon, Isa::Avx2, Isa::Avx512]
     }
-
-    /// f64 lanes per SIMD register of this ISA.
-    pub fn f64_lanes(self) -> usize {
-        match self {
-            Isa::Scalar => 1,
-            Isa::Neon => 2,
-            Isa::Avx2 => 4,
-            Isa::Avx512 => 8,
-        }
-    }
 }
 
 /// `detected() + 1` once probed; 0 = not yet probed.
@@ -197,7 +187,6 @@ mod tests {
         for (i, isa) in Isa::all().into_iter().enumerate() {
             assert_eq!(isa.index(), i);
             assert_eq!(Isa::from_name(isa.name()), Some(isa));
-            assert!(isa.f64_lanes().is_power_of_two());
         }
         assert_eq!(Isa::from_name("sse9"), None);
     }

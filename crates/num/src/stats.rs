@@ -90,16 +90,6 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Root-mean-square difference between two equal-length slices.
-pub fn rms_diff(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    if a.is_empty() {
-        return 0.0;
-    }
-    let s: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-    (s / a.len() as f64).sqrt()
-}
-
 /// Relative error `|a - b| / max(|b|, floor)`.
 pub fn rel_err(a: f64, b: f64, floor: f64) -> f64 {
     (a - b).abs() / b.abs().max(floor)
@@ -140,9 +130,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [1.0, 2.5, 2.0];
         assert!((max_abs_diff(&a, &b) - 1.0).abs() < 1e-15);
-        let rms = rms_diff(&a, &b);
-        assert!((rms - ((0.25_f64 + 1.0) / 3.0).sqrt()).abs() < 1e-12);
-        assert_eq!(rms_diff(&[], &[]), 0.0);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! onto the *completing* worker's deque — readiness-driven execution with
 //! no phase barrier anywhere.
 //!
-//! Nested data-parallel calls (`parallel_for` etc.) made from inside a
-//! task body run inline on the executing worker, exactly like any nested
-//! parallel region: with the graph overdecomposed (more tasks than
+//! Nested data-parallel calls (`parallel_for_chunked` etc.) made from
+//! inside a task body run inline on the executing worker, exactly like any
+//! nested parallel region: with the graph overdecomposed (more tasks than
 //! workers), task-level concurrency *is* the node-level parallelism.
 //!
 //! ## Determinism contract

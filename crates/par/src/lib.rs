@@ -3,7 +3,7 @@
 //! On the machines in the paper each MPI rank drives a GPU with thousands
 //! of threads; in this reproduction a rank is a thread and the *node-level*
 //! parallelism inside a rank is provided by this crate: dynamically
-//! scheduled `parallel_for` / `parallel_reduce` over index ranges (the
+//! scheduled `parallel_for_chunked` / `parallel_reduce` over index ranges (the
 //! software analogue of the two-level work-group decomposition of paper
 //! Sec. 5.5).
 //!
@@ -13,7 +13,7 @@
 //! from a shared atomic counter, and the caller blocks until the region
 //! has quiesced. Workers then park again, so the per-call cost is a
 //! wake/park cycle instead of the thread spawn/join the previous
-//! implementation paid on *every* `parallel_for` — which sat on the hot
+//! implementation paid on *every* parallel call — which sat on the hot
 //! path of every GW kernel (CHI_SUM, GPP diag/off-diag, GWPT, ZGEMM).
 //!
 //! Re-entrancy rule: a parallel call made from inside a parallel region
@@ -454,22 +454,6 @@ where
     bgw_perf::counters::record_pool_inline(excl);
 }
 
-/// Runs `body(i)` for every `i in 0..n`, distributing chunks of indices
-/// over the worker pool with dynamic (atomic counter) scheduling. `cost`
-/// is the work of one index.
-///
-/// `body` must be safe to call concurrently from several threads.
-pub fn parallel_for<F>(n: usize, cost: Flops, body: F)
-where
-    F: Fn(usize) + Sync,
-{
-    parallel_for_chunked(n, auto_chunk(n, num_threads(), 16), cost, |lo, hi| {
-        for i in lo..hi {
-            body(i);
-        }
-    });
-}
-
 /// Runs `body(lo, hi)` over disjoint chunks `[lo, hi)` covering `0..n`;
 /// `cost` is the work of one index.
 ///
@@ -654,6 +638,20 @@ mod tests {
     /// One index is already worth a wake-up: regions stating this cost
     /// reach the pool whenever the width and chunk count allow.
     pub(crate) const HEAVY: Flops = Flops(MIN_REGION_FLOPS);
+
+    /// `body(i)` for every `i in 0..n` over auto-sized chunks: the
+    /// per-index spelling the pool tests drive `parallel_for_chunked`
+    /// through.
+    fn parallel_for<F>(n: usize, cost: Flops, body: F)
+    where
+        F: Fn(usize) + Sync,
+    {
+        parallel_for_chunked(n, auto_chunk(n, num_threads(), 16), cost, |lo, hi| {
+            for i in lo..hi {
+                body(i);
+            }
+        });
+    }
 
     #[test]
     fn thread_count_override() {

@@ -101,14 +101,6 @@ impl GSphere {
         self.index.get(&m).copied()
     }
 
-    /// Index of `-G` for the G-vector at `i` (spheres are inversion
-    /// symmetric by construction).
-    pub fn minus(&self, i: usize) -> usize {
-        let m = self.miller[i];
-        self.find([-m[0], -m[1], -m[2]])
-            .expect("sphere must be inversion symmetric")
-    }
-
     /// Flattened FFT-box index for the G-vector at `i` (wrapping negative
     /// Miller indices into the box).
     pub fn fft_index(&self, i: usize) -> usize {
@@ -119,6 +111,18 @@ impl GSphere {
             (((v % n) + n) % n) as usize
         };
         (wrap(m[0], nx) * ny + wrap(m[1], ny)) * nz + wrap(m[2], nz)
+    }
+}
+
+/// The `-G` partner the Hermitian-symmetry tests pair each G with.
+#[cfg(test)]
+impl GSphere {
+    /// Index of `-G` for the G-vector at `i` (spheres are inversion
+    /// symmetric by construction).
+    pub(crate) fn minus(&self, i: usize) -> usize {
+        let m = self.miller[i];
+        self.find([-m[0], -m[1], -m[2]])
+            .expect("sphere must be inversion symmetric")
     }
 }
 
@@ -154,10 +158,8 @@ mod tests {
     #[test]
     fn inversion_symmetry() {
         let sph = GSphere::new(&Lattice::hexagonal(5.0, 12.0), 5.0);
-        for i in 0..sph.len() {
-            let j = sph.minus(i);
-            let (a, b) = (sph.miller[i], sph.miller[j]);
-            assert_eq!([a[0] + b[0], a[1] + b[1], a[2] + b[2]], [0, 0, 0]);
+        for m in &sph.miller {
+            assert!(sph.find([-m[0], -m[1], -m[2]]).is_some(), "-{m:?} missing");
         }
     }
 

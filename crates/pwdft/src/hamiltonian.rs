@@ -177,7 +177,11 @@ mod tests {
     fn hamiltonian_is_hermitian() {
         let (_, _, h) = si_bulk();
         let m = h.to_matrix();
-        assert!(m.is_hermitian(1e-12), "err {}", m.hermiticity_error());
+        assert!(
+            m.hermiticity_error() <= 1e-12,
+            "err {}",
+            m.hermiticity_error()
+        );
     }
 
     #[test]

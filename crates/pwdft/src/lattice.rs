@@ -27,11 +27,6 @@ impl Lattice {
         Self::new([[a0, 0.0, 0.0], [0.0, a0, 0.0], [0.0, 0.0, a0]])
     }
 
-    /// Orthorhombic lattice.
-    pub fn orthorhombic(ax: f64, ay: f64, az: f64) -> Self {
-        Self::new([[ax, 0.0, 0.0], [0.0, ay, 0.0], [0.0, 0.0, az]])
-    }
-
     /// Hexagonal lattice (in-plane constant `a0`, out-of-plane `c`).
     pub fn hexagonal(a0: f64, c: f64) -> Self {
         Self::new([
@@ -66,15 +61,6 @@ impl Lattice {
         let b2 = cross(w, u).map(|x| x * f);
         let b3 = cross(u, v).map(|x| x * f);
         [b1, b2, b3]
-    }
-
-    /// Converts fractional coordinates to Cartesian (bohr).
-    pub fn frac_to_cart(&self, f: [f64; 3]) -> [f64; 3] {
-        let mut r = [0.0; 3];
-        for (i, ri) in r.iter_mut().enumerate() {
-            *ri = f[0] * self.a[0][i] + f[1] * self.a[1][i] + f[2] * self.a[2][i];
-        }
-        r
     }
 
     /// Cartesian G-vector for integer Miller indices.
@@ -282,6 +268,20 @@ impl Crystal {
             *fk += dfk;
         }
         c
+    }
+}
+
+/// The reference the tests hold `g_cart` and `with_displacement`'s
+/// Cartesian-to-fractional step to.
+#[cfg(test)]
+impl Lattice {
+    /// Converts fractional coordinates to Cartesian (bohr).
+    fn frac_to_cart(&self, f: [f64; 3]) -> [f64; 3] {
+        let mut r = [0.0; 3];
+        for (i, ri) in r.iter_mut().enumerate() {
+            *ri = f[0] * self.a[0][i] + f[1] * self.a[1][i] + f[2] * self.a[2][i];
+        }
+        r
     }
 }
 

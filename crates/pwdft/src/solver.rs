@@ -52,33 +52,6 @@ impl Wavefunctions {
     pub fn fermi_ry(&self) -> f64 {
         0.5 * (self.energies[self.n_valence] + self.energies[self.n_valence - 1])
     }
-
-    /// Maximum deviation from orthonormality `max |<m|n> - delta_mn|`.
-    pub fn orthonormality_error(&self) -> f64 {
-        let nb = self.n_bands();
-        let mut err: f64 = 0.0;
-        for m in 0..nb {
-            for n in m..nb {
-                let mut acc = Complex64::ZERO;
-                for (a, b) in self.coeffs.row(m).iter().zip(self.coeffs.row(n)) {
-                    acc = acc.conj_mul_add(*a, *b);
-                }
-                let target = if m == n { 1.0 } else { 0.0 };
-                err = err.max((acc - target).abs());
-            }
-        }
-        err
-    }
-
-    /// Truncates to the first `n_bands` states.
-    pub fn truncated(&self, n_bands: usize) -> Self {
-        assert!(n_bands <= self.n_bands() && n_bands > self.n_valence);
-        Self {
-            energies: self.energies[..n_bands].to_vec(),
-            coeffs: self.coeffs.submatrix(0, n_bands, 0, self.n_g()),
-            n_valence: self.n_valence,
-        }
-    }
 }
 
 /// Diagonalizes the Hamiltonian and keeps the lowest `n_bands` states
@@ -175,11 +148,20 @@ mod tests {
         for w in wf.energies.windows(2) {
             assert!(w[0] <= w[1] + 1e-12);
         }
-        assert!(
-            wf.orthonormality_error() < 1e-8,
-            "{}",
-            wf.orthonormality_error()
-        );
+        // max |<m|n> - delta_mn|
+        let nb = wf.n_bands();
+        let mut err: f64 = 0.0;
+        for m in 0..nb {
+            for n in m..nb {
+                let mut acc = Complex64::ZERO;
+                for (a, b) in wf.coeffs.row(m).iter().zip(wf.coeffs.row(n)) {
+                    acc = acc.conj_mul_add(*a, *b);
+                }
+                let target = if m == n { 1.0 } else { 0.0 };
+                err = err.max((acc - target).abs());
+            }
+        }
+        assert!(err < 1e-8, "{err}");
     }
 
     #[test]
@@ -217,16 +199,6 @@ mod tests {
                 .sum();
             assert!(r2.sqrt() < 1e-8, "band {n}: residual {}", r2.sqrt());
         }
-    }
-
-    #[test]
-    fn truncation_keeps_prefix() {
-        let (_, _, wf) = si_bulk_wf();
-        let t = wf.truncated(20);
-        assert_eq!(t.n_bands(), 20);
-        assert_eq!(t.n_conduction(), 4);
-        assert_eq!(t.energies[..], wf.energies[..20]);
-        assert_eq!(t.coeffs.row(7), wf.coeffs.row(7));
     }
 
     #[test]

@@ -422,11 +422,6 @@ impl ServeCore {
         self.queue.is_empty()
     }
 
-    /// Highest priority currently queued, if any.
-    pub fn max_queued_priority(&self) -> Option<u8> {
-        self.queue.iter().map(|p| p.req.priority).max()
-    }
-
     /// The event log so far (monotonic; see [`ServeCore::take_events`]).
     pub fn events(&self) -> &[ServeEvent] {
         &self.events
@@ -663,11 +658,6 @@ impl ServeCore {
             self.mem_bytes = self.mem_bytes.saturating_sub(b);
             counters::record_serve_mem_evicted();
         }
-    }
-
-    /// (entries, charged bytes) currently held by the memory cache.
-    pub fn mem_stats(&self) -> (usize, u64) {
-        (self.mem.len(), self.mem_bytes)
     }
 
     fn acquire_screening(

@@ -2,12 +2,11 @@
 //!
 //! An artifact key is the FNV-1a-64 digest of a *canonical* parameter
 //! string: named fields, each rendered in an exact textual form (integers
-//! in decimal, floats as IEEE-754 bit patterns in hex — never formatted
-//! decimals, which round), sorted by field name. Canonicalization is what
-//! makes the key a cache identity rather than a serialization accident:
-//! the same parameters pushed in any order produce byte-identical
-//! canonical strings and therefore identical keys, while perturbing any
-//! single band index, cutoff, or frequency count changes the digest.
+//! in decimal, identifiers verbatim), sorted by field name.
+//! Canonicalization is what makes the key a cache identity rather than a
+//! serialization accident: the same parameters pushed in any order produce
+//! byte-identical canonical strings and therefore identical keys, while
+//! perturbing any single band index or frequency count changes the digest.
 //! `tests/serve.rs` holds the round-trip and sensitivity properties.
 
 use std::fmt;
@@ -46,8 +45,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 enum Value {
     /// Unsigned integer, rendered in decimal.
     Int(u64),
-    /// An `f64`, rendered as its IEEE-754 bit pattern in hex (exact).
-    Bits(u64),
     /// Short identifier text (no `;`, `=`, or control characters).
     Text(String),
 }
@@ -56,7 +53,6 @@ impl Value {
     fn render(&self) -> String {
         match self {
             Value::Int(v) => format!("i{v}"),
-            Value::Bits(b) => format!("f{b:016x}"),
             Value::Text(t) => format!("s{t}"),
         }
     }
@@ -68,12 +64,6 @@ impl Value {
         let (tag, rest) = text.split_at(1);
         match tag {
             "i" => rest.parse::<u64>().ok().map(Value::Int),
-            "f" => {
-                if rest.len() != 16 {
-                    return None;
-                }
-                u64::from_str_radix(rest, 16).ok().map(Value::Bits)
-            }
             "s" => Some(Value::Text(rest.to_string())),
             _ => None,
         }
@@ -110,12 +100,6 @@ impl KeySpec {
     /// Adds an unsigned-integer field.
     pub fn push_int(&mut self, name: &str, value: u64) -> &mut Self {
         self.push(name, Value::Int(value));
-        self
-    }
-
-    /// Adds an `f64` field by exact bit pattern (no decimal rounding).
-    pub fn push_f64(&mut self, name: &str, value: f64) -> &mut Self {
-        self.push(name, Value::Bits(value.to_bits()));
         self
     }
 
@@ -179,11 +163,11 @@ mod tests {
     fn push_order_does_not_change_key() {
         let mut a = KeySpec::new();
         a.push_int("n_bands", 24)
-            .push_f64("ecut", 2.2)
+            .push_int("n_quad", 16)
             .push_str("sys", "si");
         let mut b = KeySpec::new();
         b.push_str("sys", "si")
-            .push_f64("ecut", 2.2)
+            .push_int("n_quad", 16)
             .push_int("n_bands", 24);
         assert_eq!(a.canonical(), b.canonical());
         assert_eq!(a.key(), b.key());
@@ -192,25 +176,15 @@ mod tests {
     #[test]
     fn canonical_round_trips_and_perturbations_differ() {
         let mut a = KeySpec::new();
-        a.push_int("m", 1)
-            .push_f64("delta", 0.05)
-            .push_str("mode", "gpp");
+        a.push_int("m", 1).push_str("mode", "gpp");
         let text = a.canonical();
         let back = KeySpec::parse(&text).expect("parse");
         assert_eq!(back.canonical(), text);
         assert_eq!(back.key(), a.key());
 
         let mut b = KeySpec::new();
-        b.push_int("m", 2)
-            .push_f64("delta", 0.05)
-            .push_str("mode", "gpp");
+        b.push_int("m", 2).push_str("mode", "gpp");
         assert_ne!(a.key(), b.key());
-        // Even a 1-ulp float perturbation must change the key.
-        let mut c = KeySpec::new();
-        c.push_int("m", 1)
-            .push_f64("delta", f64::from_bits(0.05f64.to_bits() + 1))
-            .push_str("mode", "gpp");
-        assert_ne!(a.key(), c.key());
     }
 
     #[test]
@@ -218,7 +192,6 @@ mod tests {
         assert!(KeySpec::parse("a=i1;a=i2").is_none(), "duplicate field");
         assert!(KeySpec::parse("a=").is_none(), "empty value");
         assert!(KeySpec::parse("a=x9").is_none(), "unknown tag");
-        assert!(KeySpec::parse("a=f123").is_none(), "short bit pattern");
         assert!(KeySpec::parse("=i1").is_none(), "empty name");
         assert!(KeySpec::parse("a&b=i1").is_none(), "bad name chars");
         assert!(KeySpec::parse("noequals").is_none());

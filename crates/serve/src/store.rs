@@ -223,11 +223,6 @@ impl ArtifactStore {
         self.scan().iter().map(|(_, _, sz, _)| sz).sum()
     }
 
-    /// Store files currently on disk (artifacts + partials).
-    pub fn file_count(&self) -> usize {
-        self.scan().len()
-    }
-
     /// Scans the directory: `(kind, key, bytes, path)` per record.
     fn scan(&self) -> Vec<(EntryKind, u64, u64, PathBuf)> {
         let Ok(rd) = std::fs::read_dir(&self.dir) else {

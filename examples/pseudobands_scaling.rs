@@ -57,7 +57,7 @@ fn main() {
         println!(
             "{n_xi:>4}  {:>15}  {:>10.2}x  {:>19.1}",
             pb.wf.n_bands(),
-            pb.compression(),
+            pb.n_original as f64 / pb.wf.n_bands() as f64,
             err * RYDBERG_EV * 1000.0
         );
     }

@@ -85,36 +85,6 @@ fn sigma_pool_decomposition_is_exact_and_balanced() {
 }
 
 #[test]
-fn pools_of_pools_nested_split() {
-    // 8 ranks -> 2 pools x 4 ranks; each pool independently reduces its
-    // own Sigma slice — the paper's pool-over-elements layout.
-    let (ctx, _) = testkit::small_context();
-    let grids: Vec<Vec<f64>> = ctx.sigma_energies.iter().map(|&e| vec![e]).collect();
-    let serial = gpp_sigma_diag(&ctx, &grids, KernelVariant::Reference);
-    let (results, _) = run_ranks(8, |comm| {
-        let pool_id = comm.rank() % 2;
-        let pool = comm.try_split(pool_id as u64, comm.rank() as u64)?;
-        // pool 0 handles Sigma bands {0, 1}, pool 1 handles {2, 3}
-        let my_bands: Vec<usize> = (0..ctx.n_sigma()).filter(|s| s % 2 == pool_id).collect();
-        let mut sub = ctx.clone();
-        sub.m_tilde = my_bands.iter().map(|&s| ctx.m_tilde[s].clone()).collect();
-        sub.sigma_bands = my_bands.iter().map(|&s| ctx.sigma_bands[s]).collect();
-        sub.sigma_energies = my_bands.iter().map(|&s| ctx.sigma_energies[s]).collect();
-        let sub_grids: Vec<Vec<f64>> = my_bands.iter().map(|&s| grids[s].clone()).collect();
-        let r = try_gpp_sigma_diag_distributed(&pool, &sub, &sub_grids)?;
-        Ok((my_bands, r.sigma))
-    });
-    for (bands, sigma) in &results {
-        for (i, &s) in bands.iter().enumerate() {
-            assert!(
-                (sigma[i][0] - serial.sigma[s][0]).abs() < 1e-9 * (1.0 + serial.sigma[s][0].abs()),
-                "band {s}"
-            );
-        }
-    }
-}
-
-#[test]
 fn communication_volume_scales_with_matrix_size() {
     // allreduce volume of chi must grow ~ N_G^2.
     let sys = si_bulk(1, 2.2);
@@ -190,7 +160,9 @@ fn dist_matmul_matches_serial_oracle_sweep() {
             let (results, _) = run_ranks(world, |comm| {
                 let ad = DistMatrix::from_replicated(comm, &a);
                 let bd = DistMatrix::from_replicated(comm, &b);
-                let c = ad.try_matmul(comm, &bd)?.try_to_replicated(comm)?;
+                let c = ad
+                    .try_matmul_pipelined(comm, &bd, 2)?
+                    .try_to_replicated(comm)?;
                 Ok(c.as_slice().to_vec())
             });
             for r in results {

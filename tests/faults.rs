@@ -186,8 +186,8 @@ fn pseudobands_tolerance_holds_under_shrunken_comm() {
     let report = try_run_world(3, FaultPlan::none().crash_at(1, 0), move |comm| {
         // First collective: rank 1 dies here; survivors shrink.
         let shrunk;
-        let comm: &berkeleygw_rs::comm::Comm = match comm.try_barrier() {
-            Ok(()) => comm,
+        let comm: &berkeleygw_rs::comm::Comm = match comm.try_allgather(0u8) {
+            Ok(_) => comm,
             Err(e) if e.is_recoverable() => {
                 shrunk = comm.shrink()?;
                 &shrunk

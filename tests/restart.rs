@@ -394,6 +394,32 @@ fn malformed_evgw_iterate_is_a_typed_error() {
 }
 
 #[test]
+fn evgw_iterate_with_overflowing_step_is_a_typed_error() {
+    // `step` comes off disk unchecked by any checksum of its own: a record
+    // claiming u64::MAX completed iterations is malformed, and the length
+    // check must not overflow computing `n_sigma + step`.
+    let sys = small_system();
+    let cfg = GwConfig::default();
+    let dir = tmpdir("evgw_malformed_step");
+    write_checkpoint(
+        &dir,
+        0,
+        &Checkpoint {
+            stage: 4, // EvGwIter
+            step: u64::MAX,
+            meta: vec![0.5],
+            matrices: vec![],
+        },
+    )
+    .unwrap();
+    match run_evgw_checkpointed(&sys, &cfg, 10, 1e-5, &CheckpointPolicy::new(&dir)) {
+        Err(GwError::Malformed { stage: "evgw", .. }) => {}
+        other => panic!("step = u64::MAX: expected Malformed, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn evgw_with_no_iteration_budget_is_one_typed_error_from_both_drivers() {
     // max_iter = 0 leaves no gap to report. run_evgw used to panic on
     // `.expect("max_iter >= 1")` while its checkpointed twin returned a

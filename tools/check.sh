@@ -44,7 +44,11 @@
 #                             file of crates/*/src, src/ or benchmark/src,
 #                             or sits on the in-script allowlist with its
 #                             reason; and GppModel::new( has no call site
-#                             under crates/bench/ or examples/
+#                             under crates/bench/ or examples/. One level
+#                             down, every pub item of crates/*/src is
+#                             named by that non-test code outside its own
+#                             definition (a type's impl blocks included),
+#                             or sits on the item allowlist with its reason
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -129,28 +133,199 @@ run_spine_gate() {
     fi
 }
 
+# "file<TAB>line number<TAB>code" for every line above the test module
+# of every library, regenerator and benchmark source that has code left
+# once comments are cut and string and char literals are emptied (`""`,
+# `' '`); `pub mod` lines and whole `pub use ...;` statements dropped.
+# This is what a caller is made of: examples, tests/, #[cfg(test)] tails,
+# comments (doc comments included), string contents and re-exports are
+# not callers.
+corpus() {
+    find crates/*/src src benchmark/src -name '*.rs' | sort | xargs awk '
+        FNR == 1 { tail = 0; use = 0; instr = 0; inblk = 0 }
+        /^#\[cfg\(test\)\]/ { tail = 1 }
+        tail { next }
+        {
+            raw = $0; code = ""; n = length(raw)
+            for (i = 1; i <= n; i++) {
+                c = substr(raw, i, 1)
+                if (inblk) {
+                    if (c == "*" && substr(raw, i + 1, 1) == "/") { inblk = 0; i++ }
+                    continue
+                }
+                if (instr) {
+                    if (c == "\\" && hashes < 0) i++
+                    else if (c == "\"" && (hashes < 0 ||
+                             substr(raw, i + 1, hashes) == substr("########", 1, hashes))) {
+                        instr = 0; code = code "\""; if (hashes > 0) i += hashes
+                    }
+                    continue
+                }
+                d = substr(raw, i + 1, 1)
+                if (c == "/" && d == "/") break
+                if (c == "/" && d == "*") { inblk = 1; i++; continue }
+                if (c == "\"") { instr = 1; hashes = -1; code = code "\""; continue }
+                if (c == "r" && substr(raw, i - 1, 1) !~ /[A-Za-z0-9_]/ &&
+                    match(substr(raw, i + 1), /^#*"/)) {
+                    instr = 1; hashes = RLENGTH - 1; i += RLENGTH; code = code "\""; continue
+                }
+                if (c == "\047" && d == "\\") {
+                    i += 2 + index(substr(raw, i + 3), "\047"); code = code "\047 \047"; continue
+                }
+                if (c == "\047" && substr(raw, i + 2, 1) == "\047") {
+                    i += 2; code = code "\047 \047"; continue
+                }
+                code = code c
+            }
+            l = code; sub(/^[ \t]+/, "", l)
+            if (l == "") next
+            if (use || l ~ /^pub use /) { use = (l !~ /;/); next }
+            if (l ~ /^pub mod /) next
+            print FILENAME "\t" FNR "\t" code
+        }'
+}
+
+run_item_gate() {
+    echo "==> item gate: every pub item has a caller that is not a test"
+    # The orphan gate's rule, one level down. Every `pub` fn, method,
+    # struct, enum, trait, const, static, type and union in crates/*/src
+    # stays if a corpus line outside its own definition names it. The
+    # definition is the item's own span and, for a type, every
+    # `impl ... Type` block, so a struct its own methods mention is still
+    # an orphan. Matching is by name, so a name two items share keeps
+    # both. An allowlist line is "file pattern: reason", the pattern an
+    # ERE over `Type::name` in which `*` stands for any text; a line no
+    # orphan needs is stale.
+    allow='crates/comm/src/fault.rs FaultPlan::*: the fault-plan builders, the input tests/faults.rs, tests/dag_faults.rs and the bgw-comm tests arm the live collectives and drivers with
+crates/comm/src/lib.rs WorldReport::first_error: tests/faults.rs reads the typed error of a faulted world through it
+crates/core/src/workflow.rs run_*: a GW driver, an entry point of the spine that tests/pipeline.rs holds to the one-shot bits
+crates/core/src/restart.rs run_*: a GW driver, an entry point of the spine that tests/restart.rs kills and resumes
+crates/core/src/resilient.rs run_*: a GW driver, an entry point of the spine that tests/faults.rs and tests/dag_faults.rs arm with a fault plan
+crates/core/src/testkit.rs *: test fixture - the small Si context unit tests, tests/ and examples share
+crates/perf/src/counters.rs exclusive_test_guard: test fixture - serializes the tests of every crate that read the process-wide counters
+crates/core/src/mtxel.rs Mtxel::pair_from_real: the one-pair path tests/determinism.rs holds the batched pairs_from_real rows to, bit for bit
+crates/core/src/sigma/diag.rs measured_alpha: tests/trace_report.rs fits the Eq. 7 prefactor of the live GPP kernel with it
+crates/core/src/sigma/offdiag.rs offdiag_flops_eq8: ROADMAP item 5(c) - the oracle for the counted FLOPs of the off-diagonal kernel
+crates/perf/src/flopmodel.rs (ff_sigma_flops|imagaxis_sigma_flops): the closed-form model tests/trace_report.rs holds the counted FLOPs of the live kernel to
+crates/fft/src/plan.rs dft_reference: the O(n^2) DFT tests/properties.rs holds FftPlan to
+crates/linalg/src/matrix.rs CMatrix::adjoint: the explicit (A B)^H tests/properties.rs holds the Op::Adj GEMM to
+crates/linalg/src/matrix.rs CMatrix::random_hermitian: the Hermitian input tests/properties.rs and tests/distributed.rs drive eigh and the distributed inversion with
+crates/linalg/src/matrix.rs CMatrix::hermiticity_error: the check the unit tests of chi0, eps^-1, Sigma, GWPT and the Hamiltonian hold their outputs to (three crates, so not cfg(test))
+crates/serve/src/core.rs ServeCore::(enqueue|run_until_idle|take_events): the single-threaded drive of the engine tests/serve.rs, tests/serve_faults.rs and tests/pipeline.rs replay; the threaded Server runs the same step through enqueue_with_cancel and step_with
+crates/trace/src/lib.rs reset: tests/trace_report.rs and tests/serve.rs clear the span tree between measured sections with it
+crates/trace/src/report.rs RunReport::(from_json|pruned|render_tree|scrubbed): the readers tests/serve.rs and tests/trace_report.rs pin the report format and the served golden with
+crates/core/src/pseudobands.rs chebyshev_pseudoband: ROADMAP item 7 wires the Chebyshev-Jackson construction into the band prefix or deletes it with num::chebyshev
+crates/num/src/chebyshev.rs *: ROADMAP item 7 keeps or deletes the module whole
+crates/pwdft/src/hamiltonian.rs Hamiltonian::spectral_bounds: ROADMAP item 7 - the spectral window of the Chebyshev-Jackson construction
+crates/num/src/minimax.rs *: ROADMAP item 3 keeps or deletes the space-time chi and this module whole
+crates/pwdft/src/kpoints.rs *: DESIGN Sec. 2 - the band structure along L-Gamma-X is the evidence that the model pseudopotential is physical (examples/band_structure.rs, si_model_band_topology)
+crates/pwdft/src/lattice.rs Crystal::diamond_primitive: DESIGN Sec. 2 - the primitive cell that band structure is computed in'
+    corpus | ALLOW="$allow" awk -F '\t' '
+    BEGIN {
+        n = split(ENVIRON["ALLOW"], a, "\n")
+        for (i = 1; i <= n; i++) {
+            k = a[i]; sub(/: .*/, "", k)
+            akey[i] = k; areason[i] = substr(a[i], length(k) + 3); aused[i] = 0
+        }
+        nallow = n
+    }
+    {
+        file = $1; line = $2 + 0; code = $3
+        if (file != cur) { cur = file; depth = 0; sp = 0 }
+        # A definition (crates/*/src only) or an impl header opens a span
+        # at the current bracket depth.
+        if (file ~ /^crates\/[^\/]+\/src\// &&
+            match(code, /^[ \t]*pub (const |unsafe |async )*(fn|struct|enum|trait|const|static|type|union) +(mut +)?[A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(code, 1, RLENGTH); sub(/.* /, "", name)
+            nd++; dfile[nd] = file; dname[nd] = name
+            dqual[nd] = (sp > 0 && skind[sp] == "impl") ? sname[sp] "::" name : name
+            sp++; skind[sp] = "item"; sname[sp] = name
+        } else if (match(code, /^[ \t]*(unsafe )?impl[ <]/)) {
+            h = code; sub(/^[ \t]*(unsafe )?impl/, "", h)
+            if (substr(h, 1, 1) == "<") {
+                g = 0
+                for (i = 1; i <= length(h); i++) {
+                    c = substr(h, i, 1)
+                    if (c == "<") g++
+                    else if (c == ">" && --g == 0) break
+                }
+                h = substr(h, i + 1)
+            }
+            if (match(h, / for /)) h = substr(h, RSTART + 5)
+            sub(/^[ \t&]*(dyn )?/, "", h)
+            match(h, /^[A-Za-z0-9_:]+/); name = substr(h, 1, RLENGTH); sub(/.*::/, "", name)
+            sp++; skind[sp] = "impl"; sname[sp] = name
+        } else name = ""
+        if (name != "") {
+            sd0[sp] = depth; sopen[sp] = 0
+            ns++; spn[ns] = name; spf[ns] = file; sps[ns] = line; spe[ns] = 1e9; sspan[sp] = ns
+            spans[name] = spans[name] " " ns
+        }
+        # Bracket depth; a span closes on the `}` of its block, or on a `;`
+        # at its own depth before any block opened.
+        n = length(code)
+        for (i = 1; i <= n; i++) {
+            c = substr(code, i, 1)
+            if (c == "{" || c == "(" || c == "[") {
+                depth++
+                if (c == "{" && sp > 0 && depth == sd0[sp] + 1) sopen[sp] = 1
+            } else if (c == "}" || c == ")" || c == "]") {
+                depth--
+                if (c == "}" && sp > 0 && depth == sd0[sp] && sopen[sp]) { spe[sspan[sp]] = line; sp-- }
+            } else if (c == ";" && sp > 0 && depth == sd0[sp] && !sopen[sp]) { spe[sspan[sp]] = line; sp-- }
+        }
+        nl++; lf[nl] = file; ll[nl] = line; lc[nl] = code
+    }
+    END {
+        for (d = 1; d <= nd; d++) defined[dname[d]] = 1
+        for (i = 1; i <= nl; i++) {
+            t = lc[i]; gsub(/[^A-Za-z0-9_]+/, " ", t)
+            m = split(t, w, " ")
+            split("", seen)
+            for (q = 1; q <= m; q++) {
+                x = w[q]
+                if (!(x in defined) || (x in seen)) continue
+                seen[x] = 1
+                k = split(spans[x], s, " "); own = 0
+                for (r = 1; r <= k; r++)
+                    if (spf[s[r]] == lf[i] && ll[i] >= sps[s[r]] && ll[i] <= spe[s[r]]) { own = 1; break }
+                if (!own) refs[x]++
+            }
+        }
+        orphans = 0; stale = 0
+        for (d = 1; d <= nd; d++) {
+            if (refs[dname[d]] > 0) continue
+            kept = 0
+            for (i = 1; i <= nallow && !kept; i++) {
+                split(akey[i], kf, " "); pat = kf[2]
+                gsub(/\*/, ".*", pat)
+                if (kf[1] == dfile[d] && dqual[d] ~ ("^" pat "$")) {
+                    kept = 1; aused[i] = 1
+                    print "    kept without a caller: " dfile[d] " " dqual[d] ": " areason[i]
+                }
+            }
+            if (!kept) { print "    ORPHAN: " dfile[d] " " dqual[d]; orphans++ }
+        }
+        for (i = 1; i <= nallow; i++)
+            if (!aused[i]) { print "    stale allowlist line: " akey[i]; stale++ }
+        print "    orphan pub items: " orphans
+        if (orphans + stale > 0) {
+            print "FAIL: delete the orphan with the tests that exercise only it (git keeps it), move a reference implementation into its test module, or allowlist it with a reason"
+            exit 1
+        }
+    }' || exit 1
+}
+
 run_orphan_gate() {
     echo "==> orphan gate: every pub mod has a caller, and nobody outside the spine builds W"
     # The five spine files are the roots. Any other module stays if
     # non-test code outside its own file reaches it — from the spine, from
     # a bgw-bench regenerator (crates/bench) or from gwbench
-    # (benchmark/src). Examples, tests/, #[cfg(test)] tails, `pub mod` and
-    # `pub use` lines are not callers. A module on the allowlist carries
-    # the reason it is kept without one.
+    # (benchmark/src). A module on the allowlist carries the reason it is
+    # kept without a caller.
     allow='pwdft/kpoints: DESIGN Sec. 2 - the band structure along L-Gamma-X is the evidence that the model pseudopotential is physical (examples/band_structure.rs, si_model_band_topology)
 core/testkit: test fixture - the small Si context unit tests, tests/ and examples share'
-    # "file<TAB>line" for every non-blank, non-comment line above the
-    # test module of every library, regenerator and benchmark source,
-    # `pub mod` lines and whole `pub use ...;` statements dropped.
-    corpus=$(find crates/*/src src benchmark/src -name '*.rs' -exec awk '
-        FNR == 1 { tail = 0; use = 0 }
-        /^#\[cfg\(test\)\]/ { tail = 1 }
-        tail { next }
-        { l = $0; sub(/^[ \t]+/, "", l) }
-        l == "" || substr(l, 1, 2) == "//" { next }
-        use || l ~ /^pub use / { use = (l !~ /;/); next }
-        l ~ /^pub mod / { next }
-        { print FILENAME "\t" l }' {} +)
+    corpus=$(corpus | cut -f1,3)
     status=0
     orphans=0
     for lib in crates/*/src/lib.rs crates/core/src/sigma/mod.rs; do
@@ -246,7 +421,7 @@ run_determinism_loop() {
     while [ "$i" -le 20 ]; do
         for t in \
             "-p berkeleygw-rs --test serve -- --exact sharded_replay_is_deterministic_and_shard_count_invariant" \
-            "-p berkeleygw-rs --test workflow_io -- --exact gw_through_files_matches_in_memory" \
+            "-p berkeleygw-rs --test workflow_io -- --exact gw_through_screening_record_matches_in_memory" \
             "-p bgw-core --lib -- --exact service::tests::union_context_band_slices_match_per_request_contexts" \
             "-p berkeleygw-rs --test determinism"; do
             # shellcheck disable=SC2086
@@ -267,6 +442,7 @@ if [ "${1:-}" = "--spine" ]; then
     run_pool_gate
     run_spine_gate
     run_orphan_gate
+    run_item_gate
     exit 0
 fi
 if [ "$#" -gt 0 ]; then
@@ -285,6 +461,7 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 run_pool_gate
 run_spine_gate
 run_orphan_gate
+run_item_gate
 
 echo "==> cargo test -q"
 cargo test -q
