@@ -299,71 +299,14 @@ impl<'a> ChiEngine<'a> {
     /// order: contiguous `cfg.nv_block`-sized ranges covering the valence
     /// bands (the last block may be short). These are the natural task
     /// boundaries of the DAG-scheduled workflow — one
-    /// [`chi_block_freqs`](Self::chi_block_freqs) call per entry.
+    /// [`chi_freqs_subset`](Self::chi_freqs_subset) call over each entry's
+    /// bands, a single NV block of the shared loop.
     pub fn nv_blocks(&self) -> Vec<(usize, usize)> {
         let nvb = self.cfg.nv_block.max(1);
         (0..self.wf.n_valence)
             .step_by(nvb)
             .map(|v0| (v0, (v0 + nvb).min(self.wf.n_valence)))
             .collect()
-    }
-
-    /// One NV block's additive contribution to `chi(omega_i)` for valence
-    /// bands `v0..v1`: `2 M_b^dagger Delta_b(omega_i) M_b`, one matrix per
-    /// requested frequency. Summing the contributions of a disjoint block
-    /// cover of the valence bands reproduces
-    /// [`chi_freqs`](Self::chi_freqs) up to summation order (the NV-Block
-    /// algorithm is exactly block-decomposable).
-    ///
-    /// This is the per-(block, frequency) task body of the DAG-scheduled
-    /// workflow: each block builds its `M` panel once and reuses it for
-    /// every frequency, exactly like the barrier-ordered loop.
-    pub fn chi_block_freqs(&self, v0: usize, v1: usize, omegas: &[f64]) -> Vec<CMatrix> {
-        assert!(v0 <= v1 && v1 <= self.wf.n_valence, "block out of range");
-        let ng = self.n_g();
-        let nc = self.wf.n_conduction();
-        let panel = self.m_panel(v0, v1);
-        let mut scaled = CMatrix::zeros(panel.nrows(), ng);
-        let mut deltas = vec![Complex64::ZERO; panel.nrows()];
-        let mut out = Vec::with_capacity(omegas.len());
-        for &omega in omegas {
-            let eta = if is_static_freq(omega) {
-                0.0
-            } else {
-                self.cfg.eta_ry
-            };
-            for (i, v) in (v0..v1).enumerate() {
-                for c in 0..nc {
-                    deltas[i * nc + c] = delta_vc(
-                        self.wf.energies[v],
-                        self.wf.energies[self.wf.n_valence + c],
-                        omega,
-                        eta,
-                    );
-                }
-            }
-            let src = panel.as_slice();
-            let cost = Flops(6 * ng as u64);
-            bgw_par::parallel_rows(scaled.as_mut_slice(), ng, cost, |r, row| {
-                let d = deltas[r];
-                for (z, &p) in row.iter_mut().zip(&src[r * ng..(r + 1) * ng]) {
-                    *z = p * d;
-                }
-            });
-            let mut chi_b = CMatrix::zeros(ng, ng);
-            zgemm(
-                c64(2.0, 0.0),
-                &panel,
-                Op::Adj,
-                &scaled,
-                Op::None,
-                Complex64::ZERO,
-                &mut chi_b,
-                self.cfg.backend,
-            );
-            out.push(chi_b);
-        }
-        out
     }
 
     /// Static polarizability `chi(0)`.
@@ -481,7 +424,10 @@ mod tests {
         let ng = engine.n_g();
         let mut summed = vec![CMatrix::zeros(ng, ng); omegas.len()];
         for &(v0, v1) in &blocks {
-            for (wi, contrib) in engine.chi_block_freqs(v0, v1, &omegas).iter().enumerate() {
+            let block: Vec<usize> = (v0..v1).collect();
+            let mut t = ChiTimings::default();
+            let contribs = engine.chi_freqs_subset(&omegas, Some(&block), &mut t);
+            for (wi, contrib) in contribs.iter().enumerate() {
                 summed[wi].axpy(Complex64::ONE, contrib);
             }
         }

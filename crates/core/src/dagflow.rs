@@ -24,6 +24,7 @@
 //! parity tests gate at 1e-12; the only difference is the association
 //! order of the NV-block sum and the band reduction).
 
+use crate::chi::ChiTimings;
 use crate::epsilon::EpsilonInverse;
 use crate::error::GwError;
 use crate::gpp::GppModel;
@@ -167,8 +168,10 @@ pub(crate) fn run_gpp_gw_dag_injected(
             .map(|(b, &(v0, v1))| {
                 g.add(&[], move || {
                     task(Stage::Chi, stage_s, || {
+                        let block: Vec<usize> = (v0..v1).collect();
+                        let mut t = ChiTimings::default();
                         *contribs[b].lock().unwrap_or_else(|e| e.into_inner()) =
-                            engine.chi_block_freqs(v0, v1, omegas);
+                            engine.chi_freqs_subset(omegas, Some(&block), &mut t);
                     })
                 })
             })

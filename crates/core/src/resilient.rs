@@ -20,7 +20,7 @@
 //! tasks whose owner died instead of re-running the survivors' work
 //! (DESIGN.md Sec. 14).
 
-use crate::chi::try_chi_distributed;
+use crate::chi::{try_chi_distributed, ChiTimings};
 use crate::epsilon::{EpsilonError, EpsilonInverse};
 use crate::error::GwError;
 use crate::service::{
@@ -371,7 +371,7 @@ pub fn run_gpp_gw_resilient_dag(
     let nv = p.wf.n_valence;
     let chi_task = |v: usize| -> Vec<Complex64> {
         engine
-            .chi_block_freqs(v, v + 1, &[0.0])
+            .chi_freqs_subset(&[0.0], Some(&[v]), &mut ChiTimings::default())
             .pop()
             .expect("single static frequency")
             .as_slice()

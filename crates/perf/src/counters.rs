@@ -32,417 +32,261 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-static POOL_DISPATCHES: AtomicU64 = AtomicU64::new(0);
-static POOL_DISPATCH_NS: AtomicU64 = AtomicU64::new(0);
-static POOL_REGION_NS: AtomicU64 = AtomicU64::new(0);
-static POOL_INLINE_RUNS: AtomicU64 = AtomicU64::new(0);
-static POOL_INLINE_NS: AtomicU64 = AtomicU64::new(0);
-static POOL_INLINE_SMALL: AtomicU64 = AtomicU64::new(0);
-static POOL_INLINE_BUSY: AtomicU64 = AtomicU64::new(0);
-static GEMM_CALLS: AtomicU64 = AtomicU64::new(0);
-static GEMM_PACK_NS: AtomicU64 = AtomicU64::new(0);
-static GEMM_COMPUTE_NS: AtomicU64 = AtomicU64::new(0);
-static FFT_GRIDS: AtomicU64 = AtomicU64::new(0);
-static FFT_LINES: AtomicU64 = AtomicU64::new(0);
-static FFT_NS: AtomicU64 = AtomicU64::new(0);
-static COMM_COLLECTIVES: AtomicU64 = AtomicU64::new(0);
-static COMM_FAULTS: AtomicU64 = AtomicU64::new(0);
-static COMM_RETRIES: AtomicU64 = AtomicU64::new(0);
-static COMM_CRASHES: AtomicU64 = AtomicU64::new(0);
-static COMM_SHRINKS: AtomicU64 = AtomicU64::new(0);
-static COMM_RECOVERY_NS: AtomicU64 = AtomicU64::new(0);
-static CKPT_WRITES: AtomicU64 = AtomicU64::new(0);
-static CKPT_READS: AtomicU64 = AtomicU64::new(0);
-static CKPT_BYTES: AtomicU64 = AtomicU64::new(0);
-static FF_HERMITICITY_DROPS: AtomicU64 = AtomicU64::new(0);
-static DAG_TASKS: AtomicU64 = AtomicU64::new(0);
-static DAG_STEALS: AtomicU64 = AtomicU64::new(0);
-static DAG_REENQUEUED: AtomicU64 = AtomicU64::new(0);
-static SERVE_REQUESTS: AtomicU64 = AtomicU64::new(0);
-static SERVE_COMPLETED: AtomicU64 = AtomicU64::new(0);
-static SERVE_HITS_MEM: AtomicU64 = AtomicU64::new(0);
-static SERVE_HITS_DISK: AtomicU64 = AtomicU64::new(0);
-static SERVE_MISSES: AtomicU64 = AtomicU64::new(0);
-static SERVE_COALESCED: AtomicU64 = AtomicU64::new(0);
-static SERVE_PREEMPTIONS: AtomicU64 = AtomicU64::new(0);
-static SERVE_RETRIES: AtomicU64 = AtomicU64::new(0);
-static SERVE_REENQUEUED: AtomicU64 = AtomicU64::new(0);
-static SERVE_STORE_INVALID: AtomicU64 = AtomicU64::new(0);
-static SERVE_QUEUE_NS: AtomicU64 = AtomicU64::new(0);
-static SERVE_MEM_EVICTED: AtomicU64 = AtomicU64::new(0);
-static SERVE_GC_REMOVED: AtomicU64 = AtomicU64::new(0);
-static SERVE_GC_BYTES: AtomicU64 = AtomicU64::new(0);
-
 /// Number of SIMD instruction-set lanes tracked by the per-ISA kernel
 /// counters. Indices follow `bgw_num::simd::Isa::index()`: 0 scalar,
 /// 1 neon, 2 avx2, 3 avx512 (this crate is dependency-free, so the
 /// correspondence is by convention, pinned by tests on the consumer side).
 pub const ISA_LANES: usize = 4;
 
-static GEMM_MK_CALLS: [AtomicU64; ISA_LANES] = [const { AtomicU64::new(0) }; ISA_LANES];
-static GEMM_MK_PACK_NS: [AtomicU64; ISA_LANES] = [const { AtomicU64::new(0) }; ISA_LANES];
-static GEMM_MK_COMPUTE_NS: [AtomicU64; ISA_LANES] = [const { AtomicU64::new(0) }; ISA_LANES];
-static FFT_MK_CALLS: [AtomicU64; ISA_LANES] = [const { AtomicU64::new(0) }; ISA_LANES];
+/// One row per [`CounterSnapshot`] field, in field order: its doc, its
+/// name and the static it reads (a per-ISA row indexes one lane of an
+/// array, which the row of lane 0 declares). The table generates the
+/// statics, the struct, the field-wise methods and [`snapshot`]; the
+/// `record_*` functions below update the statics by hand.
+macro_rules! counters {
+    (@static $cell:ident) => {
+        static $cell: AtomicU64 = AtomicU64::new(0);
+    };
+    (@static $cell:ident [0]) => {
+        static $cell: [AtomicU64; ISA_LANES] = [const { AtomicU64::new(0) }; ISA_LANES];
+    };
+    (@static $cell:ident [$lane:tt]) => {};
+    ($($(#[$doc:meta])* $field:ident: $cell:ident $([$lane:tt])?,)*) => {
+        $(counters!(@static $cell $([$lane])?);)*
 
-/// Point-in-time reading of every substrate counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
+        /// Point-in-time reading of every substrate counter.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct CounterSnapshot {
+            $($(#[$doc])* pub $field: u64,)*
+            /// Monotonicity violations observed while computing this snapshot as
+            /// a delta: the number of counters that went *backwards* between the
+            /// two snapshots. Always zero for direct [`snapshot`]s; nonzero on a
+            /// delta means work was lost between the endpoints (snapshots taken
+            /// in the wrong order, or mixed across processes) and the clamped
+            /// fields under-report — surfaced instead of silently hidden.
+            pub delta_underflows: u64,
+        }
+
+        impl CounterSnapshot {
+            /// Counter increments between `self` (earlier) and `later`, plus the
+            /// number of monotonicity violations — fields where `later` reads
+            /// *below* `self`, i.e. where the saturating subtraction clamped to
+            /// zero and lost work. The caller decides how loudly to surface a
+            /// nonzero count; [`CounterSnapshot::delta`] debug-asserts on it.
+            pub fn delta_checked(&self, later: &CounterSnapshot) -> (CounterSnapshot, u64) {
+                let mut out = CounterSnapshot::default();
+                let mut underflows = 0u64;
+                $(
+                    if later.$field < self.$field {
+                        underflows += 1;
+                    }
+                    out.$field = later.$field.saturating_sub(self.$field);
+                )*
+                out.delta_underflows = underflows;
+                (out, underflows)
+            }
+
+            /// Counter increments between `self` (earlier) and `later`.
+            ///
+            /// Counters are monotonic, so a field of `later` reading below `self`
+            /// means the snapshots were taken in the wrong order (or crossed a
+            /// process boundary). That used to be clamped to zero silently; it is
+            /// now a debug assertion, and release builds surface it through the
+            /// [`CounterSnapshot::delta_underflows`] field of the result.
+            pub fn delta(&self, later: &CounterSnapshot) -> CounterSnapshot {
+                let (out, underflows) = self.delta_checked(later);
+                debug_assert_eq!(
+                    underflows, 0,
+                    "CounterSnapshot::delta: {underflows} counters went backwards \
+                     between snapshots (earlier/later swapped?) — the clamped delta \
+                     under-reports lost work"
+                );
+                out
+            }
+
+            /// Field-wise accumulation (used by the span registry to sum per-span
+            /// deltas; `delta_underflows` accumulates too, so a span tree never
+            /// hides a monotonicity violation seen by any of its spans).
+            pub fn accumulate(&mut self, other: &CounterSnapshot) {
+                $(self.$field += other.$field;)*
+                self.delta_underflows += other.delta_underflows;
+            }
+
+            /// Visits every counter field as a `(name, value)` pair in declaration
+            /// order — the single source of truth for serializers.
+            pub fn for_each_field(&self, mut f: impl FnMut(&'static str, u64)) {
+                $(f(stringify!($field), self.$field);)*
+                f("delta_underflows", self.delta_underflows);
+            }
+
+            /// Sets a counter field by name (deserializer hook); returns `false`
+            /// for an unknown name.
+            pub fn set_field(&mut self, name: &str, value: u64) -> bool {
+                $(
+                    if name == stringify!($field) {
+                        self.$field = value;
+                        return true;
+                    }
+                )*
+                if name == "delta_underflows" {
+                    self.delta_underflows = value;
+                    return true;
+                }
+                false
+            }
+        }
+
+        /// Reads all counters.
+        pub fn snapshot() -> CounterSnapshot {
+            CounterSnapshot {
+                $($field: $cell$([$lane])?.load(Ordering::Relaxed),)*
+                delta_underflows: 0,
+            }
+        }
+    };
+}
+
+counters! {
     /// Parallel regions executed on the persistent worker pool.
-    pub pool_dispatches: u64,
+    pool_dispatches: POOL_DISPATCHES,
     /// Dispatch overhead of pooled regions: job publish + worker wakeup
     /// plus the post-body quiesce wait, measured on the dispatching
     /// thread (excludes all body execution).
-    pub pool_dispatch_ns: u64,
+    pool_dispatch_ns: POOL_DISPATCH_NS,
     /// Region body execution nanoseconds, summed over participating
     /// threads; each participant excludes nested inline parallel calls,
     /// so this never overlaps `pool_inline_ns`.
-    pub pool_region_ns: u64,
+    pool_region_ns: POOL_REGION_NS,
     /// Parallel calls that ran inline, whatever the reason (single worker
     /// requested, nested call, work below the pool's floor, or the pool
     /// busy with another dispatcher).
-    pub pool_inline_runs: u64,
+    pool_inline_runs: POOL_INLINE_RUNS,
     /// Exclusive nanoseconds spent in inline parallel calls (nested
     /// inline calls are charged to themselves, not to their parent).
-    pub pool_inline_ns: u64,
+    pool_inline_ns: POOL_INLINE_NS,
     /// The inline runs above that could have used the pool (width > 1,
     /// not nested) but whose stated work sat below `bgw-par`'s floor.
-    pub pool_inline_small: u64,
+    pool_inline_small: POOL_INLINE_SMALL,
     /// The inline runs above that lost the dispatch `try_lock` to another
     /// OS thread's region (shards sharing one pool).
-    pub pool_inline_busy: u64,
+    pool_inline_busy: POOL_INLINE_BUSY,
     /// Blocked/parallel/tuned ZGEMM invocations.
-    pub gemm_calls: u64,
+    gemm_calls: GEMM_CALLS,
     /// Nanoseconds spent packing GEMM operand panels (summed over threads).
-    pub gemm_pack_ns: u64,
+    gemm_pack_ns: GEMM_PACK_NS,
     /// Nanoseconds spent in the GEMM microkernel sweep (summed over
     /// threads; overlapping threads each contribute their own time).
-    pub gemm_compute_ns: u64,
+    gemm_compute_ns: GEMM_COMPUTE_NS,
     /// 3-D FFT grid transforms executed (each counts one `Fft3d` pass,
     /// whichever path — pooled, serial or batched-many — ran it).
-    pub fft_grids: u64,
+    fft_grids: FFT_GRIDS,
     /// 1-D line transforms executed inside 3-D passes (nx*ny + nx*nz +
     /// ny*nz per grid), the natural work unit of the batched driver.
-    pub fft_lines: u64,
+    fft_lines: FFT_LINES,
     /// Wall-clock nanoseconds spent inside `Fft3d` passes, measured on
     /// the calling thread (dispatch + gather/scatter + butterflies).
-    pub fft_ns: u64,
+    fft_ns: FFT_NS,
     /// Slot-rendezvous collective operations entered (per rank).
-    pub comm_collectives: u64,
+    comm_collectives: COMM_COLLECTIVES,
     /// Fault events injected by the `bgw-comm` fault plan (all kinds).
-    pub comm_faults: u64,
+    comm_faults: COMM_FAULTS,
     /// Communicator retries: transient-fault backoff retries plus
     /// collective retransmits after a corrupted payload.
-    pub comm_retries: u64,
+    comm_retries: COMM_RETRIES,
     /// Permanent (injected or fatal) rank crashes observed by the runtime.
-    pub comm_crashes: u64,
+    comm_crashes: COMM_CRASHES,
     /// Communicator shrinks performed by surviving ranks.
-    pub comm_shrinks: u64,
+    comm_shrinks: COMM_SHRINKS,
     /// Nanoseconds spent inside `Comm::shrink` recovery, summed over
     /// the participating ranks.
-    pub comm_recovery_ns: u64,
+    comm_recovery_ns: COMM_RECOVERY_NS,
     /// Checkpoint records written through `bgw-io`.
-    pub ckpt_writes: u64,
+    ckpt_writes: CKPT_WRITES,
     /// Checkpoint records read back through `bgw-io`.
-    pub ckpt_reads: u64,
+    ckpt_reads: CKPT_READS,
     /// Checkpoint payload bytes moved (written + read).
-    pub ckpt_bytes: u64,
+    ckpt_bytes: CKPT_BYTES,
     /// FF Sigma bilinear forms `q_k(n)` whose imaginary part exceeded the
     /// Hermiticity tolerance before being discarded. Taking `Re(q)` is
     /// only exact for a Hermitian spectral weight `B(omega_k)`; a nonzero
     /// count means that assumption was violated and spectral weight was
     /// silently dropped — surfaced instead of hidden (debug builds also
     /// assert).
-    pub ff_hermiticity_drops: u64,
+    ff_hermiticity_drops: FF_HERMITICITY_DROPS,
     /// Tasks executed by the `bgw-par` DAG scheduler (pooled or inline).
-    pub dag_tasks: u64,
+    dag_tasks: DAG_TASKS,
     /// DAG tasks a worker stole from another worker's deque.
-    pub dag_steals: u64,
+    dag_steals: DAG_STEALS,
     /// DAG tasks re-enqueued by fault recovery (lost ranks' tasks only,
     /// not whole-phase redistribution).
-    pub dag_reenqueued: u64,
+    dag_reenqueued: DAG_REENQUEUED,
     /// GW requests accepted into the serving queue (`bgw-serve`).
-    pub serve_requests: u64,
+    serve_requests: SERVE_REQUESTS,
     /// GW requests completed (successfully or with a typed error). The
     /// instantaneous queue depth is `serve_requests - serve_completed`.
-    pub serve_completed: u64,
+    serve_completed: SERVE_COMPLETED,
     /// Served requests whose W screening came from the in-memory cache.
-    pub serve_hits_mem: u64,
+    serve_hits_mem: SERVE_HITS_MEM,
     /// Served requests whose W screening was restarted from an on-disk
     /// artifact record (a cache hit that is a checkpoint read).
-    pub serve_hits_disk: u64,
+    serve_hits_disk: SERVE_HITS_DISK,
     /// Served requests whose W screening had to be computed from scratch.
-    pub serve_misses: u64,
+    serve_misses: SERVE_MISSES,
     /// Requests that shared another request's screening build within one
     /// coalesced batch (group size minus one, summed over groups).
-    pub serve_coalesced: u64,
+    serve_coalesced: SERVE_COALESCED,
     /// Requests preempted mid-evaluation (checkpointed and re-enqueued in
     /// favor of a higher-priority request).
-    pub serve_preemptions: u64,
+    serve_preemptions: SERVE_PREEMPTIONS,
     /// Transient-fault retries performed by the serving loop.
-    pub serve_retries: u64,
+    serve_retries: SERVE_RETRIES,
     /// Requests re-enqueued after a crash mid-evaluation (only the dead
     /// request, never its batch mates).
-    pub serve_reenqueued: u64,
+    serve_reenqueued: SERVE_REENQUEUED,
     /// Artifact-store entries rejected as corrupt/torn and recomputed
     /// (a checksum failure downgraded to a miss, never a wrong hit).
-    pub serve_store_invalid: u64,
+    serve_store_invalid: SERVE_STORE_INVALID,
     /// Nanoseconds requests spent queued before their evaluation began.
-    pub serve_queue_ns: u64,
+    serve_queue_ns: SERVE_QUEUE_NS,
     /// Decoded screenings evicted from the in-memory cache by the
     /// cost-aware byte budget.
-    pub serve_mem_evicted: u64,
+    serve_mem_evicted: SERVE_MEM_EVICTED,
     /// Artifact-store files (artifacts + partials) reclaimed by GC.
-    pub serve_gc_removed: u64,
+    serve_gc_removed: SERVE_GC_REMOVED,
     /// Bytes reclaimed from the artifact store by GC.
-    pub serve_gc_bytes: u64,
+    serve_gc_bytes: SERVE_GC_BYTES,
     /// ZGEMM calls dispatched to the scalar microkernel.
-    pub gemm_mk_calls_scalar: u64,
+    gemm_mk_calls_scalar: GEMM_MK_CALLS[0],
     /// ZGEMM calls dispatched to the NEON microkernel.
-    pub gemm_mk_calls_neon: u64,
+    gemm_mk_calls_neon: GEMM_MK_CALLS[1],
     /// ZGEMM calls dispatched to the AVX2+FMA microkernel.
-    pub gemm_mk_calls_avx2: u64,
+    gemm_mk_calls_avx2: GEMM_MK_CALLS[2],
     /// ZGEMM calls dispatched to the AVX-512 microkernel.
-    pub gemm_mk_calls_avx512: u64,
+    gemm_mk_calls_avx512: GEMM_MK_CALLS[3],
     /// GEMM packing nanoseconds attributed to scalar-microkernel calls.
-    pub gemm_mk_pack_ns_scalar: u64,
+    gemm_mk_pack_ns_scalar: GEMM_MK_PACK_NS[0],
     /// GEMM packing nanoseconds attributed to NEON-microkernel calls.
-    pub gemm_mk_pack_ns_neon: u64,
+    gemm_mk_pack_ns_neon: GEMM_MK_PACK_NS[1],
     /// GEMM packing nanoseconds attributed to AVX2-microkernel calls.
-    pub gemm_mk_pack_ns_avx2: u64,
+    gemm_mk_pack_ns_avx2: GEMM_MK_PACK_NS[2],
     /// GEMM packing nanoseconds attributed to AVX-512-microkernel calls.
-    pub gemm_mk_pack_ns_avx512: u64,
+    gemm_mk_pack_ns_avx512: GEMM_MK_PACK_NS[3],
     /// GEMM microkernel-sweep nanoseconds on the scalar variant.
-    pub gemm_mk_compute_ns_scalar: u64,
+    gemm_mk_compute_ns_scalar: GEMM_MK_COMPUTE_NS[0],
     /// GEMM microkernel-sweep nanoseconds on the NEON variant.
-    pub gemm_mk_compute_ns_neon: u64,
+    gemm_mk_compute_ns_neon: GEMM_MK_COMPUTE_NS[1],
     /// GEMM microkernel-sweep nanoseconds on the AVX2 variant.
-    pub gemm_mk_compute_ns_avx2: u64,
+    gemm_mk_compute_ns_avx2: GEMM_MK_COMPUTE_NS[2],
     /// GEMM microkernel-sweep nanoseconds on the AVX-512 variant.
-    pub gemm_mk_compute_ns_avx512: u64,
+    gemm_mk_compute_ns_avx512: GEMM_MK_COMPUTE_NS[3],
     /// Batched-FFT butterfly passes executed by the scalar combine set.
-    pub fft_mk_calls_scalar: u64,
+    fft_mk_calls_scalar: FFT_MK_CALLS[0],
     /// Batched-FFT butterfly passes executed by the NEON combine set.
-    pub fft_mk_calls_neon: u64,
+    fft_mk_calls_neon: FFT_MK_CALLS[1],
     /// Batched-FFT butterfly passes executed by the AVX2 combine set.
-    pub fft_mk_calls_avx2: u64,
+    fft_mk_calls_avx2: FFT_MK_CALLS[2],
     /// Batched-FFT butterfly passes executed by the AVX-512 combine set.
-    pub fft_mk_calls_avx512: u64,
-    /// Monotonicity violations observed while computing this snapshot as
-    /// a delta: the number of counters that went *backwards* between the
-    /// two snapshots. Always zero for direct [`snapshot`]s; nonzero on a
-    /// delta means work was lost between the endpoints (snapshots taken
-    /// in the wrong order, or mixed across processes) and the clamped
-    /// fields under-report — surfaced instead of silently hidden.
-    pub delta_underflows: u64,
-}
-
-macro_rules! for_each_counter_field {
-    ($m:ident) => {
-        $m!(pool_dispatches);
-        $m!(pool_dispatch_ns);
-        $m!(pool_region_ns);
-        $m!(pool_inline_runs);
-        $m!(pool_inline_ns);
-        $m!(pool_inline_small);
-        $m!(pool_inline_busy);
-        $m!(gemm_calls);
-        $m!(gemm_pack_ns);
-        $m!(gemm_compute_ns);
-        $m!(fft_grids);
-        $m!(fft_lines);
-        $m!(fft_ns);
-        $m!(comm_collectives);
-        $m!(comm_faults);
-        $m!(comm_retries);
-        $m!(comm_crashes);
-        $m!(comm_shrinks);
-        $m!(comm_recovery_ns);
-        $m!(ckpt_writes);
-        $m!(ckpt_reads);
-        $m!(ckpt_bytes);
-        $m!(ff_hermiticity_drops);
-        $m!(dag_tasks);
-        $m!(dag_steals);
-        $m!(dag_reenqueued);
-        $m!(serve_requests);
-        $m!(serve_completed);
-        $m!(serve_hits_mem);
-        $m!(serve_hits_disk);
-        $m!(serve_misses);
-        $m!(serve_coalesced);
-        $m!(serve_preemptions);
-        $m!(serve_retries);
-        $m!(serve_reenqueued);
-        $m!(serve_store_invalid);
-        $m!(serve_queue_ns);
-        $m!(serve_mem_evicted);
-        $m!(serve_gc_removed);
-        $m!(serve_gc_bytes);
-        $m!(gemm_mk_calls_scalar);
-        $m!(gemm_mk_calls_neon);
-        $m!(gemm_mk_calls_avx2);
-        $m!(gemm_mk_calls_avx512);
-        $m!(gemm_mk_pack_ns_scalar);
-        $m!(gemm_mk_pack_ns_neon);
-        $m!(gemm_mk_pack_ns_avx2);
-        $m!(gemm_mk_pack_ns_avx512);
-        $m!(gemm_mk_compute_ns_scalar);
-        $m!(gemm_mk_compute_ns_neon);
-        $m!(gemm_mk_compute_ns_avx2);
-        $m!(gemm_mk_compute_ns_avx512);
-        $m!(fft_mk_calls_scalar);
-        $m!(fft_mk_calls_neon);
-        $m!(fft_mk_calls_avx2);
-        $m!(fft_mk_calls_avx512);
-    };
-}
-
-impl CounterSnapshot {
-    /// Counter increments between `self` (earlier) and `later`, plus the
-    /// number of monotonicity violations — fields where `later` reads
-    /// *below* `self`, i.e. where the saturating subtraction clamped to
-    /// zero and lost work. The caller decides how loudly to surface a
-    /// nonzero count; [`CounterSnapshot::delta`] debug-asserts on it.
-    pub fn delta_checked(&self, later: &CounterSnapshot) -> (CounterSnapshot, u64) {
-        let mut out = CounterSnapshot::default();
-        let mut underflows = 0u64;
-        macro_rules! sub_field {
-            ($f:ident) => {
-                if later.$f < self.$f {
-                    underflows += 1;
-                }
-                out.$f = later.$f.saturating_sub(self.$f);
-            };
-        }
-        for_each_counter_field!(sub_field);
-        out.delta_underflows = underflows;
-        (out, underflows)
-    }
-
-    /// Counter increments between `self` (earlier) and `later`.
-    ///
-    /// Counters are monotonic, so a field of `later` reading below `self`
-    /// means the snapshots were taken in the wrong order (or crossed a
-    /// process boundary). That used to be clamped to zero silently; it is
-    /// now a debug assertion, and release builds surface it through the
-    /// [`CounterSnapshot::delta_underflows`] field of the result.
-    pub fn delta(&self, later: &CounterSnapshot) -> CounterSnapshot {
-        let (out, underflows) = self.delta_checked(later);
-        debug_assert_eq!(
-            underflows, 0,
-            "CounterSnapshot::delta: {underflows} counters went backwards \
-             between snapshots (earlier/later swapped?) — the clamped delta \
-             under-reports lost work"
-        );
-        out
-    }
-
-    /// Field-wise accumulation (used by the span registry to sum per-span
-    /// deltas; `delta_underflows` accumulates too, so a span tree never
-    /// hides a monotonicity violation seen by any of its spans).
-    pub fn accumulate(&mut self, other: &CounterSnapshot) {
-        macro_rules! add_field {
-            ($f:ident) => {
-                self.$f += other.$f;
-            };
-        }
-        for_each_counter_field!(add_field);
-        self.delta_underflows += other.delta_underflows;
-    }
-
-    /// Visits every counter field as a `(name, value)` pair in declaration
-    /// order — the single source of truth for serializers.
-    pub fn for_each_field(&self, mut f: impl FnMut(&'static str, u64)) {
-        macro_rules! visit_field {
-            ($f:ident) => {
-                f(stringify!($f), self.$f);
-            };
-        }
-        for_each_counter_field!(visit_field);
-        f("delta_underflows", self.delta_underflows);
-    }
-
-    /// Sets a counter field by name (deserializer hook); returns `false`
-    /// for an unknown name.
-    pub fn set_field(&mut self, name: &str, value: u64) -> bool {
-        macro_rules! match_field {
-            ($f:ident) => {
-                if name == stringify!($f) {
-                    self.$f = value;
-                    return true;
-                }
-            };
-        }
-        for_each_counter_field!(match_field);
-        if name == "delta_underflows" {
-            self.delta_underflows = value;
-            return true;
-        }
-        false
-    }
-}
-
-/// Reads all counters.
-pub fn snapshot() -> CounterSnapshot {
-    CounterSnapshot {
-        pool_dispatches: POOL_DISPATCHES.load(Ordering::Relaxed),
-        pool_dispatch_ns: POOL_DISPATCH_NS.load(Ordering::Relaxed),
-        pool_region_ns: POOL_REGION_NS.load(Ordering::Relaxed),
-        pool_inline_runs: POOL_INLINE_RUNS.load(Ordering::Relaxed),
-        pool_inline_ns: POOL_INLINE_NS.load(Ordering::Relaxed),
-        pool_inline_small: POOL_INLINE_SMALL.load(Ordering::Relaxed),
-        pool_inline_busy: POOL_INLINE_BUSY.load(Ordering::Relaxed),
-        gemm_calls: GEMM_CALLS.load(Ordering::Relaxed),
-        gemm_pack_ns: GEMM_PACK_NS.load(Ordering::Relaxed),
-        gemm_compute_ns: GEMM_COMPUTE_NS.load(Ordering::Relaxed),
-        fft_grids: FFT_GRIDS.load(Ordering::Relaxed),
-        fft_lines: FFT_LINES.load(Ordering::Relaxed),
-        fft_ns: FFT_NS.load(Ordering::Relaxed),
-        comm_collectives: COMM_COLLECTIVES.load(Ordering::Relaxed),
-        comm_faults: COMM_FAULTS.load(Ordering::Relaxed),
-        comm_retries: COMM_RETRIES.load(Ordering::Relaxed),
-        comm_crashes: COMM_CRASHES.load(Ordering::Relaxed),
-        comm_shrinks: COMM_SHRINKS.load(Ordering::Relaxed),
-        comm_recovery_ns: COMM_RECOVERY_NS.load(Ordering::Relaxed),
-        ckpt_writes: CKPT_WRITES.load(Ordering::Relaxed),
-        ckpt_reads: CKPT_READS.load(Ordering::Relaxed),
-        ckpt_bytes: CKPT_BYTES.load(Ordering::Relaxed),
-        ff_hermiticity_drops: FF_HERMITICITY_DROPS.load(Ordering::Relaxed),
-        dag_tasks: DAG_TASKS.load(Ordering::Relaxed),
-        dag_steals: DAG_STEALS.load(Ordering::Relaxed),
-        dag_reenqueued: DAG_REENQUEUED.load(Ordering::Relaxed),
-        serve_requests: SERVE_REQUESTS.load(Ordering::Relaxed),
-        serve_completed: SERVE_COMPLETED.load(Ordering::Relaxed),
-        serve_hits_mem: SERVE_HITS_MEM.load(Ordering::Relaxed),
-        serve_hits_disk: SERVE_HITS_DISK.load(Ordering::Relaxed),
-        serve_misses: SERVE_MISSES.load(Ordering::Relaxed),
-        serve_coalesced: SERVE_COALESCED.load(Ordering::Relaxed),
-        serve_preemptions: SERVE_PREEMPTIONS.load(Ordering::Relaxed),
-        serve_retries: SERVE_RETRIES.load(Ordering::Relaxed),
-        serve_reenqueued: SERVE_REENQUEUED.load(Ordering::Relaxed),
-        serve_store_invalid: SERVE_STORE_INVALID.load(Ordering::Relaxed),
-        serve_queue_ns: SERVE_QUEUE_NS.load(Ordering::Relaxed),
-        serve_mem_evicted: SERVE_MEM_EVICTED.load(Ordering::Relaxed),
-        serve_gc_removed: SERVE_GC_REMOVED.load(Ordering::Relaxed),
-        serve_gc_bytes: SERVE_GC_BYTES.load(Ordering::Relaxed),
-        gemm_mk_calls_scalar: GEMM_MK_CALLS[0].load(Ordering::Relaxed),
-        gemm_mk_calls_neon: GEMM_MK_CALLS[1].load(Ordering::Relaxed),
-        gemm_mk_calls_avx2: GEMM_MK_CALLS[2].load(Ordering::Relaxed),
-        gemm_mk_calls_avx512: GEMM_MK_CALLS[3].load(Ordering::Relaxed),
-        gemm_mk_pack_ns_scalar: GEMM_MK_PACK_NS[0].load(Ordering::Relaxed),
-        gemm_mk_pack_ns_neon: GEMM_MK_PACK_NS[1].load(Ordering::Relaxed),
-        gemm_mk_pack_ns_avx2: GEMM_MK_PACK_NS[2].load(Ordering::Relaxed),
-        gemm_mk_pack_ns_avx512: GEMM_MK_PACK_NS[3].load(Ordering::Relaxed),
-        gemm_mk_compute_ns_scalar: GEMM_MK_COMPUTE_NS[0].load(Ordering::Relaxed),
-        gemm_mk_compute_ns_neon: GEMM_MK_COMPUTE_NS[1].load(Ordering::Relaxed),
-        gemm_mk_compute_ns_avx2: GEMM_MK_COMPUTE_NS[2].load(Ordering::Relaxed),
-        gemm_mk_compute_ns_avx512: GEMM_MK_COMPUTE_NS[3].load(Ordering::Relaxed),
-        fft_mk_calls_scalar: FFT_MK_CALLS[0].load(Ordering::Relaxed),
-        fft_mk_calls_neon: FFT_MK_CALLS[1].load(Ordering::Relaxed),
-        fft_mk_calls_avx2: FFT_MK_CALLS[2].load(Ordering::Relaxed),
-        fft_mk_calls_avx512: FFT_MK_CALLS[3].load(Ordering::Relaxed),
-        delta_underflows: 0,
-    }
+    fft_mk_calls_avx512: FFT_MK_CALLS[3],
 }
 
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
