@@ -5,15 +5,18 @@
 //! Several implementation variants stand in for the paper's programming
 //! models (Table 4): a straightforward reference (the out-of-the-box
 //! OpenMP-target port), a tiled variant with hoisted row access (the
-//! optimized OpenMP/OpenACC class), and an optimized variant that
-//! additionally replaces divisions with reciprocal multiplications, runs
-//! FMA-shaped accumulation, and parallelizes over bands (the CUDA/HIP/SYCL
-//! class, Sec. 5.5.1). All variants produce the same numbers; only the
-//! instruction stream differs — exactly the comparison Table 4 makes on
-//! fixed hardware.
+//! optimized OpenMP/OpenACC class), and an optimized variant that runs
+//! bands in SIMD lanes with the pole data of a `(G, G')` pair loaded once
+//! per lane group, walks only the visited pairs, replaces divisions with
+//! reciprocal multiplications and accumulates with FMA instructions (the
+//! CUDA/HIP/SYCL class, Sec. 5.5.1). All variants produce the same numbers
+//! to rounding; only the instruction stream differs — exactly the
+//! comparison Table 4 makes on fixed hardware. The optimized variant
+//! returns the same bits at every ISA, lane count and pool width.
 
 use super::{gpp_factor, SigmaContext};
-use bgw_num::{c64, Complex64};
+use bgw_num::simd::Isa;
+use bgw_num::Complex64;
 use std::time::Instant;
 
 /// Implementation variant of the diag kernel.
@@ -23,7 +26,8 @@ pub enum KernelVariant {
     Reference,
     /// `G'` tiling with hoisted row slices.
     Blocked,
-    /// Tiling + reciprocal arithmetic + FMA accumulation + band-parallel.
+    /// Bands in SIMD lanes + pair list + reciprocal arithmetic + FMA
+    /// accumulation, one pool task per lane group.
     Optimized,
 }
 
@@ -111,7 +115,7 @@ fn row_kernel(
     match variant {
         KernelVariant::Reference => row_reference(ctx, s, grid, out),
         KernelVariant::Blocked => row_blocked(ctx, s, grid, out),
-        KernelVariant::Optimized => row_optimized(ctx, s, grid, out),
+        KernelVariant::Optimized => row_lanes(ctx, s, grid, out, bgw_num::simd::effective()),
     }
 }
 
@@ -180,111 +184,256 @@ fn row_blocked(ctx: &SigmaContext, s: usize, grid: &[f64], out: &mut [f64]) -> u
     flops
 }
 
-fn row_optimized(ctx: &SigmaContext, s: usize, grid: &[f64], out: &mut [f64]) -> u64 {
-    // Per-energy accumulators, amortized pole-data loads, divisions
-    // replaced by reciprocal multiplies, and plain-f64 FMA accumulation
-    // (the kernel factor is real) — the Sec. 5.5.1 optimization set.
-    const MAX_NE: usize = 16;
-    const DENOM_FLOOR: f64 = 1e-4;
-    let ng = ctx.n_g();
-    let ne = grid.len();
-    let m = &ctx.m_tilde[s];
-    let pair_flops = count_pair_flops(ctx, ng);
-    let mut flops = 0u64;
-    // Chunk the energy grid so the per-(g, gp) factor array stays on
-    // the stack.
+/// Energies per pass over the pair list: the per-energy accumulators of a
+/// lane group stay on the stack.
+const MAX_NE: usize = 16;
+/// Smallest `|denominator|` of a pole term; smaller ones keep their sign.
+const DENOM_FLOOR: f64 = 1e-4;
+
+/// The `(G, G')` pairs an Optimized sweep visits, ascending in `G'` for
+/// each `G`: the active poles (strength `> 0`) and the diagonal, where the
+/// occupied bands' bare exchange sits whatever its pole. A NaN strength
+/// is skipped like an inactive pair: the scalar body gives it a zero
+/// factor, which leaves a finite sum unchanged. Built per call:
+/// `GppModel::pole_strength` is `pub`, so a cached index could go stale.
+struct PairList {
+    /// `gp[start[g]..start[g + 1]]` are the visited `G'` of row `G`.
+    start: Vec<usize>,
+    gp: Vec<u32>,
+    /// Counted flops of one full `(G, G')` sweep at fixed `(n, E)`.
+    sweep_flops: u64,
+}
+
+impl PairList {
+    fn scan(ctx: &SigmaContext) -> Self {
+        let ng = ctx.n_g();
+        let mut start = Vec::with_capacity(ng + 1);
+        let mut gp = Vec::new();
+        let mut active = 0u64;
+        start.push(0);
+        for g in 0..ng {
+            for (j, &s) in ctx.gpp.pole_strength[g * ng..(g + 1) * ng]
+                .iter()
+                .enumerate()
+            {
+                active += u64::from(s > 0.0);
+                if s > 0.0 || j == g {
+                    gp.push(j as u32);
+                }
+            }
+            start.push(gp.len());
+        }
+        Self {
+            start,
+            gp,
+            sweep_flops: sweep_flops(active, ng),
+        }
+    }
+}
+
+/// What one lane group reads: the context, its Sigma row's `m~`, the
+/// pair list and the energy grid.
+struct Sweep<'a> {
+    ctx: &'a SigmaContext,
+    m: &'a bgw_linalg::CMatrix,
+    pairs: PairList,
+    grid: &'a [f64],
+}
+
+#[inline(always)]
+fn floor_den(den: f64) -> f64 {
+    if den.abs() < DENOM_FLOOR {
+        DENOM_FLOOR.copysign(den)
+    } else {
+        den
+    }
+}
+
+/// One lane group: lane `l` is band `n0 + l`. Writes each existing band's
+/// partial `Sigma(E)` into `out` (band-major, `grid.len()` per band).
+///
+/// Every lane runs the scalar body's IEEE operations — `mul_add` fused,
+/// the products of `conj(m_G) m_G'` not — over the pairs in the scalar
+/// body's order, so a band's partial has the same bits at every `L`.
+/// Occupancy is a per-lane select; a group with no occupied lane skips
+/// the screened-exchange denominator. Lanes past the last band compute
+/// on zeros and are not written.
+#[inline(always)]
+fn group_body<const L: usize>(sw: &Sweep, n0: usize, out: &mut [f64]) {
+    let (ctx, ng, ne) = (sw.ctx, sw.ctx.n_g(), sw.grid.len());
+    let lanes = out.len() / ne;
+    let mut en = [0.0f64; L];
+    let mut occ = [false; L];
+    // The group's rows of m~ staged once, split re/im, one lane per band.
+    let mut re = vec![[0.0f64; L]; ng];
+    let mut im = vec![[0.0f64; L]; ng];
+    for l in 0..lanes {
+        en[l] = ctx.energies[n0 + l];
+        occ[l] = n0 + l < ctx.n_occ;
+        for (g, z) in sw.m.row(n0 + l).iter().enumerate() {
+            re[g][l] = z.re;
+            im[g][l] = z.im;
+        }
+    }
+    let any_occ = occ.contains(&true);
+    let mut de = [[0.0f64; L]; MAX_NE];
+    let mut acc = [[0.0f64; L]; MAX_NE];
     for e0 in (0..ne).step_by(MAX_NE) {
-        let e1 = (e0 + MAX_NE).min(ne);
-        let nee = e1 - e0;
-        // Band-parallel with per-worker accumulators, merged
-        // deterministically (the two-stage reduction of Sec. 5.5.1).
-        let (acc, fl) = bgw_par::parallel_reduce(
-            ctx.n_b(),
-            1,
-            bgw_par::Flops(pair_flops * nee as u64),
-            || (vec![c64(0.0, 0.0); nee], 0u64),
-            |(acc, fl), n0, n1| {
-                let mut de = [0.0f64; MAX_NE];
-                let mut p = [0.0f64; MAX_NE];
-                let mut acc_re = [0.0f64; MAX_NE];
-                let mut acc_im = [0.0f64; MAX_NE];
-                for n in n0..n1 {
-                    let occupied = n < ctx.n_occ;
-                    let row = m.row(n);
-                    let en = ctx.energies[n];
-                    for (k, &e) in grid[e0..e1].iter().enumerate() {
-                        de[k] = e - en;
-                    }
-                    acc_re[..nee].fill(0.0);
-                    acc_im[..nee].fill(0.0);
-                    for g in 0..ng {
-                        let mg = row[g];
-                        let strengths = &ctx.gpp.pole_strength[g * ng..(g + 1) * ng];
-                        let freqs = &ctx.gpp.mode_freq[g * ng..(g + 1) * ng];
-                        for gp in 0..ng {
-                            // Kernel factor for every E of the chunk;
-                            // pole data loaded once per (g, gp),
-                            // inactive pairs skipped entirely.
-                            let strength = strengths[gp];
-                            let exch = occupied && g == gp;
-                            if strength <= 0.0 && !exch {
-                                continue;
-                            }
-                            let base = if exch { -1.0 } else { 0.0 };
-                            if strength > 0.0 {
-                                let w = freqs[gp];
-                                let w2 = w * w;
-                                let two_w = 2.0 * w;
-                                for k in 0..nee {
-                                    let d = de[k];
-                                    let mut pk = base;
-                                    if occupied {
-                                        let den = d.mul_add(d, -w2);
-                                        let den = if den.abs() < DENOM_FLOOR {
-                                            DENOM_FLOOR.copysign(den)
-                                        } else {
-                                            den
-                                        };
-                                        pk = (-strength).mul_add(1.0 / den, pk);
-                                    }
-                                    let den = two_w * (d - w);
-                                    let den = if den.abs() < DENOM_FLOOR {
-                                        DENOM_FLOOR.copysign(den)
-                                    } else {
-                                        den
-                                    };
-                                    p[k] = strength.mul_add(1.0 / den, pk);
-                                }
-                            } else {
-                                p[..nee].fill(base);
-                            }
-                            // conj(m_g) * m_gp once, then real FMA per E.
-                            let prod = mg.conj() * row[gp];
-                            for k in 0..nee {
-                                acc_re[k] = p[k].mul_add(prod.re, acc_re[k]);
-                                acc_im[k] = p[k].mul_add(prod.im, acc_im[k]);
-                            }
+        let grid = &sw.grid[e0..(e0 + MAX_NE).min(ne)];
+        let nee = grid.len();
+        for (dk, &e) in de.iter_mut().zip(grid) {
+            for l in 0..L {
+                dk[l] = e - en[l];
+            }
+        }
+        acc[..nee].fill([0.0; L]);
+        for g in 0..ng {
+            // conj(m_G), as `Complex64::conj` spells it.
+            let (cre, cim) = (re[g], im[g].map(|x| -x));
+            for &gp in &sw.pairs.gp[sw.pairs.start[g]..sw.pairs.start[g + 1]] {
+                let gp = gp as usize;
+                let s = ctx.gpp.pole_strength[g * ng + gp];
+                // Re(conj(m_G) * m_G') in `Complex64`'s `Mul` order.
+                let mut prod = [0.0f64; L];
+                for l in 0..L {
+                    prod[l] = cre[l] * re[gp][l] - cim[l] * im[gp][l];
+                }
+                let diag = g == gp;
+                if s > 0.0 {
+                    // Pole data loaded once for all L bands.
+                    let w = ctx.gpp.mode_freq[g * ng + gp];
+                    let w2 = w * w;
+                    let two_w = 2.0 * w;
+                    let mut base = [0.0f64; L];
+                    if diag {
+                        for l in 0..L {
+                            base[l] = if occ[l] { -1.0 } else { 0.0 };
                         }
                     }
-                    for k in 0..nee {
-                        acc[k] += c64(acc_re[k], acc_im[k]);
+                    for (d, a) in de.iter().zip(&mut acc[..nee]) {
+                        let mut pk = base;
+                        if any_occ {
+                            for l in 0..L {
+                                let sx =
+                                    (-s).mul_add(1.0 / floor_den(d[l].mul_add(d[l], -w2)), pk[l]);
+                                pk[l] = if occ[l] { sx } else { pk[l] };
+                            }
+                        }
+                        for l in 0..L {
+                            let p = s.mul_add(1.0 / floor_den(two_w * (d[l] - w)), pk[l]);
+                            a[l] = p.mul_add(prod[l], a[l]);
+                        }
                     }
-                    *fl += pair_flops * nee as u64;
+                } else if any_occ {
+                    // A diagonal without a pole: only the occupied lanes'
+                    // bare exchange.
+                    for l in (0..L).filter(|&l| occ[l]) {
+                        for a in &mut acc[..nee] {
+                            a[l] = (-1.0f64).mul_add(prod[l], a[l]);
+                        }
+                    }
                 }
-            },
-            |(mut a, fa), (b, fb)| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                (a, fa + fb)
-            },
-        );
-        for (slot, z) in out[e0..e1].iter_mut().zip(&acc) {
-            *slot = z.re;
+            }
         }
-        flops += fl;
+        for (l, band) in out.chunks_exact_mut(ne).enumerate() {
+            for (slot, a) in band[e0..e0 + nee].iter_mut().zip(&acc) {
+                *slot = a[l];
+            }
+        }
     }
-    flops
+}
+
+/// Signature shared by every lane-group version. The `unsafe` is the
+/// `#[target_feature]` contract: a version may only run on a host that
+/// executes its ISA (the scalar version is a safe function coerced to
+/// this type).
+type GroupFn = unsafe fn(&Sweep, usize, &mut [f64]);
+
+// The plain body, one band per group. On aarch64 the baseline target
+// already makes `mul_add` an FMA instruction.
+fn group_scalar(sw: &Sweep, n0: usize, out: &mut [f64]) {
+    group_body::<1>(sw, n0, out)
+}
+
+#[cfg(target_arch = "x86_64")]
+mod mv {
+    //! `#[target_feature]` versions of the lane-group body: inlined under
+    //! a wider feature set, `f64::mul_add` is a `vfmadd` instruction and
+    //! the lane loops are 256-bit (AVX2+FMA) or 512-bit (AVX-512F) wide.
+    //! Outside such a body — in a closure too, which does not inherit its
+    //! parent's features — `mul_add` is a libm call on baseline x86-64.
+
+    use super::*;
+
+    /// [`group_body`] with 4 lanes.
+    ///
+    /// # Safety
+    /// The host must execute AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn group_avx2(sw: &Sweep, n0: usize, out: &mut [f64]) {
+        group_body::<4>(sw, n0, out)
+    }
+
+    /// [`group_body`] with 8 lanes.
+    ///
+    /// # Safety
+    /// The host must execute AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn group_avx512(sw: &Sweep, n0: usize, out: &mut [f64]) {
+        group_body::<8>(sw, n0, out)
+    }
+}
+
+/// Bands per lane group and the lane-group version compiled for `isa`.
+fn group_kernel(isa: Isa) -> (usize, GroupFn) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => (8, mv::group_avx512),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => (4, mv::group_avx2),
+        _ => (1, group_scalar as GroupFn),
+    }
+}
+
+/// The Optimized body (Sec. 5.5.1 on a CPU): bands in SIMD lanes, pole
+/// data loaded once per `(G, G')` for a whole lane group, inactive pairs
+/// skipped by index, one pool task per lane group writing its bands'
+/// partials, then a left fold of the partials in band order — the
+/// grouping a one-band-per-chunk reduction has, so the bits do not depend
+/// on the pool width, on `isa` or on its lane count.
+fn row_lanes(ctx: &SigmaContext, s: usize, grid: &[f64], out: &mut [f64], isa: Isa) -> u64 {
+    assert!(
+        bgw_num::simd::host_supports(isa),
+        "{isa:?} does not run here"
+    );
+    let (nb, ne) = (ctx.n_b(), grid.len());
+    let sweep = Sweep {
+        ctx,
+        m: &ctx.m_tilde[s],
+        pairs: PairList::scan(ctx),
+        grid,
+    };
+    let (lanes, group) = group_kernel(isa);
+    let mut partial = vec![0.0; nb * ne];
+    if ne > 0 {
+        let mut groups: Vec<&mut [f64]> = partial.chunks_mut(lanes * ne).collect();
+        let cost = bgw_par::Flops(sweep.pairs.sweep_flops * (lanes * ne) as u64);
+        bgw_par::parallel_fill(&mut groups, cost, |i, band_partials| {
+            bgw_perf::counters::record_gpp_mk_group(isa.index());
+            // SAFETY: `group_kernel` hands out the version compiled for
+            // `isa`, which the assertion above checked this host executes.
+            unsafe { group(&sweep, i * lanes, band_partials) }
+        });
+    }
+    // `0.0 + partial` is a one-band chunk folded into its zero identity:
+    // it turns a -0.0 partial into +0.0 exactly as that reduction did.
+    for (k, slot) in out.iter_mut().enumerate() {
+        *slot = (0..nb)
+            .map(|n| 0.0 + partial[n * ne + k])
+            .reduce(|a, b| a + b)
+            .unwrap_or(0.0);
+    }
+    sweep.pairs.sweep_flops * (nb * ne) as u64
 }
 
 /// Partial diag kernel over a contiguous `G'` slice `gp_lo..gp_hi` — the
@@ -383,15 +532,25 @@ pub fn try_gpp_sigma_diag_distributed(
 fn count_pair_flops(ctx: &SigmaContext, ng: usize) -> u64 {
     // Precomputable per context, but cheap enough to recount.
     let active = ctx.gpp.pole_strength.iter().filter(|&&s| s > 0.0).count() as u64;
+    sweep_flops(active, ng)
+}
+
+/// Counted flops of a `(G, G')` sweep with `active` active pairs.
+fn sweep_flops(active: u64, ng: usize) -> u64 {
     let total = (ng * ng) as u64;
     active * FLOPS_PER_ACTIVE_PAIR + (total - active) * FLOPS_PER_INACTIVE_PAIR
 }
 
 /// The measured architecture prefactor `alpha` (paper Eq. 7): counted flops
-/// divided by the canonical complexity `N_Sigma N_b N_G^2 N_E`.
+/// divided by the canonical complexity `N_Sigma N_b N_G^2 N_E`, with
+/// `N_Sigma N_E` the total energies over the (possibly ragged) per-band
+/// grids. An empty result has no complexity and reports 0.
 pub fn measured_alpha(result: &SigmaDiagResult, ctx: &SigmaContext) -> f64 {
-    let ne: usize = result.e_grids.iter().map(|g| g.len()).sum::<usize>() / result.e_grids.len();
-    let denom = ctx.n_sigma() as f64 * ctx.n_b() as f64 * (ctx.n_g() as f64).powi(2) * ne as f64;
+    let ne: usize = result.e_grids.iter().map(Vec::len).sum();
+    let denom = ctx.n_b() as f64 * (ctx.n_g() as f64).powi(2) * ne as f64;
+    if denom == 0.0 {
+        return 0.0;
+    }
     result.flops as f64 / denom
 }
 
@@ -399,6 +558,257 @@ pub fn measured_alpha(result: &SigmaDiagResult, ctx: &SigmaContext) -> f64 {
 mod tests {
     use super::*;
     use crate::testkit;
+    use bgw_num::c64;
+
+    /// The Optimized body before bands went into SIMD lanes: band-parallel
+    /// through `parallel_reduce` with one band per chunk, every `mul_add`
+    /// through the scalar path. The bitwise oracle of [`row_lanes`].
+    fn row_optimized(ctx: &SigmaContext, s: usize, grid: &[f64], out: &mut [f64]) -> u64 {
+        // Per-energy accumulators, amortized pole-data loads, divisions
+        // replaced by reciprocal multiplies, and plain-f64 FMA accumulation
+        // (the kernel factor is real) — the Sec. 5.5.1 optimization set.
+        const MAX_NE: usize = 16;
+        const DENOM_FLOOR: f64 = 1e-4;
+        let ng = ctx.n_g();
+        let ne = grid.len();
+        let m = &ctx.m_tilde[s];
+        let pair_flops = count_pair_flops(ctx, ng);
+        let mut flops = 0u64;
+        // Chunk the energy grid so the per-(g, gp) factor array stays on
+        // the stack.
+        for e0 in (0..ne).step_by(MAX_NE) {
+            let e1 = (e0 + MAX_NE).min(ne);
+            let nee = e1 - e0;
+            // Band-parallel with per-worker accumulators, merged
+            // deterministically (the two-stage reduction of Sec. 5.5.1).
+            let (acc, fl) = bgw_par::parallel_reduce(
+                ctx.n_b(),
+                1,
+                bgw_par::Flops(pair_flops * nee as u64),
+                || (vec![c64(0.0, 0.0); nee], 0u64),
+                |(acc, fl), n0, n1| {
+                    let mut de = [0.0f64; MAX_NE];
+                    let mut p = [0.0f64; MAX_NE];
+                    let mut acc_re = [0.0f64; MAX_NE];
+                    let mut acc_im = [0.0f64; MAX_NE];
+                    for n in n0..n1 {
+                        let occupied = n < ctx.n_occ;
+                        let row = m.row(n);
+                        let en = ctx.energies[n];
+                        for (k, &e) in grid[e0..e1].iter().enumerate() {
+                            de[k] = e - en;
+                        }
+                        acc_re[..nee].fill(0.0);
+                        acc_im[..nee].fill(0.0);
+                        for g in 0..ng {
+                            let mg = row[g];
+                            let strengths = &ctx.gpp.pole_strength[g * ng..(g + 1) * ng];
+                            let freqs = &ctx.gpp.mode_freq[g * ng..(g + 1) * ng];
+                            for gp in 0..ng {
+                                // Kernel factor for every E of the chunk;
+                                // pole data loaded once per (g, gp),
+                                // inactive pairs skipped entirely.
+                                let strength = strengths[gp];
+                                let exch = occupied && g == gp;
+                                if strength <= 0.0 && !exch {
+                                    continue;
+                                }
+                                let base = if exch { -1.0 } else { 0.0 };
+                                if strength > 0.0 {
+                                    let w = freqs[gp];
+                                    let w2 = w * w;
+                                    let two_w = 2.0 * w;
+                                    for k in 0..nee {
+                                        let d = de[k];
+                                        let mut pk = base;
+                                        if occupied {
+                                            let den = d.mul_add(d, -w2);
+                                            let den = if den.abs() < DENOM_FLOOR {
+                                                DENOM_FLOOR.copysign(den)
+                                            } else {
+                                                den
+                                            };
+                                            pk = (-strength).mul_add(1.0 / den, pk);
+                                        }
+                                        let den = two_w * (d - w);
+                                        let den = if den.abs() < DENOM_FLOOR {
+                                            DENOM_FLOOR.copysign(den)
+                                        } else {
+                                            den
+                                        };
+                                        p[k] = strength.mul_add(1.0 / den, pk);
+                                    }
+                                } else {
+                                    p[..nee].fill(base);
+                                }
+                                // conj(m_g) * m_gp once, then real FMA per E.
+                                let prod = mg.conj() * row[gp];
+                                for k in 0..nee {
+                                    acc_re[k] = p[k].mul_add(prod.re, acc_re[k]);
+                                    acc_im[k] = p[k].mul_add(prod.im, acc_im[k]);
+                                }
+                            }
+                        }
+                        for k in 0..nee {
+                            acc[k] += c64(acc_re[k], acc_im[k]);
+                        }
+                        *fl += pair_flops * nee as u64;
+                    }
+                },
+                |(mut a, fa), (b, fb)| {
+                    for (x, y) in a.iter_mut().zip(b) {
+                        *x += y;
+                    }
+                    (a, fa + fb)
+                },
+            );
+            for (slot, z) in out[e0..e1].iter_mut().zip(&acc) {
+                *slot = z.re;
+            }
+            flops += fl;
+        }
+        flops
+    }
+
+    /// `ctx` cut to its first `nb` bands, with `n_occ` occupied.
+    fn truncated(ctx: &SigmaContext, nb: usize, n_occ: usize) -> SigmaContext {
+        let mut c = ctx.clone();
+        let ng = c.n_g();
+        c.energies.truncate(nb);
+        c.n_occ = n_occ;
+        for m in &mut c.m_tilde {
+            *m = bgw_linalg::CMatrix::from_vec(nb, ng, m.as_slice()[..nb * ng].to_vec());
+        }
+        c
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn lanes_match_the_scalar_body_bitwise_at_every_isa_and_width() {
+        // The pool width and the counters are process-wide.
+        let _guard = bgw_perf::counters::exclusive_test_guard();
+        let (small, _) = testkit::small_context();
+        let (big, _) = testkit::context_at(4.2, 1.0, 60);
+        // N_b = 59 is a multiple of no lane count; 6 and 13 occupied bands
+        // end inside a lane group of 4 and of 8.
+        let mut no_pole = truncated(&big, 59, 6);
+        let ng = no_pole.n_g();
+        for g in (0..ng).step_by(2) {
+            no_pole.gpp.pole_strength[g * ng + g] = 0.0;
+        }
+        no_pole.gpp.pole_strength[ng + 1] = -0.5;
+        let contexts = [small, no_pole, truncated(&big, 59, 13)];
+        let before = bgw_perf::counters::snapshot();
+        for (c, ctx) in contexts.iter().enumerate() {
+            // Ragged grids: 1, 3 and 17 energies (17 crosses MAX_NE).
+            let grids: Vec<Vec<f64>> = ctx
+                .sigma_energies
+                .iter()
+                .enumerate()
+                .map(|(s, &e)| {
+                    let ne = [1, 3, 17][s % 3];
+                    (0..ne).map(|k| e + 0.04 * (k as f64 - 1.0)).collect()
+                })
+                .collect();
+            let oracle: Vec<(Vec<f64>, u64)> = grids
+                .iter()
+                .enumerate()
+                .map(|(s, grid)| {
+                    let mut out = vec![0.0; grid.len()];
+                    let flops = row_optimized(ctx, s, grid, &mut out);
+                    (out, flops)
+                })
+                .collect();
+            for isa in bgw_num::simd::supported() {
+                for width in [1, 2, 3, 7] {
+                    bgw_par::set_num_threads(width);
+                    for (s, grid) in grids.iter().enumerate() {
+                        let mut out = vec![0.0; grid.len()];
+                        let flops = row_lanes(ctx, s, grid, &mut out, isa);
+                        let what = format!("context {c}, {isa:?}, width {width}, row {s}");
+                        assert_eq!(bits(&out), bits(&oracle[s].0), "{what}");
+                        assert_eq!(flops, oracle[s].1, "{what}");
+                    }
+                }
+            }
+            bgw_par::set_num_threads(0);
+            // The public entries, at the effective ISA: the whole context
+            // and its rows one at a time, last first.
+            let whole = gpp_sigma_diag(ctx, &grids, KernelVariant::Optimized);
+            for s in (0..ctx.n_sigma()).rev() {
+                let mut row = vec![0.0; grids[s].len()];
+                gpp_sigma_row(ctx, s, &grids[s], KernelVariant::Optimized, &mut row);
+                assert_eq!(bits(&row), bits(&oracle[s].0), "context {c}, row {s}");
+                assert_eq!(
+                    bits(&whole.sigma[s]),
+                    bits(&oracle[s].0),
+                    "context {c}, band {s}"
+                );
+            }
+        }
+        let d = before.delta(&bgw_perf::counters::snapshot());
+        assert!(
+            d.pool_dispatches > 0,
+            "the widths above 1 never reached the pool"
+        );
+    }
+
+    #[test]
+    fn lane_groups_are_counted_on_the_effective_isa() {
+        let _guard = bgw_perf::counters::exclusive_test_guard();
+        let lanes = |d: &bgw_perf::counters::CounterSnapshot| {
+            [
+                d.gpp_mk_groups_scalar,
+                d.gpp_mk_groups_neon,
+                d.gpp_mk_groups_avx2,
+                d.gpp_mk_groups_avx512,
+            ]
+        };
+        let (ctx, _) = testkit::small_context();
+        let grids: Vec<Vec<f64>> = ctx.sigma_energies.iter().map(|&e| vec![e]).collect();
+        let isa = bgw_num::simd::effective();
+        let before = bgw_perf::counters::snapshot();
+        gpp_sigma_diag(&ctx, &grids, KernelVariant::Optimized);
+        let d = lanes(&before.delta(&bgw_perf::counters::snapshot()));
+        let groups = ctx.n_sigma() * ctx.n_b().div_ceil(group_kernel(isa).0);
+        assert!(d[isa.index()] >= groups as u64, "{isa:?} lane: {d:?}");
+        if isa != Isa::Scalar {
+            assert_eq!(d[Isa::Scalar.index()], 0, "a scalar fallback on {isa:?}");
+        }
+    }
+
+    #[test]
+    fn alpha_counts_ragged_grids_and_empty_results() {
+        let (ctx, _) = testkit::small_context();
+        // Grids of 3 and 4 energies: N_Sigma N_E is 7, not 2 x floor(7 / 2).
+        let mut two = ctx.clone();
+        two.m_tilde.truncate(2);
+        two.sigma_bands.truncate(2);
+        two.sigma_energies.truncate(2);
+        let grids: Vec<Vec<f64>> = two
+            .sigma_energies
+            .iter()
+            .zip([3, 4])
+            .map(|(&e, ne)| (0..ne).map(|k| e + 0.05 * k as f64).collect())
+            .collect();
+        let r = gpp_sigma_diag(&two, &grids, KernelVariant::Optimized);
+        let sweep = count_pair_flops(&two, two.n_g()) as f64;
+        let alpha = measured_alpha(&r, &two);
+        let want = sweep / (two.n_g() as f64).powi(2);
+        assert!(
+            (alpha - want).abs() <= 1e-12 * want,
+            "alpha {alpha}, want {want}"
+        );
+        let mut none = two.clone();
+        none.m_tilde.clear();
+        none.sigma_bands.clear();
+        none.sigma_energies.clear();
+        let empty = gpp_sigma_diag(&none, &[], KernelVariant::Optimized);
+        assert_eq!(measured_alpha(&empty, &none), 0.0);
+    }
 
     #[test]
     fn variants_agree() {

@@ -64,8 +64,9 @@ pub struct Flops(pub u64);
 /// (`par.dispatch_s / par.dispatches`: 0.54 s / 23 424 on `gpp_oneshot`,
 /// 3.2 ms / 91 per `serve_zipf` request), and the kernels that reach the
 /// pool sustain 2.5-3.2 GFLOP/s single-threaded by their own counts (a
-/// 12^3 FFT is 93 kFLOP in ~36 us; the GPP diag kernel reports 3.2). Ten
-/// wake-ups, ~250 us, of such work is ~0.75 MFLOP.
+/// 12^3 FFT is 93 kFLOP in ~36 us; the scalar GPP diag kernel reported
+/// 3.2, its SIMD lane groups about 40). Ten wake-ups, ~250 us, of such
+/// work is ~0.75 MFLOP.
 const MIN_REGION_FLOPS: u64 = 750_000;
 
 /// Sets the number of worker threads used by subsequent parallel calls.

@@ -287,6 +287,14 @@ counters! {
     fft_mk_calls_avx2: FFT_MK_CALLS[2],
     /// Batched-FFT butterfly passes executed by the AVX-512 combine set.
     fft_mk_calls_avx512: FFT_MK_CALLS[3],
+    /// GPP diag lane groups (L consecutive bands) run by the scalar body.
+    gpp_mk_groups_scalar: GPP_MK_GROUPS[0],
+    /// GPP diag lane groups run by the NEON body.
+    gpp_mk_groups_neon: GPP_MK_GROUPS[1],
+    /// GPP diag lane groups run by the AVX2+FMA body (4 bands per group).
+    gpp_mk_groups_avx2: GPP_MK_GROUPS[2],
+    /// GPP diag lane groups run by the AVX-512 body (8 bands per group).
+    gpp_mk_groups_avx512: GPP_MK_GROUPS[3],
 }
 
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
@@ -550,6 +558,12 @@ pub fn record_fft_mk_call(isa: usize) {
     FFT_MK_CALLS[isa_lane(isa)].fetch_add(1, Ordering::Relaxed);
 }
 
+/// Records one GPP diag lane group run by the body of ISA index `isa`.
+#[inline]
+pub fn record_gpp_mk_group(isa: usize) {
+    GPP_MK_GROUPS[isa_lane(isa)].fetch_add(1, Ordering::Relaxed);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,11 +687,13 @@ mod tests {
         record_gemm_mk_pack_ns(3, 250);
         record_gemm_mk_compute_ns(3, 750);
         record_fft_mk_call(0);
+        record_gpp_mk_group(2);
         let d = before.delta(&snapshot());
         assert!(d.gemm_mk_calls_avx512 >= 1);
         assert!(d.gemm_mk_pack_ns_avx512 >= 250);
         assert!(d.gemm_mk_compute_ns_avx512 >= 750);
         assert!(d.fft_mk_calls_scalar >= 1);
+        assert!(d.gpp_mk_groups_avx2 >= 1);
     }
 
     #[test]
@@ -714,7 +730,7 @@ mod tests {
             n_fields += 1;
         });
         assert_eq!(a, b);
-        assert_eq!(n_fields, 57, "visitor must cover every field");
+        assert_eq!(n_fields, 61, "visitor must cover every field");
         assert!(!b.set_field("no_such_counter", 1));
     }
 }

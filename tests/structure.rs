@@ -49,6 +49,8 @@ const ROWS: &[(&[&str], &[&str], Want, &str)] = &[
     (&["crates/core/src/sigma/imagaxis.rs"], &["correlation_part("], Is(1), "one hoisted correlation matrix, built at one call site"),
     (&["crates/core/src/spacetime.rs"], &["while r0 < npts"], Is(0), "a row batch is the space-time chi's parallel unit, on the pool"),
     (&["crates/core/src/chi.rs"], &["Op::Adj"], Is(1), "one CHI-SUM body: every chi build contracts 2 M^H (Delta M) in chi_freqs_core"),
+    (&["crates/core/src/sigma/diag.rs"], &["fn row_optimized"], Is(0), "the scalar twin of the GPP lane groups lives only in the test tail, as their bitwise oracle"),
+    (&["crates/core/src/sigma/diag.rs"], &["parallel_reduce("], Is(0), "GPP band partials are written per lane group and folded in band order"),
     (SPINE, &["solve_bands("], Is(1), FORK),
     (SPINE, &["Coulomb::bulk_for_cell"], Is(1), FORK),
     (SPINE, &["Coulomb::slab("], Is(1), FORK),

@@ -22,9 +22,10 @@ run_determinism_loop() {
     echo "==> determinism loop: the bit-exact tests and the determinism battery, 20x at BGW_THREADS=2"
     # parallel_reduce used to group its operands by which worker drew
     # which chunk, so the first three failed nondeterministically at any
-    # pool width > 1; tests/determinism.rs holds every other kernel family
-    # to the same bits across widths and repeats. Twenty consecutive green
-    # runs at width 2 is the gate.
+    # pool width > 1; the fourth holds the SIMD lanes of the GPP diag
+    # kernel to its scalar body at every ISA and width; tests/determinism.rs
+    # holds every other kernel family to the same bits across widths and
+    # repeats. Twenty consecutive green runs at width 2 is the gate.
     log=$(mktemp)
     i=1
     while [ "$i" -le 20 ]; do
@@ -32,6 +33,7 @@ run_determinism_loop() {
             "-p berkeleygw-rs --test serve -- --exact sharded_replay_is_deterministic_and_shard_count_invariant" \
             "-p berkeleygw-rs --test workflow_io -- --exact gw_through_screening_record_matches_in_memory" \
             "-p bgw-core --lib -- --exact service::tests::union_context_band_slices_match_per_request_contexts" \
+            "-p bgw-core --lib -- --exact sigma::diag::tests::lanes_match_the_scalar_body_bitwise_at_every_isa_and_width" \
             "-p berkeleygw-rs --test determinism"; do
             # shellcheck disable=SC2086
             if ! BGW_THREADS=2 cargo test --release -q $t >"$log" 2>&1; then
