@@ -12,68 +12,60 @@
 //!    shape against a candidate tile grid at the class's representative
 //!    dimension and persist the winners to the per-host autotune table
 //!    ([`autotune::default_path`], overridable with `BGW_AUTOTUNE_PATH`).
-//!    `GemmBackend::Tuned` resolves through that table at first use, so
-//!    tuning is paid once per host, not once per process. Entries that
+//!    The table is a record of the sweep; no GEMM reads it. Entries that
 //!    already exist (and still name a registered kernel) are kept, which
 //!    is what makes a second run a cheap no-op; `--force` re-sweeps.
 //!    `--quick` restricts the sweep to the effective ISA and a trimmed
-//!    candidate grid — the mode the `--simd` CI gate uses.
+//!    candidate grid — the mode `tests/autotune_persistence.rs` uses.
 //!
-//! 2. **Tile-sweep ablation** (skipped with `--autotune-only`): the
-//!    original before/after table over hand-picked tiles at a moderate
-//!    and a large off-diag-kernel shape, for the paper comparison.
+//! 2. **Tile-sweep ablation** (skipped with `--autotune-only`): hand-picked
+//!    tiles against `zgemm`'s defaults at a moderate and a large
+//!    off-diag-kernel shape, for the paper comparison. Every row, the
+//!    default included, runs the effective ISA's default kernel on the
+//!    same pool, so the ratios measure the tiles alone.
 
 use bgw_linalg::autotune::{self, AutotuneEntry, AutotuneTable, ShapeClass};
-use bgw_linalg::{
-    matmul, microkernel, zgemm_flops, zgemm_with_microkernel, CMatrix, GemmBackend, Op, TileParams,
-};
+use bgw_linalg::{microkernel, zgemm_flops, zgemm_with_microkernel, CMatrix, Op, TileParams};
 use bgw_num::{simd, Complex64};
 use bgw_perf::Table;
 use std::time::Instant;
 
-fn best_of(a: &CMatrix, b: &CMatrix, backend: GemmBackend, reps: usize) -> f64 {
-    (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(matmul(a, Op::None, b, Op::None, backend));
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
+/// One explicit register-tile kernel and its cache tiles.
+type Config = (&'static microkernel::MicroKernel, TileParams);
 
-/// Best-of-`reps` GFLOP/s for one explicit (kernel, tiles) configuration
-/// at a cubic `dim` shape, through the same parallel driver `Tuned` uses.
-/// No global dispatch state is touched: the kernel is passed explicitly,
-/// so sweeping an ISA never requires forcing it process-wide.
-fn measure(
-    a: &CMatrix,
-    b: &CMatrix,
-    kernel: &'static microkernel::MicroKernel,
-    tiles: TileParams,
-    reps: usize,
-) -> f64 {
-    let dim = a.nrows();
-    let flops = zgemm_flops(dim, dim, dim) as f64;
-    let mut c = CMatrix::zeros(dim, dim);
-    let mut run = || {
-        let t = Instant::now();
-        zgemm_with_microkernel(
-            Complex64::ONE,
-            a,
-            Op::None,
-            b,
-            Op::None,
-            Complex64::ZERO,
-            &mut c,
-            kernel,
-            tiles,
-            true,
-        );
-        t.elapsed().as_secs_f64()
-    };
-    run(); // warm
-    let secs = (0..reps).map(|_| run()).fold(f64::INFINITY, f64::min);
-    flops / secs / 1e9
+/// Best seconds of `C = A B` for each configuration, through `zgemm`'s
+/// pooled driver. The configurations are timed round-robin, `rounds` times
+/// each after one warm-up round, each round starting one configuration
+/// later: a drift in the host's clock or load falls on all of them alike,
+/// and each follows every other one equally often (the previous call's
+/// cache footprint is not always the same neighbour's). No global dispatch
+/// state is touched: each kernel is passed explicitly, so sweeping an ISA
+/// never requires forcing it process-wide.
+fn best_secs(a: &CMatrix, b: &CMatrix, configs: &[Config], rounds: usize) -> Vec<f64> {
+    let mut c = CMatrix::zeros(a.nrows(), b.ncols());
+    let mut best = vec![f64::INFINITY; configs.len()];
+    for round in 0..=rounds {
+        for i in 0..configs.len() {
+            let at = (i + round) % configs.len();
+            let (kernel, tiles) = configs[at];
+            let t = Instant::now();
+            zgemm_with_microkernel(
+                Complex64::ONE,
+                a,
+                Op::None,
+                b,
+                Op::None,
+                Complex64::ZERO,
+                &mut c,
+                kernel,
+                tiles,
+            );
+            if round > 0 {
+                best[at] = best[at].min(t.elapsed().as_secs_f64());
+            }
+        }
+    }
+    best
 }
 
 /// Candidate tile grid for the sweep. `mc`/`nc` are rounded up to the
@@ -155,21 +147,22 @@ fn run_autotune(force: bool, quick: bool) -> (AutotuneTable, usize) {
                 let dim = class.representative_dim();
                 let a = CMatrix::random(dim, dim, 11);
                 let b = CMatrix::random(dim, dim, 13);
-                let mut best: Option<AutotuneEntry> = None;
-                for kernel in kernels {
-                    for tiles in tile_candidates(quick) {
-                        let gflops = measure(&a, &b, kernel, tiles, reps);
-                        if best.as_ref().is_none_or(|e| gflops > e.gflops) {
-                            best = Some(AutotuneEntry {
-                                mr: kernel.mr,
-                                nr: kernel.nr,
-                                tiles,
-                                gflops,
-                            });
-                        }
-                    }
-                }
-                let e = best.expect("non-empty kernel registry");
+                let configs: Vec<Config> = kernels
+                    .iter()
+                    .flat_map(|k| tile_candidates(quick).into_iter().map(move |t| (k, t)))
+                    .collect();
+                let secs = best_secs(&a, &b, &configs, reps);
+                let (&(kernel, tiles), &fastest) = configs
+                    .iter()
+                    .zip(&secs)
+                    .min_by(|x, y| x.1.total_cmp(y.1))
+                    .expect("non-empty kernel registry");
+                let e = AutotuneEntry {
+                    mr: kernel.mr,
+                    nr: kernel.nr,
+                    tiles,
+                    gflops: zgemm_flops(dim, dim, dim) as f64 / fastest / 1e9,
+                };
                 table.set(isa, class, e.clone());
                 (e, "swept")
             };
@@ -198,6 +191,9 @@ fn run_autotune(force: bool, quick: bool) -> (AutotuneTable, usize) {
     }
     (table, swept)
 }
+
+/// Timed rounds per tile-sweep configuration (each a best-of).
+const ROUNDS: usize = 50;
 
 fn run_ablation() {
     // Off-diag kernel shapes: (N_Sigma x N_G) * (N_G x N_G).
@@ -252,32 +248,37 @@ fn run_ablation() {
             nc: 1024,
         },
     ];
+    let kernel = microkernel::default_kernel(simd::effective());
     for (name, ns, ng) in shapes {
         let a = CMatrix::random(ns, ng, 1);
         let b = CMatrix::random(ng, ng, 2);
         let flops = zgemm_flops(ns, ng, ng) as f64;
-        let t_default = best_of(&a, &b, GemmBackend::Blocked, 3);
+        // Row 0 is `zgemm` itself; the sweep's own (64,128,256) row is the
+        // same configuration timed again, so its ratio shows the noise.
+        let configs: Vec<Config> = std::iter::once(TileParams::default())
+            .chain(tiles)
+            .map(|tp| (kernel, tp))
+            .collect();
+        let secs = best_secs(&a, &b, &configs, ROUNDS);
+        let t_default = secs[0];
         let mut t = Table::new(
-            &format!("ZGEMM tile sweep, {name}"),
-            &["tiles (mc,kc,nc)", "seconds", "GFLOP/s", "vs default"],
+            &format!("ZGEMM tile sweep, {name}, kernel {}", kernel.label()),
+            &["tiles (mc,kc,nc)", "ms", "GFLOP/s", "vs default"],
         );
-        t.row(&[
-            "default".into(),
-            format!("{t_default:.4}"),
-            format!("{:.2}", flops / t_default / 1e9),
-            "1.00x".into(),
-        ]);
-        let mut best = t_default;
-        for tp in tiles {
-            let secs = best_of(&a, &b, GemmBackend::Tuned(tp), 3);
-            best = best.min(secs);
+        for (i, (&(_, tp), &s)) in configs.iter().zip(&secs).enumerate() {
+            let label = if i == 0 {
+                "default".to_string()
+            } else {
+                format!("({},{},{})", tp.mc, tp.kc, tp.nc)
+            };
             t.row(&[
-                format!("({},{},{})", tp.mc, tp.kc, tp.nc),
-                format!("{secs:.4}"),
-                format!("{:.2}", flops / secs / 1e9),
-                format!("{:.2}x", t_default / secs),
+                label,
+                format!("{:.3}", 1e3 * s),
+                format!("{:.2}", flops / s / 1e9),
+                format!("{:.2}x", t_default / s),
             ]);
         }
+        let best = secs[1..].iter().copied().fold(f64::INFINITY, f64::min);
         print!("{}", t.render());
         println!(
             "best tuned speedup: {:.1}% over default\n",

@@ -7,7 +7,6 @@ use bgw_bench::timed;
 use bgw_core::{
     bands_around_gap, build_screening, gwpt_for_perturbation, run_gpp_gw, sigma_context, GwConfig,
 };
-use bgw_linalg::GemmBackend;
 use bgw_num::{UniformGrid, RYDBERG_EV};
 use bgw_perf::Table;
 use bgw_pwdft::Perturbation;
@@ -60,7 +59,7 @@ pub fn run() {
         *ctx.sigma_energies.last().unwrap() + 0.3,
         5,
     );
-    let (g, secs) = timed(|| gwpt_for_perturbation(&s, ctx, &pert, &e_grid, GemmBackend::Parallel));
+    let (g, secs) = timed(|| gwpt_for_perturbation(&s, ctx, &pert, &e_grid));
     println!(
         "\nGWPT branch ({}): dSigma/dR kernel {secs:.2} s per perturbation,\n\
          max |g_DFPT| = {:.4} eV/bohr, max |g_GW| = {:.4} eV/bohr\n\

@@ -11,7 +11,6 @@
 use bgw_bench::timed;
 use bgw_core::gwpt::{gwpt_distributed, gwpt_for_perturbation};
 use bgw_core::{bands_around_gap, build_screening, sigma_context, GwConfig};
-use bgw_linalg::GemmBackend;
 use bgw_num::UniformGrid;
 use bgw_perf::Table;
 
@@ -37,20 +36,24 @@ pub fn run() {
         ctx.n_g()
     );
 
-    // Measure every perturbation's serial compute time once; a rank
-    // configuration's critical path is the slowest rank's share (the
-    // wall-clock a multi-node run would see, free of this host's
-    // one-core thread interleaving).
+    // Measure every perturbation's serial compute time once, at pool
+    // width 1 so the GEMMs, FFTs and row fills all run on one thread; a
+    // rank configuration's critical path is the slowest rank's share (the
+    // wall-clock a multi-node run of one-thread ranks would see, free of
+    // this host's thread interleaving).
+    let width = bgw_par::num_threads();
+    bgw_par::set_num_threads(1);
     let per_pert: Vec<f64> = perts
         .iter()
         .map(|&(a, ax)| {
             let p = bgw_pwdft::Perturbation::new(&sys.crystal, &s.wfn_sph, a, ax);
-            timed(|| gwpt_for_perturbation(&s, ctx, &p, &e_grid, GemmBackend::Blocked)).1
+            timed(|| gwpt_for_perturbation(&s, ctx, &p, &e_grid)).1
         })
         .collect();
+    bgw_par::set_num_threads(width);
 
     let mut t = Table::new(
-        "GWPT weak scaling over perturbations (executed on simulated ranks)",
+        "GWPT weak scaling over perturbations (simulated ranks, one-thread compute times)",
         &[
             "ranks",
             "critical path s",
@@ -64,8 +67,7 @@ pub fn run() {
     let mut ideals = Vec::new();
     for &ranks in &rank_counts {
         let (_, stats) = bgw_comm::run_world(ranks, |comm| {
-            let backend = GemmBackend::Blocked;
-            gwpt_distributed(comm, &s, ctx, &sys.crystal, &perts, &e_grid, backend)
+            gwpt_distributed(comm, &s, ctx, &sys.crystal, &perts, &e_grid)
                 .expect("fault-free world")
                 .len()
         });

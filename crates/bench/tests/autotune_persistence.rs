@@ -1,13 +1,9 @@
 //! Autotune persistence across processes: the `repro ablation_gemm_tuning`
-//! tuner sweeps and persists a table on its first run, picks it up without
-//! re-sweeping on its second, and a different process (this one) resolves
-//! `GemmBackend::Tuned` through that file.
-//!
-//! One test fn in its own binary: it sets `BGW_AUTOTUNE_PATH` for this
-//! process before the table's `OnceLock` is first read, which no other test
-//! may race.
+//! tuner sweeps and persists a table on its first run, and its second run
+//! picks that table up without re-sweeping and without changing a byte of
+//! it. The table is the sweep's record; no GEMM reads it.
 
-use bgw_linalg::{autotune, matmul, CMatrix, GemmBackend, Op, TileParams};
+use bgw_linalg::autotune;
 use std::path::Path;
 use std::process::Command;
 
@@ -40,30 +36,13 @@ fn tuned_table_persists_across_processes() {
 
     assert!(tuner_swept(&table) > 0, "first tuner run swept nothing");
     let persisted = std::fs::read(&table).expect("tuner persisted its table");
+    let loaded = autotune::load(&table).expect("persisted table parses");
+    assert!(!loaded.is_empty());
     assert_eq!(tuner_swept(&table), 0, "second tuner run re-swept");
-
-    // This process has not touched the table yet: point it at the file and
-    // resolve Tuned(AUTO) through it.
-    std::env::set_var(autotune::PATH_ENV, &table);
-    let cached = autotune::cached().expect("persisted table is picked up");
-    assert!(!cached.is_empty());
-    let n = 160;
-    let a = CMatrix::random(n, n, 21);
-    let b = CMatrix::random(n, n, 22);
-    let want = matmul(&a, Op::None, &b, Op::None, GemmBackend::Naive);
-    let got = matmul(
-        &a,
-        Op::None,
-        &b,
-        Op::None,
-        GemmBackend::Tuned(TileParams::AUTO),
-    );
-    let diff = got.max_abs_diff(&want);
-    assert!(diff <= 1e-12, "Tuned vs Naive: {diff:e}");
     assert_eq!(
         std::fs::read(&table).expect("table still there"),
         persisted,
-        "consumers must not rewrite the table"
+        "a run that swept nothing must not rewrite the table"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,7 +15,7 @@
 
 use crate::epsilon::is_static_freq;
 use crate::mtxel::Mtxel;
-use bgw_linalg::{zgemm, CMatrix, GemmBackend, Op};
+use bgw_linalg::{zgemm, CMatrix, Op};
 use bgw_num::{c64, Complex64};
 use bgw_par::Flops;
 use bgw_pwdft::Wavefunctions;
@@ -28,8 +28,6 @@ pub struct ChiConfig {
     pub nv_block: usize,
     /// Lorentzian broadening (Ry) for finite real frequencies.
     pub eta_ry: f64,
-    /// GEMM backend for the CHI_SUM contraction.
-    pub backend: GemmBackend,
     /// Momentum magnitude (bohr^-1) for the k.p head of the `G = 0`
     /// matrix elements; use the `q0` of the Coulomb interaction so that
     /// the screening head is consistent. `0` disables the correction.
@@ -41,7 +39,6 @@ impl Default for ChiConfig {
         Self {
             nv_block: 4,
             eta_ry: 0.05,
-            backend: GemmBackend::Parallel,
             q0: 0.2,
         }
     }
@@ -207,8 +204,7 @@ impl<'a> ChiEngine<'a> {
             let panel = match proj {
                 Some((basis, _)) => {
                     let t1 = Instant::now();
-                    let projected =
-                        bgw_linalg::matmul(&panel, Op::None, basis, Op::None, self.cfg.backend);
+                    let projected = bgw_linalg::matmul(&panel, Op::None, basis, Op::None);
                     timings.flops += bgw_linalg::zgemm_flops(panel.nrows(), ng, n_out);
                     timings.t_chifreq += t1.elapsed().as_secs_f64();
                     projected
@@ -259,7 +255,6 @@ impl<'a> ChiEngine<'a> {
                     Op::None,
                     Complex64::ONE,
                     &mut chis[wi],
-                    self.cfg.backend,
                 );
                 timings.flops += bgw_linalg::zgemm_flops(n_out, panel.nrows(), n_out);
                 let dt = t1.elapsed().as_secs_f64();

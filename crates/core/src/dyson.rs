@@ -147,7 +147,6 @@ mod tests {
     use crate::sigma::diag::{gpp_sigma_diag, KernelVariant};
     use crate::sigma::offdiag::gpp_sigma_offdiag;
     use crate::testkit;
-    use bgw_linalg::GemmBackend;
     use bgw_num::UniformGrid;
 
     #[test]
@@ -202,7 +201,7 @@ mod tests {
         let lo = ctx.sigma_energies[0] - 3.0;
         let hi = ctx.sigma_energies[3] + 3.0;
         let grid = UniformGrid::new(lo, hi, 24);
-        let off = gpp_sigma_offdiag(&ctx, &grid, GemmBackend::Parallel);
+        let off = gpp_sigma_offdiag(&ctx, &grid);
         let full = solve_qp_full(&ctx.sigma_energies, &off);
         assert_eq!(full.len(), ctx.n_sigma());
         for (k, &e) in full.iter().enumerate() {

@@ -283,7 +283,6 @@ mod tests {
             bgw_linalg::Op::None,
             e.static_inv(),
             bgw_linalg::Op::None,
-            bgw_linalg::GemmBackend::Blocked,
         );
         assert!(prod.max_abs_diff(&CMatrix::identity(n)) < 1e-8);
     }

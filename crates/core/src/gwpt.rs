@@ -20,7 +20,7 @@
 use crate::mtxel::Mtxel;
 use crate::service::Screening;
 use crate::sigma::{gpp_factor, gpp_row_cost, SigmaContext};
-use bgw_linalg::{zgemm, CMatrix, GemmBackend, Op};
+use bgw_linalg::{zgemm, CMatrix, Op};
 use bgw_num::{c64, Complex64, UniformGrid};
 use bgw_pwdft::{Perturbation, Wavefunctions};
 use std::time::Instant;
@@ -89,7 +89,6 @@ pub fn gwpt_dsigma(
     perturbation: &Perturbation,
     wf: &Wavefunctions,
     e_grid: &UniformGrid,
-    backend: GemmBackend,
 ) -> GwptResult {
     let ns = ctx.n_sigma();
     let ng = ctx.n_g();
@@ -128,7 +127,6 @@ pub fn gwpt_dsigma(
                 Op::Trans,
                 Complex64::ZERO,
                 &mut t1,
-                backend,
             );
             zgemm(
                 Complex64::ONE,
@@ -138,7 +136,6 @@ pub fn gwpt_dsigma(
                 Op::None,
                 Complex64::ONE,
                 &mut d_sigma[ei],
-                backend,
             );
             // term 2: conj(B) P dB^T
             let mut t2 = CMatrix::zeros(ng, ns);
@@ -150,7 +147,6 @@ pub fn gwpt_dsigma(
                 Op::Trans,
                 Complex64::ZERO,
                 &mut t2,
-                backend,
             );
             zgemm(
                 Complex64::ONE,
@@ -160,7 +156,6 @@ pub fn gwpt_dsigma(
                 Op::None,
                 Complex64::ONE,
                 &mut d_sigma[ei],
-                backend,
             );
             zgemm_flops +=
                 2 * (bgw_linalg::zgemm_flops(ng, ng, ns) + bgw_linalg::zgemm_flops(ns, ng, ns));
@@ -209,11 +204,10 @@ pub fn gwpt_for_perturbation(
     ctx: &SigmaContext,
     perturbation: &Perturbation,
     e_grid: &UniformGrid,
-    backend: GemmBackend,
 ) -> GwptResult {
     let dpsi = perturbation.first_order_wavefunctions(&s.wf, 1e-8);
     let dm = build_dm_tilde(ctx, &s.wf, &s.mtxel, &dpsi, &s.vsqrt);
-    gwpt_dsigma(ctx, &dm, perturbation, &s.wf, e_grid, backend)
+    gwpt_dsigma(ctx, &dm, perturbation, &s.wf, e_grid)
 }
 
 /// Distributed GWPT: the `N_p` perturbations share one [`Screening`], are
@@ -234,7 +228,6 @@ pub fn gwpt_distributed(
     crystal: &bgw_pwdft::Crystal,
     perturbations: &[(usize, usize)],
     e_grid: &UniformGrid,
-    backend: GemmBackend,
 ) -> Result<Vec<CMatrix>, bgw_comm::CommError> {
     let ns = ctx.n_sigma();
     // compute my round-robin share
@@ -244,7 +237,7 @@ pub fn gwpt_distributed(
             continue;
         }
         let pert = Perturbation::new(crystal, &s.wfn_sph, atom, axis);
-        let r = gwpt_for_perturbation(s, ctx, &pert, e_grid, backend);
+        let r = gwpt_for_perturbation(s, ctx, &pert, e_grid);
         mine.push((p as u64, r.g_gw.as_slice().to_vec()));
     }
     // one allgather of (index, payload) pairs — the "minimal
@@ -288,7 +281,7 @@ mod tests {
     fn dsigma_is_hermitian() {
         let (sys, s, ctx) = fixture();
         let pert = Perturbation::new(&sys.crystal, &s.wfn_sph, 0, 0);
-        let r = gwpt_for_perturbation(&s, &ctx, &pert, &grid_for(&ctx), GemmBackend::Parallel);
+        let r = gwpt_for_perturbation(&s, &ctx, &pert, &grid_for(&ctx));
         for (ei, ds) in r.d_sigma.iter().enumerate() {
             assert!(
                 ds.hermiticity_error() <= 1e-8,
@@ -306,7 +299,7 @@ mod tests {
         // The many-body correction must actually do something.
         let (sys, s, ctx) = fixture();
         let pert = Perturbation::new(&sys.crystal, &s.wfn_sph, 1, 2);
-        let r = gwpt_for_perturbation(&s, &ctx, &pert, &grid_for(&ctx), GemmBackend::Parallel);
+        let r = gwpt_for_perturbation(&s, &ctx, &pert, &grid_for(&ctx));
         let diff = r.g_gw.max_abs_diff(&r.g_dfpt);
         assert!(diff > 1e-12, "GW correction to g vanished");
     }
@@ -330,13 +323,12 @@ mod tests {
             .iter()
             .map(|&(a, ax)| {
                 let p = Perturbation::new(&sys.crystal, &s.wfn_sph, a, ax);
-                bits(&gwpt_for_perturbation(&s, &ctx, &p, &e_grid, GemmBackend::Blocked).g_gw)
+                bits(&gwpt_for_perturbation(&s, &ctx, &p, &e_grid).g_gw)
             })
             .collect();
         for world in [1usize, 2, 3, 4, 6] {
             let (results, stats) = bgw_comm::run_world(world, |comm| {
-                let backend = GemmBackend::Blocked;
-                gwpt_distributed(comm, &s, &ctx, &sys.crystal, &perts, &e_grid, backend)
+                gwpt_distributed(comm, &s, &ctx, &sys.crystal, &perts, &e_grid)
                     .expect("fault-free world")
                     .iter()
                     .map(bits)
@@ -396,7 +388,7 @@ mod tests {
         let e_grid = UniformGrid::new(ctx.sigma_energies[0], ctx.sigma_energies[1], 2);
         let dpsi = pert.first_order_wavefunctions(&wf, 1e-8);
         let dm = build_dm_tilde(&ctx, &wf, &mtxel, &dpsi, &setup.vsqrt);
-        let r = gwpt_dsigma(&ctx, &dm, &pert, &wf, &e_grid, GemmBackend::Blocked);
+        let r = gwpt_dsigma(&ctx, &dm, &pert, &wf, &e_grid);
         // finite difference: Sigma with displaced wavefunctions, frozen
         // energies and screening.
         let h = 2e-3;

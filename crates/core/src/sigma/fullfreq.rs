@@ -39,7 +39,7 @@
 use super::SigmaContext;
 use crate::epsilon::EpsilonInverse;
 use crate::subspace::Subspace;
-use bgw_linalg::{conj_dot, matmul, zgemm_flops, CMatrix, GemmBackend, Op};
+use bgw_linalg::{conj_dot, matmul, zgemm_flops, CMatrix, Op};
 use bgw_num::{c64, Complex64};
 use bgw_perf::flopmodel::{
     FF_FLOPS_PER_DOT_TERM, FF_FLOPS_PER_EXCHANGE_TERM, FF_FLOPS_PER_POLE_TERM,
@@ -223,7 +223,7 @@ fn ff_sigma_impl(
                 zgemm_flops(nb, dim, dim) + FF_FLOPS_PER_DOT_TERM as u64 * (nb * dim) as u64,
             );
             bgw_par::parallel_rows(&mut q, nb, node_cost, |k, qrow| {
-                let y = matmul(&m, Op::None, &spectral[k], Op::Trans, GemmBackend::Parallel);
+                let y = matmul(&m, Op::None, &spectral[k], Op::Trans);
                 for (n, qn) in qrow.iter_mut().enumerate() {
                     *qn = real_part_checked(conj_dot(m.row(n), y.row(n)));
                 }

@@ -38,7 +38,7 @@
 
 use super::SigmaContext;
 use crate::epsilon::EpsilonInverse;
-use bgw_linalg::{conj_dot, matmul, zgemm_flops, GemmBackend, Op};
+use bgw_linalg::{conj_dot, matmul, zgemm_flops, Op};
 use bgw_num::pade::{PadeApproximant, PadeError};
 use bgw_num::{c64, Complex64};
 use bgw_perf::flopmodel::{
@@ -76,7 +76,7 @@ fn q_forms(ctx: &SigmaContext, eps_iw: &EpsilonInverse) -> Vec<Vec<f64>> {
     for k in 0..nk {
         let corr = eps_iw.correlation_part(k);
         for (m, qs) in ctx.m_tilde.iter().zip(&mut q) {
-            let y = matmul(m, Op::None, &corr, Op::Trans, GemmBackend::Parallel);
+            let y = matmul(m, Op::None, &corr, Op::Trans);
             for n in 0..nb {
                 qs[n * nk + k] = conj_dot(m.row(n), y.row(n)).re;
             }

@@ -12,7 +12,7 @@
 //! the same lower-bound convention the paper uses.
 
 use super::{gpp_factor, gpp_row_cost, SigmaContext};
-use bgw_linalg::{zgemm, CMatrix, GemmBackend, Op};
+use bgw_linalg::{zgemm, CMatrix, Op};
 use bgw_num::UniformGrid;
 use bgw_num::{c64, Complex64};
 use std::time::Instant;
@@ -33,11 +33,7 @@ pub struct SigmaOffdiagResult {
 }
 
 /// Runs the off-diagonal GPP kernel on the uniform grid `e_grid`.
-pub fn gpp_sigma_offdiag(
-    ctx: &SigmaContext,
-    e_grid: &UniformGrid,
-    backend: GemmBackend,
-) -> SigmaOffdiagResult {
+pub fn gpp_sigma_offdiag(ctx: &SigmaContext, e_grid: &UniformGrid) -> SigmaOffdiagResult {
     let _span = bgw_trace::span!("sigma.offdiag");
     let ns = ctx.n_sigma();
     let ng = ctx.n_g();
@@ -81,7 +77,6 @@ pub fn gpp_sigma_offdiag(
                 Op::Trans,
                 Complex64::ZERO,
                 &mut t,
-                backend,
             );
             // Sigma(E) += conj(B_n) * T   (N_Sigma x N_Sigma)
             zgemm(
@@ -92,7 +87,6 @@ pub fn gpp_sigma_offdiag(
                 Op::None,
                 Complex64::ONE,
                 &mut sigma[ei],
-                backend,
             );
             zgemm_flops +=
                 bgw_linalg::zgemm_flops(ng, ng, ns) + bgw_linalg::zgemm_flops(ns, ng, ns);
@@ -129,7 +123,7 @@ mod tests {
             *ctx.sigma_energies.last().unwrap() + 0.2,
             4,
         );
-        let off = gpp_sigma_offdiag(&ctx, &grid, GemmBackend::Blocked);
+        let off = gpp_sigma_offdiag(&ctx, &grid);
         // diag kernel on the same grid for every band
         let grids: Vec<Vec<f64>> = (0..ctx.n_sigma()).map(|_| grid.points.clone()).collect();
         let diag = gpp_sigma_diag(&ctx, &grids, KernelVariant::Reference);
@@ -149,7 +143,7 @@ mod tests {
     fn sigma_matrix_is_hermitian() {
         let (ctx, _) = testkit::small_context();
         let grid = UniformGrid::new(-1.0, 1.0, 3);
-        let off = gpp_sigma_offdiag(&ctx, &grid, GemmBackend::Parallel);
+        let off = gpp_sigma_offdiag(&ctx, &grid);
         for (ei, s) in off.sigma.iter().enumerate() {
             assert!(
                 s.hermiticity_error() <= 1e-8,
@@ -163,7 +157,7 @@ mod tests {
     fn zgemm_flop_count_matches_eq8() {
         let (ctx, _) = testkit::small_context();
         let grid = UniformGrid::new(-0.5, 0.5, 3);
-        let off = gpp_sigma_offdiag(&ctx, &grid, GemmBackend::Blocked);
+        let off = gpp_sigma_offdiag(&ctx, &grid);
         // Our loop performs exactly 2 ZGEMMs per (n, E); Eq. 8 charges the
         // same  8(Ns Ng^2 + Ng Ns^2) per pair with a leading factor 2 N_b
         // N_E. Our counted flops are half of Eq. 8's bound because the
@@ -177,7 +171,7 @@ mod tests {
     fn prep_time_is_included_in_total() {
         let (ctx, _) = testkit::small_context();
         let grid = UniformGrid::new(-0.5, 0.5, 2);
-        let off = gpp_sigma_offdiag(&ctx, &grid, GemmBackend::Blocked);
+        let off = gpp_sigma_offdiag(&ctx, &grid);
         assert!(off.prep_seconds <= off.seconds);
         assert!(off.prep_seconds > 0.0);
     }

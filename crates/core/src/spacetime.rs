@@ -36,7 +36,7 @@ use crate::mtxel::Mtxel;
 use crate::sigma::imagaxis::{imag_axis_sigma_diag, SigmaImagAxisResult};
 use crate::sigma::SigmaContext;
 use bgw_fft::{Direction, Fft3d};
-use bgw_linalg::{matmul, zgemm_flops, CMatrix, GemmBackend, Op};
+use bgw_linalg::{matmul, zgemm_flops, CMatrix, Op};
 use bgw_num::grid::semi_infinite_quadrature;
 use bgw_num::minimax::{FitOptions, MinimaxGrid};
 use bgw_num::{c64, Complex64};
@@ -92,8 +92,6 @@ pub struct SpaceTimeConfig {
     /// unit of parallel work (bounds peak memory at two `row_batch * N_r`
     /// amplitude buffers per pool participant).
     pub row_batch: usize,
-    /// GEMM backend for the Green's-function products.
-    pub backend: GemmBackend,
     /// Momentum magnitude (bohr^-1) for the k.p head, as in
     /// [`ChiConfig::q0`]; use the Coulomb `q0`. `0` disables the head.
     pub q0: f64,
@@ -106,7 +104,6 @@ impl Default for SpaceTimeConfig {
         Self {
             n_tau: 12,
             row_batch: 64,
-            backend: GemmBackend::Parallel,
             q0: 0.2,
             fit: FitOptions::default(),
         }
@@ -334,7 +331,7 @@ impl SpaceTimeChi {
                 // block of a Green's function.
                 let green_rows = |amps: &CMatrix| {
                     let sub = amps.submatrix(0, amps.nrows(), r0, r1);
-                    matmul(&sub, Op::Adj, amps, Op::None, self.cfg.backend)
+                    matmul(&sub, Op::Adj, amps, Op::None)
                 };
                 // pair[(i, r')] = sum_v conj(A[(v, r0+i)]) A[(v, r')]
                 //               = conj(G_occ(r0+i, r'))
@@ -412,7 +409,7 @@ impl SpaceTimeChi {
                 row[c] = hr[c].conj().scale((-self.e_emp[c] * tau).exp());
             }
         }
-        let s = matmul(&hp, Op::None, &self.emp_mat, Op::None, self.cfg.backend);
+        let s = matmul(&hp, Op::None, &self.emp_mat, Op::None);
 
         // W(r') = sum_v e^{e~_v tau} conj(psi_v(r')) S[(v, r')], whose
         // forward FFT at -G' is the wing sum_vc conj(h_vc) M_vc^{G'}

@@ -9,7 +9,7 @@
 //! cutting the finite-frequency cost by `(N_G / N_Eig)^2` — the 25-100x
 //! speedup quoted in the paper.
 
-use bgw_linalg::{eigh, matmul, CMatrix, GemmBackend, Op};
+use bgw_linalg::{eigh, matmul, CMatrix, Op};
 use std::time::Instant;
 
 /// The subspace basis extracted from `chi~(0)`.
@@ -67,33 +67,21 @@ impl Subspace {
     /// Projects a symmetrized `(N_G x N_G)` matrix into the subspace:
     /// `A_BB' = C_s^dagger A C_s` (the `Transf` kernel of Fig. 3).
     pub fn project(&self, a_sym: &CMatrix) -> CMatrix {
-        let tmp = matmul(
-            a_sym,
-            Op::None,
-            &self.basis,
-            Op::None,
-            GemmBackend::Parallel,
-        );
-        matmul(&self.basis, Op::Adj, &tmp, Op::None, GemmBackend::Parallel)
+        let tmp = matmul(a_sym, Op::None, &self.basis, Op::None);
+        matmul(&self.basis, Op::Adj, &tmp, Op::None)
     }
 
     /// Projects matrix-element *rows* into the subspace: rows of `m`
     /// (pairs x N_G) become rows over `N_Eig`: `M^B = sum_G M^G C_s^{GB}`.
     pub fn project_rows(&self, m: &CMatrix) -> CMatrix {
-        matmul(m, Op::None, &self.basis, Op::None, GemmBackend::Parallel)
+        matmul(m, Op::None, &self.basis, Op::None)
     }
 
     /// Reconstructs a full `(N_G x N_G)` matrix from its subspace
     /// representation: `A_GG' = C_s A_BB' C_s^dagger`.
     pub fn reconstruct(&self, a_sub: &CMatrix) -> CMatrix {
-        let tmp = matmul(
-            &self.basis,
-            Op::None,
-            a_sub,
-            Op::None,
-            GemmBackend::Parallel,
-        );
-        matmul(&tmp, Op::None, &self.basis, Op::Adj, GemmBackend::Parallel)
+        let tmp = matmul(&self.basis, Op::None, a_sub, Op::None);
+        matmul(&tmp, Op::None, &self.basis, Op::Adj)
     }
 }
 
@@ -154,13 +142,7 @@ mod tests {
     fn basis_is_orthonormal() {
         let (_, setup) = testkit::small_context();
         let sub = Subspace::from_chi0(&setup.chi0, &setup.vsqrt, setup.chi0.nrows() / 3);
-        let overlap = matmul(
-            &sub.basis,
-            Op::Adj,
-            &sub.basis,
-            Op::None,
-            GemmBackend::Blocked,
-        );
+        let overlap = matmul(&sub.basis, Op::Adj, &sub.basis, Op::None);
         assert!(overlap.max_abs_diff(&CMatrix::identity(sub.n_eig())) < 1e-9);
         assert!(sub.fraction() > 0.0 && sub.fraction() <= 1.0);
         assert!(sub.t_diag >= 0.0);
@@ -204,13 +186,7 @@ mod tests {
             assert_eq!(sub.n_eig(), want, "requested {req}");
             assert_eq!(sub.n_g(), n_g, "requested {req}");
             assert_eq!(sub.eigenvalues.len(), want, "requested {req}");
-            let overlap = matmul(
-                &sub.basis,
-                Op::Adj,
-                &sub.basis,
-                Op::None,
-                GemmBackend::Blocked,
-            );
+            let overlap = matmul(&sub.basis, Op::Adj, &sub.basis, Op::None);
             assert!(
                 overlap.max_abs_diff(&CMatrix::identity(want)) < 1e-9,
                 "requested {req}: basis not orthonormal"

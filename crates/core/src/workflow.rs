@@ -263,7 +263,7 @@ pub fn run_full_dyson_gw(
     let lo = window().fold(f64::INFINITY, f64::min) - 0.3;
     let hi = window().fold(f64::NEG_INFINITY, f64::max) + 0.3;
     let grid = UniformGrid::new(lo, hi, n_e.max(4));
-    let off = gpp_sigma_offdiag(&ctx, &grid, bgw_linalg::GemmBackend::Parallel);
+    let off = gpp_sigma_offdiag(&ctx, &grid);
     let e_qp_full = solve_qp_full(&ctx.sigma_energies, &off);
     Ok(FullDysonResults {
         sigma_bands: reference.sigma_bands,

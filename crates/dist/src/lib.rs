@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 
 use bgw_comm::{Comm, CommError};
-use bgw_linalg::{matmul, zgemm, CMatrix, GemmBackend, Op};
+use bgw_linalg::{matmul, zgemm, CMatrix, Op};
 use bgw_num::Complex64;
 
 /// How a distributed linear-algebra operation fails: a communicator
@@ -187,13 +187,7 @@ impl DistMatrix {
                 row += rows;
             }
             assert_eq!(row, b.n_rows, "row blocks must tile the panel");
-            let c_panel = matmul(
-                &self.local,
-                Op::None,
-                &panel,
-                Op::None,
-                GemmBackend::Parallel,
-            );
+            let c_panel = matmul(&self.local, Op::None, &panel, Op::None);
             for r in 0..self.local_rows() {
                 local.row_mut(r)[lo..hi].copy_from_slice(c_panel.row(r));
             }
@@ -291,7 +285,6 @@ pub fn try_newton_schulz_inverse(
             Op::None,
             Complex64::ZERO,
             &mut new_local,
-            GemmBackend::Parallel,
         );
         x.local = new_local;
         if it == max_iter - 1 && residual >= 0.9 {
@@ -432,7 +425,7 @@ mod tests {
     fn pipelined_matmul_matches_plain() {
         let a = CMatrix::random(11, 7, 21);
         let b = CMatrix::random(7, 5, 22);
-        let serial = matmul(&a, Op::None, &b, Op::None, GemmBackend::Naive);
+        let serial = matmul(&a, Op::None, &b, Op::None);
         for panels in [1usize, 2, 4, 9] {
             let out = world(3, |comm| {
                 let da = DistMatrix::from_replicated(comm, &a);

@@ -1,38 +1,35 @@
-//! Persistent per-host ZGEMM autotune table.
+//! Persistent per-host ZGEMM autotune table: the record of the tile sweep.
 //!
 //! The sweep in `bgw-bench`'s `ablation_gemm_tuning` measures every
 //! registered microkernel shape x cache-tile candidate per (ISA,
-//! shape-class) and persists the winners here, mirroring the paper's
-//! Tensile story (Sec. 7.3): tuning happens once per machine, production
-//! runs just look the answer up. `GemmBackend::Tuned` consults the table
-//! at first use through a process-wide cache ([`cached`]), exactly like
-//! the FFT's `cached_plan`.
+//! shape-class) and persists the winners here, so a second run on the same
+//! host sweeps nothing. No GEMM reads the table: `zgemm` runs the ISA's
+//! default kernel at fixed tiles, as the paper's production runs use one
+//! vendor ZGEMM per platform (Sec. 7.3).
 //!
 //! The file is versioned JSON (`bgw-autotune/1`), written atomically
-//! (tmp + rename, like the checkpoint writer), and treated as *advisory*:
-//! a corrupt, stale-version, foreign-host or otherwise surprising file
-//! silently resolves to "no entry" and the built-in defaults apply. The
-//! cache is host-specific and always safe to delete.
+//! (tmp + rename, like the checkpoint writer). A corrupt, stale-version or
+//! otherwise surprising file loads as "no table" and the sweep starts
+//! over. The file is host-specific and always safe to delete.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 use crate::gemm::TileParams;
 use bgw_num::simd::Isa;
 use bgw_trace::report::json;
 
 /// Format tag checked on load; bump on breaking layout changes so stale
-/// tables from older builds fall back to defaults instead of misparsing.
+/// tables from older builds are re-swept instead of misparsed.
 pub const FORMAT: &str = "bgw-autotune/1";
 
-/// Environment variable overriding the table location (used by tests and
-/// the `--simd` gate to isolate runs).
+/// Environment variable overriding the table location (tests point it at a
+/// scratch file to isolate runs).
 pub const PATH_ENV: &str = "BGW_AUTOTUNE_PATH";
 
-/// Coarse problem-shape bucket keyed alongside the ISA. Classified by the
-/// effective cubic dimension `cbrt(m*k*n)` so skinny and square problems
-/// with the same volume share tiles.
+/// Coarse problem-shape bucket keyed alongside the ISA, by the effective
+/// cubic dimension `cbrt(m*k*n)`; the sweep times each at
+/// [`ShapeClass::representative_dim`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ShapeClass {
     /// Effective dimension below 96: panel fits in L2, tiling barely
@@ -47,18 +44,6 @@ pub enum ShapeClass {
 }
 
 impl ShapeClass {
-    /// Buckets an `m x k x n` problem by `cbrt(m*k*n)`.
-    pub fn classify(m: usize, k: usize, n: usize) -> ShapeClass {
-        let eff = ((m as f64) * (k as f64) * (n as f64)).cbrt();
-        if eff < 96.0 {
-            ShapeClass::Small
-        } else if eff <= 224.0 {
-            ShapeClass::Moderate
-        } else {
-            ShapeClass::Large
-        }
-    }
-
     /// Stable lowercase name used in the table file and benchmark JSON.
     pub fn name(self) -> &'static str {
         match self {
@@ -177,7 +162,7 @@ impl AutotuneTable {
     /// Parses a table file. Returns `None` for anything unexpected —
     /// malformed JSON, wrong/missing format tag — and silently skips
     /// individual entries with unknown ISA/class names or implausible
-    /// dimensions (a stale table must degrade to defaults, never panic).
+    /// dimensions (a stale table loads with fewer entries, never panics).
     pub fn parse(text: &str) -> Option<AutotuneTable> {
         let doc = json::parse(text).ok()?;
         let obj = doc.as_object()?;
@@ -266,21 +251,6 @@ pub fn save(path: &Path, table: &AutotuneTable) -> std::io::Result<()> {
     }
 }
 
-static CACHED: OnceLock<Option<AutotuneTable>> = OnceLock::new();
-
-/// The process-wide table loaded from [`default_path`] on first use
-/// (mirroring the FFT's `cached_plan`): `None` when no valid table
-/// exists. `GemmBackend::Tuned` resolves through this, so production
-/// ZGEMMs never re-read the file.
-pub fn cached() -> Option<&'static AutotuneTable> {
-    CACHED.get_or_init(|| load(&default_path())).as_ref()
-}
-
-/// Cached winner for one (effective-ISA, shape-class) bucket.
-pub fn lookup(isa: Isa, class: ShapeClass) -> Option<AutotuneEntry> {
-    cached().and_then(|t| t.get(isa, class)).cloned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,15 +293,6 @@ mod tests {
         let t = sample();
         let parsed = AutotuneTable::parse(&t.to_json()).expect("own output must parse");
         assert_eq!(parsed, t);
-    }
-
-    #[test]
-    fn classify_buckets_by_effective_dim() {
-        assert_eq!(ShapeClass::classify(64, 64, 64), ShapeClass::Small);
-        assert_eq!(ShapeClass::classify(128, 128, 128), ShapeClass::Moderate);
-        assert_eq!(ShapeClass::classify(512, 512, 512), ShapeClass::Large);
-        // Skinny problem with moderate volume lands with its volume peers.
-        assert_eq!(ShapeClass::classify(1, 128, 16384), ShapeClass::Moderate);
     }
 
     #[test]

@@ -235,7 +235,7 @@ fn ql_implicit(d: &mut [f64], e: &mut [f64], z: &mut CMatrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{matmul, GemmBackend, Op};
+    use crate::gemm::{matmul, Op};
     use bgw_num::c64;
 
     fn check_decomposition(a: &CMatrix, tol: f64) {
@@ -247,13 +247,7 @@ mod tests {
             assert!(w[0] <= w[1] + 1e-12, "eigenvalues not sorted: {w:?}");
         }
         // V^dagger V = I
-        let vhv = matmul(
-            &eig.vectors,
-            Op::Adj,
-            &eig.vectors,
-            Op::None,
-            GemmBackend::Blocked,
-        );
+        let vhv = matmul(&eig.vectors, Op::Adj, &eig.vectors, Op::None);
         assert!(
             vhv.max_abs_diff(&CMatrix::identity(n)) < tol,
             "eigenvectors not orthonormal: {}",
@@ -261,7 +255,7 @@ mod tests {
         );
         // A V = V diag(w)
         let ah = a.hermitian_part();
-        let av = matmul(&ah, Op::None, &eig.vectors, Op::None, GemmBackend::Blocked);
+        let av = matmul(&ah, Op::None, &eig.vectors, Op::None);
         let mut vw = eig.vectors.clone();
         for j in 0..n {
             for i in 0..n {

@@ -3,11 +3,13 @@
 //! The paper's off-diagonal GPP kernel (Sec. 5.6) recasts the self-energy
 //! contraction into two dense ZGEMM calls per `(n, E)` pair and leans on
 //! vendor libraries (rocBLAS + Tensile on Frontier, oneMKL on Aurora,
-//! cuBLAS on Perlmutter). This module is that substrate: a correct
-//! reference implementation and a BLIS-style five-loop blocked kernel
-//! (`jc -> pc -> ic` cache loops around a `jr/ir` register microkernel)
-//! whose inner kernel and tile parameters stand in for the Tensile
-//! size-specific autotuning the paper evaluates (Sec. 7.3).
+//! cuBLAS on Perlmutter), one ZGEMM per platform. This module is that
+//! substrate: one BLIS-style five-loop blocked kernel (`jc -> pc -> ic`
+//! cache loops around a `jr/ir` register microkernel), [`zgemm`], plus the
+//! triple loop [`zgemm_reference`] the tests hold it to. Production calls
+//! run the effective ISA's default microkernel at fixed tiles; the
+//! explicit-tile hook [`zgemm_with_microkernel`] is what the tile sweep of
+//! the paper's Tensile comparison (Sec. 7.3) times.
 //!
 //! Layout choices, in the order they matter:
 //! * operands are packed once per cache block into **split re/im planes**
@@ -30,8 +32,8 @@
 //! microkernel shifts time into packing.
 
 use crate::matrix::CMatrix;
-use crate::microkernel::{self, MicroKernel, Selection, TileSource, MAX_MR, MAX_NR};
-use bgw_num::simd::Isa;
+use crate::microkernel::{self, MicroKernel, MAX_MR, MAX_NR};
+use bgw_num::simd::{self, Isa};
 use bgw_num::Complex64;
 use bgw_par::SendPtr;
 use std::time::Instant;
@@ -57,25 +59,6 @@ impl Op {
     }
 }
 
-/// Backend selection for [`zgemm`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GemmBackend {
-    /// Triple loop with on-the-fly operand indexing; the correctness oracle.
-    Naive,
-    /// Cache-blocked single-thread kernel with packed operands and the
-    /// runtime-dispatched microkernel at default tiles (stable baseline —
-    /// never consults the autotune table).
-    Blocked,
-    /// Cache-blocked kernel with row-panel parallelism on the worker pool
-    /// (stable baseline — never consults the autotune table).
-    Parallel,
-    /// Blocked kernel with caller-supplied tile sizes (the "Tensile"
-    /// knob). Pass [`TileParams::AUTO`] to resolve tiles from the
-    /// persisted per-host autotune table instead (explicit tiles >
-    /// persisted table > defaults).
-    Tuned(TileParams),
-}
-
 /// Cache-tile sizes for the blocked kernels: `C` is processed in `mc x nc`
 /// panels accumulating over `kc`-deep strips. All three loops are honored
 /// (`nc` bounds the shared packed `B` strip); `mc`/`nc` are rounded up to
@@ -88,22 +71,6 @@ pub struct TileParams {
     pub kc: usize,
     /// Columns of the `C` panel.
     pub nc: usize,
-}
-
-impl TileParams {
-    /// Sentinel for [`GemmBackend::Tuned`]: resolve tiles (and kernel
-    /// shape) from the persisted per-host autotune table, falling back to
-    /// defaults when no table entry matches.
-    pub const AUTO: TileParams = TileParams {
-        mc: 0,
-        kc: 0,
-        nc: 0,
-    };
-
-    /// `true` when this is the [`TileParams::AUTO`] sentinel.
-    pub fn is_auto(self) -> bool {
-        self == TileParams::AUTO
-    }
 }
 
 impl Default for TileParams {
@@ -120,8 +87,12 @@ impl Default for TileParams {
 
 /// Computes `C = alpha * op(A) * op(B) + beta * C`.
 ///
-/// Shapes must satisfy `op(A): m x k`, `op(B): k x n`, `C: m x n`.
-#[allow(clippy::too_many_arguments)] // BLAS zgemm signature
+/// Shapes must satisfy `op(A): m x k`, `op(B): k x n`, `C: m x n`. Every
+/// call runs the default microkernel of the effective ISA
+/// ([`microkernel::default_kernel`] of `simd::effective()`) at
+/// [`TileParams::default`], with the row panels of `C` on the worker pool;
+/// a one-panel or sub-floor call runs inline. The result is the same in
+/// every bit at every pool width.
 pub fn zgemm(
     alpha: Complex64,
     a: &CMatrix,
@@ -130,78 +101,27 @@ pub fn zgemm(
     opb: Op,
     beta: Complex64,
     c: &mut CMatrix,
-    backend: GemmBackend,
 ) {
-    let (m, k) = opa.shape(a.shape());
-    let (kb, n) = opb.shape(b.shape());
-    assert_eq!(k, kb, "inner dimensions disagree: {k} vs {kb}");
-    assert_eq!(c.shape(), (m, n), "output shape mismatch");
-    match backend {
-        GemmBackend::Naive => zgemm_naive(alpha, a, opa, b, opb, beta, c),
-        GemmBackend::Blocked => {
-            let sel = microkernel::select(m, k, n, None, false);
-            zgemm_blocked(alpha, a, opa, b, opb, beta, c, &sel, false)
-        }
-        GemmBackend::Parallel => {
-            let sel = microkernel::select(m, k, n, None, false);
-            zgemm_blocked(alpha, a, opa, b, opb, beta, c, &sel, true)
-        }
-        GemmBackend::Tuned(tiles) => {
-            let explicit = (!tiles.is_auto()).then_some(tiles);
-            let sel = microkernel::select(m, k, n, explicit, true);
-            zgemm_blocked(alpha, a, opa, b, opb, beta, c, &sel, true)
-        }
-    }
-}
-
-/// Blocked ZGEMM with an explicit microkernel and tiles, bypassing both
-/// runtime ISA dispatch and the autotune table. This is the hook the
-/// autotune sweep and the per-variant parity tests drive: it touches no
-/// global dispatch state, so concurrent callers can exercise different
-/// kernels.
-///
-/// The kernel must come from the registry ([`microkernel::kernels_for`]),
-/// which only hands out host-executable variants.
-#[allow(clippy::too_many_arguments)]
-pub fn zgemm_with_microkernel(
-    alpha: Complex64,
-    a: &CMatrix,
-    opa: Op,
-    b: &CMatrix,
-    opb: Op,
-    beta: Complex64,
-    c: &mut CMatrix,
-    kernel: &'static MicroKernel,
-    tiles: TileParams,
-    parallel: bool,
-) {
-    let (m, k) = opa.shape(a.shape());
-    let (kb, n) = opb.shape(b.shape());
-    assert_eq!(k, kb, "inner dimensions disagree: {k} vs {kb}");
-    assert_eq!(c.shape(), (m, n), "output shape mismatch");
-    let sel = Selection {
-        kernel,
-        tiles,
-        tiles_from: TileSource::Explicit,
-    };
-    zgemm_blocked(alpha, a, opa, b, opb, beta, c, &sel, parallel)
-}
-
-/// Convenience product `op(A) * op(B)` with a fresh output matrix.
-pub fn matmul(a: &CMatrix, opa: Op, b: &CMatrix, opb: Op, backend: GemmBackend) -> CMatrix {
-    let (m, _) = opa.shape(a.shape());
-    let (_, n) = opb.shape(b.shape());
-    let mut c = CMatrix::zeros(m, n);
-    zgemm(
-        Complex64::ONE,
+    let kernel = microkernel::default_kernel(simd::effective());
+    zgemm_with_microkernel(
+        alpha,
         a,
         opa,
         b,
         opb,
-        Complex64::ZERO,
-        &mut c,
-        backend,
-    );
+        beta,
+        c,
+        kernel,
+        TileParams::default(),
+    )
+}
+
+/// Convenience product `op(A) * op(B)` with a fresh output matrix.
+pub fn matmul(a: &CMatrix, opa: Op, b: &CMatrix, opb: Op) -> CMatrix {
+    let (m, _) = opa.shape(a.shape());
+    let (_, n) = opb.shape(b.shape());
+    let mut c = CMatrix::zeros(m, n);
+    zgemm(Complex64::ONE, a, opa, b, opb, Complex64::ZERO, &mut c);
     c
 }
 
@@ -235,7 +155,12 @@ fn fetch(a: &CMatrix, op: Op, i: usize, j: usize) -> Complex64 {
     }
 }
 
-fn zgemm_naive(
+/// The triple loop: `C = alpha * op(A) * op(B) + beta * C` with no
+/// packing, each element summed over `k` front to back and scaled by
+/// `alpha` last. [`zgemm`] folds `alpha` into its packed `A` panels and
+/// accumulates per `kc` strip, so this is a different algorithm, and the
+/// tests hold the blocked kernel to it within rounding.
+pub fn zgemm_reference(
     alpha: Complex64,
     a: &CMatrix,
     opa: Op,
@@ -244,8 +169,7 @@ fn zgemm_naive(
     beta: Complex64,
     c: &mut CMatrix,
 ) {
-    let (m, k) = opa.shape(a.shape());
-    let n = c.ncols();
+    let (m, k, n) = check_shapes(a, opa, b, opb, c);
     for i in 0..m {
         for j in 0..n {
             let mut acc = Complex64::ZERO;
@@ -256,6 +180,15 @@ fn zgemm_naive(
             c[(i, j)] = alpha * acc + beta * old;
         }
     }
+}
+
+/// `(m, k, n)` of `op(A) * op(B)` into `C`; panics when the shapes disagree.
+fn check_shapes(a: &CMatrix, opa: Op, b: &CMatrix, opb: Op, c: &CMatrix) -> (usize, usize, usize) {
+    let (m, k) = opa.shape(a.shape());
+    let (kb, n) = opb.shape(b.shape());
+    assert_eq!(k, kb, "inner dimensions disagree: {k} vs {kb}");
+    assert_eq!(c.shape(), (m, n), "output shape mismatch");
+    (m, k, n)
 }
 
 /// Packs `alpha * op(A)` rows `i0..i1`, depth `p0..p1` into split re/im
@@ -342,8 +275,14 @@ fn kernel_span(isa: Isa) -> bgw_trace::Span {
     })
 }
 
+/// [`zgemm`] at an explicit microkernel and tiles: the hook the autotune
+/// sweep and the per-kernel parity tests drive. It touches no global
+/// dispatch state, so concurrent callers can exercise different kernels.
+///
+/// The kernel must come from the registry ([`microkernel::kernels_for`]),
+/// which only hands out host-executable variants.
 #[allow(clippy::too_many_arguments)]
-fn zgemm_blocked(
+pub fn zgemm_with_microkernel(
     alpha: Complex64,
     a: &CMatrix,
     opa: Op,
@@ -351,18 +290,16 @@ fn zgemm_blocked(
     opb: Op,
     beta: Complex64,
     c: &mut CMatrix,
-    sel: &Selection,
-    parallel: bool,
+    kernel: &'static MicroKernel,
+    tiles: TileParams,
 ) {
+    let (m, k, n) = check_shapes(a, opa, b, opb, c);
     bgw_perf::counters::record_gemm_call();
-    let kernel = sel.kernel;
     let (mr, nr) = (kernel.mr, kernel.nr);
     let lane = kernel.isa.index();
     bgw_perf::counters::record_gemm_mk_call(lane);
     let _span = bgw_trace::span!("gemm");
     let _kernel_span = kernel_span(kernel.isa);
-    let (m, k) = opa.shape(a.shape());
-    let n = c.ncols();
     // 4 real multiplies + 4 adds per complex multiply-accumulate.
     bgw_trace::add_flops(8 * (m as u64) * (n as u64) * (k as u64));
     // beta-scale once up front.
@@ -380,9 +317,9 @@ fn zgemm_blocked(
         mr <= MAX_MR && nr <= MAX_NR,
         "kernel tile exceeds stack buffers"
     );
-    let mc = sel.tiles.mc.max(1).div_ceil(mr) * mr;
-    let kc = sel.tiles.kc.max(1);
-    let nc = sel.tiles.nc.max(1).div_ceil(nr) * nr;
+    let mc = tiles.mc.max(1).div_ceil(mr) * mr;
+    let kc = tiles.kc.max(1);
+    let nc = tiles.nc.max(1).div_ceil(nr) * nr;
     let ldc = n;
     let cptr = SendPtr::new(c.as_mut_slice().as_mut_ptr());
 
@@ -471,21 +408,14 @@ fn zgemm_blocked(
             };
 
             let panels = m.div_ceil(mc);
-            if parallel {
-                // One `mc x kk` panel of A against the packed B strip.
-                let panel_cost = bgw_par::Flops(zgemm_flops(mc.min(m), kk, jc1 - jc0));
-                bgw_par::parallel_for_chunked(panels, 1, panel_cost, |lo, hi| {
-                    for pi in lo..hi {
-                        let i0 = pi * mc;
-                        row_panel(i0, (i0 + mc).min(m));
-                    }
-                });
-            } else {
-                for pi in 0..panels {
+            // One `mc x kk` panel of A against the packed B strip.
+            let panel_cost = bgw_par::Flops(zgemm_flops(mc.min(m), kk, jc1 - jc0));
+            bgw_par::parallel_for_chunked(panels, 1, panel_cost, |lo, hi| {
+                for pi in lo..hi {
                     let i0 = pi * mc;
                     row_panel(i0, (i0 + mc).min(m));
                 }
-            }
+            });
         }
     }
 }
@@ -507,17 +437,70 @@ mod tests {
         ]
     }
 
-    fn backends() -> Vec<GemmBackend> {
-        vec![
-            GemmBackend::Naive,
-            GemmBackend::Blocked,
-            GemmBackend::Parallel,
-            GemmBackend::Tuned(TileParams {
-                mc: 3,
-                kc: 5,
-                nc: 7,
-            }),
-        ]
+    /// Tiles small enough that every loop of the blocked driver takes
+    /// several steps, and that straddle the register tile.
+    const TINY_TILES: [TileParams; 2] = [
+        TileParams {
+            mc: 3,
+            kc: 5,
+            nc: 7,
+        },
+        TileParams {
+            mc: 8,
+            kc: 16,
+            nc: 8,
+        },
+    ];
+
+    /// [`zgemm_reference`] on a copy of `c0`.
+    fn reference(
+        alpha: Complex64,
+        a: &CMatrix,
+        opa: Op,
+        b: &CMatrix,
+        opb: Op,
+        beta: Complex64,
+        c0: &CMatrix,
+    ) -> CMatrix {
+        let mut c = c0.clone();
+        zgemm_reference(alpha, a, opa, b, opb, beta, &mut c);
+        c
+    }
+
+    /// The blocked products on copies of `c0`, labelled: [`zgemm`], then the
+    /// same kernel at each of [`TINY_TILES`].
+    fn blocked(
+        alpha: Complex64,
+        a: &CMatrix,
+        opa: Op,
+        b: &CMatrix,
+        opb: Op,
+        beta: Complex64,
+        c0: &CMatrix,
+    ) -> Vec<(String, CMatrix)> {
+        let mut c = c0.clone();
+        zgemm(alpha, a, opa, b, opb, beta, &mut c);
+        let mut out = vec![("zgemm".to_string(), c)];
+        let kernel = microkernel::default_kernel(simd::effective());
+        for tiles in TINY_TILES {
+            let mut c = c0.clone();
+            zgemm_with_microkernel(alpha, a, opa, b, opb, beta, &mut c, kernel, tiles);
+            out.push((format!("{tiles:?}"), c));
+        }
+        out
+    }
+
+    /// Every blocked product of `op(A) op(B)` is within `tol` of the
+    /// reference.
+    fn assert_products_match(a: &CMatrix, opa: Op, b: &CMatrix, opb: Op, tol: f64) {
+        let (m, _) = opa.shape(a.shape());
+        let (_, n) = opb.shape(b.shape());
+        let (one, zero, c0) = (Complex64::ONE, Complex64::ZERO, CMatrix::zeros(m, n));
+        let want = reference(one, a, opa, b, opb, zero, &c0);
+        for (what, got) in blocked(one, a, opa, b, opb, zero, &c0) {
+            let diff = got.max_abs_diff(&want);
+            assert!(diff < tol, "{what} {opa:?}/{opb:?}: max diff {diff:e}");
+        }
     }
 
     #[test]
@@ -543,7 +526,7 @@ mod tests {
         // x^dagger B x through a GEMM row equals conj_dot(x, (B x^T-row)).
         let b = CMatrix::random_hermitian(9, 7);
         let xm = CMatrix::from_fn(1, 9, |_, j| x[j]);
-        let z = matmul(&xm, Op::None, &b, Op::Trans, GemmBackend::Blocked);
+        let z = matmul(&xm, Op::None, &b, Op::Trans);
         let form = conj_dot(&x, z.row(0));
         let mut scalar = Complex64::ZERO;
         for i in 0..9 {
@@ -555,40 +538,29 @@ mod tests {
         assert!(form.im.abs() < 1e-12, "Hermitian form must be real");
     }
 
+    /// `zgemm`, and its kernel at the tiny tiles, against the triple loop.
     #[test]
     fn all_backends_agree_with_naive() {
         let a = CMatrix::random(7, 5, 1);
         let b = CMatrix::random(5, 9, 2);
-        let reference = matmul(&a, Op::None, &b, Op::None, GemmBackend::Naive);
-        for be in backends() {
-            let c = matmul(&a, Op::None, &b, Op::None, be);
-            assert!(
-                c.max_abs_diff(&reference) < 1e-12,
-                "backend {be:?} disagrees"
-            );
-        }
+        assert_products_match(&a, Op::None, &b, Op::None, 1e-12);
     }
 
     #[test]
     fn transpose_and_adjoint_ops() {
         let a = CMatrix::random(6, 4, 3);
         let b = CMatrix::random(6, 5, 4);
-        // A^T B : (4x6)(6x5)
-        let expect_t = matmul(&a.transpose(), Op::None, &b, Op::None, GemmBackend::Naive);
-        let expect_h = matmul(&a.adjoint(), Op::None, &b, Op::None, GemmBackend::Naive);
-        for be in backends() {
-            let ct = matmul(&a, Op::Trans, &b, Op::None, be);
-            let ch = matmul(&a, Op::Adj, &b, Op::None, be);
-            assert!(ct.max_abs_diff(&expect_t) < 1e-12, "{be:?} trans");
-            assert!(ch.max_abs_diff(&expect_h) < 1e-12, "{be:?} adj");
-        }
-        // B with ops on the right side too: A * B^H : (6x4)->need B: 5x4
+        // A^T B and A^H B : (4x6)(6x5)
+        assert_products_match(&a, Op::Trans, &b, Op::None, 1e-12);
+        assert_products_match(&a, Op::Adj, &b, Op::None, 1e-12);
+        // The explicit transposes agree with the ops.
+        let expect_h = matmul(&a.adjoint(), Op::None, &b, Op::None);
+        assert!(matmul(&a, Op::Adj, &b, Op::None).max_abs_diff(&expect_h) < 1e-12);
+        let expect_t = matmul(&a.transpose(), Op::None, &b, Op::None);
+        assert!(matmul(&a, Op::Trans, &b, Op::None).max_abs_diff(&expect_t) < 1e-12);
+        // B with ops on the right side too: A * B^H : (6x4)(4x5)
         let b2 = CMatrix::random(5, 4, 5);
-        let expect = matmul(&a, Op::None, &b2.adjoint(), Op::None, GemmBackend::Naive);
-        for be in backends() {
-            let c = matmul(&a, Op::None, &b2, Op::Adj, be);
-            assert!(c.max_abs_diff(&expect) < 1e-12, "{be:?} right adj");
-        }
+        assert_products_match(&a, Op::None, &b2, Op::Adj, 1e-12);
     }
 
     #[test]
@@ -598,21 +570,9 @@ mod tests {
         let c0 = CMatrix::random(4, 4, 8);
         let alpha = c64(0.5, -1.0);
         let beta = c64(2.0, 0.25);
-        let mut expect = c0.clone();
-        zgemm(
-            alpha,
-            &a,
-            Op::None,
-            &b,
-            Op::None,
-            beta,
-            &mut expect,
-            GemmBackend::Naive,
-        );
-        for be in backends().into_iter().skip(1) {
-            let mut c = c0.clone();
-            zgemm(alpha, &a, Op::None, &b, Op::None, beta, &mut c, be);
-            assert!(c.max_abs_diff(&expect) < 1e-12, "{be:?}");
+        let expect = reference(alpha, &a, Op::None, &b, Op::None, beta, &c0);
+        for (what, c) in blocked(alpha, &a, Op::None, &b, Op::None, beta, &c0) {
+            assert!(c.max_abs_diff(&expect) < 1e-12, "{what}");
         }
     }
 
@@ -620,11 +580,12 @@ mod tests {
     fn identity_is_neutral() {
         let a = CMatrix::random(5, 5, 9);
         let i5 = CMatrix::identity(5);
-        for be in backends() {
-            let c = matmul(&a, Op::None, &i5, Op::None, be);
-            assert!(c.max_abs_diff(&a) < 1e-13, "{be:?}");
-            let c = matmul(&i5, Op::None, &a, Op::None, be);
-            assert!(c.max_abs_diff(&a) < 1e-13, "{be:?}");
+        let (one, zero, c0) = (Complex64::ONE, Complex64::ZERO, CMatrix::zeros(5, 5));
+        for (l, r) in [(&a, &i5), (&i5, &a)] {
+            assert!(reference(one, l, Op::None, r, Op::None, zero, &c0).max_abs_diff(&a) < 1e-13);
+            for (what, c) in blocked(one, l, Op::None, r, Op::None, zero, &c0) {
+                assert!(c.max_abs_diff(&a) < 1e-13, "{what}");
+            }
         }
     }
 
@@ -633,20 +594,8 @@ mod tests {
         let a = CMatrix::random(4, 6, 10);
         let b = CMatrix::random(6, 3, 11);
         let c = CMatrix::random(3, 5, 12);
-        let ab_c = matmul(
-            &matmul(&a, Op::None, &b, Op::None, GemmBackend::Parallel),
-            Op::None,
-            &c,
-            Op::None,
-            GemmBackend::Parallel,
-        );
-        let a_bc = matmul(
-            &a,
-            Op::None,
-            &matmul(&b, Op::None, &c, Op::None, GemmBackend::Parallel),
-            Op::None,
-            GemmBackend::Parallel,
-        );
+        let ab_c = matmul(&matmul(&a, Op::None, &b, Op::None), Op::None, &c, Op::None);
+        let a_bc = matmul(&a, Op::None, &matmul(&b, Op::None, &c, Op::None), Op::None);
         assert!(ab_c.max_abs_diff(&a_bc) < 1e-12);
     }
 
@@ -654,7 +603,7 @@ mod tests {
     fn degenerate_dimensions() {
         let a = CMatrix::zeros(0, 3);
         let b = CMatrix::zeros(3, 4);
-        let c = matmul(&a, Op::None, &b, Op::None, GemmBackend::Blocked);
+        let c = matmul(&a, Op::None, &b, Op::None);
         assert_eq!(c.shape(), (0, 4));
         // k = 0: C = beta*C only
         let a = CMatrix::zeros(2, 0);
@@ -668,7 +617,6 @@ mod tests {
             Op::None,
             c64(3.0, 0.0),
             &mut c,
-            GemmBackend::Blocked,
         );
         assert_eq!(c[(0, 0)], c64(3.0, 0.0));
     }
@@ -684,28 +632,26 @@ mod tests {
     fn dimension_mismatch_panics() {
         let a = CMatrix::zeros(2, 3);
         let b = CMatrix::zeros(4, 2);
-        let _ = matmul(&a, Op::None, &b, Op::None, GemmBackend::Naive);
+        let _ = matmul(&a, Op::None, &b, Op::None);
     }
 
     #[test]
     fn large_blocked_matches_naive() {
         let a = CMatrix::random(150, 70, 21);
         let b = CMatrix::random(70, 90, 22);
-        let r = matmul(&a, Op::None, &b, Op::None, GemmBackend::Naive);
-        let c = matmul(&a, Op::None, &b, Op::None, GemmBackend::Parallel);
         // errors scale with k; keep a sane bound
-        assert!(c.max_abs_diff(&r) < 1e-10);
+        assert_products_match(&a, Op::None, &b, Op::None, 1e-10);
     }
 
     /// Randomized shape sweep: tall/skinny, degenerate vectors, and shapes
-    /// straddling every tile boundary, crossed with all Op combinations and
-    /// all backends against the Naive oracle.
+    /// straddling every tile boundary, crossed with all Op combinations, the
+    /// blocked products against the reference at pool width 3.
     #[test]
     fn randomized_shape_sweep_all_ops_all_backends() {
         bgw_par::set_num_threads(3);
         let mut rng = Xoshiro256StarStar::seed_from_u64(0xC0FFEE);
-        // Dimensions chosen to straddle common mr/nr (4..16), the Tuned
-        // test tile (3/5/7), and default mc/kc boundaries.
+        // Dimensions chosen to straddle common mr/nr (4..16), the tiny
+        // tiles (3/5/7, 8/16/8), and default mc/kc boundaries.
         let dims = [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 63, 64, 65, 130];
         let ops = [Op::None, Op::Trans, Op::Adj];
         let mut seed = 1000u64;
@@ -733,49 +679,24 @@ mod tests {
                 1 => Complex64::ONE,
                 _ => c64(rng.next_f64() - 0.5, rng.next_f64()),
             };
-            let mut expect = c0.clone();
-            zgemm(
-                alpha,
-                &a,
-                opa,
-                &b,
-                opb,
-                beta,
-                &mut expect,
-                GemmBackend::Naive,
-            );
-            for be in [
-                GemmBackend::Blocked,
-                GemmBackend::Parallel,
-                GemmBackend::Tuned(TileParams {
-                    mc: 3,
-                    kc: 5,
-                    nc: 7,
-                }),
-                GemmBackend::Tuned(TileParams {
-                    mc: 8,
-                    kc: 16,
-                    nc: 8,
-                }),
-            ] {
-                let mut c = c0.clone();
-                zgemm(alpha, &a, opa, &b, opb, beta, &mut c, be);
+            let expect = reference(alpha, &a, opa, &b, opb, beta, &c0);
+            for (what, c) in blocked(alpha, &a, opa, &b, opb, beta, &c0) {
                 assert!(
                     c.max_abs_diff(&expect) < 1e-10,
-                    "case {case}: {m}x{k}x{n} {opa:?}/{opb:?} {be:?}"
+                    "case {case}: {m}x{k}x{n} {opa:?}/{opb:?} {what}"
                 );
             }
         }
         bgw_par::set_num_threads(0);
     }
 
-    /// Satellite 3 (ISSUE 6): every microkernel variant this host can
-    /// execute must match the Naive oracle at 1e-12 across edge shapes
-    /// built from its own register tile (1, mr-1, mr, mr+1, 129,
-    /// non-dividing) and conjugated/transposed Op combinations. Drives
+    /// Every microkernel variant this host can execute must match the
+    /// reference at 1e-12 across edge shapes built from its own register
+    /// tile (1, mr-1, mr, mr+1, 129, non-dividing) and
+    /// conjugated/transposed Op combinations. Drives
     /// `zgemm_with_microkernel` directly, so no global dispatch state is
-    /// touched and all variants are covered even though runtime dispatch
-    /// would only ever pick the best one.
+    /// touched and all variants are covered even though `zgemm` only ever
+    /// runs the default one.
     #[test]
     fn every_host_microkernel_matches_naive_on_edge_shapes() {
         let ops = [Op::None, Op::Trans, Op::Adj];
@@ -805,17 +726,7 @@ mod tests {
                             _ => CMatrix::random(n, k, seed + 1),
                         };
                         let c0 = CMatrix::random(m, n, seed + 2);
-                        let mut expect = c0.clone();
-                        zgemm(
-                            alpha,
-                            &a,
-                            opa,
-                            &b,
-                            opb,
-                            beta,
-                            &mut expect,
-                            GemmBackend::Naive,
-                        );
+                        let expect = reference(alpha, &a, opa, &b, opb, beta, &c0);
                         let mut got = c0.clone();
                         zgemm_with_microkernel(
                             alpha,
@@ -827,7 +738,6 @@ mod tests {
                             &mut got,
                             kernel,
                             TileParams::default(),
-                            false,
                         );
                         assert!(
                             got.max_abs_diff(&expect) <= 1e-12,
@@ -841,21 +751,28 @@ mod tests {
         }
     }
 
-    /// Satellite 3 (ISSUE 6): forcing each host-supported ISA routes the
-    /// dispatched backends through that ISA's kernel, observed via the
-    /// per-ISA telemetry lanes (this is what makes `fmadd`'s silent
-    /// compile-time degradation impossible to miss now).
+    /// Forcing each host-supported ISA routes `zgemm` through that ISA's
+    /// kernel, observed via the per-ISA telemetry lanes (this is what makes
+    /// `fmadd`'s silent compile-time degradation impossible to miss).
     #[test]
     fn forced_dispatch_exercises_each_supported_isa() {
-        use bgw_num::simd;
         let a = CMatrix::random(40, 24, 311);
         let b = CMatrix::random(24, 48, 312);
-        let reference = matmul(&a, Op::None, &b, Op::None, GemmBackend::Naive);
+        let zero = CMatrix::zeros(40, 48);
+        let want = reference(
+            Complex64::ONE,
+            &a,
+            Op::None,
+            &b,
+            Op::None,
+            Complex64::ZERO,
+            &zero,
+        );
         for isa in simd::supported() {
             assert!(simd::force(Some(isa)), "supported ISA must be forceable");
             let before = gemm_mk_calls(&bgw_perf::counters::snapshot())[isa.index()];
-            let c = matmul(&a, Op::None, &b, Op::None, GemmBackend::Parallel);
-            assert!(c.max_abs_diff(&reference) <= 1e-12, "{isa:?} parity");
+            let c = matmul(&a, Op::None, &b, Op::None);
+            assert!(c.max_abs_diff(&want) <= 1e-12, "{isa:?} parity");
             let after = gemm_mk_calls(&bgw_perf::counters::snapshot())[isa.index()];
             assert!(
                 after > before,
@@ -866,30 +783,11 @@ mod tests {
     }
 
     #[test]
-    fn tuned_auto_resolves_without_panicking() {
-        // With or without a persisted table, AUTO must produce a working
-        // configuration (table > defaults).
-        let a = CMatrix::random(33, 17, 411);
-        let b = CMatrix::random(17, 29, 412);
-        let expect = matmul(&a, Op::None, &b, Op::None, GemmBackend::Naive);
-        let c = matmul(
-            &a,
-            Op::None,
-            &b,
-            Op::None,
-            GemmBackend::Tuned(TileParams::AUTO),
-        );
-        assert!(c.max_abs_diff(&expect) <= 1e-12);
-        assert!(TileParams::AUTO.is_auto());
-        assert!(!TileParams::default().is_auto());
-    }
-
-    #[test]
     fn gemm_counters_advance() {
         let before = bgw_perf::counters::snapshot();
         let a = CMatrix::random(40, 40, 77);
         let b = CMatrix::random(40, 40, 78);
-        let _ = matmul(&a, Op::None, &b, Op::None, GemmBackend::Blocked);
+        let _ = matmul(&a, Op::None, &b, Op::None);
         let d = before.delta(&bgw_perf::counters::snapshot());
         assert!(d.gemm_calls >= 1);
         assert!(d.gemm_pack_ns > 0, "packing must be accounted");

@@ -137,7 +137,7 @@ pub fn invert(a: &CMatrix) -> Result<CMatrix, SingularMatrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{matmul, GemmBackend, Op};
+    use crate::gemm::{matmul, Op};
     use bgw_num::c64;
 
     #[test]
@@ -159,7 +159,7 @@ mod tests {
         for &n in &[1usize, 2, 5, 12, 30] {
             let a = CMatrix::random(n, n, n as u64 + 100);
             let inv = invert(&a).unwrap();
-            let prod = matmul(&a, Op::None, &inv, Op::None, GemmBackend::Blocked);
+            let prod = matmul(&a, Op::None, &inv, Op::None);
             assert!(
                 prod.max_abs_diff(&CMatrix::identity(n)) < 1e-9,
                 "n = {n}: {}",
@@ -173,7 +173,7 @@ mod tests {
         let n = 10;
         let a = CMatrix::random(n, n, 3);
         let x_true = CMatrix::random(n, 3, 4);
-        let b = matmul(&a, Op::None, &x_true, Op::None, GemmBackend::Blocked);
+        let b = matmul(&a, Op::None, &x_true, Op::None);
         let x = Lu::new(&a).unwrap().solve(&b);
         assert!(x.max_abs_diff(&x_true) < 1e-9);
     }
@@ -204,7 +204,7 @@ mod tests {
             vec![c64(0.0, 2.0), c64(1.0, 0.0), c64(1.0, 0.0), c64(0.0, -1.0)],
         );
         let inv = invert(&b).unwrap();
-        let prod = matmul(&b, Op::None, &inv, Op::None, GemmBackend::Naive);
+        let prod = matmul(&b, Op::None, &inv, Op::None);
         assert!(prod.max_abs_diff(&CMatrix::identity(2)) < 1e-12);
     }
 }

@@ -3,13 +3,11 @@
 //!
 //! One code base, several inner kernels: a portable scalar `4x4`, NEON
 //! `4x4`/`6x4`, AVX2+FMA `4x8`/`6x4`/`4x4`, and AVX-512F
-//! `8x8`/`12x8`/`4x16`. The blocked ZGEMM asks [`select`] which kernel and
-//! cache tiles to use for a given problem; the answer combines
-//!
-//! 1. the runtime ISA decision from [`bgw_num::simd`] (detected once per
-//!    process, or pinned by `simd::force` in tests and sweeps), and
-//! 2. for `GemmBackend::Tuned`, the persistent per-host autotune table
-//!    (`crate::autotune`), falling back to per-ISA defaults.
+//! `8x8`/`12x8`/`4x16`. `zgemm` runs [`default_kernel`] of the runtime ISA
+//! decision from [`bgw_num::simd`] (detected once per process, or pinned by
+//! `simd::force` in tests), at fixed cache tiles. The other registered
+//! shapes are reached only through `zgemm_with_microkernel`: the tile
+//! sweep times them and the parity tests hold them to the reference.
 //!
 //! Every kernel shares one panel-layout contract (see
 //! [`scalar::kernel_4x4`]): packed A strips of `MR` rows, packed B strips
@@ -25,8 +23,6 @@ pub mod x86;
 #[cfg(target_arch = "aarch64")]
 pub mod neon;
 
-use crate::autotune;
-use crate::gemm::TileParams;
 use bgw_num::simd::{self, Isa};
 
 /// Unified kernel signature: `(kk, a_re, a_im, b_re, b_im, c_re, c_im)`
@@ -218,79 +214,6 @@ pub fn find(isa: Isa, mr: usize, nr: usize) -> Option<&'static MicroKernel> {
     kernels_for(isa).iter().find(|k| k.mr == mr && k.nr == nr)
 }
 
-/// Where the cache tiles of a [`Selection`] came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TileSource {
-    /// Caller passed explicit tiles (`GemmBackend::Tuned` with concrete
-    /// `TileParams`).
-    Explicit,
-    /// Tiles came from the persisted per-host autotune table.
-    Autotuned,
-    /// Built-in defaults.
-    Default,
-}
-
-/// The dispatch decision for one ZGEMM call: which register-tile kernel
-/// runs and which cache tiles wrap it.
-#[derive(Clone, Copy)]
-pub struct Selection {
-    /// The register-tile kernel to run.
-    pub kernel: &'static MicroKernel,
-    /// Cache-blocking parameters (not yet rounded to the kernel tile; the
-    /// blocked driver rounds `mc`/`nc` up to `mr`/`nr` multiples).
-    pub tiles: TileParams,
-    /// Provenance of `tiles`, surfaced in benchmark JSON.
-    pub tiles_from: TileSource,
-}
-
-/// Resolves kernel + tiles for an `m x k x n` ZGEMM.
-///
-/// Resolution order (ISSUE 6 / DESIGN.md Sec. 13): the effective ISA is
-/// `simd::effective()` (forced override or runtime detection); explicit
-/// tiles beat the persisted autotune table, which beats built-in
-/// defaults. Only `GemmBackend::Tuned` consults the table
-/// (`consult_table`), so `Blocked`/`Parallel` remain stable baselines.
-pub fn select(
-    m: usize,
-    k: usize,
-    n: usize,
-    explicit: Option<TileParams>,
-    consult_table: bool,
-) -> Selection {
-    let isa = simd::effective();
-    let entry = if consult_table {
-        autotune::lookup(isa, autotune::ShapeClass::classify(m, k, n))
-    } else {
-        None
-    };
-    resolve(isa, explicit, entry)
-}
-
-/// Pure resolution core, separated from the process-wide caches so tests
-/// can drive it with synthetic table entries.
-pub fn resolve(
-    isa: Isa,
-    explicit: Option<TileParams>,
-    entry: Option<autotune::AutotuneEntry>,
-) -> Selection {
-    // A stale table may name a kernel shape that no longer exists; fall
-    // back to the ISA default rather than failing.
-    let kernel = entry
-        .as_ref()
-        .and_then(|e| find(isa, e.mr, e.nr))
-        .unwrap_or_else(|| default_kernel(isa));
-    let (tiles, tiles_from) = match (explicit, entry) {
-        (Some(t), _) => (t, TileSource::Explicit),
-        (None, Some(e)) => (e.tiles, TileSource::Autotuned),
-        (None, None) => (TileParams::default(), TileSource::Default),
-    };
-    Selection {
-        kernel,
-        tiles,
-        tiles_from,
-    }
-}
-
 /// All kernels this host can execute, narrowest ISA first: what the
 /// parity sweeps iterate.
 #[cfg(test)]
@@ -382,64 +305,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn resolve_precedence_explicit_then_table_then_default() {
-        let isa = bgw_num::simd::Isa::Scalar;
-        let table_tiles = TileParams {
-            mc: 48,
-            kc: 96,
-            nc: 192,
-        };
-        let entry = autotune::AutotuneEntry {
-            mr: 4,
-            nr: 4,
-            tiles: table_tiles,
-            gflops: 1.0,
-        };
-        let explicit = TileParams {
-            mc: 32,
-            kc: 64,
-            nc: 128,
-        };
-
-        let s = resolve(isa, Some(explicit), Some(entry.clone()));
-        assert_eq!(s.tiles_from, TileSource::Explicit);
-        assert_eq!(s.tiles, explicit);
-
-        let s = resolve(isa, None, Some(entry));
-        assert_eq!(s.tiles_from, TileSource::Autotuned);
-        assert_eq!(s.tiles, table_tiles);
-
-        let s = resolve(isa, None, None);
-        assert_eq!(s.tiles_from, TileSource::Default);
-        assert_eq!(s.tiles, TileParams::default());
-    }
-
-    #[test]
-    fn resolve_falls_back_when_table_names_unknown_kernel() {
-        let isa = bgw_num::simd::Isa::Scalar;
-        let entry = autotune::AutotuneEntry {
-            mr: 99,
-            nr: 99,
-            tiles: TileParams {
-                mc: 48,
-                kc: 96,
-                nc: 192,
-            },
-            gflops: 1.0,
-        };
-        let s = resolve(isa, None, Some(entry));
-        assert_eq!(
-            s.kernel.label(),
-            "scalar_4x4",
-            "stale shape must fall back to ISA default"
-        );
-        assert_eq!(
-            s.tiles_from,
-            TileSource::Autotuned,
-            "tiles themselves are still usable"
-        );
     }
 }

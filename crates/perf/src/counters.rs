@@ -170,7 +170,8 @@ counters! {
     /// The inline runs above that lost the dispatch `try_lock` to another
     /// OS thread's region (shards sharing one pool).
     pool_inline_busy: POOL_INLINE_BUSY,
-    /// Blocked/parallel/tuned ZGEMM invocations.
+    /// Blocked ZGEMM invocations (`zgemm`, `zgemm_with_microkernel`; the
+    /// reference triple loop is not counted).
     gemm_calls: GEMM_CALLS,
     /// Nanoseconds spent packing GEMM operand panels (summed over threads).
     gemm_pack_ns: GEMM_PACK_NS,

@@ -10,7 +10,7 @@
 use crate::gvec::GSphere;
 use crate::lattice::Crystal;
 use crate::solver::Wavefunctions;
-use bgw_linalg::{matmul, CMatrix, GemmBackend, Op};
+use bgw_linalg::{matmul, CMatrix, Op};
 use bgw_num::{c64, Complex64};
 
 /// A single atomic-displacement perturbation `p = (atom, axis)`.
@@ -59,21 +59,8 @@ impl Perturbation {
         // g = conj(C) dV C^T with C the (bands x G) coefficient matrix:
         // g_mn = sum_{GG'} conj(c_m(G)) dV_{GG'} c_n(G').
         // Using conj(C) X = conj(C conj(X)):
-        let dv_ct = matmul(
-            &self.dv,
-            Op::None,
-            &wf.coeffs,
-            Op::Trans,
-            GemmBackend::Parallel,
-        );
-        matmul(
-            &wf.coeffs,
-            Op::None,
-            &dv_ct.conj(),
-            Op::None,
-            GemmBackend::Parallel,
-        )
-        .conj()
+        let dv_ct = matmul(&self.dv, Op::None, &wf.coeffs, Op::Trans);
+        matmul(&wf.coeffs, Op::None, &dv_ct.conj(), Op::None).conj()
     }
 
     /// First-order wavefunctions by sum-over-states (Sternheimer):
@@ -97,7 +84,7 @@ impl Perturbation {
             }
         }
         // dpsi_n(G) = sum_m w_mn c_m(G)  ->  dPsi = W^T C
-        let mut dpsi = matmul(&w, Op::Trans, &wf.coeffs, Op::None, GemmBackend::Parallel);
+        let mut dpsi = matmul(&w, Op::Trans, &wf.coeffs, Op::None);
         debug_assert_eq!(dpsi.shape(), (nb, ng));
         // Orthogonality to the unperturbed state is automatic (m != n terms
         // only), but guard against roundoff by projecting out <psi_n|dpsi_n>.

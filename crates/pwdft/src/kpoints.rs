@@ -293,13 +293,7 @@ mod tests {
         let (c, sph) = si_setup();
         let h0 = Hamiltonian::new(&c, &sph);
         let (_, v) = states_at_k(&c, &sph, &h0, [0.1, 0.2, 0.0]);
-        let overlap = bgw_linalg::matmul(
-            &v,
-            bgw_linalg::Op::Adj,
-            &v,
-            bgw_linalg::Op::None,
-            bgw_linalg::GemmBackend::Blocked,
-        );
+        let overlap = bgw_linalg::matmul(&v, bgw_linalg::Op::Adj, &v, bgw_linalg::Op::None);
         assert!(overlap.max_abs_diff(&CMatrix::identity(sph.len())) < 1e-8);
     }
 }

@@ -13,7 +13,6 @@
 use berkeleygw_rs::core::{
     bands_around_gap, build_screening, gwpt_for_perturbation, sigma_context, GwConfig,
 };
-use berkeleygw_rs::linalg::GemmBackend;
 use berkeleygw_rs::num::{UniformGrid, RYDBERG_EV};
 use berkeleygw_rs::pwdft::{lih_defect, Perturbation};
 
@@ -45,7 +44,7 @@ fn main() {
     println!("pert (atom,axis)   |g_DFPT| max (eV/bohr)   |g_GW| max   GW/DFPT   kernel s");
     for &(atom, axis) in &perturbations {
         let pert = Perturbation::new(&system.crystal, &s.wfn_sph, atom, axis);
-        let r = gwpt_for_perturbation(&s, ctx, &pert, &e_grid, GemmBackend::Parallel);
+        let r = gwpt_for_perturbation(&s, ctx, &pert, &e_grid);
         let g_dfpt = r.g_dfpt.max_abs() * RYDBERG_EV;
         let g_gw = r.g_gw.max_abs() * RYDBERG_EV;
         println!(

@@ -5,14 +5,14 @@
 //! the pool's floor only picks *where* a region runs, never its chunking,
 //! so `to_bits()` equality across `BGW_THREADS` is a legitimate check.
 //! `tests/pipeline.rs` holds the GPP one-shot, DAG and served legs; this
-//! file holds the rest: full-frequency Sigma in the subspace, the
-//! imaginary-axis pipeline on both chi backends, the off-diagonal GPP
-//! kernel, GWPT, and the batched MTXEL pair rows against the one-pair
-//! path. Every leg but the off-diagonal one must also have reached the
-//! pool at the widths above 1 — a battery that only ever ran inline would
-//! prove nothing about the choice between the two — so the fixture is a
-//! size up from `testkit::small_context`, whose regions all sit under the
-//! pool's floor.
+//! file holds the rest: `zgemm` itself, full-frequency Sigma in the
+//! subspace, the imaginary-axis pipeline on both chi backends, the
+//! off-diagonal GPP kernel, GWPT, and the batched MTXEL pair rows against
+//! the one-pair path. Every leg but the off-diagonal one must also have
+//! reached the pool at the widths above 1 — a battery that only ever ran
+//! inline would prove nothing about the choice between the two — so the
+//! fixture is a size up from `testkit::small_context`, whose regions all
+//! sit under the pool's floor.
 
 use berkeleygw_rs::core::gwpt::{build_dm_tilde, gwpt_dsigma};
 use berkeleygw_rs::core::spacetime::{run_imagaxis_gw, ChiBackend, SpaceTimeConfig};
@@ -21,10 +21,10 @@ use berkeleygw_rs::core::{
     ff_sigma_diag_subspace, gpp_sigma_offdiag, ChiConfig, ChiEngine, EpsilonInverse, Mtxel,
     SigmaContext, Subspace,
 };
-use berkeleygw_rs::linalg::{CMatrix, GemmBackend};
+use berkeleygw_rs::linalg::{zgemm, CMatrix, Op};
 use berkeleygw_rs::num::grid::semi_infinite_quadrature;
 use berkeleygw_rs::num::minimax::FitOptions;
-use berkeleygw_rs::num::{Complex64, UniformGrid};
+use berkeleygw_rs::num::{c64, Complex64, UniformGrid};
 use berkeleygw_rs::par::set_num_threads;
 use berkeleygw_rs::perf::counters::{exclusive_test_guard, snapshot};
 use berkeleygw_rs::pwdft::Perturbation;
@@ -100,6 +100,40 @@ fn chi_config(setup: &TestSetup) -> ChiConfig {
     }
 }
 
+/// Width 1 is the serial path; wider pools split the row panels of `C`
+/// across workers. The shape has two row panels (64 + 6 rows at the
+/// default `mc`), two `kc` steps (128 + 3) and ragged edges against every
+/// register tile, and every one of the nine `Op` pairs runs at
+/// `beta` in {0, 1, other}.
+#[test]
+fn zgemm_is_bitwise_invariant_across_pool_widths() {
+    let _guard = exclusive_test_guard();
+    let (m, k, n) = (70, 131, 19);
+    let ops = [Op::None, Op::Trans, Op::Adj];
+    let betas = [Complex64::ZERO, Complex64::ONE, c64(0.3, -0.7)];
+    let stored = |op: Op, rows: usize, cols: usize, seed: u64| match op {
+        Op::None => CMatrix::random(rows, cols, seed),
+        Op::Trans | Op::Adj => CMatrix::random(cols, rows, seed),
+    };
+    let c0 = CMatrix::random(m, n, 3);
+    assert_invariant("zgemm", true, || {
+        let mut out = Vec::new();
+        for (i, &opa) in ops.iter().enumerate() {
+            for (j, &opb) in ops.iter().enumerate() {
+                let seed = 10 * (3 * i + j) as u64;
+                let a = stored(opa, m, k, seed);
+                let b = stored(opb, k, n, seed + 1);
+                for &beta in &betas {
+                    let mut c = c0.clone();
+                    zgemm(c64(0.8, 0.4), &a, opa, &b, opb, beta, &mut c);
+                    out.extend(matrix_bits([&c]));
+                }
+            }
+        }
+        out
+    });
+}
+
 #[test]
 fn full_frequency_subspace_sigma_is_bitwise_invariant() {
     let _guard = exclusive_test_guard();
@@ -138,7 +172,6 @@ fn imaginary_axis_gw_is_bitwise_invariant_on_both_chi_backends() {
             optimize_passes: 0,
             ..FitOptions::default()
         },
-        ..SpaceTimeConfig::default()
     };
     let legs = [
         ("dense", dense, ChiBackend::Dense(chi_config(&dense.1))),
@@ -178,13 +211,13 @@ fn offdiagonal_gpp_and_gwpt_are_bitwise_invariant() {
     // test can afford, so this leg pins that the width reaches nothing
     // (not even `auto_chunk`) that the bits depend on.
     assert_invariant("gpp_sigma_offdiag", false, || {
-        matrix_bits(&gpp_sigma_offdiag(ctx, &e_grid, GemmBackend::Parallel).sigma)
+        matrix_bits(&gpp_sigma_offdiag(ctx, &e_grid).sigma)
     });
     let pert = Perturbation::new(&setup.crystal, &setup.wfn_sph, 0, 0);
     let dpsi = pert.first_order_wavefunctions(&setup.wf, 1e-8);
     assert_invariant("build_dm_tilde + gwpt_dsigma", true, || {
         let dm = build_dm_tilde(ctx, &setup.wf, &mtxel, &dpsi, &setup.vsqrt);
-        let r = gwpt_dsigma(ctx, &dm, &pert, &setup.wf, &e_grid, GemmBackend::Parallel);
+        let r = gwpt_dsigma(ctx, &dm, &pert, &setup.wf, &e_grid);
         let mut out = matrix_bits(&dm);
         out.extend(matrix_bits(&r.d_sigma));
         out.extend(matrix_bits([&r.g_gw]));

@@ -13,7 +13,7 @@ use berkeleygw_rs::core::testkit;
 use berkeleygw_rs::dist::{
     try_invert_epsilon_distributed, try_newton_schulz_inverse, DistError, DistMatrix,
 };
-use berkeleygw_rs::linalg::{matmul, CMatrix, GemmBackend, Op};
+use berkeleygw_rs::linalg::{matmul, CMatrix, Op};
 use berkeleygw_rs::num::Xoshiro256StarStar;
 use berkeleygw_rs::pwdft::{si_bulk, solve_bands};
 
@@ -156,7 +156,7 @@ fn dist_matmul_matches_serial_oracle_sweep() {
             let m = 2 + rng.next_below(9);
             let a = CMatrix::random(n, k, rng.next_u64());
             let b = CMatrix::random(k, m, rng.next_u64());
-            let oracle = matmul(&a, Op::None, &b, Op::None, GemmBackend::Blocked);
+            let oracle = matmul(&a, Op::None, &b, Op::None);
             let (results, _) = run_ranks(world, |comm| {
                 let ad = DistMatrix::from_replicated(comm, &a);
                 let bd = DistMatrix::from_replicated(comm, &b);

@@ -4,7 +4,7 @@
 //! the suite builds fully offline and failures reproduce exactly).
 
 use berkeleygw_rs::fft::{dft_reference, Direction, FftPlan};
-use berkeleygw_rs::linalg::{eigh, invert, matmul, CMatrix, GemmBackend, Op};
+use berkeleygw_rs::linalg::{eigh, invert, matmul, zgemm_reference, CMatrix, Op};
 use berkeleygw_rs::num::{c64, Complex64, Xoshiro256StarStar};
 
 fn signal(rng: &mut Xoshiro256StarStar, n: usize) -> Vec<Complex64> {
@@ -50,6 +50,8 @@ fn fft_matches_reference_small() {
     }
 }
 
+/// The blocked, pooled `zgemm` agrees with the triple-loop reference on
+/// random shapes.
 #[test]
 fn gemm_backends_agree() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xF0F0_0003);
@@ -60,14 +62,14 @@ fn gemm_backends_agree() {
         let seed = rng.next_u64();
         let a = CMatrix::random(m, k, seed);
         let b = CMatrix::random(k, n, seed.wrapping_add(1));
-        let reference = matmul(&a, Op::None, &b, Op::None, GemmBackend::Naive);
-        for be in [GemmBackend::Blocked, GemmBackend::Parallel] {
-            let c = matmul(&a, Op::None, &b, Op::None, be);
-            assert!(
-                c.max_abs_diff(&reference) < 1e-10,
-                "case {case}: {m}x{k}x{n} {be:?}"
-            );
-        }
+        let mut reference = CMatrix::zeros(m, n);
+        let (one, zero) = (Complex64::ONE, Complex64::ZERO);
+        zgemm_reference(one, &a, Op::None, &b, Op::None, zero, &mut reference);
+        let c = matmul(&a, Op::None, &b, Op::None);
+        assert!(
+            c.max_abs_diff(&reference) < 1e-10,
+            "case {case}: {m}x{k}x{n}"
+        );
     }
 }
 
@@ -81,8 +83,8 @@ fn gemm_adjoint_identity() {
         let seed = rng.next_u64();
         let a = CMatrix::random(m, k, seed);
         let b = CMatrix::random(k, m, seed.wrapping_add(7));
-        let ab_h = matmul(&a, Op::None, &b, Op::None, GemmBackend::Blocked).adjoint();
-        let bh_ah = matmul(&b, Op::Adj, &a, Op::Adj, GemmBackend::Blocked);
+        let ab_h = matmul(&a, Op::None, &b, Op::None).adjoint();
+        let bh_ah = matmul(&b, Op::Adj, &a, Op::Adj);
         assert!(ab_h.max_abs_diff(&bh_ah) < 1e-10, "case {case}: {m}x{k}");
     }
 }
@@ -95,7 +97,7 @@ fn inverse_roundtrip() {
         let a = CMatrix::random(n, n, rng.next_u64());
         // random complex matrices are almost surely invertible
         if let Ok(inv) = invert(&a) {
-            let prod = matmul(&a, Op::None, &inv, Op::None, GemmBackend::Blocked);
+            let prod = matmul(&a, Op::None, &inv, Op::None);
             assert!(
                 prod.max_abs_diff(&CMatrix::identity(n)) < 1e-7,
                 "case {case}: n = {n}"
@@ -118,7 +120,7 @@ fn eigh_reconstructs() {
                 vw[(i, j)] = vw[(i, j)].scale(e.values[j]);
             }
         }
-        let back = matmul(&vw, Op::None, &e.vectors, Op::Adj, GemmBackend::Blocked);
+        let back = matmul(&vw, Op::None, &e.vectors, Op::Adj);
         assert!(
             back.max_abs_diff(&a) < 1e-8 * (1.0 + a.max_abs()),
             "case {case}: n = {n}"

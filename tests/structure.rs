@@ -51,6 +51,7 @@ const ROWS: &[(&[&str], &[&str], Want, &str)] = &[
     (&["crates/core/src/chi.rs"], &["Op::Adj"], Is(1), "one CHI-SUM body: every chi build contracts 2 M^H (Delta M) in chi_freqs_core"),
     (&["crates/core/src/sigma/diag.rs"], &["fn row_optimized"], Is(0), "the scalar twin of the GPP lane groups lives only in the test tail, as their bitwise oracle"),
     (&["crates/core/src/sigma/diag.rs"], &["parallel_reduce("], Is(0), "GPP band partials are written per lane group and folded in band order"),
+    (&["crates/linalg/src/gemm.rs", "crates/linalg/src/microkernel/mod.rs"], &["autotune"], Is(0), "production GEMM tiles are a constant; wiring a table back in is a perf change with a measured claim"),
     (SPINE, &["solve_bands("], Is(1), FORK),
     (SPINE, &["Coulomb::bulk_for_cell"], Is(1), FORK),
     (SPINE, &["Coulomb::slab("], Is(1), FORK),
@@ -88,6 +89,7 @@ const ALLOW: &[(&str, &str, &str)] = &[
     ("crates/perf/src/flopmodel.rs", "ff_sigma_flops", "the closed-form model tests/trace_report.rs holds the counted FLOPs of the live kernel to"),
     ("crates/perf/src/flopmodel.rs", "imagaxis_sigma_flops", "the closed-form model tests/trace_report.rs holds the counted FLOPs of the live kernel to"),
     ("crates/fft/src/plan.rs", "dft_reference", "the O(n^2) DFT tests/properties.rs holds FftPlan to"),
+    ("crates/linalg/src/gemm.rs", "zgemm_reference", "the triple loop the tests hold the blocked kernel to: no packing, a different summation order"),
     ("crates/linalg/src/matrix.rs", "CMatrix::adjoint", "the explicit (A B)^H tests/properties.rs holds the Op::Adj GEMM to"),
     ("crates/linalg/src/matrix.rs", "CMatrix::random_hermitian", "the Hermitian input tests/properties.rs and tests/distributed.rs drive eigh and the distributed inversion with"),
     ("crates/linalg/src/matrix.rs", "CMatrix::hermiticity_error", "the check the unit tests of chi0, eps^-1, Sigma, GWPT and the Hamiltonian hold their outputs to (three crates, so not cfg(test))"),
