@@ -4,9 +4,9 @@
 //!
 //! Two layers: (i) the paper-size workloads through the calibrated time
 //! model; (ii) a local *executed* validation — the same pool/`G'`
-//! decomposition run for real over simulated ranks on a scaled system,
-//! whose measured critical-path times must follow the 1/ranks shape the
-//! model assumes.
+//! decomposition run for real on a scaled system, one `G'` slice per rank
+//! timed in one process, whose measured critical-path times must follow
+//! the 1/ranks shape the model assumes.
 
 use bgw_bench::timed;
 use bgw_core::sigma::diag::gpp_sigma_diag_partial;

@@ -9,9 +9,9 @@
 //! assembles and inverts them pool-parallel over the frequency axis, with
 //! the `I - v^{1/2} chi v^{1/2}` scaling fused into a single sweep over the
 //! cloned polarizability. A singular or non-finite dielectric matrix is a
-//! *recoverable application condition* (checkpointed runs resume, resilient
-//! runs report), so inversion failures surface as a typed [`EpsilonError`]
-//! instead of a panic.
+//! *recoverable application condition* (checkpointed runs resume, served
+//! requests report), so inversion failures surface as a typed
+//! [`EpsilonError`] instead of a panic.
 
 use crate::coulomb::Coulomb;
 use bgw_linalg::{invert, CMatrix};
@@ -101,7 +101,7 @@ impl EpsilonInverse {
     ///
     /// A singular or non-finite `eps~(omega_k)` returns the typed
     /// [`EpsilonError`] for the *first* offending frequency instead of
-    /// panicking, so recoverable drivers (checkpoint/restart, resilient)
+    /// panicking, so recoverable drivers (checkpoint/restart, the daemon)
     /// can surface it.
     pub fn build(
         chis: &[CMatrix],

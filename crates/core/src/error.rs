@@ -1,14 +1,12 @@
 //! The one error type of the GW drivers.
 //!
-//! Every driver — one-shot, DAG, checkpointed, resilient, imaginary-axis —
-//! fails with a [`GwError`]: the layer errors it can meet (`Epsilon`,
-//! `Comm`, `Io`, `SpaceTime`, `Pade`) wrapped as they are, plus the three
-//! conditions the drivers themselves detect.
+//! Every driver — one-shot, DAG, checkpointed, imaginary-axis — fails
+//! with a [`GwError`]: the layer errors it can meet (`Epsilon`, `Io`,
+//! `SpaceTime`, `Pade`) wrapped as they are, plus the three conditions
+//! the drivers themselves detect.
 
 use crate::epsilon::EpsilonError;
 use crate::spacetime::SpaceTimeError;
-use bgw_comm::CommError;
-use bgw_dist::DistError;
 use bgw_io::IoError;
 use bgw_num::pade::PadeError;
 
@@ -17,12 +15,8 @@ use bgw_num::pade::PadeError;
 pub enum GwError {
     /// The dielectric matrix is singular or non-finite. An application
     /// condition surfaced as data: checkpoints written before it stay
-    /// resumable, and a resilient run does not burn recovery cycles
-    /// recomputing the same matrix on a shrunken communicator.
+    /// resumable.
     Epsilon(EpsilonError),
-    /// A runtime fault of the simulated communicator (crash, exhausted
-    /// retries, corruption, poisoned world).
-    Comm(CommError),
     /// Checkpoint file traffic failed.
     Io(IoError),
     /// The [`CheckpointPolicy::abort_after_writes`] kill switch fired.
@@ -64,7 +58,6 @@ impl std::fmt::Display for GwError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Epsilon(e) => write!(f, "epsilon stage: {e}"),
-            Self::Comm(e) => write!(f, "communicator fault: {e:?}"),
             Self::Io(e) => write!(f, "checkpoint io: {e}"),
             Self::Aborted { writes } => {
                 write!(
@@ -92,12 +85,6 @@ impl From<EpsilonError> for GwError {
     }
 }
 
-impl From<CommError> for GwError {
-    fn from(e: CommError) -> Self {
-        Self::Comm(e)
-    }
-}
-
 impl From<IoError> for GwError {
     fn from(e: IoError) -> Self {
         Self::Io(e)
@@ -113,20 +100,5 @@ impl From<SpaceTimeError> for GwError {
 impl From<PadeError> for GwError {
     fn from(e: PadeError) -> Self {
         Self::Pade(e)
-    }
-}
-
-impl From<DistError> for GwError {
-    fn from(e: DistError) -> Self {
-        match e {
-            DistError::Comm(c) => Self::Comm(c),
-            // Newton-Schulz non-convergence means the dielectric matrix
-            // is singular/ill-conditioned — the condition the LU
-            // pre-flight reports, deterministic across ranks.
-            DistError::NotConverged { .. } => Self::Epsilon(EpsilonError::Singular {
-                freq_index: 0,
-                omega: 0.0,
-            }),
-        }
     }
 }

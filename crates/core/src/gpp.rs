@@ -157,6 +157,10 @@ mod tests {
         // 32 electrons in the Si cell
         let expect = 16.0 * std::f64::consts::PI * 32.0 / vol;
         assert!((gpp.wp2 - expect).abs() / expect < 1e-6);
+        // f-sum rule at the head: rho(0) = rho0 and a unit direction, so the
+        // pole strength Omega^2_00 is the plasma frequency squared itself.
+        let head = gpp.strength(0, 0);
+        assert!((head - expect).abs() / expect < 1e-6, "Omega^2_00 = {head}");
         // silicon-like plasmon ~ 16 eV, model should be within a factor 2
         let wp_ev = gpp.wp2.sqrt() * bgw_num::RYDBERG_EV;
         assert!(wp_ev > 8.0 && wp_ev < 35.0, "wp = {wp_ev} eV");

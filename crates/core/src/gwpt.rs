@@ -210,48 +210,6 @@ pub fn gwpt_for_perturbation(
     gwpt_dsigma(ctx, &dm, perturbation, &s.wf, e_grid)
 }
 
-/// Distributed GWPT: the `N_p` perturbations share one [`Screening`], are
-/// independent, and are farmed out round-robin over the ranks of `comm`
-/// (paper Sec. 5.1: "the N_p perturbations are independent and massively
-/// parallelized to full scale with minimal communications"). Each
-/// perturbation is computed whole by one rank with
-/// [`gwpt_for_perturbation`]'s arithmetic, so the result does not depend
-/// on the world size. Every rank returns the complete set of `g^GW`
-/// matrices, gathered with one allgather at the end.
-///
-/// `perturbations` lists `(atom, axis)` pairs of `crystal`; all ranks must
-/// pass the same list.
-pub fn gwpt_distributed(
-    comm: &bgw_comm::Comm,
-    s: &Screening,
-    ctx: &SigmaContext,
-    crystal: &bgw_pwdft::Crystal,
-    perturbations: &[(usize, usize)],
-    e_grid: &UniformGrid,
-) -> Result<Vec<CMatrix>, bgw_comm::CommError> {
-    let ns = ctx.n_sigma();
-    // compute my round-robin share
-    let mut mine: Vec<(u64, Vec<Complex64>)> = Vec::new();
-    for (p, &(atom, axis)) in perturbations.iter().enumerate() {
-        if p % comm.size() != comm.rank() {
-            continue;
-        }
-        let pert = Perturbation::new(crystal, &s.wfn_sph, atom, axis);
-        let r = gwpt_for_perturbation(s, ctx, &pert, e_grid);
-        mine.push((p as u64, r.g_gw.as_slice().to_vec()));
-    }
-    // one allgather of (index, payload) pairs — the "minimal
-    // communications" of the paper's N_p parallelization
-    let gathered = comm.try_allgather(mine)?;
-    let mut out = vec![CMatrix::zeros(ns, ns); perturbations.len()];
-    for rank_items in gathered {
-        for (p, flat) in rank_items {
-            out[p as usize] = CMatrix::from_vec(ns, ns, flat);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,6 +233,37 @@ mod tests {
         let lo = ctx.sigma_energies[0] - 0.5;
         let hi = *ctx.sigma_energies.last().unwrap() + 0.5;
         UniformGrid::new(lo, hi, 5)
+    }
+
+    #[test]
+    fn distributed_perturbations_match_serial() {
+        // N_p = 4 perturbations against ONE screening. A round-robin share
+        // (`p % ranks`) computes them in rank-major order, not serial
+        // order; gathered back by index, every share size — 6 > N_p
+        // leaves two shares empty — returns the serial loop's bits, so no
+        // perturbation depends on which ran before it.
+        let (sys, s, ctx) = fixture();
+        let e_grid = grid_for(&ctx);
+        let perts = [(0usize, 0usize), (0, 1), (1, 0), (1, 2)];
+        let bits = |&(a, ax): &(usize, usize)| -> Vec<(u64, u64)> {
+            let p = Perturbation::new(&sys.crystal, &s.wfn_sph, a, ax);
+            gwpt_for_perturbation(&s, &ctx, &p, &e_grid)
+                .g_gw
+                .as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        let serial: Vec<_> = perts.iter().map(bits).collect();
+        for ranks in [2usize, 3, 6] {
+            let mut gathered = vec![Vec::new(); perts.len()];
+            for r in 0..ranks {
+                for p in (0..perts.len()).filter(|p| p % ranks == r) {
+                    gathered[p] = bits(&perts[p]);
+                }
+            }
+            assert_eq!(gathered, serial, "{ranks} ranks");
+        }
     }
 
     #[test]
@@ -302,43 +291,6 @@ mod tests {
         let r = gwpt_for_perturbation(&s, &ctx, &pert, &grid_for(&ctx));
         let diff = r.g_gw.max_abs_diff(&r.g_dfpt);
         assert!(diff > 1e-12, "GW correction to g vanished");
-    }
-
-    #[test]
-    fn distributed_perturbations_match_serial() {
-        // N_p = 4 perturbations against ONE screening: each is computed
-        // whole by one rank with the serial arithmetic, so every world
-        // size — 6 > N_p leaves two ranks idle — returns the serial
-        // loop's bits on every rank.
-        let (sys, s, ctx) = fixture();
-        let e_grid = grid_for(&ctx);
-        let perts = [(0usize, 0usize), (0, 1), (1, 0), (1, 2)];
-        let bits = |m: &CMatrix| -> Vec<(u64, u64)> {
-            m.as_slice()
-                .iter()
-                .map(|z| (z.re.to_bits(), z.im.to_bits()))
-                .collect()
-        };
-        let serial: Vec<_> = perts
-            .iter()
-            .map(|&(a, ax)| {
-                let p = Perturbation::new(&sys.crystal, &s.wfn_sph, a, ax);
-                bits(&gwpt_for_perturbation(&s, &ctx, &p, &e_grid).g_gw)
-            })
-            .collect();
-        for world in [1usize, 2, 3, 4, 6] {
-            let (results, stats) = bgw_comm::run_world(world, |comm| {
-                gwpt_distributed(comm, &s, &ctx, &sys.crystal, &perts, &e_grid)
-                    .expect("fault-free world")
-                    .iter()
-                    .map(bits)
-                    .collect::<Vec<_>>()
-            });
-            for (rank, rank_out) in results.iter().enumerate() {
-                assert_eq!(rank_out, &serial, "world {world}, rank {rank}");
-            }
-            assert!(stats.iter().all(|st| st.collectives >= 1), "world {world}");
-        }
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod gwpt;
 pub mod mtxel;
 pub mod params;
 pub mod pseudobands;
-pub mod resilient;
 pub mod restart;
 pub mod service;
 pub mod sigma;
@@ -48,10 +47,6 @@ pub use gwpt::{gwpt_for_perturbation, GwptResult};
 pub use mtxel::Mtxel;
 pub use params::GwParams;
 pub use pseudobands::{chebyshev_pseudoband, compress, Pseudobands, PseudobandsConfig};
-pub use resilient::{
-    run_gpp_gw_resilient, run_gpp_gw_resilient_dag, with_recovery, CommCursor, ResilientGwReport,
-    MAX_RECOVERIES,
-};
 pub use restart::{run_evgw_checkpointed, run_gpp_gw_checkpointed, CheckpointPolicy, GwStage};
 pub use service::{
     band_subset, bands_around_gap, build_screening, ff_eval, gpp_eval_preemptible,

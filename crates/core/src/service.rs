@@ -20,9 +20,8 @@
 //! 7. `assemble` — Dyson solve, gaps and `SigmaDims` -> [`GwResults`].
 //!
 //! Every driver in [`workflow`](crate::workflow),
-//! [`dagflow`](crate::dagflow), [`restart`](crate::restart) and
-//! [`resilient`](crate::resilient) is the shared stages plus the three
-//! pieces it keeps, so "served == one-shot" holds by construction. Stage
+//! [`dagflow`](crate::dagflow) and [`restart`](crate::restart) is the
+//! shared stages plus the three pieces it keeps, so "served == one-shot" holds by construction. Stage
 //! spans (`workflow.meanfield|chi|epsilon|mtxel|sigma`) and stage seconds
 //! ([`GwTimings`]) are produced by `Stage::run` and nowhere else.
 //!

@@ -187,20 +187,6 @@ counters! {
     /// Wall-clock nanoseconds spent inside `Fft3d` passes, measured on
     /// the calling thread (dispatch + gather/scatter + butterflies).
     fft_ns: FFT_NS,
-    /// Slot-rendezvous collective operations entered (per rank).
-    comm_collectives: COMM_COLLECTIVES,
-    /// Fault events injected by the `bgw-comm` fault plan (all kinds).
-    comm_faults: COMM_FAULTS,
-    /// Communicator retries: transient-fault backoff retries plus
-    /// collective retransmits after a corrupted payload.
-    comm_retries: COMM_RETRIES,
-    /// Permanent (injected or fatal) rank crashes observed by the runtime.
-    comm_crashes: COMM_CRASHES,
-    /// Communicator shrinks performed by surviving ranks.
-    comm_shrinks: COMM_SHRINKS,
-    /// Nanoseconds spent inside `Comm::shrink` recovery, summed over
-    /// the participating ranks.
-    comm_recovery_ns: COMM_RECOVERY_NS,
     /// Checkpoint records written through `bgw-io`.
     ckpt_writes: CKPT_WRITES,
     /// Checkpoint records read back through `bgw-io`.
@@ -218,9 +204,6 @@ counters! {
     dag_tasks: DAG_TASKS,
     /// DAG tasks a worker stole from another worker's deque.
     dag_steals: DAG_STEALS,
-    /// DAG tasks re-enqueued by fault recovery (lost ranks' tasks only,
-    /// not whole-phase redistribution).
-    dag_reenqueued: DAG_REENQUEUED,
     /// GW requests accepted into the serving queue (`bgw-serve`).
     serve_requests: SERVE_REQUESTS,
     /// GW requests completed (successfully or with a typed error). The
@@ -378,38 +361,6 @@ pub fn record_fft_pass(lines: u64, ns: u64) {
     FFT_NS.fetch_add(ns, Ordering::Relaxed);
 }
 
-/// Records one slot-rendezvous collective entered by a rank.
-#[inline]
-pub fn record_comm_collective() {
-    COMM_COLLECTIVES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one injected communicator fault event.
-#[inline]
-pub fn record_comm_fault() {
-    COMM_FAULTS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one communicator retry (backoff retry or retransmit).
-#[inline]
-pub fn record_comm_retry() {
-    COMM_RETRIES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one permanent rank crash.
-#[inline]
-pub fn record_comm_crash() {
-    COMM_CRASHES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one communicator shrink taking `ns` nanoseconds on the
-/// calling rank.
-#[inline]
-pub fn record_comm_shrink(ns: u64) {
-    COMM_SHRINKS.fetch_add(1, Ordering::Relaxed);
-    COMM_RECOVERY_NS.fetch_add(ns, Ordering::Relaxed);
-}
-
 /// Records one checkpoint record written with `bytes` of payload.
 #[inline]
 pub fn record_ckpt_write(bytes: u64) {
@@ -440,12 +391,6 @@ pub fn record_dag_tasks(n: u64) {
 #[inline]
 pub fn record_dag_steals(n: u64) {
     DAG_STEALS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Records `n` DAG tasks re-enqueued by task-granular fault recovery.
-#[inline]
-pub fn record_dag_reenqueued(n: u64) {
-    DAG_REENQUEUED.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Records one request accepted into the serving queue.
@@ -581,16 +526,10 @@ mod tests {
         record_gemm_pack_ns(10);
         record_gemm_compute_ns(20);
         record_fft_pass(48, 30);
-        record_comm_collective();
-        record_comm_fault();
-        record_comm_retry();
-        record_comm_crash();
-        record_comm_shrink(500);
         record_ckpt_write(64);
         record_ckpt_read(64);
         record_dag_tasks(9);
         record_dag_steals(2);
-        record_dag_reenqueued(3);
         record_serve_request();
         record_serve_hit_mem();
         record_serve_hit_disk();
@@ -618,18 +557,11 @@ mod tests {
         assert!(d.fft_grids >= 1);
         assert!(d.fft_lines >= 48);
         assert!(d.fft_ns >= 30);
-        assert!(d.comm_collectives >= 1);
-        assert!(d.comm_faults >= 1);
-        assert!(d.comm_retries >= 1);
-        assert!(d.comm_crashes >= 1);
-        assert!(d.comm_shrinks >= 1);
-        assert!(d.comm_recovery_ns >= 500);
         assert!(d.ckpt_writes >= 1);
         assert!(d.ckpt_reads >= 1);
         assert!(d.ckpt_bytes >= 128);
         assert!(d.dag_tasks >= 9);
         assert!(d.dag_steals >= 2);
-        assert!(d.dag_reenqueued >= 3);
         assert!(d.serve_requests >= 1);
         assert!(d.serve_completed >= 1);
         assert!(d.serve_hits_mem >= 1);
@@ -731,7 +663,7 @@ mod tests {
             n_fields += 1;
         });
         assert_eq!(a, b);
-        assert_eq!(n_fields, 61, "visitor must cover every field");
+        assert_eq!(n_fields, 54, "visitor must cover every field");
         assert!(!b.set_field("no_such_counter", 1));
     }
 }

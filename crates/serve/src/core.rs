@@ -29,10 +29,10 @@
 //!    poisons the *stored* artifact (the checksummed reader must catch it
 //!    later), delays stall.
 
+use crate::fault::{FaultKind, FaultPlan};
 use crate::key::ArtifactKey;
 use crate::request::{GwRequest, RequestKind};
 use crate::store::ArtifactStore;
-use bgw_comm::{FaultKind, FaultPlan};
 use bgw_core::epsilon::EpsilonError;
 use bgw_core::service::{
     band_subset, build_screening, ff_eval, screening_from_checkpoint, screening_to_checkpoint,

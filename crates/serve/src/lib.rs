@@ -30,8 +30,8 @@
 //!   pinned by an in-flight batch;
 //! * per-request `bgw-trace` span-tree reports returned as response
 //!   telemetry, extracted with `RunReport::delta`;
-//! * a seeded deterministic fault model (`bgw_comm::FaultPlan`) threaded
-//!   through the serving loop for the adversarial test battery.
+//! * a seeded deterministic fault model ([`FaultPlan`]) consulted by the
+//!   serving loop's fault gate for the adversarial test battery.
 //!
 //! Every served result is pinned to the corresponding one-shot oracle
 //! (`run_gpp_gw` / `ff_sigma_diag`) at 1e-12 by `tests/serve.rs`.
@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod core;
+pub mod fault;
 pub mod key;
 pub mod request;
 pub mod server;
@@ -49,6 +50,7 @@ pub use crate::core::{
     CacheStatus, FfPayload, GppPayload, Payload, RequestId, ServeConfig, ServeCore, ServeError,
     ServeEvent, ServeOk, ServeTelemetry,
 };
+pub use fault::{FaultKind, FaultPlan};
 pub use key::{ArtifactKey, KeySpec};
 pub use request::{GwRequest, RequestKind, StructureSpec};
 pub use server::{Server, Ticket};

@@ -9,7 +9,6 @@
 //! - [`par`]: thread pool and data-parallel primitives.
 //! - [`fft`]: mixed-radix/Bluestein complex FFTs (1-D and 3-D).
 //! - [`linalg`]: dense complex linear algebra (ZGEMM, eigensolver, LU).
-//! - [`comm`]: simulated MPI runtime (ranks, collectives, pools).
 //! - [`pwdft`]: plane-wave empirical-pseudopotential mean field (the DFT
 //!   starting point), supercells, defects, Parabands, DFPT perturbations.
 //! - [`core`]: the GW engine — MTXEL, CHI/NV-block, Epsilon, static
@@ -18,16 +17,19 @@
 //!   Frontier/Aurora/Perlmutter experiments.
 //! - [`io`]: binary WFN/epsmat-style file formats (the real-I/O substrate
 //!   for the incl.-I/O experiments).
-//! - [`dist`]: distributed dense linear algebra (row-block matrices,
-//!   distributed GEMM, Newton-Schulz inversion — the ScaLAPACK substrate).
 //! - [`trace`]: hierarchical span tracing and machine-readable run reports
 //!   that cross-validate the paper's FLOP models (Table 3).
 //! - [`serve`]: GW-as-a-service — resident server with a bounded queue,
-//!   content-hash artifact caching, request coalescing, and preemption.
+//!   content-hash artifact caching, request coalescing, preemption, and a
+//!   seeded request-fault gate.
+//!
+//! The paper's three decompositions — G' slices inside a self-energy pool,
+//! NV-block band batches and independent perturbations — run in one
+//! process (`gpp_sigma_diag_partial`, `ChiEngine::chi_freqs_subset`,
+//! `gwpt_for_perturbation`); inter-node communication is modeled in
+//! [`perf`], not simulated.
 
-pub use bgw_comm as comm;
 pub use bgw_core as core;
-pub use bgw_dist as dist;
 pub use bgw_fft as fft;
 pub use bgw_io as io;
 pub use bgw_linalg as linalg;

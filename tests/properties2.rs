@@ -1,10 +1,7 @@
 //! Second property-style suite: physics-layer invariants (lattices,
-//! spheres, pseudopotentials, distributed algebra, Pade continuation,
-//! communicator semantics) under deterministic randomized sweeps.
+//! spheres, pseudopotentials, Pade continuation, matrix elements) under
+//! deterministic randomized sweeps.
 
-use berkeleygw_rs::comm::{run_world, CommError};
-use berkeleygw_rs::dist::{row_range, try_newton_schulz_inverse, DistError, DistMatrix};
-use berkeleygw_rs::linalg::CMatrix;
 use berkeleygw_rs::num::pade::PadeApproximant;
 use berkeleygw_rs::num::{c64, Complex64, Xoshiro256StarStar};
 use berkeleygw_rs::pwdft::{Crystal, GSphere, Lattice, Species};
@@ -96,24 +93,6 @@ fn displacement_roundtrip() {
 }
 
 #[test]
-fn row_ranges_partition() {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(0xA5A5_0005);
-    for case in 0..16 {
-        let n = 1 + rng.next_below(199);
-        let size = 1 + rng.next_below(11);
-        let mut covered = vec![false; n];
-        for r in 0..size {
-            let (lo, hi) = row_range(n, size, r);
-            for slot in covered.iter_mut().take(hi).skip(lo) {
-                assert!(!*slot, "case {case}: overlap");
-                *slot = true;
-            }
-        }
-        assert!(covered.iter().all(|&c| c), "case {case}: n={n} size={size}");
-    }
-}
-
-#[test]
 fn pade_exactness_for_moebius() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xA5A5_0006);
     for case in 0..16 {
@@ -127,62 +106,6 @@ fn pade_exactness_for_moebius() {
         let z = c64(0.7, 0.2);
         assert!((p.eval(z) - f(z)).abs() < 1e-7, "case {case}");
     }
-}
-
-#[test]
-fn distributed_inverse_randomized() {
-    // deterministic multi-size sweep (fixed seeds so failures reproduce)
-    for (n, world, seed) in [(6usize, 2usize, 1u64), (10, 3, 2), (15, 4, 3)] {
-        let mut a = CMatrix::random(n, n, seed);
-        for d in 0..n {
-            a[(d, d)] += c64(3.0, 0.0);
-        }
-        let reference = berkeleygw_rs::linalg::invert(&a).unwrap();
-        let (out, _) = run_world(world, |comm| -> Result<_, DistError> {
-            let da = DistMatrix::from_replicated(comm, &a);
-            let (inv, _) = try_newton_schulz_inverse(comm, &da, 1e-11, 80)?;
-            Ok(inv.try_to_replicated(comm)?.as_slice().to_vec())
-        });
-        for flat in out {
-            let inv = CMatrix::from_vec(n, n, flat.expect("unarmed world, regular matrix"));
-            assert!(inv.max_abs_diff(&reference) < 1e-8, "n={n}, world={world}");
-        }
-    }
-}
-
-#[test]
-fn collectives_compose_arbitrarily() {
-    // a randomized (but rank-uniform) sequence of collectives must be
-    // deadlock-free and consistent
-    let ops: Vec<u8> = vec![0, 2, 1, 3, 0, 1, 2, 3, 3, 1];
-    let (out, _) = run_world(4, |comm| -> Result<u64, CommError> {
-        let mut acc = comm.rank() as u64;
-        for (i, &op) in ops.iter().enumerate() {
-            match op {
-                0 => {
-                    acc = comm.try_allreduce(acc, |a, b| a.wrapping_add(b))?;
-                }
-                1 => {
-                    let all = comm.try_allgather(acc)?;
-                    acc = all
-                        .iter()
-                        .fold(0u64, |a, &b| a.wrapping_mul(31).wrapping_add(b));
-                }
-                2 => {
-                    // a broadcast from rank i % size, spelled on the allgather
-                    acc = comm.try_allgather(acc)?[i % comm.size()];
-                }
-                _ => {
-                    let ones = comm.try_allreduce_sum_c64(vec![c64(1.0, 0.0)])?;
-                    acc = acc.wrapping_add(ones[0].re as u64);
-                }
-            }
-        }
-        Ok(acc)
-    });
-    // every rank converges to the same value (all ops end symmetric)
-    let out: Vec<u64> = out.into_iter().map(|r| r.expect("unarmed world")).collect();
-    assert!(out.windows(2).all(|w| w[0] == w[1]), "{out:?}");
 }
 
 #[test]

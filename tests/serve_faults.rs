@@ -6,9 +6,9 @@
 //! never a wrong hit), and no partial record is ever visible to a later
 //! cache hit.
 
-use berkeleygw_rs::comm::FaultPlan;
 use berkeleygw_rs::core::{run_gpp_gw, GwResults};
 use berkeleygw_rs::perf::counters::{self, exclusive_test_guard};
+use berkeleygw_rs::serve::FaultPlan;
 use berkeleygw_rs::serve::{
     zipf_stream, GwRequest, Payload, RequestKind, ServeConfig, ServeCore, ServeError, ServeEvent,
     Server, StructureSpec, TrafficConfig,
