@@ -2,6 +2,8 @@
 //! per-module timings on the scaled Table 2 roster — mean field (DFT
 //! stand-in), Parabands, Epsilon (MTXEL + CHI_SUM + inversion), Sigma
 //! (GPP kernel), and Dyson, plus the GWPT branch for the LiH system.
+//! The per-module seconds are the inclusive times of the run's
+//! `workflow.*` stage spans.
 
 use bgw_bench::timed;
 use bgw_core::{
@@ -26,25 +28,34 @@ pub fn run() {
             "QP gap eV",
         ],
     );
+    bgw_trace::set_enabled(true);
     for (paper_name, sys, n_sigma) in bgw_bench::bench_roster() {
         let cfg = GwConfig {
             bands_around_gap: n_sigma / 2,
             slab: sys.name.starts_with("BN"),
             ..Default::default()
         };
-        let (r, _total) = timed(|| run_gpp_gw(&sys, &cfg));
+        bgw_trace::reset();
+        let r = run_gpp_gw(&sys, &cfg);
+        let spans = bgw_trace::report();
+        let secs = |stage: &str| {
+            spans
+                .find(&format!("workflow.gpp_gw/workflow.{stage}"))
+                .map_or(0.0, |s| s.incl_ns as f64 * 1e-9)
+        };
         t.row(&[
             format!("{} ({})", sys.name, paper_name),
             sys.crystal.n_atoms().to_string(),
-            format!("{:.2}", r.timings.t_meanfield),
-            format!("{:.2}", r.timings.t_chi),
-            format!("{:.3}", r.timings.t_epsilon),
-            format!("{:.2}", r.timings.t_mtxel_sigma),
-            format!("{:.3}", r.timings.t_sigma),
+            format!("{:.2}", secs("meanfield")),
+            format!("{:.2}", secs("chi")),
+            format!("{:.3}", secs("epsilon")),
+            format!("{:.2}", secs("mtxel")),
+            format!("{:.3}", secs("sigma")),
             format!("{:.2}", r.gap_mf_ry * RYDBERG_EV),
             format!("{:.2}", r.gap_qp_ry * RYDBERG_EV),
         ]);
     }
+    bgw_trace::set_enabled(false);
     print!("{}", t.render());
 
     // GWPT branch (Fig. 1c): one perturbation on the LiH defect system.

@@ -37,7 +37,7 @@ pub fn run() {
         t_chi0: f64,
         t_chifreq: f64,
         t_transf: f64,
-        t_diag: f64,
+        t_eig: f64,
     }
     let mut results: Vec<Rung> = Vec::new();
     for &(ecut_w, ecut_e, n_bands) in &rungs {
@@ -64,7 +64,7 @@ pub fn run() {
         let vsqrt = coulomb.sqrt_on_sphere(&eps_sph);
         let chi0_sym = symmetrize(&chi0, &vsqrt);
         let n_eig = ((eps_sph.len() as f64 * subspace_fraction) as usize).max(2);
-        let (sub, t_diag) = timed(|| Subspace::from_chi0_sym(&chi0_sym, n_eig));
+        let (sub, t_eig) = timed(|| Subspace::from_chi0_sym(&chi0_sym, n_eig));
         // CHI-Freq: the finite frequencies in the N_Eig subspace (Eq. 6).
         let freqs: Vec<f64> = (1..=n_freq).map(|k| 0.4 * k as f64).collect();
         let mut tm1 = ChiTimings::default();
@@ -84,7 +84,7 @@ pub fn run() {
             t_chi0: tm0.t_chi0,
             t_chifreq: tm1.t_chifreq,
             t_transf,
-            t_diag,
+            t_eig,
         });
     }
     // define "nodes" by the growth of the total CHI work
@@ -116,7 +116,7 @@ pub fn run() {
             format!("{:.3}", r.t_chi0 / r.nodes),
             format!("{:.3}", r.t_chifreq / r.nodes),
             format!("{:.3}", r.t_transf / r.nodes),
-            format!("{:.3}", r.t_diag / r.nodes),
+            format!("{:.3}", r.t_eig / r.nodes),
         ]);
     }
     print!("{}", t.render());
@@ -136,7 +136,7 @@ pub fn run() {
         (last.t_chifreq / last.nodes) / (first.t_chifreq / first.nodes),
         (last.t_transf / last.nodes) / (first.t_transf / first.nodes),
         (last.t_mtxel / last.nodes) / (first.t_mtxel / first.nodes),
-        (last.t_diag / last.nodes) / (first.t_diag / first.nodes),
+        (last.t_eig / last.nodes) / (first.t_eig / first.nodes),
         n_freq,
         subspace_fraction * 100.0,
         last.t_chifreq,

@@ -30,7 +30,7 @@ use crate::error::GwError;
 use crate::gpp::GppModel;
 use crate::service::{context_stage, prefix, sigma_band_window, sigma_row, SigmaRows, Stage};
 use crate::sigma::SigmaContext;
-use crate::workflow::{GwConfig, GwResults, GwTimings};
+use crate::workflow::{GwConfig, GwResults};
 use bgw_linalg::CMatrix;
 use bgw_num::Complex64;
 use bgw_par::dag::{DagStats, TaskGraph};
@@ -65,20 +65,10 @@ pub struct DagGwResults {
     ///
     /// [`run_gpp_gw`]: crate::workflow::run_gpp_gw
     pub results: GwResults,
-    /// Task/steal counts of the graph execution. `timings` inside
-    /// `results` are *cumulative task* seconds per stage — overlapping
+    /// Task/steal counts of the graph execution. The stage spans under
+    /// `workflow.gpp_gw_dag` hold *cumulative task* time — overlapping
     /// tasks mean their sum can exceed the run's wall clock.
     pub stats: DagStats,
-}
-
-/// Runs one task body under its stage's span and charges its seconds to
-/// the accumulator the tasks share.
-fn task<T>(stage: Stage, acc: &Mutex<GwTimings>, f: impl FnOnce() -> T) -> T {
-    let (v, secs) = stage.run(f);
-    acc.lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .charge(stage, secs);
-    v
 }
 
 /// Runs the full G0W0(GPP) pipeline as a task DAG.
@@ -104,13 +94,12 @@ pub(crate) fn run_gpp_gw_dag_injected(
     faults: DagFaults,
 ) -> Result<DagGwResults, GwError> {
     let _run_span = bgw_trace::span!("workflow.gpp_gw_dag");
-    let mut timings = GwTimings::started();
 
     // The graph's shape (NV-block count, Sigma band set, energy grids)
     // is a function of the solved bands, so the shared prefix (mean
     // field included — it is internally pool-parallel already) runs up
     // front. Everything downstream is task-scheduled.
-    let p = prefix(system, cfg, &mut timings);
+    let p = prefix(system, cfg);
     let sigma_bands = sigma_band_window(&p.wf, cfg);
     let delta = cfg.sampling_delta_ry;
 
@@ -121,7 +110,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
     // The conduction-band FFT cache is internally pool-parallel; running
     // it as a DAG task would serialize it (nested parallel regions inside
     // a worker run inline), so it stays on the spine like the mean field.
-    let engine = Stage::Chi.timed(&mut timings, || p.chi_engine());
+    let engine = Stage::Chi.run(|| p.chi_engine());
     let blocks = engine.nv_blocks();
 
     // Shared single-writer slots the tasks communicate through. Declared
@@ -136,7 +125,6 @@ pub(crate) fn run_gpp_gw_dag_injected(
     let ctx_slot: OnceLock<SigmaContext> = OnceLock::new();
     // Keyed by (band, delta), so deposit order is free.
     let sigma_rows: Mutex<SigmaRows> = Mutex::new(SigmaRows::default());
-    let stage_s: Mutex<GwTimings> = Mutex::new(timings);
     let err_slot: Mutex<Option<GwError>> = Mutex::new(None);
 
     let stats = {
@@ -153,7 +141,6 @@ pub(crate) fn run_gpp_gw_dag_injected(
         let gpp_slot = &gpp_slot;
         let ctx_slot = &ctx_slot;
         let sigma_rows = &sigma_rows;
-        let stage_s = &stage_s;
         let err_slot = &err_slot;
         let missing = move |task: &'static str, input: &'static str| {
             record_err(err_slot, GwError::MissingInput { task, input });
@@ -167,7 +154,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
             .enumerate()
             .map(|(b, &(v0, v1))| {
                 g.add(&[], move || {
-                    task(Stage::Chi, stage_s, || {
+                    Stage::Chi.run(|| {
                         let block: Vec<usize> = (v0..v1).collect();
                         let mut t = ChiTimings::default();
                         *contribs[b].lock().unwrap_or_else(|e| e.into_inner()) =
@@ -183,7 +170,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
         let inv_ids: Vec<_> = (0..omegas.len())
             .map(|f| {
                 let t_red = g.add(&block_ids, move || {
-                    task(Stage::Chi, stage_s, || {
+                    Stage::Chi.run(|| {
                         if faults.drop_chi_reduction {
                             // Injected malformed state: complete without
                             // depositing, as a died-mid-write task would.
@@ -212,7 +199,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
                     })
                 });
                 g.add(&[t_red], move || {
-                    task(Stage::Epsilon, stage_s, || {
+                    Stage::Epsilon.run(|| {
                         let Some(chi) = chi_slots[f]
                             .lock()
                             .unwrap_or_else(|e| e.into_inner())
@@ -240,7 +227,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
 
         // Reassemble the frequency-ordered inverse set.
         let t_eps = g.add(&inv_ids, move || {
-            task(Stage::Epsilon, stage_s, || {
+            Stage::Epsilon.run(|| {
                 let mut inv: Vec<CMatrix> = Vec::with_capacity(inv_slots.len());
                 for s in inv_slots {
                     match s.lock().unwrap_or_else(|e| e.into_inner()).take() {
@@ -260,7 +247,7 @@ pub(crate) fn run_gpp_gw_dag_injected(
         });
 
         let t_gpp = g.add(&[t_eps, t_rho], move || {
-            task(Stage::Mtxel, stage_s, || {
+            Stage::Mtxel.run(|| {
                 let (Some(eps), Some(rho)) = (eps_slot.get(), rho_slot.get()) else {
                     return missing("gpp.build", "epsilon inverse / charge density");
                 };
@@ -272,19 +259,14 @@ pub(crate) fn run_gpp_gw_dag_injected(
             let Some(gpp) = gpp_slot.lock().unwrap_or_else(|e| e.into_inner()).take() else {
                 return missing("sigma.context", "gpp model");
             };
-            let (ctx, secs) =
-                context_stage(&p.wf, &p.mtxel, &p.vsqrt, p.coulomb.q0, gpp, sigma_bands);
-            stage_s
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .charge(Stage::Mtxel, secs);
+            let ctx = context_stage(&p.wf, &p.mtxel, &p.vsqrt, p.coulomb.q0, gpp, sigma_bands);
             let _ = ctx_slot.set(ctx);
         });
 
         // One task per Sigma row: the row entry on the shared context.
         for s in 0..sigma_bands.len() {
             g.add(&[t_ctx], move || {
-                task(Stage::Sigma, stage_s, || {
+                Stage::Sigma.run(|| {
                     let Some(ctx) = ctx_slot.get() else {
                         return missing("sigma.band", "sigma context");
                     };
@@ -318,12 +300,11 @@ pub(crate) fn run_gpp_gw_dag_injected(
     let eps_inv = eps_slot
         .into_inner()
         .ok_or_else(|| missing("epsilon inverse"))?;
-    let timings = stage_s.into_inner().unwrap_or_else(|e| e.into_inner());
     // A row task that never deposited surfaces from the assembly.
     let rows = sigma_rows.into_inner().unwrap_or_else(|e| e.into_inner());
     let eps_macro = eps_inv.macroscopic_constant();
     Ok(DagGwResults {
-        results: rows.assemble(&ctx, &ctx.sigma_bands, delta, eps_macro, timings)?,
+        results: rows.assemble(&ctx, &ctx.sigma_bands, delta, eps_macro)?,
         stats,
     })
 }

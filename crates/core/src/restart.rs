@@ -22,12 +22,11 @@ use crate::service::{
     finish_screening, into_context, prefix, screened_context, sigma_band_window, sigma_row,
     SigmaRows, Stage,
 };
-use crate::workflow::{evgw_iterate, EvGwResults, GwConfig, GwResults, GwTimings};
+use crate::workflow::{evgw_iterate, EvGwResults, GwConfig, GwResults};
 use bgw_io::{read_latest_checkpoint, write_checkpoint, Checkpoint};
 use bgw_linalg::CMatrix;
 use bgw_pwdft::ModelSystem;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Stage markers stored in [`Checkpoint::stage`]. The numeric values are
 /// part of the on-disk format: renumbering breaks old checkpoints.
@@ -84,15 +83,12 @@ struct CkptWriter {
     policy: CheckpointPolicy,
     next_index: u64,
     writes: usize,
-    t_checkpoint: f64,
 }
 
 impl CkptWriter {
     fn write(&mut self, ckpt: &Checkpoint) -> Result<(), GwError> {
         let _s = bgw_trace::span!("workflow.checkpoint");
-        let t = Instant::now();
         write_checkpoint(&self.policy.dir, self.next_index, ckpt)?;
-        self.t_checkpoint += t.elapsed().as_secs_f64();
         self.next_index += 1;
         self.writes += 1;
         if let Some(limit) = self.policy.abort_after_writes {
@@ -228,8 +224,8 @@ pub fn run_gpp_gw_checkpointed(
     cfg: &GwConfig,
     policy: &CheckpointPolicy,
 ) -> Result<GwResults, GwError> {
-    let mut timings = GwTimings::started();
-    let p = prefix(system, cfg, &mut timings);
+    let _run_span = bgw_trace::span!("workflow.gpp_gw_checkpointed");
+    let p = prefix(system, cfg);
     let engine = p.chi_engine();
     let ng = engine.n_g();
     let stride = policy.chi_stride.unwrap_or(p.chi_cfg.nv_block).max(1);
@@ -238,21 +234,19 @@ pub fn run_gpp_gw_checkpointed(
     let window = sigma_band_window(&p.wf, cfg);
     let delta = cfg.sampling_delta_ry;
 
-    let t_read = Instant::now();
     let found = read_latest_checkpoint(&policy.dir)?;
     let (resume, next_index) = classify_gpp(found, ng, chunks.len(), &window, delta)?;
     let mut writer = CkptWriter {
         policy: policy.clone(),
         next_index,
         writes: 0,
-        t_checkpoint: t_read.elapsed().as_secs_f64(),
     };
 
     // ---- CHI accumulation, chunk by chunk -------------------------------
     let mut chi0 = resume.chi_acc.unwrap_or_else(|| CMatrix::zeros(ng, ng));
     let mut rows = resume.rows;
     for (ci, chunk) in chunks.iter().enumerate().skip(resume.chunks_done) {
-        let part = Stage::Chi.timed(&mut timings, || {
+        let part = Stage::Chi.run(|| {
             engine
                 .chi_freqs_subset(&[0.0], Some(chunk), &mut ChiTimings::default())
                 .pop()
@@ -273,7 +267,7 @@ pub fn run_gpp_gw_checkpointed(
     let eps_inv = match resume.inv {
         Some(inv) => p.adopt(vec![0.0], vec![inv]),
         None => {
-            let built = p.invert(&[chi0], &[0.0], &mut timings)?;
+            let built = p.invert(&[chi0], &[0.0])?;
             writer.write(&Checkpoint {
                 stage: GwStage::EpsilonDone as u64,
                 step: 0,
@@ -286,12 +280,12 @@ pub fn run_gpp_gw_checkpointed(
     let inv0 = eps_inv.inv[0].clone();
 
     // ---- Sigma, row by row: a write after every row but the last --------
-    let (ctx, eps_macro) = into_context(finish_screening(p, eps_inv, None), cfg, &mut timings);
+    let (ctx, eps_macro) = into_context(finish_screening(p, eps_inv, None), cfg);
     for s in 0..ctx.n_sigma() {
         if rows.get(ctx.sigma_bands[s], delta).is_some() {
             continue;
         }
-        let row = Stage::Sigma.timed(&mut timings, || sigma_row(&ctx, s, delta, cfg.variant));
+        let row = Stage::Sigma.run(|| sigma_row(&ctx, s, delta, cfg.variant));
         rows.rows.push(row);
         if rows.rows.len() < ctx.n_sigma() {
             let mut ck = rows.to_checkpoint();
@@ -299,8 +293,7 @@ pub fn run_gpp_gw_checkpointed(
             writer.write(&ck)?;
         }
     }
-    timings.t_checkpoint = writer.t_checkpoint;
-    rows.assemble(&ctx, &ctx.sigma_bands, delta, eps_macro, timings)
+    rows.assemble(&ctx, &ctx.sigma_bands, delta, eps_macro)
 }
 
 /// [`run_evgw`](crate::workflow::run_evgw) with per-iteration
@@ -315,7 +308,7 @@ pub fn run_evgw_checkpointed(
     tol_ry: f64,
     policy: &CheckpointPolicy,
 ) -> Result<EvGwResults, GwError> {
-    let (ctx, _) = screened_context(system, cfg, &mut GwTimings::default())?;
+    let (ctx, _) = screened_context(system, cfg)?;
     let n_sigma = ctx.n_sigma();
 
     // Resume the iterate if a valid evGW checkpoint exists.
@@ -355,7 +348,6 @@ pub fn run_evgw_checkpointed(
         policy: policy.clone(),
         next_index,
         writes: 0,
-        t_checkpoint: 0.0,
     };
 
     evgw_iterate(

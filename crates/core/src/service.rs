@@ -22,8 +22,8 @@
 //! Every driver in [`workflow`](crate::workflow),
 //! [`dagflow`](crate::dagflow) and [`restart`](crate::restart) is the
 //! shared stages plus the three pieces it keeps, so "served == one-shot" holds by construction. Stage
-//! spans (`workflow.meanfield|chi|epsilon|mtxel|sigma`) and stage seconds
-//! ([`GwTimings`]) are produced by `Stage::run` and nowhere else.
+//! spans (`workflow.meanfield|chi|epsilon|mtxel|sigma`) are opened by
+//! `Stage::run` and nowhere else; they are the one record of stage time.
 //!
 //! On top of the spine the serving layer gets:
 //!
@@ -54,16 +54,15 @@ use crate::restart::GwStage;
 use crate::sigma::diag::{gpp_sigma_row, KernelVariant, SigmaDiagResult};
 use crate::sigma::fullfreq::ff_sigma_diag;
 use crate::sigma::SigmaContext;
-use crate::workflow::{GwConfig, GwResults, GwTimings, SigmaDims};
+use crate::workflow::{GwConfig, GwResults, SigmaDims};
 use bgw_io::Checkpoint;
 use bgw_linalg::CMatrix;
 use bgw_num::grid::semi_infinite_quadrature;
 use bgw_num::Complex64;
 use bgw_pwdft::{charge_density_g, solve_bands, GSphere, ModelSystem, Wavefunctions};
-use std::time::Instant;
 
-/// The five timed stages of a GW run: the one place their span names and
-/// their [`GwTimings`] slots are spelled.
+/// The five stages of a GW run: the one place their span names are
+/// spelled.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Stage {
     Meanfield,
@@ -74,10 +73,8 @@ pub(crate) enum Stage {
 }
 
 impl Stage {
-    /// Runs `f` under this stage's span; returns its value and wall
-    /// seconds. Task-scheduled drivers charge the seconds themselves
-    /// (their tasks cannot share a `&mut GwTimings`).
-    pub(crate) fn run<T>(self, f: impl FnOnce() -> T) -> (T, f64) {
+    /// Runs `f` under this stage's span.
+    pub(crate) fn run<T>(self, f: impl FnOnce() -> T) -> T {
         let _span = match self {
             Stage::Meanfield => bgw_trace::span!("workflow.meanfield"),
             Stage::Chi => bgw_trace::span!("workflow.chi"),
@@ -85,38 +82,7 @@ impl Stage {
             Stage::Mtxel => bgw_trace::span!("workflow.mtxel"),
             Stage::Sigma => bgw_trace::span!("workflow.sigma"),
         };
-        let t0 = Instant::now();
-        let v = f();
-        (v, t0.elapsed().as_secs_f64())
-    }
-
-    /// [`run`](Self::run), charging the seconds to `t`.
-    pub(crate) fn timed<T>(self, t: &mut GwTimings, f: impl FnOnce() -> T) -> T {
-        let (v, secs) = self.run(f);
-        t.charge(self, secs);
-        v
-    }
-}
-
-impl GwTimings {
-    /// Timings of a run starting now: `substrate` holds the run-start
-    /// counter snapshot until [`assemble`] turns it into the run's delta.
-    pub(crate) fn started() -> Self {
-        Self {
-            substrate: bgw_perf::counters::snapshot(),
-            ..Self::default()
-        }
-    }
-
-    /// Adds `secs` to the slot of `stage`.
-    pub(crate) fn charge(&mut self, stage: Stage, secs: f64) {
-        *match stage {
-            Stage::Meanfield => &mut self.t_meanfield,
-            Stage::Chi => &mut self.t_chi,
-            Stage::Epsilon => &mut self.t_epsilon,
-            Stage::Mtxel => &mut self.t_mtxel_sigma,
-            Stage::Sigma => &mut self.t_sigma,
-        } += secs;
+        f()
     }
 }
 
@@ -208,12 +174,11 @@ pub(crate) struct Prefix {
     volume: f64,
 }
 
-pub(crate) fn prefix(system: &ModelSystem, cfg: &GwConfig, t: &mut GwTimings) -> Prefix {
+pub(crate) fn prefix(system: &ModelSystem, cfg: &GwConfig) -> Prefix {
     let wfn_sph = system.wfn_sphere();
     let eps_sph = system.eps_sphere();
-    let wf = Stage::Meanfield.timed(t, || {
-        solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len()))
-    });
+    let wf = Stage::Meanfield
+        .run(|| solve_bands(&system.crystal, &wfn_sph, system.n_bands.min(wfn_sph.len())));
     let volume = system.crystal.lattice.volume();
     let coulomb = if cfg.slab {
         Coulomb::slab(system.crystal.lattice.a[2][2], volume)
@@ -249,11 +214,8 @@ impl Prefix {
         &self,
         chis: &[CMatrix],
         omegas: &[f64],
-        t: &mut GwTimings,
     ) -> Result<EpsilonInverse, EpsilonError> {
-        Stage::Epsilon.timed(t, || {
-            EpsilonInverse::build(chis, omegas, &self.coulomb, &self.eps_sph)
-        })
+        Stage::Epsilon.run(|| EpsilonInverse::build(chis, omegas, &self.coulomb, &self.eps_sph))
     }
 
     /// Re-adopts inverted blocks a policy produced elsewhere (a
@@ -296,21 +258,20 @@ fn screen(
     system: &ModelSystem,
     cfg: &GwConfig,
     ff: Option<FfSpec>,
-    t: &mut GwTimings,
 ) -> Result<Screening, EpsilonError> {
-    let p = prefix(system, cfg, t);
-    let (engine, chi0) = Stage::Chi.timed(t, || {
+    let p = prefix(system, cfg);
+    let (engine, chi0) = Stage::Chi.run(|| {
         let engine = p.chi_engine();
         let chi0 = engine.chi_static();
         (engine, chi0)
     });
-    let eps_inv = p.invert(&[chi0], &[0.0], t)?;
+    let eps_inv = p.invert(&[chi0], &[0.0])?;
     let ff = match ff {
         None => None,
         Some(spec) => {
             let (nodes, weights) = semi_infinite_quadrature(spec.n_quad, 2.0);
-            let chis = Stage::Chi.timed(t, || engine.chi_freqs(&nodes).0);
-            Some((p.invert(&chis, &nodes, t)?, weights))
+            let chis = Stage::Chi.run(|| engine.chi_freqs(&nodes).0);
+            Some((p.invert(&chis, &nodes)?, weights))
         }
     };
     Ok(finish_screening(p, eps_inv, ff))
@@ -346,7 +307,7 @@ pub fn three_point_grids(energies: &[f64], delta: f64) -> Vec<Vec<f64>> {
 }
 
 /// Stage 5 on borrowed parts (a [`Prefix`] inside a task graph, or a
-/// [`Screening`]): the Sigma matrix elements, with the stage's seconds.
+/// [`Screening`]): the Sigma matrix elements.
 pub(crate) fn context_stage(
     wf: &Wavefunctions,
     mtxel: &Mtxel,
@@ -354,17 +315,16 @@ pub(crate) fn context_stage(
     q0: f64,
     gpp: GppModel,
     bands: &[usize],
-) -> (SigmaContext, f64) {
+) -> SigmaContext {
     Stage::Mtxel.run(|| SigmaContext::build(wf, mtxel, gpp, vsqrt, bands, q0))
 }
 
 /// Stage 5 for the one-shot drivers: consumes the screening — its GPP
 /// model moves into the context, no `N_G^2` copy — and returns the
 /// context over [`sigma_band_window`] with `eps_macro`.
-pub(crate) fn into_context(s: Screening, cfg: &GwConfig, t: &mut GwTimings) -> (SigmaContext, f64) {
+pub(crate) fn into_context(s: Screening, cfg: &GwConfig) -> (SigmaContext, f64) {
     let bands = sigma_band_window(&s.wf, cfg);
-    let (ctx, secs) = context_stage(&s.wf, &s.mtxel, &s.vsqrt, s.coulomb.q0, s.gpp, &bands);
-    t.charge(Stage::Mtxel, secs);
+    let ctx = context_stage(&s.wf, &s.mtxel, &s.vsqrt, s.coulomb.q0, s.gpp, &bands);
     (ctx, s.eps_macro)
 }
 
@@ -373,9 +333,8 @@ pub(crate) fn into_context(s: Screening, cfg: &GwConfig, t: &mut GwTimings) -> (
 pub(crate) fn screened_context(
     system: &ModelSystem,
     cfg: &GwConfig,
-    t: &mut GwTimings,
 ) -> Result<(SigmaContext, f64), EpsilonError> {
-    Ok(into_context(screen(system, cfg, None, t)?, cfg, t))
+    Ok(into_context(screen(system, cfg, None)?, cfg))
 }
 
 /// Stage 6, one row: row `s` of `ctx` on its 3-point grid at offset
@@ -396,15 +355,12 @@ pub fn sigma_row(ctx: &SigmaContext, s: usize, delta_ry: f64, variant: KernelVar
 /// Stage 7: the diagonal Dyson solve, both gaps and the Sigma-stage
 /// dimensions for `bands` — the context's own list for a one-shot run, one
 /// request's window of a coalesced batch's union context for a served one
-/// — with `diag` aligned to `bands`. `timings.substrate` comes in as the
-/// run-start counter snapshot (all zeros from `GwTimings::default()`, for
-/// callers that report no substrate) and goes out as the delta since.
+/// — with `diag` aligned to `bands`.
 pub(crate) fn assemble(
     ctx: &SigmaContext,
     bands: &[usize],
     diag: &SigmaDiagResult,
     eps_macro: f64,
-    mut timings: GwTimings,
 ) -> Result<GwResults, GwError> {
     let missing = |input| GwError::MissingInput {
         task: "assembly",
@@ -423,14 +379,12 @@ pub(crate) fn assemble(
         return Err(missing("HOMO/LUMO row"));
     };
     let states = solve_qp_diag(&e_mf, diag);
-    timings.substrate = timings.substrate.delta(&bgw_perf::counters::snapshot());
     Ok(GwResults {
         sigma_bands: bands.to_vec(),
         gap_mf_ry: e_mf[lumo] - e_mf[homo],
         gap_qp_ry: qp_gap(&states, homo, lumo),
         states,
         eps_macro,
-        timings,
         sigma_flops: diag.flops,
         dims: SigmaDims {
             n_sigma: bands.len(),
@@ -455,7 +409,7 @@ pub fn build_screening(
     ff: Option<FfSpec>,
 ) -> Result<Screening, EpsilonError> {
     let _s = bgw_trace::span!("serve.screening.build");
-    screen(system, cfg, ff, &mut GwTimings::default())
+    screen(system, cfg, ff)
 }
 
 /// Encodes a screening as a BGWR checkpoint record (stage
@@ -507,7 +461,7 @@ pub fn screening_from_checkpoint(
     if ck.meta[0] as usize != n_ff {
         return None;
     }
-    let p = prefix(system, cfg, &mut GwTimings::default());
+    let p = prefix(system, cfg);
     let ng = p.eps_sph.len();
     for m in &ck.matrices {
         if m.nrows() != ng || m.ncols() != ng {
@@ -542,7 +496,6 @@ pub fn sigma_context(s: &Screening, bands: &[usize]) -> SigmaContext {
         s.gpp.clone(),
         bands,
     )
-    .0
 }
 
 /// A multi-band view of a context: the bands at `positions` of `ctx`'s
@@ -606,10 +559,9 @@ impl SigmaRows {
         bands: &[usize],
         delta_ry: f64,
         eps_macro: f64,
-        timings: GwTimings,
     ) -> Result<GwResults, GwError> {
         let diag = self.diag_for(ctx, bands, delta_ry)?;
-        assemble(ctx, bands, &diag, eps_macro, timings)
+        assemble(ctx, bands, &diag, eps_macro)
     }
 
     /// The rows of `bands` at `delta_ry` in the diag kernel's result shape
@@ -857,7 +809,7 @@ mod tests {
         rows: &SigmaRows,
         delta_ry: f64,
     ) -> GwResults {
-        rows.assemble(ctx, bands, delta_ry, s.eps_macro, GwTimings::default())
+        rows.assemble(ctx, bands, delta_ry, s.eps_macro)
             .expect("every row evaluated, window straddles the gap")
     }
 

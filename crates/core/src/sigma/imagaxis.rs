@@ -44,7 +44,6 @@ use bgw_num::{c64, Complex64};
 use bgw_perf::flopmodel::{
     FF_FLOPS_PER_DOT_TERM, IMAG_FLOPS_PER_KERNEL_TERM, IMAG_FLOPS_PER_SAMPLE_TERM,
 };
-use std::time::Instant;
 
 /// Result of an imaginary-axis Sigma evaluation.
 #[derive(Clone, Debug)]
@@ -58,8 +57,6 @@ pub struct SigmaImagAxisResult {
     pub sigma_iw: Vec<Vec<Complex64>>,
     /// Imaginary-frequency sample points (Ry).
     pub iw_grid: Vec<f64>,
-    /// Seconds in the quadrature + continuation.
-    pub seconds: f64,
     /// Counted FLOPs: the `bgw_perf::flopmodel::imagaxis_sigma_flops`
     /// model evaluated at the actual shapes; the same count the
     /// `sigma.imagaxis` span attributes.
@@ -107,7 +104,6 @@ pub fn imag_axis_sigma_diag(
     assert_eq!(weights.len(), eps_iw.n_freq());
     assert!(iw_samples >= 2, "need several imaginary-axis samples");
     let _span = bgw_trace::span!("sigma.imagaxis");
-    let t0 = Instant::now();
     let (n_sigma, nb, nk, ng) = (ctx.n_sigma(), ctx.n_b(), eps_iw.n_freq(), ctx.n_g());
 
     // Sigma(i w) sample grid: logarithmic-ish spread over the correlation
@@ -186,7 +182,6 @@ pub fn imag_axis_sigma_diag(
         e_grids: e_grids.to_vec(),
         sigma_iw: sigma_iw_all,
         iw_grid,
-        seconds: t0.elapsed().as_secs_f64(),
         flops,
     })
 }
@@ -392,7 +387,6 @@ mod tests {
         let l = r.sigma[ctx.lumo_pos()][0].re;
         assert!(h < l, "imag-axis: Sigma_HOMO {h} !< Sigma_LUMO {l}");
         assert_eq!(r.iw_grid.len(), 10);
-        assert!(r.seconds > 0.0);
     }
 
     #[test]

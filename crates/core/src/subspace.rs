@@ -10,7 +10,6 @@
 //! speedup quoted in the paper.
 
 use bgw_linalg::{eigh, matmul, CMatrix, Op};
-use std::time::Instant;
 
 /// The subspace basis extracted from `chi~(0)`.
 #[derive(Clone, Debug)]
@@ -19,8 +18,6 @@ pub struct Subspace {
     pub basis: CMatrix,
     /// Eigenvalues of `chi~(0)` kept (ascending, i.e. most negative first).
     pub eigenvalues: Vec<f64>,
-    /// Seconds spent diagonalizing (the `Diag` kernel of Fig. 3).
-    pub t_diag: f64,
 }
 
 impl Subspace {
@@ -30,16 +27,13 @@ impl Subspace {
         assert!(chi0_sym.is_square());
         let n_g = chi0_sym.nrows();
         let n_eig = n_eig.clamp(1, n_g);
-        let t0 = Instant::now();
         let eig = eigh(chi0_sym);
-        let t_diag = t0.elapsed().as_secs_f64();
         // chi(0) is negative semi-definite: the most significant screening
         // modes are the most negative eigenvalues = the first columns.
         let basis = eig.vectors.submatrix(0, n_g, 0, n_eig);
         Self {
             basis,
             eigenvalues: eig.values[..n_eig].to_vec(),
-            t_diag,
         }
     }
 
@@ -145,7 +139,6 @@ mod tests {
         let overlap = matmul(&sub.basis, Op::Adj, &sub.basis, Op::None);
         assert!(overlap.max_abs_diff(&CMatrix::identity(sub.n_eig())) < 1e-9);
         assert!(sub.fraction() > 0.0 && sub.fraction() <= 1.0);
-        assert!(sub.t_diag >= 0.0);
     }
 
     #[test]

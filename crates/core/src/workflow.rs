@@ -2,7 +2,8 @@
 //!
 //! Mean field -> Parabands -> MTXEL -> chi (Epsilon) -> GPP or FF ->
 //! Sigma -> Dyson. Used by the examples and the benchmark harness; each
-//! stage's wall-clock time is recorded. The stages themselves live in
+//! stage runs under its `workflow.*` span, the one record of its time
+//! (`bgw_trace::report()`). The stages themselves live in
 //! [`service`](crate::service) (the spine); the drivers here are its
 //! barrier policy plus what they do with the Sigma context.
 
@@ -44,28 +45,6 @@ impl Default for GwConfig {
     }
 }
 
-/// Per-stage wall-clock seconds of a GW run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GwTimings {
-    /// Mean-field diagonalization (Parabands).
-    pub t_meanfield: f64,
-    /// Polarizability (MTXEL + CHI_SUM).
-    pub t_chi: f64,
-    /// Dielectric inversion.
-    pub t_epsilon: f64,
-    /// Sigma context construction (matrix elements for Sigma bands).
-    pub t_mtxel_sigma: f64,
-    /// The GPP diag kernel.
-    pub t_sigma: f64,
-    /// Checkpoint write/read time (zero for non-checkpointed runs).
-    pub t_checkpoint: f64,
-    /// Substrate counter deltas over the whole run: worker-pool dispatch
-    /// and region time, plus the GEMM packing-vs-microkernel split. (While
-    /// a run is in flight this holds its start snapshot; stage 7 turns it
-    /// into the delta.)
-    pub substrate: bgw_perf::CounterSnapshot,
-}
-
 /// Problem dimensions of the Sigma stage, recorded so run reports can
 /// re-evaluate the paper's FLOP models (Eqs. 7-8, Table 3) against the
 /// measured counts.
@@ -94,8 +73,6 @@ pub struct GwResults {
     pub gap_qp_ry: f64,
     /// Macroscopic dielectric constant of the model.
     pub eps_macro: f64,
-    /// Stage timings.
-    pub timings: GwTimings,
     /// Kernel FLOPs counted in the Sigma stage.
     pub sigma_flops: u64,
     /// Sigma-stage problem sizes, for FLOP-model cross-validation.
@@ -118,11 +95,10 @@ pub fn run_gpp_gw(system: &ModelSystem, cfg: &GwConfig) -> GwResults {
 /// The barrier-policy run [`run_gpp_gw`] and [`run_full_dyson_gw`] share:
 /// the Sigma context and its diagonal results.
 fn gpp_gw(system: &ModelSystem, cfg: &GwConfig) -> Result<(SigmaContext, GwResults), GwError> {
-    let mut timings = GwTimings::started();
-    let (ctx, eps_macro) = screened_context(system, cfg, &mut timings)?;
+    let (ctx, eps_macro) = screened_context(system, cfg)?;
     let grids = three_point_grids(&ctx.sigma_energies, cfg.sampling_delta_ry);
-    let diag = Stage::Sigma.timed(&mut timings, || gpp_sigma_diag(&ctx, &grids, cfg.variant));
-    let results = assemble(&ctx, &ctx.sigma_bands, &diag, eps_macro, timings)?;
+    let diag = Stage::Sigma.run(|| gpp_sigma_diag(&ctx, &grids, cfg.variant));
+    let results = assemble(&ctx, &ctx.sigma_bands, &diag, eps_macro)?;
     Ok((ctx, results))
 }
 
@@ -214,7 +190,7 @@ pub fn run_evgw(
     max_iter: usize,
     tol_ry: f64,
 ) -> Result<EvGwResults, GwError> {
-    let (ctx, _) = screened_context(system, cfg, &mut GwTimings::default())?;
+    let (ctx, _) = screened_context(system, cfg)?;
     let e_mf = ctx.sigma_energies.clone();
     evgw_iterate(
         &ctx,
@@ -240,8 +216,6 @@ pub struct FullDysonResults {
     pub e_qp_full: Vec<f64>,
     /// Off-diag kernel ZGEMM FLOPs.
     pub zgemm_flops: u64,
-    /// Off-diag kernel seconds (incl. prep).
-    pub kernel_seconds: f64,
 }
 
 /// Runs the off-diagonal Sigma kernel on a uniform energy grid and solves
@@ -271,7 +245,6 @@ pub fn run_full_dyson_gw(
         e_qp_diag,
         e_qp_full,
         zgemm_flops: off.zgemm_flops,
-        kernel_seconds: off.seconds,
     })
 }
 
@@ -317,7 +290,7 @@ mod tests {
         sys.n_bands = 28;
         let r = run_full_dyson_gw(&sys, &GwConfig::default(), 24).expect("full Dyson runs");
         assert_eq!(r.e_qp_full.len(), r.sigma_bands.len());
-        assert!(r.zgemm_flops > 0 && r.kernel_seconds > 0.0);
+        assert!(r.zgemm_flops > 0);
         for (full, diag) in r.e_qp_full.iter().zip(&r.e_qp_diag) {
             assert!(full.is_finite());
             assert!(
@@ -336,10 +309,6 @@ mod tests {
         assert!(r.gap_qp_ry > r.gap_mf_ry, "GW must open the model gap");
         assert!(r.eps_macro > 1.0);
         assert!(r.sigma_flops > 0);
-        assert!(r.timings.t_sigma > 0.0 && r.timings.t_chi > 0.0);
-        // the run must have exercised the ZGEMM substrate and accounted it
-        assert!(r.timings.substrate.gemm_calls > 0);
-        assert!(r.timings.substrate.gemm_compute_ns > 0);
         for st in &r.states {
             assert!(st.e_qp.is_finite() && st.z > 0.0 && st.z <= 1.0);
         }

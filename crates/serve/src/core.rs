@@ -38,7 +38,6 @@ use bgw_core::service::{
     band_subset, build_screening, ff_eval, screening_from_checkpoint, screening_to_checkpoint,
     sigma_context, sigma_row, Screening, SigmaRows,
 };
-use bgw_core::workflow::GwTimings;
 use bgw_num::Complex64;
 use bgw_perf::counters;
 use bgw_trace::RunReport;
@@ -126,6 +125,14 @@ pub enum ServeError {
         /// the wavefunction basis size).
         n_bands: usize,
     },
+    /// A frequency input the evaluator cannot use (rejected at enqueue):
+    /// a full-frequency quadrature with no nodes, or a zero sampling
+    /// offset, which collapses the 3-point grid the Dyson slope divides
+    /// by.
+    InvalidFrequency {
+        /// The zero field: `"n_quad"` or `"delta_milli_ry"`.
+        field: &'static str,
+    },
     /// The request was cancelled before completion.
     Cancelled,
     /// Injected crashes exhausted the re-enqueue budget.
@@ -177,6 +184,9 @@ impl std::fmt::Display for ServeError {
                 "band window cannot straddle the gap: {n_valence} valence bands, \
                  {n_bands} bands kept"
             ),
+            ServeError::InvalidFrequency { field } => {
+                write!(f, "invalid frequency input: {field} must be positive")
+            }
             ServeError::Cancelled => write!(f, "cancelled"),
             ServeError::Faulted { attempts } => {
                 write!(f, "faulted after {attempts} attempts")
@@ -451,6 +461,16 @@ impl ServeCore {
     ) -> Result<RequestId, ServeError> {
         if self.queue.len() >= self.cfg.queue_capacity {
             return Err(ServeError::QueueFull);
+        }
+        // Zero quadrature nodes would panic the quadrature (and with it
+        // the shard) mid-batch; a zero offset would answer NaN energies.
+        if matches!(req.kind, RequestKind::FullFreq { n_quad: 0, .. }) {
+            return Err(ServeError::InvalidFrequency { field: "n_quad" });
+        }
+        if req.delta_milli_ry() == 0 {
+            return Err(ServeError::InvalidFrequency {
+                field: "delta_milli_ry",
+            });
         }
         // Reject windows that cannot straddle the gap *before* any
         // evaluation: `n_bands` is client-supplied, and a window missing
@@ -895,13 +915,7 @@ impl ServeCore {
             // enqueue() rejects windows that cannot straddle the gap and
             // every needed row was just evaluated, so an error here means
             // the band derivation or the row bookkeeping regressed.
-            let solved = rows.assemble(
-                &ctx,
-                &bands,
-                p.req.delta_ry(),
-                screening.eps_macro,
-                GwTimings::default(),
-            );
+            let solved = rows.assemble(&ctx, &bands, p.req.delta_ry(), screening.eps_macro);
             let r = match solved {
                 Ok(r) => r,
                 Err(e) => {

@@ -5,8 +5,8 @@
 //! DFPT-level coupling `g^DFPT` and the GW-corrected `g^GW = g^DFPT +
 //! dSigma`, for the bands around the gap. The perturbations are
 //! independent and share one `Screening` — the paper parallelizes them
-//! across the machine; here they run in a loop with per-perturbation
-//! timing.
+//! across the machine; here they run in a loop, each traced, with the
+//! `gwpt.dsigma` span's time as the per-perturbation kernel seconds.
 //!
 //! Run with: `cargo run --release --example gwpt_phonons`
 
@@ -15,6 +15,7 @@ use berkeleygw_rs::core::{
 };
 use berkeleygw_rs::num::{UniformGrid, RYDBERG_EV};
 use berkeleygw_rs::pwdft::{lih_defect, Perturbation};
+use berkeleygw_rs::trace;
 
 fn main() {
     let mut system = lih_defect(1, 3.6);
@@ -42,17 +43,23 @@ fn main() {
         perturbations.len()
     );
     println!("pert (atom,axis)   |g_DFPT| max (eV/bohr)   |g_GW| max   GW/DFPT   kernel s");
+    trace::set_enabled(true);
     for &(atom, axis) in &perturbations {
         let pert = Perturbation::new(&system.crystal, &s.wfn_sph, atom, axis);
+        trace::reset();
         let r = gwpt_for_perturbation(&s, ctx, &pert, &e_grid);
+        let kernel_s = trace::report()
+            .find("gwpt.dsigma")
+            .map_or(0.0, |sp| sp.incl_ns as f64 * 1e-9);
         let g_dfpt = r.g_dfpt.max_abs() * RYDBERG_EV;
         let g_gw = r.g_gw.max_abs() * RYDBERG_EV;
         println!(
             "      ({atom},{axis})        {g_dfpt:>12.4}        {g_gw:>10.4}   {:>7.3}   {:.2}",
             g_gw / g_dfpt.max(1e-12),
-            r.seconds
+            kernel_s
         );
     }
+    trace::set_enabled(false);
     println!(
         "\nThe GW/DFPT ratio is the correlation enhancement of the\n\
          electron-phonon coupling — the physics GWPT was built to capture\n\

@@ -41,15 +41,6 @@ fn main() {
             st.e_qp * RYDBERG_EV
         );
     }
-    println!(
-        "\nstage seconds: mean-field {:.2}, chi {:.2}, epsilon {:.3}, \
-         Sigma matrix elements {:.2}, GPP kernel {:.3}",
-        results.timings.t_meanfield,
-        results.timings.t_chi,
-        results.timings.t_epsilon,
-        results.timings.t_mtxel_sigma,
-        results.timings.t_sigma
-    );
     println!("\n{}", trace::report().render_tree());
     assert!(results.gap_qp_ry > results.gap_mf_ry, "GW opens the gap");
 }

@@ -84,8 +84,9 @@ fn a_sigma_context_wakes_the_pool_once_per_band_and_a_run_reports_its_inline_reg
     assert_eq!(built.m_tilde, ctx.m_tilde, "and the fixture's bits");
 
     // The reason a region stayed inline travels with the run's counters.
-    let r = run_gpp_gw(&si_bulk(1, 2.2), &GwConfig::default());
-    let s = r.timings.substrate;
+    let before = snapshot();
+    run_gpp_gw(&si_bulk(1, 2.2), &GwConfig::default());
+    let s = before.delta(&snapshot());
     assert!(
         s.pool_inline_small > 0,
         "an 8-atom cell has regions under the floor"

@@ -5,7 +5,6 @@ use berkeleygw_rs::core::chi::{ChiConfig, ChiEngine};
 use berkeleygw_rs::core::coulomb::Coulomb;
 use berkeleygw_rs::core::epsilon::EpsilonInverse;
 use berkeleygw_rs::core::mtxel::Mtxel;
-use berkeleygw_rs::core::workflow::GwTimings;
 use berkeleygw_rs::core::{
     build_screening, gpp_eval_preemptible, run_evgw, run_full_dyson_gw, run_gpp_gw, run_gpp_gw_dag,
     sigma_context, GwConfig, GwResults, KernelVariant,
@@ -238,13 +237,7 @@ fn one_shot_served_and_dag_drivers_share_one_spine() {
         let delta = cfg.sampling_delta_ry;
         let rows = gpp_eval_preemptible(&ctx, delta, cfg.variant, None, |_| false);
         let row_loop = rows
-            .assemble(
-                &ctx,
-                &ctx.sigma_bands,
-                delta,
-                screening.eps_macro,
-                GwTimings::default(),
-            )
+            .assemble(&ctx, &ctx.sigma_bands, delta, screening.eps_macro)
             .expect("never asked to yield, window straddles the gap");
 
         let server = Server::start(ServeConfig::new(&dir));

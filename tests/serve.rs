@@ -515,7 +515,28 @@ fn window_that_cannot_straddle_the_gap_is_rejected_at_enqueue() {
     );
     assert!(core.is_idle(), "rejected request never enters the queue");
 
-    // Through the threaded daemon the rejection is a typed ticket error,
+    // Malformed frequency inputs: an FF quadrature with no nodes (it used
+    // to panic the quadrature and kill the shard) and a zero sampling
+    // offset, GPP or FF (it used to answer NaN energies).
+    let mut ff_no_delta = ff_req(si_small(), 1, 6, 0);
+    if let RequestKind::FullFreq { delta_milli_ry, .. } = &mut ff_no_delta.kind {
+        *delta_milli_ry = 0;
+    }
+    let bad_freq = [
+        (ff_req(si_small(), 1, 0, 0), "n_quad"),
+        (gpp_req(si_small(), 1, 0, 0), "delta_milli_ry"),
+        (ff_no_delta, "delta_milli_ry"),
+    ];
+    for (req, field) in bad_freq {
+        assert_eq!(
+            core.enqueue(req),
+            Err(ServeError::InvalidFrequency { field }),
+            "{req:?}"
+        );
+        assert!(core.is_idle(), "rejected request never enters the queue");
+    }
+
+    // Through the threaded daemon each rejection is a typed ticket error,
     // not a dead dispatcher: later submissions still serve.
     let server = Server::start(ServeConfig::new(&dir));
     let t_bad = server.submit(bad);
@@ -523,6 +544,12 @@ fn window_that_cannot_straddle_the_gap_is_rejected_at_enqueue() {
         t_bad.wait(),
         Err(ServeError::InvalidBandWindow { .. })
     ));
+    for (req, field) in bad_freq {
+        assert_eq!(
+            server.submit(req).wait().map(|_| ()),
+            Err(ServeError::InvalidFrequency { field })
+        );
+    }
     let good = gpp_req(si_small(), 1, 50, 0);
     let ok = server.submit(good).wait().expect("daemon still serves");
     let mut oracles = Oracles::default();

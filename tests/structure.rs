@@ -65,6 +65,8 @@ const ROWS: &[(&[&str], &[&str], Want, &str)] = &[
     (&["crates/core/src/dagflow.rs"], &["masked"], Is(0), "the DAG driver has no masked grids"),
     (&["crates/bench/", "examples/"], &["GppModel::new("], Is(0), "W is built by core::service; start from service::build_screening"),
     (CRATES, &["run_world(", "fn shrink("], Is(0), "the decompositions run in one process; a simulated rank world comes back only with a workload that measures it"),
+    (&["crates/", "src/", "examples/"], &["GwTimings", ".timed(", "fn charge(", "kernel_seconds", "prep_seconds", "t_diag"], Is(0), "stage time is the span tree: Stage::run opens the span, and no struct keeps a second clock of a region a span measures"),
+    (&["crates/core/src/"], &["Instant::now"], AtMost(12), "every remaining clock read in bgw-core fills a field benchmark/src/adapter.rs reads (ChiTimings, SigmaDiagResult::seconds, the FF seconds, SpaceTimeReport::t_*); ROADMAP item 6(d) moves the adapter onto spans, then the row goes to 0"),
     (&["crates/io/src/"], &["unwrap()", "expect(", "assert"], AtMost(1), PANICS),
     (&["crates/par/src/dag.rs"], &["unwrap()", "expect(", "assert"], AtMost(3), PANICS),
     (&["crates/serve/src/store.rs"], &["unwrap()", "expect(", "assert"], AtMost(0), PANICS),
@@ -91,7 +93,6 @@ const ALLOW: &[(&str, &str, &str)] = &[
     ("crates/linalg/src/matrix.rs", "CMatrix::random_hermitian", "the Hermitian input tests/properties.rs drives eigh with"),
     ("crates/linalg/src/matrix.rs", "CMatrix::hermiticity_error", "the check the unit tests of chi0, eps^-1, Sigma, GWPT and the Hamiltonian hold their outputs to (three crates, so not cfg(test))"),
     ("crates/serve/src/core.rs", "ServeCore::*", "the single-threaded drive of the engine (enqueue, run_until_idle, take_events) tests/serve.rs, tests/serve_faults.rs and tests/pipeline.rs replay; the threaded Server runs the same step through enqueue_with_cancel and step_with"),
-    ("crates/trace/src/lib.rs", "reset", "tests/trace_report.rs and tests/serve.rs clear the span tree between measured sections with it"),
     ("crates/trace/src/report.rs", "RunReport::*", "the readers (from_json, pruned, render_tree, scrubbed) tests/serve.rs and tests/trace_report.rs pin the report format and the served golden with"),
     ("crates/core/src/pseudobands.rs", "chebyshev_pseudoband", "ROADMAP item 7 wires the Chebyshev-Jackson construction into the band prefix or deletes it with num::chebyshev"),
     ("crates/num/src/chebyshev.rs", "*", "ROADMAP item 7 keeps or deletes the module whole"),

@@ -9,17 +9,19 @@
 //! deterministic workload, including when `alpha` is calibrated on one
 //! workload shape and used to predict another, and that a traced kernel
 //! (GPP diag, full-frequency and imaginary-axis) attributes exactly its
-//! counted FLOPs to its span.
+//! counted FLOPs to its span. The stage spans are the one record of stage
+//! time, so every GW driver must leave all five of them.
 
 use berkeleygw_rs::core::sigma::diag::{gpp_sigma_diag, measured_alpha, KernelVariant};
 use berkeleygw_rs::core::{
-    ff_sigma_diag, imag_axis_sigma_diag, testkit, ChiConfig, ChiEngine, Coulomb, EpsilonInverse,
-    Mtxel,
+    ff_sigma_diag, imag_axis_sigma_diag, run_gpp_gw, run_gpp_gw_checkpointed, run_gpp_gw_dag,
+    testkit, CheckpointPolicy, ChiConfig, ChiEngine, Coulomb, EpsilonInverse, GwConfig, Mtxel,
 };
 use berkeleygw_rs::num::grid::semi_infinite_quadrature;
 use berkeleygw_rs::perf::counters::exclusive_test_guard;
 use berkeleygw_rs::perf::flopmodel::{ff_sigma_flops, imagaxis_sigma_flops};
 use berkeleygw_rs::perf::{gpp_diag_flops, CounterSnapshot};
+use berkeleygw_rs::pwdft::si_bulk;
 use berkeleygw_rs::trace;
 use berkeleygw_rs::trace::{RunReport, SpanNode};
 
@@ -276,5 +278,66 @@ fn traced_kernel_attributes_its_counted_flops_to_the_span() {
         imag_counted as f64, imag_model,
         "sigma.imagaxis: counted vs model"
     );
+    trace::reset();
+}
+
+/// Calls and counter deltas of every node named `name`, wherever it sits
+/// in the tree (the DAG's stage tasks may run as roots on pool workers).
+fn totals(rep: &RunReport, name: &str) -> (u64, CounterSnapshot) {
+    fn walk(n: &SpanNode, name: &str, acc: &mut (u64, CounterSnapshot)) {
+        if n.name == name {
+            acc.0 += n.calls;
+            acc.1.accumulate(&n.counters);
+        }
+        n.children.iter().for_each(|c| walk(c, name, acc));
+    }
+    let mut acc = (0, CounterSnapshot::default());
+    rep.spans.iter().for_each(|r| walk(r, name, &mut acc));
+    acc
+}
+
+#[test]
+fn every_gw_driver_leaves_the_five_stage_spans() {
+    let _guard = exclusive_test_guard();
+    let mut sys = si_bulk(1, 2.2);
+    sys.n_bands = 24;
+    let cfg = GwConfig::default();
+    let dir = std::env::temp_dir().join(format!("bgw_stage_spans_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let drivers: [(&str, &dyn Fn()); 3] = [
+        ("run_gpp_gw", &|| {
+            run_gpp_gw(&sys, &cfg);
+        }),
+        ("run_gpp_gw_dag", &|| {
+            run_gpp_gw_dag(&sys, &cfg).expect("DAG run");
+        }),
+        ("run_gpp_gw_checkpointed", &|| {
+            run_gpp_gw_checkpointed(&sys, &cfg, &CheckpointPolicy::new(&dir))
+                .expect("checkpointed run");
+        }),
+    ];
+    for (driver, run) in drivers {
+        trace::reset();
+        trace::set_enabled(true);
+        run();
+        trace::set_enabled(false);
+        let rep = trace::report();
+        for stage in ["meanfield", "chi", "epsilon", "mtxel", "sigma"] {
+            let (calls, _) = totals(&rep, &format!("workflow.{stage}"));
+            assert!(calls >= 1, "{driver}: no workflow.{stage} span");
+        }
+        let (_, chi) = totals(&rep, "workflow.chi");
+        assert!(
+            chi.gemm_calls > 0,
+            "{driver}: chi0 ran no ZGEMM under its span"
+        );
+        let (ckpt, _) = totals(&rep, "workflow.checkpoint");
+        assert_eq!(
+            ckpt > 0,
+            driver == "run_gpp_gw_checkpointed",
+            "{driver}: workflow.checkpoint spans: {ckpt}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
     trace::reset();
 }
