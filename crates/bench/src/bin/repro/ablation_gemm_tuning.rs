@@ -1,30 +1,22 @@
-//! Ablation + persistent autotuner: size-specific ZGEMM kernel/tile
-//! tuning — the analogue of the paper's Tensile exploration on Frontier
-//! (Sec. 7.3): "for the large application case the default ZGEMM already
-//! reaches the best-achievable performance, whereas for moderate problem
-//! size the Tensile optimization can boost the overall kernel performance
-//! by ~10%".
+//! Ablation: size-specific ZGEMM kernel/tile tuning — the analogue of
+//! the paper's Tensile exploration on Frontier (Sec. 7.3): "for the large
+//! application case the default ZGEMM already reaches the best-achievable
+//! performance, whereas for moderate problem size the Tensile optimization
+//! can boost the overall kernel performance by ~10%".
 //!
-//! Two jobs in one binary:
+//! Two tables, printed only (nothing is written to disk, and no GEMM reads
+//! either: `zgemm` runs the ISA's default kernel at fixed tiles):
 //!
-//! 1. **Autotune sweep** (always runs first): for every host-supported
-//!    ISA and every [`ShapeClass`], time each registered microkernel
-//!    shape against a candidate tile grid at the class's representative
-//!    dimension and persist the winners to the per-host autotune table
-//!    ([`autotune::default_path`], overridable with `BGW_AUTOTUNE_PATH`).
-//!    The table is a record of the sweep; no GEMM reads it. Entries that
-//!    already exist (and still name a registered kernel) are kept, which
-//!    is what makes a second run a cheap no-op; `--force` re-sweeps.
-//!    `--quick` restricts the sweep to the effective ISA and a trimmed
-//!    candidate grid — the mode `tests/autotune_persistence.rs` uses.
-//!
-//! 2. **Tile-sweep ablation** (skipped with `--autotune-only`): hand-picked
-//!    tiles against `zgemm`'s defaults at a moderate and a large
-//!    off-diag-kernel shape, for the paper comparison. Every row, the
-//!    default included, runs the effective ISA's default kernel on the
-//!    same pool, so the ratios measure the tiles alone.
+//! 1. **Kernel x tile sweep**: for every host-supported ISA and three
+//!    square sizes, time each registered microkernel shape against a
+//!    candidate tile grid and print the fastest configuration and its
+//!    rate.
+//! 2. **Tile-sweep ablation**: hand-picked tiles against `zgemm`'s
+//!    defaults at a moderate and a large off-diag-kernel shape, for the
+//!    paper comparison. Every row, the default included, runs the
+//!    effective ISA's default kernel on the same pool, so the ratios
+//!    measure the tiles alone.
 
-use bgw_linalg::autotune::{self, AutotuneEntry, AutotuneTable, ShapeClass};
 use bgw_linalg::{microkernel, zgemm_flops, zgemm_with_microkernel, CMatrix, Op, TileParams};
 use bgw_num::{simd, Complex64};
 use bgw_perf::Table;
@@ -68,10 +60,11 @@ fn best_secs(a: &CMatrix, b: &CMatrix, configs: &[Config], rounds: usize) -> Vec
     best
 }
 
-/// Candidate tile grid for the sweep. `mc`/`nc` are rounded up to the
-/// register tile inside the driver, so one grid serves every kernel shape.
-fn tile_candidates(quick: bool) -> Vec<TileParams> {
-    let full = vec![
+/// Candidate tile grid for the kernel x tile sweep. `mc`/`nc` are rounded
+/// up to the register tile inside the driver, so one grid serves every
+/// kernel shape.
+fn tile_candidates() -> [TileParams; 5] {
+    [
         TileParams {
             mc: 32,
             kc: 128,
@@ -93,103 +86,48 @@ fn tile_candidates(quick: bool) -> Vec<TileParams> {
             kc: 256,
             nc: 512,
         },
-    ];
-    if quick {
-        full.into_iter().take(3).collect()
-    } else {
-        full
-    }
+    ]
 }
 
-/// Sweeps kernel shapes x tiles per (ISA, shape class) and persists the
-/// winners. Returns the updated table and how many classes were actually
-/// swept (0 means everything was already cached — the "second run is a
-/// no-op" property the CI gate asserts).
-fn run_autotune(force: bool, quick: bool) -> (AutotuneTable, usize) {
-    let path = autotune::default_path();
-    let mut table = if force {
-        AutotuneTable::new()
-    } else {
-        autotune::load(&path).unwrap_or_default()
-    };
-    let isas: Vec<_> = if quick {
-        vec![simd::effective()]
-    } else {
-        simd::supported()
-    };
-    let reps = if quick { 2 } else { 3 };
-    let mut swept = 0usize;
+/// Square sizes of the kernel x tile sweep: one where the panel fits in
+/// L2, the crossover region, and the streaming regime.
+const SWEEP_DIMS: [(&str, usize); 3] = [("small", 64), ("moderate", 160), ("large", 384)];
+
+/// Timed rounds per kernel x tile configuration (each a best-of).
+const SWEEP_ROUNDS: usize = 3;
+
+/// Times every registered kernel x candidate tile per (ISA, size) and
+/// prints the fastest configuration of each.
+fn run_sweep() {
     let mut t = Table::new(
-        "ZGEMM autotune winners (persisted per host)",
-        &[
-            "isa",
-            "class",
-            "kernel",
-            "tiles (mc,kc,nc)",
-            "GFLOP/s",
-            "src",
-        ],
+        "ZGEMM kernel x tile sweep, fastest per (ISA, size)",
+        &["isa", "size", "kernel", "tiles (mc,kc,nc)", "GFLOP/s"],
     );
-    for &isa in &isas {
+    for isa in simd::supported() {
         let kernels = microkernel::kernels_for(isa);
-        if kernels.is_empty() {
-            continue;
-        }
-        for class in ShapeClass::all() {
-            let cached = table
-                .get(isa, class)
-                .filter(|e| microkernel::find(isa, e.mr, e.nr).is_some())
-                .cloned();
-            let (entry, src) = if let (Some(e), false) = (cached, force) {
-                (e, "cached")
-            } else {
-                swept += 1;
-                let dim = class.representative_dim();
-                let a = CMatrix::random(dim, dim, 11);
-                let b = CMatrix::random(dim, dim, 13);
-                let configs: Vec<Config> = kernels
-                    .iter()
-                    .flat_map(|k| tile_candidates(quick).into_iter().map(move |t| (k, t)))
-                    .collect();
-                let secs = best_secs(&a, &b, &configs, reps);
-                let (&(kernel, tiles), &fastest) = configs
-                    .iter()
-                    .zip(&secs)
-                    .min_by(|x, y| x.1.total_cmp(y.1))
-                    .expect("non-empty kernel registry");
-                let e = AutotuneEntry {
-                    mr: kernel.mr,
-                    nr: kernel.nr,
-                    tiles,
-                    gflops: zgemm_flops(dim, dim, dim) as f64 / fastest / 1e9,
-                };
-                table.set(isa, class, e.clone());
-                (e, "swept")
+        for (class, dim) in SWEEP_DIMS {
+            let a = CMatrix::random(dim, dim, 11);
+            let b = CMatrix::random(dim, dim, 13);
+            let configs: Vec<Config> = kernels
+                .iter()
+                .flat_map(|k| tile_candidates().into_iter().map(move |t| (k, t)))
+                .collect();
+            let secs = best_secs(&a, &b, &configs, SWEEP_ROUNDS);
+            let Some((&(kernel, tiles), &fastest)) =
+                configs.iter().zip(&secs).min_by(|x, y| x.1.total_cmp(y.1))
+            else {
+                continue;
             };
-            let label = microkernel::find(isa, entry.mr, entry.nr)
-                .map(|k| k.label())
-                .unwrap_or_else(|| format!("{}x{}", entry.mr, entry.nr));
             t.row(&[
                 isa.name().into(),
-                class.name().into(),
-                label,
-                format!("({},{},{})", entry.tiles.mc, entry.tiles.kc, entry.tiles.nc),
-                format!("{:.2}", entry.gflops),
-                src.into(),
+                format!("{class} ({dim})"),
+                kernel.label(),
+                format!("({},{},{})", tiles.mc, tiles.kc, tiles.nc),
+                format!("{:.2}", zgemm_flops(dim, dim, dim) as f64 / fastest / 1e9),
             ]);
         }
     }
-    print!("{}", t.render());
-    match autotune::save(&path, &table) {
-        Ok(()) => println!(
-            "autotune table: {} entries -> {} ({} class(es) swept this run)\n",
-            table.len(),
-            path.display(),
-            swept
-        ),
-        Err(e) => println!("warning: could not persist autotune table: {e}\n"),
-    }
-    (table, swept)
+    println!("{}", t.render());
 }
 
 /// Timed rounds per tile-sweep configuration (each a best-of).
@@ -293,22 +231,11 @@ fn run_ablation() {
 }
 
 pub fn run() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let force = args.iter().any(|a| a == "--force");
-    let quick = args.iter().any(|a| a == "--quick");
-    let autotune_only = args.iter().any(|a| a == "--autotune-only");
-
     println!(
         "ablation_gemm_tuning: effective ISA {}, {} thread(s)",
         simd::effective().name(),
         bgw_par::num_threads()
     );
-    let (_, swept) = run_autotune(force, quick);
-    // Machine-greppable line for the CI persistence gate: a second run
-    // against a fresh table must report swept=0 after a first run tuned it.
-    println!("AUTOTUNE_SWEPT {swept}");
-
-    if !autotune_only {
-        run_ablation();
-    }
+    run_sweep();
+    run_ablation();
 }

@@ -275,8 +275,8 @@ fn kernel_span(isa: Isa) -> bgw_trace::Span {
     })
 }
 
-/// [`zgemm`] at an explicit microkernel and tiles: the hook the autotune
-/// sweep and the per-kernel parity tests drive. It touches no global
+/// [`zgemm`] at an explicit microkernel and tiles: the hook the
+/// `ablation_gemm_tuning` sweep and the per-kernel parity tests drive. It touches no global
 /// dispatch state, so concurrent callers can exercise different kernels.
 ///
 /// The kernel must come from the registry ([`microkernel::kernels_for`]),

@@ -12,8 +12,8 @@
 //! - [`matrix`]: the dense row-major complex container shared by all of it.
 //! - [`microkernel`]: runtime-dispatched SIMD register-tile kernels
 //!   (scalar / NEON / AVX2+FMA / AVX-512F) under the blocked ZGEMM.
-//! - [`autotune`]: the persistent per-host record of the kernel/tile sweep
-//!   (no GEMM reads it).
+//! - [`autotune`]: only the name of a retired table's environment
+//!   variable, kept while the benchmark harness still sets it.
 
 #![warn(missing_docs)]
 

@@ -53,7 +53,7 @@ pub struct MicroKernel {
 
 impl MicroKernel {
     /// Stable identifier used in span labels, benchmark JSON and the
-    /// autotune table, e.g. `avx512_8x8`.
+    /// `ablation_gemm_tuning` sweep, e.g. `avx512_8x8`.
     pub fn label(&self) -> String {
         format!("{}_{}x{}", self.isa.name(), self.mr, self.nr)
     }
@@ -185,7 +185,7 @@ static NEON_KERNELS: [MicroKernel; 2] = [
 
 /// Every kernel registered for `isa` that this host can execute (empty
 /// slice when the host lacks the ISA). The first entry is the per-ISA
-/// default; the rest are alternatives the autotuner sweeps.
+/// default; the rest are alternatives `ablation_gemm_tuning` sweeps.
 pub fn kernels_for(isa: Isa) -> &'static [MicroKernel] {
     if !simd::host_supports(isa) {
         return &[];
@@ -207,11 +207,6 @@ pub fn kernels_for(isa: Isa) -> &'static [MicroKernel] {
 /// lacks the ISA (so the return is always executable).
 pub fn default_kernel(isa: Isa) -> &'static MicroKernel {
     kernels_for(isa).first().unwrap_or(&SCALAR_KERNELS[0])
-}
-
-/// Looks up a registered, host-executable kernel by exact shape.
-pub fn find(isa: Isa, mr: usize, nr: usize) -> Option<&'static MicroKernel> {
-    kernels_for(isa).iter().find(|k| k.mr == mr && k.nr == nr)
 }
 
 /// All kernels this host can execute, narrowest ISA first: what the

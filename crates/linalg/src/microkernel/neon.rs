@@ -80,5 +80,5 @@ neon_kernel!(
     6,
     2,
     "NEON `6 x 4` tile: 24 accumulator vectors, better A-broadcast \
-     amortization; offered to the autotuner."
+     amortization; swept by `ablation_gemm_tuning`."
 );

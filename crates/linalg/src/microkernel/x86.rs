@@ -140,7 +140,7 @@ avx2_kernel!(
     6,
     1,
     "AVX2 `6 x 4` tile: taller panel trades B reuse for A reuse; wins on \
-     some skinny-k shapes, offered to the autotuner."
+     some skinny-k shapes, swept by `ablation_gemm_tuning`."
 );
 avx2_kernel!(
     avx2_4x4,
@@ -163,12 +163,12 @@ avx512_kernel!(
     12,
     1,
     "AVX-512 `12 x 8` tile: 24 accumulator zmm, maximal A-broadcast \
-     amortization; offered to the autotuner for large shapes."
+     amortization; swept by `ablation_gemm_tuning` for large shapes."
 );
 avx512_kernel!(
     avx512_4x16,
     4,
     2,
     "AVX-512 `4 x 16` tile: wide-B variant; wins when the packed B panel \
-     streams well, offered to the autotuner."
+     streams well, swept by `ablation_gemm_tuning`."
 );

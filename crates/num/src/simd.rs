@@ -45,26 +45,13 @@ impl Isa {
         }
     }
 
-    /// Lowercase name used in benchmark JSON, the autotune table and span
-    /// labels.
+    /// Lowercase name used in benchmark JSON and span labels.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
             Isa::Neon => "neon",
             Isa::Avx2 => "avx2",
             Isa::Avx512 => "avx512",
-        }
-    }
-
-    /// Inverse of [`Isa::name`]; `None` for unknown strings (a stale or
-    /// foreign autotune table must fall back, never panic).
-    pub fn from_name(s: &str) -> Option<Isa> {
-        match s {
-            "scalar" => Some(Isa::Scalar),
-            "neon" => Some(Isa::Neon),
-            "avx2" => Some(Isa::Avx2),
-            "avx512" => Some(Isa::Avx512),
-            _ => None,
         }
     }
 
@@ -145,7 +132,7 @@ pub fn supported() -> Vec<Isa> {
         .collect()
 }
 
-/// Pins the process-wide dispatch decision (tests and autotune sweeps).
+/// Pins the process-wide dispatch decision (the forced-dispatch tests).
 /// Returns `false` — leaving the previous
 /// setting untouched — when the host cannot execute `isa`: [`effective`]
 /// must never name an ISA the machine would fault on. `force(None)`
@@ -186,9 +173,8 @@ mod tests {
     fn indices_are_stable_and_roundtrip() {
         for (i, isa) in Isa::all().into_iter().enumerate() {
             assert_eq!(isa.index(), i);
-            assert_eq!(Isa::from_name(isa.name()), Some(isa));
+            assert_eq!(from_index(isa.index()), isa);
         }
-        assert_eq!(Isa::from_name("sse9"), None);
     }
 
     #[test]

@@ -222,11 +222,6 @@ counters! {
     /// Requests preempted mid-evaluation (checkpointed and re-enqueued in
     /// favor of a higher-priority request).
     serve_preemptions: SERVE_PREEMPTIONS,
-    /// Transient-fault retries performed by the serving loop.
-    serve_retries: SERVE_RETRIES,
-    /// Requests re-enqueued after a crash mid-evaluation (only the dead
-    /// request, never its batch mates).
-    serve_reenqueued: SERVE_REENQUEUED,
     /// Artifact-store entries rejected as corrupt/torn and recomputed
     /// (a checksum failure downgraded to a miss, never a wrong hit).
     serve_store_invalid: SERVE_STORE_INVALID,
@@ -437,18 +432,6 @@ pub fn record_serve_preemption() {
     SERVE_PREEMPTIONS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records one transient-fault retry in the serving loop.
-#[inline]
-pub fn record_serve_retry() {
-    SERVE_RETRIES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one request re-enqueued after a crash mid-evaluation.
-#[inline]
-pub fn record_serve_reenqueued() {
-    SERVE_REENQUEUED.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Records one corrupt/torn artifact-store entry downgraded to a miss.
 #[inline]
 pub fn record_serve_store_invalid() {
@@ -536,8 +519,6 @@ mod tests {
         record_serve_miss();
         record_serve_coalesced(4);
         record_serve_preemption();
-        record_serve_retry();
-        record_serve_reenqueued();
         record_serve_store_invalid();
         record_serve_mem_evicted();
         record_serve_gc(2, 4096);
@@ -569,8 +550,6 @@ mod tests {
         assert!(d.serve_misses >= 1);
         assert!(d.serve_coalesced >= 4);
         assert!(d.serve_preemptions >= 1);
-        assert!(d.serve_retries >= 1);
-        assert!(d.serve_reenqueued >= 1);
         assert!(d.serve_store_invalid >= 1);
         assert!(d.serve_queue_ns >= 750);
         assert!(d.serve_mem_evicted >= 1);
@@ -663,7 +642,7 @@ mod tests {
             n_fields += 1;
         });
         assert_eq!(a, b);
-        assert_eq!(n_fields, 54, "visitor must cover every field");
+        assert_eq!(n_fields, 52, "visitor must cover every field");
         assert!(!b.set_field("no_such_counter", 1));
     }
 }

@@ -22,14 +22,9 @@
 //!    partial if one is on record and yielding between rows when `peek`
 //!    reports a higher waiting priority;
 //! 4. assemble (`SigmaRows::assemble`, the one-shot drivers' stage 7, over
-//!    each member's own window) and retire per-request
-//!    responses, consulting the seeded
-//!    fault plan at each request's evaluation op: crashes re-enqueue only
-//!    that request, transients retry with bounded backoff, corruption
-//!    poisons the *stored* artifact (the checksummed reader must catch it
-//!    later), delays stall.
+//!    each member's own window) and retire each member once, on its own
+//!    outcome: cancelled, or its response.
 
-use crate::fault::{FaultKind, FaultPlan};
 use crate::key::ArtifactKey;
 use crate::request::{GwRequest, RequestKind};
 use crate::store::ArtifactStore;
@@ -77,12 +72,6 @@ pub struct ServeConfig {
     /// screenings build concurrently while coalescing stays per-shard
     /// by construction. A synchronous `ServeCore` ignores this field.
     pub n_shards: usize,
-    /// Seeded fault schedule, consulted once per request evaluation op
-    /// (rank 0, op = the engine's monotonic evaluation counter).
-    pub fault_plan: FaultPlan,
-    /// Crash re-enqueue budget per request; beyond it the request retires
-    /// with [`ServeError::Faulted`].
-    pub max_request_retries: usize,
     /// Attach a per-request `bgw-trace` report delta to each response.
     pub collect_reports: bool,
     /// Test hook: panic the engine at this evaluation op — the
@@ -92,8 +81,7 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: queue 64, 256 MiB memory cache, no disk cap, 1 shard,
-    /// no faults, 2 crash retries.
+    /// Defaults: queue 64, 256 MiB memory cache, no disk cap, 1 shard.
     pub fn new(store_dir: impl Into<PathBuf>) -> Self {
         Self {
             store_dir: store_dir.into(),
@@ -101,8 +89,6 @@ impl ServeConfig {
             mem_budget_bytes: 256 << 20,
             store_budget_bytes: 0,
             n_shards: 1,
-            fault_plan: FaultPlan::none(),
-            max_request_retries: 2,
             collect_reports: false,
             panic_at_op: None,
         }
@@ -135,16 +121,6 @@ pub enum ServeError {
     },
     /// The request was cancelled before completion.
     Cancelled,
-    /// Injected crashes exhausted the re-enqueue budget.
-    Faulted {
-        /// Evaluation attempts made.
-        attempts: usize,
-    },
-    /// An injected transient fault outlived the bounded-backoff budget.
-    RetriesExhausted {
-        /// Retries attempted.
-        attempts: u32,
-    },
     /// The dielectric inversion failed for this structure.
     Epsilon(EpsilonError),
     /// The owning dispatcher shard died (panicked) before this request
@@ -188,12 +164,6 @@ impl std::fmt::Display for ServeError {
                 write!(f, "invalid frequency input: {field} must be positive")
             }
             ServeError::Cancelled => write!(f, "cancelled"),
-            ServeError::Faulted { attempts } => {
-                write!(f, "faulted after {attempts} attempts")
-            }
-            ServeError::RetriesExhausted { attempts } => {
-                write!(f, "transient fault persisted through {attempts} retries")
-            }
             ServeError::Epsilon(e) => write!(f, "epsilon stage: {e}"),
             ServeError::DispatcherDown => write!(f, "dispatcher shard died"),
             ServeError::Internal { what } => {
@@ -223,8 +193,6 @@ pub struct ServeTelemetry {
     pub cache: CacheStatus,
     /// Requests in the coalesced batch (1 = alone).
     pub batch_size: usize,
-    /// Evaluation attempts (1 + crash re-enqueues).
-    pub attempts: usize,
     /// Seconds between enqueue and the start of the completing batch.
     pub queue_seconds: f64,
     /// Seconds of batch compute (shared across the batch's members).
@@ -336,18 +304,6 @@ pub enum ServeEvent {
         /// Band rows recovered from the partial.
         rows_done: usize,
     },
-    /// An injected transient fault retried this request's evaluation.
-    Retried {
-        /// Affected request.
-        id: RequestId,
-        /// 1-based retry attempt.
-        attempt: u32,
-    },
-    /// An injected crash re-enqueued this request (and only it).
-    Reenqueued {
-        /// Affected request.
-        id: RequestId,
-    },
     /// The request was cancelled.
     Cancelled {
         /// Affected request.
@@ -369,7 +325,6 @@ struct Pending {
     id: RequestId,
     seq: u64,
     req: GwRequest,
-    attempts: usize,
     enqueued: Instant,
     cancel: Arc<AtomicBool>,
 }
@@ -499,7 +454,6 @@ impl ServeCore {
             id,
             seq,
             req,
-            attempts: 0,
             enqueued: Instant::now(),
             cancel,
         });
@@ -722,68 +676,20 @@ impl ServeCore {
         Ok((s, CacheStatus::Miss))
     }
 
-    /// Consults the fault plan for one request evaluation op. `Ok(true)`
-    /// means proceed, `Ok(false)` means the request was re-enqueued or
-    /// retired and must be skipped; corruption targets the stored
-    /// artifact of `wkey`.
-    fn fault_gate(&mut self, p: &mut Pending, wkey: ArtifactKey) -> Result<bool, ServeError> {
+    /// The retire-time gate of one batch member: counts its evaluation op
+    /// (where [`ServeConfig::panic_at_op`] fires), then reads its cancel
+    /// flag. `None` when the member was retired here as cancelled.
+    fn admit(&mut self, p: Pending) -> Option<Pending> {
         let op = self.op_counter;
         self.op_counter += 1;
         if self.cfg.panic_at_op == Some(op) {
             panic!("injected dispatcher panic at evaluation op {op}");
         }
-        match self.cfg.fault_plan.event(0, op) {
-            None => Ok(true),
-            Some(FaultKind::Crash) => {
-                p.attempts += 1;
-                if p.attempts > self.cfg.max_request_retries {
-                    return Err(ServeError::Faulted {
-                        attempts: p.attempts,
-                    });
-                }
-                counters::record_serve_reenqueued();
-                self.events.push(ServeEvent::Reenqueued { id: p.id });
-                Ok(false)
-            }
-            Some(FaultKind::Transient { failures }) => {
-                if failures > self.cfg.fault_plan.max_retries() {
-                    return Err(ServeError::RetriesExhausted { attempts: failures });
-                }
-                for attempt in 1..=failures {
-                    counters::record_serve_retry();
-                    self.events.push(ServeEvent::Retried { id: p.id, attempt });
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        self.cfg.fault_plan.backoff_us(attempt - 1),
-                    ));
-                }
-                Ok(true)
-            }
-            Some(FaultKind::Corrupt { .. }) => {
-                // A torn write: the stored artifact is damaged but this
-                // in-memory evaluation is fine. The checksummed reader
-                // must catch it on the next cold load.
-                self.store.corrupt_artifact(wkey);
-                Ok(true)
-            }
-            Some(FaultKind::Delay { micros }) => {
-                std::thread::sleep(std::time::Duration::from_micros(micros));
-                Ok(true)
-            }
+        if p.cancel.load(Ordering::Acquire) {
+            self.retire_cancelled(p);
+            return None;
         }
-    }
-
-    /// The retire-time gate of one batch member: the fault plan's verdict
-    /// on its evaluation op, then its cancel flag. `None` when the member
-    /// was re-enqueued (a crash re-enqueues only this request) or retired
-    /// here.
-    fn admit(&mut self, mut p: Pending, wkey: ArtifactKey) -> Option<Pending> {
-        match self.fault_gate(&mut p, wkey) {
-            Ok(true) if p.cancel.load(Ordering::Acquire) => self.retire_cancelled(p),
-            Ok(true) => return Some(p),
-            Ok(false) => self.queue.push_back(p),
-            Err(e) => self.retire_err(p, e),
-        }
-        None
+        Some(p)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -909,7 +815,7 @@ impl ServeCore {
         let report = self.finish_report(report_before);
         let compute_seconds = t_batch.elapsed().as_secs_f64();
         for (p, bands) in batch {
-            let Some(p) = self.admit(p, wkey) else {
+            let Some(p) = self.admit(p) else {
                 continue;
             };
             // enqueue() rejects windows that cannot straddle the gap and
@@ -962,11 +868,10 @@ impl ServeCore {
         union.sort_unstable();
         union.dedup();
         let ctx = batch_context(screening, &union);
-        let wkey = batch[0].req.w_key();
 
         let mut retirements = Vec::new();
         for (p, bands) in batch.into_iter().zip(member_bands) {
-            let Some(p) = self.admit(p, wkey) else {
+            let Some(p) = self.admit(p) else {
                 continue;
             };
             let mut positions = Vec::with_capacity(bands.len());
@@ -1035,7 +940,6 @@ impl ServeCore {
                 telemetry: ServeTelemetry {
                     cache,
                     batch_size,
-                    attempts: p.attempts + 1,
                     queue_seconds,
                     compute_seconds,
                     report: report.clone(),

@@ -30,8 +30,10 @@
 //!   pinned by an in-flight batch;
 //! * per-request `bgw-trace` span-tree reports returned as response
 //!   telemetry, extracted with `RunReport::delta`;
-//! * a seeded deterministic fault model ([`FaultPlan`]) consulted by the
-//!   serving loop's fault gate for the adversarial test battery.
+//! * one recovery per real failure: a torn artifact or partial degrades
+//!   to a recompute, a malformed request to a typed admission error, a
+//!   singular epsilon to a failed ticket, and a panicking shard to
+//!   [`ServeError::DispatcherDown`] on every outstanding ticket.
 //!
 //! Every served result is pinned to the corresponding one-shot oracle
 //! (`run_gpp_gw` / `ff_sigma_diag`) at 1e-12 by `tests/serve.rs`.
@@ -39,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod core;
-pub mod fault;
 pub mod key;
 pub mod request;
 pub mod server;
@@ -50,7 +51,6 @@ pub use crate::core::{
     CacheStatus, FfPayload, GppPayload, Payload, RequestId, ServeConfig, ServeCore, ServeError,
     ServeEvent, ServeOk, ServeTelemetry,
 };
-pub use fault::{FaultKind, FaultPlan};
 pub use key::{ArtifactKey, KeySpec};
 pub use request::{GwRequest, RequestKind, StructureSpec};
 pub use server::{Server, Ticket};

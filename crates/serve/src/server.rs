@@ -159,8 +159,9 @@ impl Server {
     }
 
     /// Stops every dispatcher after it drains in-flight work and returns
-    /// the engines in shard order (so callers can inspect event logs and
-    /// the shared store).
+    /// the engines in shard order (so callers can inspect queues and the
+    /// shared store; a dispatcher keeps no event log, see
+    /// `dispatch_loop`).
     pub fn shutdown(mut self) -> Vec<ServeCore> {
         for shard in &self.shards {
             relock(&shard.shared.injector).shutdown = true;
@@ -238,6 +239,10 @@ fn dispatch_loop(cfg: ServeConfig, store: ArtifactStore, shared: Arc<Shared>) ->
                 inj.waiting.iter().map(|(r, _, _)| r.priority).max()
             })
         }));
+        // The event log is for replays that drive a `ServeCore` directly;
+        // nothing reads a dispatcher's, and a resident daemon must not
+        // keep every event it ever logged.
+        drop(core.take_events());
         let progressed = match step {
             Ok(p) => p,
             Err(_) => {

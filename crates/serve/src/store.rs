@@ -404,22 +404,6 @@ impl ArtifactStore {
     pub fn clear_partial(&self, key: ArtifactKey) {
         let _ = std::fs::remove_file(self.partial_path(key));
     }
-
-    /// Flips one payload byte of the artifact for `key` — the test
-    /// battery's torn-write/corruption injection. Returns `false` if the
-    /// record does not exist.
-    pub fn corrupt_artifact(&self, key: ArtifactKey) -> bool {
-        let path = self.artifact_path(key);
-        let Ok(mut bytes) = std::fs::read(&path) else {
-            return false;
-        };
-        if bytes.is_empty() {
-            return false;
-        }
-        let at = bytes.len() / 2;
-        bytes[at] ^= 0xff;
-        std::fs::write(&path, bytes).is_ok()
-    }
 }
 
 #[cfg(test)]
@@ -465,7 +449,12 @@ mod tests {
         let store = ArtifactStore::new(tmpdir("corrupt"));
         let key = ArtifactKey(1);
         store.save(key, SPEC, sample()).expect("save");
-        assert!(store.corrupt_artifact(key));
+        // A torn write: one payload byte of the record flipped on disk.
+        let path = store.artifact_path(key);
+        let mut bytes = std::fs::read(&path).expect("record on disk");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        std::fs::write(&path, bytes).expect("rewrite record");
         let before = bgw_perf::counters::snapshot();
         assert!(
             store.load(key, SPEC).is_none(),

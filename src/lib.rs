@@ -20,8 +20,8 @@
 //! - [`trace`]: hierarchical span tracing and machine-readable run reports
 //!   that cross-validate the paper's FLOP models (Table 3).
 //! - [`serve`]: GW-as-a-service — resident server with a bounded queue,
-//!   content-hash artifact caching, request coalescing, preemption, and a
-//!   seeded request-fault gate.
+//!   content-hash artifact caching, request coalescing and preemption; a
+//!   panicking shard fails its tickets instead of hanging them.
 //!
 //! The paper's three decompositions — G' slices inside a self-energy pool,
 //! NV-block band batches and independent perturbations — run in one

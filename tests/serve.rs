@@ -587,7 +587,12 @@ fn artifact_keys_canonicalize_and_torn_entries_degrade_to_recompute() {
     a.run_until_idle(&mut || None);
     let mut oracles = Oracles::default();
     oracles.check(&req, &a.take_responses().pop().unwrap().1.unwrap());
-    assert!(a.store().corrupt_artifact(req.w_key()));
+    // A torn write: one payload byte of the stored record flipped.
+    let path = a.store().artifact_path(req.w_key());
+    let mut bytes = std::fs::read(&path).expect("artifact on disk");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xff;
+    std::fs::write(&path, bytes).expect("rewrite artifact");
     drop(a);
 
     let before = counters::snapshot();
@@ -700,6 +705,10 @@ fn replay_through_server(
     assert!(
         cores.iter().all(|c| c.is_idle()),
         "shutdown drains the queue"
+    );
+    assert!(
+        cores.iter().all(|c| c.events().is_empty()),
+        "a resident dispatcher keeps no event log"
     );
 }
 
