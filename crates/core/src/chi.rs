@@ -290,20 +290,6 @@ impl<'a> ChiEngine<'a> {
         self.chi_freqs_core(omegas, FreqAxis::Real, None, Some((basis, vsqrt)), timings)
     }
 
-    /// The NV-block boundaries `(v0, v1)` the chi builds iterate, in
-    /// order: contiguous `cfg.nv_block`-sized ranges covering the valence
-    /// bands (the last block may be short). These are the natural task
-    /// boundaries of the DAG-scheduled workflow — one
-    /// [`chi_freqs_subset`](Self::chi_freqs_subset) call over each entry's
-    /// bands, a single NV block of the shared loop.
-    pub fn nv_blocks(&self) -> Vec<(usize, usize)> {
-        let nvb = self.cfg.nv_block.max(1);
-        (0..self.wf.n_valence)
-            .step_by(nvb)
-            .map(|v0| (v0, (v0 + nvb).min(self.wf.n_valence)))
-            .collect()
-    }
-
     /// Static polarizability `chi(0)`.
     pub fn chi_static(&self) -> CMatrix {
         let mut t = ChiTimings::default();
@@ -375,24 +361,23 @@ mod tests {
 
     #[test]
     fn block_contributions_sum_to_full_chi() {
-        // The DAG task decomposition: per-block contributions summed in
-        // block order must reproduce the barrier-ordered build to
-        // summation-reassociation accuracy at every frequency.
+        // Contiguous NV blocks, each built alone and summed in block
+        // order, reproduce the one-pass build to summation-reassociation
+        // accuracy at every frequency.
         let (wfn, eps, wf) = setup();
         let mtxel = Mtxel::new(&wfn, &eps);
         let engine = ChiEngine::new(&wf, &mtxel, ChiConfig::default());
         let omegas = [0.0, 0.35];
         let (full, _) = engine.chi_freqs(&omegas);
-        let blocks = engine.nv_blocks();
+        let nvb = ChiConfig::default().nv_block;
+        let valence: Vec<usize> = (0..wf.n_valence).collect();
+        let blocks: Vec<&[usize]> = valence.chunks(nvb).collect();
         assert!(blocks.len() > 1, "test system must span several blocks");
-        assert_eq!(blocks.first(), Some(&(0, ChiConfig::default().nv_block)));
-        assert_eq!(blocks.last().unwrap().1, wf.n_valence);
         let ng = engine.n_g();
         let mut summed = vec![CMatrix::zeros(ng, ng); omegas.len()];
-        for &(v0, v1) in &blocks {
-            let block: Vec<usize> = (v0..v1).collect();
+        for block in blocks {
             let mut t = ChiTimings::default();
-            let contribs = engine.chi_freqs_subset(&omegas, Some(&block), &mut t);
+            let contribs = engine.chi_freqs_subset(&omegas, Some(block), &mut t);
             for (wi, contrib) in contribs.iter().enumerate() {
                 summed[wi].axpy(Complex64::ONE, contrib);
             }

@@ -1,7 +1,7 @@
 //! The one error type of the GW drivers.
 //!
-//! Every driver — one-shot, DAG, checkpointed, imaginary-axis — fails
-//! with a [`GwError`]: the layer errors it can meet (`Epsilon`, `Io`,
+//! Every driver — one-shot, checkpointed, imaginary-axis — fails with a
+//! [`GwError`]: the layer errors it can meet (`Epsilon`, `Io`,
 //! `SpaceTime`, `Pade`) wrapped as they are, plus the three conditions
 //! the drivers themselves detect.
 
@@ -38,14 +38,11 @@ pub enum GwError {
         /// What failed to validate.
         reason: String,
     },
-    /// A step ran with an input nobody deposited: a task whose dependency
-    /// died or was misordered, or an assembly asked for a Sigma row that
-    /// was never evaluated. The *first* such error of a run is reported;
-    /// cascades are suppressed so the root cause surfaces.
+    /// The assembly (Dyson solve and gaps) found an input missing: a
+    /// Sigma row that was never evaluated, a band energy out of range, or
+    /// a band window without the HOMO/LUMO rows.
     MissingInput {
-        /// The task (or `"assembly"`) that found its input missing.
-        task: &'static str,
-        /// Which input was empty.
+        /// Which input was missing.
         input: &'static str,
     },
     /// The space-time chi0 build failed.
@@ -68,9 +65,7 @@ impl std::fmt::Display for GwError {
             Self::Malformed { stage, reason } => {
                 write!(f, "malformed checkpoint ({stage}): {reason}")
             }
-            Self::MissingInput { task, input } => {
-                write!(f, "'{task}' found input '{input}' missing")
-            }
+            Self::MissingInput { input } => write!(f, "assembly found input '{input}' missing"),
             Self::SpaceTime(e) => write!(f, "space-time chi0: {e}"),
             Self::Pade(e) => write!(f, "analytic continuation: {e}"),
         }

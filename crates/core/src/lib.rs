@@ -19,7 +19,6 @@
 
 pub mod chi;
 pub mod coulomb;
-pub mod dagflow;
 pub mod dyson;
 pub mod epsilon;
 pub mod error;
@@ -38,7 +37,6 @@ pub mod workflow;
 
 pub use chi::{ChiConfig, ChiEngine};
 pub use coulomb::Coulomb;
-pub use dagflow::{run_gpp_gw_dag, DagGwResults};
 pub use dyson::{solve_qp_diag, solve_qp_full, QpState};
 pub use epsilon::{is_static_freq, EpsilonError, EpsilonInverse};
 pub use error::GwError;
@@ -66,6 +64,6 @@ pub use spacetime::{
 };
 pub use subspace::Subspace;
 pub use workflow::{
-    run_evgw, run_full_dyson_gw, run_gpp_gw, EvGwResults, FullDysonResults, GwConfig, GwResults,
-    SigmaDims,
+    run_evgw, run_full_dyson_gw, run_gpp_gw, run_gpp_gw_dag, DagGwResults, EvGwResults,
+    FullDysonResults, GwConfig, GwResults, SigmaDims,
 };

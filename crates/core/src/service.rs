@@ -6,8 +6,8 @@
 //!
 //! 1. `prefix` — spheres, mean-field bands, the slab-aware Coulomb,
 //!    the MTXEL engine, `sqrt(v)` and the `q0`-patched `ChiConfig`;
-//! 2. chi0 — **the driver's own** (barrier `chi_static`, NV-block DAG
-//!    tasks, checkpointed chunks, `try_*` collectives, ...);
+//! 2. chi0 — **the driver's own** (barrier `chi_static`, checkpointed
+//!    chunks);
 //! 3. the dielectric inversion — **the driver's own** (`Prefix::invert`
 //!    is the barrier LU the non-distributed drivers share);
 //! 4. `finish_screening` — `eps_macro`, charge density, [`GppModel`]
@@ -19,9 +19,9 @@
 //!    same loop inside one span), collected in a keyed [`SigmaRows`] set;
 //! 7. `assemble` — Dyson solve, gaps and `SigmaDims` -> [`GwResults`].
 //!
-//! Every driver in [`workflow`](crate::workflow),
-//! [`dagflow`](crate::dagflow) and [`restart`](crate::restart) is the
-//! shared stages plus the three pieces it keeps, so "served == one-shot" holds by construction. Stage
+//! Every driver in [`workflow`](crate::workflow) and
+//! [`restart`](crate::restart) is the shared stages plus the three
+//! pieces it keeps, so "served == one-shot" holds by construction. Stage
 //! spans (`workflow.meanfield|chi|epsilon|mtxel|sigma`) are opened by
 //! `Stage::run` and nowhere else; they are the one record of stage time.
 //!
@@ -338,8 +338,8 @@ pub(crate) fn screened_context(
 }
 
 /// Stage 6, one row: row `s` of `ctx` on its 3-point grid at offset
-/// `delta_ry` — the unit the checkpointed driver writes after, the DAG
-/// schedules, and the serving loop polls preemption between.
+/// `delta_ry` — the unit the checkpointed driver writes after and the
+/// serving loop polls preemption between.
 pub fn sigma_row(ctx: &SigmaContext, s: usize, delta_ry: f64, variant: KernelVariant) -> SigmaRow {
     let mut sigma = [0.0; N_GRID];
     let grid = three_point_grid(ctx.sigma_energies[s], delta_ry);
@@ -362,10 +362,7 @@ pub(crate) fn assemble(
     diag: &SigmaDiagResult,
     eps_macro: f64,
 ) -> Result<GwResults, GwError> {
-    let missing = |input| GwError::MissingInput {
-        task: "assembly",
-        input,
-    };
+    let missing = |input| GwError::MissingInput { input };
     let e_mf = bands
         .iter()
         .map(|&b| ctx.energies.get(b).copied())
@@ -581,10 +578,7 @@ impl SigmaRows {
         for &band in bands {
             let (Some(row), Some(&e_mf)) = (self.get(band, delta_ry), ctx.energies.get(band))
             else {
-                return Err(GwError::MissingInput {
-                    task: "assembly",
-                    input: "sigma row",
-                });
+                return Err(GwError::MissingInput { input: "sigma row" });
             };
             diag.sigma.push(row.sigma.to_vec());
             diag.e_grids.push(three_point_grid(e_mf, delta_ry).to_vec());

@@ -88,8 +88,28 @@ pub struct GwResults {
 /// On a singular dielectric matrix or a system with no gap for the band
 /// window to straddle; the other drivers return those as [`GwError`]s.
 pub fn run_gpp_gw(system: &ModelSystem, cfg: &GwConfig) -> GwResults {
+    traced_gpp_gw(system, cfg).expect("G0W0(GPP) run failed")
+}
+
+/// [`run_gpp_gw`]'s run, failing typed instead of panicking, under the
+/// name `benchmark/src/adapter.rs` calls (DESIGN §14). Kept only for the
+/// adapter; ROADMAP 6(d) moves it, then it goes.
+pub fn run_gpp_gw_dag(system: &ModelSystem, cfg: &GwConfig) -> Result<DagGwResults, GwError> {
+    traced_gpp_gw(system, cfg).map(|results| DagGwResults { results })
+}
+
+/// What [`run_gpp_gw_dag`] returns. Kept only for the adapter; ROADMAP
+/// 6(d) moves it, then it goes.
+#[derive(Clone, Debug)]
+pub struct DagGwResults {
+    /// The barrier run's results.
+    pub results: GwResults,
+}
+
+/// [`gpp_gw`]'s results under the `workflow.gpp_gw` root span.
+fn traced_gpp_gw(system: &ModelSystem, cfg: &GwConfig) -> Result<GwResults, GwError> {
     let _run_span = bgw_trace::span!("workflow.gpp_gw");
-    gpp_gw(system, cfg).expect("G0W0(GPP) run failed").1
+    Ok(gpp_gw(system, cfg)?.1)
 }
 
 /// The barrier-policy run [`run_gpp_gw`] and [`run_full_dyson_gw`] share:

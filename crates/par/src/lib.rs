@@ -34,8 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod dag;
-
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -324,7 +322,7 @@ fn spawn_to(st: &mut PoolState, target: usize) {
 /// Returns `false` — without running anything — when the region must run
 /// inline instead (single participant, nested call, or another thread is
 /// mid-dispatch).
-pub(crate) fn pool_run(participants: usize, job: &(dyn Fn(usize) + Sync)) -> bool {
+fn pool_run(participants: usize, job: &(dyn Fn(usize) + Sync)) -> bool {
     if participants <= 1 || IN_PARALLEL.with(|c| c.get()) {
         return false;
     }
@@ -628,17 +626,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    // Tests mutate the global thread count; serialize them (shared with
-    // the `dag::tests` module, which mutates the same global).
+    // Tests mutate the global thread count; serialize them.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    pub(crate) fn test_guard() -> MutexGuard<'static, ()> {
+    fn test_guard() -> MutexGuard<'static, ()> {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// One index is already worth a wake-up: regions stating this cost
     /// reach the pool whenever the width and chunk count allow.
-    pub(crate) const HEAVY: Flops = Flops(MIN_REGION_FLOPS);
+    const HEAVY: Flops = Flops(MIN_REGION_FLOPS);
 
     /// `body(i)` for every `i in 0..n` over auto-sized chunks: the
     /// per-index spelling the pool tests drive `parallel_for_chunked`

@@ -200,9 +200,8 @@ counters! {
     /// silently dropped — surfaced instead of hidden (debug builds also
     /// assert).
     ff_hermiticity_drops: FF_HERMITICITY_DROPS,
-    /// Tasks executed by the `bgw-par` DAG scheduler (pooled or inline).
-    dag_tasks: DAG_TASKS,
-    /// DAG tasks a worker stole from another worker's deque.
+    /// Always zero: nothing increments it. Kept only for the adapter;
+    /// ROADMAP 6(d) moves it, then it goes.
     dag_steals: DAG_STEALS,
     /// GW requests accepted into the serving queue (`bgw-serve`).
     serve_requests: SERVE_REQUESTS,
@@ -376,18 +375,6 @@ pub fn record_ff_hermiticity_drop() {
     FF_HERMITICITY_DROPS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records `n` tasks executed by the DAG scheduler.
-#[inline]
-pub fn record_dag_tasks(n: u64) {
-    DAG_TASKS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Records `n` DAG tasks acquired by stealing from another worker.
-#[inline]
-pub fn record_dag_steals(n: u64) {
-    DAG_STEALS.fetch_add(n, Ordering::Relaxed);
-}
-
 /// Records one request accepted into the serving queue.
 #[inline]
 pub fn record_serve_request() {
@@ -511,8 +498,6 @@ mod tests {
         record_fft_pass(48, 30);
         record_ckpt_write(64);
         record_ckpt_read(64);
-        record_dag_tasks(9);
-        record_dag_steals(2);
         record_serve_request();
         record_serve_hit_mem();
         record_serve_hit_disk();
@@ -541,8 +526,6 @@ mod tests {
         assert!(d.ckpt_writes >= 1);
         assert!(d.ckpt_reads >= 1);
         assert!(d.ckpt_bytes >= 128);
-        assert!(d.dag_tasks >= 9);
-        assert!(d.dag_steals >= 2);
         assert!(d.serve_requests >= 1);
         assert!(d.serve_completed >= 1);
         assert!(d.serve_hits_mem >= 1);
@@ -642,7 +625,7 @@ mod tests {
             n_fields += 1;
         });
         assert_eq!(a, b);
-        assert_eq!(n_fields, 52, "visitor must cover every field");
+        assert_eq!(n_fields, 51, "visitor must cover every field");
         assert!(!b.set_field("no_such_counter", 1));
     }
 }

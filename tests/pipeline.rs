@@ -6,8 +6,8 @@ use berkeleygw_rs::core::coulomb::Coulomb;
 use berkeleygw_rs::core::epsilon::EpsilonInverse;
 use berkeleygw_rs::core::mtxel::Mtxel;
 use berkeleygw_rs::core::{
-    build_screening, gpp_eval_preemptible, run_evgw, run_full_dyson_gw, run_gpp_gw, run_gpp_gw_dag,
-    sigma_context, GwConfig, GwResults, KernelVariant,
+    build_screening, gpp_eval_preemptible, run_evgw, run_full_dyson_gw, run_gpp_gw, sigma_context,
+    GwConfig, GwResults, KernelVariant,
 };
 use berkeleygw_rs::num::RYDBERG_EV;
 use berkeleygw_rs::perf::counters::exclusive_test_guard;
@@ -198,16 +198,15 @@ fn gpp_payload(ok: ServeOk) -> GppPayload {
 }
 
 #[test]
-fn one_shot_served_and_dag_drivers_share_one_spine() {
+fn one_shot_and_served_drivers_share_one_spine() {
     // run_gpp_gw; the plain row loop (build_screening -> sigma_context ->
-    // gpp_eval_preemptible -> SigmaRows::assemble); the daemon itself, twice — a
-    // threaded Server, and synchronous ServeCores preempted after every
-    // row, each a fresh engine that can only resume from the partial its
-    // predecessor left in the artifact store; and an uninterrupted DAG run
-    // are the same stages under different policies: identical band set,
-    // dimensions and counted FLOPs, and all but the DAG (its chi0 sum
-    // associates by NV block) agree in every bit of every QP energy and Z
-    // at every pool width and across widths.
+    // gpp_eval_preemptible -> SigmaRows::assemble); and the daemon itself,
+    // twice — a threaded Server, and synchronous ServeCores preempted
+    // after every row, each a fresh engine that can only resume from the
+    // partial its predecessor left in the artifact store — are the same
+    // stages under different policies: identical band set, dimensions and
+    // counted FLOPs, and every bit of every QP energy and Z, at every pool
+    // width and across widths.
     let _guard = exclusive_test_guard();
     let req = GwRequest {
         structure: StructureSpec::SiBulk {
@@ -270,18 +269,12 @@ fn one_shot_served_and_dag_drivers_share_one_spine() {
             "width {width}: a yield after every row but the last"
         );
 
-        let dag = run_gpp_gw_dag(&sys, &cfg)
-            .expect("dag run succeeds")
-            .results;
         berkeleygw_rs::par::set_num_threads(0);
         let _ = std::fs::remove_dir_all(&dir);
 
         assert_eq!(row_loop.sigma_bands, one_shot.sigma_bands, "width {width}");
         assert_eq!(row_loop.sigma_flops, one_shot.sigma_flops, "width {width}");
         assert_eq!(row_loop.dims, one_shot.dims, "width {width}");
-        assert_eq!(dag.sigma_bands, one_shot.sigma_bands, "width {width}");
-        assert_eq!(dag.dims, one_shot.dims, "width {width}");
-        assert_eq!(dag.sigma_flops, one_shot.sigma_flops, "width {width}");
         assert_eq!(
             (one_shot.dims.n_sigma, one_shot.dims.n_b, one_shot.dims.n_g),
             (ctx.n_sigma(), ctx.n_b(), ctx.n_g()),

@@ -14,8 +14,8 @@
 
 use berkeleygw_rs::core::sigma::diag::{gpp_sigma_diag, measured_alpha, KernelVariant};
 use berkeleygw_rs::core::{
-    ff_sigma_diag, imag_axis_sigma_diag, run_gpp_gw, run_gpp_gw_checkpointed, run_gpp_gw_dag,
-    testkit, CheckpointPolicy, ChiConfig, ChiEngine, Coulomb, EpsilonInverse, GwConfig, Mtxel,
+    ff_sigma_diag, imag_axis_sigma_diag, run_gpp_gw, run_gpp_gw_checkpointed, testkit,
+    CheckpointPolicy, ChiConfig, ChiEngine, Coulomb, EpsilonInverse, GwConfig, Mtxel,
 };
 use berkeleygw_rs::num::grid::semi_infinite_quadrature;
 use berkeleygw_rs::perf::counters::exclusive_test_guard;
@@ -282,7 +282,7 @@ fn traced_kernel_attributes_its_counted_flops_to_the_span() {
 }
 
 /// Calls and counter deltas of every node named `name`, wherever it sits
-/// in the tree (the DAG's stage tasks may run as roots on pool workers).
+/// in the tree (each driver opens its own root span).
 fn totals(rep: &RunReport, name: &str) -> (u64, CounterSnapshot) {
     fn walk(n: &SpanNode, name: &str, acc: &mut (u64, CounterSnapshot)) {
         if n.name == name {
@@ -304,12 +304,9 @@ fn every_gw_driver_leaves_the_five_stage_spans() {
     let cfg = GwConfig::default();
     let dir = std::env::temp_dir().join(format!("bgw_stage_spans_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let drivers: [(&str, &dyn Fn()); 3] = [
+    let drivers: [(&str, &dyn Fn()); 2] = [
         ("run_gpp_gw", &|| {
             run_gpp_gw(&sys, &cfg);
-        }),
-        ("run_gpp_gw_dag", &|| {
-            run_gpp_gw_dag(&sys, &cfg).expect("DAG run");
         }),
         ("run_gpp_gw_checkpointed", &|| {
             run_gpp_gw_checkpointed(&sys, &cfg, &CheckpointPolicy::new(&dir))

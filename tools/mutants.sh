@@ -4,11 +4,15 @@
 # the top of that file).
 #
 # The tree is copied once to a temporary directory. Each test binary a row
-# names must pass on the unmutated copy first; then, row by row, the exact
-# text is replaced in the copy, the row's binary alone is built and run,
-# and the file is restored. A row is
+# names must pass on the unmutated copy first, and that pass is timed;
+# then, row by row, the exact text is replaced in the copy, the row's
+# binary alone is built and run, and the file is restored. A row's run is
+# limited to max(60 s, 5 x its binary's baseline pass) under coreutils
+# `timeout`. A row is
 #   KILLED    when its binary fails,
 #   SURVIVED  when it still passes,
+#   TIMEOUT   when its binary is still running at the limit (a mutant
+#             that blocks or loops a test),
 #   NO MATCH  when the text does not occur exactly `count` times,
 #   BROKEN    when the mutant does not build.
 # Every row but a KILLED one fails the run (exit 1). The copy's first
@@ -19,7 +23,10 @@
 # Usage: tools/mutants.sh [catalogue.tsv]
 # CARGO_TARGET_DIR, when set, is used for the copy's builds (it is shared
 # by every row, so only the mutated crate rebuilds); otherwise a target
-# directory inside the temporary copy is.
+# directory inside the temporary copy is. The copy's files are stamped
+# with the time of the copy, so a build an earlier run left in a shared
+# target directory (its last row's mutant among them) is never taken as
+# fresh.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -33,7 +40,7 @@ catalogue=$(cd "$(dirname "${1:-tools/mutants/catalogue.tsv}")" && pwd)/$(basena
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/tree"
-tar --exclude=./target --exclude=./.git -cf - . | tar -xf - -C "$work/tree"
+tar --exclude=./target --exclude=./.git -cf - . | tar -xmf - -C "$work/tree"
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$work/target}"
 log="$work/log"
 tab=$(printf '\t')
@@ -63,21 +70,38 @@ substitute() {
     }' "$3" >"$3.mut" && mv "$3.mut" "$3"
 }
 
-# run_binary ARGS: builds and runs one test binary of the copy.
+# build_binary ARGS: builds one test binary of the copy without running it.
+build_binary() {
+    # shellcheck disable=SC2086
+    (cd "$work/tree" && cargo test -q --no-run $1 >"$log" 2>&1)
+}
+
+# run_binary ARGS [LIMIT]: runs one test binary of the copy; given a LIMIT,
+# under `timeout`, which stops the binary's process group after LIMIT
+# seconds and exits 124 (137 when its follow-up KILL was needed).
 run_binary() {
     # shellcheck disable=SC2086
-    (cd "$work/tree" && cargo test -q $1 >"$log" 2>&1)
+    (cd "$work/tree" && ${2:+timeout -k 10 "$2"} cargo test -q $1 >"$log" 2>&1 </dev/null)
+}
+
+# baseline_failed ARGS: stops the run, the tree fails without any mutant.
+baseline_failed() {
+    tail -n 30 "$log"
+    echo "FAIL: cargo test -q $1 fails before any mutant is planted" >&2
+    exit 1
 }
 
 echo "==> baseline: every named binary passes on the unmutated tree"
-for args in $(rows | cut -f6 | sort -u | tr ' ' '~'); do
-    args=$(echo "$args" | tr '~' ' ')
-    if ! run_binary "$args"; then
-        tail -n 30 "$log"
-        echo "FAIL: cargo test -q $args fails before any mutant is planted" >&2
-        exit 1
-    fi
-    echo "    ok: cargo test -q $args"
+: >"$work/limits"
+for key in $(rows | cut -f6 | sort -u | tr ' ' '~'); do
+    args=$(echo "$key" | tr '~' ' ')
+    build_binary "$args" || baseline_failed "$args"
+    start=$(date +%s)
+    run_binary "$args" || baseline_failed "$args"
+    secs=$(($(date +%s) - start))
+    limit=$((5 * secs > 60 ? 5 * secs : 60))
+    printf '%s\t%s\n' "$key" "$limit" >>"$work/limits"
+    echo "    ok: cargo test -q $args (${secs} s; its rows stop at ${limit} s)"
 done
 
 killed=0
@@ -89,17 +113,21 @@ while IFS="$tab" read -r file count from to stage args; do
     target="$work/tree/$file"
     cp "$target" "$work/orig"
     found=$(occurrences "$target" "$from")
+    limit=$(KEY=$(echo "$args" | tr ' ' '~') awk -F "$tab" '$1 == ENVIRON["KEY"] { print $2 }' "$work/limits")
     if [ "$found" != "$count" ]; then
         verdict="NO MATCH ($found of $count)"
     else
         substitute "$from" "$to" "$target"
-        # shellcheck disable=SC2086
-        if ! (cd "$work/tree" && cargo test -q --no-run $args >"$log" 2>&1); then
+        if ! build_binary "$args"; then
             verdict=BROKEN
-        elif run_binary "$args"; then
-            verdict=SURVIVED
         else
-            verdict=KILLED
+            status=0
+            run_binary "$args" "$limit" || status=$?
+            case "$status" in
+            0) verdict=SURVIVED ;;
+            124 | 137) verdict="TIMEOUT (${limit} s)" ;;
+            *) verdict=KILLED ;;
+            esac
         fi
         cp "$work/orig" "$target"
     fi
