@@ -23,8 +23,8 @@
 //! frequency loop runs over the `bgw_par` worker pool (the per-frequency
 //! GEMMs then execute inline inside their worker), as does the Sigma(E)
 //! grid assembly. The pre-recast scalar implementation is retained as the
-//! `_serial` oracle (same pattern as `fft3::process_serial`) and the
-//! pooled path is validated against it to 1e-12 across pool sizes.
+//! `_serial` oracle and the pooled path is validated against it to 1e-12
+//! across pool sizes.
 //!
 //! Discarding the imaginary part of `q_k(n)` is exact only for Hermitian
 //! `B`; the guard in `real_part_checked` surfaces violations through a

@@ -19,8 +19,8 @@
 //! [`Fft3d::process`] offers each axis pass of a single grid to the pool,
 //! which takes it only when the pass is worth a wake-up (every driver
 //! states its work by the `5 n log2 n` count; `bgw-par` owns the floor).
-//! The original one-line-at-a-time kernel lives on in the test module as
-//! the correctness oracle.
+//! The tests hold all three to the O(n^2) [`crate::dft_reference`]
+//! applied along each axis.
 
 use crate::plan::{cached_plan, Direction, FftPlan, LINE_BATCH};
 use bgw_num::Complex64;
@@ -321,66 +321,11 @@ impl AxisPass<'_> {
 }
 
 #[cfg(test)]
-impl Fft3d {
-    /// Transforms `data` in place with the original serial per-line kernel
-    /// (recursive butterflies, twiddle index recomputed per butterfly).
-    /// This is the oracle the pooled path is checked against.
-    fn process_serial(&self, data: &mut [Complex64], dir: Direction) {
-        assert_eq!(data.len(), self.len(), "grid buffer length mismatch");
-        let _span = bgw_trace::span!("fft.serial");
-        let t0 = Instant::now();
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        // z lines are contiguous.
-        {
-            let mut scratch = vec![Complex64::ZERO; self.plan_z.scratch_len()];
-            for line in data.chunks_exact_mut(nz) {
-                self.plan_z.process_with(line, &mut scratch, dir);
-            }
-        }
-        // y lines: stride nz within each x-plane.
-        {
-            let mut scratch = vec![Complex64::ZERO; self.plan_y.scratch_len()];
-            let mut line = vec![Complex64::ZERO; ny];
-            for ix in 0..nx {
-                for iz in 0..nz {
-                    let base = ix * ny * nz + iz;
-                    for iy in 0..ny {
-                        line[iy] = data[base + iy * nz];
-                    }
-                    self.plan_y.process_with(&mut line, &mut scratch, dir);
-                    for iy in 0..ny {
-                        data[base + iy * nz] = line[iy];
-                    }
-                }
-            }
-        }
-        // x lines: stride ny*nz.
-        {
-            let mut scratch = vec![Complex64::ZERO; self.plan_x.scratch_len()];
-            let mut line = vec![Complex64::ZERO; nx];
-            let stride = ny * nz;
-            for rem in 0..stride {
-                for ix in 0..nx {
-                    line[ix] = data[rem + ix * stride];
-                }
-                self.plan_x.process_with(&mut line, &mut scratch, dir);
-                for ix in 0..nx {
-                    data[rem + ix * stride] = line[ix];
-                }
-            }
-        }
-        bgw_perf::counters::record_fft_pass(
-            self.line_count() as u64,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::dft_reference;
     use bgw_num::c64;
+    use bgw_num::simd::Isa;
 
     fn rand_grid(n: usize, seed: u64) -> Vec<Complex64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -434,33 +379,22 @@ mod tests {
         data
     }
 
-    #[test]
-    fn matches_reference_small_grids() {
-        for dims in [(2usize, 3usize, 4usize), (4, 4, 4), (3, 5, 7), (6, 5, 4)] {
-            let n = dims.0 * dims.1 * dims.2;
-            let x = rand_grid(n, n as u64);
-            let plan = Fft3d::new(dims.0, dims.1, dims.2);
-            let mut y = x.clone();
-            plan.process(&mut y, Direction::Forward);
-            let r = dft3_reference(&x, dims, Direction::Forward);
-            let err = y
-                .iter()
-                .zip(&r)
-                .map(|(a, b)| (*a - *b).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-9, "dims {dims:?}: err {err}");
-        }
+    fn max_diff(a: &[Complex64], b: &[Complex64]) -> f64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (*x - *y).abs())
+            .fold(0.0, f64::max)
     }
 
     #[test]
-    fn pooled_matches_serial_to_rounding() {
-        // The batched pooled path agrees with the per-line serial kernel
-        // to rounding: the hard-wired radix-2/3/4/5 butterflies use exact
-        // DFT constants where the serial kernel multiplies by twiddle-table
-        // entries carrying ~1e-16 phase error (well inside the 1e-10
-        // acceptance gate the bench enforces).
+    fn matches_reference_small_grids() {
+        // The pooled batched path against the direct sum along each axis:
+        // ragged line groups, a single-line axis, both directions.
         for dims in [
             (2usize, 3usize, 4usize),
+            (4, 4, 4),
+            (3, 5, 8),
+            (6, 5, 4),
             (16, 16, 16),
             (12, 10, 9),
             (1, 5, 8),
@@ -470,45 +404,11 @@ mod tests {
             let plan = Fft3d::new(dims.0, dims.1, dims.2);
             for dir in [Direction::Forward, Direction::Inverse] {
                 let x = rand_grid(n, 7 * n as u64 + 1);
-                let mut pooled = x.clone();
-                let mut serial = x;
-                plan.process(&mut pooled, dir);
-                plan.process_serial(&mut serial, dir);
-                for (i, (a, b)) in pooled.iter().zip(&serial).enumerate() {
-                    assert!(
-                        (*a - *b).abs() <= 1e-12 * (n as f64).max(1.0),
-                        "dims {dims:?} dir {dir:?} i {i}: {a:?} vs {b:?}"
-                    );
-                }
+                let mut y = x.clone();
+                plan.process(&mut y, dir);
+                let err = max_diff(&y, &dft3_reference(&x, dims, dir));
+                assert!(err < 1e-9, "dims {dims:?} dir {dir:?}: err {err}");
             }
-        }
-    }
-
-    #[test]
-    fn bluestein_prime_dims_roundtrip_and_reference() {
-        // 7 x 11 x 13 factorizes into supported radices per axis, but a
-        // 17-length axis forces the chirp-z fallback inside the batched
-        // driver; cross-check both against the naive DFT and roundtrip.
-        for dims in [(7usize, 11usize, 13usize), (17, 4, 5), (3, 17, 2)] {
-            let n = dims.0 * dims.1 * dims.2;
-            let x = rand_grid(n, 13 * n as u64 + 5);
-            let plan = Fft3d::new(dims.0, dims.1, dims.2);
-            let mut y = x.clone();
-            plan.process(&mut y, Direction::Forward);
-            let r = dft3_reference(&x, dims, Direction::Forward);
-            let err = y
-                .iter()
-                .zip(&r)
-                .map(|(a, b)| (*a - *b).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-8, "dims {dims:?}: err vs naive DFT {err}");
-            plan.process(&mut y, Direction::Inverse);
-            let rt = y
-                .iter()
-                .zip(&x)
-                .map(|(a, b)| (*a - *b).abs())
-                .fold(0.0, f64::max);
-            assert!(rt < 1e-10, "dims {dims:?}: roundtrip err {rt}");
         }
     }
 
@@ -543,53 +443,64 @@ mod tests {
     }
 
     #[test]
-    fn many_matches_serial_oracle_on_every_supported_isa() {
-        // Satellite parity gate: `forward_many` / `inverse_many` against
-        // the per-line `process_serial` oracle on grids exercising the
-        // radix-3 and radix-5 butterflies (9*5*15 = 3^3 * 5^2 per-axis
-        // mix) and a Bluestein axis (17), with each host-supported ISA's
-        // butterfly set forced in turn. This is the only test in the
-        // binary that calls `simd::force`, so the global override cannot
-        // race another test's expectations.
-        for &isa in bgw_num::simd::supported().iter() {
-            assert!(bgw_num::simd::force(Some(isa)), "{isa:?} must force");
-            for dims in [(9usize, 5usize, 15usize), (17, 3, 5), (25, 27, 4)] {
-                let plan = Fft3d::new(dims.0, dims.1, dims.2);
-                let grids: Vec<Vec<Complex64>> = (0..3)
-                    .map(|g| rand_grid(plan.len(), 500 + 31 * g as u64))
-                    .collect();
-                let n = plan.len() as f64;
+    fn every_supported_isa_returns_the_scalar_bits() {
+        // `forward_many` / `inverse_many` on grids exercising the radix-3
+        // and radix-5 butterflies (9*5*15 = 3^3 * 5^2 per-axis mix) with
+        // each host-supported ISA's butterfly set forced in turn. Every
+        // version runs the one scalar body's IEEE operations, so each must
+        // return the scalar bits; the scalar run itself is held to the
+        // direct sum. This is the only test in the binary that calls
+        // `simd::force`, so the global override cannot race another
+        // test's expectations.
+        for dims in [(9usize, 5usize, 15usize), (16, 3, 5), (25, 27, 4)] {
+            let plan = Fft3d::new(dims.0, dims.1, dims.2);
+            let grids: Vec<Vec<Complex64>> = (0..3)
+                .map(|g| rand_grid(plan.len(), 500 + 31 * g as u64))
+                .collect();
+            // Butterfly passes of `isa`'s set so far: the forced set must
+            // be the one that ran, or equal bits would prove nothing.
+            let lane = |isa: Isa| {
+                let s = bgw_perf::counters::snapshot();
+                [
+                    s.fft_mk_calls_scalar,
+                    s.fft_mk_calls_neon,
+                    s.fft_mk_calls_avx2,
+                    s.fft_mk_calls_avx512,
+                ][isa.index()]
+            };
+            let run = |isa| {
+                assert!(bgw_num::simd::force(Some(isa)), "{isa:?} must force");
+                let ran = lane(isa);
                 let mut fwd = grids.clone();
                 plan.forward_many(&mut fwd);
-                for (g, grid) in grids.iter().enumerate() {
-                    let mut want = grid.clone();
-                    plan.process_serial(&mut want, Direction::Forward);
-                    let err = fwd[g]
-                        .iter()
-                        .zip(&want)
-                        .map(|(a, b)| (*a - *b).abs())
-                        .fold(0.0, f64::max);
-                    assert!(
-                        err <= 1e-12 * n,
-                        "{isa:?} dims {dims:?} grid {g}: forward err {err}"
-                    );
-                }
-                let mut back = fwd;
+                let mut back = fwd.clone();
                 plan.inverse_many(&mut back);
-                for (g, grid) in grids.iter().enumerate() {
-                    let mut want = grid.clone();
-                    plan.process_serial(&mut want, Direction::Forward);
-                    plan.process_serial(&mut want, Direction::Inverse);
-                    let err = back[g]
-                        .iter()
-                        .zip(&want)
-                        .map(|(a, b)| (*a - *b).abs())
-                        .fold(0.0, f64::max);
-                    assert!(
-                        err <= 1e-12 * n,
-                        "{isa:?} dims {dims:?} grid {g}: inverse err {err}"
-                    );
-                }
+                assert!(lane(isa) > ran, "{isa:?} butterflies must run");
+                (fwd, back)
+            };
+            let (fwd, back) = run(Isa::Scalar);
+            for (g, grid) in grids.iter().enumerate() {
+                let err = max_diff(&fwd[g], &dft3_reference(grid, dims, Direction::Forward));
+                assert!(err < 1e-9, "dims {dims:?} grid {g}: forward err {err}");
+                let rt = max_diff(&back[g], grid);
+                assert!(rt < 1e-11, "dims {dims:?} grid {g}: roundtrip err {rt}");
+            }
+            let bits = |gs: &[Vec<Complex64>]| -> Vec<(u64, u64)> {
+                gs.iter()
+                    .flatten()
+                    .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                    .collect()
+            };
+            for &isa in bgw_num::simd::supported().iter() {
+                let (f, b) = run(isa);
+                assert!(
+                    bits(&f) == bits(&fwd),
+                    "{isa:?} dims {dims:?}: forward bits"
+                );
+                assert!(
+                    bits(&b) == bits(&back),
+                    "{isa:?} dims {dims:?}: inverse bits"
+                );
             }
         }
         bgw_num::simd::force(None);
@@ -597,7 +508,7 @@ mod tests {
 
     #[test]
     fn roundtrip_3d() {
-        let plan = Fft3d::new(5, 6, 7);
+        let plan = Fft3d::new(5, 6, 8);
         let x = rand_grid(plan.len(), 99);
         let mut y = x.clone();
         plan.process(&mut y, Direction::Forward);

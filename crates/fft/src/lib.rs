@@ -3,9 +3,9 @@
 //! The substrate behind the MTXEL kernel of the GW workflow (paper Sec. 5.2):
 //! plane-wave matrix elements `M_mn^G` are produced by scattering
 //! wavefunction coefficients onto an FFT box, transforming to real space,
-//! forming pointwise products, and transforming back. Provides mixed-radix
-//! Cooley-Tukey transforms for smooth sizes, a Bluestein fallback for
-//! arbitrary sizes, and a 3-D plan for row-major grids.
+//! forming pointwise products, and transforming back. Provides one batched
+//! mixed-radix Cooley-Tukey kernel for 5-smooth sizes (every grid is sized
+//! by [`good_size`]) and a 3-D plan for row-major grids.
 
 #![warn(missing_docs)]
 

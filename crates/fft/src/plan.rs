@@ -1,12 +1,12 @@
 //! One-dimensional complex FFT plans.
 //!
-//! Mixed-radix Cooley-Tukey for sizes factoring into {2, 3, 5, 7, 11, 13},
-//! with a Bluestein (chirp-z) fallback for any other size, so arbitrary FFT
-//! grids are supported. Forward transforms use the physics sign convention
+//! Mixed-radix Cooley-Tukey over radices 2, 3, 4 and 5: every length is
+//! 5-smooth, because every grid the program builds is sized by
+//! [`good_size`]. Forward transforms use the physics sign convention
 //! `X_k = sum_j x_j e^{-2 pi i j k / n}`; the inverse applies the `1/n`
 //! normalization, so `inverse(forward(x)) == x`.
 //!
-//! The batched kernel ([`FftPlan::process_batch_split`]) operates on
+//! The one kernel ([`FftPlan::process_batch_split`]) operates on
 //! **split re/im `f64` planes** with the batch as the fastest-varying
 //! dimension: every radix-2/3/4/5 butterfly body is a straight-line
 //! real-arithmetic loop over `batch` contiguous lanes — no complex
@@ -16,6 +16,8 @@
 //! x86-64; the portable body *is* the NEON version on aarch64, where
 //! Advanced SIMD is baseline) and dispatched at runtime through
 //! [`bgw_num::simd`], the same ISA decision the ZGEMM microkernels use.
+//! Each version runs the same IEEE operations in the same order (no
+//! `mul_add`), so every ISA returns the scalar bits.
 
 use bgw_num::simd::Isa;
 use bgw_num::{c64, Complex64};
@@ -30,9 +32,6 @@ pub enum Direction {
     /// `e^{+2 pi i j k / n}` with `1/n` normalization.
     Inverse,
 }
-
-/// Largest radix handled directly by the mixed-radix butterflies.
-const MAX_RADIX: usize = 13;
 
 /// Width of a line batch in the batched transforms: the 3-D driver feeds
 /// [`FftPlan::process_batch_split`] groups of up to this many lines, laid
@@ -52,122 +51,54 @@ pub fn cached_plan(n: usize) -> Arc<FftPlan> {
     Arc::clone(map.entry(n).or_insert_with(|| Arc::new(FftPlan::new(n))))
 }
 
-/// A reusable FFT plan for a fixed transform length.
+/// A reusable FFT plan for a fixed 5-smooth transform length.
 #[derive(Clone, Debug)]
 pub struct FftPlan {
     n: usize,
-    /// Radix factors of `n`, or empty when Bluestein is used.
+    /// Radix factors of `n`, largest first.
     factors: Vec<usize>,
-    /// Forward twiddle table: `tw[k] = e^{-2 pi i k / n}` for `k in 0..n`.
-    twiddles: Vec<Complex64>,
-    /// Per-stage twiddle tables for the batched kernel:
+    /// Per-stage twiddle tables:
     /// `stage_tw[d][k * r + q] = e^{-2 pi i k q step_d / n}` with
-    /// `k in 0..m_d`, precomputed so the hot loops are pure table reads
-    /// (the recursive path recomputes the index with a modulo per
-    /// butterfly, which dominates its runtime).
+    /// `k in 0..m_d`, precomputed so the hot loops are pure table reads.
     stage_tw: Vec<Vec<Complex64>>,
-    /// Per-stage radix-DFT matrices `dft_tw[d][p * r + q] = e^{-2 pi i p q / r_d}`.
-    dft_tw: Vec<Vec<Complex64>>,
-    /// Chirp-z machinery for lengths with large prime factors.
-    bluestein: Option<Box<Bluestein>>,
 }
 
-#[derive(Clone, Debug)]
-struct Bluestein {
-    /// Power-of-two convolution length `m >= 2n - 1`.
-    m: usize,
-    /// Plan for the internal power-of-two transforms.
-    inner: FftPlan,
-    /// Chirp `w^{k^2/2}` for `k in 0..n` (forward sign).
-    chirp: Vec<Complex64>,
-    /// Forward FFT of the zero-padded conjugate chirp.
-    chirp_hat: Vec<Complex64>,
-}
-
-/// Factorizes `n` into radices `<= MAX_RADIX`, largest first.
-/// Returns `None` if a larger prime remains.
+/// Factorizes `n` into radices 5, 4, 3, 2, largest first. Returns `None`
+/// if `n` is not 5-smooth.
 fn factorize(mut n: usize) -> Option<Vec<usize>> {
     let mut factors = Vec::new();
-    for r in [13usize, 11, 7, 5, 4, 3, 2] {
+    for r in [5usize, 4, 3, 2] {
         while n.is_multiple_of(r) {
             factors.push(r);
             n /= r;
         }
     }
-    if n == 1 {
-        Some(factors)
-    } else {
-        None
-    }
+    (n == 1).then_some(factors)
 }
 
 /// Rounds `n` up to the next 5-smooth size (factors 2, 3, 5 only), the
 /// conventional "good" FFT grid dimensions used by plane-wave codes.
 pub fn good_size(n: usize) -> usize {
-    let mut m = n.max(1);
-    loop {
-        let mut k = m;
-        for r in [2usize, 3, 5] {
-            while k.is_multiple_of(r) {
-                k /= r;
-            }
-        }
-        if k == 1 {
-            return m;
-        }
-        m += 1;
-    }
+    (n.max(1)..)
+        .find(|&m| factorize(m).is_some())
+        .expect("5-smooth numbers are unbounded")
 }
 
 impl FftPlan {
     /// Creates a plan for transforms of length `n >= 1`.
+    ///
+    /// # Panics
+    /// If `n` has a prime factor above 5: size the grid with [`good_size`].
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "FFT length must be positive");
-        let twiddles = forward_twiddles(n);
-        match factorize(n) {
-            Some(factors) => {
-                let (stage_tw, dft_tw) = stage_tables(n, &factors, &twiddles);
-                Self {
-                    n,
-                    factors,
-                    twiddles,
-                    stage_tw,
-                    dft_tw,
-                    bluestein: None,
-                }
-            }
-            None => {
-                let m = (2 * n - 1).next_power_of_two();
-                let inner = FftPlan::new(m);
-                // chirp[k] = e^{-i pi k^2 / n}; computing k^2 mod 2n keeps
-                // the argument small and the phase exact.
-                let chirp: Vec<Complex64> = (0..n)
-                    .map(|k| {
-                        let q = (k * k) % (2 * n);
-                        Complex64::cis(-std::f64::consts::PI * q as f64 / n as f64)
-                    })
-                    .collect();
-                let mut b = vec![Complex64::ZERO; m];
-                b[0] = chirp[0].conj();
-                for k in 1..n {
-                    b[k] = chirp[k].conj();
-                    b[m - k] = chirp[k].conj();
-                }
-                inner.process(&mut b, Direction::Forward);
-                Self {
-                    n,
-                    factors: Vec::new(),
-                    twiddles,
-                    stage_tw: Vec::new(),
-                    dft_tw: Vec::new(),
-                    bluestein: Some(Box::new(Bluestein {
-                        m,
-                        inner,
-                        chirp,
-                        chirp_hat: b,
-                    })),
-                }
-            }
+        let factors = factorize(n).unwrap_or_else(|| {
+            panic!("FFT length {n} is not 5-smooth; size the grid with good_size")
+        });
+        let stage_tw = stage_tables(n, &factors);
+        Self {
+            n,
+            factors,
+            stage_tw,
         }
     }
 
@@ -187,97 +118,6 @@ impl FftPlan {
         self.n == 0
     }
 
-    /// Transforms `data` (length `n`) in place.
-    pub fn process(&self, data: &mut [Complex64], dir: Direction) {
-        assert_eq!(data.len(), self.n, "buffer length mismatch");
-        let mut scratch = vec![Complex64::ZERO; self.scratch_len()];
-        self.process_with(data, &mut scratch, dir);
-    }
-
-    /// Scratch length required by [`FftPlan::process_with`].
-    pub fn scratch_len(&self) -> usize {
-        match &self.bluestein {
-            Some(b) => 2 * b.m + b.inner.scratch_len(),
-            None => self.n,
-        }
-    }
-
-    /// Transforms `data` in place using caller-provided scratch (hot path
-    /// for the batched transforms of MTXEL).
-    pub fn process_with(&self, data: &mut [Complex64], scratch: &mut [Complex64], dir: Direction) {
-        assert_eq!(data.len(), self.n, "buffer length mismatch");
-        assert!(scratch.len() >= self.scratch_len(), "scratch too small");
-        if self.n == 1 {
-            return;
-        }
-        // Inverse via conjugation: IFFT(x) = conj(FFT(conj(x))) / n.
-        if dir == Direction::Inverse {
-            for z in data.iter_mut() {
-                *z = z.conj();
-            }
-            self.process_with(data, scratch, Direction::Forward);
-            let s = 1.0 / self.n as f64;
-            for z in data.iter_mut() {
-                *z = z.conj().scale(s);
-            }
-            return;
-        }
-        match &self.bluestein {
-            Some(b) => self.bluestein_forward(b, data, scratch),
-            None => {
-                let (buf, _) = scratch.split_at_mut(self.n);
-                self.mixed_radix(data, buf);
-            }
-        }
-    }
-
-    /// Out-of-place recursive mixed-radix driver; result ends in `data`.
-    fn mixed_radix(&self, data: &mut [Complex64], buf: &mut [Complex64]) {
-        buf.copy_from_slice(data);
-        self.rec(buf, data, self.n, 1, 0);
-    }
-
-    /// Recursive decimation-in-time step.
-    ///
-    /// Reads `src` with stride `stride`, writes the length-`n` transform
-    /// contiguously into `dst`. `depth` indexes into the factor list.
-    fn rec(&self, src: &[Complex64], dst: &mut [Complex64], n: usize, stride: usize, depth: usize) {
-        if n == 1 {
-            dst[0] = src[0];
-            return;
-        }
-        let r = self.factors[depth];
-        let m = n / r;
-        // Transform the r interleaved sub-sequences.
-        for q in 0..r {
-            let sub = &src[q * stride..];
-            let (head, _) = dst.split_at_mut((q + 1) * m);
-            self.rec(sub, &mut head[q * m..], m, stride * r, depth + 1);
-        }
-        // Combine with radix-r butterflies. The twiddle e^{-2pi i k q / n}
-        // is twiddles[(k*q*step) % N] with step = N/n.
-        let step = self.n / n;
-        let mut tmp = [Complex64::ZERO; MAX_RADIX];
-        for k in 0..m {
-            for (q, t) in tmp.iter_mut().enumerate().take(r) {
-                let tw = self.twiddles[(k * q * step) % self.n];
-                *t = dst[q * m + k] * tw;
-            }
-            // out[k + p*m] = sum_q tmp[q] * e^{-2 pi i p q / r}
-            for p in 0..r {
-                let mut acc = tmp[0];
-                for (q, &t) in tmp.iter().enumerate().take(r).skip(1) {
-                    let tw = self.twiddles[(p * q * m * step) % self.n];
-                    acc = acc.mul_add(t, tw);
-                }
-                dst[p * m + k] = acc;
-            }
-        }
-        // In-place safety: for a fixed k, all reads (positions q*m + k) are
-        // gathered into `tmp` before any write (positions p*m + k), and
-        // distinct k values touch disjoint positions.
-    }
-
     /// Scratch length (in `f64` elements) required by
     /// [`FftPlan::process_batch_split`]: ping-pong re/im planes for a full
     /// line batch.
@@ -292,13 +132,10 @@ impl FftPlan {
     /// `im[k * batch + b]`: the batch is the fastest-varying dimension, so
     /// every butterfly reads and writes `batch` contiguous lanes per plane
     /// with a single twiddle — the SIMD dimension is the batch and the
-    /// butterfly bodies contain no shuffles. Radices 2/3/4/5 (everything a
-    /// 5-smooth grid produces) use hard-wired butterflies whose DFT
-    /// constants (±1, ±i, the exact radix-3/5 cosines) are applied as real
-    /// scalings, compiled per ISA and dispatched at runtime (see module
-    /// docs); results agree with the scalar kernel to rounding (~1e-13
-    /// relative), not bit-for-bit, because the scalar path multiplies by
-    /// table entries like `cis(-pi)` that carry ~1e-16 phase error.
+    /// butterfly bodies contain no shuffles. The radix-2/3/4/5 butterflies
+    /// apply their DFT constants (±1, ±i, the exact radix-3/5 cosines) as
+    /// real scalings, compiled per ISA and dispatched at runtime (see
+    /// module docs).
     pub fn process_batch_split(
         &self,
         re: &mut [f64],
@@ -333,24 +170,6 @@ impl FftPlan {
             }
             return;
         }
-        if self.bluestein.is_some() {
-            // Chirp-z lengths go through the scalar kernel line by line;
-            // they only appear for pathological grid dimensions.
-            bgw_perf::counters::record_fft_mk_call(Isa::Scalar.index());
-            let mut line = vec![Complex64::ZERO; self.n];
-            let mut inner = vec![Complex64::ZERO; self.scratch_len()];
-            for b in 0..batch {
-                for k in 0..self.n {
-                    line[k] = c64(re[k * batch + b], im[k * batch + b]);
-                }
-                self.process_with(&mut line, &mut inner, Direction::Forward);
-                for (k, z) in line.iter().enumerate() {
-                    re[k * batch + b] = z.re;
-                    im[k * batch + b] = z.im;
-                }
-            }
-            return;
-        }
         let cs = combine_set();
         bgw_perf::counters::record_fft_mk_call(cs.isa.index());
         let (buf_re, rest) = scratch.split_at_mut(self.n * batch);
@@ -370,11 +189,11 @@ impl FftPlan {
         );
     }
 
-    /// Batched split-plane analogue of [`FftPlan::rec`]: logical element
-    /// `i` of `src` is the `b`-wide block at `src_*[i * stride * b ..]`,
-    /// and the transform lands contiguously (blocked by `b`) in `dst_*`.
-    /// Twiddles come from the per-stage tables; the combines are the
-    /// ISA-dispatched butterfly set.
+    /// Recursive decimation-in-time step: logical element `i` of `src` is
+    /// the `b`-wide block at `src_*[i * stride * b ..]`, and the length-`n`
+    /// transform lands contiguously (blocked by `b`) in `dst_*`. `depth`
+    /// indexes the factor list and the per-stage twiddle tables; the
+    /// combines are the ISA-dispatched butterfly set.
     #[allow(clippy::too_many_arguments)]
     fn rec_batch_split(
         &self,
@@ -412,39 +231,16 @@ impl FftPlan {
                 cs,
             );
         }
-        let st = &self.stage_tw[depth];
+        let combine = match r {
+            2 => cs.c2,
+            3 => cs.c3,
+            4 => cs.c4,
+            5 => cs.c5,
+            _ => unreachable!("factorize yields radices 2 to 5 only"),
+        };
         // SAFETY: `cs` only holds butterfly versions this host can execute
         // (combine_set derives it from `bgw_num::simd::effective`).
-        match r {
-            2 => unsafe { (cs.c2)(dst_re, dst_im, st, m, b) },
-            3 => unsafe { (cs.c3)(dst_re, dst_im, st, m, b) },
-            4 => unsafe { (cs.c4)(dst_re, dst_im, st, m, b) },
-            5 => unsafe { (cs.c5)(dst_re, dst_im, st, m, b) },
-            _ => combine_generic_split(dst_re, dst_im, st, &self.dft_tw[depth], r, m, b),
-        }
-    }
-
-    /// Bluestein forward transform.
-    fn bluestein_forward(&self, b: &Bluestein, data: &mut [Complex64], scratch: &mut [Complex64]) {
-        let n = self.n;
-        let m = b.m;
-        let (a, rest) = scratch.split_at_mut(m);
-        let (inner_scratch, _) = rest.split_at_mut(b.inner.scratch_len());
-        // a = x * chirp, zero-padded to m.
-        for k in 0..n {
-            a[k] = data[k] * b.chirp[k];
-        }
-        for z in a.iter_mut().skip(n) {
-            *z = Complex64::ZERO;
-        }
-        b.inner.process_with(a, inner_scratch, Direction::Forward);
-        for (ak, ck) in a.iter_mut().zip(&b.chirp_hat) {
-            *ak *= *ck;
-        }
-        b.inner.process_with(a, inner_scratch, Direction::Inverse);
-        for k in 0..n {
-            data[k] = a[k] * b.chirp[k];
-        }
+        unsafe { combine(dst_re, dst_im, &self.stage_tw[depth], m, b) }
     }
 }
 
@@ -633,54 +429,6 @@ fn combine5_body(re: &mut [f64], im: &mut [f64], st: &[Complex64], m: usize, b: 
     }
 }
 
-/// Generic radix-`r` combine via the precomputed DFT matrix; only the
-/// large prime radices (7, 11, 13) land here, so it stays scalar-bodied
-/// on every ISA.
-fn combine_generic_split(
-    re: &mut [f64],
-    im: &mut [f64],
-    st: &[Complex64],
-    dt: &[Complex64],
-    r: usize,
-    m: usize,
-    b: usize,
-) {
-    let mut tmp_re = [0.0f64; MAX_RADIX * LINE_BATCH];
-    let mut tmp_im = [0.0f64; MAX_RADIX * LINE_BATCH];
-    let mut acc_re = [0.0f64; LINE_BATCH];
-    let mut acc_im = [0.0f64; LINE_BATCH];
-    for k in 0..m {
-        tmp_re[..b].copy_from_slice(&re[k * b..k * b + b]); // q = 0: tw = 1
-        tmp_im[..b].copy_from_slice(&im[k * b..k * b + b]);
-        for q in 1..r {
-            let tw = st[k * r + q];
-            let at = (q * m + k) * b;
-            for j in 0..b {
-                let xr = re[at + j];
-                let xi = im[at + j];
-                tmp_re[q * b + j] = xr * tw.re - xi * tw.im;
-                tmp_im[q * b + j] = xr * tw.im + xi * tw.re;
-            }
-        }
-        for p in 0..r {
-            acc_re[..b].copy_from_slice(&tmp_re[..b]);
-            acc_im[..b].copy_from_slice(&tmp_im[..b]);
-            for q in 1..r {
-                let tw = dt[p * r + q];
-                for j in 0..b {
-                    let tr = tmp_re[q * b + j];
-                    let ti = tmp_im[q * b + j];
-                    acc_re[j] += tr * tw.re - ti * tw.im;
-                    acc_im[j] += tr * tw.im + ti * tw.re;
-                }
-            }
-            let at = (p * m + k) * b;
-            re[at..at + b].copy_from_slice(&acc_re[..b]);
-            im[at..at + b].copy_from_slice(&acc_im[..b]);
-        }
-    }
-}
-
 /// Signature shared by every butterfly version. The `unsafe` is the
 /// `#[target_feature]` contract: a pointer must only be called on a host
 /// that executes its ISA (the scalar versions are safe functions coerced
@@ -805,27 +553,14 @@ fn combine_set() -> &'static CombineSet {
     }
 }
 
-/// Builds the forward twiddle table `e^{-2 pi i k / n}`.
-fn forward_twiddles(n: usize) -> Vec<Complex64> {
-    let w = -2.0 * std::f64::consts::PI / n as f64;
-    (0..n).map(|k| Complex64::cis(w * k as f64)).collect()
-}
-
 /// Precomputes, for every recursion depth of the mixed-radix kernel, the
-/// butterfly twiddles `stage_tw[d][k*r+q] = twiddles[(k*q*step_d) % n]`
-/// and the radix-DFT matrix `dft_tw[d][p*r+q] = twiddles[(p*q*m_d*step_d) % n]`
-/// (the latter only consumed by the generic large-prime combine; radices
-/// 2/3/4/5 hard-wire their DFT constants). Entries are copied out of the
-/// shared `twiddles` table, so the batched kernel reads the same twiddle
-/// values as the recursive one without the per-butterfly
-/// multiply-and-modulo index computation.
-fn stage_tables(
-    n: usize,
-    factors: &[usize],
-    twiddles: &[Complex64],
-) -> (Vec<Vec<Complex64>>, Vec<Vec<Complex64>>) {
+/// butterfly twiddles `stage_tw[d][k*r+q] = e^{-2 pi i (k*q*step_d mod n) / n}`.
+/// The radices hard-wire their DFT constants, so these are the only
+/// twiddles the kernel reads.
+fn stage_tables(n: usize, factors: &[usize]) -> Vec<Vec<Complex64>> {
+    let w = -2.0 * std::f64::consts::PI / n as f64;
+    let twiddles: Vec<Complex64> = (0..n).map(|k| Complex64::cis(w * k as f64)).collect();
     let mut stage_tw = Vec::with_capacity(factors.len());
-    let mut dft_tw = Vec::with_capacity(factors.len());
     let mut nd = n;
     for &r in factors {
         let m = nd / r;
@@ -836,20 +571,14 @@ fn stage_tables(
                 st.push(twiddles[(k * q * step) % n]);
             }
         }
-        let mut dt = Vec::with_capacity(r * r);
-        for p in 0..r {
-            for q in 0..r {
-                dt.push(twiddles[(p * q * m * step) % n]);
-            }
-        }
         stage_tw.push(st);
-        dft_tw.push(dt);
         nd = m;
     }
-    (stage_tw, dft_tw)
+    stage_tw
 }
 
-/// Reference O(n^2) DFT used by tests and as a correctness oracle.
+/// Reference O(n^2) DFT: the direct sum, a different algorithm from the
+/// mixed-radix kernel, which the tests hold every transform to.
 pub fn dft_reference(x: &[Complex64], dir: Direction) -> Vec<Complex64> {
     let n = x.len();
     let sign = match dir {
@@ -875,7 +604,6 @@ pub fn dft_reference(x: &[Complex64], dir: Direction) -> Vec<Complex64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgw_num::c64;
     use bgw_perf::counters::CounterSnapshot;
 
     /// Butterfly passes by combine-set ISA index (0 scalar, 1 neon,
@@ -908,27 +636,68 @@ mod tests {
             .fold(0.0, f64::max)
     }
 
+    /// Transforms `lines` (each of the plan's length, at most
+    /// [`LINE_BATCH`]) as one batch through the split-plane kernel.
+    fn transform_lines(
+        plan: &FftPlan,
+        lines: &[Vec<Complex64>],
+        dir: Direction,
+    ) -> Vec<Vec<Complex64>> {
+        let (n, batch) = (plan.len(), lines.len());
+        let mut re = vec![0.0f64; n * batch];
+        let mut im = vec![0.0f64; n * batch];
+        for (b, line) in lines.iter().enumerate() {
+            for (k, &z) in line.iter().enumerate() {
+                re[k * batch + b] = z.re;
+                im[k * batch + b] = z.im;
+            }
+        }
+        let mut scratch = vec![0.0f64; plan.batch_scratch_split_len()];
+        plan.process_batch_split(&mut re, &mut im, batch, &mut scratch, dir);
+        (0..batch)
+            .map(|b| {
+                (0..n)
+                    .map(|k| c64(re[k * batch + b], im[k * batch + b]))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// One line through the split-plane kernel.
+    fn transform(plan: &FftPlan, x: &[Complex64], dir: Direction) -> Vec<Complex64> {
+        transform_lines(plan, &[x.to_vec()], dir).remove(0)
+    }
+
     #[test]
     fn factorize_smooth_and_prime() {
         assert_eq!(factorize(1), Some(vec![]));
         assert_eq!(factorize(8), Some(vec![4, 2]));
-        assert!(factorize(360).is_some());
-        assert!(factorize(97).is_none()); // prime > 13
-        assert_eq!(factorize(13), Some(vec![13]));
+        assert_eq!(factorize(360), Some(vec![5, 4, 3, 3, 2]));
+        assert!(factorize(97).is_none());
+        assert!(factorize(7).is_none());
+        assert!(factorize(210).is_none()); // 2 * 3 * 5 * 7
+    }
+
+    #[test]
+    #[should_panic(expected = "FFT length 17 is not 5-smooth; size the grid with good_size")]
+    fn rough_length_is_rejected() {
+        FftPlan::new(17);
     }
 
     #[test]
     fn good_size_is_5_smooth_and_geq() {
-        for n in [1usize, 7, 17, 97, 101, 640, 1009] {
-            let g = good_size(n);
-            assert!(g >= n);
-            let mut k = g;
-            for r in [2, 3, 5] {
-                while k.is_multiple_of(r) {
-                    k /= r;
-                }
-            }
-            assert_eq!(k, 1, "good_size({n}) = {g} not 5-smooth");
+        // The least 5-smooth size >= n: these pin every grid's dims.
+        for (n, g) in [
+            (1, 1),
+            (7, 8),
+            (17, 18),
+            (97, 100),
+            (101, 108),
+            (640, 640),
+            (1009, 1024),
+        ] {
+            assert_eq!(good_size(n), g, "good_size({n})");
+            FftPlan::new(g);
         }
     }
 
@@ -936,39 +705,19 @@ mod tests {
     fn matches_reference_dft_smooth_sizes() {
         for n in [1usize, 2, 3, 4, 5, 6, 8, 12, 15, 16, 20, 36, 60, 64, 100] {
             let x = rand_signal(n, n as u64);
-            let plan = FftPlan::new(n);
-            let mut y = x.clone();
-            plan.process(&mut y, Direction::Forward);
+            let y = transform(&FftPlan::new(n), &x, Direction::Forward);
             let r = dft_reference(&x, Direction::Forward);
             assert!(max_err(&y, &r) < 1e-10 * (n as f64), "n = {n}");
         }
     }
 
     #[test]
-    fn matches_reference_dft_bluestein_sizes() {
-        for n in [17usize, 19, 23, 29, 31, 97, 101, 127] {
-            let x = rand_signal(n, n as u64 + 7);
-            let plan = FftPlan::new(n);
-            assert!(plan.bluestein.is_some(), "n = {n} should use Bluestein");
-            let mut y = x.clone();
-            plan.process(&mut y, Direction::Forward);
-            let r = dft_reference(&x, Direction::Forward);
-            assert!(
-                max_err(&y, &r) < 1e-9 * (n as f64),
-                "n = {n}: {}",
-                max_err(&y, &r)
-            );
-        }
-    }
-
-    #[test]
     fn roundtrip_identity() {
-        for n in [4usize, 30, 97, 125, 128, 210] {
+        for n in [4usize, 30, 96, 125, 128, 180] {
             let x = rand_signal(n, 3 * n as u64 + 1);
             let plan = FftPlan::new(n);
-            let mut y = x.clone();
-            plan.process(&mut y, Direction::Forward);
-            plan.process(&mut y, Direction::Inverse);
+            let y = transform(&plan, &x, Direction::Forward);
+            let y = transform(&plan, &y, Direction::Inverse);
             assert!(max_err(&y, &x) < 1e-10, "n = {n}");
         }
     }
@@ -977,9 +726,7 @@ mod tests {
     fn parseval_theorem() {
         let n = 180;
         let x = rand_signal(n, 42);
-        let plan = FftPlan::new(n);
-        let mut y = x.clone();
-        plan.process(&mut y, Direction::Forward);
+        let y = transform(&FftPlan::new(n), &x, Direction::Forward);
         let ex: f64 = x.iter().map(|z| z.norm_sqr()).sum();
         let ey: f64 = y.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         assert!((ex - ey).abs() < 1e-10 * ex);
@@ -992,12 +739,10 @@ mod tests {
         let b = rand_signal(n, 2);
         let alpha = c64(0.3, -1.2);
         let plan = FftPlan::new(n);
-        let mut lhs: Vec<Complex64> = a.iter().zip(&b).map(|(x, y)| *x * alpha + *y).collect();
-        plan.process(&mut lhs, Direction::Forward);
-        let mut fa = a.clone();
-        let mut fb = b.clone();
-        plan.process(&mut fa, Direction::Forward);
-        plan.process(&mut fb, Direction::Forward);
+        let lhs: Vec<Complex64> = a.iter().zip(&b).map(|(x, y)| *x * alpha + *y).collect();
+        let lhs = transform(&plan, &lhs, Direction::Forward);
+        let fa = transform(&plan, &a, Direction::Forward);
+        let fb = transform(&plan, &b, Direction::Forward);
         let rhs: Vec<Complex64> = fa.iter().zip(&fb).map(|(x, y)| *x * alpha + *y).collect();
         assert!(max_err(&lhs, &rhs) < 1e-10);
     }
@@ -1007,8 +752,7 @@ mod tests {
         let n = 64;
         let mut x = vec![Complex64::ZERO; n];
         x[0] = Complex64::ONE;
-        FftPlan::new(n).process(&mut x, Direction::Forward);
-        for z in &x {
+        for z in &transform(&FftPlan::new(n), &x, Direction::Forward) {
             assert!((*z - Complex64::ONE).abs() < 1e-12);
         }
     }
@@ -1017,76 +761,49 @@ mod tests {
     fn plane_wave_transforms_to_delta() {
         let n = 60;
         let k0 = 7usize;
-        let mut x: Vec<Complex64> = (0..n)
+        let x: Vec<Complex64> = (0..n)
             .map(|j| Complex64::cis(2.0 * std::f64::consts::PI * (k0 * j) as f64 / n as f64))
             .collect();
-        FftPlan::new(n).process(&mut x, Direction::Forward);
-        for (k, z) in x.iter().enumerate() {
+        let y = transform(&FftPlan::new(n), &x, Direction::Forward);
+        for (k, z) in y.iter().enumerate() {
             let expect = if k == k0 { n as f64 } else { 0.0 };
             assert!((z.re - expect).abs() < 1e-9 && z.im.abs() < 1e-9, "k = {k}");
         }
     }
 
     #[test]
-    fn process_with_reusable_scratch() {
-        let n = 90;
-        let plan = FftPlan::new(n);
-        let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-        let x = rand_signal(n, 5);
-        let mut y1 = x.clone();
-        let mut y2 = x.clone();
-        plan.process(&mut y1, Direction::Forward);
-        plan.process_with(&mut y2, &mut scratch, Direction::Forward);
-        assert!(max_err(&y1, &y2) < 1e-14);
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer length mismatch")]
+    #[should_panic(expected = "batch buffer length mismatch")]
     fn length_mismatch_panics() {
         let plan = FftPlan::new(8);
-        let mut x = vec![Complex64::ZERO; 7];
-        plan.process(&mut x, Direction::Forward);
+        let mut re = vec![0.0; 7];
+        let mut im = vec![0.0; 7];
+        let mut scratch = vec![0.0; plan.batch_scratch_split_len()];
+        plan.process_batch_split(&mut re, &mut im, 1, &mut scratch, Direction::Forward);
     }
 
     #[test]
-    fn split_batch_matches_scalar_and_advances_isa_counter() {
-        // Degenerate lengths, radix-2/3/4/5 mixes, a large-prime radix
-        // (13) and Bluestein lengths (17, 31); full and ragged batches,
-        // both directions, checked per line against the scalar kernel.
-        // The hard-wired radix-2/3/4/5 butterflies use exact DFT constants
-        // where the scalar kernel multiplies by table entries with ~1e-16
-        // phase error, so the two agree to rounding, not bit-for-bit. Also
-        // pins the per-ISA FFT telemetry: the butterfly set that ran must
-        // be the effective ISA's.
+    fn split_batch_matches_reference_and_advances_isa_counter() {
+        // Degenerate lengths and radix-2/3/4/5 mixes; full and ragged
+        // batches, both directions, each line held to the O(n^2) direct
+        // sum. Also pins the per-ISA FFT telemetry: the butterfly set that
+        // ran must be the effective ISA's.
         let effective = bgw_num::simd::effective();
         let before = fft_mk_calls(&bgw_perf::counters::snapshot());
-        for n in [1usize, 2, 8, 12, 15, 17, 26, 31, 45, 60, 64, 90, 100] {
+        for n in [1usize, 2, 8, 12, 15, 18, 25, 32, 45, 60, 64, 90, 100] {
+            let plan = FftPlan::new(n);
             for batch in [1usize, 3, 5, LINE_BATCH] {
                 for dir in [Direction::Forward, Direction::Inverse] {
-                    let plan = FftPlan::new(n);
                     let lines: Vec<Vec<Complex64>> = (0..batch)
                         .map(|b| rand_signal(n, (29 * n + b) as u64))
                         .collect();
-                    let mut re = vec![0.0f64; n * batch];
-                    let mut im = vec![0.0f64; n * batch];
+                    let got = transform_lines(&plan, &lines, dir);
                     for (b, line) in lines.iter().enumerate() {
-                        for (k, &z) in line.iter().enumerate() {
-                            re[k * batch + b] = z.re;
-                            im[k * batch + b] = z.im;
-                        }
-                    }
-                    let mut scratch = vec![0.0f64; plan.batch_scratch_split_len()];
-                    plan.process_batch_split(&mut re, &mut im, batch, &mut scratch, dir);
-                    for (b, line) in lines.iter().enumerate() {
-                        let mut want = line.clone();
-                        plan.process(&mut want, dir);
-                        for (k, w) in want.iter().enumerate() {
-                            let got = c64(re[k * batch + b], im[k * batch + b]);
-                            assert!(
-                                (got - *w).abs() <= 1e-12 * (n as f64).max(1.0),
-                                "n={n} batch={batch} dir={dir:?} b={b} k={k}: {got:?} vs {w:?}"
-                            );
-                        }
+                        let want = dft_reference(line, dir);
+                        let err = max_err(&got[b], &want);
+                        assert!(
+                            err <= 1e-12 * (n as f64).max(1.0),
+                            "n={n} batch={batch} dir={dir:?} b={b}: err {err}"
+                        );
                     }
                 }
             }

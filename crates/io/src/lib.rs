@@ -94,8 +94,9 @@ impl From<io::Error> for IoError {
     }
 }
 
-/// FNV-1a over a byte stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a-64 over a byte stream: the record checksum here and the
+/// artifact-key digest of `bgw-serve`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         h ^= b as u64;

@@ -7,7 +7,7 @@
 //! serialization accident: the same parameters pushed in any order produce
 //! byte-identical canonical strings and therefore identical keys, while
 //! perturbing any single band index or frequency count changes the digest.
-//! `tests/serve.rs` holds the round-trip and sensitivity properties.
+//! `tests/serve.rs` holds the canonicalization and sensitivity properties.
 
 use std::fmt;
 
@@ -28,18 +28,6 @@ impl fmt::Display for ArtifactKey {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// One canonical field value.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Value {
@@ -54,18 +42,6 @@ impl Value {
         match self {
             Value::Int(v) => format!("i{v}"),
             Value::Text(t) => format!("s{t}"),
-        }
-    }
-
-    fn parse(text: &str) -> Option<Value> {
-        if text.is_empty() {
-            return None;
-        }
-        let (tag, rest) = text.split_at(1);
-        match tag {
-            "i" => rest.parse::<u64>().ok().map(Value::Int),
-            "s" => Some(Value::Text(rest.to_string())),
-            _ => None,
         }
     }
 }
@@ -117,7 +93,7 @@ impl KeySpec {
 
     /// The canonical string: `name=value` pairs sorted by name, joined
     /// with `;`. Identical parameter sets render identically regardless
-    /// of push order or intermediate re-serialization.
+    /// of push order.
     pub fn canonical(&self) -> String {
         let mut sorted: Vec<&(String, Value)> = self.fields.iter().collect();
         sorted.sort_by(|a, b| a.0.cmp(&b.0));
@@ -128,30 +104,9 @@ impl KeySpec {
             .join(";")
     }
 
-    /// Parses a [`KeySpec::canonical`] string back into a spec; `None` on
-    /// any malformed field. Round-trip contract:
-    /// `parse(canonical()).canonical() == canonical()`.
-    pub fn parse(text: &str) -> Option<KeySpec> {
-        let mut spec = KeySpec::new();
-        if text.is_empty() {
-            return Some(spec);
-        }
-        for pair in text.split(';') {
-            let (name, value) = pair.split_once('=')?;
-            if name.is_empty()
-                || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                || spec.fields.iter().any(|(n, _)| n == name)
-            {
-                return None;
-            }
-            spec.fields.push((name.to_string(), Value::parse(value)?));
-        }
-        Some(spec)
-    }
-
     /// The content hash of the canonical string.
     pub fn key(&self) -> ArtifactKey {
-        ArtifactKey(fnv1a(self.canonical().as_bytes()))
+        ArtifactKey(bgw_io::fnv1a(self.canonical().as_bytes()))
     }
 }
 
@@ -174,27 +129,22 @@ mod tests {
     }
 
     #[test]
-    fn canonical_round_trips_and_perturbations_differ() {
+    fn perturbations_differ_and_digests_are_pinned() {
         let mut a = KeySpec::new();
         a.push_int("m", 1).push_str("mode", "gpp");
-        let text = a.canonical();
-        let back = KeySpec::parse(&text).expect("parse");
-        assert_eq!(back.canonical(), text);
-        assert_eq!(back.key(), a.key());
-
         let mut b = KeySpec::new();
         b.push_int("m", 2).push_str("mode", "gpp");
         assert_ne!(a.key(), b.key());
-    }
-
-    #[test]
-    fn parse_rejects_malformed_strings() {
-        assert!(KeySpec::parse("a=i1;a=i2").is_none(), "duplicate field");
-        assert!(KeySpec::parse("a=").is_none(), "empty value");
-        assert!(KeySpec::parse("a=x9").is_none(), "unknown tag");
-        assert!(KeySpec::parse("=i1").is_none(), "empty name");
-        assert!(KeySpec::parse("a&b=i1").is_none(), "bad name chars");
-        assert!(KeySpec::parse("noequals").is_none());
+        // The digest is the store's file name: a change to the canonical
+        // form or the hash moves every artifact key.
+        assert_eq!(a.canonical(), "m=i1;mode=sgpp");
+        assert_eq!(a.key(), ArtifactKey(0x2155_47fd_3fcd_f2ba));
+        let mut c = KeySpec::new();
+        c.push_str("sys", "si")
+            .push_int("n_quad", 16)
+            .push_int("n_bands", 24);
+        assert_eq!(c.canonical(), "n_bands=i24;n_quad=i16;sys=ssi");
+        assert_eq!(c.key(), ArtifactKey(0x7017_a545_27c4_5d1c));
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Run reports: the serializable view of a span tree.
 //!
 //! A [`RunReport`] is a plain data snapshot (built by [`crate::report()`])
-//! that can render a human-readable span tree and round-trip through a
+//! that can render a human-readable span tree and serialize to a
 //! hand-rolled JSON encoding (`schema = "bgw-trace/1"`). Everything in
 //! the JSON is an integer, a string, or a nested object/array — no
-//! floats — so emit/parse round-trips are exact and the golden-file test
-//! can compare bytes. Field order is fixed (declaration order here,
-//! counter declaration order in `bgw-perf`), which is what makes the
-//! golden file stable.
+//! floats — so the golden-file tests can compare bytes. Field order is
+//! fixed (declaration order here, counter declaration order in
+//! `bgw-perf`), which is what makes the golden files stable. The program
+//! only writes this format; nothing in it reads a report back.
 
 use bgw_perf::counters::CounterSnapshot;
 
 /// Schema tag stamped into every JSON report.
-pub const SCHEMA: &str = "bgw-trace/1";
+const SCHEMA: &str = "bgw-trace/1";
 
 /// One aggregated span in the report tree.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -189,23 +189,6 @@ impl RunReport {
         }
         RunReport::new(walk(&self.spans))
     }
-
-    /// Parses the `bgw-trace/1` JSON encoding back into a report.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("report: expected object")?;
-        let schema = json::get(obj, "schema")
-            .and_then(|v| v.as_str())
-            .ok_or("report: missing schema")?;
-        if schema != SCHEMA {
-            return Err(format!("report: unknown schema {schema:?}"));
-        }
-        let spans = json::get(obj, "spans")
-            .and_then(|v| v.as_array())
-            .ok_or("report: missing spans array")?;
-        let spans = spans.iter().map(node_from_json).collect::<Result<_, _>>()?;
-        Ok(Self { spans })
-    }
 }
 
 fn delta_nodes(earlier: &[SpanNode], later: &[SpanNode]) -> Vec<SpanNode> {
@@ -297,10 +280,7 @@ fn write_nodes(out: &mut String, nodes: &[SpanNode], indent: usize) {
         out.push_str(&pad);
         out.push_str("{\n");
         let field_pad = "  ".repeat(indent + 1);
-        out.push_str(&format!(
-            "{field_pad}\"name\": {},\n",
-            json::quote(&node.name)
-        ));
+        out.push_str(&format!("{field_pad}\"name\": {},\n", quote(&node.name)));
         out.push_str(&format!("{field_pad}\"calls\": {},\n", node.calls));
         out.push_str(&format!("{field_pad}\"incl_ns\": {},\n", node.incl_ns));
         out.push_str(&format!("{field_pad}\"excl_ns\": {},\n", node.excl_ns));
@@ -333,296 +313,23 @@ fn write_nodes(out: &mut String, nodes: &[SpanNode], indent: usize) {
     out.push_str(&"  ".repeat(indent - 1));
 }
 
-fn node_from_json(value: &json::Value) -> Result<SpanNode, String> {
-    let obj = value.as_object().ok_or("span: expected object")?;
-    let name = json::get(obj, "name")
-        .and_then(|v| v.as_str())
-        .ok_or("span: missing name")?
-        .to_string();
-    let int = |key: &str| -> Result<u64, String> {
-        match json::get(obj, key) {
-            Some(v) => v.as_u64().ok_or_else(|| format!("span {name}: bad {key}")),
-            None => Ok(0),
-        }
-    };
-    let mut counters = CounterSnapshot::default();
-    if let Some(c) = json::get(obj, "counters").and_then(|v| v.as_object()) {
-        for (k, v) in c {
-            let v = v.as_u64().ok_or_else(|| format!("counter {k}: not int"))?;
-            if !counters.set_field(k, v) {
-                return Err(format!("counter {k}: unknown field"));
-            }
+/// Quotes a string as a JSON string literal.
+fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
         }
     }
-    let children = match json::get(obj, "children").and_then(|v| v.as_array()) {
-        Some(arr) => arr.iter().map(node_from_json).collect::<Result<_, _>>()?,
-        None => Vec::new(),
-    };
-    let calls = int("calls")?;
-    let incl_ns = int("incl_ns")?;
-    let excl_ns = int("excl_ns")?;
-    let flops = int("flops")?;
-    Ok(SpanNode {
-        name,
-        calls,
-        incl_ns,
-        excl_ns,
-        flops,
-        counters,
-        children,
-    })
-}
-
-/// Minimal JSON support: enough to round-trip `bgw-trace/1` reports
-/// without external crates. Integers only (no floats), `\u` escapes
-/// accepted on input, key order preserved.
-pub mod json {
-    /// A parsed JSON value (no floats — the report schema is integral).
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true`/`false`.
-        Bool(bool),
-        /// Non-negative integer (report values are counters/ns).
-        Int(u64),
-        /// String.
-        Str(String),
-        /// Array.
-        Array(Vec<Value>),
-        /// Object with key order preserved.
-        Object(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// String payload, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Integer payload, if this is an integer.
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Int(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// Array payload, if this is an array.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        /// Object payload, if this is an object.
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Object(o) => Some(o),
-                _ => None,
-            }
-        }
-    }
-
-    /// First value for `key` in an object slice.
-    pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Quotes a string as a JSON string literal.
-    pub fn quote(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    /// Parses a JSON document (single value, trailing whitespace only).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing content at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self.pos < self.bytes.len()
-                && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.bytes
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| "unexpected end of input".to_string())
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek()? == b {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                Err(format!("bad literal at byte {}", self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Ok(Value::Str(self.string()?)),
-                b't' => self.literal("true", Value::Bool(true)),
-                b'f' => self.literal("false", Value::Bool(false)),
-                b'n' => self.literal("null", Value::Null),
-                b'0'..=b'9' => self.integer(),
-                c => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
-            }
-        }
-
-        fn integer(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-            text.parse::<u64>()
-                .map(Value::Int)
-                .map_err(|e| format!("bad integer {text:?}: {e}"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
-                self.pos += 1;
-                match b {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let e = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                        self.pos += 1;
-                        match e {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                                let code =
-                                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                                self.pos += 4;
-                                out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            }
-                            _ => return Err(format!("bad escape \\{}", e as char)),
-                        }
-                    }
-                    _ => {
-                        // Re-attach multibyte UTF-8 sequences whole.
-                        let start = self.pos - 1;
-                        let mut end = self.pos;
-                        while end < self.bytes.len() && self.bytes[end] & 0xc0 == 0x80 {
-                            end += 1;
-                        }
-                        let s = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| "invalid utf-8 in string")?;
-                        out.push_str(s);
-                        self.pos = end;
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b']' => {
-                        self.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    c => return Err(format!("expected , or ] got {:?}", c as char)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut items = Vec::new();
-            if self.peek()? == b'}' {
-                self.pos += 1;
-                return Ok(Value::Object(items));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                items.push((key, self.value()?));
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b'}' => {
-                        self.pos += 1;
-                        return Ok(Value::Object(items));
-                    }
-                    c => return Err(format!("expected , or }} got {:?}", c as char)),
-                }
-            }
-        }
-    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]
@@ -671,16 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_is_exact() {
-        let rep = sample_report();
-        let text = rep.to_json();
-        let back = RunReport::from_json(&text).expect("parse");
-        assert_eq!(rep, back);
-        // Serialization is deterministic.
-        assert_eq!(text, back.to_json());
-    }
-
-    #[test]
     fn find_descends_paths() {
         let rep = sample_report();
         assert_eq!(rep.find("workflow.sigma").unwrap().calls, 1);
@@ -725,32 +422,15 @@ mod tests {
         assert!(!s.contains("pool_inline_busy"), "zero counters stay out");
         rep.spans[0].counters.pool_inline_busy = 3;
         assert!(rep.render_tree().contains("\npool_inline_busy = 3  ("));
-        // Both survive the JSON round trip like every other counter.
-        let back = RunReport::from_json(&rep.to_json()).expect("parse");
-        assert_eq!(back.spans[0].counters.pool_inline_busy, 3);
-        assert_eq!(back.spans[0].counters.pool_inline_small, 12);
     }
 
     #[test]
-    fn parser_handles_escapes_and_rejects_junk() {
-        use json::{parse, Value};
-        let v = parse(r#"{"a": "x\n\"Aé", "b": [1, 2], "c": true, "d": null}"#).expect("parse");
-        let obj = v.as_object().unwrap();
-        assert_eq!(
-            json::get(obj, "a").unwrap().as_str().unwrap(),
-            "x\n\"A\u{e9}"
-        );
-        assert_eq!(json::get(obj, "b").unwrap().as_array().unwrap().len(), 2);
-        assert_eq!(json::get(obj, "c").unwrap(), &Value::Bool(true));
-        assert_eq!(json::get(obj, "d").unwrap(), &Value::Null);
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("12 34").is_err());
-        assert!(parse(r#"{"a" 1}"#).is_err());
-        // Round-trip a multibyte name through quote + parse.
-        let q = json::quote("αβ\tγ");
-        let parsed = parse(&q).unwrap();
-        assert_eq!(parsed.as_str().unwrap(), "αβ\tγ");
+    fn quote_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(quote("ab"), "\"ab\"");
+        assert_eq!(quote("a\"b\\c"), r#""a\"b\\c""#);
+        assert_eq!(quote("x\n\t\r\u{1}"), r#""x\n\t\r\u0001""#);
+        // Multibyte text passes through unescaped.
+        assert_eq!(quote("αβγ"), "\"αβγ\"");
     }
 
     #[test]
@@ -817,15 +497,5 @@ mod tests {
         assert_eq!(leaf.flops, 4096);
         // Scrubbing is idempotent and serialization stays byte-stable.
         assert_eq!(s.scrubbed().to_json(), s.to_json());
-    }
-
-    #[test]
-    fn from_json_rejects_wrong_schema_and_bad_counters() {
-        assert!(RunReport::from_json(r#"{"schema": "other/9", "spans": []}"#).is_err());
-        let bad_counter = r#"{"schema": "bgw-trace/1", "spans": [
-            {"name": "x", "calls": 1, "incl_ns": 1, "excl_ns": 1, "flops": 0,
-             "counters": {"bogus_field": 3}, "children": []}
-        ]}"#;
-        assert!(RunReport::from_json(bad_counter).is_err());
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! - [`num`]: complex arithmetic, Chebyshev-Jackson, Pade, grids.
 //! - [`par`]: thread pool and data-parallel primitives.
-//! - [`fft`]: mixed-radix/Bluestein complex FFTs (1-D and 3-D).
+//! - [`fft`]: batched mixed-radix complex FFTs on 5-smooth sizes (1-D and 3-D).
 //! - [`linalg`]: dense complex linear algebra (ZGEMM, eigensolver, LU).
 //! - [`pwdft`]: plane-wave empirical-pseudopotential mean field (the DFT
 //!   starting point), supercells, defects, Parabands, DFPT perturbations.

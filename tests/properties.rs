@@ -3,7 +3,7 @@
 //! seeded sweep of randomized inputs (no external property-test crates, so
 //! the suite builds fully offline and failures reproduce exactly).
 
-use berkeleygw_rs::fft::{dft_reference, Direction, FftPlan};
+use berkeleygw_rs::fft::{dft_reference, Direction, Fft3d};
 use berkeleygw_rs::linalg::{eigh, invert, matmul, zgemm_reference, CMatrix, Op};
 use berkeleygw_rs::num::{c64, Complex64, Xoshiro256StarStar};
 
@@ -13,13 +13,22 @@ fn signal(rng: &mut Xoshiro256StarStar, n: usize) -> Vec<Complex64> {
         .collect()
 }
 
+/// Every 5-smooth length up to 140 (the only lengths a plan accepts)
+/// round-trips through `Fft3d`'s batched kernel.
 #[test]
 fn fft_roundtrip_any_size() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xF0F0_0001);
-    for case in 0..24 {
-        let n = 1 + rng.next_below(139);
+    let smooth = |mut m: usize| {
+        for r in [2, 3, 5] {
+            while m.is_multiple_of(r) {
+                m /= r;
+            }
+        }
+        m == 1
+    };
+    for n in (1..=140).filter(|&n| smooth(n)) {
         let x = signal(&mut rng, n);
-        let plan = FftPlan::new(n);
+        let plan = Fft3d::new(1, 1, n);
         let mut y = x.clone();
         plan.process(&mut y, Direction::Forward);
         plan.process(&mut y, Direction::Inverse);
@@ -28,16 +37,16 @@ fn fft_roundtrip_any_size() {
             .zip(&y)
             .map(|(a, b)| (*a - *b).abs())
             .fold(0.0, f64::max);
-        assert!(err < 1e-9, "case {case}: n = {n}, err = {err}");
+        assert!(err < 1e-9, "n = {n}, err = {err}");
     }
 }
 
 #[test]
 fn fft_matches_reference_small() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xF0F0_0002);
+    let plan = Fft3d::new(1, 1, 48);
     for case in 0..24 {
         let x = signal(&mut rng, 48);
-        let plan = FftPlan::new(48);
         let mut y = x.clone();
         plan.process(&mut y, Direction::Forward);
         let r = dft_reference(&x, Direction::Forward);
@@ -153,7 +162,6 @@ fn eigh_eigenvalues_bound_rayleigh_quotients() {
 
 #[test]
 fn parseval_for_3d() {
-    use berkeleygw_rs::fft::Fft3d;
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xF0F0_0008);
     for case in 0..24 {
         let nx = 1 + rng.next_below(4);

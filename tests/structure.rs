@@ -66,6 +66,8 @@ const ROWS: &[(&[&str], &[&str], Want, &str)] = &[
     (CRATES, &["TaskGraph", "DagStats", "record_dag_"], Is(0), "one executor: the phase barrier; a task DAG comes back only with a workload where it beats the barrier by more than 1.2x (EXPERIMENTS.md, the DAG-vs-barrier verdict)"),
     (&["crates/", "src/", "examples/"], &["GwTimings", ".timed(", "fn charge(", "kernel_seconds", "prep_seconds", "t_diag"], Is(0), "stage time is the span tree: Stage::run opens the span, and no struct keeps a second clock of a region a span measures"),
     (&["crates/", "src/", "examples/"], &["FaultPlan", "FaultKind", "fault_gate", "max_request_retries", "AutotuneTable", "fn default_path"], Is(0), "DESIGN Sec. 10 - one process meets no crash to re-enqueue and no transient to back off from, so the daemon has no injected-fault gate; and no GEMM reads a tuned table, so none is persisted. Either comes back only with a workload that meets it"),
+    (&["crates/fft/src/"], &["Bluestein", "combine_generic", "dft_tw"], Is(0), "every FFT length is 5-smooth (good_size sizes every grid), so one batched radix-2/3/4/5 kernel runs them all; a chirp-z or large-prime path reaches no input"),
+    (&["crates/trace/src/", "crates/serve/src/key.rs"], &["fn from_json", "fn parse("], Is(0), "the program writes bgw-trace/1 reports and canonical key strings and never reads either back: golden tests compare to_json() bytes, and the store compares canonical strings"),
     (&["crates/core/src/"], &["Instant::now"], AtMost(12), "every remaining clock read in bgw-core fills a field benchmark/src/adapter.rs reads (ChiTimings, SigmaDiagResult::seconds, the FF seconds, SpaceTimeReport::t_*); ROADMAP item 6(d) moves the adapter onto spans, then the row goes to 0"),
     (&["crates/io/src/"], &["unwrap()", "expect(", "assert"], AtMost(1), PANICS),
     (&["crates/serve/src/store.rs"], &["unwrap()", "expect(", "assert"], AtMost(0), PANICS),
@@ -86,13 +88,13 @@ const ALLOW: &[(&str, &str, &str)] = &[
     ("crates/perf/src/flopmodel.rs", "ff_sigma_flops", "the closed-form model tests/trace_report.rs holds the counted FLOPs of the live kernel to"),
     ("crates/perf/src/flopmodel.rs", "imagaxis_sigma_flops", "the closed-form model tests/trace_report.rs holds the counted FLOPs of the live kernel to"),
     ("crates/num/src/simd.rs", "force", "the forced-dispatch tests of bgw-num, bgw-fft and bgw-linalg pin the process-wide ISA with it (three crates, so not cfg(test))"),
-    ("crates/fft/src/plan.rs", "dft_reference", "the O(n^2) DFT tests/properties.rs holds FftPlan to"),
+    ("crates/fft/src/plan.rs", "dft_reference", "the O(n^2) direct sum, a different algorithm from the mixed-radix kernel, that the bgw-fft unit tests and tests/properties.rs hold every transform to"),
     ("crates/linalg/src/gemm.rs", "zgemm_reference", "the triple loop the tests hold the blocked kernel to: no packing, a different summation order"),
     ("crates/linalg/src/matrix.rs", "CMatrix::adjoint", "the explicit (A B)^H tests/properties.rs holds the Op::Adj GEMM to"),
     ("crates/linalg/src/matrix.rs", "CMatrix::random_hermitian", "the Hermitian input tests/properties.rs drives eigh with"),
     ("crates/linalg/src/matrix.rs", "CMatrix::hermiticity_error", "the check the unit tests of chi0, eps^-1, Sigma, GWPT and the Hamiltonian hold their outputs to (three crates, so not cfg(test))"),
     ("crates/serve/src/core.rs", "ServeCore::*", "the single-threaded drive of the engine (enqueue, run_until_idle, take_events) tests/serve.rs, tests/serve_faults.rs and tests/pipeline.rs replay; the threaded Server runs the same step through enqueue_with_cancel and step_with"),
-    ("crates/trace/src/report.rs", "RunReport::*", "the readers (from_json, pruned, render_tree, scrubbed) tests/serve.rs and tests/trace_report.rs pin the report format and the served golden with"),
+    ("crates/trace/src/report.rs", "RunReport::*", "the views of a report (pruned and scrubbed, which tests/serve.rs pins the served golden with; render_tree, which examples/quickstart.rs prints and the report unit tests pin)"),
     ("crates/core/src/pseudobands.rs", "chebyshev_pseudoband", "ROADMAP item 7 wires the Chebyshev-Jackson construction into the band prefix or deletes it with num::chebyshev"),
     ("crates/num/src/chebyshev.rs", "*", "ROADMAP item 7 keeps or deletes the module whole"),
     ("crates/pwdft/src/hamiltonian.rs", "Hamiltonian::spectral_bounds", "ROADMAP item 7 - the spectral window of the Chebyshev-Jackson construction"),

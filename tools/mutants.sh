@@ -21,6 +21,9 @@
 # tools/check.sh.
 #
 # Usage: tools/mutants.sh [catalogue.tsv]
+# Self-test: `tools/mutants.sh tools/mutants/selftest.tsv` runs one no-op
+# row (its replacement equals its text), so it must print `SURVIVED` for
+# that row and exit 1; a runner that prints KILLED there is broken.
 # CARGO_TARGET_DIR, when set, is used for the copy's builds (it is shared
 # by every row, so only the mutated crate rebuilds); otherwise a target
 # directory inside the temporary copy is. The copy's files are stamped
