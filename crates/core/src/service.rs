@@ -38,10 +38,10 @@
 //! * [`gpp_eval_preemptible`] / [`ff_eval`] evaluate Sigma for an explicit
 //!   band list against a `Screening`. The GPP path is the plain loop over
 //!   [`sigma_row`] and can stop between rows; the [`SigmaRows`] it returns
-//!   round-trip through the one `SigmaPartial` checkpoint layout
-//!   ([`SigmaRows::to_checkpoint`] / [`SigmaRows::from_checkpoint`]) — the
-//!   serving loop's preemption unit and the checkpointed driver's restart
-//!   unit.
+//!   are the serving loop's preemption unit (kept in memory) and, through
+//!   the one `SigmaPartial` checkpoint layout
+//!   ([`SigmaRows::to_checkpoint`] / [`SigmaRows::from_checkpoint`]), the
+//!   checkpointed driver's restart unit.
 
 use crate::chi::{ChiConfig, ChiEngine};
 use crate::coulomb::Coulomb;
@@ -610,9 +610,8 @@ impl SigmaRows {
     /// count against `step`, `max_rows` and the table length (checked
     /// arithmetic), integral band/FLOP fields, finite values, distinct
     /// keys. Records of either pre-unification layout fail the header or
-    /// length check. The reason of a rejection comes back as text
-    /// ([`GwError::Malformed`] on the restart side, a recompute from row 0
-    /// on the serving side).
+    /// length check. The reason of a rejection comes back as text, which
+    /// the checkpointed driver reports as [`GwError::Malformed`].
     pub fn from_checkpoint(ck: &Checkpoint, max_rows: usize) -> Result<Self, String> {
         if ck.stage != GwStage::SigmaPartial as u64 {
             return Err(format!("stage {} is not a sigma partial", ck.stage));

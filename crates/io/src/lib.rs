@@ -349,29 +349,37 @@ pub fn write_checkpoint_file(path: &Path, ckpt: &Checkpoint) -> Result<u64, IoEr
     let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
     tmp_name.push(".tmp");
     let tmp_path = path.with_file_name(tmp_name);
-    let mut bytes = 0u64;
-    {
-        let f = std::fs::File::create(&tmp_path)?;
-        let mut w = io::BufWriter::new(f);
-        write_header(
-            &mut w,
-            RecordTag::Checkpoint,
-            &[
-                CHECKPOINT_VERSION,
-                ckpt.stage,
-                ckpt.step,
-                ckpt.meta.len() as u64,
-                ckpt.matrices.len() as u64,
-            ],
-        )?;
-        write_payload(&mut w, &ckpt.meta)?;
-        bytes += (ckpt.meta.len() * 8) as u64;
-        for m in &ckpt.matrices {
-            bytes += write_matrix_to(&mut w, m)?;
+    let write = || -> Result<u64, IoError> {
+        let mut bytes = 0u64;
+        {
+            let f = std::fs::File::create(&tmp_path)?;
+            let mut w = io::BufWriter::new(f);
+            write_header(
+                &mut w,
+                RecordTag::Checkpoint,
+                &[
+                    CHECKPOINT_VERSION,
+                    ckpt.stage,
+                    ckpt.step,
+                    ckpt.meta.len() as u64,
+                    ckpt.matrices.len() as u64,
+                ],
+            )?;
+            write_payload(&mut w, &ckpt.meta)?;
+            bytes += (ckpt.meta.len() * 8) as u64;
+            for m in &ckpt.matrices {
+                bytes += write_matrix_to(&mut w, m)?;
+            }
+            w.flush()?;
         }
-        w.flush()?;
-    }
-    std::fs::rename(&tmp_path, path)?;
+        std::fs::rename(&tmp_path, path)?;
+        Ok(bytes)
+    };
+    // A failed write, flush or rename leaves no `.tmp` behind: no scan
+    // of a store or checkpoint directory would ever see or reclaim it.
+    let bytes = write().inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp_path);
+    })?;
     bgw_perf::counters::record_ckpt_write(bytes);
     Ok(bytes)
 }
@@ -581,6 +589,28 @@ mod tests {
         assert_eq!(back, ckpt);
         // atomicity: no tmp sibling survives a completed write
         assert!(!path.with_file_name("art_deadbeef.bgwr.tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_rename_leaves_no_tmp_sibling() {
+        // The target is an existing directory: the record is written to
+        // its `.tmp` sibling, and the rename over the directory fails.
+        let dir = tmp("rename_fails");
+        let path = dir.join("art_0000000000000001.bgwr");
+        std::fs::create_dir_all(&path).unwrap();
+        let ckpt = Checkpoint {
+            stage: 9,
+            step: 0,
+            meta: vec![1.0],
+            matrices: vec![],
+        };
+        assert!(write_checkpoint_file(&path, &ckpt).is_err());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![path.file_name().unwrap().to_os_string()]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -202,8 +202,9 @@ counters! {
     /// Requests that shared another request's screening build within one
     /// coalesced batch (group size minus one, summed over groups).
     serve_coalesced: SERVE_COALESCED,
-    /// Requests preempted mid-evaluation (checkpointed and re-enqueued in
-    /// favor of a higher-priority request).
+    /// Batches preempted mid-evaluation in favor of a higher-priority
+    /// request: the members are re-enqueued carrying the rows finished so
+    /// far, in memory (a preemption writes no file).
     serve_preemptions: SERVE_PREEMPTIONS,
     /// Artifact-store entries rejected as corrupt/torn and recomputed
     /// (a checksum failure downgraded to a miss, never a wrong hit).
@@ -213,7 +214,7 @@ counters! {
     /// Decoded screenings evicted from the in-memory cache by the
     /// cost-aware byte budget.
     serve_mem_evicted: SERVE_MEM_EVICTED,
-    /// Artifact-store files (artifacts + partials) reclaimed by GC.
+    /// Artifact-store records reclaimed by GC.
     serve_gc_removed: SERVE_GC_REMOVED,
     /// Bytes reclaimed from the artifact store by GC.
     serve_gc_bytes: SERVE_GC_BYTES,

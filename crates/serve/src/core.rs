@@ -18,9 +18,10 @@
 //!    atomic store;
 //! 3. evaluate each distinct `(band, delta)` Sigma row exactly once over
 //!    the union context — `bgw_core::service::sigma_row`, the one-shot
-//!    drivers' row entry — resuming the `SigmaRows` of a preemption
-//!    partial if one is on record and yielding between rows when `peek`
-//!    reports a higher waiting priority;
+//!    drivers' row entry — resuming the `SigmaRows` a preemption left on
+//!    the batch's requests and yielding between rows when `peek` reports
+//!    a higher waiting priority (the finished rows go back to the queue
+//!    on each member, in memory: no store record, no shared state);
 //! 4. assemble (`SigmaRows::assemble`, the one-shot drivers' stage 7, over
 //!    each member's own window) and retire each member once, on its own
 //!    outcome: cancelled, or its response.
@@ -36,7 +37,7 @@ use bgw_core::service::{
 use bgw_num::Complex64;
 use bgw_perf::counters;
 use bgw_trace::RunReport;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -64,8 +65,7 @@ pub struct ServeConfig {
     /// Byte budget for the on-disk artifact store; when the store
     /// exceeds it, a GC pass after each batch reclaims records
     /// oldest-access-first (never one pinned by an in-flight batch).
-    /// `0` disables the size cap (orphaned partials are still cleaned
-    /// up on request retirement).
+    /// `0` disables the size cap.
     pub store_budget_bytes: u64,
     /// Dispatcher shards the threaded [`Server`](crate::server::Server)
     /// spawns; requests route to shard `w_key % n_shards`, so distinct
@@ -296,12 +296,12 @@ pub enum ServeEvent {
         /// Band rows completed before the yield.
         rows_done: usize,
     },
-    /// The batch resumed from a preemption partial with `rows_done` rows
-    /// already on record.
+    /// The batch resumed the `rows_done` rows a preemption left on its
+    /// requests.
     Resumed {
         /// Batch leader request.
         id: RequestId,
-        /// Band rows recovered from the partial.
+        /// Band rows carried over from the preempted batch.
         rows_done: usize,
     },
     /// The request was cancelled.
@@ -327,6 +327,9 @@ struct Pending {
     req: GwRequest,
     enqueued: Instant,
     cancel: Arc<AtomicBool>,
+    /// The rows its batch finished before a preemption re-queued it
+    /// (each member carries a copy, so they die with the last of them).
+    rows: SigmaRows,
 }
 
 /// The synchronous serving engine. See the module docs for the step
@@ -337,7 +340,6 @@ pub struct ServeCore {
     queue: VecDeque<Pending>,
     mem: Vec<(ArtifactKey, Arc<Screening>, u64)>,
     mem_bytes: u64,
-    partials: HashMap<ArtifactKey, SigmaRows>,
     events: Vec<ServeEvent>,
     responses: Vec<(RequestId, Result<ServeOk, ServeError>)>,
     next_id: RequestId,
@@ -354,8 +356,8 @@ impl ServeCore {
 
     /// An idle engine over an existing store handle. Shards of a
     /// [`Server`](crate::server::Server) all clone one handle, so the
-    /// pin/interest/access bookkeeping that guards GC is shared across
-    /// shards while each shard keeps its own queue and memory cache.
+    /// pin/access bookkeeping that guards GC is shared across shards
+    /// while each shard keeps its own queue and memory cache.
     pub fn with_store(cfg: ServeConfig, store: ArtifactStore) -> Self {
         Self {
             cfg,
@@ -363,7 +365,6 @@ impl ServeCore {
             queue: VecDeque::new(),
             mem: Vec::new(),
             mem_bytes: 0,
-            partials: HashMap::new(),
             events: Vec::new(),
             responses: Vec::new(),
             next_id: 1,
@@ -446,16 +447,13 @@ impl ServeCore {
         self.next_id += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        // Register interest in the request's W with the shared store:
-        // the GC orphan sweep must not reclaim a preemption partial
-        // while any request that could resume from it is still queued.
-        self.store.add_interest(req.w_key());
         self.queue.push_back(Pending {
             id,
             seq,
             req,
             enqueued: Instant::now(),
             cancel,
+            rows: SigmaRows::default(),
         });
         counters::record_serve_request();
         Ok(id)
@@ -499,8 +497,7 @@ impl ServeCore {
         let batch_prio = leader.req.priority;
         // Pin this batch's W for the whole step: a GC pass (from this
         // shard or a concurrent one sharing the store) must never
-        // reclaim the artifact or preemption partial of an in-flight
-        // batch.
+        // reclaim the artifact of an in-flight batch.
         let _pin = self.store.pin(wkey);
         let mut batch: Vec<Pending> = Vec::new();
         let mut rest: VecDeque<Pending> = VecDeque::new();
@@ -514,16 +511,13 @@ impl ServeCore {
         self.queue = rest;
         batch.sort_by_key(|p| p.seq);
 
-        // --- drop members already cancelled ------------------------------
-        let mut live = Vec::new();
-        for p in batch {
-            if p.cancel.load(Ordering::Acquire) {
-                self.retire_cancelled(p);
-            } else {
-                live.push(p);
-            }
+        // --- drop members already cancelled, and the rows they carry -----
+        let (cancelled, batch): (Vec<_>, Vec<_>) = batch
+            .into_iter()
+            .partition(|p| p.cancel.load(Ordering::Acquire));
+        for p in cancelled {
+            self.retire_cancelled(p);
         }
-        let batch = live;
         if batch.is_empty() {
             return true;
         }
@@ -557,7 +551,6 @@ impl ServeCore {
             RequestKind::GppDiag { .. } => self.eval_gpp_batch(
                 batch,
                 &screening,
-                wkey,
                 batch_prio,
                 cache,
                 t_batch,
@@ -579,26 +572,12 @@ impl ServeCore {
 
     // ---------------------------------------------------------------------
 
-    /// Releases the retiring request's interest in its W key; when the
-    /// last interested request retires, any preemption partial for that
-    /// key is unreachable and is deleted (memory and disk) instead of
-    /// leaking — the orphaned-partial bug this PR fixes.
-    fn note_retired(&mut self, req: &GwRequest) {
-        let wkey = req.w_key();
-        if self.store.release_interest(wkey) == 0 {
-            self.partials.remove(&wkey);
-            self.store.clear_partial(wkey);
-        }
-    }
-
     fn retire_cancelled(&mut self, p: Pending) {
-        self.note_retired(&p.req);
         self.events.push(ServeEvent::Cancelled { id: p.id });
         self.responses.push((p.id, Err(ServeError::Cancelled)));
     }
 
     fn retire_err(&mut self, p: Pending, e: ServeError) {
-        self.note_retired(&p.req);
         self.events.push(ServeEvent::Failed { id: p.id });
         self.responses.push((p.id, Err(e)));
     }
@@ -697,7 +676,6 @@ impl ServeCore {
         &mut self,
         batch: Vec<Pending>,
         screening: &Arc<Screening>,
-        wkey: ArtifactKey,
         batch_prio: u8,
         cache: CacheStatus,
         t_batch: Instant,
@@ -707,7 +685,6 @@ impl ServeCore {
         let batch_size = batch.len();
         let nv = screening.wf.n_valence;
         let nb = screening.wf.n_bands();
-        let wcanon = batch[0].req.w_spec().canonical();
         // Each member carries its own band list: mid-batch cancellation
         // drops a member and its bands together, so the retire loop can
         // never pair a survivor with another request's band window.
@@ -734,20 +711,13 @@ impl ServeCore {
         }
         rows_needed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
 
-        // Resume a preemption partial if one is on record (memory first,
-        // then the checksummed, spec-verified on-disk record; one that
-        // does not decode degrades to evaluating from row 0). No batch
-        // this engine can form needs more rows than a full queue of
-        // whole-spectrum requests.
-        let max_rows = self.cfg.queue_capacity.saturating_mul(nb);
-        let mut rows = match self.partials.remove(&wkey) {
-            Some(p) => p,
-            None => self
-                .store
-                .load_partial(wkey, &wcanon)
-                .and_then(|ck| SigmaRows::from_checkpoint(&ck, max_rows).ok())
-                .unwrap_or_default(),
-        };
+        // Resume the rows a preemption left on the batch: every member it
+        // re-queued carries a copy, one that arrived since carries none.
+        let mut rows = batch
+            .iter_mut()
+            .map(|(p, _)| std::mem::take(&mut p.rows))
+            .find(|r| !r.rows.is_empty())
+            .unwrap_or_default();
         // Only keep rows this batch actually needs (a reshaped batch after
         // preemption must not resurrect stale rows at retire time).
         rows.rows
@@ -791,8 +761,6 @@ impl ServeCore {
             }
             batch = live;
             if batch.is_empty() {
-                self.partials.remove(&wkey);
-                self.store.clear_partial(wkey);
                 return;
             }
             // Preemption: yield only with progress made and work left.
@@ -802,9 +770,8 @@ impl ServeCore {
                     id: batch[0].0.id,
                     rows_done: rows.rows.len(),
                 });
-                let _ = self.store.save_partial(wkey, &wcanon, rows.to_checkpoint());
-                self.partials.insert(wkey, rows);
-                for (p, _) in batch {
+                for (mut p, _) in batch {
+                    p.rows = rows.clone();
                     self.queue.push_back(p); // keeps seq: resumes in order
                 }
                 return;
@@ -848,8 +815,6 @@ impl ServeCore {
                 &report,
             );
         }
-        self.partials.remove(&wkey);
-        self.store.clear_partial(wkey);
     }
 
     fn eval_ff_batch(
@@ -928,7 +893,6 @@ impl ServeCore {
         compute_seconds: f64,
         report: &Option<RunReport>,
     ) {
-        self.note_retired(&p.req);
         let queue_seconds = p.enqueued.elapsed().as_secs_f64() - compute_seconds;
         let queue_seconds = queue_seconds.max(0.0);
         counters::record_serve_completed((queue_seconds * 1e9) as u64);

@@ -17,10 +17,10 @@
 //!   batched into one pass — the screening is acquired once, the Sigma
 //!   context is built once over the union band set, and each distinct
 //!   `(band, delta)` diagonal is evaluated once;
-//! * preemption/cancellation between band slices, with the partial state
-//!   checkpointed (`SigmaPartial` records) and resumed — and deleted
-//!   once the last request interested in its W retires, so
-//!   preempt-heavy traffic cannot leak store disk;
+//! * preemption/cancellation between Sigma rows: a preempted batch's
+//!   finished rows go back to the queue on its requests, in memory, and
+//!   the next batch of that W resumes them — they die with the last of
+//!   those requests, and a preemption writes no file;
 //! * dispatcher sharding: [`Server`] spawns `n_shards` dispatcher
 //!   threads and routes each request to shard `w_key % n_shards`, so
 //!   distinct screenings build concurrently while coalescing stays
@@ -30,8 +30,8 @@
 //!   pinned by an in-flight batch;
 //! * per-request `bgw-trace` span-tree reports returned as response
 //!   telemetry, extracted with `RunReport::delta`;
-//! * one recovery per real failure: a torn artifact or partial degrades
-//!   to a recompute, a malformed request to a typed admission error, a
+//! * one recovery per real failure: a torn artifact degrades to a
+//!   recompute, a malformed request to a typed admission error, a
 //!   singular epsilon to a failed ticket, and a panicking shard to
 //!   [`ServeError::DispatcherDown`] on every outstanding ticket.
 //!

@@ -6,7 +6,7 @@
 //! on the same shard (coalescing and the PR 8 hit/coalesce invariants
 //! hold per shard by construction) while distinct screenings build
 //! concurrently. All shards clone one [`ArtifactStore`] handle, sharing
-//! the pin/interest bookkeeping that keeps store GC safe across shards.
+//! the pin bookkeeping that keeps store GC safe across shards.
 //!
 //! Clients get a [`Ticket`] per submitted request and block on
 //! [`Ticket::wait`]. Preemption falls out of the split: the engine's

@@ -1,12 +1,10 @@
 //! The on-disk artifact store: content-hash keys to checksummed BGWR
 //! checkpoint records.
 //!
-//! Artifacts (`art_<hex16>.bgwr`) hold screening state (stage
-//! `WScreening`); partials (`partial_<hex16>.bgwr`) hold preempted Sigma
-//! state (stage `SigmaPartial`) and are removed on completion, so a
-//! partial is never loadable as an artifact — distinct name spaces and
-//! distinct stage tags both enforce it. Writes go through
-//! `bgw_io::write_checkpoint_file` (tmp + rename, so a torn write leaves
+//! Every record (`art_<hex16>.bgwr`) is a screening (stage
+//! `WScreening`); the rows a preempted batch finished stay in memory on
+//! its re-queued requests, so the store holds nothing else. Writes go
+//! through `bgw_io::write_checkpoint_file` (tmp + rename, so a torn write leaves
 //! either the old artifact or a `.tmp` residue, never a half-written
 //! record under the live name). Any load failure — missing file, bad
 //! header, checksum mismatch — degrades to `None` (a recompute), counted
@@ -69,10 +67,10 @@ fn pop_spec_suffix(meta: &mut Vec<f64>) -> Option<String> {
 }
 
 /// Process-shared bookkeeping behind a store directory: pins held by
-/// in-flight batches, queued-request interest per W key, and an access
-/// clock for oldest-access-first GC. Cloned [`ArtifactStore`]s — one per
-/// dispatcher shard over the same directory — share this state, so a GC
-/// pass on any shard sees every shard's pins and interests.
+/// in-flight batches and an access clock for oldest-access-first GC.
+/// Cloned [`ArtifactStore`]s — one per dispatcher shard over the same
+/// directory — share this state, so a GC pass on any shard sees every
+/// shard's pins.
 #[derive(Debug, Default)]
 struct StoreShared {
     state: Mutex<StoreState>,
@@ -82,9 +80,6 @@ struct StoreShared {
 struct StoreState {
     /// Keys owned by an in-flight batch (refcounted; GC never touches).
     pins: HashMap<u64, usize>,
-    /// Keys with queued, not-yet-retired requests (refcounted; their
-    /// preemption partials are live, not orphans).
-    interest: HashMap<u64, usize>,
     /// Last-access sequence per key: the GC eviction order. Keys never
     /// accessed this process (stale files from an earlier run) sort
     /// oldest.
@@ -100,8 +95,8 @@ fn lock_state(shared: &StoreShared) -> MutexGuard<'_, StoreState> {
 }
 
 /// RAII pin on one store key: while alive, GC will not reclaim the
-/// key's artifact or partial record. Held by a dispatcher shard for the
-/// duration of one batch.
+/// key's artifact. Held by a dispatcher shard for the duration of one
+/// batch.
 pub struct StorePin {
     shared: Arc<StoreShared>,
     key: u64,
@@ -122,39 +117,21 @@ impl Drop for StorePin {
 /// One store-GC pass's outcome.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Store bytes before the pass (after the orphan sweep's scan).
+    /// Store bytes before the pass.
     pub bytes_before: u64,
     /// Store bytes after the pass.
     pub bytes_after: u64,
     /// Artifact records reclaimed by the byte budget.
     pub removed_artifacts: usize,
-    /// Partial records reclaimed by the byte budget.
-    pub removed_partials: usize,
-    /// Orphaned partials swept (no queued interest, no pin).
-    pub orphaned_partials: usize,
 }
 
-/// A file class in the store directory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EntryKind {
-    Artifact,
-    Partial,
-}
-
-/// Parses `art_<hex16>.bgwr` / `partial_<hex16>.bgwr` file names.
-fn parse_entry(name: &str) -> Option<(EntryKind, u64)> {
-    let (kind, hex) = if let Some(h) = name.strip_prefix("art_") {
-        (EntryKind::Artifact, h)
-    } else if let Some(h) = name.strip_prefix("partial_") {
-        (EntryKind::Partial, h)
-    } else {
-        return None;
-    };
-    let hex = hex.strip_suffix(".bgwr")?;
+/// Parses an `art_<hex16>.bgwr` file name into its key.
+fn parse_entry(name: &str) -> Option<u64> {
+    let hex = name.strip_prefix("art_")?.strip_suffix(".bgwr")?;
     if hex.len() != 16 {
         return None;
     }
-    u64::from_str_radix(hex, 16).ok().map(|k| (kind, k))
+    u64::from_str_radix(hex, 16).ok()
 }
 
 /// A directory of content-hash-keyed BGWR artifact records.
@@ -166,7 +143,7 @@ pub struct ArtifactStore {
 
 impl ArtifactStore {
     /// A store rooted at `dir` (created lazily on first write). Clones
-    /// share the pin/interest/access bookkeeping — shards over one
+    /// share the pin/access bookkeeping — shards over one
     /// directory must clone one store, not call `new` repeatedly.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
@@ -183,7 +160,7 @@ impl ArtifactStore {
     }
 
     /// Pins `key` against GC for the guard's lifetime (an in-flight
-    /// batch's screening and partial are never reclaimed under it).
+    /// batch's screening is never reclaimed under it).
     pub fn pin(&self, key: ArtifactKey) -> StorePin {
         let mut st = lock_state(&self.shared);
         *st.pins.entry(key.0).or_insert(0) += 1;
@@ -193,38 +170,13 @@ impl ArtifactStore {
         }
     }
 
-    /// Registers one queued request interested in `key` (its preemption
-    /// partial is live). Balanced by [`ArtifactStore::release_interest`]
-    /// when the request retires.
-    pub fn add_interest(&self, key: ArtifactKey) {
-        let mut st = lock_state(&self.shared);
-        *st.interest.entry(key.0).or_insert(0) += 1;
-    }
-
-    /// Releases one queued request's interest in `key`; returns the
-    /// remaining interest count (0 = the key's partial is now orphaned).
-    pub fn release_interest(&self, key: ArtifactKey) -> usize {
-        let mut st = lock_state(&self.shared);
-        match st.interest.get_mut(&key.0) {
-            Some(n) => {
-                *n -= 1;
-                let left = *n;
-                if left == 0 {
-                    st.interest.remove(&key.0);
-                }
-                left
-            }
-            None => 0,
-        }
-    }
-
-    /// Total bytes of artifact + partial records currently on disk.
+    /// Total bytes of artifact records currently on disk.
     pub fn disk_bytes(&self) -> u64 {
-        self.scan().iter().map(|(_, _, sz, _)| sz).sum()
+        self.scan().iter().map(|(_, sz, _)| sz).sum()
     }
 
-    /// Scans the directory: `(kind, key, bytes, path)` per record.
-    fn scan(&self) -> Vec<(EntryKind, u64, u64, PathBuf)> {
+    /// Scans the directory: `(key, bytes, path)` per record.
+    fn scan(&self) -> Vec<(u64, u64, PathBuf)> {
         let Ok(rd) = std::fs::read_dir(&self.dir) else {
             return Vec::new();
         };
@@ -232,28 +184,23 @@ impl ArtifactStore {
         for entry in rd.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let Some((kind, key)) = parse_entry(name) else {
+            let Some(key) = parse_entry(name) else {
                 continue;
             };
             let Ok(meta) = entry.metadata() else { continue };
-            out.push((kind, key, meta.len(), entry.path()));
+            out.push((key, meta.len(), entry.path()));
         }
         // Deterministic order regardless of read_dir order.
-        out.sort_by_key(|a| (a.1, a.0 == EntryKind::Partial));
+        out.sort_by_key(|a| a.0);
         out
     }
 
-    /// One garbage-collection pass over the store directory.
-    ///
-    /// First sweeps *orphaned partials* — `partial_*` records whose key
-    /// has no queued interest and no in-flight pin (their preemption
-    /// state can never be resumed; left behind they grow the directory
-    /// without bound under preempt-heavy traffic). Then, if
-    /// `budget_bytes > 0` and the remaining records exceed it, reclaims
-    /// files oldest-access-first until the store fits the budget — but
-    /// never a record pinned by an in-flight batch. Reclaiming a live
-    /// artifact is always safe (the next request recomputes and
-    /// rewrites); the budget is a size cap, not a correctness boundary.
+    /// One garbage-collection pass over the store directory: if
+    /// `budget_bytes > 0` and the records exceed it, reclaims files
+    /// oldest-access-first until the store fits the budget — but never a
+    /// record pinned by an in-flight batch. Reclaiming a live artifact is
+    /// always safe (the next request recomputes and rewrites); the budget
+    /// is a size cap, not a correctness boundary.
     pub fn gc(&self, budget_bytes: u64) -> GcReport {
         let _s = bgw_trace::span!("serve.store.gc");
         // Hold the state lock across the whole pass: a shard trying to
@@ -262,28 +209,14 @@ impl ArtifactStore {
         let st = lock_state(&self.shared);
         let mut report = GcReport::default();
         let mut files = self.scan();
-
-        // Orphaned-partial sweep (independent of the byte budget).
-        files.retain(|(kind, key, sz, path)| {
-            let orphan = *kind == EntryKind::Partial
-                && !st.pins.contains_key(key)
-                && !st.interest.contains_key(key);
-            if orphan && std::fs::remove_file(path).is_ok() {
-                report.orphaned_partials += 1;
-                bgw_perf::counters::record_serve_gc(1, *sz);
-                return false;
-            }
-            true
-        });
-
-        let mut total: u64 = files.iter().map(|(_, _, sz, _)| sz).sum();
+        let mut total: u64 = files.iter().map(|(_, sz, _)| sz).sum();
         report.bytes_before = total;
         if budget_bytes > 0 && total > budget_bytes {
             // Oldest access first; never-accessed (stale from an earlier
             // process) sorts oldest. Ties break on the scan order, which
             // is itself deterministic.
-            files.sort_by_key(|(_, key, _, _)| st.access.get(key).copied().unwrap_or(0));
-            for (kind, key, sz, path) in &files {
+            files.sort_by_key(|(key, _, _)| st.access.get(key).copied().unwrap_or(0));
+            for (key, sz, path) in &files {
                 if total <= budget_bytes {
                     break;
                 }
@@ -294,10 +227,7 @@ impl ArtifactStore {
                     continue;
                 }
                 total -= sz;
-                match kind {
-                    EntryKind::Artifact => report.removed_artifacts += 1,
-                    EntryKind::Partial => report.removed_partials += 1,
-                }
+                report.removed_artifacts += 1;
                 bgw_perf::counters::record_serve_gc(1, *sz);
             }
         }
@@ -313,11 +243,6 @@ impl ArtifactStore {
     /// Path of the artifact record for `key`.
     pub fn artifact_path(&self, key: ArtifactKey) -> PathBuf {
         self.dir.join(format!("art_{}.bgwr", key.hex()))
-    }
-
-    /// Path of the preemption-partial record for `key`.
-    pub fn partial_path(&self, key: ArtifactKey) -> PathBuf {
-        self.dir.join(format!("partial_{}.bgwr", key.hex()))
     }
 
     /// Atomically writes the artifact record for `key`, embedding the
@@ -345,14 +270,11 @@ impl ArtifactStore {
     pub fn load(&self, key: ArtifactKey, canonical: &str) -> Option<Checkpoint> {
         let _s = bgw_trace::span!("serve.store.load");
         self.touch(key);
-        self.load_verified(&self.artifact_path(key), canonical)
-    }
-
-    fn load_verified(&self, path: &Path, canonical: &str) -> Option<Checkpoint> {
+        let path = self.artifact_path(key);
         if !path.exists() {
             return None;
         }
-        let mut ck = match read_checkpoint_file(path) {
+        let mut ck = match read_checkpoint_file(&path) {
             Ok(ck) => ck,
             Err(_) => {
                 bgw_perf::counters::record_serve_store_invalid();
@@ -377,32 +299,6 @@ impl ArtifactStore {
     /// is always safe: the next request recomputes and rewrites.
     pub fn remove(&self, key: ArtifactKey) {
         let _ = std::fs::remove_file(self.artifact_path(key));
-    }
-
-    /// Atomically writes the preemption partial for `key`, with the same
-    /// embedded-spec framing as [`ArtifactStore::save`].
-    pub fn save_partial(
-        &self,
-        key: ArtifactKey,
-        canonical: &str,
-        mut ckpt: Checkpoint,
-    ) -> Result<u64, IoError> {
-        self.touch(key);
-        push_spec_suffix(&mut ckpt.meta, canonical);
-        write_checkpoint_file(&self.partial_path(key), &ckpt)
-    }
-
-    /// Loads the spec-verified preemption partial for `key`; unreadable or
-    /// mismatched records count as store-invalid and degrade to `None`
-    /// (evaluate from band zero).
-    pub fn load_partial(&self, key: ArtifactKey, canonical: &str) -> Option<Checkpoint> {
-        self.touch(key);
-        self.load_verified(&self.partial_path(key), canonical)
-    }
-
-    /// Removes the preemption partial for `key` (on request completion).
-    pub fn clear_partial(&self, key: ArtifactKey) {
-        let _ = std::fs::remove_file(self.partial_path(key));
     }
 }
 
@@ -487,37 +383,11 @@ mod tests {
 
     #[test]
     fn entry_names_parse_and_reject_noise() {
-        assert_eq!(
-            parse_entry("art_000000000000002a.bgwr"),
-            Some((EntryKind::Artifact, 0x2a))
-        );
-        assert_eq!(
-            parse_entry("partial_00000000000000ff.bgwr"),
-            Some((EntryKind::Partial, 0xff))
-        );
+        assert_eq!(parse_entry("art_000000000000002a.bgwr"), Some(0x2a));
+        assert_eq!(parse_entry("partial_00000000000000ff.bgwr"), None);
         assert_eq!(parse_entry("art_2a.bgwr"), None, "short hex");
         assert_eq!(parse_entry("art_000000000000002a.tmp"), None);
         assert_eq!(parse_entry("other_000000000000002a.bgwr"), None);
-    }
-
-    #[test]
-    fn gc_sweeps_orphaned_partials_but_keeps_live_ones() {
-        let store = ArtifactStore::new(tmpdir("gc_orphan"));
-        let live = ArtifactKey(1);
-        let orphan = ArtifactKey(2);
-        store.save_partial(live, SPEC, sample()).unwrap();
-        store.save_partial(orphan, SPEC, sample()).unwrap();
-        store.save(live, SPEC, sample()).unwrap();
-        store.add_interest(live);
-        let report = store.gc(0); // budget 0 = size cap off, sweep only
-        assert_eq!(report.orphaned_partials, 1, "only the orphan is swept");
-        assert!(store.load_partial(live, SPEC).is_some());
-        assert!(store.load_partial(orphan, SPEC).is_none());
-        assert!(store.load(live, SPEC).is_some(), "artifacts untouched");
-        assert_eq!(store.release_interest(live), 0);
-        let report = store.gc(0);
-        assert_eq!(report.orphaned_partials, 1, "released partial now swept");
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -546,27 +416,6 @@ mod tests {
         store.gc(per_file);
         assert!(store.contains(a));
         assert!(!store.contains(b));
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn partials_are_separate_from_artifacts() {
-        let store = ArtifactStore::new(tmpdir("partial"));
-        let key = ArtifactKey(7);
-        store
-            .save_partial(key, SPEC, sample())
-            .expect("save partial");
-        assert!(
-            store.load(key, SPEC).is_none(),
-            "a partial must never be visible as an artifact"
-        );
-        assert!(store.load_partial(key, SPEC).is_some());
-        assert!(
-            store.load_partial(key, "other=i1").is_none(),
-            "partials are spec-verified too"
-        );
-        store.clear_partial(key);
-        assert!(store.load_partial(key, SPEC).is_none());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 }

@@ -201,9 +201,9 @@ fn gpp_payload(ok: ServeOk) -> GppPayload {
 fn one_shot_and_served_drivers_share_one_spine() {
     // run_gpp_gw; the plain row loop (build_screening -> sigma_context ->
     // gpp_eval_preemptible -> SigmaRows::assemble); and the daemon itself,
-    // twice — a threaded Server, and synchronous ServeCores preempted
-    // after every row, each a fresh engine that can only resume from the
-    // partial its predecessor left in the artifact store — are the same
+    // twice — a threaded Server, and a synchronous ServeCore preempted
+    // after every row, each step resuming the rows the last preemption
+    // left on the re-queued request — are the same
     // stages under different policies: identical band set, dimensions and
     // counted FLOPs, and every bit of every QP energy and Z, at every pool
     // width and across widths.
@@ -244,19 +244,18 @@ fn one_shot_and_served_drivers_share_one_spine() {
         drop(server);
 
         let mut resumptions = 0;
+        let mut core = ServeCore::new(ServeConfig::new(&dir));
+        core.enqueue(req).expect("queue has room");
         let preempted = loop {
-            // Nothing in memory: the rows so far can only come off disk.
-            let mut core = ServeCore::new(ServeConfig::new(&dir));
-            core.enqueue(req).expect("queue has room");
             assert!(core.step_with(&mut || Some(u8::MAX)));
-            let resumed_rows = core.events().iter().find_map(|e| match e {
+            let resumed_rows = core.take_events().iter().find_map(|e| match e {
                 ServeEvent::Resumed { rows_done, .. } => Some(*rows_done),
                 _ => None,
             });
             assert_eq!(
                 resumed_rows,
                 (resumptions > 0).then_some(resumptions),
-                "width {width}: each engine resumes every row its predecessors stored"
+                "width {width}: each step resumes every row the steps before it finished"
             );
             match core.take_responses().pop() {
                 Some((_, answer)) => break gpp_payload(answer.expect("preempted daemon answers")),

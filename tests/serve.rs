@@ -363,6 +363,18 @@ fn preemption_yields_to_higher_priority_and_resumes_with_parity() {
     let before = counters::snapshot();
     assert!(core.step_with(&mut || Some(5)));
     assert_eq!(core.queue_len(), 1, "preempted request went back to queue");
+    // The finished rows went back with it, in memory: the store holds
+    // the screening artifact and nothing else.
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("store dir")
+        .map(|e| {
+            e.expect("store entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    assert_eq!(names, vec![format!("art_{}.bgwr", slow.w_key().hex())]);
     let urgent_id = core.enqueue(urgent).unwrap();
     core.run_until_idle(&mut || None);
     let d = before.delta(&counters::snapshot());
@@ -383,7 +395,7 @@ fn preemption_yields_to_higher_priority_and_resumes_with_parity() {
             ServeEvent::Resumed { rows_done, .. } => Some(*rows_done),
             _ => None,
         })
-        .expect("preempted batch resumed from its partial");
+        .expect("preempted batch resumed its rows");
     assert_eq!(resumed_rows, preempt_rows, "no row recomputed, none lost");
     // The urgent request retires before the preempted one resumes.
     let completions: Vec<_> = events
@@ -400,11 +412,6 @@ fn preemption_yields_to_higher_priority_and_resumes_with_parity() {
         let req = if rid == slow_id { &slow } else { &urgent };
         oracles.check(req, &resp.expect("no faults"));
     }
-    // Completion cleared the preemption partial from the store.
-    assert!(core
-        .store()
-        .load_partial(slow.w_key(), &slow.w_spec().canonical())
-        .is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -729,21 +736,22 @@ fn threaded_server_round_trips_tickets() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `(total bytes, largest file, partial_* count)` under a store directory.
+/// `(total bytes, largest file, files not named art_*)` under a store
+/// directory.
 fn store_footprint(dir: &Path) -> (u64, u64, usize) {
     let mut total = 0;
     let mut largest = 0;
-    let mut partials = 0;
+    let mut others = 0;
     for entry in std::fs::read_dir(dir).expect("store dir") {
         let entry = entry.expect("store entry");
         let len = entry.metadata().expect("store entry metadata").len();
         total += len;
         largest = largest.max(len);
-        if entry.file_name().to_string_lossy().starts_with("partial_") {
-            partials += 1;
+        if !entry.file_name().to_string_lossy().starts_with("art_") {
+            others += 1;
         }
     }
-    (total, largest, partials)
+    (total, largest, others)
 }
 
 #[test]
@@ -767,12 +775,12 @@ fn store_budget_replay_stays_under_budget_at_parity() {
 
     let dir = tmpdir("gc_capped");
     replay_through_server(&dir, budget, &stream, &mut oracles);
-    let (bytes, _, partials) = store_footprint(&dir);
+    let (bytes, _, others) = store_footprint(&dir);
     assert!(
         bytes <= budget,
         "store holds {bytes} bytes over the {budget}-byte budget"
     );
-    assert_eq!(partials, 0, "orphaned partial_* files survived the replay");
+    assert_eq!(others, 0, "the store holds a file that is not an artifact");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,10 +1,10 @@
 //! Failure battery for the serving loop (DESIGN.md Sec. 10): the failures
 //! one daemon process can meet, each with its one recovery. A preemption
-//! partial is never visible to a later cache hit, an undecodable partial
-//! degrades to a recompute from row 0, a panicking shard fails every
-//! outstanding ticket with `DispatcherDown` instead of hanging it, and a
-//! retired request leaves no partial file behind. (A torn artifact
-//! degrading to a recompute is pinned in `tests/serve.rs`.)
+//! writes nothing but the screening artifact, the rows of a preempted
+//! batch die with the last of its requests and no earlier, and a
+//! panicking shard fails every outstanding ticket with `DispatcherDown`
+//! instead of hanging it. (A torn artifact degrading to a recompute is
+//! pinned in `tests/serve.rs`.)
 
 use berkeleygw_rs::core::{run_gpp_gw, GwResults};
 use berkeleygw_rs::perf::counters::exclusive_test_guard;
@@ -14,6 +14,8 @@ use berkeleygw_rs::serve::{
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("bgw_serve_ft_{tag}_{}", std::process::id()));
@@ -58,113 +60,144 @@ fn check_gpp(oracles: &mut HashMap<u64, GwResults>, req: &GwRequest, payload: &P
     }
 }
 
+/// The file names in a store directory, sorted.
+fn store_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("store dir")
+        .map(|e| {
+            e.expect("store entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+fn resumed_rows(events: &[ServeEvent]) -> Option<usize> {
+    events.iter().find_map(|e| match e {
+        ServeEvent::Resumed { rows_done, .. } => Some(*rows_done),
+        _ => None,
+    })
+}
+
+fn preempted_rows(events: &[ServeEvent]) -> usize {
+    events
+        .iter()
+        .find_map(|e| match e {
+            ServeEvent::Preempted { rows_done, .. } => Some(*rows_done),
+            _ => None,
+        })
+        .expect("the batch was preempted")
+}
+
 #[test]
-fn no_partial_record_is_visible_to_a_later_hit() {
+fn preemption_writes_nothing_but_the_screening_artifact() {
     let _guard = exclusive_test_guard();
-    let dir = tmpdir("partial");
+    let dir = tmpdir("preempt_files");
     let mut core = ServeCore::new(ServeConfig::new(&dir));
     let req = gpp_req(2, 50); // 4 band rows: room to preempt
     core.enqueue(req).unwrap();
     assert!(core.step_with(&mut || Some(9)), "batch runs and preempts");
-    let wkey = req.w_key();
-    let wcanon = req.w_spec().canonical();
-    // Mid-preemption: the partial exists on disk but only under its own
-    // name space, and the artifact record is the screening, untouched.
-    assert!(core.store().load_partial(wkey, &wcanon).is_some());
+    assert!(preempted_rows(core.events()) >= 1);
+    // Mid-preemption the store holds the screening and nothing else: the
+    // finished rows went back to the queue on the request.
+    let artifact = vec![format!("art_{}.bgwr", req.w_key().hex())];
+    assert_eq!(store_files(&dir), artifact);
     let art = core
         .store()
-        .load(wkey, &wcanon)
+        .load(req.w_key(), &req.w_spec().canonical())
         .expect("screening artifact intact");
     assert_eq!(
         art.stage,
         berkeleygw_rs::core::GwStage::WScreening as u64,
-        "artifact is screening state, never Sigma partials"
+        "artifact is screening state, never Sigma rows"
     );
     core.run_until_idle(&mut || None);
     let (_, resp) = core.take_responses().pop().unwrap();
-    let mut oracles = HashMap::new();
-    check_gpp(&mut oracles, &req, &resp.expect("resumed").payload);
-    // Completion removed the partial; nothing for a later hit to see.
-    assert!(core.store().load_partial(wkey, &wcanon).is_none());
+    check_gpp(&mut HashMap::new(), &req, &resp.expect("resumed").payload);
+    assert_eq!(store_files(&dir), artifact);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn undecodable_partials_degrade_to_recompute_from_row_zero() {
-    // A partial that passes the store's checksum and spec check but is not
-    // a record the one decoder accepts must cost a recompute from row 0 —
-    // never a misread row, never a dead shard. The first record used to
-    // overflow `1 + n * 6` (n cast from an infinite float that `step`
-    // agreed with) and panic the engine; the other two are the serving
-    // loop's and the checkpointed driver's pre-unification layouts, rows
-    // the batch needs included, with Sigma values no kernel produced.
+fn fully_cancelled_preempted_batch_leaves_nothing_to_resume() {
+    // Both members of a preempted batch cancel: one through the engine,
+    // one through its shared flag (as a threaded ticket does), which
+    // leaves it queued until the next batch of its W drops it. The rows
+    // they carried die with them, so a later request of the same W
+    // starts from row 0 and still answers the oracle.
     let _guard = exclusive_test_guard();
-    let req = gpp_req(1, 50); // bands nv-1, nv
-    let nv = req.structure.system().n_valence();
-    let (wkey, wcanon) = (req.w_key(), req.w_spec().canonical());
-    let sigma_partial = |step: u64, meta: Vec<f64>| berkeleygw_rs::io::Checkpoint {
-        stage: berkeleygw_rs::core::GwStage::SigmaPartial as u64,
-        step,
-        meta,
-        matrices: vec![],
-    };
-    let former_serve: Vec<f64> = [nv - 1, nv]
-        .iter()
-        .flat_map(|&b| [b as f64, 50.0, 42.0, 9.0, 9.0, 9.0])
-        .collect();
-    let cases = [
-        (
-            "hostile row count",
-            sigma_partial(u64::MAX, vec![f64::INFINITY]),
-        ),
-        (
-            "former serve layout",
-            sigma_partial(2, [vec![2.0], former_serve].concat()),
-        ),
-        (
-            "former core layout",
-            sigma_partial(2, [vec![3.0, 84.0], vec![9.0; 6]].concat()),
-        ),
-    ];
-    let mut oracles = HashMap::new();
-    for (label, record) in cases {
-        let dir = tmpdir("bad_partial");
-        let mut core = ServeCore::new(ServeConfig::new(&dir));
-        core.store()
-            .save_partial(wkey, &wcanon, record)
-            .expect("partial written");
-        core.enqueue(req).unwrap();
-        core.run_until_idle(&mut || None);
-        assert!(
-            !core
-                .events()
-                .iter()
-                .any(|e| matches!(e, ServeEvent::Resumed { .. })),
-            "{label}: nothing may be resumed from the record"
-        );
-        let (_, resp) = core.take_responses().pop().expect("request retired");
-        check_gpp(&mut oracles, &req, &resp.expect(label).payload);
-        assert!(
-            core.store().load_partial(wkey, &wcanon).is_none(),
-            "{label}: completion clears the bad record"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+    let dir = tmpdir("cancel_all");
+    let mut core = ServeCore::new(ServeConfig::new(&dir));
+    let a = core.enqueue(gpp_req(2, 50)).unwrap();
+    let flag = Arc::new(AtomicBool::new(false));
+    let b = core
+        .enqueue_with_cancel(gpp_req(1, 50), flag.clone())
+        .unwrap();
+    assert!(core.step_with(&mut || Some(9)), "batch runs and preempts");
+    assert!(preempted_rows(&core.take_events()) >= 1);
+    assert!(core.cancel(a));
+    flag.store(true, Ordering::Release);
+
+    let later = gpp_req(2, 50);
+    let c = core.enqueue(later).unwrap();
+    core.run_until_idle(&mut || None);
+    let events = core.take_events();
+    assert_eq!(resumed_rows(&events), None, "nothing may be resumed");
+    for id in [a, b] {
+        assert!(events.contains(&ServeEvent::Cancelled { id }));
     }
+    let mut responses: HashMap<_, _> = core.take_responses().into_iter().collect();
+    assert_eq!(
+        responses.remove(&a).unwrap().unwrap_err(),
+        ServeError::Cancelled
+    );
+    assert_eq!(
+        responses.remove(&b).unwrap().unwrap_err(),
+        ServeError::Cancelled
+    );
+    let answer = responses.remove(&c).expect("later request retired");
+    check_gpp(
+        &mut HashMap::new(),
+        &later,
+        &answer.expect("answered").payload,
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn store_file_counts(dir: &Path) -> (usize, usize) {
-    let (mut artifacts, mut partials) = (0, 0);
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for e in entries.flatten() {
-            let name = e.file_name().to_string_lossy().into_owned();
-            if name.starts_with("art_") {
-                artifacts += 1;
-            } else if name.starts_with("partial_") {
-                partials += 1;
-            }
-        }
-    }
-    (artifacts, partials)
+#[test]
+fn preempted_batch_resumes_every_row_after_one_member_cancels() {
+    // The batch leader, whose window the other member's contains, is
+    // cancelled between the preemption and the resume: the survivor
+    // still resumes every finished row, the one it shared included.
+    let _guard = exclusive_test_guard();
+    let dir = tmpdir("cancel_one");
+    let mut core = ServeCore::new(ServeConfig::new(&dir));
+    let leader = core.enqueue(gpp_req(1, 50)).unwrap(); // bands nv-1, nv
+    let survivor_req = gpp_req(2, 50); // bands nv-2 ..= nv+1
+    let survivor = core.enqueue(survivor_req).unwrap();
+    let mut polls = 0;
+    assert!(core.step_with(&mut || {
+        polls += 1;
+        (polls == 2).then_some(9)
+    }));
+    let done = preempted_rows(&core.take_events());
+    assert_eq!(done, 2, "rows nv-2 and nv-1 finished before the yield");
+    assert!(core.cancel(leader));
+
+    core.run_until_idle(&mut || None);
+    let events = core.take_events();
+    assert_eq!(resumed_rows(&events), Some(done), "no finished row lost");
+    let (id, answer) = core.take_responses().pop().unwrap();
+    assert_eq!(id, survivor);
+    check_gpp(
+        &mut HashMap::new(),
+        &survivor_req,
+        &answer.expect("answered").payload,
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Waits for every ticket on a helper thread under a hard timeout, so a
@@ -211,58 +244,5 @@ fn dispatcher_panic_fails_every_ticket_and_never_hangs() {
     assert_eq!(late[0].clone().unwrap_err(), ServeError::DispatcherDown);
     let cores = server.shutdown();
     assert_eq!(cores.len(), 1, "the panicked shard's engine is recovered");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn retired_requests_leave_no_partial_files_behind() {
-    let _guard = exclusive_test_guard();
-    let dir = tmpdir("orphan");
-    let mut core = ServeCore::new(ServeConfig::new(&dir));
-    let req = gpp_req(2, 50); // 4 band rows: room to preempt
-
-    // Preempt mid-batch: a partial_* checkpoint lands on disk.
-    let id = core.enqueue(req).unwrap();
-    assert!(core.step_with(&mut || Some(9)), "batch runs and preempts");
-    assert_eq!(store_file_counts(&dir), (1, 1), "one artifact, one partial");
-
-    // Cancelling the only interested request must delete the partial —
-    // the leak this pins: it used to survive retirement forever.
-    assert!(core.cancel(id));
-    assert_eq!(
-        store_file_counts(&dir),
-        (1, 0),
-        "cancellation sweeps the orphaned partial"
-    );
-
-    // Preempt again, then let the batch complete: same invariant.
-    core.enqueue(req).unwrap();
-    assert!(core.step_with(&mut || Some(9)));
-    assert_eq!(store_file_counts(&dir), (1, 1));
-    core.run_until_idle(&mut || None);
-    assert_eq!(
-        store_file_counts(&dir),
-        (1, 0),
-        "completion deletes the partial"
-    );
-    let mut oracles = HashMap::new();
-    let (_, resp) = core.take_responses().pop().unwrap();
-    check_gpp(
-        &mut oracles,
-        &req,
-        &resp.expect("resumed after preempt").payload,
-    );
-
-    // A stale partial from a dead engine (crash between preempt and
-    // retire) is an orphan: no in-flight batch pins it, no queued request
-    // is interested. GC sweeps it even with no byte budget pressure.
-    let mut other = ServeCore::new(ServeConfig::new(&dir));
-    other.enqueue(req).unwrap();
-    other.step_with(&mut || Some(9));
-    drop(other); // leaks its partial: simulated dispatcher death
-    assert_eq!(store_file_counts(&dir), (1, 1), "stale partial on disk");
-    let report = core.store().gc(0);
-    assert_eq!(report.orphaned_partials, 1);
-    assert_eq!(store_file_counts(&dir), (1, 0), "GC sweeps the orphan");
     let _ = std::fs::remove_dir_all(&dir);
 }

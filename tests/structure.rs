@@ -58,6 +58,7 @@ const ROWS: &[(&[&str], &[&str], Want, &str)] = &[
     (SERVE, &["gpp_sigma_diag("], Is(0), DAEMON),
     (SERVE, &["solve_qp_diag("], Is(0), DAEMON),
     (SERVE, &["GwStage::SigmaPartial"], Is(0), DAEMON),
+    (SERVE, &["save_partial", "load_partial", "clear_partial", "add_interest", "release_interest", ".to_checkpoint()", "SigmaRows::from_checkpoint"], Is(0), "the store holds screenings only: a preempted batch's rows ride in memory on its re-queued requests and die with the last of them, so no record, refcount or orphan sweep is needed"),
     (CRATES, &["stage: GwStage::SigmaPartial"], Is(1), "one SigmaPartial encoder in the workspace"),
     (CRATES, &["!= GwStage::SigmaPartial"], Is(1), "one SigmaPartial decoder in the workspace"),
     (CRATES, &["fn band_slice", "struct BatchPartial", "fn gpp_rows_preemptible"], Is(0), "the Sigma row is the unit: no band slices or batch partials"),
