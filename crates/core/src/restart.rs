@@ -39,8 +39,8 @@ pub enum GwStage {
     EpsilonDone = 2,
     /// Sigma evaluation in progress; `step` = Sigma rows done, meta = the
     /// keyed rows ([`SigmaRows::to_checkpoint`] is the layout), matrix 0 =
-    /// `eps~^{-1}(0)`. Only a checkpointed run writes it: a preempted
-    /// served batch keeps its rows in memory.
+    /// `eps~^{-1}(0)`. Only a checkpointed run writes it: a served batch
+    /// runs to completion and keeps its rows in memory.
     SigmaPartial = 3,
     /// Self-consistent (evGW) iteration finished; `step` = iterations,
     /// meta = current QP energies then the gap history.

@@ -38,8 +38,8 @@
 //! * [`gpp_eval_preemptible`] / [`ff_eval`] evaluate Sigma for an explicit
 //!   band list against a `Screening`. The GPP path is the plain loop over
 //!   [`sigma_row`] and can stop between rows; the [`SigmaRows`] it returns
-//!   are the serving loop's preemption unit (kept in memory) and, through
-//!   the one `SigmaPartial` checkpoint layout
+//!   are keyed the way the serving loop's coalesced batches dedup rows
+//!   and, through the one `SigmaPartial` checkpoint layout
 //!   ([`SigmaRows::to_checkpoint`] / [`SigmaRows::from_checkpoint`]), the
 //!   checkpointed driver's restart unit.
 
@@ -339,7 +339,7 @@ pub(crate) fn screened_context(
 
 /// Stage 6, one row: row `s` of `ctx` on its 3-point grid at offset
 /// `delta_ry` — the unit the checkpointed driver writes after and the
-/// serving loop polls preemption between.
+/// serving loop dedups across a coalesced batch.
 pub fn sigma_row(ctx: &SigmaContext, s: usize, delta_ry: f64, variant: KernelVariant) -> SigmaRow {
     let mut sigma = [0.0; N_GRID];
     let grid = three_point_grid(ctx.sigma_energies[s], delta_ry);
@@ -525,11 +525,11 @@ pub struct SigmaRow {
     pub flops: u64,
 }
 
-/// Evaluated rows keyed by `(band, delta)`: what a GPP evaluation carries
-/// across a preemption or a checkpoint. Keyed rather than "first k bands
-/// done" because a coalesced batch mixes deltas and can come back reshaped
-/// after a preemption; the checkpointed driver's prefix is the special
-/// case.
+/// Evaluated rows keyed by `(band, delta)`: what a served batch assembles
+/// each member from, and what a checkpoint carries. Keyed rather than
+/// "first k bands done" because a coalesced batch mixes deltas and its
+/// members' windows differ; the checkpointed driver's prefix is the
+/// special case.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SigmaRows {
     /// The rows, in evaluation order.
@@ -673,8 +673,10 @@ impl SigmaRows {
 /// Evaluates the GPP Sigma rows of `ctx` at offset `delta_ry` that
 /// `resume` does not already hold, one [`sigma_row`] at a time, asking
 /// `should_yield(rows_held)` between rows. Returns the row set — complete
-/// (one row per band of `ctx`, ready for [`SigmaRows::assemble`]) unless the hook stopped it, in which case passing it back
-/// as `resume` continues where it stopped.
+/// (one row per band of `ctx`, ready for [`SigmaRows::assemble`]) unless
+/// the hook stopped it, in which case passing it back as `resume`
+/// continues where it stopped. The served daemon does not stop between
+/// rows; this shape stays because gwbench's adapter calls it.
 pub fn gpp_eval_preemptible(
     ctx: &SigmaContext,
     delta_ry: f64,

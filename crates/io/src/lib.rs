@@ -229,6 +229,14 @@ pub fn read_wavefunctions(path: &Path) -> Result<Wavefunctions, IoError> {
     if dims.len() != 3 {
         return Err(IoError::BadHeader(format!("{} dims for WFN", dims.len())));
     }
+    // The band solver keeps at least one occupied and one empty band;
+    // the gap and `n_conduction` index and subtract on that.
+    if dims[2] == 0 || dims[2] >= dims[0] {
+        return Err(IoError::BadHeader(format!(
+            "{} valence bands of {} for WFN",
+            dims[2], dims[0]
+        )));
+    }
     // energies (nb) + coefficients (2 nb ng)
     let n = dims[1]
         .checked_mul(2)
@@ -721,6 +729,27 @@ mod tests {
         assert_eq!(idx, 0);
         assert_eq!(ckpt, want);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn wfn_valence_count_outside_the_bands_is_a_bad_header() {
+        // n_valence is the third header dim, at byte 32 after magic +
+        // version + tag + ndims (16 bytes), n_bands (16) and n_g (24).
+        // The checksum covers only the payload, so an edited count
+        // passes it.
+        let wf = sample_wf();
+        let path = tmp("wfncrafted");
+        for nv in [wf.n_bands() as u64, 0] {
+            write_wavefunctions(&path, &wf).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[32..40].copy_from_slice(&nv.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match read_wavefunctions(&path) {
+                Err(IoError::BadHeader(_)) => {}
+                other => panic!("n_valence = {nv}: expected BadHeader, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -296,8 +296,7 @@ pub fn zgemm_with_microkernel(
     let (m, k, n) = check_shapes(a, opa, b, opb, c);
     bgw_perf::counters::record_gemm_call();
     let (mr, nr) = (kernel.mr, kernel.nr);
-    let lane = kernel.isa.index();
-    bgw_perf::counters::record_gemm_mk_call(lane);
+    bgw_perf::counters::record_gemm_mk_call(kernel.isa.index());
     let _span = bgw_trace::span!("gemm");
     let _kernel_span = kernel_span(kernel.isa);
     // 4 real multiplies + 4 adds per complex multiply-accumulate.
@@ -335,9 +334,7 @@ pub fn zgemm_with_microkernel(
                 let _pack_span = bgw_trace::span!("gemm.pack");
                 let t_pack = Instant::now();
                 let packed = pack_b(b, opb, pc0, pc1, jc0, jc1, nr);
-                let ns = t_pack.elapsed().as_nanos() as u64;
-                bgw_perf::counters::record_gemm_pack_ns(ns);
-                bgw_perf::counters::record_gemm_mk_pack_ns(lane, ns);
+                bgw_perf::counters::record_gemm_pack_ns(t_pack.elapsed().as_nanos() as u64);
                 packed
             };
 
@@ -346,9 +343,7 @@ pub fn zgemm_with_microkernel(
                     let _pack_span = bgw_trace::span!("gemm.pack");
                     let t_a = Instant::now();
                     let packed = pack_a(a, opa, alpha, i0, i1, pc0, pc1, mr);
-                    let ns = t_a.elapsed().as_nanos() as u64;
-                    bgw_perf::counters::record_gemm_pack_ns(ns);
-                    bgw_perf::counters::record_gemm_mk_pack_ns(lane, ns);
+                    bgw_perf::counters::record_gemm_pack_ns(t_a.elapsed().as_nanos() as u64);
                     packed
                 };
                 let _compute_span = bgw_trace::span!("gemm.compute");
@@ -402,9 +397,7 @@ pub fn zgemm_with_microkernel(
                         }
                     }
                 }
-                let ns = t_c.elapsed().as_nanos() as u64;
-                bgw_perf::counters::record_gemm_compute_ns(ns);
-                bgw_perf::counters::record_gemm_mk_compute_ns(lane, ns);
+                bgw_perf::counters::record_gemm_compute_ns(t_c.elapsed().as_nanos() as u64);
             };
 
             let panels = m.div_ceil(mc);

@@ -202,10 +202,6 @@ counters! {
     /// Requests that shared another request's screening build within one
     /// coalesced batch (group size minus one, summed over groups).
     serve_coalesced: SERVE_COALESCED,
-    /// Batches preempted mid-evaluation in favor of a higher-priority
-    /// request: the members are re-enqueued carrying the rows finished so
-    /// far, in memory (a preemption writes no file).
-    serve_preemptions: SERVE_PREEMPTIONS,
     /// Artifact-store entries rejected as corrupt/torn and recomputed
     /// (a checksum failure downgraded to a miss, never a wrong hit).
     serve_store_invalid: SERVE_STORE_INVALID,
@@ -226,22 +222,6 @@ counters! {
     gemm_mk_calls_avx2: GEMM_MK_CALLS[2],
     /// ZGEMM calls dispatched to the AVX-512 microkernel.
     gemm_mk_calls_avx512: GEMM_MK_CALLS[3],
-    /// GEMM packing nanoseconds attributed to scalar-microkernel calls.
-    gemm_mk_pack_ns_scalar: GEMM_MK_PACK_NS[0],
-    /// GEMM packing nanoseconds attributed to NEON-microkernel calls.
-    gemm_mk_pack_ns_neon: GEMM_MK_PACK_NS[1],
-    /// GEMM packing nanoseconds attributed to AVX2-microkernel calls.
-    gemm_mk_pack_ns_avx2: GEMM_MK_PACK_NS[2],
-    /// GEMM packing nanoseconds attributed to AVX-512-microkernel calls.
-    gemm_mk_pack_ns_avx512: GEMM_MK_PACK_NS[3],
-    /// GEMM microkernel-sweep nanoseconds on the scalar variant.
-    gemm_mk_compute_ns_scalar: GEMM_MK_COMPUTE_NS[0],
-    /// GEMM microkernel-sweep nanoseconds on the NEON variant.
-    gemm_mk_compute_ns_neon: GEMM_MK_COMPUTE_NS[1],
-    /// GEMM microkernel-sweep nanoseconds on the AVX2 variant.
-    gemm_mk_compute_ns_avx2: GEMM_MK_COMPUTE_NS[2],
-    /// GEMM microkernel-sweep nanoseconds on the AVX-512 variant.
-    gemm_mk_compute_ns_avx512: GEMM_MK_COMPUTE_NS[3],
     /// Batched-FFT butterfly passes executed by the scalar combine set.
     fft_mk_calls_scalar: FFT_MK_CALLS[0],
     /// Batched-FFT butterfly passes executed by the NEON combine set.
@@ -398,12 +378,6 @@ pub fn record_serve_coalesced(n: u64) {
     SERVE_COALESCED.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Records one mid-evaluation preemption (checkpoint + re-enqueue).
-#[inline]
-pub fn record_serve_preemption() {
-    SERVE_PREEMPTIONS.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Records one corrupt/torn artifact-store entry downgraded to a miss.
 #[inline]
 pub fn record_serve_store_invalid() {
@@ -436,20 +410,6 @@ fn isa_lane(isa: usize) -> usize {
 #[inline]
 pub fn record_gemm_mk_call(isa: usize) {
     GEMM_MK_CALLS[isa_lane(isa)].fetch_add(1, Ordering::Relaxed);
-}
-
-/// Adds operand-packing time attributed to the microkernel of ISA index
-/// `isa` (the packing layout is the one that kernel's register tile
-/// demands, so packing cost is charged to the consuming variant).
-#[inline]
-pub fn record_gemm_mk_pack_ns(isa: usize, ns: u64) {
-    GEMM_MK_PACK_NS[isa_lane(isa)].fetch_add(ns, Ordering::Relaxed);
-}
-
-/// Adds microkernel-sweep time for the variant of ISA index `isa`.
-#[inline]
-pub fn record_gemm_mk_compute_ns(isa: usize, ns: u64) {
-    GEMM_MK_COMPUTE_NS[isa_lane(isa)].fetch_add(ns, Ordering::Relaxed);
 }
 
 /// Records one batched-FFT butterfly pass executed by the combine set of
@@ -488,7 +448,6 @@ mod tests {
         record_serve_hit_disk();
         record_serve_miss();
         record_serve_coalesced(4);
-        record_serve_preemption();
         record_serve_store_invalid();
         record_serve_mem_evicted();
         record_serve_gc(2, 4096);
@@ -517,7 +476,6 @@ mod tests {
         assert!(d.serve_hits_disk >= 1);
         assert!(d.serve_misses >= 1);
         assert!(d.serve_coalesced >= 4);
-        assert!(d.serve_preemptions >= 1);
         assert!(d.serve_store_invalid >= 1);
         assert!(d.serve_queue_ns >= 750);
         assert!(d.serve_mem_evicted >= 1);
@@ -564,14 +522,10 @@ mod tests {
     fn per_isa_kernel_counters_advance() {
         let before = snapshot();
         record_gemm_mk_call(3);
-        record_gemm_mk_pack_ns(3, 250);
-        record_gemm_mk_compute_ns(3, 750);
         record_fft_mk_call(0);
         record_gpp_mk_group(2);
         let d = before.delta(&snapshot());
         assert!(d.gemm_mk_calls_avx512 >= 1);
-        assert!(d.gemm_mk_pack_ns_avx512 >= 250);
-        assert!(d.gemm_mk_compute_ns_avx512 >= 750);
         assert!(d.fft_mk_calls_scalar >= 1);
         assert!(d.gpp_mk_groups_avx2 >= 1);
     }
@@ -605,7 +559,7 @@ mod tests {
         };
         let mut seen = Vec::new();
         a.for_each_field(|name, value| seen.push((name, value)));
-        assert_eq!(seen.len(), 51, "visitor must cover every field");
+        assert_eq!(seen.len(), 42, "visitor must cover every field");
         let set: Vec<_> = seen.into_iter().filter(|f| f.1 != 0).collect();
         assert_eq!(
             set,

@@ -3,12 +3,11 @@
 //! [`ServeCore`] owns the bounded queue, the two-level cache (in-memory
 //! LRU of decoded [`Screening`]s over the on-disk [`ArtifactStore`]), and
 //! the batch evaluator. It is deliberately single-threaded and
-//! externally driven — [`ServeCore::step_with`] processes exactly one
-//! coalesced batch per call, with a caller-supplied `peek` hook deciding
-//! preemption — so the traffic-replay test battery can assert the exact
-//! event sequence a seeded request stream produces. The threaded daemon
-//! in [`server`](crate::server) wraps this engine verbatim; nothing about
-//! scheduling lives only in the threaded path.
+//! externally driven — [`ServeCore::step`] runs exactly one coalesced
+//! batch to completion per call — so the traffic-replay test battery can
+//! assert the exact event sequence a seeded request stream produces. The
+//! threaded daemon in [`server`](crate::server) wraps this engine
+//! verbatim; nothing about scheduling lives only in the threaded path.
 //!
 //! A step:
 //! 1. pick the highest-priority queued request (ties: arrival order) and
@@ -18,13 +17,14 @@
 //!    atomic store;
 //! 3. evaluate each distinct `(band, delta)` Sigma row exactly once over
 //!    the union context — `bgw_core::service::sigma_row`, the one-shot
-//!    drivers' row entry — resuming the `SigmaRows` a preemption left on
-//!    the batch's requests and yielding between rows when `peek` reports
-//!    a higher waiting priority (the finished rows go back to the queue
-//!    on each member, in memory: no store record, no shared state);
+//!    drivers' row entry;
 //! 4. assemble (`SigmaRows::assemble`, the one-shot drivers' stage 7, over
-//!    each member's own window) and retire each member once, on its own
-//!    outcome: cancelled, or its response.
+//!    each member's own window) and answer every member, with its payload
+//!    or a typed error.
+//!
+//! Nothing interrupts a batch: priority only picks the next one, so a
+//! request is queued, then in a batch, then answered, and never goes back
+//! to the queue.
 
 use crate::key::ArtifactKey;
 use crate::request::{GwRequest, RequestKind};
@@ -39,7 +39,6 @@ use bgw_perf::counters;
 use bgw_trace::RunReport;
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -119,8 +118,6 @@ pub enum ServeError {
         /// The zero field: `"n_quad"` or `"delta_milli_ry"`.
         field: &'static str,
     },
-    /// The request was cancelled before completion.
-    Cancelled,
     /// The dielectric inversion failed for this structure.
     Epsilon(EpsilonError),
     /// The owning dispatcher shard died (panicked) before this request
@@ -143,6 +140,26 @@ fn internal(what: impl Into<String>) -> ServeError {
     ServeError::Internal { what: what.into() }
 }
 
+/// Pairs each batch member with its own band window, and returns the
+/// sorted union of the windows.
+fn member_bands(
+    batch: Vec<Pending>,
+    screening: &Screening,
+) -> (Vec<(Pending, Vec<usize>)>, Vec<usize>) {
+    let (nv, nb) = (screening.wf.n_valence, screening.wf.n_bands());
+    let batch: Vec<(Pending, Vec<usize>)> = batch
+        .into_iter()
+        .map(|p| {
+            let bands = p.req.bands(nv, nb);
+            (p, bands)
+        })
+        .collect();
+    let mut union: Vec<usize> = batch.iter().flat_map(|(_, b)| b).copied().collect();
+    union.sort_unstable();
+    union.dedup();
+    (batch, union)
+}
+
 /// One coalesced batch's Sigma context over its union band set, under
 /// the serve-owned span the per-request report pins (the shared stage
 /// inside it reports as `workflow.mtxel`).
@@ -163,7 +180,6 @@ impl std::fmt::Display for ServeError {
             ServeError::InvalidFrequency { field } => {
                 write!(f, "invalid frequency input: {field} must be positive")
             }
-            ServeError::Cancelled => write!(f, "cancelled"),
             ServeError::Epsilon(e) => write!(f, "epsilon stage: {e}"),
             ServeError::DispatcherDown => write!(f, "dispatcher shard died"),
             ServeError::Internal { what } => {
@@ -288,27 +304,6 @@ pub enum ServeEvent {
         /// Batch leader request.
         id: RequestId,
     },
-    /// The batch yielded to a higher-priority request after `rows_done`
-    /// band rows; its members went back to the queue.
-    Preempted {
-        /// Batch leader request.
-        id: RequestId,
-        /// Band rows completed before the yield.
-        rows_done: usize,
-    },
-    /// The batch resumed the `rows_done` rows a preemption left on its
-    /// requests.
-    Resumed {
-        /// Batch leader request.
-        id: RequestId,
-        /// Band rows carried over from the preempted batch.
-        rows_done: usize,
-    },
-    /// The request was cancelled.
-    Cancelled {
-        /// Affected request.
-        id: RequestId,
-    },
     /// The request retired successfully.
     Completed {
         /// Affected request.
@@ -326,10 +321,6 @@ struct Pending {
     seq: u64,
     req: GwRequest,
     enqueued: Instant,
-    cancel: Arc<AtomicBool>,
-    /// The rows its batch finished before a preemption re-queued it
-    /// (each member carries a copy, so they die with the last of them).
-    rows: SigmaRows,
 }
 
 /// The synchronous serving engine. See the module docs for the step
@@ -388,11 +379,6 @@ impl ServeCore {
         self.queue.is_empty()
     }
 
-    /// The event log so far (monotonic; see [`ServeCore::take_events`]).
-    pub fn events(&self) -> &[ServeEvent] {
-        &self.events
-    }
-
     /// Drains the event log.
     pub fn take_events(&mut self) -> Vec<ServeEvent> {
         std::mem::take(&mut self.events)
@@ -405,16 +391,6 @@ impl ServeCore {
 
     /// Accepts a request into the bounded queue.
     pub fn enqueue(&mut self, req: GwRequest) -> Result<RequestId, ServeError> {
-        self.enqueue_with_cancel(req, Arc::new(AtomicBool::new(false)))
-    }
-
-    /// Accepts a request with an externally shared cancellation flag (the
-    /// threaded server's ticket holds the other end).
-    pub fn enqueue_with_cancel(
-        &mut self,
-        req: GwRequest,
-        cancel: Arc<AtomicBool>,
-    ) -> Result<RequestId, ServeError> {
         if self.queue.len() >= self.cfg.queue_capacity {
             return Err(ServeError::QueueFull);
         }
@@ -452,36 +428,20 @@ impl ServeCore {
             seq,
             req,
             enqueued: Instant::now(),
-            cancel,
-            rows: SigmaRows::default(),
         });
         counters::record_serve_request();
         Ok(id)
     }
 
-    /// Cancels a request: sets its flag and, if it is still queued,
-    /// retires it immediately with [`ServeError::Cancelled`]. Returns
-    /// `false` for unknown (already retired) ids.
-    pub fn cancel(&mut self, id: RequestId) -> bool {
-        if let Some(pos) = self.queue.iter().position(|p| p.id == id) {
-            let p = self.queue.remove(pos).unwrap();
-            p.cancel.store(true, Ordering::Release);
-            self.retire_cancelled(p);
-            return true;
-        }
-        false
+    /// Runs batches until the queue drains.
+    pub fn run_until_idle(&mut self) {
+        while self.step() {}
     }
 
-    /// Runs batches until the queue drains. `peek` is consulted between
-    /// band rows for preemption (return the highest priority waiting
-    /// *outside* the engine, or `None`).
-    pub fn run_until_idle(&mut self, peek: &mut dyn FnMut() -> Option<u8>) {
-        while self.step_with(peek) {}
-    }
-
-    /// Processes one coalesced batch; returns `false` when the queue was
-    /// empty. See the module docs for the step anatomy.
-    pub fn step_with(&mut self, peek: &mut dyn FnMut() -> Option<u8>) -> bool {
+    /// Runs one coalesced batch to completion, answering every member;
+    /// returns `false` when the queue was empty. See the module docs for
+    /// the step anatomy.
+    pub fn step(&mut self) -> bool {
         if self.queue.is_empty() {
             return false;
         }
@@ -494,7 +454,6 @@ impl ServeCore {
             .min_by_key(|p| (std::cmp::Reverse(p.req.priority), p.seq))
             .expect("non-empty queue");
         let wkey = leader.req.w_key();
-        let batch_prio = leader.req.priority;
         // Pin this batch's W for the whole step: a GC pass (from this
         // shard or a concurrent one sharing the store) must never
         // reclaim the artifact of an in-flight batch.
@@ -510,17 +469,6 @@ impl ServeCore {
         }
         self.queue = rest;
         batch.sort_by_key(|p| p.seq);
-
-        // --- drop members already cancelled, and the rows they carry -----
-        let (cancelled, batch): (Vec<_>, Vec<_>) = batch
-            .into_iter()
-            .partition(|p| p.cancel.load(Ordering::Acquire));
-        for p in cancelled {
-            self.retire_cancelled(p);
-        }
-        if batch.is_empty() {
-            return true;
-        }
         let leader_id = batch[0].id;
         if batch.len() > 1 {
             counters::record_serve_coalesced((batch.len() - 1) as u64);
@@ -548,15 +496,9 @@ impl ServeCore {
 
         // --- evaluation ---------------------------------------------------
         match batch[0].req.kind {
-            RequestKind::GppDiag { .. } => self.eval_gpp_batch(
-                batch,
-                &screening,
-                batch_prio,
-                cache,
-                t_batch,
-                peek,
-                report_before,
-            ),
+            RequestKind::GppDiag { .. } => {
+                self.eval_gpp_batch(batch, &screening, cache, t_batch, report_before)
+            }
             RequestKind::FullFreq { .. } => {
                 self.eval_ff_batch(batch, &screening, cache, t_batch, report_before)
             }
@@ -571,11 +513,6 @@ impl ServeCore {
     }
 
     // ---------------------------------------------------------------------
-
-    fn retire_cancelled(&mut self, p: Pending) {
-        self.events.push(ServeEvent::Cancelled { id: p.id });
-        self.responses.push((p.id, Err(ServeError::Cancelled)));
-    }
 
     fn retire_err(&mut self, p: Pending, e: ServeError) {
         self.events.push(ServeEvent::Failed { id: p.id });
@@ -655,51 +592,26 @@ impl ServeCore {
         Ok((s, CacheStatus::Miss))
     }
 
-    /// The retire-time gate of one batch member: counts its evaluation op
-    /// (where [`ServeConfig::panic_at_op`] fires), then reads its cancel
-    /// flag. `None` when the member was retired here as cancelled.
-    fn admit(&mut self, p: Pending) -> Option<Pending> {
+    /// Counts one member's evaluation op, where
+    /// [`ServeConfig::panic_at_op`] fires.
+    fn admit(&mut self) {
         let op = self.op_counter;
         self.op_counter += 1;
         if self.cfg.panic_at_op == Some(op) {
             panic!("injected dispatcher panic at evaluation op {op}");
         }
-        if p.cancel.load(Ordering::Acquire) {
-            self.retire_cancelled(p);
-            return None;
-        }
-        Some(p)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn eval_gpp_batch(
         &mut self,
         batch: Vec<Pending>,
         screening: &Arc<Screening>,
-        batch_prio: u8,
         cache: CacheStatus,
         t_batch: Instant,
-        peek: &mut dyn FnMut() -> Option<u8>,
         report_before: Option<RunReport>,
     ) {
         let batch_size = batch.len();
-        let nv = screening.wf.n_valence;
-        let nb = screening.wf.n_bands();
-        // Each member carries its own band list: mid-batch cancellation
-        // drops a member and its bands together, so the retire loop can
-        // never pair a survivor with another request's band window.
-        let mut batch: Vec<(Pending, Vec<usize>)> = batch
-            .into_iter()
-            .map(|p| {
-                let bands = p.req.bands(nv, nb);
-                (p, bands)
-            })
-            .collect();
-
-        // Union band list (sorted, deduped) and the distinct rows to do.
-        let mut union: Vec<usize> = batch.iter().flat_map(|(_, b)| b).copied().collect();
-        union.sort_unstable();
-        union.dedup();
+        let (batch, union) = member_bands(batch, screening);
         let mut rows_needed: Vec<(usize, f64)> = Vec::new();
         for (p, bands) in &batch {
             for &b in bands {
@@ -711,32 +623,10 @@ impl ServeCore {
         }
         rows_needed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
 
-        // Resume the rows a preemption left on the batch: every member it
-        // re-queued carries a copy, one that arrived since carries none.
-        let mut rows = batch
-            .iter_mut()
-            .map(|(p, _)| std::mem::take(&mut p.rows))
-            .find(|r| !r.rows.is_empty())
-            .unwrap_or_default();
-        // Only keep rows this batch actually needs (a reshaped batch after
-        // preemption must not resurrect stale rows at retire time).
-        rows.rows
-            .retain(|r| rows_needed.contains(&(r.band, r.delta_ry)));
-        if !rows.rows.is_empty() {
-            self.events.push(ServeEvent::Resumed {
-                id: batch[0].0.id,
-                rows_done: rows.rows.len(),
-            });
-        }
-
         let ctx = batch_context(screening, &union);
         let variant = batch[0].0.req.gw_config().variant;
-        let todo: Vec<(usize, f64)> = rows_needed
-            .iter()
-            .copied()
-            .filter(|&(band, delta)| rows.get(band, delta).is_none())
-            .collect();
-        for (i, &(band, delta)) in todo.iter().enumerate() {
+        let mut rows = SigmaRows::default();
+        for (band, delta) in rows_needed {
             let Some(s) = union.iter().position(|&b| b == band) else {
                 // An engine invariant broke: degrade to failed requests
                 // (typed), never a panicked (dead) shard.
@@ -745,46 +635,15 @@ impl ServeCore {
                 }
                 return;
             };
-            {
-                let _row_span = bgw_trace::span!("serve.sigma.gpp");
-                rows.rows.push(sigma_row(&ctx, s, delta, variant));
-            }
-            // Drop members cancelled mid-batch; their rows may become
-            // unneeded but recomputing the need-set is not worth it.
-            let mut live = Vec::new();
-            for (p, bands) in batch {
-                if p.cancel.load(Ordering::Acquire) {
-                    self.retire_cancelled(p);
-                } else {
-                    live.push((p, bands));
-                }
-            }
-            batch = live;
-            if batch.is_empty() {
-                return;
-            }
-            // Preemption: yield only with progress made and work left.
-            if i + 1 < todo.len() && peek().is_some_and(|w| w > batch_prio) {
-                counters::record_serve_preemption();
-                self.events.push(ServeEvent::Preempted {
-                    id: batch[0].0.id,
-                    rows_done: rows.rows.len(),
-                });
-                for (mut p, _) in batch {
-                    p.rows = rows.clone();
-                    self.queue.push_back(p); // keeps seq: resumes in order
-                }
-                return;
-            }
+            let _row_span = bgw_trace::span!("serve.sigma.gpp");
+            rows.rows.push(sigma_row(&ctx, s, delta, variant));
         }
 
         // --- assemble + retire per member --------------------------------
         let report = self.finish_report(report_before);
         let compute_seconds = t_batch.elapsed().as_secs_f64();
         for (p, bands) in batch {
-            let Some(p) = self.admit(p) else {
-                continue;
-            };
+            self.admit();
             // enqueue() rejects windows that cannot straddle the gap and
             // every needed row was just evaluated, so an error here means
             // the band derivation or the row bookkeeping regressed.
@@ -826,19 +685,12 @@ impl ServeCore {
         report_before: Option<RunReport>,
     ) {
         let batch_size = batch.len();
-        let nv = screening.wf.n_valence;
-        let nb = screening.wf.n_bands();
-        let member_bands: Vec<Vec<usize>> = batch.iter().map(|p| p.req.bands(nv, nb)).collect();
-        let mut union: Vec<usize> = member_bands.iter().flatten().copied().collect();
-        union.sort_unstable();
-        union.dedup();
+        let (batch, union) = member_bands(batch, screening);
         let ctx = batch_context(screening, &union);
 
         let mut retirements = Vec::new();
-        for (p, bands) in batch.into_iter().zip(member_bands) {
-            let Some(p) = self.admit(p) else {
-                continue;
-            };
+        for (p, bands) in batch {
+            self.admit();
             let mut positions = Vec::with_capacity(bands.len());
             for &b in &bands {
                 match union.iter().position(|&u| u == b) {

@@ -17,10 +17,9 @@
 //!   batched into one pass — the screening is acquired once, the Sigma
 //!   context is built once over the union band set, and each distinct
 //!   `(band, delta)` diagonal is evaluated once;
-//! * preemption/cancellation between Sigma rows: a preempted batch's
-//!   finished rows go back to the queue on its requests, in memory, and
-//!   the next batch of that W resumes them — they die with the last of
-//!   those requests, and a preemption writes no file;
+//! * priority picks the next batch, and a batch runs to completion: each
+//!   request is queued, then in a batch, then answered, and never goes
+//!   back to the queue;
 //! * dispatcher sharding: [`Server`] spawns `n_shards` dispatcher
 //!   threads and routes each request to shard `w_key % n_shards`, so
 //!   distinct screenings build concurrently while coalescing stays

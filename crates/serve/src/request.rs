@@ -135,7 +135,8 @@ pub struct GwRequest {
     pub structure: StructureSpec,
     /// What to evaluate.
     pub kind: RequestKind,
-    /// Scheduling priority (higher runs first; may preempt lower).
+    /// Scheduling priority: the highest queued one leads the next batch. A
+    /// running batch is never interrupted.
     pub priority: u8,
 }
 

@@ -9,10 +9,9 @@
 //! the pin bookkeeping that keeps store GC safe across shards.
 //!
 //! Clients get a [`Ticket`] per submitted request and block on
-//! [`Ticket::wait`]. Preemption falls out of the split: the engine's
-//! `peek` hook reads its own shard's highest waiting priority, so a
-//! high-priority submission arriving mid-batch preempts that shard's
-//! running batch at the next band-row boundary.
+//! [`Ticket::wait`]. A shard runs each batch to completion; a
+//! high-priority submission that arrives mid-batch waits for it, then
+//! leads the next one.
 //!
 //! A panicking engine must never strand a waiter: each step runs under
 //! `catch_unwind`, and on a panic the shard marks itself dead, fails
@@ -25,7 +24,6 @@ use crate::request::GwRequest;
 use crate::store::ArtifactStore;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -39,7 +37,7 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 #[derive(Default)]
 struct Injector {
-    waiting: Vec<(GwRequest, Arc<AtomicBool>, Arc<Cell>)>,
+    waiting: Vec<(GwRequest, Arc<Cell>)>,
     shutdown: bool,
     /// Set when the shard's dispatcher died; submissions fail fast.
     dead: bool,
@@ -59,7 +57,6 @@ struct Shared {
 /// A handle to one submitted request.
 pub struct Ticket {
     cell: Arc<Cell>,
-    cancel: Arc<AtomicBool>,
 }
 
 impl Ticket {
@@ -83,13 +80,6 @@ impl Ticket {
                 .wait(slot)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    /// Requests cancellation; the owning shard retires the request with
-    /// [`ServeError::Cancelled`] at the next row boundary (or instantly
-    /// if still queued). `wait` afterwards returns that error.
-    pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Release);
     }
 }
 
@@ -139,14 +129,13 @@ impl Server {
     /// queue full, dead shard) fail fast on the ticket.
     pub fn submit(&self, req: GwRequest) -> Ticket {
         let shard = &self.shards[req.shard_of(self.shards.len())];
-        let cancel = Arc::new(AtomicBool::new(false));
         let cell = Arc::new(Cell::default());
         let accepted = {
             let mut inj = relock(&shard.shared.injector);
             if inj.dead {
                 false
             } else {
-                inj.waiting.push((req, cancel.clone(), cell.clone()));
+                inj.waiting.push((req, cell.clone()));
                 true
             }
         };
@@ -155,7 +144,7 @@ impl Server {
         } else {
             fulfill(&cell, Err(ServeError::DispatcherDown));
         }
-        Ticket { cell, cancel }
+        Ticket { cell }
     }
 
     /// Stops every dispatcher after it drains in-flight work and returns
@@ -202,8 +191,7 @@ fn dispatch_loop(cfg: ServeConfig, store: ArtifactStore, shared: Arc<Shared>) ->
         // keep admitting until none is left. A client's burst lands a few
         // microseconds apart while admission validates each request, so a
         // single drain would batch whatever prefix of the burst beat the
-        // dispatcher's wake-up: batch shapes, and preemptions of that
-        // prefix by the burst's own tail, would follow thread timing
+        // dispatcher's wake-up: batch shapes would follow thread timing
         // instead of the request stream. Stopping at capacity keeps a
         // flood of submissions from starving the step below.
         let mut shutdown;
@@ -216,8 +204,8 @@ fn dispatch_loop(cfg: ServeConfig, store: ArtifactStore, shared: Arc<Shared>) ->
             if drained.is_empty() {
                 break;
             }
-            for (req, cancel, cell) in drained {
-                match core.enqueue_with_cancel(req, cancel) {
+            for (req, cell) in drained {
+                match core.enqueue(req) {
                     Ok(id) => {
                         tickets.insert(id, cell);
                     }
@@ -229,16 +217,10 @@ fn dispatch_loop(cfg: ServeConfig, store: ArtifactStore, shared: Arc<Shared>) ->
             }
         }
 
-        // One batch, preemptible by higher-priority arrivals on this
-        // shard, caught so an engine panic degrades to failed tickets
-        // instead of a poisoned injector with waiters blocked forever.
-        let shared_peek = shared.clone();
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            core.step_with(&mut || {
-                let inj = relock(&shared_peek.injector);
-                inj.waiting.iter().map(|(r, _, _)| r.priority).max()
-            })
-        }));
+        // One batch, run to completion and caught so an engine panic
+        // degrades to failed tickets instead of a poisoned injector with
+        // waiters blocked forever.
+        let step = catch_unwind(AssertUnwindSafe(|| core.step()));
         // The event log is for replays that drive a `ServeCore` directly;
         // nothing reads a dispatcher's, and a resident daemon must not
         // keep every event it ever logged.
@@ -255,7 +237,7 @@ fn dispatch_loop(cfg: ServeConfig, store: ArtifactStore, shared: Arc<Shared>) ->
                     inj.dead = true;
                     std::mem::take(&mut inj.waiting)
                 };
-                for (_, _, cell) in late {
+                for (_, cell) in late {
                     fulfill(&cell, Err(ServeError::DispatcherDown));
                 }
                 for (_, cell) in tickets.drain() {

@@ -2,8 +2,8 @@
 //! checkpoint records.
 //!
 //! Every record (`art_<hex16>.bgwr`) is a screening (stage
-//! `WScreening`); the rows a preempted batch finished stay in memory on
-//! its re-queued requests, so the store holds nothing else. Writes go
+//! `WScreening`); a batch's Sigma rows live in memory for its one step,
+//! so the store holds nothing else. Writes go
 //! through `bgw_io::write_checkpoint_file` (tmp + rename, so a torn write leaves
 //! either the old artifact or a `.tmp` residue, never a half-written
 //! record under the live name). Any load failure — missing file, bad

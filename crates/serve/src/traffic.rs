@@ -23,8 +23,8 @@ pub struct TrafficConfig {
     pub structures: Vec<StructureSpec>,
     /// Probability a request is full-frequency instead of GPP.
     pub ff_fraction: f64,
-    /// Probability a request carries elevated priority (preemption
-    /// pressure in the replay battery).
+    /// Probability a request carries elevated priority, which moves it
+    /// to the front of its shard's queue for the next batch.
     pub high_priority_fraction: f64,
 }
 

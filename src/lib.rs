@@ -20,8 +20,8 @@
 //! - [`trace`]: hierarchical span tracing and machine-readable run reports
 //!   that cross-validate the paper's FLOP models (Table 3).
 //! - [`serve`]: GW-as-a-service — resident server with a bounded queue,
-//!   content-hash artifact caching, request coalescing and preemption
-//!   (the finished Sigma rows wait in memory on the preempted requests);
+//!   content-hash artifact caching, request coalescing and priority
+//!   order (a batch runs to completion);
 //!   a panicking shard fails its tickets instead of hanging them.
 //!
 //! The paper's three decompositions — G' slices inside a self-energy pool,

@@ -13,8 +13,8 @@ use berkeleygw_rs::num::RYDBERG_EV;
 use berkeleygw_rs::perf::counters::exclusive_test_guard;
 use berkeleygw_rs::pwdft::{bn_defect_sheet, lih_defect, si_bulk, si_divacancy, solve_bands};
 use berkeleygw_rs::serve::{
-    GppPayload, GwRequest, Payload, RequestKind, ServeConfig, ServeCore, ServeEvent, ServeOk,
-    Server, StructureSpec,
+    GppPayload, GwRequest, Payload, RequestKind, ServeConfig, ServeCore, ServeOk, Server,
+    StructureSpec,
 };
 
 #[test]
@@ -201,12 +201,10 @@ fn gpp_payload(ok: ServeOk) -> GppPayload {
 fn one_shot_and_served_drivers_share_one_spine() {
     // run_gpp_gw; the plain row loop (build_screening -> sigma_context ->
     // gpp_eval_preemptible -> SigmaRows::assemble); and the daemon itself,
-    // twice — a threaded Server, and a synchronous ServeCore preempted
-    // after every row, each step resuming the rows the last preemption
-    // left on the re-queued request — are the same
-    // stages under different policies: identical band set, dimensions and
-    // counted FLOPs, and every bit of every QP energy and Z, at every pool
-    // width and across widths.
+    // twice — a threaded Server, and a synchronous ServeCore that answers
+    // in one step — are the same stages under different policies:
+    // identical band set, dimensions and counted FLOPs, and every bit of
+    // every QP energy and Z, at every pool width and across widths.
     let _guard = exclusive_test_guard();
     let req = GwRequest {
         structure: StructureSpec::SiBulk {
@@ -243,30 +241,15 @@ fn one_shot_and_served_drivers_share_one_spine() {
         let threaded = gpp_payload(server.submit(req).wait().expect("threaded daemon answers"));
         drop(server);
 
-        let mut resumptions = 0;
         let mut core = ServeCore::new(ServeConfig::new(&dir));
         core.enqueue(req).expect("queue has room");
-        let preempted = loop {
-            assert!(core.step_with(&mut || Some(u8::MAX)));
-            let resumed_rows = core.take_events().iter().find_map(|e| match e {
-                ServeEvent::Resumed { rows_done, .. } => Some(*rows_done),
-                _ => None,
-            });
-            assert_eq!(
-                resumed_rows,
-                (resumptions > 0).then_some(resumptions),
-                "width {width}: each step resumes every row the steps before it finished"
-            );
-            match core.take_responses().pop() {
-                Some((_, answer)) => break gpp_payload(answer.expect("preempted daemon answers")),
-                None => resumptions += 1,
-            }
-        };
-        assert_eq!(
-            resumptions,
-            one_shot.sigma_bands.len() - 1,
-            "width {width}: a yield after every row but the last"
+        assert!(core.step());
+        assert!(
+            core.is_idle(),
+            "width {width}: one step answers the request"
         );
+        let (_, answer) = core.take_responses().pop().expect("the step answered");
+        let synchronous = gpp_payload(answer.expect("synchronous daemon answers"));
 
         berkeleygw_rs::par::set_num_threads(0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -286,7 +269,7 @@ fn one_shot_and_served_drivers_share_one_spine() {
             bits,
             "width {width}: row loop != one-shot"
         );
-        for (served, how) in [(&threaded, "threaded"), (&preempted, "preempted")] {
+        for (served, how) in [(&threaded, "threaded"), (&synchronous, "synchronous")] {
             assert_eq!(served.bands, one_shot.sigma_bands, "width {width}, {how}");
             assert_eq!(served.flops, one_shot.sigma_flops, "width {width}, {how}");
             assert_eq!(

@@ -6,10 +6,11 @@
 //! against an independent cache model; every served response is pinned at
 //! 1e-12 to the corresponding one-shot oracle (`run_gpp_gw` for GPP
 //! requests, a direct `ff_sigma_diag` build for full-frequency ones).
-//! Further tests cover coalescing, disk-hit-as-restart, preemption,
-//! cancellation, artifact-key properties, torn store entries, the golden
-//! per-request trace report, the threaded [`Server`] wrapper, and a replay
-//! under a store byte budget (GC end to end).
+//! Further tests cover coalescing, disk-hit-as-restart, priority order
+//! (each batch runs to completion), the bounded queue, artifact-key
+//! properties, torn store entries, the golden per-request trace report,
+//! the threaded [`Server`] wrapper, and a replay under a store byte
+//! budget (GC end to end).
 
 use berkeleygw_rs::core::{
     ff_sigma_diag, run_gpp_gw, ChiConfig, ChiEngine, Coulomb, EpsilonInverse, GppModel, GwResults,
@@ -26,13 +27,26 @@ use berkeleygw_rs::serve::{
 use berkeleygw_rs::trace;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("bgw_serve_it_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
+}
+
+/// The file names in a store directory, sorted.
+fn store_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("store dir")
+        .map(|e| {
+            e.expect("store entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
 }
 
 fn si_small() -> StructureSpec {
@@ -237,7 +251,7 @@ fn traffic_replay_exact_hit_miss_sequence_and_parity() {
     // pure function of the stream: no coalescing, no priorities.
     for req in &stream {
         let id = core.enqueue(*req).expect("queue has room");
-        core.run_until_idle(&mut || None);
+        core.run_until_idle();
         for (rid, resp) in core.take_responses() {
             assert_eq!(rid, id);
             let ok = resp.expect("no faults planned");
@@ -281,7 +295,7 @@ fn coalesced_burst_shares_one_screening_pass() {
         ids.push(core.enqueue(*r).unwrap());
     }
     let lih_id = core.enqueue(lih).unwrap();
-    core.run_until_idle(&mut || None);
+    core.run_until_idle();
     let d = before.delta(&counters::snapshot());
     assert_eq!(d.serve_coalesced, 3, "three riders on the Si batch leader");
     assert_eq!(d.serve_misses, 2, "one screening build per structure");
@@ -327,7 +341,7 @@ fn disk_hit_is_a_restart_across_engines() {
 
     let mut a = ServeCore::new(ServeConfig::new(&dir));
     a.enqueue(req).unwrap();
-    a.run_until_idle(&mut || None);
+    a.run_until_idle();
     let (_, first) = a.take_responses().pop().unwrap();
     let first = first.unwrap();
     assert_eq!(first.telemetry.cache, CacheStatus::Miss);
@@ -339,7 +353,7 @@ fn disk_hit_is_a_restart_across_engines() {
     let before = counters::snapshot();
     let mut b = ServeCore::new(ServeConfig::new(&dir));
     b.enqueue(req).unwrap();
-    b.run_until_idle(&mut || None);
+    b.run_until_idle();
     let (_, second) = b.take_responses().pop().unwrap();
     let second = second.unwrap();
     assert_eq!(second.telemetry.cache, CacheStatus::DiskHit);
@@ -351,54 +365,44 @@ fn disk_hit_is_a_restart_across_engines() {
 }
 
 #[test]
-fn preemption_yields_to_higher_priority_and_resumes_with_parity() {
+fn higher_priority_leads_the_next_batch_and_each_batch_runs_to_completion() {
     let _guard = exclusive_test_guard();
-    let dir = tmpdir("preempt");
+    let dir = tmpdir("priority");
     let mut core = ServeCore::new(ServeConfig::new(&dir));
     let slow = gpp_req(si_small(), 2, 50, 0); // 4 band rows
     let urgent = gpp_req(lih_small(), 1, 50, 5);
     let slow_id = core.enqueue(slow).unwrap();
-
-    // A higher-priority request "arrives" outside the engine mid-batch.
-    let before = counters::snapshot();
-    assert!(core.step_with(&mut || Some(5)));
-    assert_eq!(core.queue_len(), 1, "preempted request went back to queue");
-    // The finished rows went back with it, in memory: the store holds
-    // the screening artifact and nothing else.
-    let names: Vec<String> = std::fs::read_dir(&dir)
-        .expect("store dir")
-        .map(|e| {
-            e.expect("store entry")
-                .file_name()
-                .to_string_lossy()
-                .into_owned()
-        })
-        .collect();
-    assert_eq!(names, vec![format!("art_{}.bgwr", slow.w_key().hex())]);
     let urgent_id = core.enqueue(urgent).unwrap();
-    core.run_until_idle(&mut || None);
-    let d = before.delta(&counters::snapshot());
-    assert_eq!(d.serve_preemptions, 1);
+    let mut oracles = Oracles::default();
 
-    let events = core.take_events();
-    let preempt_rows = events
-        .iter()
-        .find_map(|e| match e {
-            ServeEvent::Preempted { id, rows_done } if *id == slow_id => Some(*rows_done),
-            _ => None,
-        })
-        .expect("slow batch preempted");
-    assert!(preempt_rows >= 1, "yield only after progress");
-    let resumed_rows = events
-        .iter()
-        .find_map(|e| match e {
-            ServeEvent::Resumed { rows_done, .. } => Some(*rows_done),
-            _ => None,
-        })
-        .expect("preempted batch resumed its rows");
-    assert_eq!(resumed_rows, preempt_rows, "no row recomputed, none lost");
-    // The urgent request retires before the preempted one resumes.
-    let completions: Vec<_> = events
+    // Each step retires its whole batch; the later, higher-priority
+    // request leads the first one.
+    let mut artifacts = Vec::new();
+    for (id, req) in [(urgent_id, &urgent), (slow_id, &slow)] {
+        assert!(core.step());
+        let responses = core.take_responses();
+        assert_eq!(responses.len(), 1, "one answered member per solo batch");
+        assert_eq!(responses[0].0, id);
+        let ok = responses[0].1.as_ref().expect("no faults");
+        oracles.check(req, ok);
+        // A batch writes its screening artifact and nothing else.
+        artifacts.push(format!("art_{}.bgwr", req.w_key().hex()));
+        artifacts.sort();
+        assert_eq!(store_files(&dir), artifacts);
+        let art = core
+            .store()
+            .load(req.w_key(), &req.w_spec().canonical())
+            .expect("screening artifact intact");
+        assert_eq!(
+            art.stage,
+            berkeleygw_rs::core::GwStage::WScreening as u64,
+            "artifact is screening state, never Sigma rows"
+        );
+    }
+    assert!(core.is_idle());
+    assert!(!core.step(), "an empty queue runs no batch");
+    let completions: Vec<_> = core
+        .take_events()
         .iter()
         .filter_map(|e| match e {
             ServeEvent::Completed { id } => Some(*id),
@@ -406,17 +410,13 @@ fn preemption_yields_to_higher_priority_and_resumes_with_parity() {
         })
         .collect();
     assert_eq!(completions, vec![urgent_id, slow_id]);
-
-    let mut oracles = Oracles::default();
-    for (rid, resp) in core.take_responses() {
-        let req = if rid == slow_id { &slow } else { &urgent };
-        oracles.check(req, &resp.expect("no faults"));
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn cancellation_and_bounded_queue() {
+    // Named before requests could be cancelled; the bounded queue is
+    // what remains.
     let _guard = exclusive_test_guard();
     let dir = tmpdir("cancel");
     let mut sc = ServeConfig::new(&dir);
@@ -429,69 +429,21 @@ fn cancellation_and_bounded_queue() {
         Err(ServeError::QueueFull),
         "bounded queue rejects the overflow request"
     );
-    assert!(core.cancel(b), "queued request cancels instantly");
-    assert!(!core.cancel(999), "unknown id is a no-op");
-    core.run_until_idle(&mut || None);
-    let responses = core.take_responses();
-    assert_eq!(responses.len(), 2);
-    for (rid, resp) in responses {
-        if rid == b {
-            assert_eq!(resp.unwrap_err(), ServeError::Cancelled);
-        } else {
-            assert_eq!(rid, a);
+    core.run_until_idle();
+    let mut ids: Vec<_> = core
+        .take_responses()
+        .into_iter()
+        .map(|(rid, resp)| {
             assert!(resp.is_ok());
-        }
-    }
-    let events = core.take_events();
-    assert!(events.contains(&ServeEvent::Cancelled { id: b }));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn mid_batch_cancellation_keeps_survivor_band_windows() {
-    let _guard = exclusive_test_guard();
-    let dir = tmpdir("midcancel");
-    let mut core = ServeCore::new(ServeConfig::new(&dir));
-    // Two coalesced members with *different* band windows: the leader is
-    // cancelled mid-batch (flag flipped between band rows, exactly what a
-    // threaded Ticket::cancel does while the batch runs), and the
-    // surviving rider must still retire with its own window — never the
-    // cancelled member's.
-    let wide = gpp_req(si_small(), 2, 50, 0); // 4 band rows: room to cancel
-    let narrow = gpp_req(si_small(), 1, 50, 0);
-    let wide_cancel = Arc::new(AtomicBool::new(false));
-    let wide_id = core.enqueue_with_cancel(wide, wide_cancel.clone()).unwrap();
-    let narrow_id = core.enqueue(narrow).unwrap();
-
-    // The peek hook runs between band rows: flip the leader's flag there.
-    let mut peeks = 0usize;
-    core.run_until_idle(&mut || {
-        peeks += 1;
-        wide_cancel.store(true, Ordering::Release);
-        None
-    });
+            rid
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, vec![a, b]);
     assert!(
-        peeks >= 1,
-        "the batch must have row boundaries to cancel at"
+        core.enqueue(gpp_req(lih_small(), 1, 50, 0)).is_ok(),
+        "a drained queue has room again"
     );
-
-    let events = core.take_events();
-    assert!(events.contains(&ServeEvent::Cancelled { id: wide_id }));
-    assert!(events.contains(&ServeEvent::Completed { id: narrow_id }));
-
-    let mut oracles = Oracles::default();
-    let responses = core.take_responses();
-    assert_eq!(responses.len(), 2);
-    for (rid, resp) in responses {
-        if rid == wide_id {
-            assert_eq!(resp.unwrap_err(), ServeError::Cancelled);
-        } else {
-            assert_eq!(rid, narrow_id);
-            // Oracles::check asserts the band window and 1e-12 parity: a
-            // survivor paired with the cancelled member's bands fails here.
-            oracles.check(&narrow, &resp.expect("survivor retires"));
-        }
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -591,7 +543,7 @@ fn artifact_keys_canonicalize_and_torn_entries_degrade_to_recompute() {
     let req = gpp_req(si_small(), 1, 50, 0);
     let mut a = ServeCore::new(ServeConfig::new(&dir));
     a.enqueue(req).unwrap();
-    a.run_until_idle(&mut || None);
+    a.run_until_idle();
     let mut oracles = Oracles::default();
     oracles.check(&req, &a.take_responses().pop().unwrap().1.unwrap());
     // A torn write: one payload byte of the stored record flipped.
@@ -605,7 +557,7 @@ fn artifact_keys_canonicalize_and_torn_entries_degrade_to_recompute() {
     let before = counters::snapshot();
     let mut b = ServeCore::new(ServeConfig::new(&dir));
     b.enqueue(req).unwrap();
-    b.run_until_idle(&mut || None);
+    b.run_until_idle();
     let d = before.delta(&counters::snapshot());
     assert!(d.serve_store_invalid >= 1, "corruption must be detected");
     assert_eq!(d.serve_hits_disk, 0, "a torn record is never a hit");
@@ -619,7 +571,7 @@ fn artifact_keys_canonicalize_and_torn_entries_degrade_to_recompute() {
     drop(b);
     let mut c = ServeCore::new(ServeConfig::new(&dir));
     c.enqueue(req).unwrap();
-    c.run_until_idle(&mut || None);
+    c.run_until_idle();
     let (_, r) = c.take_responses().pop().unwrap();
     assert_eq!(r.unwrap().telemetry.cache, CacheStatus::DiskHit);
     let _ = std::fs::remove_dir_all(&dir);
@@ -637,7 +589,7 @@ fn golden_per_request_trace_report() {
     let req = gpp_req(si_small(), 1, 50, 0);
 
     core.enqueue(req).unwrap();
-    core.run_until_idle(&mut || None);
+    core.run_until_idle();
     let (_, cold) = core.take_responses().pop().unwrap();
     let cold_rep = cold.unwrap().telemetry.report.expect("cold report");
     assert!(
@@ -646,7 +598,7 @@ fn golden_per_request_trace_report() {
     );
 
     core.enqueue(req).unwrap();
-    core.run_until_idle(&mut || None);
+    core.run_until_idle();
     let (_, warm) = core.take_responses().pop().unwrap();
     let warm = warm.unwrap();
     trace::set_enabled(false);
@@ -708,13 +660,13 @@ fn replay_through_server(
             oracles.check(req, &t.wait().expect("no faults planned"));
         }
     }
-    let cores = server.shutdown();
+    let mut cores = server.shutdown();
     assert!(
         cores.iter().all(|c| c.is_idle()),
         "shutdown drains the queue"
     );
     assert!(
-        cores.iter().all(|c| c.events().is_empty()),
+        cores.iter_mut().all(|c| c.take_events().is_empty()),
         "a resident dispatcher keeps no event log"
     );
 }
@@ -817,7 +769,7 @@ fn sharded_replay_is_deterministic_and_shard_count_invariant() {
         for req in &stream {
             let core = &mut shards[req.shard_of(n)];
             let id = core.enqueue(*req).expect("queue has room");
-            core.run_until_idle(&mut || None);
+            core.run_until_idle();
             let (rid, resp) = core.take_responses().pop().expect("one response");
             assert_eq!(rid, id);
             let bits: Vec<u64> = match resp.expect("no faults planned").payload {

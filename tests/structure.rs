@@ -58,7 +58,8 @@ const ROWS: &[(&[&str], &[&str], Want, &str)] = &[
     (SERVE, &["gpp_sigma_diag("], Is(0), DAEMON),
     (SERVE, &["solve_qp_diag("], Is(0), DAEMON),
     (SERVE, &["GwStage::SigmaPartial"], Is(0), DAEMON),
-    (SERVE, &["save_partial", "load_partial", "clear_partial", "add_interest", "release_interest", ".to_checkpoint()", "SigmaRows::from_checkpoint"], Is(0), "the store holds screenings only: a preempted batch's rows ride in memory on its re-queued requests and die with the last of them, so no record, refcount or orphan sweep is needed"),
+    (SERVE, &["save_partial", "load_partial", "clear_partial", "add_interest", "release_interest", ".to_checkpoint()", "SigmaRows::from_checkpoint"], Is(0), "the store holds screenings only: a batch runs to completion, so its Sigma rows live and die inside one step and need no record, refcount or orphan sweep"),
+    (SERVE, &["Preempted", "Resumed", "fn cancel", "enqueue_with_cancel", "record_serve_preemption", "peek"], Is(0), "a batch runs to completion: priority and admission act on the queue only, never between the rows of a running batch"),
     (CRATES, &["stage: GwStage::SigmaPartial"], Is(1), "one SigmaPartial encoder in the workspace"),
     (CRATES, &["!= GwStage::SigmaPartial"], Is(1), "one SigmaPartial decoder in the workspace"),
     (CRATES, &["fn band_slice", "struct BatchPartial", "fn gpp_rows_preemptible"], Is(0), "the Sigma row is the unit: no band slices or batch partials"),
@@ -94,7 +95,7 @@ const ALLOW: &[(&str, &str, &str)] = &[
     ("crates/linalg/src/matrix.rs", "CMatrix::adjoint", "the explicit (A B)^H tests/properties.rs holds the Op::Adj GEMM to"),
     ("crates/linalg/src/matrix.rs", "CMatrix::random_hermitian", "the Hermitian input tests/properties.rs drives eigh with"),
     ("crates/linalg/src/matrix.rs", "CMatrix::hermiticity_error", "the check the unit tests of chi0, eps^-1, Sigma, GWPT and the Hamiltonian hold their outputs to (three crates, so not cfg(test))"),
-    ("crates/serve/src/core.rs", "ServeCore::*", "the single-threaded drive of the engine (enqueue, run_until_idle, take_events) tests/serve.rs, tests/serve_faults.rs and tests/pipeline.rs replay; the threaded Server runs the same step through enqueue_with_cancel and step_with"),
+    ("crates/serve/src/core.rs", "ServeCore::run_until_idle", "the single-threaded drive of the engine that tests/serve.rs replays; the threaded Server runs the same enqueue and step one batch at a time"),
     ("crates/trace/src/report.rs", "RunReport::*", "the views of a report (pruned and scrubbed, which tests/serve.rs pins the served golden with; render_tree, which examples/quickstart.rs prints and the report unit tests pin)"),
     ("crates/core/src/pseudobands.rs", "chebyshev_pseudoband", "ROADMAP item 7 wires the Chebyshev-Jackson construction into the band prefix or deletes it with num::chebyshev"),
     ("crates/num/src/chebyshev.rs", "*", "ROADMAP item 7 keeps or deletes the module whole"),
