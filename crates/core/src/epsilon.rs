@@ -9,8 +9,8 @@
 //! assembles and inverts them pool-parallel over the frequency axis, with
 //! the `I - v^{1/2} chi v^{1/2}` scaling fused into a single sweep over the
 //! cloned polarizability. A singular or non-finite dielectric matrix is a
-//! *recoverable application condition* (checkpointed runs resume, served
-//! requests report), so inversion failures surface as a typed
+//! *recoverable application condition* (a served request reports it and
+//! the daemon keeps serving), so inversion failures surface as a typed
 //! [`EpsilonError`] instead of a panic.
 
 use crate::coulomb::Coulomb;
@@ -101,8 +101,7 @@ impl EpsilonInverse {
     ///
     /// A singular or non-finite `eps~(omega_k)` returns the typed
     /// [`EpsilonError`] for the *first* offending frequency instead of
-    /// panicking, so recoverable drivers (checkpoint/restart, the daemon)
-    /// can surface it.
+    /// panicking, so the typed drivers and the daemon can surface it.
     pub fn build(
         chis: &[CMatrix],
         omegas: &[f64],
@@ -134,8 +133,8 @@ impl EpsilonInverse {
     }
 
     /// Reassembles an `EpsilonInverse` from already-inverted blocks — the
-    /// restart path: checkpointed `eps~^{-1}(omega_i)` matrices are loaded
-    /// back without redoing the inversion.
+    /// restore path: a stored screening record's `eps~^{-1}(omega_i)`
+    /// matrices are loaded back without redoing the inversion.
     pub fn from_parts(omegas: Vec<f64>, inv: Vec<CMatrix>, vsqrt: Vec<f64>) -> Self {
         assert_eq!(omegas.len(), inv.len());
         Self { omegas, inv, vsqrt }

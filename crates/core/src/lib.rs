@@ -13,7 +13,8 @@
 //! sums (Sec. 5.3) and [`gwpt`] computes electron-phonon coupling at the
 //! GW level (Sec. 5.1) for `N_p` perturbations against one shared
 //! [`Screening`]. [`service`] spells the pipeline's shared stages once
-//! (the spine); [`workflow`] and its sibling drivers run them.
+//! (the spine); the drivers in [`workflow`] and the served daemon run
+//! them.
 
 #![warn(missing_docs)]
 
@@ -27,7 +28,6 @@ pub mod gwpt;
 pub mod mtxel;
 pub mod params;
 pub mod pseudobands;
-pub mod restart;
 pub mod service;
 pub mod sigma;
 pub mod spacetime;
@@ -45,11 +45,10 @@ pub use gwpt::{gwpt_for_perturbation, GwptResult};
 pub use mtxel::Mtxel;
 pub use params::GwParams;
 pub use pseudobands::{chebyshev_pseudoband, compress, Pseudobands, PseudobandsConfig};
-pub use restart::{run_evgw_checkpointed, run_gpp_gw_checkpointed, CheckpointPolicy, GwStage};
 pub use service::{
     band_subset, bands_around_gap, build_screening, ff_eval, gpp_eval_preemptible,
     screening_from_checkpoint, screening_to_checkpoint, sigma_context, sigma_row,
-    three_point_grids, FfEvalResult, FfSpec, Screening, SigmaRow, SigmaRows,
+    three_point_grids, FfEvalResult, FfSpec, Screening, SigmaRow, SigmaRows, W_SCREENING_STAGE,
 };
 pub use sigma::diag::{gpp_sigma_diag, gpp_sigma_row, KernelVariant, SigmaDiagResult};
 pub use sigma::fullfreq::{
@@ -64,6 +63,6 @@ pub use spacetime::{
 };
 pub use subspace::Subspace;
 pub use workflow::{
-    run_evgw, run_full_dyson_gw, run_gpp_gw, run_gpp_gw_dag, DagGwResults, EvGwResults,
-    FullDysonResults, GwConfig, GwResults, SigmaDims,
+    run_full_dyson_gw, run_gpp_gw, run_gpp_gw_dag, DagGwResults, FullDysonResults, GwConfig,
+    GwResults, SigmaDims,
 };

@@ -6,10 +6,9 @@
 //!
 //! 1. `prefix` — spheres, mean-field bands, the slab-aware Coulomb,
 //!    the MTXEL engine, `sqrt(v)` and the `q0`-patched `ChiConfig`;
-//! 2. chi0 — **the driver's own** (barrier `chi_static`, checkpointed
-//!    chunks);
-//! 3. the dielectric inversion — **the driver's own** (`Prefix::invert`
-//!    is the barrier LU the non-distributed drivers share);
+//! 2. chi0 — the barrier `chi_static` (plus `chi_freqs` on the
+//!    quadrature nodes for a full-frequency screening);
+//! 3. the dielectric inversion — `Prefix::invert`, the barrier LU;
 //! 4. `finish_screening` — `eps_macro`, charge density, [`GppModel`]
 //!    -> [`Screening`];
 //! 5. [`sigma_context`] / `into_context` — the Sigma matrix elements;
@@ -19,9 +18,9 @@
 //!    same loop inside one span), collected in a keyed [`SigmaRows`] set;
 //! 7. `assemble` — Dyson solve, gaps and `SigmaDims` -> [`GwResults`].
 //!
-//! Every driver in [`workflow`](crate::workflow) and
-//! [`restart`](crate::restart) is the shared stages plus the three
-//! pieces it keeps, so "served == one-shot" holds by construction. Stage
+//! Every driver in [`workflow`](crate::workflow) and the served daemon
+//! runs these stages and keeps only its own loop over Sigma rows, so
+//! "served == one-shot" holds by construction. Stage
 //! spans (`workflow.meanfield|chi|epsilon|mtxel|sigma`) are opened by
 //! `Stage::run` and nowhere else; they are the one record of stage time.
 //!
@@ -32,16 +31,15 @@
 //!   nodes), packaged as a [`Screening`];
 //! * [`screening_to_checkpoint`] / [`screening_from_checkpoint`] encode a
 //!   `Screening` as a checksummed BGWR [`Checkpoint`] record (stage
-//!   [`GwStage::WScreening`]) — the serve artifact store's unit, so a
+//!   [`W_SCREENING_STAGE`]) — the serve artifact store's unit, so a
 //!   cache hit *is* a restart: the cheap deterministic prefix is
-//!   recomputed and the stored `eps~^{-1}` blocks are re-adopted;
+//!   recomputed and the stored `eps~^{-1}` blocks are re-adopted. It is
+//!   the one record the program writes;
 //! * [`gpp_eval_preemptible`] / [`ff_eval`] evaluate Sigma for an explicit
 //!   band list against a `Screening`. The GPP path is the plain loop over
 //!   [`sigma_row`] and can stop between rows; the [`SigmaRows`] it returns
-//!   are keyed the way the serving loop's coalesced batches dedup rows
-//!   and, through the one `SigmaPartial` checkpoint layout
-//!   ([`SigmaRows::to_checkpoint`] / [`SigmaRows::from_checkpoint`]), the
-//!   checkpointed driver's restart unit.
+//!   are keyed the way the serving loop's coalesced batches dedup rows.
+//!   They live in memory only.
 
 use crate::chi::{ChiConfig, ChiEngine};
 use crate::coulomb::Coulomb;
@@ -50,7 +48,6 @@ use crate::epsilon::{EpsilonError, EpsilonInverse};
 use crate::error::GwError;
 use crate::gpp::GppModel;
 use crate::mtxel::Mtxel;
-use crate::restart::GwStage;
 use crate::sigma::diag::{gpp_sigma_row, KernelVariant, SigmaDiagResult};
 use crate::sigma::fullfreq::ff_sigma_diag;
 use crate::sigma::SigmaContext;
@@ -218,8 +215,7 @@ impl Prefix {
         Stage::Epsilon.run(|| EpsilonInverse::build(chis, omegas, &self.coulomb, &self.eps_sph))
     }
 
-    /// Re-adopts inverted blocks a policy produced elsewhere (a
-    /// checkpoint, per-frequency tasks, a distributed inversion).
+    /// Re-adopts inverted blocks read back from a screening record.
     pub(crate) fn adopt(&self, omegas: Vec<f64>, inv: Vec<CMatrix>) -> EpsilonInverse {
         EpsilonInverse::from_parts(omegas, inv, self.vsqrt.clone())
     }
@@ -328,8 +324,8 @@ pub(crate) fn into_context(s: Screening, cfg: &GwConfig) -> (SigmaContext, f64) 
     (ctx, s.eps_macro)
 }
 
-/// Stages 1-5 under the barrier policy: where `run_gpp_gw`, `run_evgw`
-/// and `run_full_dyson_gw` start.
+/// Stages 1-5 under the barrier policy: where `run_gpp_gw` and
+/// `run_full_dyson_gw` start.
 pub(crate) fn screened_context(
     system: &ModelSystem,
     cfg: &GwConfig,
@@ -338,8 +334,8 @@ pub(crate) fn screened_context(
 }
 
 /// Stage 6, one row: row `s` of `ctx` on its 3-point grid at offset
-/// `delta_ry` — the unit the checkpointed driver writes after and the
-/// serving loop dedups across a coalesced batch.
+/// `delta_ry` — the unit the serving loop dedups across a coalesced
+/// batch.
 pub fn sigma_row(ctx: &SigmaContext, s: usize, delta_ry: f64, variant: KernelVariant) -> SigmaRow {
     let mut sigma = [0.0; N_GRID];
     let grid = three_point_grid(ctx.sigma_energies[s], delta_ry);
@@ -409,8 +405,13 @@ pub fn build_screening(
     screen(system, cfg, ff)
 }
 
+/// [`Checkpoint::stage`] of a screening record. The value is part of the
+/// on-disk format of the serve artifact store: changing it orphans every
+/// stored screening.
+pub const W_SCREENING_STAGE: u64 = 5;
+
 /// Encodes a screening as a BGWR checkpoint record (stage
-/// [`GwStage::WScreening`]): matrix 0 = static `eps~^{-1}`, matrices 1..
+/// [`W_SCREENING_STAGE`]): matrix 0 = static `eps~^{-1}`, matrices 1..
 /// = the full-frequency blocks, meta = `[n_ff, nodes..., weights...]`,
 /// `step` = `n_ff`. Only the expensive O(N^3) state is stored; the cheap
 /// prefix is recomputed on restore.
@@ -425,7 +426,7 @@ pub fn screening_to_checkpoint(s: &Screening) -> Checkpoint {
         meta.extend_from_slice(weights);
     }
     Checkpoint {
-        stage: GwStage::WScreening as u64,
+        stage: W_SCREENING_STAGE,
         step: n_ff as u64,
         meta,
         matrices,
@@ -445,7 +446,7 @@ pub fn screening_from_checkpoint(
     ck: &Checkpoint,
 ) -> Option<Screening> {
     let _s = bgw_trace::span!("serve.screening.restore");
-    if ck.stage != GwStage::WScreening as u64 {
+    if ck.stage != W_SCREENING_STAGE {
         return None;
     }
     // `step` is read off disk: a count no record could hold is malformed,
@@ -526,18 +527,13 @@ pub struct SigmaRow {
 }
 
 /// Evaluated rows keyed by `(band, delta)`: what a served batch assembles
-/// each member from, and what a checkpoint carries. Keyed rather than
-/// "first k bands done" because a coalesced batch mixes deltas and its
-/// members' windows differ; the checkpointed driver's prefix is the
-/// special case.
+/// each member from. Keyed rather than "first k bands done" because a
+/// coalesced batch mixes deltas and its members' windows differ.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SigmaRows {
     /// The rows, in evaluation order.
     pub rows: Vec<SigmaRow>,
 }
-
-/// Values per row of a `SigmaPartial` record: band, delta, FLOPs, samples.
-const ROW_WIDTH: usize = 3 + N_GRID;
 
 impl SigmaRows {
     /// The row of `band` at `delta_ry`, if evaluated.
@@ -585,88 +581,6 @@ impl SigmaRows {
             diag.flops += row.flops;
         }
         Ok(diag)
-    }
-
-    /// The one encoder of `SigmaPartial` records: `step` = rows, meta =
-    /// `[n_grid, rows, then per row: band, delta_ry, flops, samples]`, no
-    /// matrices (a checkpointed run adds its `eps~^{-1}` as matrix 0).
-    pub fn to_checkpoint(&self) -> Checkpoint {
-        let mut meta = vec![N_GRID as f64, self.rows.len() as f64];
-        for r in &self.rows {
-            meta.extend([r.band as f64, r.delta_ry, r.flops as f64]);
-            meta.extend(r.sigma);
-        }
-        Checkpoint {
-            stage: GwStage::SigmaPartial as u64,
-            step: self.rows.len() as u64,
-            meta,
-            matrices: vec![],
-        }
-    }
-
-    /// The one decoder of `SigmaPartial` records, for an evaluation that
-    /// can need at most `max_rows` rows. Everything read off disk is
-    /// validated before it sizes or indexes anything: the header, the row
-    /// count against `step`, `max_rows` and the table length (checked
-    /// arithmetic), integral band/FLOP fields, finite values, distinct
-    /// keys. Records of either pre-unification layout fail the header or
-    /// length check. The reason of a rejection comes back as text, which
-    /// the checkpointed driver reports as [`GwError::Malformed`].
-    pub fn from_checkpoint(ck: &Checkpoint, max_rows: usize) -> Result<Self, String> {
-        if ck.stage != GwStage::SigmaPartial as u64 {
-            return Err(format!("stage {} is not a sigma partial", ck.stage));
-        }
-        let [n_grid, n_rows, table @ ..] = ck.meta.as_slice() else {
-            return Err(format!(
-                "metadata has {} values, header needs 2",
-                ck.meta.len()
-            ));
-        };
-        if *n_grid != N_GRID as f64 {
-            return Err(format!(
-                "rows are {n_grid} energies wide, this build samples {N_GRID}"
-            ));
-        }
-        let n = usize::try_from(ck.step)
-            .ok()
-            .filter(|&n| n <= max_rows && n as f64 == *n_rows)
-            .ok_or_else(|| {
-                format!(
-                    "claims {} rows (header says {n_rows}), this evaluation has at most {max_rows}",
-                    ck.step
-                )
-            })?;
-        if n.checked_mul(ROW_WIDTH) != Some(table.len()) {
-            return Err(format!(
-                "sigma table has {} values, {n} rows need {ROW_WIDTH} each",
-                table.len()
-            ));
-        }
-        // Exactly representable non-negative integers only.
-        let integral = |x: f64| (0.0..9.0e15).contains(&x) && x.fract() == 0.0;
-        let mut rows: Vec<SigmaRow> = Vec::with_capacity(n);
-        for c in table.chunks_exact(ROW_WIDTH) {
-            if !integral(c[0]) || !integral(c[2]) || c.iter().any(|x| !x.is_finite()) {
-                return Err("sigma table holds a non-integral key or non-finite value".into());
-            }
-            let row = SigmaRow {
-                band: c[0] as usize,
-                delta_ry: c[1],
-                flops: c[2] as u64,
-                sigma: [c[3], c[4], c[5]],
-            };
-            if rows
-                .iter()
-                .any(|r| r.band == row.band && r.delta_ry == row.delta_ry)
-            {
-                return Err(format!(
-                    "row (band {}, delta {}) appears twice",
-                    row.band, row.delta_ry
-                ));
-            }
-            rows.push(row);
-        }
-        Ok(Self { rows })
     }
 }
 
@@ -749,7 +663,7 @@ mod tests {
         let cfg = GwConfig::default();
         let s = build_screening(&sys, &cfg, Some(FfSpec { n_quad: 6 })).expect("build");
         let ck = screening_to_checkpoint(&s);
-        assert_eq!(ck.stage, GwStage::WScreening as u64);
+        assert_eq!(ck.stage, W_SCREENING_STAGE);
         assert_eq!(ck.matrices.len(), 7);
         let back = screening_from_checkpoint(&sys, &cfg, &ck).expect("restore");
         assert_eq!(
@@ -776,7 +690,7 @@ mod tests {
         assert!(screening_from_checkpoint(&sys, &cfg, &good).is_some());
         // Wrong stage.
         let mut bad = good.clone();
-        bad.stage = GwStage::EpsilonDone as u64;
+        bad.stage = 2;
         assert!(screening_from_checkpoint(&sys, &cfg, &bad).is_none());
         // Shape mismatch (record for a different sphere).
         let mut bad = good.clone();
@@ -836,14 +750,12 @@ mod tests {
         assert_eq!(done.gap_qp_ry.to_bits(), oracle.gap_qp_ry.to_bits());
         assert_eq!(done.gap_mf_ry.to_bits(), oracle.gap_mf_ry.to_bits());
 
-        // Yield after every row, round-tripping the rows through a
-        // checkpoint record each time, and still match exactly.
+        // Yield after every row, resume from the rows held, and still
+        // match exactly.
         let mut rows = SigmaRows::default();
         let mut yields = 0;
         while rows.rows.len() < ctx.n_sigma() {
             rows = gpp_eval_preemptible(&ctx, delta, cfg.variant, Some(rows), |_| true);
-            rows = SigmaRows::from_checkpoint(&rows.to_checkpoint(), ctx.n_sigma())
-                .expect("partial roundtrip");
             yields += 1;
         }
         assert_eq!(yields, ctx.n_sigma(), "one row per resumption");
@@ -881,93 +793,5 @@ mod tests {
             );
         }
         assert_eq!(from_union.gap_qp_ry, rn.gap_qp_ry);
-    }
-
-    fn row(band: usize, delta_ry: f64) -> SigmaRow {
-        SigmaRow {
-            band,
-            delta_ry,
-            sigma: [1.0, 2.0, 3.0],
-            flops: 42,
-        }
-    }
-
-    #[test]
-    fn partial_checkpoint_rejects_inconsistent_records() {
-        let p = SigmaRows {
-            rows: vec![row(7, 0.05), row(7, 0.1)],
-        };
-        let ck = p.to_checkpoint();
-        assert_eq!(SigmaRows::from_checkpoint(&ck, 4).unwrap(), p);
-        let reject = |bad: &Checkpoint, why: &str| {
-            assert!(SigmaRows::from_checkpoint(bad, 4).is_err(), "{why}");
-        };
-        let mut bad = ck.clone();
-        bad.step = 3;
-        reject(&bad, "claims more rows than the meta holds");
-        let mut bad = ck.clone();
-        bad.meta[1] = 3.0;
-        reject(&bad, "header row count disagrees with step");
-        let mut bad = ck.clone();
-        bad.meta[5] = f64::NAN;
-        reject(&bad, "non-finite sample");
-        let mut bad = ck.clone();
-        bad.meta[2] = 7.5;
-        reject(&bad, "fractional band index");
-        let mut bad = ck.clone();
-        bad.meta[4] = -1.0;
-        reject(&bad, "negative FLOP count");
-        let mut bad = ck.clone();
-        bad.meta[9] = 0.05;
-        reject(&bad, "the same (band, delta) twice");
-        let mut bad = ck.clone();
-        bad.meta[0] = 2.0;
-        reject(&bad, "another grid width");
-        let mut bad = ck.clone();
-        bad.meta.pop();
-        reject(&bad, "truncated table");
-        let mut bad = ck.clone();
-        bad.stage = GwStage::ChiPartial as u64;
-        reject(&bad, "wrong stage");
-        // A consistent record that does not fit the evaluation resuming
-        // from it: more rows than it can need.
-        assert!(SigmaRows::from_checkpoint(&ck, 1).is_err());
-    }
-
-    #[test]
-    fn partial_decoder_rejects_both_former_layouts_and_hostile_counts() {
-        // Former core layout: [n_grid, flops, rows band-major], step =
-        // bands done.
-        let former_core = Checkpoint {
-            stage: GwStage::SigmaPartial as u64,
-            step: 2,
-            meta: vec![3.0, 84.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-            matrices: vec![],
-        };
-        assert!(SigmaRows::from_checkpoint(&former_core, 64).is_err());
-        // Former serve layout: [n, then per row: band, delta_milli, flops,
-        // samples], step = n. With n = 3 its first value even equals
-        // N_GRID; the length (1 + 6 n, never 2 + 6 n) gives it away.
-        let mut meta = vec![3.0];
-        for band in [3.0, 4.0, 5.0] {
-            meta.extend([band, 50.0, 42.0, 1.0, 2.0, 3.0]);
-        }
-        let former_serve = Checkpoint {
-            stage: GwStage::SigmaPartial as u64,
-            step: 3,
-            meta,
-            matrices: vec![],
-        };
-        assert!(SigmaRows::from_checkpoint(&former_serve, 64).is_err());
-        // Row counts no table can back: nothing may be sized from them.
-        for (step, n_rows) in [(u64::MAX, f64::INFINITY), (u64::MAX, 1.8446744073709552e19)] {
-            let hostile = Checkpoint {
-                stage: GwStage::SigmaPartial as u64,
-                step,
-                meta: vec![3.0, n_rows],
-                matrices: vec![],
-            };
-            assert!(SigmaRows::from_checkpoint(&hostile, usize::MAX).is_err());
-        }
     }
 }

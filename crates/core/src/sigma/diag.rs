@@ -86,8 +86,8 @@ pub fn gpp_sigma_diag(
 }
 
 /// The Sigma row — the unit of work of a self-energy pool (paper
-/// Sec. 5.5) and of every driver that checkpoints or dedups rows
-/// between bands: evaluates row `s` of `ctx` on `grid` in place, writing
+/// Sec. 5.5) and of the serving loop, which dedups rows across a
+/// batch: evaluates row `s` of `ctx` on `grid` in place, writing
 /// `Sigma_{l_s l_s}(E)` into `out` and returning the counted FLOPs. Each
 /// band's sum is independent, so the rows of a context evaluated in any
 /// order, on any subset, reproduce [`gpp_sigma_diag`] bit for bit.

@@ -122,107 +122,6 @@ fn gpp_gw(system: &ModelSystem, cfg: &GwConfig) -> Result<(SigmaContext, GwResul
     Ok((ctx, results))
 }
 
-/// Result of a self-consistent quasiparticle-energy solve.
-#[derive(Clone, Debug)]
-pub struct EvGwResults {
-    /// Gap after each iteration (Ry); entry 0 is the one-shot
-    /// (non-linearized) G0W0 value.
-    pub gap_history: Vec<f64>,
-    /// Final self-consistent gap (Ry).
-    pub gap_ry: f64,
-    /// Iterations used.
-    pub iterations: usize,
-    /// Self-consistent QP energies of the Sigma bands (Ry).
-    pub e_qp: Vec<f64>,
-}
-
-/// One damped fixed-point update of `E = E^MF + Re Sigma_ll(E)` on every
-/// Sigma band: evaluates Sigma at the current estimates `e_qp`, moves
-/// them, appends the new gap to `gap_history`, and returns the largest
-/// move (Ry).
-fn evgw_step(
-    ctx: &SigmaContext,
-    variant: KernelVariant,
-    e_qp: &mut [f64],
-    gap_history: &mut Vec<f64>,
-) -> f64 {
-    const DAMPING: f64 = 0.6;
-    let grids: Vec<Vec<f64>> = e_qp.iter().map(|&e| vec![e]).collect();
-    let diag = gpp_sigma_diag(ctx, &grids, variant);
-    let mut max_delta: f64 = 0.0;
-    for (s, e) in e_qp.iter_mut().enumerate() {
-        let target = ctx.sigma_energies[s] + diag.sigma[s][0];
-        let new = *e + DAMPING * (target - *e);
-        max_delta = max_delta.max((new - *e).abs());
-        *e = new;
-    }
-    gap_history.push(e_qp[ctx.lumo_pos()] - e_qp[ctx.homo_pos()]);
-    max_delta
-}
-
-/// The damped self-consistency loop of both evGW drivers: [`evgw_step`]
-/// from the iterate `(e_qp, gap_history)` — one history entry per
-/// iteration already on record — until the largest move drops below
-/// `tol_ry` or `max_iter` iterations are done, handing the iterate to
-/// `after_iter` after every step (the checkpointed driver's write). A run
-/// that ends with no iteration on record (`max_iter = 0`, nothing resumed)
-/// has no gap to report and fails typed.
-pub(crate) fn evgw_iterate(
-    ctx: &SigmaContext,
-    variant: KernelVariant,
-    max_iter: usize,
-    tol_ry: f64,
-    mut e_qp: Vec<f64>,
-    mut gap_history: Vec<f64>,
-    mut after_iter: impl FnMut(&[f64], &[f64]) -> Result<(), GwError>,
-) -> Result<EvGwResults, GwError> {
-    while gap_history.len() < max_iter {
-        let max_delta = evgw_step(ctx, variant, &mut e_qp, &mut gap_history);
-        after_iter(&e_qp, &gap_history)?;
-        if max_delta < tol_ry && gap_history.len() > 1 {
-            break;
-        }
-    }
-    let gap_ry = *gap_history.last().ok_or(GwError::Malformed {
-        stage: "evgw",
-        reason: "run finished with an empty gap history \
-                 (zero iterations performed and nothing resumed)"
-            .into(),
-    })?;
-    Ok(EvGwResults {
-        gap_ry,
-        iterations: gap_history.len(),
-        gap_history,
-        e_qp,
-    })
-}
-
-/// Graphical (fixed-point) solution of the quasiparticle equation
-/// `E = E^MF + Re Sigma_ll(E)` for every Sigma band, iterated to
-/// self-consistency with damping — the beyond-Z-factor solution the
-/// off-diag kernel's uniform energy grid enables at scale (paper
-/// Sec. 5.6: "much more accurate self-consistent quasiparticle energies
-/// from the full solutions of the Dyson's equation"). The screening stays
-/// at RPA@mean-field (GW0).
-pub fn run_evgw(
-    system: &ModelSystem,
-    cfg: &GwConfig,
-    max_iter: usize,
-    tol_ry: f64,
-) -> Result<EvGwResults, GwError> {
-    let (ctx, _) = screened_context(system, cfg)?;
-    let e_mf = ctx.sigma_energies.clone();
-    evgw_iterate(
-        &ctx,
-        cfg.variant,
-        max_iter,
-        tol_ry,
-        e_mf,
-        Vec::new(),
-        |_, _| Ok(()),
-    )
-}
-
 /// Results of a full-matrix Dyson solution.
 #[derive(Clone, Debug)]
 pub struct FullDysonResults {
@@ -272,37 +171,6 @@ pub fn run_full_dyson_gw(
 mod tests {
     use super::*;
     use bgw_pwdft::si_bulk;
-
-    #[test]
-    fn evgw_converges_and_exceeds_g0w0() {
-        let mut sys = si_bulk(1, 2.2);
-        sys.n_bands = 28;
-        let g0w0 = run_gpp_gw(&sys, &GwConfig::default());
-        let ev = run_evgw(&sys, &GwConfig::default(), 40, 1e-5).expect("evGW runs");
-        assert!(
-            ev.iterations >= 2 && ev.iterations < 40,
-            "iters {}",
-            ev.iterations
-        );
-        assert!(ev.gap_ry.is_finite() && ev.gap_ry > 0.0);
-        // converged: last two gaps nearly equal
-        let n = ev.gap_history.len();
-        assert!(
-            (ev.gap_history[n - 1] - ev.gap_history[n - 2]).abs() < 1e-4,
-            "not converged: {:?}",
-            &ev.gap_history[n.saturating_sub(3)..]
-        );
-        // the self-consistent gap opens relative to the mean field and is
-        // the same order as the Z-linearized G0W0 gap
-        assert!(ev.gap_ry > g0w0.gap_mf_ry);
-        let ratio = ev.gap_ry / g0w0.gap_qp_ry;
-        assert!(
-            (0.5..2.0).contains(&ratio),
-            "sc gap {} vs G0W0 {}",
-            ev.gap_ry,
-            g0w0.gap_qp_ry
-        );
-    }
 
     #[test]
     fn full_dyson_workflow_runs() {

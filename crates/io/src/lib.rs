@@ -38,7 +38,7 @@ pub enum RecordTag {
     Wavefunctions = 1,
     /// A dense complex matrix (chi, eps^-1, Sigma, ...).
     Matrix = 2,
-    /// A restart checkpoint: stage/step markers, scalar metadata, and a
+    /// A [`Checkpoint`]: stage/step markers, scalar metadata, and a
     /// sequence of embedded matrix records.
     Checkpoint = 3,
 }
@@ -305,48 +305,35 @@ pub fn read_matrix(path: &Path) -> Result<CMatrix, IoError> {
     read_matrix_from(&mut r, &mut left)
 }
 
-/// A restart checkpoint: where a workflow was (stage/step), a small vector
-/// of scalar metadata (accumulated energies, iteration damping state, ...),
-/// and the partial matrices needed to resume.
+/// A checkpoint record: a stage marker and a step count (interpreted by
+/// the writer), a small vector of scalar metadata, and a sequence of
+/// matrices. The program writes one kind, the serve artifact store's
+/// screening record (`bgw_core::screening_to_checkpoint`).
 ///
 /// Every section of the on-disk record is independently checksummed, so a
-/// checkpoint truncated or corrupted by a mid-write crash is *detected* on
-/// read and skipped by [`read_latest_checkpoint`] rather than resumed from.
+/// record truncated or corrupted by a mid-write crash is *detected* by
+/// [`read_checkpoint_file`] rather than decoded.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
-    /// Workflow stage marker (interpreted by the workflow layer).
+    /// Stage marker (interpreted by the writer).
     pub stage: u64,
-    /// Progress within the stage (e.g. next valence chunk / band index).
+    /// Progress within the stage (a screening record: its frequency count).
     pub step: u64,
     /// Scalar metadata accompanying the matrices.
     pub meta: Vec<f64>,
-    /// Partial state matrices (chi accumulators, eps^-1 blocks, sigma sums).
+    /// The stored matrices (a screening record: its eps^-1 blocks).
     pub matrices: Vec<CMatrix>,
 }
 
-/// File name of checkpoint `index` inside a checkpoint directory.
-pub fn checkpoint_path(dir: &Path, index: u64) -> std::path::PathBuf {
-    dir.join(format!("ckpt_{index:06}.bgwr"))
-}
-
-/// Writes `ckpt` as `ckpt_NNNNNN.bgwr` under `dir` (created if needed).
+/// Writes one checkpoint record to `path` (parent directory created if
+/// needed). Returns the payload bytes written.
 ///
-/// The write is atomic at the filesystem level: the record is assembled in
-/// a `.tmp` sibling and renamed into place, so a crash mid-write never
-/// leaves a half-written file under the final name. Returns the payload
-/// bytes written.
-pub fn write_checkpoint(dir: &Path, index: u64, ckpt: &Checkpoint) -> Result<u64, IoError> {
-    std::fs::create_dir_all(dir)?;
-    write_checkpoint_file(&checkpoint_path(dir, index), ckpt)
-}
-
-/// Writes one checkpoint record to an arbitrary `path` (parent directory
-/// created if needed) with the same atomic tmp+rename discipline as
-/// [`write_checkpoint`]. This is the artifact-record primitive of the
-/// serving layer's content-hash store: an artifact file IS a checkpoint
-/// record, so a cache hit reads back through the same checksummed decoder
-/// a restart does, and a crash mid-write leaves only an invisible `.tmp`
-/// sibling, never a torn record under the final name.
+/// The write is atomic at the filesystem level: the record is assembled
+/// in a `.tmp` sibling and renamed into place, so a crash mid-write leaves
+/// only that sibling, never a torn record under the final name. This is
+/// the artifact-record primitive of the serving layer's content-hash
+/// store: an artifact file IS a checkpoint record, read back through the
+/// checksummed [`read_checkpoint_file`].
 pub fn write_checkpoint_file(path: &Path, ckpt: &Checkpoint) -> Result<u64, IoError> {
     let _span = bgw_trace::span!("io.ckpt.write");
     if let Some(parent) = path.parent() {
@@ -384,7 +371,7 @@ pub fn write_checkpoint_file(path: &Path, ckpt: &Checkpoint) -> Result<u64, IoEr
         Ok(bytes)
     };
     // A failed write, flush or rename leaves no `.tmp` behind: no scan
-    // of a store or checkpoint directory would ever see or reclaim it.
+    // of the store directory would ever see or reclaim it.
     let bytes = write().inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp_path);
     })?;
@@ -435,38 +422,6 @@ pub fn read_checkpoint_file(path: &Path) -> Result<Checkpoint, IoError> {
         meta,
         matrices,
     })
-}
-
-/// Scans `dir` for `ckpt_NNNNNN.bgwr` files and returns the
-/// highest-indexed one that reads back *valid* (version and all checksums
-/// ok), as `(index, checkpoint)`. Corrupt or truncated files — the residue
-/// of a crash mid-write — are skipped, not fatal. Returns `Ok(None)` when
-/// the directory is missing or holds no valid checkpoint.
-pub fn read_latest_checkpoint(dir: &Path) -> Result<Option<(u64, Checkpoint)>, IoError> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(_) => return Ok(None),
-    };
-    let mut indices: Vec<u64> = Vec::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(num) = name
-            .strip_prefix("ckpt_")
-            .and_then(|s| s.strip_suffix(".bgwr"))
-        {
-            if let Ok(idx) = num.parse::<u64>() {
-                indices.push(idx);
-            }
-        }
-    }
-    indices.sort_unstable_by(|a, b| b.cmp(a));
-    for idx in indices {
-        if let Ok(ckpt) = read_checkpoint_file(&checkpoint_path(dir, idx)) {
-            return Ok(Some((idx, ckpt)));
-        }
-    }
-    Ok(None)
 }
 
 #[cfg(test)]
@@ -564,20 +519,32 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip() {
-        let dir = tmp("ckptdir");
+        let path = tmp("ckpt.bgwr");
         let ckpt = Checkpoint {
             stage: 3,
             step: 17,
             meta: vec![1.5, -2.25, 0.0],
             matrices: vec![CMatrix::random(6, 6, 11), CMatrix::random(4, 9, 12)],
         };
-        let bytes = write_checkpoint(&dir, 5, &ckpt).unwrap();
+        let bytes = write_checkpoint_file(&path, &ckpt).unwrap();
         assert!(bytes > 0);
-        let back = read_checkpoint_file(&checkpoint_path(&dir, 5)).unwrap();
-        assert_eq!(back, ckpt);
-        // no stray tmp file left behind
-        assert!(!dir.join("ckpt_000005.bgwr.tmp").exists());
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(read_checkpoint_file(&path).unwrap(), ckpt);
+        // A flipped byte in the last matrix's payload fails its checksum,
+        // and a truncated record fails the header's byte count.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - 12;
+        bytes[at] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_checkpoint_file(&path),
+            Err(IoError::ChecksumMismatch { .. })
+        ));
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        assert!(matches!(
+            read_checkpoint_file(&path),
+            Err(IoError::BadHeader(_))
+        ));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -623,56 +590,15 @@ mod tests {
     }
 
     #[test]
-    fn latest_checkpoint_skips_corrupt_files() {
-        let dir = tmp("ckptlatest");
-        let good = Checkpoint {
-            stage: 1,
-            step: 2,
-            meta: vec![7.0],
-            matrices: vec![CMatrix::random(3, 3, 1)],
-        };
-        write_checkpoint(&dir, 1, &good).unwrap();
-        let newer = Checkpoint {
-            stage: 1,
-            step: 9,
-            meta: vec![8.0],
-            matrices: vec![CMatrix::random(3, 3, 2)],
-        };
-        write_checkpoint(&dir, 2, &newer).unwrap();
-        // corrupt the newest checkpoint: flip a payload byte
-        let path = checkpoint_path(&dir, 2);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() - 12;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        // and drop a truncated even-newer one
-        std::fs::write(checkpoint_path(&dir, 3), &bytes[..10]).unwrap();
-        let (idx, ckpt) = read_latest_checkpoint(&dir).unwrap().unwrap();
-        assert_eq!(idx, 1);
-        assert_eq!(ckpt, good);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn latest_checkpoint_empty_cases() {
-        let dir = tmp("ckptnone");
-        assert!(read_latest_checkpoint(&dir).unwrap().is_none());
-        std::fs::create_dir_all(&dir).unwrap();
-        assert!(read_latest_checkpoint(&dir).unwrap().is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn checkpoint_version_gate() {
-        let dir = tmp("ckptver");
+        let path = tmp("ckptver.bgwr");
         let ckpt = Checkpoint {
             stage: 0,
             step: 0,
             meta: vec![],
             matrices: vec![],
         };
-        write_checkpoint(&dir, 0, &ckpt).unwrap();
-        let path = checkpoint_path(&dir, 0);
+        write_checkpoint_file(&path, &ckpt).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         // first dim (version) sits right after magic+version+tag+ndims = 16 bytes
         bytes[16] = 99;
@@ -681,24 +607,22 @@ mod tests {
             read_checkpoint_file(&path),
             Err(IoError::BadHeader(_))
         ));
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&path).ok();
     }
 
-    /// Writes a valid checkpoint `index` under `dir`, then overwrites the
+    /// Writes a valid checkpoint to `path`, then overwrites the
     /// 8-byte header field at `offset` with `value`.
-    fn crafted_checkpoint(dir: &Path, index: u64, offset: usize, value: u64) -> std::path::PathBuf {
+    fn crafted_checkpoint(path: &Path, offset: usize, value: u64) {
         let ckpt = Checkpoint {
             stage: 1,
             step: 2,
             meta: vec![7.0],
             matrices: vec![CMatrix::random(3, 3, 1)],
         };
-        write_checkpoint(dir, index, &ckpt).unwrap();
-        let path = checkpoint_path(dir, index);
-        let mut bytes = std::fs::read(&path).unwrap();
+        write_checkpoint_file(path, &ckpt).unwrap();
+        let mut bytes = std::fs::read(path).unwrap();
         bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        path
+        std::fs::write(path, &bytes).unwrap();
     }
 
     #[test]
@@ -708,27 +632,18 @@ mod tests {
         // 48). The first embedded matrix header follows the 56-byte
         // header and the one-value meta payload with its checksum; its
         // row count is at 56 + 16 + 16 = 88.
-        let dir = tmp("ckptcrafted");
+        let path = tmp("ckptcrafted.bgwr");
         for (offset, field) in [(40, "n_meta"), (48, "n_mats"), (88, "matrix rows")] {
-            let path = crafted_checkpoint(&dir, 0, offset, u64::MAX);
+            crafted_checkpoint(&path, offset, u64::MAX);
             match read_checkpoint_file(&path) {
                 Err(IoError::BadHeader(_)) => {}
                 other => panic!("{field} = u64::MAX: expected BadHeader, got {other:?}"),
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn latest_checkpoint_skips_a_crafted_header() {
-        let dir = tmp("ckptcraftedlatest");
-        let good = crafted_checkpoint(&dir, 0, 32, 2); // step rewritten to itself
-        let want = read_checkpoint_file(&good).unwrap();
-        crafted_checkpoint(&dir, 1, 48, u64::MAX);
-        let (idx, ckpt) = read_latest_checkpoint(&dir).unwrap().unwrap();
-        assert_eq!(idx, 0);
-        assert_eq!(ckpt, want);
-        std::fs::remove_dir_all(&dir).ok();
+        // The control: the step (byte 32) rewritten to itself reads back.
+        crafted_checkpoint(&path, 32, 2);
+        assert_eq!(read_checkpoint_file(&path).unwrap().step, 2);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

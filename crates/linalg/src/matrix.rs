@@ -189,12 +189,6 @@ impl CMatrix {
             .fold(0.0, f64::max)
     }
 
-    /// Trace (square only).
-    pub fn trace(&self) -> Complex64 {
-        assert!(self.is_square());
-        (0..self.nrows).map(|i| self[(i, i)]).sum()
-    }
-
     /// Scales every element in place.
     pub fn scale_inplace(&mut self, s: Complex64) {
         for z in &mut self.data {
@@ -295,7 +289,8 @@ mod tests {
         assert_eq!(z.shape(), (2, 3));
         assert_eq!(z.frobenius_norm(), 0.0);
         let i3 = CMatrix::identity(3);
-        assert_eq!(i3.trace(), c64(3.0, 0.0));
+        let trace: Complex64 = (0..3).map(|i| i3[(i, i)]).sum();
+        assert_eq!(trace, c64(3.0, 0.0));
         let f = CMatrix::from_fn(2, 2, |i, j| c64((i + j) as f64, 0.0));
         assert_eq!(f[(1, 1)], c64(2.0, 0.0));
         let d = CMatrix::from_diag(&[c64(1.0, 0.0), c64(0.0, 2.0)]);

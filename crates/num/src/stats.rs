@@ -56,20 +56,6 @@ impl RunningStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn stderr(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.stddev() / (self.n as f64).sqrt()
-        }
-    }
-
     /// Minimum sample (`+inf` if empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -114,7 +100,6 @@ mod tests {
         assert_eq!(st.count(), 8);
         assert_eq!(st.min(), 2.0);
         assert_eq!(st.max(), 9.0);
-        assert!((st.stderr() - st.stddev() / (8f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -122,7 +107,6 @@ mod tests {
         let st = RunningStats::new();
         assert_eq!(st.mean(), 0.0);
         assert_eq!(st.variance(), 0.0);
-        assert_eq!(st.stderr(), 0.0);
     }
 
     #[test]

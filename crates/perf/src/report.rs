@@ -24,11 +24,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let ncol = self.headers.len();
@@ -88,7 +83,7 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         // header + separator + 2 rows + title
         assert_eq!(lines.len(), 5);
-        assert_eq!(t.n_rows(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -46,14 +46,13 @@ fn pop_spec_suffix(meta: &mut Vec<f64>) -> Option<String> {
     if n < 2 || meta[n - 1].to_bits() != SPEC_MAGIC_BITS {
         return None;
     }
+    // The length is read off disk and `as usize` saturates, so bound it
+    // by the n - 2 values it can frame before it becomes an index.
     let len_f = meta[n - 2];
-    if !(len_f.is_finite() && len_f >= 0.0 && len_f.fract() == 0.0) {
+    if !(len_f.fract() == 0.0 && (0.0..=(n - 2) as f64).contains(&len_f)) {
         return None;
     }
     let len = len_f as usize;
-    if n < len + 2 {
-        return None;
-    }
     let mut bytes = Vec::with_capacity(len);
     for &v in &meta[n - 2 - len..n - 2] {
         if !(v.is_finite() && (0.0..=255.0).contains(&v) && v.fract() == 0.0) {
@@ -378,6 +377,22 @@ mod tests {
         let d = before.delta(&bgw_perf::counters::snapshot());
         assert!(d.serve_store_invalid >= 1, "collision must be counted");
         assert!(store.load(key, SPEC).is_some(), "the true owner still hits");
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn spec_length_past_the_meta_degrades_to_miss_and_counts() {
+        // A checksum-valid record whose spec suffix claims 1e20 bytes: a
+        // finite integral length no meta can hold.
+        let store = ArtifactStore::new(tmpdir("spec_len"));
+        let key = ArtifactKey(2);
+        let mut ck = sample();
+        ck.meta.extend([1e20, f64::from_bits(SPEC_MAGIC_BITS)]);
+        write_checkpoint_file(&store.artifact_path(key), &ck).expect("plant record");
+        let before = bgw_perf::counters::snapshot();
+        assert!(store.load(key, SPEC).is_none(), "bad spec length must miss");
+        let d = before.delta(&bgw_perf::counters::snapshot());
+        assert!(d.serve_store_invalid >= 1);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -6,8 +6,8 @@ use berkeleygw_rs::core::coulomb::Coulomb;
 use berkeleygw_rs::core::epsilon::EpsilonInverse;
 use berkeleygw_rs::core::mtxel::Mtxel;
 use berkeleygw_rs::core::{
-    build_screening, gpp_eval_preemptible, run_evgw, run_full_dyson_gw, run_gpp_gw, sigma_context,
-    GwConfig, GwResults, KernelVariant,
+    build_screening, gpp_eval_preemptible, run_full_dyson_gw, run_gpp_gw, sigma_context, GwConfig,
+    GwResults, KernelVariant,
 };
 use berkeleygw_rs::num::RYDBERG_EV;
 use berkeleygw_rs::perf::counters::exclusive_test_guard;
@@ -166,13 +166,14 @@ fn every_driver_honours_the_slab_flag() {
         );
     }
 
-    // Truncating the interaction changes the screening, so the evGW
-    // iterates must move with the flag.
-    let ev_slab = run_evgw(&sys, &slab, 3, 1e-9).expect("evGW runs");
-    let ev_bulk = run_evgw(&sys, &bulk, 3, 1e-9).expect("evGW runs");
+    // Truncating the interaction changes the screening, so the QP
+    // energies must move with the flag.
+    let gpp_bulk = run_gpp_gw(&sys, &bulk);
+    let e_qp = |r: &GwResults| r.states.iter().map(|s| s.e_qp).collect::<Vec<_>>();
     assert_ne!(
-        ev_slab.gap_history, ev_bulk.gap_history,
-        "run_evgw ignored GwConfig::slab"
+        e_qp(&gpp),
+        e_qp(&gpp_bulk),
+        "run_gpp_gw ignored GwConfig::slab"
     );
 }
 

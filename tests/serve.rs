@@ -395,7 +395,7 @@ fn higher_priority_leads_the_next_batch_and_each_batch_runs_to_completion() {
             .expect("screening artifact intact");
         assert_eq!(
             art.stage,
-            berkeleygw_rs::core::GwStage::WScreening as u64,
+            berkeleygw_rs::core::W_SCREENING_STAGE,
             "artifact is screening state, never Sigma rows"
         );
     }

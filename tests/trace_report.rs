@@ -14,8 +14,8 @@
 
 use berkeleygw_rs::core::sigma::diag::{gpp_sigma_diag, measured_alpha, KernelVariant};
 use berkeleygw_rs::core::{
-    ff_sigma_diag, imag_axis_sigma_diag, run_gpp_gw, run_gpp_gw_checkpointed, testkit,
-    CheckpointPolicy, ChiConfig, ChiEngine, Coulomb, EpsilonInverse, GwConfig, Mtxel,
+    ff_sigma_diag, imag_axis_sigma_diag, run_full_dyson_gw, run_gpp_gw, testkit, ChiConfig,
+    ChiEngine, Coulomb, EpsilonInverse, GwConfig, Mtxel,
 };
 use berkeleygw_rs::num::grid::semi_infinite_quadrature;
 use berkeleygw_rs::perf::counters::exclusive_test_guard;
@@ -288,15 +288,12 @@ fn every_gw_driver_leaves_the_five_stage_spans() {
     let mut sys = si_bulk(1, 2.2);
     sys.n_bands = 24;
     let cfg = GwConfig::default();
-    let dir = std::env::temp_dir().join(format!("bgw_stage_spans_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let drivers: [(&str, &dyn Fn()); 2] = [
         ("run_gpp_gw", &|| {
             run_gpp_gw(&sys, &cfg);
         }),
-        ("run_gpp_gw_checkpointed", &|| {
-            run_gpp_gw_checkpointed(&sys, &cfg, &CheckpointPolicy::new(&dir))
-                .expect("checkpointed run");
+        ("run_full_dyson_gw", &|| {
+            run_full_dyson_gw(&sys, &cfg, 8).expect("full-Dyson run");
         }),
     ];
     for (driver, run) in drivers {
@@ -314,13 +311,6 @@ fn every_gw_driver_leaves_the_five_stage_spans() {
             chi.gemm_calls > 0,
             "{driver}: chi0 ran no ZGEMM under its span"
         );
-        let (ckpt, _) = totals(&rep, "workflow.checkpoint");
-        assert_eq!(
-            ckpt > 0,
-            driver == "run_gpp_gw_checkpointed",
-            "{driver}: workflow.checkpoint spans: {ckpt}"
-        );
     }
-    let _ = std::fs::remove_dir_all(&dir);
     trace::reset();
 }
